@@ -1,10 +1,10 @@
 // Streaming engine throughput: single-sample process(), block-wise
-// process_batch() (GEMM scoring through the batch kernels), and
+// process_rows() (GEMM scoring through the batch kernels), and
 // PipelineManager fanning N independent streams over the thread pool.
 //
 // There is no paper reference for this table — it quantifies the batched
 // hot path and the multi-stream layer added on top of the reproduction:
-// process_batch() is bit-identical to process() (tested), so any speedup
+// process_rows() is bit-identical to process() (tested), so any speedup
 // is free, and manager throughput should scale with streams until the
 // pool saturates.
 // Pass `--json <path>` to also write an edgedrift-bench-v1 record file
@@ -81,24 +81,22 @@ int main(int argc, char** argv) {
   for (const std::size_t block : {64UL, 256UL, 1024UL}) {
     core::Pipeline pipeline(config);
     pipeline.fit(train.x, train.labels);
+    std::vector<core::PipelineStep> steps;
     util::Stopwatch clock;
     std::size_t produced = 0;
     for (std::size_t start = 0; start < stream.size(); start += block) {
       const std::size_t rows = std::min(block, stream.size() - start);
-      linalg::Matrix chunk(rows, stream.dim());
-      for (std::size_t r = 0; r < rows; ++r) {
-        const auto src = stream.x.row(start + r);
-        std::copy(src.begin(), src.end(), chunk.row(r).begin());
-      }
-      produced += pipeline.process_batch(chunk).size();
+      steps.clear();
+      pipeline.process_rows({stream.x, start, start + rows}, {}, steps);
+      produced += steps.size();
     }
     const double seconds = clock.elapsed_seconds();
-    table.add_row({"process_batch(block=" + std::to_string(block) + ")",
+    table.add_row({"process_rows(block=" + std::to_string(block) + ")",
                    std::to_string(produced), util::fmt(seconds * 1e3, 1),
                    util::fmt(samples_per_second(produced, seconds) / 1e3,
                              1)});
     records.push_back(make_record(
-        "process_batch/block=" + std::to_string(block), produced, seconds));
+        "process_rows/block=" + std::to_string(block), produced, seconds));
   }
 
   // Multi-stream manager: N copies of the stream, one pipeline each.

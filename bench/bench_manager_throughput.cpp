@@ -1,14 +1,11 @@
 // Serving-layer throughput: PipelineManager ring-buffer ingestion with the
-// chunked process_batch() drain against the retained sample-wise baseline
-// (DrainMode::kSample plus a per-row submit loop — the manager's pre-ring
-// serving path, with its per-sample heap copy and lock rounds).
-//
-// Both modes run inside the same binary over the same fitted pipelines and
-// the same stationary pre-drift stream (drain cost is the object of
-// measurement, so no recovery may intervene), interleaved rep by rep with
-// the best-of throughput reported per mode — the noise-mitigation protocol
-// for single-core containers. Steps are bit-identical across modes
-// (tests/test_ingestion.cpp), so the speedup is free.
+// burst-wise process_rows() drain, over fitted pipelines and a stationary
+// pre-drift stream (drain cost is the object of measurement, so no recovery
+// may intervene), best-of over reps. Every ablation below runs its modes
+// inside the same binary, interleaved rep by rep — the noise-mitigation
+// protocol for single-core containers. The pre-ring per-sample drain this
+// bench once compared against is gone; its last numbers are the
+// drain=sample records of the committed BENCH_manager.json.
 //
 // Three configurations span the regime: NSL-KDD-like (d=38, C=2), where
 // the per-sample matvec path is already near memory-bound and the batch
@@ -38,7 +35,7 @@
 // The nsl-kdd section also carries the coalescing ablation: a seeded
 // projection group of 16/64 resident streams drained at 1-8 pending
 // rows/stream with the cross-stream planner on vs off
-// (DrainOptions::coalesce). The resident=64 records feed
+// (ManagerOptions::coalesce). The resident=64 records feed
 // tools/check_coalesce_gain.py, which perf-smoke CI uses to gate the
 // mega-batch drain's advantage at high density.
 //
@@ -53,7 +50,6 @@
 #include <array>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,24 +76,14 @@ constexpr std::size_t kReps = 5;
 struct ModeRun {
   std::string label;
   core::ManagerOptions options;
-  bool batch_submit = true;
   std::unique_ptr<core::PipelineManager> manager;
   double best_samples_per_second = 0.0;
 };
 
-double run_rep(core::PipelineManager& manager, const linalg::Matrix& stream,
-               bool batch_submit) {
+double run_rep(core::PipelineManager& manager, const linalg::Matrix& stream) {
   util::Stopwatch clock;
   for (std::size_t s = 0; s < manager.num_streams(); ++s) {
-    if (batch_submit) {
-      manager.submit_batch(s, stream);
-    } else {
-      // The pre-ring submit_batch() was exactly this per-row loop; the
-      // baseline keeps its per-sample ingestion cost too.
-      for (std::size_t r = 0; r < stream.rows(); ++r) {
-        manager.submit(s, stream.row(r));
-      }
-    }
+    manager.submit_batch(s, stream);
   }
   manager.drain();
   const double seconds = clock.elapsed_seconds();
@@ -123,19 +109,21 @@ bench::KernelRecord make_record(const std::string& name, double sps,
 /// targets, where the per-stream path runs one tiny projection GEMM per
 /// stream. kManual dispatch so every drain() is exactly one planning pass
 /// over all resident streams; coalesce on vs off interleaved rep by rep,
-/// best-of. `tier` runs the whole comparison under a numerics override
-/// (records carry it in `precision`).
-void run_coalesce_ablation(const core::PipelineConfig& config,
+/// best-of. `tier` is the numerics tier of the whole comparison (records
+/// carry it in `precision`).
+void run_coalesce_ablation(const core::PipelineConfig& base,
                            const data::Dataset& train,
                            const linalg::Matrix& stream,
                            std::size_t resident, std::size_t burst,
-                           std::optional<linalg::NumericsTier> tier,
-                           const char* precision, util::Table& table,
+                           linalg::NumericsTier tier, const char* precision,
+                           util::Table& table,
                            std::vector<bench::KernelRecord>& records) {
   constexpr std::size_t kSamplesPerRep = 8192;
   constexpr std::size_t kBlockRotation = 32;
   const std::size_t rounds =
       std::max<std::size_t>(1, kSamplesPerRep / (resident * burst));
+  core::PipelineConfig config = base;
+  config.numerics = tier;
 
   // Rotating pre-built submit blocks: no per-submit Matrix construction on
   // the measured path, modest variety so the windows don't degenerate.
@@ -155,8 +143,7 @@ void run_coalesce_ablation(const core::PipelineConfig& config,
     core::ManagerOptions options;
     options.dispatch = core::DispatchMode::kManual;
     options.queue_capacity = std::max<std::size_t>(64, burst);
-    options.drain_opts.coalesce = m == 0;
-    options.numerics = tier;
+    options.coalesce = m == 0;
     modes[m].options = options;
     modes[m].manager =
         std::make_unique<core::PipelineManager>(config, 1, options);
@@ -243,8 +230,7 @@ void run_coalesce_ablation(const core::PipelineConfig& config,
 void run_train_ablation(const core::PipelineConfig& base,
                         const data::Dataset& train,
                         const linalg::Matrix& drifted, std::size_t resident,
-                        std::size_t burst,
-                        std::optional<linalg::NumericsTier> tier,
+                        std::size_t burst, linalg::NumericsTier tier,
                         const char* precision, util::Table& table,
                         std::vector<bench::KernelRecord>& records) {
   constexpr std::size_t kSamplesPerRep = 4096;
@@ -253,6 +239,7 @@ void run_train_ablation(const core::PipelineConfig& base,
       std::max<std::size_t>(1, kSamplesPerRep / (resident * burst));
 
   core::PipelineConfig config = base;
+  config.numerics = tier;
   config.recovery = core::RecoveryPolicy::kResetRecalibrate;
   // Recovery must span the whole measurement: the retraining never ends.
   config.reconstruction.n_total = std::size_t{1} << 30;
@@ -273,11 +260,11 @@ void run_train_ablation(const core::PipelineConfig& base,
     core::ManagerOptions options;
     options.dispatch = core::DispatchMode::kManual;
     options.queue_capacity = std::max<std::size_t>(64, burst);
-    options.drain_opts.train_chunk = chunks[m];
-    options.numerics = tier;
     modes[m].options = options;
+    core::PipelineConfig chunked = config;
+    chunked.train_chunk = chunks[m];
     modes[m].manager =
-        std::make_unique<core::PipelineManager>(config, 1, options);
+        std::make_unique<core::PipelineManager>(chunked, 1, options);
     modes[m].manager->fit(0, train.x, train.labels);
     modes[m].manager->seed_cold_from(0, resident - 1);
     // Warm-up doubles as the drift trigger: drive the drifted stream until
@@ -355,70 +342,42 @@ void run_train_ablation(const core::PipelineConfig& base,
       static_cast<unsigned long long>(totals.requants_saved));
 }
 
-/// Interleaved best-of comparison of the sample-wise baseline vs the
-/// batched drain at one stream count. Returns {baseline, batch} samples/s
-/// and appends table rows + JSON records under `prefix`.
-std::pair<double, double> run_modes(const std::string& prefix,
-                                    const core::PipelineConfig& config,
-                                    const data::Dataset& train,
-                                    const linalg::Matrix& stream,
-                                    std::size_t streams, util::Table& table,
-                                    std::vector<bench::KernelRecord>& records) {
-  // The ring holds the whole stream so ingestion never backpressures: the
-  // measured quantity is the serving path, identical producers either way.
-  core::ManagerOptions base;
-  base.queue_capacity = stream.rows();
+/// Best-of throughput of the batched drain at one stream count; appends a
+/// table row and a JSON record under `prefix`.
+void run_drain(const std::string& prefix, const core::PipelineConfig& config,
+               const data::Dataset& train, const linalg::Matrix& stream,
+               std::size_t streams, util::Table& table,
+               std::vector<bench::KernelRecord>& records) {
+  // The ring holds the whole stream so ingestion never backpressures.
+  core::ManagerOptions options;
+  options.queue_capacity = stream.rows();
 
   // Recovery must not intervene (its sequential retraining would swamp the
-  // drain cost in both modes), so detections — if the detector fires on a
-  // noisy stationary window — only reset the detector.
+  // drain cost), so detections — if the detector fires on a noisy
+  // stationary window — only reset the detector.
   core::PipelineConfig frozen_config = config;
   frozen_config.recovery = core::RecoveryPolicy::kDetectOnly;
 
-  std::vector<ModeRun> modes(2);
-  modes[0].label = "sample";
-  modes[0].options = base;
-  modes[0].options.drain = core::DrainMode::kSample;
-  modes[0].batch_submit = false;
-  modes[1].label = "batch";
-  modes[1].options = base;
-  for (ModeRun& m : modes) {
-    m.manager = std::make_unique<core::PipelineManager>(frozen_config, streams,
-                                                        m.options);
-    for (std::size_t s = 0; s < streams; ++s) {
-      m.manager->fit(s, train.x, train.labels);
-    }
+  core::PipelineManager manager(frozen_config, streams, options);
+  for (std::size_t s = 0; s < streams; ++s) {
+    manager.fit(s, train.x, train.labels);
   }
-
+  double best = 0.0;
   for (std::size_t rep = 0; rep < kReps; ++rep) {
-    for (ModeRun& m : modes) {
-      const double sps = run_rep(*m.manager, stream, m.batch_submit);
-      m.best_samples_per_second = std::max(m.best_samples_per_second, sps);
-      for (std::size_t s = 0; s < streams; ++s) m.manager->take_steps(s);
-    }
+    best = std::max(best, run_rep(manager, stream));
+    for (std::size_t s = 0; s < streams; ++s) manager.take_steps(s);
   }
-
-  const double baseline = modes[0].best_samples_per_second;
-  for (const ModeRun& m : modes) {
-    const double sps = m.best_samples_per_second;
-    table.add_row({prefix, std::to_string(streams), m.label,
-                   util::fmt(sps > 0.0 ? 1e9 / sps : 0.0, 0),
-                   util::fmt(sps / 1e3, 1),
-                   util::fmt(baseline > 0.0 ? sps / baseline : 0.0, 2)});
-    records.push_back(make_record(prefix + "/streams=" +
-                                      std::to_string(streams) +
-                                      "/drain=" + m.label,
-                                  sps));
-  }
-  // Telemetry dies with the managers at the end of this scope — print the
-  // batch run's serving counters for stream 0 while they are alive.
-  const core::StreamTelemetry& t = modes[1].manager->telemetry(0);
+  table.add_row({prefix, std::to_string(streams), "batch",
+                 util::fmt(best > 0.0 ? 1e9 / best : 0.0, 0),
+                 util::fmt(best / 1e3, 1), "-"});
+  records.push_back(make_record(
+      prefix + "/streams=" + std::to_string(streams) + "/drain=batch", best));
+  const core::StreamTelemetry& t = manager.telemetry(0);
   std::printf(
       "%s @%zu streams (batch): high-water %zu, %zu bursts, "
       "busy drain-rate %.0f ksamples/s\n",
       prefix.c_str(), streams, t.queue_high_water.load(), t.drain_bursts,
       t.samples_per_second() / 1e3);
-  return {baseline, modes[1].best_samples_per_second};
 }
 
 }  // namespace
@@ -450,12 +409,12 @@ int main(int argc, char** argv) {
     config.input_dim = train.dim();
 
     for (const std::size_t streams : {1UL, 8UL}) {
-      run_modes("nsl-kdd", config, train, stationary.x, streams, table,
+      run_drain("nsl-kdd", config, train, stationary.x, streams, table,
                 records);
     }
 
-    // Drain chunk ablation at 8 streams, batch mode only. Same
-    // recovery-free protocol as run_modes.
+    // Drain chunk ablation at 8 streams. Same recovery-free protocol as
+    // run_drain.
     config.recovery = core::RecoveryPolicy::kDetectOnly;
     for (const std::size_t chunk : {32UL, 512UL}) {
       core::ManagerOptions options;
@@ -467,7 +426,7 @@ int main(int argc, char** argv) {
       }
       double best = 0.0;
       for (std::size_t rep = 0; rep < kReps; ++rep) {
-        best = std::max(best, run_rep(manager, stationary.x, true));
+        best = std::max(best, run_rep(manager, stationary.x));
         for (std::size_t s = 0; s < 8; ++s) manager.take_steps(s);
       }
       table.add_row({"nsl-kdd", "8", "batch/chunk=" + std::to_string(chunk),
@@ -499,7 +458,7 @@ int main(int argc, char** argv) {
       }
       for (std::size_t rep = 0; rep < kReps; ++rep) {
         for (ModeRun& m : modes) {
-          const double sps = run_rep(*m.manager, stationary.x, true);
+          const double sps = run_rep(*m.manager, stationary.x);
           m.best_samples_per_second =
               std::max(m.best_samples_per_second, sps);
           for (std::size_t s = 0; s < 8; ++s) m.manager->take_steps(s);
@@ -537,7 +496,8 @@ int main(int argc, char** argv) {
       for (const std::size_t resident : {16UL, 64UL}) {
         for (const std::size_t burst : {1UL, 4UL, 8UL}) {
           run_coalesce_ablation(frozen, train, stationary.x, resident, burst,
-                                std::nullopt, "f64", table, records);
+                                linalg::NumericsTier::kExactF64, "f64", table,
+                                records);
         }
       }
       for (const std::size_t burst : {1UL, 8UL}) {
@@ -559,8 +519,9 @@ int main(int argc, char** argv) {
           drifted(i, j) += 0.9;
         }
       }
-      run_train_ablation(config, train, drifted, 16, 8, std::nullopt, "f64",
-                         table, records);
+      run_train_ablation(config, train, drifted, 16, 8,
+                         linalg::NumericsTier::kExactF64, "f64", table,
+                         records);
       run_train_ablation(config, train, drifted, 16, 8,
                          linalg::NumericsTier::kQuantI8, "i8", table,
                          records);
@@ -589,7 +550,7 @@ int main(int argc, char** argv) {
     config.input_dim = train.dim();
     config.num_labels = classes.size();
 
-    run_modes("nsl-kdd-c23", config, train, stationary.x, 8, table, records);
+    run_drain("nsl-kdd-c23", config, train, stationary.x, 8, table, records);
 
     // Shard sweep at 8 streams, batch drain: 1/2/4/8 core-pinned shards,
     // each at two hot ratios — hot=all (no eviction, pure drain scaling)
@@ -627,7 +588,7 @@ int main(int argc, char** argv) {
       }
       for (std::size_t rep = 0; rep < kReps; ++rep) {
         for (ModeRun& m : sweep) {
-          const double sps = run_rep(*m.manager, stationary.x, true);
+          const double sps = run_rep(*m.manager, stationary.x);
           m.best_samples_per_second =
               std::max(m.best_samples_per_second, sps);
           for (std::size_t s = 0; s < kStreams; ++s) m.manager->take_steps(s);
@@ -737,7 +698,7 @@ int main(int argc, char** argv) {
     core::PipelineConfig config = bench::cooling_fan_config().pipeline;
     config.input_dim = train.dim();
 
-    run_modes("fan", config, train, stationary.x, 8, table, records);
+    run_drain("fan", config, train, stationary.x, 8, table, records);
   }
 
   std::printf("\n%s\n", table.str().c_str());

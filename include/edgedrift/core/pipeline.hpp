@@ -15,7 +15,8 @@
 //     // step.prediction, step.drift_detected, step.reconstructing ...
 //   }
 // or, when samples arrive in blocks:
-//   auto steps = pipeline.process_batch(block);   // == process() row by row
+//   std::vector<core::PipelineStep> steps;
+//   pipeline.process_rows(block, {}, steps);   // == process() row by row
 #pragma once
 
 #include <cstddef>
@@ -30,7 +31,6 @@
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/obs/stream_obs.hpp"
 #include "edgedrift/oselm/activation.hpp"
-#include "edgedrift/util/stage_timer.hpp"
 
 namespace edgedrift::core {
 
@@ -80,7 +80,7 @@ struct PipelineConfig {
 
   drift::ReconstructorConfig reconstruction;
 
-  /// Largest block process_batch() scores through the GEMM kernels at once
+  /// Largest block process_rows() scores through the GEMM kernels at once
   /// (bounds the batch workspace size).
   std::size_t max_batch_rows = 256;
 
@@ -94,7 +94,7 @@ struct PipelineConfig {
   /// bit-identical, to the per-sample path (validated for k in {2,4,8} by
   /// tests/test_chunked_train.cpp across all numerics tiers); the effective
   /// chunk is capped by max_batch_rows. Scalar process() always stays
-  /// per-sample — chunking is a property of the batch entry points.
+  /// per-sample — chunking is a property of process_rows() blocks.
   std::size_t train_chunk = 1;
 
   /// Scoring numerics tier (linalg/numerics.hpp): kExactF64 is the
@@ -162,58 +162,33 @@ class Pipeline {
   /// ADWIN) their supervised mistake stream; it is never shown to the model.
   PipelineStep process(std::span<const double> x, int true_label = -1);
 
-  /// Processes a block of samples, scoring them through the GEMM batch
-  /// kernels while the model is frozen. Results are sample-for-sample
-  /// bit-identical to calling process() row by row; the pipeline falls back
-  /// to the sequential path while a recovery is training the model.
-  /// `true_labels` is empty or one label per row.
-  std::vector<PipelineStep> process_batch(
-      const linalg::Matrix& x, std::span<const int> true_labels = {});
-
-  /// Core of process_batch(): appends the steps for rows
-  /// [row_begin, row_end) of `x` to `out` without clearing it. This is the
-  /// drain entry point for PipelineManager's ring buffer — the ring's slab
-  /// is the matrix and a drain burst is a row range, so no per-drain copy
-  /// or allocation happens here (out must have capacity; the internal chunk
-  /// buffers are grow-only). `true_labels` is empty or holds at least
-  /// row_end entries, indexed by absolute row (-1 = no label).
-  void process_batch_range(const linalg::Matrix& x, std::size_t row_begin,
-                           std::size_t row_end,
-                           std::span<const int> true_labels,
-                           std::vector<PipelineStep>& out);
-
-  /// process_batch_range with the hidden-space projection supplied by the
-  /// caller: `hidden` row i holds g(x.row(i) * A + b) for this pipeline's
-  /// projection (or any projection with an equal fingerprint — see
-  /// projection_fingerprint()). This is the scatter half of the serving
-  /// layer's coalesced drain: the shard worker projects one mega-batch for
-  /// a whole projection group, then each member stream scores its row block
-  /// through here without re-running the GEMM. The projection is immutable
-  /// and row-independent, so the steps are bit-identical to
-  /// process_batch_range() on the same rows at f64 and identical in the
-  /// approximate tiers — including across a mid-range drift: once a
-  /// recovery starts, the remaining rows fall back to the sequential
-  /// recovery path exactly as process_batch_range() does (the supplied
-  /// hidden rows stay valid regardless, since recovery retrains beta, never
-  /// the projection).
-  void process_batch_from_hidden(const linalg::Matrix& x,
-                                 const linalg::Matrix& hidden,
-                                 std::size_t row_begin, std::size_t row_end,
-                                 std::span<const int> true_labels,
-                                 std::vector<PipelineStep>& out);
-
-  /// Scalar process() with the hidden-space projection supplied by the
-  /// caller (same contract on `hidden` as process_batch_from_hidden, for
-  /// one row). The coalesced drain's single-row scatter path: a 1-row
-  /// member pays the lean per-sample step — exactly what the per-stream
-  /// drain's burst==1 fast path pays, minus the projection matvec — instead
-  /// of the batch machinery. Bit-identical to process(x, true_label) at
-  /// f64; falls back to the sequential recovery path exactly as process()
-  /// does (`hidden` is unused there — recovery retrains beta, never the
-  /// projection).
-  PipelineStep process_from_hidden(std::span<const double> x,
-                                   std::span<const double> hidden,
-                                   int true_label = -1);
+  /// The row-range core: processes every row of `x` in order and appends
+  /// one step per row to `out` (never cleared; grown geometrically, so an
+  /// uncollected backlog costs amortized O(1) per row). Sample-for-sample
+  /// bit-identical to calling process() row by row (decision-equivalent
+  /// once chunked training, train_chunk > 1, engages). `true_labels` is
+  /// empty or holds one label per row (-1 = no label).
+  ///
+  /// While the model is frozen, a block of one row takes process()'s
+  /// per-row fused scorer and a longer block is pre-scored through the
+  /// GEMM kernels in chunks of up to max_batch_rows; once a detection
+  /// starts a recovery, the remaining rows go through the recovery path
+  /// (chunked rank-k training when train_chunk > 1). `x` is a view, so a
+  /// PipelineManager ring slab range or a caller batch is read in place;
+  /// the internal chunk buffers are grow-only.
+  ///
+  /// `hidden` (optional) supplies the hidden-space projection: row i holds
+  /// g(x.row(i) * A + b) for this pipeline's projection or any projection
+  /// with an equal fingerprint (see projection_fingerprint()). This is the
+  /// scatter half of the serving layer's coalesced drain — one shared GEMM
+  /// projects a whole projection group's mega-batch and each member scores
+  /// its rows here. The projection is row-independent and never retrained,
+  /// so the steps stay bit-identical at f64 and identical in the
+  /// approximate tiers.
+  void process_rows(linalg::ConstMatrixView x,
+                    std::span<const int> true_labels,
+                    std::vector<PipelineStep>& out,
+                    const linalg::ConstMatrixView* hidden = nullptr);
 
   /// Identity of this pipeline's shared-projection coalescing group: the
   /// projection's alpha/bias/shape/activation fingerprint folded with the
@@ -282,21 +257,6 @@ class Pipeline {
   /// bookkeeping, reference buffer, centroid tracker) — the Table 4 figure.
   std::size_t detector_memory_bytes() const;
 
-  /// Attaches a stage timer; subsequent process() calls accumulate the
-  /// Table 6 breakdown stages into it. Pass nullptr to detach.
-  void set_stage_timer(util::StageTimer* timer) { stages_ = timer; }
-
-  /// Stage names used with the stage timer.
-  static constexpr const char* kStagePredict = "label prediction";
-  static constexpr const char* kStageDistance = "distance computation";
-  static constexpr const char* kStageRetrainNearest =
-      "model retraining without label prediction";
-  static constexpr const char* kStageRetrainPredict =
-      "model retraining with label prediction";
-  static constexpr const char* kStageInitCoord =
-      "label coordinates initialization";
-  static constexpr const char* kStageUpdateCoord = "label coordinates update";
-
  private:
   /// Where the detect-and-retrain loop currently is.
   enum class RecoveryState {
@@ -321,38 +281,29 @@ class Pipeline {
            state_ == RecoveryState::kCollectingReference;
   }
 
-  /// Shared body of process_batch_range / process_batch_from_hidden. When
-  /// `hidden` is non-null its rows [row_begin, row_end) are used in place of
-  /// the projection GEMM.
-  void process_batch_range_impl(const linalg::Matrix& x,
-                                const linalg::Matrix* hidden,
-                                std::size_t row_begin, std::size_t row_end,
-                                std::span<const int> true_labels,
-                                std::vector<PipelineStep>& out);
-
-  model::Prediction timed_predict(std::span<const double> x);
-  model::Prediction timed_predict_from_hidden(std::span<const double> x,
-                                              std::span<const double> hidden);
-  /// count_io=false lets the batch path bulk-update the samples_in/out
-  /// counters once per chunk instead of twice per sample.
+  /// The per-row fused scorer behind process() and the core's one-row
+  /// blocks: projects `x` itself, or takes the caller's `hidden` row when
+  /// it is non-empty. Clock-timed into obs score on the sampled ticks.
+  model::Prediction score_row(std::span<const double> x,
+                              std::span<const double> hidden);
+  /// Detector observation for one frozen-model sample. count_io=false lets
+  /// the GEMM path bulk-update the samples_in/out counters once per chunk
+  /// instead of twice per sample.
   PipelineStep frozen_step(std::span<const double> x,
                            const model::Prediction& pred, int true_label,
                            bool count_io = true);
-  PipelineStep recovery_step(std::span<const double> x);
-  PipelineStep recovery_step_impl(std::span<const double> x);
 
-  /// Chunked recovery training (config_.train_chunk > 1 only): consumes up
-  /// to train_chunk rows starting at row_begin through the bucketed rank-k
-  /// path — Reconstructor::train_chunk for the reconstruction training
-  /// phases, an inline chunked kRecalibrating body otherwise — and appends
-  /// their steps to `out`. Returns how many rows were consumed; 0 means the
-  /// caller must fall back to the per-sample recovery_step() (coordinate
-  /// phases, the finishing sample, or a 1-row tail). When `hidden` is
-  /// non-null its rows are used in place of the projection GEMM.
-  std::size_t recovery_chunk(const linalg::Matrix& x,
-                             const linalg::Matrix* hidden,
-                             std::size_t row_begin, std::size_t row_end,
-                             std::vector<PipelineStep>& out);
+  /// The recovery path: consumes rows of `x` from `row` on while a
+  /// recovery trains the model, writes one step per consumed row to
+  /// out[0..) and returns how many (>= 1). With train_chunk > 1 a training
+  /// phase absorbs up to train_chunk rows through the bucketed rank-k path
+  /// (Reconstructor::train_chunk, or the chunked kRecalibrating body), using
+  /// the caller's `hidden` rows when non-null; coordinate phases, finishing
+  /// samples, 1-row tails and the train_chunk == 1 default take one row
+  /// through the exact per-sample path.
+  std::size_t recover(linalg::ConstMatrixView x,
+                      const linalg::ConstMatrixView* hidden, std::size_t row,
+                      PipelineStep* out);
   void record_drift_event(const drift::Detection& detection);
   void start_recovery();
   void finish_reconstruction();
@@ -371,7 +322,6 @@ class Pipeline {
   std::uint64_t projection_fp_ = 0;
   double theta_error_ = 0.0;
   bool fitted_ = false;
-  util::StageTimer* stages_ = nullptr;
 
   RecoveryState state_ = RecoveryState::kIdle;
   PipelineStats stats_;
@@ -404,7 +354,7 @@ class Pipeline {
   linalg::Matrix refit_buffer_;
   std::size_t refit_fill_ = 0;
 
-  // process_batch() workspaces, reused across calls. Input chunks are read
+  // process_rows() workspaces, reused across calls. Input chunks are read
   // in place through ConstMatrixView — no staging matrix.
   model::BatchWorkspace batch_ws_;
   std::vector<model::Prediction> chunk_preds_;

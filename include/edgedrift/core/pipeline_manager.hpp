@@ -40,11 +40,12 @@
 // bounded by cold-store bytes, not by resident models.
 //
 // The worker drains whatever is queued in contiguous bursts of up to
-// drain_batch_max rows straight out of the slab through
-// Pipeline::process_batch_range() — bit-identical to process() row by row —
-// splitting only at the ring-wrap boundary. DrainMode::kSample retains the
-// old one-process()-per-sample drain as the in-binary baseline for
-// bench_manager_throughput.
+// drain_batch_max rows straight out of the slab, one
+// Pipeline::process_rows() call per burst — bit-identical to process() row
+// by row — splitting only at the ring-wrap boundary. With coalescing on,
+// the streams of one projection group first share a mega-batch projection
+// GEMM (manager_coalesce.cpp) and each member scores its rows through the
+// same process_rows() call with the hidden rows supplied.
 //
 // Thread-safety contract: submit()/submit_batch() may be called from any
 // thread. fit(), stream(), steps(), telemetry() and the per-stream stats
@@ -56,7 +57,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,14 +73,6 @@ namespace edgedrift::core {
 enum class BackpressurePolicy {
   kBlock,   ///< Wait until the consumer frees slots.
   kReject,  ///< Drop the sample and count it in telemetry.
-};
-
-/// How the consumer drains a stream's ring.
-enum class DrainMode {
-  kBatch,   ///< Contiguous bursts through Pipeline::process_batch_range().
-  kSample,  ///< The pre-ring drain: one process() per sample with the old
-            ///< path's per-sample allocation and locking, kept as the
-            ///< in-binary baseline for bench_manager_throughput.
 };
 
 /// Who runs the consumer.
@@ -100,44 +92,24 @@ enum class SubmitStatus {
   kRestoreFailed,      ///< Stream is cold and could not be restored.
 };
 
-/// Cross-stream drain-planner knobs (see manager_coalesce.cpp). When a
-/// drain cycle covers several ready streams that share a projection group —
-/// equal alpha/bias fingerprint, dims, activation and numerics tier, which
-/// is every stream seeded from one template via seed_cold_from() — the
-/// planner gathers their pending ring bursts into one staging slab, runs a
-/// single shared projection GEMM over the mega-batch, and scatters the
-/// hidden rows back into each stream's own scoring/detection. Results are
-/// bit-identical to per-stream draining at kExactF64 (the projection is
-/// row-independent) and decision-equivalent at the approximate tiers.
-struct DrainOptions {
-  /// Coalesce eligible streams within a drain cycle (kBatch drains only).
-  bool coalesce = true;
-  /// Largest mega-batch the planner stages for one shared GEMM. Rows
-  /// beyond this drain through the normal per-stream path the same cycle.
-  std::size_t coalesce_rows = 1024;
-  /// Minimum streams that must share a projection group before coalescing
-  /// pays for the staging copy; smaller groups fall back per-stream.
-  std::size_t coalesce_min_streams = 2;
-  /// Extra time a shard worker may wait after waking, letting more ready
-  /// streams accumulate into the cycle before planning. 0 (default) means
-  /// the planner only ever coalesces rows already published at wake-up —
-  /// a lone stream is never delayed waiting for company.
-  std::uint64_t coalesce_wait_ns = 0;
-  /// Chunked rank-k recovery training for every managed stream
-  /// (PipelineConfig::train_chunk): 0 (default) keeps each pipeline's own
-  /// setting; a value > 0 overrides it at construction. With chunking on,
-  /// recovering streams stay eligible for the coalesced mega-batch drain
-  /// instead of being carved out to the per-stream path.
-  std::size_t train_chunk = 0;
-};
-
-/// Serving-layer knobs, fixed at construction.
+/// Serving-layer knobs, fixed at construction. Everything about a stream's
+/// own processing (numerics tier, chunked training, batch size, obs) comes
+/// from the PipelineConfig the manager is built from.
 struct ManagerOptions {
   std::size_t queue_capacity = 1024;  ///< Ring slots per stream.
   std::size_t drain_batch_max = 128;  ///< Largest rows per drain burst.
-  DrainOptions drain_opts;            ///< Cross-stream coalescing knobs.
+  /// Cross-stream coalescing (see manager_coalesce.cpp). When a drain cycle
+  /// covers several ready streams that share a projection group — equal
+  /// alpha/bias fingerprint, dims, activation and numerics tier, which is
+  /// every stream seeded from one template via seed_cold_from() — the
+  /// planner gathers their pending ring bursts into one staging slab, runs
+  /// a single shared projection GEMM over the mega-batch, and scatters the
+  /// hidden rows back into each stream's own scoring/detection. Results are
+  /// bit-identical to per-stream draining (false) at kExactF64 — the
+  /// projection is row-independent — and decision-equivalent at the
+  /// approximate tiers.
+  bool coalesce = true;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  DrainMode drain = DrainMode::kBatch;
   DispatchMode dispatch = DispatchMode::kShard;
   /// Independent serving shards (kShard dispatch spawns one worker each).
   std::size_t shards = 1;
@@ -149,10 +121,6 @@ struct ManagerOptions {
   /// When non-empty, evicted streams spill to files in this directory
   /// instead of staying in memory (must exist and be writable).
   std::string cold_spill_dir;
-  /// When set, overrides PipelineConfig::numerics for every stream — the
-  /// serving-layer knob for trading score precision against stream density
-  /// (linalg/numerics.hpp). Unset keeps the per-pipeline setting.
-  std::optional<linalg::NumericsTier> numerics;
 };
 
 /// Owns N per-stream pipelines partitioned across per-core serving shards.
@@ -320,9 +288,9 @@ class PipelineManager {
   void notify_done();
 
   ManagerOptions options_;
-  /// Stream-template config (numerics override applied): seeds restored
-  /// pipelines' runtime-only fields (detector spec, recovery, obs,
-  /// max_batch_rows) and fixes input_dim for dimension checks.
+  /// Stream-template config: seeds restored pipelines' runtime-only fields
+  /// (detector spec, recovery, obs, max_batch_rows, train_chunk) and fixes
+  /// input_dim and the numerics tier for restores and dimension checks.
   PipelineConfig template_config_;
   bool obs_on_ = false;  ///< Cached obs gate: kObsCompiled && obs.enabled.
   std::vector<std::unique_ptr<Stream>> streams_;

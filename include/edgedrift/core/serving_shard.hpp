@@ -274,7 +274,7 @@ struct ShardState {
   /// run scan compare flat keys.
   std::vector<std::pair<std::uint64_t, ManagedStream*>> plan_keys;
   std::vector<GroupMember> plan;                ///< The current group.
-  linalg::Matrix stage_x;       ///< [coalesce_rows x dim] gathered inputs.
+  linalg::Matrix stage_x;       ///< [group rows x dim] gathered inputs.
   linalg::Matrix stage_hidden;  ///< Shared projection of stage_x.
   std::vector<int> stage_labels;
   /// Prepacked GEMM panels of the group projection's alpha, keyed by the

@@ -53,12 +53,13 @@ struct TierEquivalenceConfig {
   double decision_margin_floor = 0.05;
   /// Relative tolerance on the calibrated theta_error gate.
   double theta_rel_tol = 0.05;
-  /// Rows fed per pipeline call. 1 replays the stream sample by sample
-  /// (process()); >1 replays it through process_batch_range() in blocks of
-  /// this many rows — the shape a serving-layer drain presents, and the
-  /// only shape on which chunked training (PipelineConfig::train_chunk)
-  /// engages. Both runs of the comparison use the same burst, so a chunked
-  /// config is checked chunked-tier against chunked-f64.
+  /// Rows fed per process_rows() call. 1 replays the stream sample by
+  /// sample (a one-row block takes process()'s per-row scorer); >1 replays
+  /// it in blocks of this many rows — the shape a serving-layer drain
+  /// presents, and the only shape on which chunked training
+  /// (PipelineConfig::train_chunk) engages. Both runs of the comparison
+  /// use the same burst, so a chunked config is checked chunked-tier
+  /// against chunked-f64.
   std::size_t burst = 1;
 };
 

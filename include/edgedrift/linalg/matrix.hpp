@@ -317,11 +317,19 @@ class ConstMatrixViewT {
                       "view row range out of bounds");
   }
 
-  /// The first `rows` rows of an existing view (chunk-prefix narrowing).
-  ConstMatrixViewT(const ConstMatrixViewT& v, std::size_t rows)
-      : data_(v.data_), rows_(rows), cols_(v.cols_) {
-    EDGEDRIFT_DASSERT(rows <= v.rows_, "view prefix out of bounds");
+  /// Rows [row_begin, row_end) of an existing view (chunk narrowing).
+  ConstMatrixViewT(const ConstMatrixViewT& v, std::size_t row_begin,
+                   std::size_t row_end)
+      : data_(v.data_ + row_begin * v.cols_),
+        rows_(row_end - row_begin),
+        cols_(v.cols_) {
+    EDGEDRIFT_DASSERT(row_begin <= row_end && row_end <= v.rows_,
+                      "view row range out of bounds");
   }
+
+  /// One contiguous row as a 1 x row.size() view.
+  explicit ConstMatrixViewT(std::span<const T> row)
+      : data_(row.data()), rows_(1), cols_(row.size()) {}
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

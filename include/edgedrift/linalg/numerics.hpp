@@ -9,7 +9,7 @@
 // single biggest lever left. The contract is therefore split into tiers:
 //
 //   kExactF64  The retained reference path. Bit-identity is preserved:
-//              process()==process_batch(), fused==per-instance, and the
+//              process()==process_rows(), fused==per-instance, and the
 //              committed golden replay transcript must match bit-for-bit
 //              on the portable SIMD backend. Nothing about this tier may
 //              change without regenerating the golden files.

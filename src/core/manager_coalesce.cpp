@@ -8,8 +8,8 @@
 // can share ONE GEMM: the planner gathers the pending ring rows of every
 // ready stream in the same projection group into a staging slab, projects
 // the whole mega-batch once, and scatters the hidden rows back into each
-// stream's own packed-beta scoring and drift detection
-// (Pipeline::process_batch_from_hidden).
+// stream's own packed-beta scoring and drift detection (one
+// Pipeline::process_rows() call per member, hidden rows supplied).
 //
 // Grouping is keyed on Pipeline::projection_fingerprint() — the alpha/bias/
 // shape/activation digest folded with the numerics tier — so two streams
@@ -35,6 +35,16 @@
 #include "edgedrift/util/assert.hpp"
 
 namespace edgedrift::core {
+namespace {
+
+/// Largest mega-batch the planner stages for one shared GEMM. Rows beyond
+/// it drain through the per-stream path the same cycle.
+constexpr std::size_t kCoalesceRows = 1024;
+/// Smallest projection group worth staging: a group of one would only add a
+/// copy on top of the same GEMM.
+constexpr std::size_t kCoalesceMinStreams = 2;
+
+}  // namespace
 
 bool PipelineManager::coalesce_eligible(const Stream& s) const {
   // Residency and the pipeline pointer are stable while the caller holds
@@ -52,10 +62,9 @@ bool PipelineManager::coalesce_eligible(const Stream& s) const {
 }
 
 void PipelineManager::coalesce_candidates(Shard& shard) {
-  const DrainOptions& opts = options_.drain_opts;
   auto& cand = shard.plan_candidates;
   if (cand.empty()) return;
-  if (cand.size() < opts.coalesce_min_streams) {
+  if (cand.size() < kCoalesceMinStreams) {
     shard.obs.add_coalesce_fallback(cand.size());
     return;
   }
@@ -90,7 +99,7 @@ void PipelineManager::coalesce_candidates(Shard& shard) {
       ++run_end;
     }
     const std::size_t width = static_cast<std::size_t>(run_end - run_begin);
-    if (width < opts.coalesce_min_streams) {
+    if (width < kCoalesceMinStreams) {
       // Group of one (or a fingerprint mismatch splitting the shard):
       // staging would only add a copy on top of the same GEMM.
       shard.obs.add_coalesce_fallback(width);
@@ -103,20 +112,18 @@ void PipelineManager::coalesce_candidates(Shard& shard) {
     // producer.
     shard.plan.clear();
     std::size_t total = 0;
-    for (auto it = run_begin; it != run_end && total < opts.coalesce_rows;
-         ++it) {
+    for (auto it = run_begin; it != run_end && total < kCoalesceRows; ++it) {
       Stream& s = *it->second;
       const std::uint64_t head = s.head.load();
       const std::size_t queued =
           static_cast<std::size_t>(s.tail.load() - head);
       const std::size_t take =
-          std::min({queued, options_.drain_batch_max,
-                    opts.coalesce_rows - total});
+          std::min({queued, options_.drain_batch_max, kCoalesceRows - total});
       if (take == 0) continue;
       shard.plan.push_back({&s, head, take, total, queued});
       total += take;
     }
-    if (shard.plan.empty() || shard.plan.size() < opts.coalesce_min_streams) {
+    if (shard.plan.size() < kCoalesceMinStreams) {
       shard.obs.add_coalesce_fallback(width);
     } else {
       coalesce_group(shard);
@@ -171,19 +178,12 @@ void PipelineManager::coalesce_group(Shard& shard) {
     Stream& s = *m.stream;
     {
       std::lock_guard lock(s.steps_mutex);
-      if (m.take == 1) {
-        // Single-row member: the lean scalar step, mirroring drain_burst's
-        // burst==1 fast path. At 1-row bursts the batch entry's per-call
-        // machinery costs more than the projection it skips; the scalar
-        // from-hidden step keeps only the saving.
-        s.steps.push_back(s.pipeline->process_from_hidden(
-            shard.stage_x.row(m.offset), shard.stage_hidden.row(m.offset),
-            shard.stage_labels[m.offset]));
-      } else {
-        s.pipeline->process_batch_from_hidden(
-            shard.stage_x, shard.stage_hidden, m.offset, m.offset + m.take,
-            shard.stage_labels, s.steps);
-      }
+      const linalg::ConstMatrixView hidden{shard.stage_hidden, m.offset,
+                                           m.offset + m.take};
+      s.pipeline->process_rows(
+          {shard.stage_x, m.offset, m.offset + m.take},
+          std::span<const int>(shard.stage_labels).subspan(m.offset, m.take),
+          s.steps, &hidden);
     }
     if (obs_on_) {
       obs::StreamObs& ob = s.pipeline->obs();

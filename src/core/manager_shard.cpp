@@ -10,7 +10,6 @@
 // producer's load (the producer takes the wake mutex and notifies into the
 // wait). There is no interleaving in which the push lands after the final
 // recheck AND the parked-load misses the flag.
-#include <chrono>
 #include <thread>
 
 #include "edgedrift/core/pipeline_manager.hpp"
@@ -65,26 +64,6 @@ void PipelineManager::shard_worker(Shard& shard) {
       shard.parked.store(false);
       continue;
     }
-    const DrainOptions& dopts = options_.drain_opts;
-    const bool planning =
-        dopts.coalesce && options_.drain == DrainMode::kBatch;
-    if (planning && dopts.coalesce_wait_ns > 0) {
-      // Bounded straggler window: let more ready streams accumulate into
-      // this cycle so groups come out wider. The deadline is absolute —
-      // one sleep, then whatever is there gets planned — so a lone stream
-      // is delayed by at most coalesce_wait_ns.
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(dopts.coalesce_wait_ns));
-      Stream* extra = shard.ready.take_all();
-      if (extra != nullptr) {
-        Stream* t = extra;
-        while (t->ready_next.load(std::memory_order_relaxed) != nullptr) {
-          t = t->ready_next.load(std::memory_order_relaxed);
-        }
-        t->ready_next.store(chain, std::memory_order_relaxed);
-        chain = extra;
-      }
-    }
     // The Treiber stack hands the chain over newest-first; reverse it so
     // streams drain roughly in scheduling order.
     Stream* ordered = nullptr;
@@ -94,7 +73,7 @@ void PipelineManager::shard_worker(Shard& shard) {
       ordered = chain;
       chain = next;
     }
-    if (planning) {
+    if (options_.coalesce) {
       // The coalesced pass drains shared-projection groups in one
       // mega-batch each; the per-stream loop below then drains leftovers
       // (staging caps, recovery fallbacks) and runs the scheduled-flag

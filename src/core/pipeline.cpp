@@ -87,7 +87,7 @@ void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
 
   // Pre-grow the streaming scratch to the steady-state geometry up front:
   // the calibration pass below reuses the batch workspace, and even the
-  // first process()/process_batch() call after fit() touches the heap zero
+  // first process()/process_rows() call after fit() touches the heap zero
   // times (the buffers are grow-only; pinned by tests/test_allocation_free).
   batch_ws_.reserve(config_.max_batch_rows, config_.input_dim,
                     config_.hidden_dim, config_.num_labels, config_.numerics);
@@ -168,119 +168,79 @@ void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
 
 PipelineStep Pipeline::process(std::span<const double> x, int true_label) {
   EDGEDRIFT_ASSERT(fitted_, "process() before fit()");
-  if (!model_frozen()) return recovery_step(x);
-  return frozen_step(x, timed_predict(x), true_label);
+  PipelineStep step;
+  if (model_frozen()) {
+    step = frozen_step(x, score_row(x, {}), true_label);
+  } else {
+    recover(linalg::ConstMatrixView(x), nullptr, 0, &step);
+  }
+  return step;
 }
 
-PipelineStep Pipeline::process_from_hidden(std::span<const double> x,
-                                           std::span<const double> hidden,
-                                           int true_label) {
-  EDGEDRIFT_ASSERT(fitted_, "process_from_hidden() before fit()");
-  if (!model_frozen()) return recovery_step(x);
-  return frozen_step(x, timed_predict_from_hidden(x, hidden), true_label);
-}
-
-std::vector<PipelineStep> Pipeline::process_batch(
-    const linalg::Matrix& x, std::span<const int> true_labels) {
+void Pipeline::process_rows(linalg::ConstMatrixView x,
+                            std::span<const int> true_labels,
+                            std::vector<PipelineStep>& out,
+                            const linalg::ConstMatrixView* hidden) {
+  EDGEDRIFT_ASSERT(fitted_, "process_rows() before fit()");
   EDGEDRIFT_ASSERT(true_labels.empty() || true_labels.size() == x.rows(),
                    "true_labels must be empty or one per row");
-  std::vector<PipelineStep> steps;
-  process_batch_range(x, 0, x.rows(), true_labels, steps);
-  return steps;
-}
-
-void Pipeline::process_batch_range(const linalg::Matrix& x,
-                                   std::size_t row_begin, std::size_t row_end,
-                                   std::span<const int> true_labels,
-                                   std::vector<PipelineStep>& out) {
-  process_batch_range_impl(x, nullptr, row_begin, row_end, true_labels, out);
-}
-
-void Pipeline::process_batch_from_hidden(const linalg::Matrix& x,
-                                         const linalg::Matrix& hidden,
-                                         std::size_t row_begin,
-                                         std::size_t row_end,
-                                         std::span<const int> true_labels,
-                                         std::vector<PipelineStep>& out) {
-  EDGEDRIFT_ASSERT(
-      hidden.rows() == x.rows() && hidden.cols() == config_.hidden_dim,
-      "hidden block must be row-parallel to x");
-  process_batch_range_impl(x, &hidden, row_begin, row_end, true_labels, out);
-}
-
-void Pipeline::process_batch_range_impl(const linalg::Matrix& x,
-                                        const linalg::Matrix* hidden,
-                                        std::size_t row_begin,
-                                        std::size_t row_end,
-                                        std::span<const int> true_labels,
-                                        std::vector<PipelineStep>& out) {
-  EDGEDRIFT_ASSERT(fitted_, "process_batch() before fit()");
-  EDGEDRIFT_ASSERT(row_begin <= row_end && row_end <= x.rows(),
-                   "row range out of bounds");
-  EDGEDRIFT_ASSERT(true_labels.empty() || true_labels.size() >= row_end,
-                   "true_labels must be empty or cover the row range");
-  out.reserve(out.size() + (row_end - row_begin));
-  std::size_t i = row_begin;
-  while (i < row_end) {
+  EDGEDRIFT_ASSERT(hidden == nullptr ||
+                       (hidden->rows() == x.rows() &&
+                        hidden->cols() == config_.hidden_dim),
+                   "hidden block must be row-parallel to x");
+  const std::size_t n = x.rows();
+  const auto label_of = [&](std::size_t r) {
+    return true_labels.empty() ? -1 : true_labels[r];
+  };
+  // One step per row, written in place. resize() grows the vector
+  // geometrically; an exact-fit reserve would reallocate and copy a
+  // caller's whole uncollected backlog on every call.
+  const std::size_t base = out.size();
+  out.resize(base + n);
+  PipelineStep* const steps = out.data() + base;
+  std::size_t i = 0;
+  while (i < n) {
     if (!model_frozen()) {
-      // A recovery is training the model. With chunked training enabled,
-      // try to absorb a whole chunk of recovery samples through the
-      // bucketed rank-k path first; the per-sample fallback below handles
-      // everything the chunk path declines (coordinate phases, finishing
-      // samples, 1-row tails) and the train_chunk == 1 default, keeping the
-      // exact sequential recovery bit-identical.
-      if (config_.train_chunk > 1) {
-        const std::size_t consumed =
-            recovery_chunk(x, hidden, i, row_end, out);
-        if (consumed > 0) {
-          i += consumed;
-          continue;
-        }
-      }
-      // Sequential path: predictions depend on every intervening update.
-      // When a coalesced drain hands us pre-projected hidden rows, those
-      // rows stay valid but unused here — recovery retrains beta, not the
-      // projection.
-      out.push_back(recovery_step(x.row(i)));
+      i += recover(x, hidden, i, steps + i);
+      continue;
+    }
+    const std::size_t chunk = std::min(n - i, config_.max_batch_rows);
+    if (chunk == 1) {
+      // A one-row block takes process()'s per-row fused scorer: the GEMM's
+      // per-call machinery would cost more than it amortizes.
+      steps[i] = frozen_step(
+          x.row(i),
+          score_row(x.row(i), hidden != nullptr ? hidden->row(i)
+                                                : std::span<const double>{}),
+          label_of(i));
       ++i;
       continue;
     }
     // While frozen, predictions are a pure per-sample function of the
-    // model: pre-score a whole chunk through the GEMM kernels (bit-identical
-    // to the scalar path), then run the detector sequentially over it. The
-    // chunk rows are contiguous in x (row-major), so they feed the kernels
-    // as a view — no staging copy, whether x is a caller batch or a
-    // PipelineManager ring slab.
-    const std::size_t chunk = std::min(row_end - i, config_.max_batch_rows);
-    const linalg::ConstMatrixView chunk_view{x, i, i + chunk};
+    // model: pre-score the chunk through the GEMM kernels (bit-identical to
+    // the per-row scorer), then run the detector sequentially over it. The
+    // chunk rows are contiguous, so they feed the kernels as a view — no
+    // staging copy, whether x is a caller batch or a ring slab range.
+    const linalg::ConstMatrixView rows{x, i, i + chunk};
     chunk_preds_.resize(chunk);
-    // Score-stage latency for the batch path: one clock pair per chunk,
-    // recorded as the chunk's mean per-sample cost (the per-sample path
-    // records individual samples instead — see timed_predict).
+    // Score-stage latency for the GEMM path: one clock pair per chunk,
+    // recorded as the chunk's mean per-sample cost (the per-row scorer
+    // records individual sampled ticks instead).
     const bool obs_on = obs_enabled_;
     const std::uint64_t obs_t0 = obs_on ? obs::now_ns() : 0;
-    if (stages_ != nullptr) {
-      util::StageTimer::Scope scope(*stages_, kStagePredict);
-      if (hidden != nullptr) {
-        model_->predict_batch_from_hidden(chunk_view, {*hidden, i, i + chunk},
-                                          batch_ws_, chunk_preds_);
-      } else {
-        model_->predict_batch(chunk_view, batch_ws_, chunk_preds_);
-      }
-    } else if (hidden != nullptr) {
-      model_->predict_batch_from_hidden(chunk_view, {*hidden, i, i + chunk},
+    if (hidden != nullptr) {
+      model_->predict_batch_from_hidden(rows, {*hidden, i, i + chunk},
                                         batch_ws_, chunk_preds_);
     } else {
-      model_->predict_batch(chunk_view, batch_ws_, chunk_preds_);
+      model_->predict_batch(rows, batch_ws_, chunk_preds_);
     }
     if (obs_on) obs_->score.record((obs::now_ns() - obs_t0) / chunk);
     ++stats_.batch_chunks;
     std::size_t consumed = 0;
-    for (std::size_t r = 0; r < chunk; ++r) {
-      const int tl = true_labels.empty() ? -1 : true_labels[i + r];
-      out.push_back(
-          frozen_step(x.row(i + r), chunk_preds_[r], tl,
-                      /*count_io=*/false));
+    while (consumed < chunk) {
+      const std::size_t r = i + consumed;
+      steps[r] = frozen_step(x.row(r), chunk_preds_[consumed], label_of(r),
+                             /*count_io=*/false);
       ++consumed;
       // A detection just started a recovery: the remaining pre-scored
       // predictions are stale (the model is about to retrain).
@@ -297,36 +257,16 @@ void Pipeline::process_batch_range_impl(const linalg::Matrix& x,
   }
 }
 
-model::Prediction Pipeline::timed_predict(std::span<const double> x) {
+model::Prediction Pipeline::score_row(std::span<const double> x,
+                                      std::span<const double> hidden) {
   // Score-stage latency, clock-timed on every Nth sample (the tick is
-  // advanced by frozen_step/recovery_step after this sample completes, so
-  // score and detect time the same samples).
+  // advanced by frozen_step/recover after this sample completes, so score
+  // and detect time the same samples).
   const bool timed = obs_enabled_ && (obs_tick_ & obs_mask_) == 0;
   const std::uint64_t obs_t0 = timed ? obs::now_ns() : 0;
-  model::Prediction pred;
-  if (stages_ != nullptr) {
-    util::StageTimer::Scope scope(*stages_, kStagePredict);
-    pred = model_->predict(x, kernel_ws_);
-  } else {
-    pred = model_->predict(x, kernel_ws_);
-  }
-  if (timed) obs_->score.record(obs::now_ns() - obs_t0);
-  return pred;
-}
-
-model::Prediction Pipeline::timed_predict_from_hidden(
-    std::span<const double> x, std::span<const double> hidden) {
-  // Same sampling discipline as timed_predict — the coalesced single-row
-  // scatter times the identical Nth samples the per-stream drain would.
-  const bool timed = obs_enabled_ && (obs_tick_ & obs_mask_) == 0;
-  const std::uint64_t obs_t0 = timed ? obs::now_ns() : 0;
-  model::Prediction pred;
-  if (stages_ != nullptr) {
-    util::StageTimer::Scope scope(*stages_, kStagePredict);
-    pred = model_->predict_from_hidden(x, hidden, kernel_ws_);
-  } else {
-    pred = model_->predict_from_hidden(x, hidden, kernel_ws_);
-  }
+  const model::Prediction pred =
+      hidden.empty() ? model_->predict(x, kernel_ws_)
+                     : model_->predict_from_hidden(x, hidden, kernel_ws_);
   if (timed) obs_->score.record(obs::now_ns() - obs_t0);
   return pred;
 }
@@ -365,13 +305,7 @@ PipelineStep Pipeline::frozen_step(std::span<const double> x,
       obs_on && centroid_ != nullptr && centroid_->window_open();
   const bool timed_detect = obs_on && (obs_tick_ & obs_mask_) == 0;
   const std::uint64_t obs_t0 = timed_detect ? obs::now_ns() : 0;
-  drift::Detection detection;
-  if (stages_ != nullptr) {
-    util::StageTimer::Scope scope(*stages_, kStageDistance);
-    detection = detector_->observe(obs);
-  } else {
-    detection = detector_->observe(obs);
-  }
+  const drift::Detection detection = detector_->observe(obs);
   if (timed_detect) obs_->detect.record(obs::now_ns() - obs_t0);
   if (obs_on) {
     // Window accounting: the centroid family exposes its anomaly window
@@ -428,250 +362,151 @@ void Pipeline::record_drift_event(const drift::Detection& detection) {
                            action, distances);
 }
 
-PipelineStep Pipeline::recovery_step(std::span<const double> x) {
-  if (!obs_enabled_) return recovery_step_impl(x);
-  obs_->counters.add_samples_in();
-  const std::uint64_t obs_t0 = obs::now_ns();
-  PipelineStep step = recovery_step_impl(x);
-  obs_->reconstruct.record(obs::now_ns() - obs_t0);
-  obs_->counters.add_samples_out();
-  ++obs_tick_;
-  return step;
-}
-
-PipelineStep Pipeline::recovery_step_impl(std::span<const double> x) {
-  ++stats_.samples;
-  ++stats_.recovery_samples;
-  PipelineStep step;
-  step.reconstructing = true;
-
-  if (state_ == RecoveryState::kReconstructing) {
-    const drift::ReconstructionPhase phase = reconstructor_.phase();
-    const char* stage = nullptr;
-    switch (phase) {
-      case drift::ReconstructionPhase::kSearchCoords:
-        stage = kStageInitCoord;
-        break;
-      case drift::ReconstructionPhase::kUpdateCoords:
-        stage = kStageUpdateCoord;
-        break;
-      case drift::ReconstructionPhase::kTrainNearest:
-        stage = kStageRetrainNearest;
-        break;
-      case drift::ReconstructionPhase::kTrainPredict:
-        stage = kStageRetrainPredict;
-        break;
-      case drift::ReconstructionPhase::kIdle:
-        break;
-    }
-    bool still_running = true;
-    if (stages_ != nullptr && stage != nullptr) {
-      util::StageTimer::Scope scope(*stages_, stage);
-      still_running = reconstructor_.step(x, *model_);
-    } else {
-      still_running = reconstructor_.step(x, *model_);
-    }
-    // Even while reconstructing, report the model's current prediction so
-    // accuracy accounting stays per-sample.
-    step.prediction = model_->predict(x, kernel_ws_);
-    if (tracker_enabled_) update_tracker(step.prediction.label, x);
-    if (!still_running) {
-      finish_reconstruction();
-      step.reconstruction_finished = true;
-    }
-    return step;
-  }
-
-  // kRecalibrating: retraining without the coordinate search. A freshly
-  // reset model scores every sample identically, so self-labelling would
-  // collapse onto one label; bootstrap by training the instance nearest (L1)
-  // to the sample among the recovery centroids — the same supervision-free
-  // trick as reconstruction's train-nearest phase — then switch to
-  // self-labelled training once the instances have separated.
-  const std::size_t bootstrap =
-      config_.reconstruction.n_search + config_.reconstruction.n_update;
-  if (recal_count_ < bootstrap) {
+std::size_t Pipeline::recover(linalg::ConstMatrixView x,
+                              const linalg::ConstMatrixView* hidden,
+                              std::size_t row, PipelineStep* out) {
+  const auto& rc = config_.reconstruction;
+  const bool reconstructing = state_ == RecoveryState::kReconstructing;
+  // kRecalibrating retrains without the coordinate search. A freshly reset
+  // model scores every sample identically, so self-labelling would collapse
+  // onto one label; bootstrap by training the instance nearest (L1) to the
+  // sample among the recovery centroids — the same supervision-free trick
+  // as reconstruction's train-nearest phase — then switch to self-labelled
+  // training once the instances have separated.
+  const std::size_t bootstrap = rc.n_search + rc.n_update;
+  const bool recal_bootstrap = !reconstructing && recal_count_ < bootstrap;
+  const auto nearest_recal = [&](std::span<const double> v) {
     std::size_t nearest = 0;
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < recal_.centroids.rows(); ++c) {
-      const double d = linalg::l1_distance(recal_.centroids.row(c), x);
+      const double d = linalg::l1_distance(recal_.centroids.row(c), v);
       if (d < best) {
         best = d;
         nearest = c;
       }
     }
-    if (stages_ != nullptr) {
-      util::StageTimer::Scope scope(*stages_, kStageRetrainNearest);
-      model_->train_label(x, nearest);
-    } else {
-      model_->train_label(x, nearest);
-    }
-    step.prediction = model_->predict(x, kernel_ws_);
-  } else if (stages_ != nullptr) {
-    util::StageTimer::Scope scope(*stages_, kStageRetrainPredict);
-    step.prediction = model_->train_closest(x, kernel_ws_);
-  } else {
-    step.prediction = model_->train_closest(x, kernel_ws_);
-  }
-  if (tracker_enabled_) update_tracker(step.prediction.label, x);
-  linalg::running_mean_update(recal_.centroids.row(step.prediction.label), x,
-                              recal_.counts[step.prediction.label]);
-  ++recal_.counts[step.prediction.label];
-  ++recal_count_;
-  if (recal_count_ >= config_.reconstruction.n_total) {
-    finish_recalibration();
-    step.reconstruction_finished = true;
-  }
-  return step;
-}
-
-std::size_t Pipeline::recovery_chunk(const linalg::Matrix& x,
-                                     const linalg::Matrix* hidden,
-                                     std::size_t row_begin,
-                                     std::size_t row_end,
-                                     std::vector<PipelineStep>& out) {
-  const std::size_t limit = std::min(
-      {config_.train_chunk, config_.max_batch_rows, row_end - row_begin});
-  if (limit < 2) return 0;
-  const auto& rc = config_.reconstruction;
-
-  // How many rows the current recovery sub-phase can absorb without
-  // straddling a phase boundary or performing a finishing sample — those
-  // flow through the per-sample path so completion semantics and the
-  // order-sensitive coordinate recursions are untouched.
-  std::size_t take = 0;
-  bool recal_bootstrap = false;
-  if (state_ == RecoveryState::kReconstructing) {
-    const std::size_t c0 = reconstructor_.count() + 1;
-    if (c0 < rc.n_update || c0 >= rc.n_total) return 0;
-    const std::size_t half = rc.n_total / 2;
-    const std::size_t cap = (c0 < half ? half : rc.n_total) - c0;
-    take = std::min(limit, cap);
-  } else {
-    const std::size_t bootstrap = rc.n_search + rc.n_update;
-    recal_bootstrap = recal_count_ < bootstrap;
-    const std::size_t cap =
-        (recal_bootstrap ? bootstrap : rc.n_total) - recal_count_;
-    take = std::min(limit, cap);
-  }
-  if (take < 2) return 0;
-
+    return nearest;
+  };
   const bool obs_on = obs_enabled_;
   const std::uint64_t obs_t0 = obs_on ? obs::now_ns() : 0;
 
-  // Hidden rows for the chunk: reuse the coalesced drain's mega-batch rows
-  // when supplied, else project per row through the scalar kernel — at
-  // chunk sizes in the single digits the batch GEMM's per-call packing
-  // costs more than the projection itself, and the batch entry is
-  // bit-identical to the scalar one row by row (the projection contract).
-  const linalg::ConstMatrixView xc{x, row_begin, row_begin + take};
-  if (hidden == nullptr) {
-    batch_ws_.hidden.resize_discard(take, config_.hidden_dim);
-    for (std::size_t r = 0; r < take; ++r) {
-      model_->projection()->hidden(xc.row(r), batch_ws_.hidden.row(r));
+  // Chunked training: the rows the current recovery sub-phase can absorb
+  // without straddling a phase boundary or performing a finishing sample.
+  // Those flow through the per-sample path, so completion semantics and the
+  // order-sensitive coordinate recursions are untouched.
+  std::size_t take = std::min(
+      {config_.train_chunk, config_.max_batch_rows, x.rows() - row});
+  if (take >= 2) {
+    if (reconstructing) {
+      const std::size_t c0 = reconstructor_.count() + 1;
+      const std::size_t half = rc.n_total / 2;
+      take = c0 < rc.n_update || c0 >= rc.n_total
+                 ? 0
+                 : std::min(take, (c0 < half ? half : rc.n_total) - c0);
+    } else {
+      take = std::min(
+          take, (recal_bootstrap ? bootstrap : rc.n_total) - recal_count_);
     }
   }
-  const linalg::ConstMatrixView hc =
-      hidden != nullptr
-          ? linalg::ConstMatrixView{*hidden, row_begin, row_begin + take}
-          : linalg::ConstMatrixView{batch_ws_.hidden, 0, take};
 
-  chunk_preds_.resize(take);
-  if (chunk_labels_.size() < take) chunk_labels_.resize(take);
-  const std::span<model::Prediction> preds{chunk_preds_.data(), take};
-  const std::span<std::size_t> labels{chunk_labels_.data(), take};
+  linalg::ConstMatrixView xc{x, row, row + 1};
+  model::Prediction single;
+  std::span<const model::Prediction> preds{&single, 1};
   model::ChunkTrainStats tstats;
   std::size_t consumed = 0;
-
-  if (state_ == RecoveryState::kReconstructing) {
-    const char* stage = reconstructor_.count() + 1 < rc.n_total / 2
-                            ? kStageRetrainNearest
-                            : kStageRetrainPredict;
-    if (stages_ != nullptr) {
-      util::StageTimer::Scope scope(*stages_, stage);
-      consumed = reconstructor_.train_chunk(xc, hc, *model_, batch_ws_, preds,
-                                            labels, &tstats);
-    } else {
-      consumed = reconstructor_.train_chunk(xc, hc, *model_, batch_ws_, preds,
-                                            labels, &tstats);
-    }
-    if (consumed == 0) return 0;
-    EDGEDRIFT_DASSERT(consumed == take, "chunk eligibility disagreement");
-    // Post-train predictions for reporting, mirroring the sequential loop's
-    // predict-after-step — per-row scatter scoring (bit-identical to the
-    // batch entry, cheaper at single-digit chunk sizes).
-    for (std::size_t r = 0; r < consumed; ++r) {
-      preds[r] = model_->predict_from_hidden(xc.row(r), hc.row(r), kernel_ws_);
-    }
-    for (std::size_t r = 0; r < consumed; ++r) {
-      PipelineStep step;
-      step.reconstructing = true;
-      step.prediction = preds[r];
-      if (tracker_enabled_) update_tracker(preds[r].label, xc.row(r));
-      out.push_back(step);
-    }
-  } else {
-    // kRecalibrating, chunked. Bootstrap: nearest-L1 labels against the
-    // chunk-start recovery centroids (sequentially the centroids move per
-    // sample — the chunked approximation labels the whole chunk against the
-    // start state), train the buckets, report post-train predictions.
-    // Self-label: the pre-train prediction is both the winner and the
-    // reported prediction (the train_closest contract).
-    if (recal_bootstrap) {
+  bool finished = false;
+  if (take >= 2) {
+    // Hidden rows for the chunk: the caller's rows when supplied, else
+    // projected per row through the scalar kernel — at chunk sizes in the
+    // single digits the batch GEMM's per-call packing costs more than the
+    // projection itself, and the two are bit-identical row by row.
+    xc = {x, row, row + take};
+    if (hidden == nullptr) {
+      batch_ws_.hidden.resize_discard(take, config_.hidden_dim);
       for (std::size_t r = 0; r < take; ++r) {
-        std::size_t nearest = 0;
-        double best = std::numeric_limits<double>::infinity();
-        for (std::size_t c = 0; c < recal_.centroids.rows(); ++c) {
-          const double d =
-              linalg::l1_distance(recal_.centroids.row(c), xc.row(r));
-          if (d < best) {
-            best = d;
-            nearest = c;
-          }
+        model_->projection()->hidden(xc.row(r), batch_ws_.hidden.row(r));
+      }
+    }
+    const linalg::ConstMatrixView hc =
+        hidden != nullptr ? linalg::ConstMatrixView{*hidden, row, row + take}
+                          : linalg::ConstMatrixView{batch_ws_.hidden, 0, take};
+    chunk_preds_.resize(take);
+    if (chunk_labels_.size() < take) chunk_labels_.resize(take);
+    const std::span<model::Prediction> chunk{chunk_preds_.data(), take};
+    const std::span<std::size_t> labels{chunk_labels_.data(), take};
+    const auto predict_chunk = [&] {
+      for (std::size_t r = 0; r < take; ++r) {
+        chunk[r] = model_->predict_from_hidden(xc.row(r), hc.row(r),
+                                               kernel_ws_);
+      }
+    };
+    if (reconstructing) {
+      consumed = reconstructor_.train_chunk(xc, hc, *model_, batch_ws_, chunk,
+                                            labels, &tstats);
+      EDGEDRIFT_DASSERT(consumed == 0 || consumed == take,
+                        "chunk eligibility disagreement");
+      // Post-train predictions, mirroring the per-sample predict-after-step.
+      if (consumed > 0) predict_chunk();
+    } else {
+      // Bootstrap labels the whole chunk against the chunk-start recovery
+      // centroids (per sample they move every row) and reports post-train
+      // predictions. Self-labelling trains on, and reports, the pre-train
+      // winners (the train_closest contract).
+      if (recal_bootstrap) {
+        for (std::size_t r = 0; r < take; ++r) {
+          labels[r] = nearest_recal(xc.row(r));
         }
-        labels[r] = nearest;
-      }
-      if (stages_ != nullptr) {
-        util::StageTimer::Scope scope(*stages_, kStageRetrainNearest);
         tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
+        predict_chunk();
       } else {
+        predict_chunk();
+        for (std::size_t r = 0; r < take; ++r) labels[r] = chunk[r].label;
         tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
       }
-      for (std::size_t r = 0; r < take; ++r) {
-        preds[r] =
-            model_->predict_from_hidden(xc.row(r), hc.row(r), kernel_ws_);
-      }
+      consumed = take;
+    }
+    preds = {chunk.data(), consumed};
+  }
+  if (consumed == 0) {
+    // The exact per-sample path. While reconstructing, report the model's
+    // current prediction so accuracy accounting stays per-sample.
+    const std::span<const double> xr = xc.row(0);
+    if (reconstructing) {
+      finished = !reconstructor_.step(xr, *model_);
+      single = model_->predict(xr, kernel_ws_);
+    } else if (recal_bootstrap) {
+      model_->train_label(xr, nearest_recal(xr));
+      single = model_->predict(xr, kernel_ws_);
     } else {
-      for (std::size_t r = 0; r < take; ++r) {
-        preds[r] =
-            model_->predict_from_hidden(xc.row(r), hc.row(r), kernel_ws_);
-      }
-      for (std::size_t r = 0; r < take; ++r) labels[r] = preds[r].label;
-      if (stages_ != nullptr) {
-        util::StageTimer::Scope scope(*stages_, kStageRetrainPredict);
-        tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
-      } else {
-        tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
-      }
+      single = model_->train_closest(xr, kernel_ws_);
     }
-    consumed = take;
-    for (std::size_t r = 0; r < take; ++r) {
-      PipelineStep step;
-      step.reconstructing = true;
-      step.prediction = preds[r];
-      if (tracker_enabled_) update_tracker(preds[r].label, xc.row(r));
-      linalg::running_mean_update(recal_.centroids.row(preds[r].label),
-                                  xc.row(r), recal_.counts[preds[r].label]);
-      ++recal_.counts[preds[r].label];
+    consumed = 1;
+    preds = {&single, 1};
+  }
+
+  for (std::size_t r = 0; r < consumed; ++r) {
+    const std::size_t label = preds[r].label;
+    out[r] = PipelineStep{};
+    out[r].reconstructing = true;
+    out[r].prediction = preds[r];
+    if (tracker_enabled_) update_tracker(label, xc.row(r));
+    if (!reconstructing) {
+      linalg::running_mean_update(recal_.centroids.row(label), xc.row(r),
+                                  recal_.counts[label]);
+      ++recal_.counts[label];
       ++recal_count_;
-      out.push_back(step);
     }
-    // The chunk cap stops exactly at n_total, so completion can only land
-    // on the chunk's last row.
-    if (recal_count_ >= rc.n_total) {
+  }
+  // A chunk stops short of a reconstruction's finishing sample and exactly
+  // at a recalibration's n_total, so completion lands on the last row.
+  if (!reconstructing) finished = recal_count_ >= rc.n_total;
+  if (finished) {
+    if (reconstructing) {
+      finish_reconstruction();
+    } else {
       finish_recalibration();
-      out.back().reconstruction_finished = true;
     }
+    out[consumed - 1].reconstruction_finished = true;
   }
 
   stats_.samples += consumed;
@@ -680,11 +515,13 @@ std::size_t Pipeline::recovery_chunk(const linalg::Matrix& x,
     obs_->counters.add_samples_in(consumed);
     obs_->counters.add_samples_out(consumed);
     obs_->reconstruct.record((obs::now_ns() - obs_t0) / consumed);
-    obs_->counters.add_chunk_trains(tstats.buckets);
-    obs_->counters.add_chunk_train_rows(tstats.rows);
-    if (tstats.replica_refreshes > 0) {
-      obs_->counters.add_requants_saved(tstats.rows -
-                                        tstats.replica_refreshes);
+    if (tstats.rows > 0) {
+      obs_->counters.add_chunk_trains(tstats.buckets);
+      obs_->counters.add_chunk_train_rows(tstats.rows);
+      if (tstats.replica_refreshes > 0) {
+        obs_->counters.add_requants_saved(tstats.rows -
+                                          tstats.replica_refreshes);
+      }
     }
     obs_tick_ += consumed;
   }

@@ -43,10 +43,6 @@ PipelineManager::PipelineManager(const PipelineConfig& config,
   EDGEDRIFT_ASSERT(options_.drain_batch_max > 0,
                    "drain_batch_max must be > 0");
   if (options_.shards == 0) options_.shards = 1;
-  if (options_.numerics) template_config_.numerics = *options_.numerics;
-  if (options_.drain_opts.train_chunk > 0) {
-    template_config_.train_chunk = options_.drain_opts.train_chunk;
-  }
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -175,22 +171,11 @@ bool PipelineManager::submit(std::size_t id, std::span<const double> x,
     }
     const std::uint64_t tail = s.tail.load();
     const std::size_t pos = static_cast<std::size_t>(tail % capacity);
-    if (options_.drain == DrainMode::kSample) {
-      // The pre-ring submit() heap-allocated the sample copy and took the
-      // global done mutex for the pending increment on every call — the
-      // baseline mode keeps both ingestion costs, not just the drain side.
-      std::vector<double> copy(x.begin(), x.end());
-      s.slab.set_row(pos, copy);
-      s.labels[pos] = true_label;
-      std::lock_guard done_lock(done_mutex_);
-      pending_.fetch_add(1);
-    } else {
-      s.slab.set_row(pos, x);
-      s.labels[pos] = true_label;
-      // pending_ rises before the row is published so the consumer's
-      // burst-sized decrement can never run ahead of it.
-      pending_.fetch_add(1);
-    }
+    s.slab.set_row(pos, x);
+    s.labels[pos] = true_label;
+    // pending_ rises before the row is published so the consumer's
+    // burst-sized decrement can never run ahead of it.
+    pending_.fetch_add(1);
     // Stamp only the sampled slots (absolute position selects them, so the
     // drain side — which advances the same counter — reads exactly these).
     if (obs_on_ &&
@@ -319,82 +304,33 @@ std::size_t PipelineManager::drain_burst(Stream& s) {
     const std::size_t burst = std::min(
         {queued, capacity - pos, options_.drain_batch_max});
     const std::uint64_t t0 = now_ns();
-    if (options_.drain == DrainMode::kBatch) {
-      {
-        std::lock_guard lock(s.steps_mutex);
-        if (burst > 1) {
-          s.pipeline->process_batch_range(s.slab, pos, pos + burst,
-                                          s.labels, s.steps);
-        } else {
-          s.steps.push_back(
-              s.pipeline->process(s.slab.row(pos), s.labels[pos]));
-        }
-      }
-      // Record before the head advance frees the slots: a producer may
-      // reuse submit_ns[pos..] the moment head moves past them. Only the
-      // sampled slots (absolute position & mask == 0) carry stamps.
-      if (obs_on_) {
-        obs::StreamObs& ob = s.pipeline->obs();
-        const std::uint64_t mask = ob.latency_sample_mask();
-        const std::uint64_t first = (head + mask) & ~mask;
-        if (first < head + burst) {
-          const std::uint64_t t_end = obs::now_ns();
-          for (std::uint64_t a = first; a < head + burst; a += mask + 1) {
-            ob.submit_to_drain.record(
-                t_end - s.submit_ns[pos + (a - head)]);
-          }
-        }
-        ob.counters.update_ring_high_water(queued);
-      }
-      head += burst;
-      s.head.store(head);
-      pending_.fetch_sub(burst);
-      notify_space(s);
-      ++s.telemetry.drain_bursts;
-      ++s.telemetry.drain_burst_hist[burst_bucket(burst)];
-    } else {
-      // DrainMode::kSample — the pre-ring drain, kept as the in-binary
-      // baseline for bench_manager_throughput with its full per-sample cost
-      // profile: the old run_stream() popped a heap-allocated QueuedSample
-      // from a deque under the stream mutex, processed it, pushed the step
-      // under the mutex again, and decremented the global pending counter
-      // under done_mutex_ — one allocation and three lock rounds per sample.
-      for (std::size_t i = 0; i < burst; ++i) {
-        std::vector<double> sample;
-        int label;
-        // Absolute position selects the sampled slots, matching the
-        // producer's stamping predicate.
-        const bool timed =
-            obs_on_ &&
-            (head & s.pipeline->obs().latency_sample_mask()) == 0;
-        std::uint64_t sub_ns = 0;
-        {
-          std::lock_guard lock(s.produce_mutex);
-          const std::span<const double> row = s.slab.row(pos + i);
-          sample.assign(row.begin(), row.end());
-          label = s.labels[pos + i];
-          // Read the enqueue stamp before the head advance frees the slot.
-          if (timed) sub_ns = s.submit_ns[pos + i];
-          ++head;
-          s.head.store(head);  // The old pop freed the slot before process.
-        }
-        notify_space(s);
-        const PipelineStep step = s.pipeline->process(sample, label);
-        if (timed) {
-          s.pipeline->obs().submit_to_drain.record(obs::now_ns() - sub_ns);
-        }
-        {
-          std::lock_guard lock(s.steps_mutex);
-          s.steps.push_back(step);
-        }
-        {
-          std::lock_guard lock(done_mutex_);
-          pending_.fetch_sub(1);
-        }
-      }
-      s.telemetry.drain_bursts += burst;
-      s.telemetry.drain_burst_hist[0] += burst;
+    {
+      std::lock_guard lock(s.steps_mutex);
+      const std::span<const int> labels(s.labels);
+      s.pipeline->process_rows({s.slab, pos, pos + burst},
+                               labels.subspan(pos, burst), s.steps);
     }
+    // Record before the head advance frees the slots: a producer may
+    // reuse submit_ns[pos..] the moment head moves past them. Only the
+    // sampled slots (absolute position & mask == 0) carry stamps.
+    if (obs_on_) {
+      obs::StreamObs& ob = s.pipeline->obs();
+      const std::uint64_t mask = ob.latency_sample_mask();
+      const std::uint64_t first = (head + mask) & ~mask;
+      if (first < head + burst) {
+        const std::uint64_t t_end = obs::now_ns();
+        for (std::uint64_t a = first; a < head + burst; a += mask + 1) {
+          ob.submit_to_drain.record(t_end - s.submit_ns[pos + (a - head)]);
+        }
+      }
+      ob.counters.update_ring_high_water(queued);
+    }
+    head += burst;
+    s.head.store(head);
+    pending_.fetch_sub(burst);
+    notify_space(s);
+    ++s.telemetry.drain_bursts;
+    ++s.telemetry.drain_burst_hist[burst_bucket(burst)];
     s.telemetry.busy_ns += now_ns() - t0;
     s.telemetry.processed += burst;
     raise_high_water(s.telemetry.queue_high_water, queued);
@@ -443,10 +379,8 @@ void PipelineManager::poll(std::size_t id) {
 
 void PipelineManager::drain() {
   if (options_.dispatch == DispatchMode::kManual) {
-    const bool planning = options_.drain_opts.coalesce &&
-                          options_.drain == DrainMode::kBatch;
     while (pending_.load() != 0) {
-      if (planning) {
+      if (options_.coalesce) {
         // Deterministic coalescing for the manual dispatcher: every shard
         // plans over all of its streams with published rows, then the poll
         // sweep drains the leftovers. Manual mode is single-threaded

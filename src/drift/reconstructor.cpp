@@ -120,7 +120,7 @@ std::size_t Reconstructor::train_chunk(linalg::ConstMatrixView x,
   const std::size_t cap = (nearest_phase ? half : config_.n_total) - c0;
   const std::size_t take = std::min(x.rows(), cap);
   if (take < 2) return 0;  // A 1-row "chunk" is just a worse rank-1 step.
-  const linalg::ConstMatrixView xc(x, take), hc(h, take);
+  const linalg::ConstMatrixView xc(x, 0, take), hc(h, 0, take);
   if (nearest_phase) {
     // Coordinates are frozen in the training phases, so per-row nearest()
     // matches the sequential loop exactly.

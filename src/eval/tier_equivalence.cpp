@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace edgedrift::eval {
@@ -54,7 +55,9 @@ Trace run_trace(const core::PipelineConfig& base,
       }
     }
     steps.clear();
-    pipeline.process_batch_range(test.x, at, at + take, test.labels, steps);
+    pipeline.process_rows({test.x, at, at + take},
+                          std::span<const int>(test.labels).subspan(at, take),
+                          steps);
     for (std::size_t i = 0; i < take; ++i) {
       t.labels.push_back(steps[i].prediction.label);
       if (steps[i].drift_detected) t.drifts.push_back(at + i);

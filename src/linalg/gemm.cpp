@@ -9,7 +9,7 @@
 // Bit-identity contract (docs/ARCHITECTURE.md): each C element is a single
 // ascending-k madd chain seeded from the existing C value. That makes the
 // microkernel round exactly like matvec_transposed()'s per-element chain,
-// which is what keeps Pipeline::process_batch() bit-identical to
+// which is what keeps Pipeline::process_rows() bit-identical to
 // process() within a build. Scalar row/column tails use simd::madd(), the
 // scalar op with the same rounding as the vector lanes.
 #include "edgedrift/linalg/gemm.hpp"

@@ -291,7 +291,7 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
   std::size_t at = 0;
   const auto feed = [&] {
     out.clear();
-    pipeline.process_batch_range(post, at, at + kBurst, {}, out);
+    pipeline.process_rows({post, at, at + kBurst}, {}, out);
     at += kBurst;
   };
 
@@ -330,7 +330,7 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
 #else
   // The serving path: submit_batch() copies rows into the preallocated ring
   // slab, the drain feeds contiguous slab ranges straight through
-  // process_batch_range(), and take_steps(out) recycles both step buffers.
+  // process_rows(), and take_steps(out) recycles both step buffers.
   // Manual dispatch keeps the whole loop on this thread — the shard
   // workers' Treiber ready-stack nodes live inside the Stream structs, but
   // handing off to another thread would make the allocation count racy, so
@@ -405,6 +405,62 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
     EXPECT_GT(manager.stream(0).obs().counters.snapshot().samples_in, 0u)
         << "the obs layer must have been live during the measured loop";
   }
+#endif
+}
+
+TEST(AllocationFree, UncollectedStepBacklogGrowsGeometrically) {
+#if defined(EDGEDRIFT_ALLOC_HOOKS_DISABLED)
+  GTEST_SKIP() << "allocation hooks disabled under sanitizers";
+#else
+  // A caller that never calls take_steps() leaves the stream's steps to
+  // pile up. Appending a burst must grow that backlog geometrically: an
+  // exact-fit reserve per burst reallocates and copies the whole backlog
+  // every time — 256 allocations over 256 bursts here.
+  constexpr std::size_t kDim = 8;
+  constexpr std::size_t kBurst = 4;
+  constexpr std::size_t kRounds = 256;
+
+  edgedrift::core::PipelineConfig config;
+  config.num_labels = 2;
+  config.input_dim = kDim;
+  config.hidden_dim = 12;
+
+  edgedrift::core::ManagerOptions options;
+  options.dispatch = edgedrift::core::DispatchMode::kManual;
+  edgedrift::core::PipelineManager manager(config, 1, options);
+
+  Rng rng(29);
+  Matrix train(200, kDim);
+  std::vector<int> labels(train.rows());
+  for (std::size_t i = 0; i < train.rows(); ++i) {
+    labels[i] = static_cast<int>(i % 2);
+    const double mean = labels[i] == 0 ? 0.2 : 1.2;
+    for (std::size_t j = 0; j < kDim; ++j) {
+      train(i, j) = rng.gaussian(mean, 0.2);
+    }
+  }
+  manager.fit(0, train, labels);
+  Matrix block(kBurst, kDim);
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    const double mean = i % 2 == 0 ? 0.2 : 1.2;
+    for (std::size_t j = 0; j < kDim; ++j) {
+      block(i, j) = rng.gaussian(mean, 0.2);
+    }
+  }
+
+  g_alloc_count.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    manager.submit_batch(0, block);
+    manager.drain();
+  }
+  g_count_allocs.store(false, std::memory_order_relaxed);
+
+  EXPECT_LE(g_alloc_count.load(std::memory_order_relaxed), 16u)
+      << "an uncollected step backlog must grow geometrically";
+  EXPECT_EQ(manager.stats(0).drifts, 0u)
+      << "a recovery would allocate on its own account";
+  EXPECT_EQ(manager.take_steps(0).size(), kRounds * kBurst);
 #endif
 }
 

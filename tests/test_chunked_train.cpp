@@ -397,11 +397,18 @@ std::vector<std::vector<PipelineStep>> run_rounds(
   return steps;
 }
 
-ManagerOptions manual_options(std::size_t train_chunk) {
+ManagerOptions manual_options() {
   ManagerOptions options;
   options.dispatch = DispatchMode::kManual;
-  options.drain_opts.train_chunk = train_chunk;
   return options;
+}
+
+PipelineConfig chunked_config(std::size_t train_chunk,
+                              NumericsTier tier = NumericsTier::kExactF64) {
+  PipelineConfig config = make_config();
+  config.train_chunk = train_chunk;
+  config.numerics = tier;
+  return config;
 }
 
 /// Drift positions and predicted labels of a step sequence.
@@ -454,9 +461,7 @@ void check_chunk_decision_equivalence(NumericsTier tier) {
   const Dataset train = make_train();
   const auto tests = make_tests(kStreams, 480);
 
-  ManagerOptions off = manual_options(0);  // keep the default train_chunk=1
-  off.numerics = tier;
-  PipelineManager reference(make_config(), 1, off);
+  PipelineManager reference(chunked_config(1, tier), 1, manual_options());
   seed_group(reference, kStreams, train);
   const auto want = run_rounds(reference, tests, 8);
   EXPECT_EQ(reference.stats().totals().chunk_trains, 0u)
@@ -464,9 +469,8 @@ void check_chunk_decision_equivalence(NumericsTier tier) {
 
   for (const std::size_t chunk : {2u, 4u, 8u}) {
     SCOPED_TRACE("train_chunk = " + std::to_string(chunk));
-    ManagerOptions on = manual_options(chunk);
-    on.numerics = tier;
-    PipelineManager chunked(make_config(), 1, on);
+    PipelineManager chunked(chunked_config(chunk, tier), 1,
+                            manual_options());
     seed_group(chunked, kStreams, train);
     const auto got = run_rounds(chunked, tests, 8);
     expect_decision_equivalent(got, want);
@@ -505,9 +509,9 @@ TEST(ChunkedTrain, RecoveringStreamsStayInCoalescedGroups) {
   const Dataset train = make_train();
   const auto tests = make_tests(kStreams, 480);
 
-  ManagerOptions on = manual_options(8);
-  on.drain_opts.coalesce = true;
-  PipelineManager manager(make_config(), 1, on);
+  ManagerOptions on = manual_options();
+  on.coalesce = true;
+  PipelineManager manager(chunked_config(8), 1, on);
   seed_group(manager, kStreams, train);
   const auto got = run_rounds(manager, tests, 8);
 
@@ -588,8 +592,7 @@ TEST(ChunkedTrain, SubmitBatchRacesChunkedShardDrains) {
   options.shards = 2;
   options.queue_capacity = 64;
   options.hot_stream_budget = 2;
-  options.drain_opts.train_chunk = 8;
-  PipelineManager manager(make_config(), 1, options);
+  PipelineManager manager(chunked_config(8), 1, options);
   seed_group(manager, kStreams, train);
 
   std::vector<std::thread> producers;

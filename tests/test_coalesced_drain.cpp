@@ -147,7 +147,7 @@ void expect_steps_bit_identical(const std::vector<PipelineStep>& actual,
 ManagerOptions manual_options(bool coalesce) {
   ManagerOptions options;
   options.dispatch = DispatchMode::kManual;
-  options.drain_opts.coalesce = coalesce;
+  options.coalesce = coalesce;
   return options;
 }
 
@@ -211,15 +211,13 @@ void check_tier_decision_equivalent(NumericsTier tier) {
   const Dataset train = make_train();
   const auto tests = make_tests(kStreams, 480);
 
-  ManagerOptions on = manual_options(true);
-  on.numerics = tier;
-  PipelineManager coalesced(make_config(), 1, on);
+  PipelineConfig config = make_config();
+  config.numerics = tier;
+  PipelineManager coalesced(config, 1, manual_options(true));
   seed_group(coalesced, kStreams, train);
   const auto got = run_rounds(coalesced, tests, 4);
 
-  ManagerOptions off = manual_options(false);
-  off.numerics = tier;
-  PipelineManager reference(make_config(), 1, off);
+  PipelineManager reference(config, 1, manual_options(false));
   seed_group(reference, kStreams, train);
   const auto want = run_rounds(reference, tests, 4);
 

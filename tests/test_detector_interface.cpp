@@ -1,10 +1,11 @@
 // Conformance tests over every drift::DetectorKind: the factory round-trip,
 // the Detector interface contract, each kind driving core::Pipeline's
 // detect-and-retrain loop via DetectorSpec alone, and the bit-identity of
-// process_batch() with sample-by-sample process().
+// the row-range core process_rows() with sample-by-sample process().
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -180,11 +181,12 @@ TEST_P(DetectorKindTest, DrivesPipelineAndFiresAfterDrift) {
   EXPECT_EQ(pipeline.stats().recoveries, 0u);
 }
 
-// The load-bearing contract of the batched hot path: process_batch() must be
+// The load-bearing contract of the row-range core: process_rows() must be
 // sample-for-sample bit-identical to process(), including across the drift,
 // the recovery that follows it, and (for batch detectors) the reference
-// refill. Runs every detector kind so frozen-chunk boundaries are exercised
-// against every recovery entry point.
+// refill. Every detector kind runs through both sides of the core — 1-row
+// blocks take the per-row fused scorer, longer blocks the GEMM — with and
+// without caller-supplied hidden rows.
 TEST_P(DetectorKindTest, ProcessBatchBitIdenticalToProcess) {
   Rng rng(3);
   auto scenario = make_scenario(rng);
@@ -193,9 +195,6 @@ TEST_P(DetectorKindTest, ProcessBatchBitIdenticalToProcess) {
 
   Pipeline sequential(config);
   sequential.fit(scenario.train.x, scenario.train.labels);
-  Pipeline batched(config);
-  batched.fit(scenario.train.x, scenario.train.labels);
-
   std::vector<PipelineStep> expected;
   expected.reserve(scenario.test.size());
   for (std::size_t i = 0; i < scenario.test.size(); ++i) {
@@ -203,45 +202,54 @@ TEST_P(DetectorKindTest, ProcessBatchBitIdenticalToProcess) {
         sequential.process(scenario.test.x.row(i), scenario.test.labels[i]));
   }
 
-  // Feed the same stream in odd-sized blocks (larger than max_batch_rows to
-  // exercise the internal chunk loop, and a ragged tail).
-  const std::size_t block_rows = 150;
-  std::vector<PipelineStep> actual;
-  actual.reserve(scenario.test.size());
-  for (std::size_t start = 0; start < scenario.test.size();
-       start += block_rows) {
-    const std::size_t rows =
-        std::min(block_rows, scenario.test.size() - start);
-    linalg::Matrix block(rows, scenario.test.dim());
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto src = scenario.test.x.row(start + r);
-      std::copy(src.begin(), src.end(), block.row(r).begin());
-    }
-    const std::span<const int> labels(scenario.test.labels.data() + start,
-                                      rows);
-    const auto steps = batched.process_batch(block, labels);
-    actual.insert(actual.end(), steps.begin(), steps.end());
-  }
+  // Single rows, a small odd block, and a block larger than max_batch_rows
+  // (the internal chunk loop) with a ragged tail.
+  for (const std::size_t block_rows : {1u, 3u, 150u}) {
+    for (const bool supply_hidden : {false, true}) {
+      SCOPED_TRACE("block " + std::to_string(block_rows) +
+                   (supply_hidden ? ", hidden supplied" : ""));
+      Pipeline batched(config);
+      batched.fit(scenario.train.x, scenario.train.labels);
+      std::vector<PipelineStep> actual;
+      linalg::Matrix hidden;
+      for (std::size_t start = 0; start < scenario.test.size();
+           start += block_rows) {
+        const std::size_t rows =
+            std::min(block_rows, scenario.test.size() - start);
+        const linalg::ConstMatrixView block{scenario.test.x, start,
+                                            start + rows};
+        const std::span<const int> labels(
+            scenario.test.labels.data() + start, rows);
+        if (supply_hidden) {
+          batched.model().projection()->hidden_batch_into(block, hidden);
+          const linalg::ConstMatrixView h{hidden};
+          batched.process_rows(block, labels, actual, &h);
+        } else {
+          batched.process_rows(block, labels, actual);
+        }
+      }
 
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    SCOPED_TRACE("sample " + std::to_string(i));
-    const PipelineStep& e = expected[i];
-    const PipelineStep& a = actual[i];
-    EXPECT_EQ(a.prediction.label, e.prediction.label);
-    EXPECT_EQ(a.prediction.score, e.prediction.score);  // Bit-exact.
-    EXPECT_EQ(a.drift_detected, e.drift_detected);
-    EXPECT_EQ(a.reconstructing, e.reconstructing);
-    EXPECT_EQ(a.reconstruction_finished, e.reconstruction_finished);
-    EXPECT_EQ(a.collecting_reference, e.collecting_reference);
-    EXPECT_EQ(a.statistic, e.statistic);
-    EXPECT_EQ(a.statistic_valid, e.statistic_valid);
+      ASSERT_EQ(actual.size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        SCOPED_TRACE("sample " + std::to_string(i));
+        const PipelineStep& e = expected[i];
+        const PipelineStep& a = actual[i];
+        EXPECT_EQ(a.prediction.label, e.prediction.label);
+        EXPECT_EQ(a.prediction.score, e.prediction.score);  // Bit-exact.
+        EXPECT_EQ(a.drift_detected, e.drift_detected);
+        EXPECT_EQ(a.reconstructing, e.reconstructing);
+        EXPECT_EQ(a.reconstruction_finished, e.reconstruction_finished);
+        EXPECT_EQ(a.collecting_reference, e.collecting_reference);
+        EXPECT_EQ(a.statistic, e.statistic);
+        EXPECT_EQ(a.statistic_valid, e.statistic_valid);
+      }
+      EXPECT_EQ(batched.stats().samples, sequential.stats().samples);
+      EXPECT_EQ(batched.stats().drifts, sequential.stats().drifts);
+      EXPECT_EQ(batched.stats().recoveries, sequential.stats().recoveries);
+      EXPECT_EQ(batched.stats().recovery_samples,
+                sequential.stats().recovery_samples);
+    }
   }
-  EXPECT_EQ(batched.stats().samples, sequential.stats().samples);
-  EXPECT_EQ(batched.stats().drifts, sequential.stats().drifts);
-  EXPECT_EQ(batched.stats().recoveries, sequential.stats().recoveries);
-  EXPECT_EQ(batched.stats().recovery_samples,
-            sequential.stats().recovery_samples);
 }
 
 // Every recovery policy must run to completion for every detector kind and

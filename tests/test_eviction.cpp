@@ -171,10 +171,10 @@ DecisionTrace trace_of(const std::vector<PipelineStep>& steps) {
 /// are what the tier guarantees (linalg/numerics.hpp).
 void check_decision_equivalent_under_eviction(NumericsTier tier) {
   const StreamData data = make_drift_stream(200);
-  ManagerOptions options;
-  options.numerics = tier;
+  PipelineConfig config = make_config();
+  config.numerics = tier;
 
-  PipelineManager uninterrupted(make_config(), 1, options);
+  PipelineManager uninterrupted(config, 1);
   uninterrupted.fit(0, data.train.x, data.train.labels);
   for (std::size_t i = 0; i < data.test.size(); ++i) {
     uninterrupted.submit(0, data.test.x.row(i));
@@ -186,7 +186,7 @@ void check_decision_equivalent_under_eviction(NumericsTier tier) {
 
   const std::vector<std::size_t> evict_at = {120, 700, 1300};
   const DecisionTrace evicted = trace_of(
-      run_with_evictions(make_config(), options, data, evict_at));
+      run_with_evictions(config, ManagerOptions{}, data, evict_at));
 
   ASSERT_EQ(evicted.drift_positions.size(), ref.drift_positions.size());
   for (std::size_t d = 0; d < ref.drift_positions.size(); ++d) {

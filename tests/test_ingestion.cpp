@@ -20,7 +20,6 @@ namespace {
 
 using edgedrift::core::BackpressurePolicy;
 using edgedrift::core::DispatchMode;
-using edgedrift::core::DrainMode;
 using edgedrift::core::ManagerOptions;
 using edgedrift::core::Pipeline;
 using edgedrift::core::PipelineConfig;
@@ -232,26 +231,6 @@ TEST(Ingestion, ManualDispatchPollMatchesSequential) {
   manager.take_steps(0, steps);
   expect_steps_equal(steps, expected);
   EXPECT_EQ(manager.telemetry(0).processed, data[0].test.size());
-}
-
-// The retained sample-wise drain baseline must produce the identical step
-// stream — it is the same pipeline at a different drain granularity.
-TEST(Ingestion, SampleDrainModeMatchesBatchDrainMode) {
-  const auto data = make_streams(1, 800);
-  ManagerOptions batch_options;
-  batch_options.drain = DrainMode::kBatch;
-  ManagerOptions sample_options;
-  sample_options.drain = DrainMode::kSample;
-
-  std::vector<std::vector<PipelineStep>> steps;
-  for (const ManagerOptions& options : {batch_options, sample_options}) {
-    PipelineManager manager(make_config(), 1, options);
-    manager.fit(0, data[0].train.x, data[0].train.labels);
-    manager.submit_batch(0, data[0].test.x);
-    manager.drain();
-    steps.push_back(manager.take_steps(0));
-  }
-  expect_steps_equal(steps[1], steps[0]);
 }
 
 // Several producer threads, each feeding its own stream through batch

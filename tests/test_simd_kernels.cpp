@@ -8,7 +8,7 @@
 // build, is the scalar-vs-batch pair the pipeline relies on: a GEMM output
 // row against matvec_transposed on the same data (both are one ascending-k
 // madd chain per element), which is the contract behind
-// Pipeline::process_batch() == process().
+// Pipeline::process_rows() == process().
 //
 // Shapes deliberately stress the tails: 1x1, prime dims (7x13x31) that
 // never fill a register tile, single row/column, and zero-sized edges.
@@ -175,7 +175,7 @@ TEST(SimdKernels, GemmRowBitIdenticalToMatvecTransposed) {
   // The bit-identity contract itself: row r of A*B must equal B^T * A.row(r)
   // EXACTLY (EXPECT_EQ, no tolerance) within a build, because both sides are
   // a single ascending-k madd chain per output element. This is the kernel-
-  // level fact behind Pipeline::process_batch() == process().
+  // level fact behind Pipeline::process_rows() == process().
   Rng rng(50);
   for (const Shape& s : kShapes) {
     if (s.m == 0) continue;

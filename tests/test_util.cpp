@@ -1,5 +1,5 @@
-// Unit tests for edgedrift::util — RNG determinism and statistics, stage
-// timer accounting, table formatting, thread pool behaviour.
+// Unit tests for edgedrift::util — RNG determinism and statistics, table
+// formatting, thread pool behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "edgedrift/util/rng.hpp"
-#include "edgedrift/util/stage_timer.hpp"
 #include "edgedrift/util/stopwatch.hpp"
 #include "edgedrift/util/table.hpp"
 #include "edgedrift/util/thread_pool.hpp"
@@ -17,7 +16,6 @@
 namespace {
 
 using edgedrift::util::Rng;
-using edgedrift::util::StageTimer;
 using edgedrift::util::Table;
 using edgedrift::util::ThreadPool;
 
@@ -108,53 +106,6 @@ TEST(Rng, BernoulliFrequency) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(StageTimer, AccumulatesNamedStages) {
-  StageTimer timer;
-  timer.add("a", 0.5);
-  timer.add("a", 0.25);
-  timer.add("b", 1.0);
-  EXPECT_DOUBLE_EQ(timer.seconds("a"), 0.75);
-  EXPECT_DOUBLE_EQ(timer.seconds("b"), 1.0);
-  EXPECT_EQ(timer.count("a"), 2u);
-  EXPECT_DOUBLE_EQ(timer.mean_ms("a"), 375.0);
-}
-
-TEST(StageTimer, UnknownStageReadsZero) {
-  StageTimer timer;
-  EXPECT_DOUBLE_EQ(timer.seconds("missing"), 0.0);
-  EXPECT_EQ(timer.count("missing"), 0u);
-  EXPECT_DOUBLE_EQ(timer.mean_ms("missing"), 0.0);
-}
-
-TEST(StageTimer, ScopeMeasuresElapsedTime) {
-  StageTimer timer;
-  {
-    StageTimer::Scope scope(timer, "sleep");
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(timer.seconds("sleep"), 0.004);
-  EXPECT_EQ(timer.count("sleep"), 1u);
-}
-
-TEST(StageTimer, StagesPreserveFirstUseOrder) {
-  StageTimer timer;
-  timer.add("z", 1.0);
-  timer.add("a", 1.0);
-  timer.add("z", 1.0);
-  const auto stages = timer.stages();
-  ASSERT_EQ(stages.size(), 2u);
-  EXPECT_EQ(stages[0], "z");
-  EXPECT_EQ(stages[1], "a");
-}
-
-TEST(StageTimer, ResetClearsEverything) {
-  StageTimer timer;
-  timer.add("a", 1.0);
-  timer.reset();
-  EXPECT_TRUE(timer.stages().empty());
-  EXPECT_DOUBLE_EQ(timer.seconds("a"), 0.0);
 }
 
 TEST(Table, RendersAlignedColumnsWithHeaderRule) {
