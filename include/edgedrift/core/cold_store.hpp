@@ -73,7 +73,7 @@ class ColdStore {
     std::shared_ptr<const std::string> blob;  ///< Null when spilled.
     std::string path;                         ///< Spill file, or empty.
     std::size_t bytes = 0;
-    /// FNV-1a of the blob, recorded when a spilled entry is written and
+    /// util::digest64 of the blob, recorded when a spilled entry is written and
     /// verified by peek() when it is read back. In-memory entries skip it —
     /// their bytes never leave the process.
     std::uint64_t checksum = 0;

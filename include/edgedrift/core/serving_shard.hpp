@@ -252,6 +252,10 @@ struct ShardState {
   std::size_t hot_streams = 0;
   std::size_t cold_streams = 0;
   std::size_t hot_bytes = 0;  ///< Sum of hot streams' footprints.
+  /// The ring slab of the stream this shard evicted last, kept for the next
+  /// restore: every eviction pairs with a restore under a hot budget, so a
+  /// restore reuses a slab instead of allocating and zero-filling one.
+  linalg::Matrix spare_slab;
 
   ColdStore cold;
   obs::ShardObs obs;

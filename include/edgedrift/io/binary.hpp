@@ -1,16 +1,20 @@
-// Binary (de)serialization primitives.
+// Binary (de)serialization primitives over byte buffers.
 //
-// Format: little-endian host layout, length-prefixed blocks, a magic tag
-// and version per file. Intended for checkpointing trained pipelines
-// (train on a gateway, ship the state blob to the device); not an
-// interchange format.
+// Format: little-endian host layout, length-prefixed blocks, a magic tag,
+// format version and section tag at the front of each blob, and a trailing
+// 64-bit digest (util::digest64, XXH64) of every byte before it. A Writer
+// appends to a std::string and seals it with write_checksum(); a Reader
+// parses a std::string_view through a bounds-checked cursor. Loaders call
+// Reader::verify_checksum() first: the digest is checked once over the
+// whole blob before any field is parsed or anything is allocated from one.
+// Intended for checkpointing trained pipelines (train on a gateway, ship
+// the state blob to the device); not an interchange format.
 #pragma once
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "edgedrift/linalg/matrix.hpp"
@@ -18,47 +22,53 @@
 namespace edgedrift::io {
 
 inline constexpr std::uint32_t kMagic = 0x45444446;  // "EDDF".
-/// v2: PipelineConfig gained the NumericsTier field (the tiered numerics
-/// contract). v1 blobs are rejected — the tier is part of the drift-decision
-/// contract, so silently defaulting it on restore would be wrong.
-/// v2 also carries the projection fingerprint after the projection block
-/// (verified on load against the rebuilt projection's digest), so restored
-/// streams rejoin their save-side coalescing groups.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// v3: the trailing checksum is util::digest64 over the whole blob,
+/// verified before parsing. v2 blobs (byte-serial checksum) and v1 blobs
+/// (no NumericsTier field) are rejected with an error naming their version
+/// and must be re-saved. Since v2 the config carries the NumericsTier (part
+/// of the drift-decision contract, so it is never defaulted on restore) and
+/// the projection fingerprint follows the projection block (verified on
+/// load against the rebuilt projection's digest, so restored streams rejoin
+/// their save-side coalescing groups).
+inline constexpr std::uint32_t kFormatVersion = 3;
 
-/// Streaming writer; check ok() once at the end.
+/// Appends to a byte buffer. The digest written by write_checksum() covers
+/// the bytes this writer appended.
 class Writer {
  public:
-  explicit Writer(std::ostream& out) : out_(out) {}
+  explicit Writer(std::string& out) : out_(out), begin_(out.size()) {}
 
   void write_u32(std::uint32_t value);
   void write_u64(std::uint64_t value);
   void write_f64(double value);
-  void write_string(const std::string& value);
+  void write_string(std::string_view value);
   void write_doubles(std::span<const double> values);
   void write_sizes(std::span<const std::size_t> values);
   void write_matrix(const linalg::Matrix& m);
 
   /// Writes the file header (magic + format version + a section tag).
-  void write_header(const std::string& section);
+  void write_header(std::string_view section);
 
-  /// Appends the FNV-1a checksum of every byte written so far. Call last;
+  /// Appends the digest of every byte this writer wrote. Call last;
   /// Reader::verify_checksum() checks it.
   void write_checksum();
 
-  bool ok() const { return static_cast<bool>(out_); }
+  /// Appending to a string cannot fail (allocation failure throws), so a
+  /// writer is always ok; kept so callers check every writer alike.
+  bool ok() const { return true; }
 
  private:
   void put(const void* src, std::size_t bytes);
 
-  std::ostream& out_;
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis.
+  std::string& out_;
+  std::size_t begin_;
 };
 
-/// Streaming reader; every read reports success, and failures latch.
+/// Parses a byte buffer through a bounds-checked cursor; every read reports
+/// success, and failures latch. The buffer must outlive the reader.
 class Reader {
  public:
-  explicit Reader(std::istream& in) : in_(in) {}
+  explicit Reader(std::string_view in) : in_(in) {}
 
   bool read_u32(std::uint32_t& value);
   bool read_u64(std::uint64_t& value);
@@ -69,25 +79,32 @@ class Reader {
   bool read_matrix(linalg::Matrix& m);
 
   /// Verifies magic, format version, and the expected section tag.
-  bool read_header(const std::string& expected_section);
+  bool read_header(std::string_view expected_section);
 
-  /// Reads the trailing checksum and compares it against the hash of every
-  /// byte consumed so far. Call last.
+  /// Checks the trailing digest against every byte before it, then drops
+  /// it from the readable range. Call once, before any read: it parses no
+  /// field, so a corrupt blob is rejected before anything is allocated.
   bool verify_checksum();
 
-  bool ok() const { return ok_ && static_cast<bool>(in_); }
-
- private:
-  bool take(void* dst, std::size_t bytes);
-
-  /// Bytes left in the stream (SIZE_MAX for non-seekable streams). Length
+  /// Bytes between the cursor and the end of the readable range. Length
   /// prefixes are validated against this before any allocation, so a
   /// corrupted count can never trigger a huge resize.
-  std::size_t remaining_bytes();
+  std::size_t remaining() const { return in_.size() - pos_; }
 
-  std::istream& in_;
+  bool ok() const { return ok_; }
+
+ private:
+  /// The next `bytes` bytes, advancing the cursor; nullptr (and a latched
+  /// failure) when fewer remain.
+  const char* next(std::size_t bytes);
+  bool take(void* dst, std::size_t bytes);
+  /// Reads a u64 element count and proves `count * element_bytes` bytes
+  /// remain.
+  bool read_count(std::size_t element_bytes, std::uint64_t& count);
+
+  std::string_view in_;
+  std::size_t pos_ = 0;
   bool ok_ = true;
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;  // FNV-1a offset basis.
 };
 
 }  // namespace edgedrift::io

@@ -5,34 +5,45 @@
 // the full training window) runs on a gateway-class machine; the resulting
 // state blob — a few tens of kB for the paper's configurations — is shipped
 // to the microcontroller, which then runs the fully sequential part only.
+// The serving layer's cold store keeps evicted streams as the same blobs.
 //
 // The checkpoint stores the full PipelineConfig, the shared projection
 // weights, every instance's (beta, P) pair, and the detector's centroid
-// state. Loading reconstructs the pipeline and verifies the projection
-// weights bit-for-bit (they are re-drawn from the persisted seed, so any
-// mismatch indicates a version or RNG change and the load fails cleanly).
+// state (format v3, io/binary.hpp). Loading verifies the trailing digest
+// over the whole blob before it parses anything, proves the blob holds
+// every block its config declares before it allocates the pipeline, and
+// verifies the projection weights bit-for-bit (they are re-drawn from the
+// persisted seed, so any mismatch indicates a version or RNG change and
+// the load fails cleanly).
+//
+// The core API works on byte buffers: save_pipeline appends to a
+// std::string and load_pipeline parses a std::string_view, with no stream
+// in between. The std::ostream / std::istream overloads and the file
+// functions are thin adapters over it.
 #pragma once
 
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/linalg/numerics.hpp"
 
 namespace edgedrift::io {
 
-/// Writes a fitted pipeline. Returns false on I/O failure or if the
-/// pipeline is not fitted. The checkpoint records the pipeline's active
-/// NumericsTier (format v2): the tier is part of the drift-decision
-/// contract, so a restore site must get the tier it expects or fail loudly.
-bool save_pipeline(std::ostream& out, const core::Pipeline& pipeline);
+/// Appends a checkpoint of a fitted pipeline to `out`. Returns false, and
+/// appends nothing, when the pipeline is not fitted or its detector is not
+/// the centroid family. The checkpoint records the pipeline's active
+/// NumericsTier: the tier is part of the drift-decision contract, so a
+/// restore site must get the tier it expects or fail loudly.
+bool save_pipeline(std::string& out, const core::Pipeline& pipeline);
 
-/// Reads a pipeline checkpoint. Returns nullopt on any corruption,
-/// format-version, or consistency failure. When `expect_tier` is set, a
-/// checkpoint recorded under any other tier is rejected. When `error` is
-/// non-null it receives a human-readable reason on failure.
+/// Loads a pipeline from exactly one checkpoint blob. Returns nullopt on
+/// any corruption, format-version, or consistency failure; when `error` is
+/// non-null it then receives a human-readable reason. When `expect_tier` is
+/// set, a checkpoint recorded under any other tier is rejected.
 ///
 /// `runtime` (optional) overlays the restore site's runtime-only
 /// configuration — detector spec, recovery policy, obs options,
@@ -43,6 +54,17 @@ bool save_pipeline(std::ostream& out, const core::Pipeline& pipeline);
 /// format can restore state into); anything else fails the load. This is
 /// how PipelineManager's eviction layer rehydrates cold streams with the
 /// manager's own serving knobs instead of checkpoint-era defaults.
+std::optional<core::Pipeline> load_pipeline(
+    std::string_view blob,
+    std::optional<linalg::NumericsTier> expect_tier = std::nullopt,
+    std::string* error = nullptr,
+    const core::PipelineConfig* runtime = nullptr);
+
+/// Stream adapter: writes the blob save_pipeline(std::string&) builds.
+/// Returns false on the same conditions or on a stream write failure.
+bool save_pipeline(std::ostream& out, const core::Pipeline& pipeline);
+
+/// Stream adapter: reads `in` to its end and loads those bytes as one blob.
 std::optional<core::Pipeline> load_pipeline(
     std::istream& in,
     std::optional<linalg::NumericsTier> expect_tier = std::nullopt,

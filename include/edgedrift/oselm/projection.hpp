@@ -69,15 +69,15 @@ class Projection {
   const linalg::Matrix& alpha() const { return alpha_; }
   std::span<const double> bias() const { return bias_; }
 
-  /// FNV-1a digest of (input_dim, hidden_dim, activation, alpha bytes, bias
-  /// bytes), computed once at construction. Two projections with equal
-  /// fingerprints produce bit-identical hidden() output for the same input,
-  /// so the serving layer keys its cross-stream coalescing groups on this
-  /// value: streams seeded from one template blob (seed_cold_from) or
-  /// restored from the same checkpoint all land in the same group. The
-  /// deserialization constructor recomputes the digest from the restored
-  /// bytes, so the fingerprint survives checkpoint round trips by
-  /// construction.
+  /// util::digest64 of (input_dim, hidden_dim, activation), chained through
+  /// the alpha bytes and then the bias bytes, computed once at
+  /// construction. Two projections with equal fingerprints produce
+  /// bit-identical hidden() output for the same input, so the serving
+  /// layer keys its cross-stream coalescing groups on this value: streams
+  /// seeded from one template blob (seed_cold_from) or restored from the
+  /// same checkpoint all land in the same group. The deserialization
+  /// constructor recomputes the digest from the restored bytes, so the
+  /// fingerprint survives checkpoint round trips by construction.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
  private:

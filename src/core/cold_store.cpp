@@ -5,22 +5,9 @@
 #include <unordered_set>
 #include <utility>
 
+#include "edgedrift/util/digest.hpp"
+
 namespace edgedrift::core {
-namespace {
-
-/// FNV-1a over a byte string — the same digest the io layer uses, applied
-/// here to whole spill files so silent storage corruption is caught at
-/// read-back time.
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 ColdStore::~ColdStore() {
   // Spill files belong to this store's lifetime; leave nothing behind.
@@ -45,7 +32,7 @@ bool ColdStore::put(std::uint64_t id,
   entry.bytes = blob->size();
   bool spilled_ok = true;
   if (!spill_dir_.empty()) {
-    entry.checksum = fnv1a(*blob);
+    entry.checksum = util::digest64(blob->data(), blob->size());
     entry.path = spill_path_locked(id);
     std::ofstream out(entry.path, std::ios::binary | std::ios::trunc);
     if (out && out.write(blob->data(),
@@ -105,7 +92,8 @@ std::shared_ptr<const std::string> ColdStore::peek(std::uint64_t id) const {
   blob->resize(static_cast<std::size_t>(size));
   in.seekg(0, std::ios::beg);
   if (!in.read(blob->data(), size)) return nullptr;
-  if (blob->size() != expected_bytes || fnv1a(*blob) != expected) {
+  if (blob->size() != expected_bytes ||
+      util::digest64(blob->data(), blob->size()) != expected) {
     return nullptr;
   }
   return blob;

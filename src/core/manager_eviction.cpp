@@ -8,7 +8,6 @@
 // first and only ever try_locks a victim's produce_mutex, so the two orders
 // cannot deadlock — a busy victim is simply skipped until its next idle
 // moment.
-#include <sstream>
 #include <utility>
 
 #include "edgedrift/core/pipeline_manager.hpp"
@@ -43,10 +42,9 @@ bool PipelineManager::evictable_locked(const Stream& s) const {
 
 bool PipelineManager::evict_locked(Shard& shard, Stream& s) {
   const std::uint64_t t0 = obs_on_ ? obs::now_ns() : 0;
-  std::ostringstream out(std::ios::binary);
-  if (!io::save_pipeline(out, *s.pipeline)) return false;
-  shard.cold.put(static_cast<std::uint64_t>(s.id),
-                 std::make_shared<const std::string>(out.str()));
+  auto blob = std::make_shared<std::string>();
+  if (!io::save_pipeline(*blob, *s.pipeline)) return false;
+  shard.cold.put(static_cast<std::uint64_t>(s.id), std::move(blob));
 
   // Carry the pipeline's books across the residency gap — the live blocks
   // die with the pipeline, stats(id)/stats() report carried + live.
@@ -61,9 +59,10 @@ bool PipelineManager::evict_locked(Shard& shard, Stream& s) {
     }
   }
 
-  // Release the hot state: the model and the ring storage. Telemetry,
-  // steps and the monotonic ring counters stay (the ring is empty, so
-  // head == tail survives the slab's absence).
+  // Release the hot state: the model and the ring storage, whose slab
+  // becomes the shard's spare for the next restore. Telemetry, steps and
+  // the monotonic ring counters stay (the ring is empty, so head == tail
+  // survives the slab's absence).
   shard.lru.erase(&s);
   EDGEDRIFT_ASSERT(shard.hot_streams > 0, "hot-stream accounting underflow");
   --shard.hot_streams;
@@ -71,7 +70,7 @@ bool PipelineManager::evict_locked(Shard& shard, Stream& s) {
   shard.hot_bytes -= s.hot_footprint_bytes;
   s.hot_footprint_bytes = 0;
   s.pipeline.reset();
-  s.slab = linalg::Matrix();
+  shard.spare_slab = std::exchange(s.slab, linalg::Matrix());
   s.labels = std::vector<int>();
   s.submit_ns = std::vector<std::uint64_t>();
   s.residency = Stream::Residency::kCold;
@@ -152,10 +151,8 @@ bool PipelineManager::restore_cold(Shard& shard, Stream& s) {
     shard.obs.add_restore_failure();
     return false;
   }
-  std::istringstream in(*blob, std::ios::binary);
-  std::string err;
   std::optional<Pipeline> pipeline = io::load_pipeline(
-      in, template_config_.numerics, &err, &template_config_);
+      *blob, template_config_.numerics, nullptr, &template_config_);
   if (!pipeline) {
     // The blob stays in the store: the stream remains cold-but-addressed,
     // and the caller surfaces kRestoreFailed (with the blob intact an
@@ -164,11 +161,15 @@ bool PipelineManager::restore_cold(Shard& shard, Stream& s) {
     return false;
   }
   s.pipeline = std::make_unique<Pipeline>(std::move(*pipeline));
-  s.slab.resize_zero(options_.queue_capacity, template_config_.input_dim);
   s.labels.assign(options_.queue_capacity, -1);
   if (obs_on_) s.submit_ns.assign(options_.queue_capacity, 0);
   {
     std::lock_guard elock(shard.evict_mutex);
+    // Every ring slot is written before it is read, so a spare slab's old
+    // rows need no zeroing; only a restore that finds no spare allocates.
+    s.slab = std::exchange(shard.spare_slab, linalg::Matrix());
+    s.slab.resize_discard(options_.queue_capacity,
+                          template_config_.input_dim);
     s.residency = Stream::Residency::kHot;
     s.hot_footprint_bytes = hot_footprint(s);
     ++shard.hot_streams;
@@ -194,13 +195,12 @@ std::size_t PipelineManager::seed_cold_from(std::size_t source_id,
   EDGEDRIFT_ASSERT(src.residency == Stream::Residency::kHot &&
                        src.pipeline != nullptr && src.pipeline->fitted(),
                    "seed_cold_from needs a fitted, resident source stream");
-  std::ostringstream out(std::ios::binary);
-  const bool ok = io::save_pipeline(out, *src.pipeline);
-  EDGEDRIFT_ASSERT(ok, "seed_cold_from: source stream is not serializable "
-                       "(centroid detector required)");
   // One blob, shared by every seeded id: the whole population costs one
   // serialization plus one string, however large `count` is.
-  const auto blob = std::make_shared<const std::string>(out.str());
+  auto blob = std::make_shared<std::string>();
+  const bool ok = io::save_pipeline(*blob, *src.pipeline);
+  EDGEDRIFT_ASSERT(ok, "seed_cold_from: source stream is not serializable "
+                       "(centroid detector required)");
   const std::size_t first = streams_.size();
   streams_.reserve(first + count);
   for (std::size_t i = 0; i < count; ++i) {

@@ -1,30 +1,13 @@
 #include "edgedrift/io/binary.hpp"
 
-#include <limits>
+#include <cstring>
+
+#include "edgedrift/util/digest.hpp"
 
 namespace edgedrift::io {
-namespace {
-
-// Guards length-prefixed reads against absurd sizes from corrupt files.
-constexpr std::uint64_t kMaxBlockElements = 1ull << 32;
-
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-}  // namespace
 
 void Writer::put(const void* src, std::size_t bytes) {
-  hash_ = fnv1a(hash_, src, bytes);
-  out_.write(static_cast<const char*>(src),
-             static_cast<std::streamsize>(bytes));
+  out_.append(static_cast<const char*>(src), bytes);
 }
 
 void Writer::write_u32(std::uint32_t value) { put(&value, sizeof(value)); }
@@ -33,7 +16,7 @@ void Writer::write_u64(std::uint64_t value) { put(&value, sizeof(value)); }
 
 void Writer::write_f64(double value) { put(&value, sizeof(value)); }
 
-void Writer::write_string(const std::string& value) {
+void Writer::write_string(std::string_view value) {
   write_u64(value.size());
   put(value.data(), value.size());
 }
@@ -54,34 +37,37 @@ void Writer::write_matrix(const linalg::Matrix& m) {
   put(m.data(), m.size() * sizeof(double));
 }
 
-void Writer::write_header(const std::string& section) {
+void Writer::write_header(std::string_view section) {
   write_u32(kMagic);
   write_u32(kFormatVersion);
   write_string(section);
 }
 
 void Writer::write_checksum() {
-  // Written raw (not folded into the hash itself).
-  const std::uint64_t checksum = hash_;
-  out_.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  write_u64(util::digest64(out_.data() + begin_, out_.size() - begin_));
 }
 
-std::size_t Reader::remaining_bytes() {
-  const auto current = in_.tellg();
-  if (current < 0) return static_cast<std::size_t>(-1);  // Non-seekable.
-  in_.seekg(0, std::ios::end);
-  const auto end = in_.tellg();
-  in_.seekg(current);
-  if (end < current) return 0;
-  return static_cast<std::size_t>(end - current);
+const char* Reader::next(std::size_t bytes) {
+  if (!ok_ || bytes > remaining()) {
+    ok_ = false;
+    return nullptr;
+  }
+  const char* p = in_.data() + pos_;
+  pos_ += bytes;
+  return p;
 }
 
 bool Reader::take(void* dst, std::size_t bytes) {
-  if (!ok_) return false;
-  in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
-  ok_ = static_cast<bool>(in_);
-  if (ok_) hash_ = fnv1a(hash_, dst, bytes);
-  return ok_;
+  const char* src = next(bytes);
+  if (src == nullptr) return false;
+  std::memcpy(dst, src, bytes);
+  return true;
+}
+
+bool Reader::read_count(std::size_t element_bytes, std::uint64_t& count) {
+  if (!read_u64(count)) return false;
+  if (count > remaining() / element_bytes) return ok_ = false;
+  return true;
 }
 
 bool Reader::read_u32(std::uint32_t& value) {
@@ -96,34 +82,25 @@ bool Reader::read_f64(double& value) { return take(&value, sizeof(value)); }
 
 bool Reader::read_string(std::string& value) {
   std::uint64_t size = 0;
-  if (!read_u64(size) || size > kMaxBlockElements ||
-      size > remaining_bytes()) {
-    return ok_ = false;
-  }
-  value.resize(size);
-  return take(value.data(), size);
+  if (!read_count(1, size)) return false;
+  value.assign(next(size), size);
+  return true;
 }
 
 bool Reader::read_doubles(std::vector<double>& values) {
   std::uint64_t size = 0;
-  if (!read_u64(size) || size > kMaxBlockElements ||
-      size * sizeof(double) > remaining_bytes()) {
-    return ok_ = false;
-  }
+  if (!read_count(sizeof(double), size)) return false;
   values.resize(size);
   return take(values.data(), size * sizeof(double));
 }
 
 bool Reader::read_sizes(std::vector<std::size_t>& values) {
   std::uint64_t size = 0;
-  if (!read_u64(size) || size > kMaxBlockElements ||
-      size * sizeof(std::uint64_t) > remaining_bytes()) {
-    return ok_ = false;
-  }
+  if (!read_count(sizeof(std::uint64_t), size)) return false;
   values.resize(size);
   for (auto& v : values) {
     std::uint64_t raw = 0;
-    if (!read_u64(raw)) return false;
+    read_u64(raw);  // In bounds: read_count proved the bytes are there.
     v = static_cast<std::size_t>(raw);
   }
   return true;
@@ -132,34 +109,34 @@ bool Reader::read_sizes(std::vector<std::size_t>& values) {
 bool Reader::read_matrix(linalg::Matrix& m) {
   std::uint64_t rows = 0, cols = 0;
   if (!read_u64(rows) || !read_u64(cols)) return false;
-  if (rows > kMaxBlockElements || cols > kMaxBlockElements ||
-      (cols != 0 && rows > kMaxBlockElements / cols) ||
-      rows * cols * sizeof(double) > remaining_bytes()) {
+  if (cols != 0 && rows > remaining() / sizeof(double) / cols) {
     return ok_ = false;
   }
-  m.resize_zero(rows, cols);
+  m.resize_discard(rows, cols);
   return take(m.data(), m.size() * sizeof(double));
 }
 
-bool Reader::read_header(const std::string& expected_section) {
+bool Reader::read_header(std::string_view expected_section) {
   std::uint32_t magic = 0, version = 0;
-  std::string section;
-  if (!read_u32(magic) || !read_u32(version) || !read_string(section)) {
+  std::uint64_t size = 0;
+  if (!read_u32(magic) || !read_u32(version) || !read_count(1, size)) {
     return false;
   }
+  const char* section = next(size);
   if (magic != kMagic || version != kFormatVersion ||
-      section != expected_section) {
+      std::string_view(section, size) != expected_section) {
     ok_ = false;
   }
   return ok_;
 }
 
 bool Reader::verify_checksum() {
-  const std::uint64_t computed = hash_;  // Before consuming the trailer.
   std::uint64_t stored = 0;
-  in_.read(reinterpret_cast<char*>(&stored), sizeof(stored));
-  if (!in_) return ok_ = false;
-  if (stored != computed) ok_ = false;
+  if (!ok_ || in_.size() - pos_ < sizeof(stored)) return ok_ = false;
+  const std::size_t body = in_.size() - sizeof(stored);
+  std::memcpy(&stored, in_.data() + body, sizeof(stored));
+  in_ = in_.substr(0, body);
+  if (stored != util::digest64(in_.data(), in_.size())) ok_ = false;
   return ok_;
 }
 

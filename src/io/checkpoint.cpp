@@ -1,7 +1,9 @@
 #include "edgedrift/io/checkpoint.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 
 #include "edgedrift/io/binary.hpp"
 
@@ -99,9 +101,56 @@ bool config_is_sane(const core::PipelineConfig& config) {
   return true;
 }
 
+constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
+
+// Saturating arithmetic: a corrupt header cannot wrap a size computation
+// around to a small value.
+std::uint64_t mul_sat(std::uint64_t a, std::uint64_t b) {
+  return a != 0 && b > kMaxU64 / a ? kMaxU64 : a * b;
+}
+std::uint64_t add_sat(std::uint64_t a, std::uint64_t b) {
+  return b > kMaxU64 - a ? kMaxU64 : a + b;
+}
+
+// Bytes between theta_error and the digest, which the config fixes: alpha,
+// bias, the fingerprint, the instance count, C x (beta, P, samples seen),
+// the two centroid blocks, the two count vectors and theta_drift, each
+// block with its u64 length prefix(es).
+std::uint64_t state_bytes(const core::PipelineConfig& config) {
+  const std::uint64_t c = config.num_labels;
+  const std::uint64_t d = config.input_dim;
+  const std::uint64_t h = config.hidden_dim;
+  const std::uint64_t hd = mul_sat(h, d);
+  // Fixed u64 words: alpha dims, bias length, fingerprint, instance count,
+  // both centroid blocks' dims, both count-vector lengths, theta_drift.
+  constexpr std::uint64_t kFixedWords = 12;
+  // Per label: beta and P dims, samples seen, two counts, two centroid
+  // rows, beta and P.
+  const std::uint64_t per_label =
+      add_sat(add_sat(7, mul_sat(2, d)), add_sat(hd, mul_sat(h, h)));
+  const std::uint64_t words =
+      add_sat(add_sat(kFixedWords, add_sat(hd, h)), mul_sat(c, per_label));
+  return mul_sat(words, sizeof(std::uint64_t));
+}
+
+// Why a blob failed its digest. Other format versions seal blobs with other
+// checksums, so a blob that carries this format's magic but names another
+// version is reported by that version.
+std::string digest_failure(std::string_view blob) {
+  Reader peek(blob);
+  std::uint32_t magic = 0, version = 0;
+  if (peek.read_u32(magic) && peek.read_u32(version) && magic == kMagic &&
+      version != kFormatVersion) {
+    return "checkpoint format version " + std::to_string(version) +
+           " is not supported: this build reads version " +
+           std::to_string(kFormatVersion) + " (re-save the checkpoint)";
+  }
+  return "checkpoint checksum mismatch (corrupt or truncated blob)";
+}
+
 }  // namespace
 
-bool save_pipeline(std::ostream& out, const core::Pipeline& pipeline) {
+bool save_pipeline(std::string& out, const core::Pipeline& pipeline) {
   if (!pipeline.fitted()) return false;
   // The checkpoint format stores centroid-detector calibration; pipelines
   // configured with another detector kind have no serializable detector
@@ -111,6 +160,10 @@ bool save_pipeline(std::ostream& out, const core::Pipeline& pipeline) {
   Writer w(out);
   w.write_header(kSection);
   write_config(w, pipeline.config());
+  // The config fixes the size of the rest (theta_error, the state blocks,
+  // the digest), so the buffer grows once.
+  out.reserve(out.size() + sizeof(double) + state_bytes(pipeline.config()) +
+              sizeof(std::uint64_t));
   w.write_f64(pipeline.theta_error());
 
   // Shared projection weights (for integrity verification at load time),
@@ -140,21 +193,22 @@ bool save_pipeline(std::ostream& out, const core::Pipeline& pipeline) {
   w.write_sizes(detector->calibrated_counts());
   w.write_f64(detector->theta_drift());
   w.write_checksum();
-  return w.ok();
+  return true;
 }
 
 std::optional<core::Pipeline> load_pipeline(
-    std::istream& in, std::optional<linalg::NumericsTier> expect_tier,
+    std::string_view blob, std::optional<linalg::NumericsTier> expect_tier,
     std::string* error, const core::PipelineConfig* runtime) {
   const auto fail = [error](const std::string& why) {
     if (error != nullptr) *error = why;
     return std::nullopt;
   };
-  Reader r(in);
+  Reader r(blob);
+  // Every byte is checked before any field is parsed or allocated from.
+  if (!r.verify_checksum()) return fail(digest_failure(blob));
   if (!r.read_header(kSection)) {
     return fail("bad checkpoint header (wrong magic, section, or format "
-                "version; v1 blobs predate the numerics-tier field and must "
-                "be re-saved)");
+                "version)");
   }
 
   core::PipelineConfig config;
@@ -164,6 +218,15 @@ std::optional<core::Pipeline> load_pipeline(
   }
   if (!config_is_sane(config) || !std::isfinite(theta_error)) {
     return fail("checkpoint config failed sanity bounds");
+  }
+  // Each field is bounded on its own, but their products size the
+  // pipeline's allocations: prove the blob holds every block the config
+  // declares before the Pipeline constructor allocates from it.
+  const std::uint64_t declared = state_bytes(config);
+  if (declared > r.remaining()) {
+    return fail("checkpoint holds " + std::to_string(r.remaining()) +
+                " state bytes but its config declares " +
+                std::to_string(declared));
   }
   if (expect_tier && *expect_tier != config.numerics) {
     return fail(std::string("checkpoint numerics tier is '") +
@@ -224,18 +287,18 @@ std::optional<core::Pipeline> load_pipeline(
   // Instance states.
   std::uint64_t labels = 0;
   if (!r.read_u64(labels) || labels != config.num_labels) {
-    return std::nullopt;
+    return fail("instance count does not match the config's num_labels");
   }
   for (std::size_t c = 0; c < labels; ++c) {
     linalg::Matrix beta, p;
     std::uint64_t seen = 0;
     if (!r.read_matrix(beta) || !r.read_matrix(p) || !r.read_u64(seen)) {
-      return std::nullopt;
+      return fail("truncated instance state");
     }
     if (beta.rows() != config.hidden_dim ||
         beta.cols() != config.input_dim || p.rows() != config.hidden_dim ||
         p.cols() != config.hidden_dim) {
-      return std::nullopt;
+      return fail("instance beta/P shape does not match the config");
     }
     pipeline.model_mutable().instance_mutable(c).restore_state(
         std::move(beta), std::move(p), seen);
@@ -250,7 +313,7 @@ std::optional<core::Pipeline> load_pipeline(
   if (!r.read_matrix(trained) || !r.read_matrix(recent) ||
       !r.read_sizes(counts) || !r.read_sizes(calibrated_counts) ||
       !r.read_f64(theta_drift)) {
-    return std::nullopt;
+    return fail("truncated detector block");
   }
   if (trained.rows() != config.num_labels ||
       trained.cols() != config.input_dim ||
@@ -258,17 +321,41 @@ std::optional<core::Pipeline> load_pipeline(
       recent.cols() != config.input_dim ||
       counts.size() != config.num_labels ||
       calibrated_counts.size() != config.num_labels) {
-    return std::nullopt;
+    return fail("detector centroid/count shapes do not match the config");
   }
-  if (!r.verify_checksum()) return fail("checkpoint checksum mismatch");
+  if (r.remaining() != 0) {
+    return fail("checkpoint has " + std::to_string(r.remaining()) +
+                " unparsed bytes after the detector block");
+  }
   // The restored config carries the default (centroid) detector spec, so
   // the rebuilt pipeline always has a centroid detector to restore into.
   pipeline.centroid_detector_mutable()->restore(trained, recent, counts,
                                                 calibrated_counts,
                                                 theta_drift);
   pipeline.finish_restore(theta_error);
-  if (!r.ok()) return std::nullopt;
   return pipeline;
+}
+
+bool save_pipeline(std::ostream& out, const core::Pipeline& pipeline) {
+  std::string blob;
+  if (!save_pipeline(blob, pipeline)) return false;
+  return static_cast<bool>(
+      out.write(blob.data(), static_cast<std::streamsize>(blob.size())));
+}
+
+std::optional<core::Pipeline> load_pipeline(
+    std::istream& in, std::optional<linalg::NumericsTier> expect_tier,
+    std::string* error, const core::PipelineConfig* runtime) {
+  std::string blob;
+  char chunk[1 << 14];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    blob.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) {
+    if (error != nullptr) *error = "checkpoint stream read failed";
+    return std::nullopt;
+  }
+  return load_pipeline(blob, expect_tier, error, runtime);
 }
 
 bool save_pipeline_file(const std::string& path,

@@ -2,21 +2,10 @@
 
 #include "edgedrift/linalg/gemm.hpp"
 #include "edgedrift/util/assert.hpp"
+#include "edgedrift/util/digest.hpp"
 #include "edgedrift/util/rng.hpp"
 
 namespace edgedrift::oselm {
-namespace {
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t bytes) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 Projection::Projection(std::size_t input_dim, std::size_t hidden_dim,
                        Activation act, util::Rng& rng, double scale)
@@ -44,13 +33,11 @@ std::uint64_t Projection::compute_fingerprint() const {
   // Doubles hash by byte pattern, which is exactly the contract needed:
   // equal fingerprints must imply bit-identical hidden() output, and the
   // projection weights are immutable after construction.
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis.
   const std::uint64_t shape[3] = {alpha_.rows(), alpha_.cols(),
                                   static_cast<std::uint64_t>(act_)};
-  h = fnv1a(h, shape, sizeof(shape));
-  h = fnv1a(h, alpha_.data(), alpha_.size() * sizeof(double));
-  h = fnv1a(h, bias_.data(), bias_.size() * sizeof(double));
-  return h;
+  std::uint64_t h = util::digest64(shape, sizeof(shape));
+  h = util::digest64(alpha_.data(), alpha_.size() * sizeof(double), h);
+  return util::digest64(bias_.data(), bias_.size() * sizeof(double), h);
 }
 
 void Projection::hidden(std::span<const double> x,

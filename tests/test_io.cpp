@@ -1,13 +1,16 @@
 // Tests for binary serialization and pipeline checkpointing.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string_view>
 
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/data/drift_stream.hpp"
 #include "edgedrift/data/gaussian_concept.hpp"
 #include "edgedrift/io/binary.hpp"
 #include "edgedrift/io/checkpoint.hpp"
+#include "edgedrift/util/digest.hpp"
 #include "edgedrift/util/rng.hpp"
 
 namespace {
@@ -20,7 +23,7 @@ using edgedrift::linalg::Matrix;
 using edgedrift::util::Rng;
 
 TEST(Binary, PrimitiveRoundTrip) {
-  std::stringstream buffer;
+  std::string buffer;
   Writer w(buffer);
   w.write_u32(0xdeadbeef);
   w.write_u64(1234567890123ull);
@@ -49,7 +52,7 @@ TEST(Binary, MatrixAndVectorRoundTrip) {
   std::vector<double> v{1.5, -2.5, 3.5};
   std::vector<std::size_t> sizes{9, 0, 42};
 
-  std::stringstream buffer;
+  std::string buffer;
   Writer w(buffer);
   w.write_matrix(m);
   w.write_doubles(v);
@@ -69,7 +72,7 @@ TEST(Binary, MatrixAndVectorRoundTrip) {
 }
 
 TEST(Binary, HeaderRejectsWrongSection) {
-  std::stringstream buffer;
+  std::string buffer;
   Writer w(buffer);
   w.write_header("alpha");
   Reader r(buffer);
@@ -78,7 +81,7 @@ TEST(Binary, HeaderRejectsWrongSection) {
 }
 
 TEST(Binary, TruncatedStreamFailsLatching) {
-  std::stringstream buffer;
+  std::string buffer;
   Writer w(buffer);
   w.write_u32(5);
   Reader r(buffer);
@@ -89,12 +92,34 @@ TEST(Binary, TruncatedStreamFailsLatching) {
 }
 
 TEST(Binary, CorruptLengthPrefixRejected) {
-  std::stringstream buffer;
+  std::string buffer;
   Writer w(buffer);
   w.write_u64(~0ull);  // Absurd element count.
   Reader r(buffer);
   std::vector<double> v;
   EXPECT_FALSE(r.read_doubles(v));
+}
+
+TEST(Binary, ChecksumCoversEveryByte) {
+  std::string buffer;
+  Writer w(buffer);
+  w.write_header("alpha");
+  w.write_f64(2.5);
+  w.write_checksum();
+
+  Reader r(buffer);
+  ASSERT_TRUE(r.verify_checksum());
+  EXPECT_TRUE(r.read_header("alpha"));
+  double f = 0.0;
+  EXPECT_TRUE(r.read_f64(f));
+  EXPECT_EQ(r.remaining(), 0u);  // The digest is not readable payload.
+
+  for (std::size_t pos = 0; pos < buffer.size(); ++pos) {
+    std::string corrupted = buffer;
+    corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x01);
+    EXPECT_FALSE(Reader(corrupted).verify_checksum()) << "byte " << pos;
+  }
+  EXPECT_FALSE(Reader(std::string_view(buffer).substr(0, 7)).verify_checksum());
 }
 
 // ------------------------------------------------------------- checkpoints
@@ -229,51 +254,122 @@ TEST(Checkpoint, MissingFileReturnsNullopt) {
 
 TEST(Checkpoint, EveryTruncationPointFailsCleanly) {
   // Fuzz: a checkpoint cut at ANY byte offset must be rejected without
-  // crashing (the reader's latching failure model).
+  // crashing, and the rejection must say why.
   Rng rng(7);
   auto scenario = make_scenario(rng);
   Pipeline original(small_config());
   original.fit(scenario.train.x, scenario.train.labels);
 
-  std::stringstream buffer;
-  ASSERT_TRUE(edgedrift::io::save_pipeline(buffer, original));
-  const std::string blob = buffer.str();
-  // Sample offsets across the whole blob (checking all ~20k is slow and
-  // redundant; a stride plus the first/last 64 covers every code path).
-  std::vector<std::size_t> cuts;
-  for (std::size_t i = 0; i < 64 && i < blob.size(); ++i) cuts.push_back(i);
-  for (std::size_t i = 64; i + 64 < blob.size(); i += 97) cuts.push_back(i);
-  for (std::size_t i = blob.size() - 64; i < blob.size(); ++i) {
-    cuts.push_back(i);
-  }
-  for (const std::size_t cut : cuts) {
-    std::stringstream truncated(blob.substr(0, cut));
-    EXPECT_FALSE(edgedrift::io::load_pipeline(truncated).has_value())
+  std::string blob;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, original));
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    std::string error;
+    EXPECT_FALSE(edgedrift::io::load_pipeline(
+                     std::string_view(blob).substr(0, cut), std::nullopt,
+                     &error)
+                     .has_value())
         << "accepted a blob truncated at byte " << cut;
+    EXPECT_FALSE(error.empty()) << "no reason for the cut at byte " << cut;
   }
 }
 
 TEST(Checkpoint, RandomSingleByteCorruptionIsAlwaysRejected) {
-  // Fuzz: flipping any single byte anywhere must trip either a structural
-  // check or the trailing checksum.
+  // Fuzz: flipping any single bit of any byte must trip either a
+  // structural check or the trailing digest. Exhaustive over the blob.
   Rng rng(8);
   auto scenario = make_scenario(rng);
   Pipeline original(small_config());
   original.fit(scenario.train.x, scenario.train.labels);
 
-  std::stringstream buffer;
-  ASSERT_TRUE(edgedrift::io::save_pipeline(buffer, original));
-  const std::string blob = buffer.str();
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string corrupted = blob;
-    const std::size_t pos = rng.uniform_index(corrupted.size());
-    const char flip = static_cast<char>(1 + rng.uniform_index(255));
-    corrupted[pos] = static_cast<char>(corrupted[pos] ^ flip);
-    std::stringstream in(corrupted);
-    EXPECT_FALSE(edgedrift::io::load_pipeline(in).has_value())
-        << "accepted a blob with byte " << pos << " xor "
-        << static_cast<int>(flip);
+  std::string blob;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, original));
+  std::string corrupted = blob;
+  for (std::size_t pos = 0; pos < blob.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      corrupted[pos] = static_cast<char>(blob[pos] ^ (1 << bit));
+      EXPECT_FALSE(edgedrift::io::load_pipeline(corrupted).has_value())
+          << "accepted a blob with byte " << pos << " bit " << bit
+          << " flipped";
+    }
+    corrupted[pos] = blob[pos];
   }
+}
+
+// Replaces a blob's trailing digest with the digest of its current bytes,
+// so a deliberately edited field reaches the parser.
+void reseal(std::string& blob) {
+  const std::uint64_t digest =
+      edgedrift::util::digest64(blob.data(), blob.size() - sizeof(digest));
+  std::memcpy(blob.data() + blob.size() - sizeof(digest), &digest,
+              sizeof(digest));
+}
+
+TEST(Checkpoint, HeaderDeclaringMoreThanTheBlobHoldsIsRejected) {
+  // input_dim = 2^20 and hidden_dim = 2^16 each pass their own bound, but
+  // their product would size a 512 GiB projection: the load must fail
+  // with a reason instead of allocating it.
+  Rng rng(9);
+  auto scenario = make_scenario(rng);
+  Pipeline original(small_config());
+  original.fit(scenario.train.x, scenario.train.labels);
+
+  std::string saved;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(saved, original));
+
+  std::string huge = saved;
+  const std::string_view section = "edgedrift.pipeline";
+  const std::size_t config_at = huge.find(section) + section.size();
+  const std::uint64_t input_dim = 1ull << 20;
+  const std::uint64_t hidden_dim = 1ull << 16;
+  std::memcpy(huge.data() + config_at + 8, &input_dim, sizeof(input_dim));
+  std::memcpy(huge.data() + config_at + 16, &hidden_dim, sizeof(hidden_dim));
+  reseal(huge);
+
+  // The declared size is exact: one byte short is rejected too.
+  std::string short_by_one = saved;
+  short_by_one.erase(short_by_one.size() - sizeof(std::uint64_t) - 1, 1);
+  reseal(short_by_one);
+
+  for (const std::string& blob : {huge, short_by_one}) {
+    std::string error;
+    EXPECT_FALSE(
+        edgedrift::io::load_pipeline(blob, std::nullopt, &error).has_value());
+    EXPECT_FALSE(error.empty());
+    EXPECT_NE(error.find("declares"), std::string::npos) << error;
+  }
+}
+
+TEST(Checkpoint, OtherFormatVersionIsRejectedByVersion) {
+  Rng rng(10);
+  auto scenario = make_scenario(rng);
+  Pipeline original(small_config());
+  original.fit(scenario.train.x, scenario.train.labels);
+
+  std::string blob;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, original));
+  const std::uint32_t v2 = 2;
+  std::memcpy(blob.data() + sizeof(edgedrift::io::kMagic), &v2, sizeof(v2));
+
+  std::string error;
+  EXPECT_FALSE(
+      edgedrift::io::load_pipeline(blob, std::nullopt, &error).has_value());
+  EXPECT_NE(error.find("version 2"), std::string::npos) << error;
+}
+
+TEST(Checkpoint, StreamAdaptersMatchTheBufferCore) {
+  // The stream overloads write and read exactly the buffer core's bytes.
+  Rng rng(11);
+  auto scenario = make_scenario(rng);
+  Pipeline original(small_config());
+  original.fit(scenario.train.x, scenario.train.labels);
+
+  std::string blob;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, original));
+  std::stringstream stream;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(stream, original));
+  EXPECT_EQ(stream.str(), blob);
+
+  EXPECT_TRUE(edgedrift::io::load_pipeline(stream).has_value());
 }
 
 }  // namespace

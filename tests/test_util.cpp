@@ -1,13 +1,16 @@
 // Unit tests for edgedrift::util — RNG determinism and statistics, table
-// formatting, thread pool behaviour.
+// formatting, thread pool behaviour, the 64-bit digest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 
+#include "edgedrift/util/digest.hpp"
 #include "edgedrift/util/rng.hpp"
 #include "edgedrift/util/stopwatch.hpp"
 #include "edgedrift/util/table.hpp"
@@ -15,6 +18,7 @@
 
 namespace {
 
+using edgedrift::util::digest64;
 using edgedrift::util::Rng;
 using edgedrift::util::Table;
 using edgedrift::util::ThreadPool;
@@ -171,6 +175,44 @@ TEST(Stopwatch, MeasuresElapsedTime) {
   EXPECT_GE(w.elapsed_ms(), 9.0);
   w.restart();
   EXPECT_LT(w.elapsed_ms(), 9.0);
+}
+
+// XXH64 of a string's bytes under `seed`.
+std::uint64_t digest_of(std::string_view s, std::uint64_t seed = 0) {
+  return digest64(s.data(), s.size(), seed);
+}
+
+TEST(Digest, MatchesXxh64KnownAnswers) {
+  EXPECT_EQ(digest_of(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(digest_of("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(digest_of("abc"), 0x44BC2CF5AD770999ULL);
+  // 39 bytes: one 32-byte stripe, then a 4-byte and three 1-byte tail steps.
+  EXPECT_EQ(digest_of("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(Digest, EverySingleBitFlipChangesTheDigest) {
+  // 77 bytes: two full stripes plus every tail step (8, 4 and 1 bytes).
+  std::string bytes(77, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<char>(i * 37 + 11);
+  }
+  const std::uint64_t clean = digest_of(bytes);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      EXPECT_NE(digest_of(flipped), clean) << "byte " << i << " bit " << bit;
+    }
+  }
+}
+
+TEST(Digest, ChainsThroughTheSeed) {
+  // Chaining is what the projection fingerprint relies on: the seed feeds
+  // the result, so a chained digest depends on every link.
+  const std::uint64_t first = digest_of("shape");
+  EXPECT_NE(digest_of("alpha", first), digest_of("alpha"));
+  EXPECT_NE(digest_of("alpha", first), digest_of("alpha", first + 1));
 }
 
 }  // namespace
