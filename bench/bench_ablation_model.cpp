@@ -49,9 +49,10 @@ int main() {
   std::size_t bank_pre = 0, bank_post = 0, clf_pre = 0, clf_post = 0;
   std::vector<double> bank_scores_pre, bank_scores_post;
   std::vector<double> clf_margin_pre, clf_margin_post;
+  model::BatchWorkspace ws;
   for (std::size_t i = 0; i < test.size(); ++i) {
     const auto x = test.x.row(i);
-    const auto pred = bank.predict(x);
+    const auto pred = bank.predict(x, ws);
     const auto clf_label = classifier.predict(x);
     const bool pre = i < drift_at;
     if (static_cast<int>(pred.label) == test.labels[i]) {

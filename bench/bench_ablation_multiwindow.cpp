@@ -28,8 +28,9 @@ StreamOutcome feed(drift::Detector& detector,
                    const model::MultiInstanceModel& model,
                    const data::Dataset& stream, std::size_t drift_at) {
   StreamOutcome outcome;
+  model::BatchWorkspace ws;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    const auto pred = model.predict(stream.x.row(i));
+    const auto pred = model.predict(stream.x.row(i), ws);
     drift::Observation obs;
     obs.x = stream.x.row(i);
     obs.predicted_label = static_cast<int>(pred.label);

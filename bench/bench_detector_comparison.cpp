@@ -169,9 +169,10 @@ int main() {
     for (const auto& stream : streams) {
       auto detector = factory.make(train);
       Outcome outcome;
+      model::BatchWorkspace ws;
       for (std::size_t i = 0; i < stream.data.size(); ++i) {
         const auto x = stream.data.x.row(i);
-        const auto pred = model.predict(x);
+        const auto pred = model.predict(x, ws);
         drift::Observation obs;
         obs.x = x;
         obs.predicted_label = static_cast<int>(pred.label);

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "edgedrift/linalg/workspace.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/util/rng.hpp"
 
@@ -72,12 +71,11 @@ BenchSetup make_setup(std::size_t num_labels,
 void BM_ScoresFused(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));
   BenchSetup setup = make_setup(c);
-  linalg::KernelWorkspace ws;
-  std::vector<double> out(c);
+  model::BatchWorkspace ws;
   std::size_t i = 0;
   for (auto _ : state) {
-    setup.model.scores(setup.probes.row(i), out, ws);
-    benchmark::DoNotOptimize(out.data());
+    setup.model.score_batch(linalg::ConstMatrixView(setup.probes.row(i)), ws);
+    benchmark::DoNotOptimize(ws.scores.data());
     i = (i + 1) % kProbeRows;
   }
   state.SetItemsProcessed(state.iterations());
@@ -90,12 +88,11 @@ BENCHMARK(BM_ScoresFused)->Arg(2)->Arg(3)->Arg(5)->Arg(23);
 void BM_ScoresFusedF32(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));
   BenchSetup setup = make_setup(c, linalg::NumericsTier::kFastF32);
-  linalg::KernelWorkspace ws;
-  std::vector<double> out(c);
+  model::BatchWorkspace ws;
   std::size_t i = 0;
   for (auto _ : state) {
-    setup.model.scores(setup.probes.row(i), out, ws);
-    benchmark::DoNotOptimize(out.data());
+    setup.model.score_batch(linalg::ConstMatrixView(setup.probes.row(i)), ws);
+    benchmark::DoNotOptimize(ws.scores.data());
     i = (i + 1) % kProbeRows;
   }
   state.SetItemsProcessed(state.iterations());
@@ -107,30 +104,28 @@ BENCHMARK(BM_ScoresFusedF32)->Arg(2)->Arg(3)->Arg(5)->Arg(23);
 void BM_ScoresFusedI8(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));
   BenchSetup setup = make_setup(c, linalg::NumericsTier::kQuantI8);
-  linalg::KernelWorkspace ws;
-  std::vector<double> out(c);
+  model::BatchWorkspace ws;
   std::size_t i = 0;
   for (auto _ : state) {
-    setup.model.scores(setup.probes.row(i), out, ws);
-    benchmark::DoNotOptimize(out.data());
+    setup.model.score_batch(linalg::ConstMatrixView(setup.probes.row(i)), ws);
+    benchmark::DoNotOptimize(ws.scores.data());
     i = (i + 1) % kProbeRows;
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ScoresFusedI8)->Arg(2)->Arg(3)->Arg(5)->Arg(23);
 
-/// The retained reference path: each instance projects and reconstructs
-/// independently (score_of recomputes the hidden activation per label,
-/// exactly what the pre-fusion scores() did).
+/// The per-instance reference path: each instance projects and
+/// reconstructs independently (instance(c).score recomputes the hidden
+/// activation per label, exactly what the pre-fusion scorer did).
 void BM_ScoresPerInstance(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));
   BenchSetup setup = make_setup(c);
-  linalg::KernelWorkspace ws;
   std::vector<double> out(c);
   std::size_t i = 0;
   for (auto _ : state) {
     for (std::size_t label = 0; label < c; ++label) {
-      out[label] = setup.model.score_of(setup.probes.row(i), label, ws);
+      out[label] = setup.model.instance(label).score(setup.probes.row(i));
     }
     benchmark::DoNotOptimize(out.data());
     i = (i + 1) % kProbeRows;
@@ -144,7 +139,7 @@ BENCHMARK(BM_ScoresPerInstance)->Arg(2)->Arg(3)->Arg(5)->Arg(23);
 void BM_TrainClosestFused(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));
   BenchSetup setup = make_setup(c);
-  linalg::KernelWorkspace ws;
+  model::BatchWorkspace ws;
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(setup.model.train_closest(setup.probes.row(i), ws));

@@ -35,6 +35,7 @@ struct Fixture {
   oselm::ProjectionPtr projection = oselm::make_projection(
       kDim, kHidden, oselm::Activation::kSigmoid, rng);
   model::MultiInstanceModel model{kLabels, projection, 1e-2};
+  model::BatchWorkspace ws;
   cluster::SequentialKMeans coords{kLabels, kDim};
   drift::CentroidDetector detector{[] {
     drift::CentroidDetectorConfig config;
@@ -82,7 +83,7 @@ Fixture& fixture() {
 void BM_LabelPrediction(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.model.predict(f.sample));
+    benchmark::DoNotOptimize(f.model.predict(f.sample, f.ws));
   }
 }
 BENCHMARK(BM_LabelPrediction)->Name("label prediction");
@@ -115,7 +116,7 @@ BENCHMARK(BM_RetrainNoPrediction)
 void BM_RetrainWithPrediction(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    const auto pred = f.model.predict(f.sample);
+    const auto pred = f.model.predict(f.sample, f.ws);
     f.model.train_label(f.sample, pred.label);
   }
 }

@@ -165,17 +165,18 @@ class Pipeline {
   /// The row-range core: processes every row of `x` in order and appends
   /// one step per row to `out` (never cleared; grown geometrically, so an
   /// uncollected backlog costs amortized O(1) per row). Sample-for-sample
-  /// bit-identical to calling process() row by row (decision-equivalent
-  /// once chunked training, train_chunk > 1, engages). `true_labels` is
-  /// empty or holds one label per row (-1 = no label).
+  /// bit-identical to calling process() row by row, in every numerics tier
+  /// (decision-equivalent once chunked training, train_chunk > 1, engages).
+  /// `true_labels` is empty or holds one label per row (-1 = no label).
   ///
-  /// While the model is frozen, a block of one row takes process()'s
-  /// per-row fused scorer and a longer block is pre-scored through the
-  /// GEMM kernels in chunks of up to max_batch_rows; once a detection
-  /// starts a recovery, the remaining rows go through the recovery path
-  /// (chunked rank-k training when train_chunk > 1). `x` is a view, so a
-  /// PipelineManager ring slab range or a caller batch is read in place;
-  /// the internal chunk buffers are grow-only.
+  /// While the model is frozen, rows are pre-scored in chunks of up to
+  /// max_batch_rows, each one call into the model's scoring core
+  /// (MultiInstanceModel::score_batch), where a row scores the same in a
+  /// block of any size; once a detection starts a recovery, the remaining
+  /// rows go through the recovery path (chunked rank-k training when
+  /// train_chunk > 1). `x` is a view, so a PipelineManager ring slab range
+  /// or a caller batch is read in place; the internal chunk buffers are
+  /// grow-only.
   ///
   /// `hidden` (optional) supplies the hidden-space projection: row i holds
   /// g(x.row(i) * A + b) for this pipeline's projection or any projection
@@ -183,8 +184,7 @@ class Pipeline {
   /// scatter half of the serving layer's coalesced drain — one shared GEMM
   /// projects a whole projection group's mega-batch and each member scores
   /// its rows here. The projection is row-independent and never retrained,
-  /// so the steps stay bit-identical at f64 and identical in the
-  /// approximate tiers.
+  /// so the steps are the same as without it, in every tier.
   void process_rows(linalg::ConstMatrixView x,
                     std::span<const int> true_labels,
                     std::vector<PipelineStep>& out,
@@ -281,13 +281,15 @@ class Pipeline {
            state_ == RecoveryState::kCollectingReference;
   }
 
-  /// The per-row fused scorer behind process() and the core's one-row
-  /// blocks: projects `x` itself, or takes the caller's `hidden` row when
-  /// it is non-empty. Clock-timed into obs score on the sampled ticks.
-  model::Prediction score_row(std::span<const double> x,
-                              std::span<const double> hidden);
+  /// Predicts every row of a frozen-model block into `out` with one call
+  /// into the model's scoring core, using the caller's `hidden` rows when
+  /// non-null, and times it into obs score: a 1-row block on the sampled
+  /// ticks, a longer block as one per-row mean.
+  void score_rows(linalg::ConstMatrixView x,
+                  const linalg::ConstMatrixView* hidden,
+                  std::span<model::Prediction> out);
   /// Detector observation for one frozen-model sample. count_io=false lets
-  /// the GEMM path bulk-update the samples_in/out counters once per chunk
+  /// process_rows() bulk-update the samples_in/out counters once per chunk
   /// instead of twice per sample.
   PipelineStep frozen_step(std::span<const double> x,
                            const model::Prediction& pred, int true_label,
@@ -354,16 +356,13 @@ class Pipeline {
   linalg::Matrix refit_buffer_;
   std::size_t refit_fill_ = 0;
 
-  // process_rows() workspaces, reused across calls. Input chunks are read
+  // Model scratch, reused across calls: the pipeline is the thread of
+  // control, so one workspace serves every model call it issues and keeps
+  // the steady-state loop free of heap allocations. Input chunks are read
   // in place through ConstMatrixView — no staging matrix.
   model::BatchWorkspace batch_ws_;
   std::vector<model::Prediction> chunk_preds_;
   std::vector<std::size_t> chunk_labels_;  ///< Chunked-training winners.
-
-  // Per-sample kernel scratch: the pipeline is the thread of control, so
-  // one workspace serves every predict()/score() it issues and keeps the
-  // steady-state process() loop free of heap allocations.
-  linalg::KernelWorkspace kernel_ws_;
 };
 
 }  // namespace edgedrift::core

@@ -90,6 +90,7 @@ enum class SubmitStatus {
   kDimensionMismatch,  ///< Sample width != the manager's input_dim.
   kBadLabelSpan,       ///< true_labels neither empty nor one per row.
   kRestoreFailed,      ///< Stream is cold and could not be restored.
+  kNonFinite,          ///< The block holds a NaN or an infinity.
 };
 
 /// Serving-layer knobs, fixed at construction. Everything about a stream's
@@ -157,25 +158,29 @@ class PipelineManager {
   void fit(std::size_t id, const linalg::Matrix& x,
            std::span<const int> labels);
 
-  /// Enqueues one sample (copied into the stream's ring slab) and returns
-  /// true. A cold stream is restored first (transparently; the sample then
-  /// proceeds as usual). On a full ring: kBlock waits for space (in kManual
-  /// dispatch the submitting thread drains the stream inline instead of
-  /// deadlocking); kReject returns false and counts the drop. Processing
-  /// happens on the owning shard's worker in submission order per stream
-  /// (kShard) or when the caller polls (kManual). On failure `status`
-  /// (when non-null) receives the typed reason; an unknown id or a failed
-  /// restore returns false instead of asserting.
+  /// Enqueues one sample: submit_batch() of the 1-row block x with its
+  /// label. Returns true when the sample was accepted.
   bool submit(std::size_t id, std::span<const double> x, int true_label = -1,
               SubmitStatus* status = nullptr);
 
-  /// Enqueues every row of a block under one ring reservation (one producer
-  /// lock, one tail publish per contiguous segment, one scheduling check).
-  /// `true_labels` must be empty or hold exactly one label per row — a
-  /// partial span enqueues nothing and reports kBadLabelSpan; it is never
-  /// read out of bounds. Returns the number of rows accepted (< x.rows()
-  /// under kReject backpressure or on a typed error, see `status`).
-  std::size_t submit_batch(std::size_t id, const linalg::Matrix& x,
+  /// Enqueues every row of a block (copied into the stream's ring slab)
+  /// under one ring reservation: one producer lock, one tail publish per
+  /// contiguous segment, one scheduling check. `x` is a row-block view; a
+  /// Matrix converts implicitly. A cold stream is restored first
+  /// (transparently; the rows then proceed as usual). On a full ring:
+  /// kBlock waits for space (in kManual dispatch the submitting thread
+  /// drains the stream inline instead of deadlocking); kReject refuses the
+  /// rows that do not fit and counts the drop. Processing happens on the
+  /// owning shard's worker in submission order per stream (kShard) or when
+  /// the caller polls (kManual). Returns the number of rows accepted
+  /// (< x.rows() under kReject backpressure or on a typed error). On
+  /// failure `status` (when non-null) receives the typed reason instead of
+  /// an assertion: an unknown id, a failed restore, a row width other than
+  /// input_dim, a `true_labels` span that is neither empty nor one label
+  /// per row (kBadLabelSpan; never read out of bounds), or a NaN or
+  /// infinity anywhere in the block (kNonFinite). The last three refuse the
+  /// whole block before any slot is reserved.
+  std::size_t submit_batch(std::size_t id, linalg::ConstMatrixView x,
                            std::span<const int> true_labels = {},
                            SubmitStatus* status = nullptr);
 

@@ -26,7 +26,6 @@
 #include <span>
 
 #include "edgedrift/cluster/sequential_kmeans.hpp"
-#include "edgedrift/linalg/workspace.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 
 namespace edgedrift::drift {
@@ -62,22 +61,25 @@ class Reconstructor {
   /// Consumes one sample (Algorithm 2 body). Returns true while the
   /// reconstruction is still running, false once count reached N — mirroring
   /// Reconstruct_Model()'s return value feeding Algorithm 1's `drift` flag.
-  bool step(std::span<const double> x, model::MultiInstanceModel& model);
+  /// `ws` is the caller's model scratch (phase 4's self-labeling predict).
+  bool step(std::span<const double> x, model::MultiInstanceModel& model,
+            model::BatchWorkspace& ws);
 
   /// Chunked variant of step() for the training phases (3 and 4) only:
   /// consumes up to x.rows() samples in one pass and returns how many were
   /// taken (0 = caller must fall back to per-sample step(), i.e. the
   /// coordinate phases, the finishing sample, or a tail of one row).
-  /// `h` must be the model's hidden activations of the rows of `x`
-  /// (score_batch_from_hidden contract); `labels` and `preds` are caller
-  /// scratch of at least x.rows() entries. A chunk never straddles a phase
-  /// boundary and never performs the finishing sample, so completion always
-  /// flows through step(). Semantics vs the sequential loop: phase-3 winner
-  /// labels come from the frozen coordinates (exact — coordinates do not
-  /// move during training phases); phase-4 self-labels are predicted for the
-  /// whole chunk against the pre-chunk model (the chunked-training
-  /// approximation); the Equation 1 Welford statistics accumulate per row in
-  /// stream order against the frozen coordinates (exact). Bucketed rank-k
+  /// `h` must be the model's hidden activations of the rows of `x` (the
+  /// score_batch() contract on supplied hidden rows); `labels` and `preds`
+  /// are caller scratch of at least x.rows() entries. A chunk never
+  /// straddles a phase boundary and never performs the finishing sample, so
+  /// completion always flows through step(). Semantics vs the sequential
+  /// loop: phase-3 winner labels come from the frozen coordinates (exact —
+  /// coordinates do not move during training phases); phase-4 self-labels
+  /// are predicted for the whole chunk against the pre-chunk model (the
+  /// chunked-training approximation); the Equation 1 Welford statistics
+  /// accumulate per row in stream order against the frozen coordinates
+  /// (exact). Bucketed rank-k
   /// training per winning instance replaces the per-sample rank-1 steps —
   /// decision-equivalent, not bit-identical; callers gate it behind
   /// PipelineConfig::train_chunk > 1. `stats` (optional) accumulates what
@@ -112,10 +114,6 @@ class Reconstructor {
   cluster::SequentialKMeans coords_;
   ReconstructionPhase phase_ = ReconstructionPhase::kIdle;
   std::size_t count_ = 0;
-  // Scratch for the self-labeling predictions of phase 4. The
-  // reconstructor is single-threaded per pipeline, so one workspace keeps
-  // step() allocation-free.
-  linalg::KernelWorkspace ws_;
 
   // Welford accumulator over sample-to-own-coordinate L1 distances.
   std::size_t dist_count_ = 0;

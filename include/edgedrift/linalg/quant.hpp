@@ -66,11 +66,9 @@ void quantize_block(const Matrix& src, QuantizedMatrix& out,
 
 /// Symmetric per-vector quantization of an activation vector: returns the
 /// scale (max|x|/127, 0 for an all-zero vector) and fills `q` with codes in
-/// [-127, 127]. Allocation-free; q.size() == x.size().
+/// [-127, 127]. Allocation-free; q.size() == x.size(). The one activation
+/// quantizer: both i8 scoring kernels quantize f64 hidden rows through it.
 float quantize_vector(std::span<const double> x, std::span<std::int8_t> q);
-
-/// float-input overload (the batch path quantizes narrowed f32 rows).
-float quantize_vector(std::span<const float> x, std::span<std::int8_t> q);
 
 /// y[j] = (sum_i q_x[i] * A.q[i][j]) * x_scale * A.scales[j] — the i8 twin
 /// of matvec_transposed (y = A^T x, shapes [m,n]^T x [m] -> [n]). The inner
@@ -80,12 +78,15 @@ void i8_matvec_transposed_dequant(const QuantizedMatrix& a,
                                   float x_scale, std::span<std::int32_t> acc,
                                   std::span<float> y);
 
-/// C = A * B with per-row dynamic quantization of A (f32 rows) against the
-/// static per-column replica B. C is resized and fully overwritten; q_row
-/// and acc are caller scratch (length >= A.cols() and B.cols()). Row r uses
-/// scale_r = max_j |A[r][j]| / 127, so C[r][j] carries error from both
-/// grids; the tier equivalence harness owns the budget.
-void i8_gemm_dequant(ConstMatrixViewT<float> a, const QuantizedMatrix& b,
+/// C = A * B with per-row dynamic quantization of A (f64 rows, through
+/// quantize_vector) against the static per-column replica B. Row r of C is
+/// bit-identical to i8_matvec_transposed_dequant of row r's codes, so a row
+/// reads the same whatever block it is in. C is resized and fully
+/// overwritten; q_row and acc are caller scratch (length >= A.cols() and
+/// B.cols()). Row r uses scale_r = max_j |A[r][j]| / 127, so C[r][j]
+/// carries error from both grids; the tier equivalence harness owns the
+/// budget.
+void i8_gemm_dequant(ConstMatrixView a, const QuantizedMatrix& b,
                      MatrixF32& c, std::span<std::int8_t> q_row,
                      std::span<std::int32_t> acc);
 

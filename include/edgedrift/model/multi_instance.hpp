@@ -3,6 +3,13 @@
 // projection. Prediction returns the label whose instance reconstructs the
 // sample best (smallest anomaly score); sequential training updates only
 // that closest instance.
+//
+// Scoring has one core, score_batch(): a block of rows, with or without
+// the caller's hidden rows, scored against every instance at once through
+// the packed ensemble beta. predict_batch() and predict() are its argmin;
+// train_closest(), train_label() and train_buckets_from_hidden() are the
+// training side. All scratch lives in a caller-owned BatchWorkspace. The
+// per-instance path, instance(c).score(x), remains as the test oracle.
 #pragma once
 
 #include <cstddef>
@@ -23,19 +30,23 @@ struct Prediction {
   double score = 0.0;     ///< Anomaly score of that instance.
 };
 
-/// Preallocated buffers for the batch scoring path. Reuse one workspace
-/// across calls to keep the hot loop allocation-free; the matrices are
-/// grow-only (Matrix::resize_zero never reallocates within the high-water
-/// capacity), so after reserve() — or after the first batch — repeat
-/// batches of any shape up to the high-water mark touch the heap zero
-/// times.
+/// The model's one scratch type: every scoring and training entry point
+/// takes a caller-owned workspace, so the model itself holds no mutable
+/// scratch and stays safe for concurrent const use on a frozen model (one
+/// workspace per thread of control). Reuse one workspace across calls to
+/// keep the hot loop allocation-free; the buffers are grow-only
+/// (Matrix::resize_discard never reallocates within the high-water
+/// capacity), so after reserve() — or after the first call — repeat blocks
+/// of any shape up to the high-water mark touch the heap zero times.
 struct BatchWorkspace {
-  linalg::Matrix hidden;  ///< rows x hidden_dim: shared hidden activations.
+  /// rows x hidden_dim: the projection of the last block scored without
+  /// caller-supplied hidden rows (never written when they are supplied).
+  linalg::Matrix hidden;
   linalg::Matrix recon;   ///< rows x (num_labels * input_dim): fused recon.
   linalg::Matrix scores;  ///< rows x num_labels: per-instance MSE scores.
 
   // Tiered-scoring scratch (empty — zero bytes — in the f64 tier).
-  linalg::MatrixF32 hidden_f32;  ///< Narrowed hidden activations.
+  linalg::MatrixF32 hidden_f32;  ///< f32: narrowed hidden activations.
   linalg::MatrixF32 input_f32;   ///< Narrowed input rows (f32 MSE operand).
   linalg::MatrixF32 recon_f32;   ///< f32/i8 fused reconstruction.
   linalg::AlignedVector<std::int8_t> q_row;   ///< i8: one row's hidden codes.
@@ -57,9 +68,11 @@ struct BatchWorkspace {
     recon.resize_zero(rows, num_labels * input_dim);
     scores.resize_zero(rows, num_labels);
     if (tier != linalg::NumericsTier::kExactF64) {
-      hidden_f32.resize_zero(rows, hidden_dim);
       input_f32.resize_zero(rows, input_dim);
       recon_f32.resize_zero(rows, num_labels * input_dim);
+    }
+    if (tier == linalg::NumericsTier::kFastF32) {
+      hidden_f32.resize_zero(rows, hidden_dim);
     }
     if (tier == linalg::NumericsTier::kQuantI8) {
       if (q_row.size() < hidden_dim) q_row.resize(hidden_dim);
@@ -105,82 +118,44 @@ class MultiInstanceModel {
   /// Data-free init of every instance (pure-sequential start).
   void init_sequential();
 
-  /// Anomaly score of every instance; `out` must have length num_labels().
-  /// The workspace overload is the fused allocation-free hot path: one
-  /// shared hidden projection plus a single matvec against the packed
-  /// ensemble beta reconstructs all instances at once. The convenience
-  /// overload is the retained per-instance reference path — it walks the
-  /// instances one by one; tests/test_fused_scoring.cpp pins the two
-  /// bit-identical within a build.
-  void scores(std::span<const double> x, std::span<double> out,
-              linalg::KernelWorkspace& ws) const;
-  void scores(std::span<const double> x, std::span<double> out) const;
-
-  /// Label = argmin instance score (Algorithm 1 lines 6–7). Thread-safe on
-  /// a frozen model: uses no shared scratch. The workspace overload is the
-  /// allocation-free hot path — `ws` is caller-owned, one per thread of
-  /// control.
-  Prediction predict(std::span<const double> x,
-                     linalg::KernelWorkspace& ws) const;
-  Prediction predict(std::span<const double> x) const;
-
-  /// predict() with the hidden activation h = g(x * A + b) supplied by the
-  /// caller (same contract on `h` as score_batch_from_hidden, for one row).
-  /// Bit-identical to predict(x, ws): both run the identical scalar fused
-  /// scorer after the projection, and the coalesced mega-batch projection
-  /// is row-independent and bit-identical to the scalar one. This is the
-  /// serving layer's single-row scatter path — at 1-row bursts the batch
-  /// entry's per-call machinery costs more than the projection it skips.
-  Prediction predict_from_hidden(std::span<const double> x,
-                                 std::span<const double> h,
-                                 linalg::KernelWorkspace& ws) const;
-
-  /// Scores every instance on every row of X with one fused
-  /// [rows x (num_labels * input_dim)] GEMM against the packed ensemble
-  /// beta, then a vectorized per-label MSE reduction:
-  /// ws.scores(r, l) is bit-identical to instance(l).score(x.row(r)).
+  /// The scoring core (Algorithm 1 line 6 for a block of rows): scores
+  /// every instance on every row of X into ws.scores, where
+  /// ws.scores(r, c) is bit-identical to instance(c).score(x.row(r)) at
+  /// f64. One shared hidden projection feeds a fused reconstruction of all
+  /// C instances against the active tier's packed beta, then one MSE
+  /// reduction per instance. The kernel follows from the row count: a
+  /// 1-row block takes the per-row fused matvec, a longer block the fused
+  /// [rows x C*n] GEMM. The two agree bit for bit row by row in every tier
+  /// (the i8 tier quantizes the same f64 hidden row in both), so a row
+  /// scores identically whatever block it arrives in.
+  ///
   /// X is a row-block view (Matrix converts implicitly), so a contiguous
   /// row range — a drain burst in a ring slab, a calibration chunk — scores
-  /// in place with zero copies.
-  void score_batch(linalg::ConstMatrixView x, BatchWorkspace& ws) const;
+  /// in place with zero copies. `hidden` (optional) supplies the hidden
+  /// rows H = g(X * A + b): [x.rows() x hidden_dim] computed by this
+  /// model's projection (or any projection with an equal fingerprint) on
+  /// exactly the rows of `x`, as the serving layer's coalesced drain does.
+  /// The projection is row-independent and bit-identical across batch
+  /// shapes, so supplied rows score exactly like projected ones. Supplied
+  /// rows may alias ws.hidden: the core never writes ws.hidden then.
+  void score_batch(linalg::ConstMatrixView x, BatchWorkspace& ws,
+                   const linalg::ConstMatrixView* hidden = nullptr) const;
 
-  /// score_batch with the hidden activations H = g(X * A + b) supplied by
-  /// the caller instead of projected here. `h` must be [x.rows() x
-  /// hidden_dim] rows computed by this model's projection (or any
-  /// projection with an equal fingerprint) on exactly the rows of `x` — the
-  /// serving layer's coalesced drain projects one mega-batch for a whole
-  /// projection group and scatters row blocks of it into each stream's
-  /// scoring through this entry. Because hidden_batch_into is row-
-  /// independent and bit-identical across batch shapes, the result is
-  /// bit-identical to score_batch(x, ws) at f64 and identical to it in the
-  /// approximate tiers (same narrowed / quantized operands).
-  void score_batch_from_hidden(linalg::ConstMatrixView x,
-                               linalg::ConstMatrixView h,
-                               BatchWorkspace& ws) const;
-
-  /// Batch prediction: out[r] is identical to predict(x.row(r)). `out`
+  /// Label = argmin instance score (Algorithm 1 lines 6–7) for every row:
+  /// out[r] from ws.scores.row(r) after score_batch(x, ws, hidden). `out`
   /// must have length x.rows().
   void predict_batch(linalg::ConstMatrixView x, BatchWorkspace& ws,
-                     std::span<Prediction> out) const;
+                     std::span<Prediction> out,
+                     const linalg::ConstMatrixView* hidden = nullptr) const;
 
-  /// predict_batch from caller-supplied hidden activations (see
-  /// score_batch_from_hidden for the contract on `h`).
-  void predict_batch_from_hidden(linalg::ConstMatrixView x,
-                                 linalg::ConstMatrixView h, BatchWorkspace& ws,
-                                 std::span<Prediction> out) const;
-
-  /// Anomaly score of one specific instance.
-  double score_of(std::span<const double> x, std::size_t label,
-                  linalg::KernelWorkspace& ws) const;
-  double score_of(std::span<const double> x, std::size_t label) const;
+  /// predict_batch() of the 1-row block x.
+  Prediction predict(std::span<const double> x, BatchWorkspace& ws) const;
 
   /// Predicts, then sequentially trains the winning instance; returns the
-  /// prediction made before training. The workspace overload projects the
-  /// sample once and shares the hidden vector between the fused scorer and
-  /// the winner's training step (err = t - beta^T h reuses it).
-  Prediction train_closest(std::span<const double> x,
-                           linalg::KernelWorkspace& ws);
-  Prediction train_closest(std::span<const double> x);
+  /// prediction made before training. The sample is projected once: the
+  /// winner's training step (err = t - beta^T h) reuses the hidden row the
+  /// scoring core left in ws.hidden.
+  Prediction train_closest(std::span<const double> x, BatchWorkspace& ws);
 
   /// Sequentially trains the given instance on x.
   void train_label(std::span<const double> x, std::size_t label);
@@ -193,7 +168,7 @@ class MultiInstanceModel {
   /// refreshes its f32/i8 replica once per bucket instead of once per
   /// sample — the requant amortization at the heart of the chunked path.
   /// `h` must be this model's hidden activations of exactly the rows of `x`
-  /// (same contract as score_batch_from_hidden); `labels` has one winner per
+  /// (the score_batch() contract on `hidden`); `labels` has one winner per
   /// row. Within a bucket, rows keep their stream order. Equivalent to the
   /// per-sample winner loop in exact arithmetic when every row's winner is
   /// computed against the same frozen pre-chunk model, NOT bit-identical —
@@ -262,20 +237,6 @@ class MultiInstanceModel {
   std::size_t memory_bytes() const;
 
  private:
-  /// Fused scorer core: one matvec of the shared hidden activation `h`
-  /// against the active tier's packed beta reconstructs every instance,
-  /// then the shared MSE kernel reduces each block against x. Dispatches on
-  /// tier_; scratch comes from `ws`.
-  void scores_from_hidden(std::span<const double> h,
-                          std::span<const double> x, std::span<double> out,
-                          linalg::KernelWorkspace& ws) const;
-
-  /// Shared tail of score_batch / score_batch_from_hidden: everything after
-  /// the projection (tier dispatch, fused reconstruction, MSE reduction).
-  /// `h` holds the hidden activations of exactly the rows of `x`.
-  void score_batch_core(linalg::ConstMatrixView x, linalg::ConstMatrixView h,
-                        BatchWorkspace& ws) const;
-
   /// Copies instance c's beta into its column block of the packed mirror.
   void repack_block(std::size_t c);
 

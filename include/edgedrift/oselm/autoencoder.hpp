@@ -54,19 +54,11 @@ class Autoencoder {
   /// `max_rows` samples (allocation-free chunked training contract).
   void reserve_batch(std::size_t max_rows) { net_.reserve_batch(max_rows); }
 
-  /// Mean squared reconstruction error of x — the anomaly score. The
-  /// workspace overload is the allocation-free hot path; the convenience
-  /// overload keeps the reconstruction on the stack.
-  double score(std::span<const double> x, linalg::KernelWorkspace& ws) const;
+  /// Mean squared reconstruction error of x — the anomaly score. Keeps the
+  /// reconstruction on the stack. The per-instance reference path: the
+  /// ensemble scores through MultiInstanceModel::score_batch(), which is
+  /// bit-identical to it at f64.
   double score(std::span<const double> x) const;
-
-  /// Anomaly score of x from its precomputed hidden activation. `recon` is
-  /// caller scratch of length input_dim(). Bit-identical to score() when `h`
-  /// equals this projection of x (same reconstruction chain, same MSE
-  /// kernel).
-  double score_from_hidden(std::span<const double> h,
-                           std::span<const double> x,
-                           std::span<double> recon) const;
 
   /// Writes the reconstruction of x into `out` (length input_dim()).
   void reconstruct(std::span<const double> x, std::span<double> out) const {

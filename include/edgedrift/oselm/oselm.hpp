@@ -16,7 +16,6 @@
 
 #include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/linalg/updates.hpp"
-#include "edgedrift/linalg/workspace.hpp"
 #include "edgedrift/oselm/projection.hpp"
 
 namespace edgedrift::oselm {
@@ -88,22 +87,11 @@ class OsElm {
   /// already runs allocation-free.
   void reserve_batch(std::size_t max_rows);
 
-  /// y = prediction for x. `y` must have length output_dim(). The
-  /// workspace overload is the allocation-free hot path: the hidden
-  /// activation lives in `ws`, owned by the caller, so concurrent
-  /// predict() calls on a frozen model never share scratch. The
-  /// convenience overload keeps the activation on the stack (heap only
-  /// for unusually wide hidden layers).
-  void predict(std::span<const double> x, std::span<double> y,
-               linalg::KernelWorkspace& ws) const;
+  /// y = prediction for x. `y` must have length output_dim(). The hidden
+  /// activation lives on the stack (heap only for unusually wide hidden
+  /// layers), so concurrent predict() calls on a frozen model never share
+  /// scratch.
   void predict(std::span<const double> x, std::span<double> y) const;
-
-  /// y = beta^T h for a precomputed hidden activation — the shared-hidden
-  /// entry point of the fused ensemble scorer (and of train()'s own
-  /// prediction-error step). Bit-identical to predict() when `h` equals
-  /// the projection of x.
-  void predict_from_hidden(std::span<const double> h,
-                           std::span<double> y) const;
 
   /// Batch prediction; rows of the result are predictions.
   linalg::Matrix predict_batch(const linalg::Matrix& x) const;

@@ -92,16 +92,6 @@ void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
   batch_ws_.reserve(config_.max_batch_rows, config_.input_dim,
                     config_.hidden_dim, config_.num_labels, config_.numerics);
   chunk_preds_.reserve(config_.max_batch_rows);
-  kernel_ws_.hidden(config_.hidden_dim);
-  kernel_ws_.recon(config_.num_labels * config_.input_dim);
-  kernel_ws_.scores(config_.num_labels);
-  if (config_.numerics != linalg::NumericsTier::kExactF64) {
-    kernel_ws_.input_f32(config_.input_dim);
-    kernel_ws_.hidden_f32(config_.hidden_dim);
-    kernel_ws_.recon_f32(config_.num_labels * config_.input_dim);
-    kernel_ws_.hidden_i8(config_.hidden_dim);
-    kernel_ws_.accum_i32(config_.num_labels * config_.input_dim);
-  }
   if (config_.train_chunk > 1) {
     // Chunked training scratch: every instance's Woodbury workspace and
     // rank-k buffers plus the bucket gather scratch, pre-grown so a chunked
@@ -116,9 +106,9 @@ void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
   if (config_.theta_error <= 0.0) {
     // Auto-calibrate the anomaly gate from the training scores: a window
     // should open only for samples the trained model reconstructs badly.
-    // Score through the fused batch GEMM path in max_batch_rows chunks —
-    // score_batch rows are bit-identical to per-sample score_of (pinned by
-    // tests/test_fused_scoring), so the calibrated gate is unchanged.
+    // Score in max_batch_rows chunks — a row scores the same in a block of
+    // any size (pinned by tests/test_fused_scoring), so the chunking never
+    // moves the calibrated gate.
     std::vector<double> scores(x.rows());
     std::size_t i = 0;
     while (i < x.rows()) {
@@ -170,7 +160,9 @@ PipelineStep Pipeline::process(std::span<const double> x, int true_label) {
   EDGEDRIFT_ASSERT(fitted_, "process() before fit()");
   PipelineStep step;
   if (model_frozen()) {
-    step = frozen_step(x, score_row(x, {}), true_label);
+    model::Prediction pred;
+    score_rows(linalg::ConstMatrixView(x), nullptr, {&pred, 1});
+    step = frozen_step(x, pred, true_label);
   } else {
     recover(linalg::ConstMatrixView(x), nullptr, 0, &step);
   }
@@ -204,38 +196,18 @@ void Pipeline::process_rows(linalg::ConstMatrixView x,
       i += recover(x, hidden, i, steps + i);
       continue;
     }
-    const std::size_t chunk = std::min(n - i, config_.max_batch_rows);
-    if (chunk == 1) {
-      // A one-row block takes process()'s per-row fused scorer: the GEMM's
-      // per-call machinery would cost more than it amortizes.
-      steps[i] = frozen_step(
-          x.row(i),
-          score_row(x.row(i), hidden != nullptr ? hidden->row(i)
-                                                : std::span<const double>{}),
-          label_of(i));
-      ++i;
-      continue;
-    }
     // While frozen, predictions are a pure per-sample function of the
-    // model: pre-score the chunk through the GEMM kernels (bit-identical to
-    // the per-row scorer), then run the detector sequentially over it. The
-    // chunk rows are contiguous, so they feed the kernels as a view — no
+    // model: pre-score up to max_batch_rows rows in one call into the
+    // model's scoring core, then run the detector sequentially over them.
+    // The rows are contiguous, so they feed the kernels as a view — no
     // staging copy, whether x is a caller batch or a ring slab range.
+    const std::size_t chunk = std::min(n - i, config_.max_batch_rows);
     const linalg::ConstMatrixView rows{x, i, i + chunk};
+    const linalg::ConstMatrixView h =
+        hidden != nullptr ? linalg::ConstMatrixView{*hidden, i, i + chunk}
+                          : rows;
     chunk_preds_.resize(chunk);
-    // Score-stage latency for the GEMM path: one clock pair per chunk,
-    // recorded as the chunk's mean per-sample cost (the per-row scorer
-    // records individual sampled ticks instead).
-    const bool obs_on = obs_enabled_;
-    const std::uint64_t obs_t0 = obs_on ? obs::now_ns() : 0;
-    if (hidden != nullptr) {
-      model_->predict_batch_from_hidden(rows, {*hidden, i, i + chunk},
-                                        batch_ws_, chunk_preds_);
-    } else {
-      model_->predict_batch(rows, batch_ws_, chunk_preds_);
-    }
-    if (obs_on) obs_->score.record((obs::now_ns() - obs_t0) / chunk);
-    ++stats_.batch_chunks;
+    score_rows(rows, hidden != nullptr ? &h : nullptr, chunk_preds_);
     std::size_t consumed = 0;
     while (consumed < chunk) {
       const std::size_t r = i + consumed;
@@ -248,27 +220,30 @@ void Pipeline::process_rows(linalg::ConstMatrixView x,
     }
     // Bulk the samples_in/out bump for the whole chunk (in before out, so
     // a racing stats() reader never sees out run ahead across snapshots).
-    if (obs_on) {
+    if (obs_enabled_) {
       obs_->counters.add_samples_in(consumed);
       obs_->counters.add_samples_out(consumed);
     }
-    stats_.batch_rows += consumed;
+    if (chunk > 1) {
+      ++stats_.batch_chunks;
+      stats_.batch_rows += consumed;
+    }
     i += consumed;
   }
 }
 
-model::Prediction Pipeline::score_row(std::span<const double> x,
-                                      std::span<const double> hidden) {
-  // Score-stage latency, clock-timed on every Nth sample (the tick is
-  // advanced by frozen_step/recover after this sample completes, so score
-  // and detect time the same samples).
-  const bool timed = obs_enabled_ && (obs_tick_ & obs_mask_) == 0;
+void Pipeline::score_rows(linalg::ConstMatrixView x,
+                          const linalg::ConstMatrixView* hidden,
+                          std::span<model::Prediction> out) {
+  // Score-stage latency. A 1-row block is clock-timed on every Nth sample
+  // (the tick is advanced by frozen_step after this sample completes, so
+  // score and detect time the same samples); a longer block takes one clock
+  // pair and records its mean per-sample cost.
+  const bool timed =
+      obs_enabled_ && (x.rows() > 1 || (obs_tick_ & obs_mask_) == 0);
   const std::uint64_t obs_t0 = timed ? obs::now_ns() : 0;
-  const model::Prediction pred =
-      hidden.empty() ? model_->predict(x, kernel_ws_)
-                     : model_->predict_from_hidden(x, hidden, kernel_ws_);
-  if (timed) obs_->score.record(obs::now_ns() - obs_t0);
-  return pred;
+  model_->predict_batch(x, batch_ws_, out, hidden);
+  if (timed) obs_->score.record((obs::now_ns() - obs_t0) / x.rows());
 }
 
 PipelineStep Pipeline::frozen_step(std::span<const double> x,
@@ -434,11 +409,10 @@ std::size_t Pipeline::recover(linalg::ConstMatrixView x,
     if (chunk_labels_.size() < take) chunk_labels_.resize(take);
     const std::span<model::Prediction> chunk{chunk_preds_.data(), take};
     const std::span<std::size_t> labels{chunk_labels_.data(), take};
+    // hc may view batch_ws_.hidden: the scoring core never writes it when
+    // hidden rows are supplied.
     const auto predict_chunk = [&] {
-      for (std::size_t r = 0; r < take; ++r) {
-        chunk[r] = model_->predict_from_hidden(xc.row(r), hc.row(r),
-                                               kernel_ws_);
-      }
+      model_->predict_batch(xc, batch_ws_, chunk, &hc);
     };
     if (reconstructing) {
       consumed = reconstructor_.train_chunk(xc, hc, *model_, batch_ws_, chunk,
@@ -472,13 +446,13 @@ std::size_t Pipeline::recover(linalg::ConstMatrixView x,
     // current prediction so accuracy accounting stays per-sample.
     const std::span<const double> xr = xc.row(0);
     if (reconstructing) {
-      finished = !reconstructor_.step(xr, *model_);
-      single = model_->predict(xr, kernel_ws_);
+      finished = !reconstructor_.step(xr, *model_, batch_ws_);
+      single = model_->predict(xr, batch_ws_);
     } else if (recal_bootstrap) {
       model_->train_label(xr, nearest_recal(xr));
-      single = model_->predict(xr, kernel_ws_);
+      single = model_->predict(xr, batch_ws_);
     } else {
-      single = model_->train_closest(xr, kernel_ws_);
+      single = model_->train_closest(xr, batch_ws_);
     }
     consumed = 1;
     preds = {&single, 1};

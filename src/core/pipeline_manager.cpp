@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 
 #include "edgedrift/util/assert.hpp"
 
@@ -116,85 +117,12 @@ void PipelineManager::fit(std::size_t id, const linalg::Matrix& x,
 
 bool PipelineManager::submit(std::size_t id, std::span<const double> x,
                              int true_label, SubmitStatus* status) {
-  set_status(status, SubmitStatus::kOk);
-  if (id >= streams_.size()) {
-    set_status(status, SubmitStatus::kUnknownStream);
-    return false;
-  }
-  Stream& s = *streams_[id];
-  if (x.size() != template_config_.input_dim) {
-    set_status(status, SubmitStatus::kDimensionMismatch);
-    return false;
-  }
-  Shard& shard = *shards_[s.shard];
-  const std::uint64_t capacity = options_.queue_capacity;
-  {
-    std::unique_lock lock(s.produce_mutex);
-    bool counted_block = false;
-    for (;;) {
-      // Checked inside the loop: every wait below releases produce_mutex,
-      // and an evictor may push the stream cold while this producer sleeps
-      // (space_waiters blocks that for the cv wait, but the kManual poll
-      // unlock has no such guard) — the slab must be re-materialized before
-      // any slot is written.
-      if (s.residency == Stream::Residency::kCold &&
-          !restore_cold(shard, s)) {
-        set_status(status, SubmitStatus::kRestoreFailed);
-        return false;
-      }
-      const std::uint64_t tail = s.tail.load();
-      if (tail - s.head.load() < capacity) break;
-      if (options_.backpressure == BackpressurePolicy::kReject) {
-        ++s.telemetry.rejected;
-        if (obs_on_) s.pipeline->obs().counters.add_rejected(1);
-        return false;
-      }
-      if (!counted_block) {
-        ++s.telemetry.blocked;
-        counted_block = true;
-      }
-      if (options_.dispatch == DispatchMode::kManual) {
-        // No consumer exists to free slots: drain the stream on this
-        // thread (manual mode is single-threaded operation by design).
-        lock.unlock();
-        poll(id);
-        lock.lock();
-        continue;
-      }
-      // Make sure a consumer is actually running before sleeping on it.
-      maybe_schedule(s);
-      s.space_waiters.fetch_add(1);
-      s.space_cv.wait(lock, [&] {
-        return s.tail.load() - s.head.load() < capacity;
-      });
-      s.space_waiters.fetch_sub(1);
-    }
-    const std::uint64_t tail = s.tail.load();
-    const std::size_t pos = static_cast<std::size_t>(tail % capacity);
-    s.slab.set_row(pos, x);
-    s.labels[pos] = true_label;
-    // pending_ rises before the row is published so the consumer's
-    // burst-sized decrement can never run ahead of it.
-    pending_.fetch_add(1);
-    // Stamp only the sampled slots (absolute position selects them, so the
-    // drain side — which advances the same counter — reads exactly these).
-    if (obs_on_ &&
-        (tail & s.pipeline->obs().latency_sample_mask()) == 0) {
-      s.submit_ns[pos] = obs::now_ns();
-    }
-    s.tail.store(tail + 1);
-    ++s.telemetry.submitted;
-    const std::size_t depth =
-        static_cast<std::size_t>(tail + 1 - s.head.load());
-    raise_high_water(s.telemetry.queue_high_water, depth);
-    if (obs_on_) s.pipeline->obs().counters.update_ring_high_water(depth);
-  }
-  maybe_schedule(s);
-  return true;
+  return submit_batch(id, linalg::ConstMatrixView(x), {&true_label, 1},
+                      status) == 1;
 }
 
 std::size_t PipelineManager::submit_batch(std::size_t id,
-                                          const linalg::Matrix& x,
+                                          linalg::ConstMatrixView x,
                                           std::span<const int> true_labels,
                                           SubmitStatus* status) {
   set_status(status, SubmitStatus::kOk);
@@ -213,6 +141,14 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
     set_status(status, SubmitStatus::kDimensionMismatch);
     return 0;
   }
+  // One NaN or Inf poisons the detector's centroids and distances for good
+  // (the stream then never detects a drift), so the whole block is refused.
+  const double* values = x.data();
+  if (!std::all_of(values, values + x.rows() * x.cols(),
+                   [](double v) { return std::isfinite(v); })) {
+    set_status(status, SubmitStatus::kNonFinite);
+    return 0;
+  }
   Shard& shard = *shards_[s.shard];
   const std::uint64_t capacity = options_.queue_capacity;
   std::size_t accepted = 0;
@@ -221,8 +157,11 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
     bool counted_block = false;
     std::size_t r = 0;
     while (r < x.rows()) {
-      // Re-checked per iteration: the waits below release produce_mutex
-      // (see submit()), so the stream may have gone cold mid-batch.
+      // Checked inside the loop: every wait below releases produce_mutex,
+      // and an evictor may push the stream cold while this producer sleeps
+      // (space_waiters blocks that for the cv wait, but the kManual poll
+      // unlock has no such guard) — the slab must be re-materialized before
+      // any slot is written.
       if (s.residency == Stream::Residency::kCold &&
           !restore_cold(shard, s)) {
         set_status(status, SubmitStatus::kRestoreFailed);
@@ -243,11 +182,14 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
           counted_block = true;
         }
         if (options_.dispatch == DispatchMode::kManual) {
+          // No consumer exists to free slots: drain the stream on this
+          // thread (manual mode is single-threaded operation by design).
           lock.unlock();
           poll(id);
           lock.lock();
           continue;
         }
+        // Make sure a consumer is actually running before sleeping on it.
         maybe_schedule(s);
         s.space_waiters.fetch_add(1);
         s.space_cv.wait(lock, [&] {
@@ -261,20 +203,24 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
       const std::size_t take =
           static_cast<std::size_t>(std::min<std::uint64_t>(avail,
                                                            x.rows() - r));
+      // pending_ rises before the rows are published so the consumer's
+      // burst-sized decrement can never run ahead of it.
       pending_.fetch_add(take);
-      // One timestamp per reservation segment: every sampled row of the
-      // segment entered the ring "now" for submit->drain latency purposes.
       // Only slots whose absolute position matches the sample mask are
-      // stamped — the drain side reads exactly those.
-      const std::uint64_t t_sub = obs_on_ ? obs::now_ns() : 0;
+      // stamped — the drain side, which advances the same counter, reads
+      // exactly those. The clock is read once per segment, and only when
+      // the segment holds a sampled slot: every sampled row of it entered
+      // the ring "now" for submit->drain latency purposes.
       const std::uint64_t mask =
           obs_on_ ? s.pipeline->obs().latency_sample_mask() : 0;
+      const bool sampled = obs_on_ && ((tail + mask) & ~mask) < tail + take;
+      const std::uint64_t t_sub = sampled ? obs::now_ns() : 0;
       for (std::size_t i = 0; i < take; ++i) {
         const std::size_t pos =
             static_cast<std::size_t>((tail + i) % capacity);
         s.slab.set_row(pos, x.row(r + i));
         s.labels[pos] = true_labels.empty() ? -1 : true_labels[r + i];
-        if (obs_on_ && ((tail + i) & mask) == 0) s.submit_ns[pos] = t_sub;
+        if (sampled && ((tail + i) & mask) == 0) s.submit_ns[pos] = t_sub;
       }
       s.tail.store(tail + take);
       s.telemetry.submitted += take;

@@ -39,7 +39,8 @@ void Reconstructor::begin(model::MultiInstanceModel& model,
 }
 
 bool Reconstructor::step(std::span<const double> x,
-                         model::MultiInstanceModel& model) {
+                         model::MultiInstanceModel& model,
+                         model::BatchWorkspace& ws) {
   EDGEDRIFT_ASSERT(active(), "step() without begin()");
   EDGEDRIFT_ASSERT(x.size() == coords_.dim(), "sample dim mismatch");
   ++count_;  // Algorithm 2 line 2 increments before the phase tests.
@@ -84,7 +85,7 @@ bool Reconstructor::step(std::span<const double> x,
       // hidden vector between the ensemble scorer and the winning
       // instance's update (identical semantics to predict + train_label on
       // the predicted label).
-      const model::Prediction pred = model.train_closest(x, ws_);
+      const model::Prediction pred = model.train_closest(x, ws);
       const double d = linalg::l1_distance(x, coords_.centroid(pred.label));
       ++dist_count_;
       const double delta = d - dist_mean_;
@@ -131,7 +132,7 @@ std::size_t Reconstructor::train_chunk(linalg::ConstMatrixView x,
     // Self-labeling: the whole chunk predicts against the pre-chunk model
     // (sequentially, row r would see the model trained through row r-1 —
     // the chunked-training approximation).
-    model.predict_batch_from_hidden(xc, hc, ws, preds.subspan(0, take));
+    model.predict_batch(xc, ws, preds.subspan(0, take), &hc);
     for (std::size_t r = 0; r < take; ++r) labels[r] = preds[r].label;
   }
   const model::ChunkTrainStats done = model.train_buckets_from_hidden(
@@ -180,8 +181,7 @@ double Reconstructor::suggested_theta_drift(double z) const {
 }
 
 std::size_t Reconstructor::memory_bytes() const {
-  return coords_.memory_bytes() + ws_.memory_bytes() + sizeof(*this) -
-         sizeof(coords_);
+  return coords_.memory_bytes() + sizeof(*this) - sizeof(coords_);
 }
 
 }  // namespace edgedrift::drift

@@ -83,11 +83,12 @@ ExperimentResult run_model_only(Method method, const data::Dataset& train,
       passive ? config.onlad_forgetting : 1.0);
   model.init_train(train.x, train.labels);
 
+  model::BatchWorkspace ws;
   util::Stopwatch clock;
   for (std::size_t i = 0; i < test.size(); ++i) {
     const model::Prediction pred =
-        passive ? model.train_closest(test.x.row(i))
-                : model.predict(test.x.row(i));
+        passive ? model.train_closest(test.x.row(i), ws)
+                : model.predict(test.x.row(i), ws);
     result.accuracy.record(static_cast<int>(pred.label) == test.labels[i]);
   }
   result.runtime_seconds = clock.elapsed_seconds();

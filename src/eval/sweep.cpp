@@ -65,27 +65,20 @@ void replay_manager(const data::CompiledScenario& scenario,
 
   const data::Dataset& stream = scenario.stream;
   const std::size_t n = stream.size();
-  const std::size_t d = stream.dim();
   // Shaper seed decorrelated from the scenario seed: arrival shape must
   // not mirror the sample noise.
   data::TrafficShaper shaper(traffic, scenario.spec.seed * 2654435761u + 1);
   std::vector<std::vector<std::size_t>> sent(traffic.streams);
-  linalg::Matrix batch;
 
   const auto t0 = Clock::now();
   std::size_t pos = 0;
   while (pos < n) {
     const std::size_t rows = std::min(shaper.next_batch(), n - pos);
     const std::size_t id = shaper.next_stream();
-    batch.resize_zero(rows, d);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto src = stream.x.row(pos + r);
-      std::copy(src.begin(), src.end(), batch.row(r).begin());
-    }
     const std::span<const int> labels{stream.labels.data() + pos, rows};
     core::SubmitStatus status = core::SubmitStatus::kOk;
-    const std::size_t accepted = manager.submit_batch(id, batch, labels,
-                                                      &status);
+    const std::size_t accepted = manager.submit_batch(
+        id, {stream.x, pos, pos + rows}, labels, &status);
     EDGEDRIFT_ASSERT(accepted == rows && status == core::SubmitStatus::kOk,
                      "sweep replay submit was refused");
     for (std::size_t r = 0; r < rows; ++r) sent[id].push_back(pos + r);

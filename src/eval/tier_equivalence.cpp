@@ -34,7 +34,7 @@ Trace run_trace(const core::PipelineConfig& base,
   Trace t;
   t.theta_error = pipeline.theta_error();
   t.labels.reserve(test.size());
-  std::vector<double> scores(config.num_labels);
+  model::BatchWorkspace ws;
   if (record_margins) t.margins.reserve(test.size());
   std::vector<core::PipelineStep> steps;
   for (std::size_t at = 0; at < test.size(); at += burst) {
@@ -43,8 +43,9 @@ Trace run_trace(const core::PipelineConfig& base,
       // Margins are consumed only inside the shared-trajectory window,
       // where the model is frozen — scoring the whole burst before
       // processing it equals scoring each row just before its own step.
-      for (std::size_t i = at; i < at + take; ++i) {
-        pipeline.model().scores(test.x.row(i), scores);
+      pipeline.model().score_batch({test.x, at, at + take}, ws);
+      for (std::size_t r = 0; r < take; ++r) {
+        const std::span<const double> scores = ws.scores.row(r);
         const double best = *std::min_element(scores.begin(), scores.end());
         double second = std::numeric_limits<double>::infinity();
         for (const double s : scores) {

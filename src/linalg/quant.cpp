@@ -89,22 +89,6 @@ float quantize_vector(std::span<const double> x, std::span<std::int8_t> q) {
   return scale;
 }
 
-float quantize_vector(std::span<const float> x, std::span<std::int8_t> q) {
-  EDGEDRIFT_DASSERT(x.size() == q.size(), "quantize_vector size mismatch");
-  float maxabs = 0.0f;
-  for (const float v : x) maxabs = std::max(maxabs, std::abs(v));
-  if (maxabs == 0.0f) {
-    std::fill(q.begin(), q.end(), std::int8_t{0});
-    return 0.0f;
-  }
-  const float scale = maxabs / kQMax;
-  const float inv = 1.0f / scale;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    q[i] = encode(static_cast<double>(x[i]), inv);
-  }
-  return scale;
-}
-
 void i8_matvec_transposed_dequant(const QuantizedMatrix& a,
                                   std::span<const std::int8_t> q_x,
                                   float x_scale, std::span<std::int32_t> acc,
@@ -178,7 +162,7 @@ void i8_matvec_transposed_dequant(const QuantizedMatrix& a,
   }
 }
 
-void i8_gemm_dequant(ConstMatrixViewT<float> a, const QuantizedMatrix& b,
+void i8_gemm_dequant(ConstMatrixView a, const QuantizedMatrix& b,
                      MatrixF32& c, std::span<std::int8_t> q_row,
                      std::span<std::int32_t> acc) {
   EDGEDRIFT_ASSERT(a.cols() == b.rows(), "i8 gemm shape mismatch");

@@ -121,85 +121,6 @@ void MultiInstanceModel::init_sequential() {
   repack_ensemble();
 }
 
-void MultiInstanceModel::scores_from_hidden(std::span<const double> h,
-                                            std::span<const double> x,
-                                            std::span<double> out,
-                                            linalg::KernelWorkspace& ws) const {
-  EDGEDRIFT_DASSERT(packed_in_sync(), "packed ensemble beta out of sync");
-  EDGEDRIFT_DASSERT(replicas_in_sync(), "tier replica missed a beta update");
-  const std::size_t n = input_dim();
-  const std::size_t total = num_labels() * n;
-  switch (tier_) {
-    case linalg::NumericsTier::kExactF64: {
-      const std::span<double> recon = ws.recon(total);
-      // One matvec against the packed [L x C*n] beta reconstructs all C
-      // instances: element c*n+j is the same ascending-i madd chain the
-      // per-instance matvec_transposed produces for instance c's element j
-      // (scaled_accumulate is element-wise, so the strided block rounds
-      // exactly like the dense per-instance run).
-      linalg::matvec_transposed(packed_beta_, h, recon);
-      for (std::size_t c = 0; c < num_labels(); ++c) {
-        // Same squared_l2_distance kernel as the per-instance score() — one
-        // shared MSE reduction keeps the fused path bit-identical.
-        out[c] = linalg::squared_l2_distance(x, recon.subspan(c * n, n)) /
-                 static_cast<double>(n);
-      }
-      return;
-    }
-    case linalg::NumericsTier::kFastF32: {
-      const std::span<float> hf = ws.hidden_f32(hidden_dim());
-      const std::span<float> xf = ws.input_f32(n);
-      const std::span<float> rf = ws.recon_f32(total);
-      linalg::narrow(h, hf);
-      linalg::narrow(x, xf);
-      linalg::matvec_transposed(packed_beta_f32_, hf, rf);
-      for (std::size_t c = 0; c < num_labels(); ++c) {
-        out[c] = static_cast<double>(
-                     linalg::squared_l2_distance(xf, rf.subspan(c * n, n))) /
-                 static_cast<double>(n);
-      }
-      return;
-    }
-    case linalg::NumericsTier::kQuantI8: {
-      const std::span<float> xf = ws.input_f32(n);
-      const std::span<float> rf = ws.recon_f32(total);
-      const std::span<std::int8_t> qh = ws.hidden_i8(hidden_dim());
-      const std::span<std::int32_t> acc = ws.accum_i32(total);
-      linalg::narrow(x, xf);
-      // Dynamic per-vector quantization of the hidden activation; the
-      // integer matvec is exact, so the tier's error is just the two grids.
-      const float h_scale = linalg::quantize_vector(h, qh);
-      linalg::i8_matvec_transposed_dequant(packed_beta_q_, qh, h_scale, acc,
-                                           rf);
-      for (std::size_t c = 0; c < num_labels(); ++c) {
-        out[c] = static_cast<double>(
-                     linalg::squared_l2_distance(xf, rf.subspan(c * n, n))) /
-                 static_cast<double>(n);
-      }
-      return;
-    }
-  }
-}
-
-void MultiInstanceModel::scores(std::span<const double> x,
-                                std::span<double> out,
-                                linalg::KernelWorkspace& ws) const {
-  EDGEDRIFT_ASSERT(out.size() == num_labels(), "score buffer size mismatch");
-  EDGEDRIFT_ASSERT(instances_.front().initialized(),
-                   "scores() before initialization");
-  const std::span<double> h = ws.hidden(hidden_dim());
-  projection_->hidden(x, h);
-  scores_from_hidden(h, x, out, ws);
-}
-
-void MultiInstanceModel::scores(std::span<const double> x,
-                                std::span<double> out) const {
-  EDGEDRIFT_ASSERT(out.size() == num_labels(), "score buffer size mismatch");
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    out[i] = instances_[i].score(x);
-  }
-}
-
 namespace {
 
 Prediction argmin_score(std::span<const double> s) {
@@ -215,84 +136,52 @@ Prediction argmin_score(std::span<const double> s) {
 
 }  // namespace
 
-Prediction MultiInstanceModel::predict(std::span<const double> x,
-                                       linalg::KernelWorkspace& ws) const {
-  const std::span<double> s = ws.scores(num_labels());
-  scores(x, s, ws);
-  return argmin_score(s);
-}
-
-Prediction MultiInstanceModel::predict_from_hidden(
-    std::span<const double> x, std::span<const double> h,
-    linalg::KernelWorkspace& ws) const {
-  EDGEDRIFT_DASSERT(h.size() == hidden_dim(),
-                    "predict_from_hidden hidden size mismatch");
-  EDGEDRIFT_ASSERT(instances_.front().initialized(),
-                   "predict_from_hidden() before initialization");
-  const std::span<double> s = ws.scores(num_labels());
-  scores_from_hidden(h, x, s, ws);
-  return argmin_score(s);
-}
-
-Prediction MultiInstanceModel::predict(std::span<const double> x) const {
-  // Scores on the stack (heap fallback for very wide label sets) so
-  // concurrent predict() calls on a frozen model never share scratch.
-  constexpr std::size_t kStackLabels = 64;
-  double stack_buf[kStackLabels];
-  std::vector<double> heap_buf;
-  std::span<double> s;
-  if (num_labels() <= kStackLabels) {
-    s = std::span<double>(stack_buf, num_labels());
-  } else {
-    heap_buf.resize(num_labels());
-    s = heap_buf;
-  }
-  scores(x, s);
-  return argmin_score(s);
-}
-
 void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
-                                     BatchWorkspace& ws) const {
+                                     BatchWorkspace& ws,
+                                     const linalg::ConstMatrixView* hidden)
+    const {
   EDGEDRIFT_ASSERT(x.cols() == input_dim(), "batch feature dim mismatch");
-  for (const auto& inst : instances_) {
-    EDGEDRIFT_ASSERT(inst.initialized(), "score_batch() before initialization");
-  }
-  projection_->hidden_batch_into(x, ws.hidden);
-  score_batch_core(x, ws.hidden, ws);
-}
-
-void MultiInstanceModel::score_batch_from_hidden(linalg::ConstMatrixView x,
-                                                 linalg::ConstMatrixView h,
-                                                 BatchWorkspace& ws) const {
-  EDGEDRIFT_ASSERT(x.cols() == input_dim(), "batch feature dim mismatch");
-  EDGEDRIFT_ASSERT(h.rows() == x.rows() && h.cols() == hidden_dim(),
+  EDGEDRIFT_ASSERT(hidden == nullptr || (hidden->rows() == x.rows() &&
+                                         hidden->cols() == hidden_dim()),
                    "hidden block shape mismatch");
-  for (const auto& inst : instances_) {
-    EDGEDRIFT_ASSERT(inst.initialized(), "score_batch() before initialization");
-  }
-  score_batch_core(x, h, ws);
-}
-
-void MultiInstanceModel::score_batch_core(linalg::ConstMatrixView x,
-                                          linalg::ConstMatrixView h,
-                                          BatchWorkspace& ws) const {
+  EDGEDRIFT_ASSERT(instances_.front().initialized(),
+                   "score_batch() before initialization");
   EDGEDRIFT_DASSERT(packed_in_sync(), "packed ensemble beta out of sync");
   EDGEDRIFT_DASSERT(replicas_in_sync(), "tier replica missed a beta update");
-  ws.scores.resize_discard(x.rows(), num_labels());  // Fully written below.
-  const std::size_t n = x.cols();
+  const std::size_t rows = x.rows();
+  const std::size_t n = input_dim();
   const std::size_t packed_n = packed_beta_.cols();
+  // One row takes the per-row kernels, more rows the GEMMs. Every pair
+  // runs the same ascending-k accumulation per output element, so the
+  // choice never changes a score.
+  const bool one_row = rows == 1;
+  if (hidden == nullptr) {
+    if (one_row) {
+      ws.hidden.resize_discard(1, hidden_dim());
+      projection_->hidden(x.row(0), ws.hidden.row(0));
+    } else {
+      projection_->hidden_batch_into(x, ws.hidden);
+    }
+  }
+  const linalg::ConstMatrixView h =
+      hidden != nullptr ? *hidden : linalg::ConstMatrixView(ws.hidden);
+  ws.scores.resize_discard(rows, num_labels());  // Fully written below.
 
   if (tier_ == linalg::NumericsTier::kExactF64) {
-    // R = H * packed_beta, one fused [rows x C*n] GEMM: row r, columns
-    // [c*n, (c+1)*n) are bit-identical to instance c's scalar reconstruction
-    // of row r (same ascending-k accumulation order in both kernels).
-    linalg::matmul_parallel_into(h, packed_beta_, ws.recon);
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-      const std::span<const double> xr{x.data() + r * n, n};
+    // R = H * packed_beta: row r, columns [c*n, (c+1)*n) hold instance c's
+    // reconstruction of row r, bit-identical to its own matvec.
+    ws.recon.resize_discard(rows, packed_n);
+    if (one_row) {
+      linalg::matvec_transposed(packed_beta_, h.row(0), ws.recon.row(0));
+    } else {
+      linalg::matmul_parallel_into(h, packed_beta_, ws.recon);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      const std::span<const double> xr = x.row(r);
       const double* recon_row = ws.recon.data() + r * packed_n;
       for (std::size_t label = 0; label < num_labels(); ++label) {
-        // Same squared_l2_distance kernel as the scalar score() — one shared
-        // MSE reduction, so batch and scalar scores agree bit-for-bit.
+        // Same squared_l2_distance kernel as Autoencoder::score() — one
+        // shared MSE reduction keeps the fused path bit-identical.
         const std::span<const double> rr{recon_row + label * n, n};
         ws.scores(r, label) =
             linalg::squared_l2_distance(xr, rr) / static_cast<double>(n);
@@ -301,26 +190,35 @@ void MultiInstanceModel::score_batch_core(linalg::ConstMatrixView x,
     return;
   }
 
-  // Approximate tiers: narrow the activations and inputs once per chunk,
-  // reconstruct against the tier's replica, reduce the MSE in f32. The
-  // projection stays f64 (it is shared with training), so the tier boundary
-  // is exactly the packed-beta product plus the reduction.
-  ws.hidden_f32.resize_discard(x.rows(), hidden_dim());
-  ws.input_f32.resize_discard(x.rows(), n);
-  linalg::narrow({h.data(), h.rows() * h.cols()}, ws.hidden_f32.flat());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
+  // Approximate tiers: reconstruct against the tier's replica and reduce
+  // the MSE in f32. The projection stays f64 (it is shared with training),
+  // so the tier boundary is exactly the packed-beta product plus the
+  // reduction.
+  ws.input_f32.resize_discard(rows, n);
+  for (std::size_t r = 0; r < rows; ++r) {
     linalg::narrow(x.row(r), ws.input_f32.row(r));
   }
+  ws.recon_f32.resize_discard(rows, packed_n);
   if (tier_ == linalg::NumericsTier::kFastF32) {
-    linalg::matmul_parallel_into(ws.hidden_f32, packed_beta_f32_,
-                                 ws.recon_f32);
+    ws.hidden_f32.resize_discard(rows, hidden_dim());
+    linalg::narrow({h.data(), rows * hidden_dim()}, ws.hidden_f32.flat());
+    if (one_row) {
+      linalg::matvec_transposed(packed_beta_f32_, ws.hidden_f32.row(0),
+                                ws.recon_f32.row(0));
+    } else {
+      linalg::matmul_parallel_into(ws.hidden_f32, packed_beta_f32_,
+                                   ws.recon_f32);
+    }
   } else {
+    // Dynamic per-row quantization of the f64 hidden row, then an exact
+    // int32 matvec per row: the tier's error is just the two grids, and
+    // one row gets the same codes in a block of any size.
     if (ws.q_row.size() < hidden_dim()) ws.q_row.resize(hidden_dim());
     if (ws.accum.size() < packed_n) ws.accum.resize(packed_n);
-    linalg::i8_gemm_dequant(ws.hidden_f32, packed_beta_q_, ws.recon_f32,
-                            ws.q_row, ws.accum);
+    linalg::i8_gemm_dequant(h, packed_beta_q_, ws.recon_f32, ws.q_row,
+                            ws.accum);
   }
-  for (std::size_t r = 0; r < x.rows(); ++r) {
+  for (std::size_t r = 0; r < rows; ++r) {
     const std::span<const float> xr{ws.input_f32.data() + r * n, n};
     const float* recon_row = ws.recon_f32.data() + r * packed_n;
     for (std::size_t label = 0; label < num_labels(); ++label) {
@@ -332,59 +230,27 @@ void MultiInstanceModel::score_batch_core(linalg::ConstMatrixView x,
   }
 }
 
-void MultiInstanceModel::predict_batch(linalg::ConstMatrixView x,
-                                       BatchWorkspace& ws,
-                                       std::span<Prediction> out) const {
+void MultiInstanceModel::predict_batch(
+    linalg::ConstMatrixView x, BatchWorkspace& ws, std::span<Prediction> out,
+    const linalg::ConstMatrixView* hidden) const {
   EDGEDRIFT_ASSERT(out.size() == x.rows(), "prediction buffer size mismatch");
-  score_batch(x, ws);
+  score_batch(x, ws, hidden);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     out[r] = argmin_score(ws.scores.row(r));
   }
 }
 
-void MultiInstanceModel::predict_batch_from_hidden(
-    linalg::ConstMatrixView x, linalg::ConstMatrixView h, BatchWorkspace& ws,
-    std::span<Prediction> out) const {
-  EDGEDRIFT_ASSERT(out.size() == x.rows(), "prediction buffer size mismatch");
-  score_batch_from_hidden(x, h, ws);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    out[r] = argmin_score(ws.scores.row(r));
-  }
-}
-
-double MultiInstanceModel::score_of(std::span<const double> x,
-                                    std::size_t label,
-                                    linalg::KernelWorkspace& ws) const {
-  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  return instances_[label].score(x, ws);
-}
-
-double MultiInstanceModel::score_of(std::span<const double> x,
-                                    std::size_t label) const {
-  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  return instances_[label].score(x);
-}
-
-Prediction MultiInstanceModel::train_closest(std::span<const double> x,
-                                             linalg::KernelWorkspace& ws) {
-  EDGEDRIFT_ASSERT(instances_.front().initialized(),
-                   "train_closest() before initialization");
-  // Project once; the hidden vector feeds both the fused scorer and the
-  // winning instance's training step (whose err = t - beta^T h would
-  // otherwise recompute the same projection).
-  const std::span<double> h = ws.hidden(hidden_dim());
-  projection_->hidden(x, h);
-  const std::span<double> s = ws.scores(num_labels());
-  scores_from_hidden(h, x, s, ws);
-  const Prediction pred = argmin_score(s);
-  instances_[pred.label].train_from_hidden(h, x);
-  sync_block_after_train(pred.label);
+Prediction MultiInstanceModel::predict(std::span<const double> x,
+                                       BatchWorkspace& ws) const {
+  Prediction pred;
+  predict_batch(linalg::ConstMatrixView(x), ws, {&pred, 1});
   return pred;
 }
 
-Prediction MultiInstanceModel::train_closest(std::span<const double> x) {
-  const Prediction pred = predict(x);
-  instances_[pred.label].train(x);
+Prediction MultiInstanceModel::train_closest(std::span<const double> x,
+                                             BatchWorkspace& ws) {
+  const Prediction pred = predict(x, ws);
+  instances_[pred.label].train_from_hidden(ws.hidden.row(0), x);
   sync_block_after_train(pred.label);
   return pred;
 }
@@ -534,10 +400,10 @@ bool MultiInstanceModel::packed_in_sync() const {
 }
 
 std::size_t MultiInstanceModel::memory_bytes() const {
-  // num_labels() doubles account for the per-sample score scratch predict()
-  // keeps on the stack — still part of the device working set. The packed
-  // ensemble mirror is deliberately excluded: the device profile stores
-  // each beta exactly once (see the header comment).
+  // num_labels() doubles account for one sample's score row
+  // (BatchWorkspace::scores) — still part of the device working set. The
+  // packed ensemble mirror is deliberately excluded: the device profile
+  // stores each beta exactly once (see the header comment).
   std::size_t bytes = projection_->memory_bytes() +
                       num_labels() * sizeof(double);
   for (const auto& inst : instances_) {

@@ -27,25 +27,6 @@ void Autoencoder::init_train(const linalg::Matrix& x) {
   net_.init_train(x, x);
 }
 
-double Autoencoder::score(std::span<const double> x,
-                          linalg::KernelWorkspace& ws) const {
-  const std::span<double> recon = ws.recon(x.size());
-  net_.predict(x, recon, ws);
-  // squared_l2_distance is the one MSE kernel shared with the batch scorer,
-  // which keeps score() bit-identical to score_batch() rows within a build.
-  return linalg::squared_l2_distance(x, recon) /
-         static_cast<double>(x.size());
-}
-
-double Autoencoder::score_from_hidden(std::span<const double> h,
-                                      std::span<const double> x,
-                                      std::span<double> recon) const {
-  EDGEDRIFT_ASSERT(recon.size() == x.size(), "recon scratch size mismatch");
-  net_.predict_from_hidden(h, recon);
-  return linalg::squared_l2_distance(x, recon) /
-         static_cast<double>(x.size());
-}
-
 double Autoencoder::score(std::span<const double> x) const {
   // Reconstruction scratch on the stack (heap fallback for wide inputs) so
   // concurrent score() calls on a frozen model never share state.
@@ -60,6 +41,8 @@ double Autoencoder::score(std::span<const double> x) const {
     recon = heap_buf;
   }
   net_.predict(x, recon);
+  // squared_l2_distance is the one MSE kernel shared with the ensemble's
+  // scoring core, which keeps score() bit-identical to its f64 rows.
   return linalg::squared_l2_distance(x, recon) /
          static_cast<double>(x.size());
 }

@@ -157,16 +157,6 @@ void OsElm::reserve_batch(std::size_t max_rows) {
   batch_resid_.resize_zero(max_rows, output_dim());
 }
 
-void OsElm::predict(std::span<const double> x, std::span<double> y,
-                    linalg::KernelWorkspace& ws) const {
-  EDGEDRIFT_ASSERT(initialized_, "predict() before initialization");
-  EDGEDRIFT_ASSERT(x.size() == input_dim(), "x size mismatch");
-  EDGEDRIFT_ASSERT(y.size() == output_dim(), "y size mismatch");
-  const std::span<double> h = ws.hidden(hidden_dim());
-  hidden(x, h);
-  linalg::matvec_transposed(beta_, h, y);
-}
-
 void OsElm::predict(std::span<const double> x, std::span<double> y) const {
   EDGEDRIFT_ASSERT(initialized_, "predict() before initialization");
   EDGEDRIFT_ASSERT(x.size() == input_dim(), "x size mismatch");
@@ -185,14 +175,6 @@ void OsElm::predict(std::span<const double> x, std::span<double> y) const {
     h = heap_buf;
   }
   hidden(x, h);
-  linalg::matvec_transposed(beta_, h, y);
-}
-
-void OsElm::predict_from_hidden(std::span<const double> h,
-                                std::span<double> y) const {
-  EDGEDRIFT_ASSERT(initialized_, "predict_from_hidden() before initialization");
-  EDGEDRIFT_ASSERT(h.size() == hidden_dim(), "h size mismatch");
-  EDGEDRIFT_ASSERT(y.size() == output_dim(), "y size mismatch");
   linalg::matvec_transposed(beta_, h, y);
 }
 

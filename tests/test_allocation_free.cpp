@@ -7,9 +7,10 @@
 //
 // Mechanism: counting replacements of the global operator new/delete,
 // enabled only around the measured loop. The dimensions are chosen ABOVE
-// the stack-buffer thresholds of the convenience overloads (256 doubles in
-// OsElm::predict / Autoencoder::score), so the test fails if the pipeline
-// ever falls back from its KernelWorkspace to those heap-fallback paths.
+// the stack-buffer thresholds of the per-instance reference path (256
+// doubles in OsElm::predict / Autoencoder::score), so the test fails if the
+// pipeline ever falls back from its BatchWorkspace to those heap-fallback
+// paths.
 //
 // Sanitizer builds replace the allocator themselves; the hooks would fight
 // them, so the whole counting apparatus is compiled out and the test skips.
@@ -32,7 +33,6 @@
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/core/pipeline_manager.hpp"
 #include "edgedrift/linalg/matrix.hpp"
-#include "edgedrift/linalg/workspace.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/obs/stream_obs.hpp"
 #include "edgedrift/util/rng.hpp"
@@ -75,9 +75,9 @@ TEST(AllocationFree, SteadyStateProcessDoesNotAllocate) {
 #if defined(EDGEDRIFT_ALLOC_HOOKS_DISABLED)
   GTEST_SKIP() << "allocation hooks disabled under sanitizers";
 #else
-  // Dimensions above the 256-double stack thresholds of the convenience
-  // overloads: the workspace plumbing, not the stack buffers, must carry
-  // the hot path.
+  // Dimensions above the 256-double stack thresholds of the per-instance
+  // reference path: the workspace plumbing, not the stack buffers, must
+  // carry the hot path.
   constexpr std::size_t kDim = 300;
   constexpr std::size_t kHidden = 280;
   constexpr std::size_t kTrainRows = 200;
@@ -222,7 +222,7 @@ TEST(AllocationFree, SteadyStateFusedTrainClosestDoesNotAllocate) {
     }
   }
 
-  edgedrift::linalg::KernelWorkspace ws;
+  edgedrift::model::BatchWorkspace ws;
   for (std::size_t i = 0; i < 20; ++i) {
     model.train_closest(stream.row(i), ws);
   }

@@ -184,70 +184,77 @@ TEST_P(DetectorKindTest, DrivesPipelineAndFiresAfterDrift) {
 // The load-bearing contract of the row-range core: process_rows() must be
 // sample-for-sample bit-identical to process(), including across the drift,
 // the recovery that follows it, and (for batch detectors) the reference
-// refill. Every detector kind runs through both sides of the core — 1-row
-// blocks take the per-row fused scorer, longer blocks the GEMM — with and
-// without caller-supplied hidden rows.
+// refill. Every detector kind runs through both sides of the model's
+// scoring core — 1-row blocks take the per-row fused scorer, longer blocks
+// the GEMM — with and without caller-supplied hidden rows, at every
+// numerics tier.
 TEST_P(DetectorKindTest, ProcessBatchBitIdenticalToProcess) {
   Rng rng(3);
   auto scenario = make_scenario(rng);
-  PipelineConfig config = make_config(GetParam());
-  config.max_batch_rows = 64;  // Force internal chunking.
+  for (const linalg::NumericsTier tier :
+       {linalg::NumericsTier::kExactF64, linalg::NumericsTier::kFastF32,
+        linalg::NumericsTier::kQuantI8}) {
+    SCOPED_TRACE(std::string("tier ") + linalg::tier_name(tier));
+    PipelineConfig config = make_config(GetParam());
+    config.max_batch_rows = 64;  // Force internal chunking.
+    config.numerics = tier;
 
-  Pipeline sequential(config);
-  sequential.fit(scenario.train.x, scenario.train.labels);
-  std::vector<PipelineStep> expected;
-  expected.reserve(scenario.test.size());
-  for (std::size_t i = 0; i < scenario.test.size(); ++i) {
-    expected.push_back(
-        sequential.process(scenario.test.x.row(i), scenario.test.labels[i]));
-  }
+    Pipeline sequential(config);
+    sequential.fit(scenario.train.x, scenario.train.labels);
+    std::vector<PipelineStep> expected;
+    expected.reserve(scenario.test.size());
+    for (std::size_t i = 0; i < scenario.test.size(); ++i) {
+      expected.push_back(
+          sequential.process(scenario.test.x.row(i), scenario.test.labels[i]));
+    }
 
-  // Single rows, a small odd block, and a block larger than max_batch_rows
-  // (the internal chunk loop) with a ragged tail.
-  for (const std::size_t block_rows : {1u, 3u, 150u}) {
-    for (const bool supply_hidden : {false, true}) {
-      SCOPED_TRACE("block " + std::to_string(block_rows) +
-                   (supply_hidden ? ", hidden supplied" : ""));
-      Pipeline batched(config);
-      batched.fit(scenario.train.x, scenario.train.labels);
-      std::vector<PipelineStep> actual;
-      linalg::Matrix hidden;
-      for (std::size_t start = 0; start < scenario.test.size();
-           start += block_rows) {
-        const std::size_t rows =
-            std::min(block_rows, scenario.test.size() - start);
-        const linalg::ConstMatrixView block{scenario.test.x, start,
-                                            start + rows};
-        const std::span<const int> labels(
-            scenario.test.labels.data() + start, rows);
-        if (supply_hidden) {
-          batched.model().projection()->hidden_batch_into(block, hidden);
-          const linalg::ConstMatrixView h{hidden};
-          batched.process_rows(block, labels, actual, &h);
-        } else {
-          batched.process_rows(block, labels, actual);
+    // Single rows, a small odd block, and a block larger than max_batch_rows
+    // (the internal chunk loop) with a ragged tail.
+    for (const std::size_t block_rows : {1u, 3u, 150u}) {
+      for (const bool supply_hidden : {false, true}) {
+        SCOPED_TRACE("block " + std::to_string(block_rows) +
+                     (supply_hidden ? ", hidden supplied" : ""));
+        Pipeline batched(config);
+        batched.fit(scenario.train.x, scenario.train.labels);
+        std::vector<PipelineStep> actual;
+        linalg::Matrix hidden;
+        for (std::size_t start = 0; start < scenario.test.size();
+             start += block_rows) {
+          const std::size_t rows =
+              std::min(block_rows, scenario.test.size() - start);
+          const linalg::ConstMatrixView block{scenario.test.x, start,
+                                              start + rows};
+          const std::span<const int> labels(
+              scenario.test.labels.data() + start, rows);
+          if (supply_hidden) {
+            batched.model().projection()->hidden_batch_into(block, hidden);
+            const linalg::ConstMatrixView h{hidden};
+            batched.process_rows(block, labels, actual, &h);
+          } else {
+            batched.process_rows(block, labels, actual);
+          }
         }
-      }
 
-      ASSERT_EQ(actual.size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        SCOPED_TRACE("sample " + std::to_string(i));
-        const PipelineStep& e = expected[i];
-        const PipelineStep& a = actual[i];
-        EXPECT_EQ(a.prediction.label, e.prediction.label);
-        EXPECT_EQ(a.prediction.score, e.prediction.score);  // Bit-exact.
-        EXPECT_EQ(a.drift_detected, e.drift_detected);
-        EXPECT_EQ(a.reconstructing, e.reconstructing);
-        EXPECT_EQ(a.reconstruction_finished, e.reconstruction_finished);
-        EXPECT_EQ(a.collecting_reference, e.collecting_reference);
-        EXPECT_EQ(a.statistic, e.statistic);
-        EXPECT_EQ(a.statistic_valid, e.statistic_valid);
+        ASSERT_EQ(actual.size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          SCOPED_TRACE("sample " + std::to_string(i));
+          const PipelineStep& e = expected[i];
+          const PipelineStep& a = actual[i];
+          EXPECT_EQ(a.prediction.label, e.prediction.label);
+          EXPECT_EQ(a.prediction.score, e.prediction.score);  // Bit-exact.
+          EXPECT_EQ(a.drift_detected, e.drift_detected);
+          EXPECT_EQ(a.reconstructing, e.reconstructing);
+          EXPECT_EQ(a.reconstruction_finished, e.reconstruction_finished);
+          EXPECT_EQ(a.collecting_reference, e.collecting_reference);
+          EXPECT_EQ(a.statistic, e.statistic);
+          EXPECT_EQ(a.statistic_valid, e.statistic_valid);
+        }
+        EXPECT_EQ(batched.stats().samples, sequential.stats().samples);
+        EXPECT_EQ(batched.stats().drifts, sequential.stats().drifts);
+        EXPECT_EQ(batched.stats().recoveries, sequential.stats().recoveries);
+        EXPECT_EQ(batched.stats().recovery_samples,
+                  sequential.stats().recovery_samples);
       }
-      EXPECT_EQ(batched.stats().samples, sequential.stats().samples);
-      EXPECT_EQ(batched.stats().drifts, sequential.stats().drifts);
-      EXPECT_EQ(batched.stats().recoveries, sequential.stats().recoveries);
-      EXPECT_EQ(batched.stats().recovery_samples,
-                sequential.stats().recovery_samples);
     }
   }
 }

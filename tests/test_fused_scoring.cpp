@@ -1,34 +1,39 @@
-// Pins the fused ensemble scorer to the retained per-instance reference
-// path, bit for bit. The model keeps every instance's beta twice — the
-// per-instance matrices (reference) and a packed [L x C*n] column-blocked
-// mirror the fused kernels run against — and the whole design rests on the
-// two never diverging by even one ulp within a build:
+// Pins the model's one scoring core to the per-instance reference path, bit
+// for bit. The model keeps every instance's beta twice — the per-instance
+// matrices (reference) and a packed [L x C*n] column-blocked mirror the
+// fused kernels run against — and the whole design rests on the two never
+// diverging by even one ulp within a build:
 //
-//   - scores(x, out, ws)    fused: shared hidden + one packed matvec
-//   - scores(x, out)        reference: per-instance walk (kept for this test)
-//   - score_batch()         fused: one [rows x C*n] GEMM
+//   - score_batch(), 1 row     fused: shared hidden + one packed matvec
+//   - score_batch(), >1 rows   fused: one [rows x C*n] GEMM
+//   - instance(c).score(x)     reference: per-instance walk (the oracle)
 //
 // The sweep covers ensemble widths C in {2, 3, 5, 23} and tail-heavy
 // dimensions (deliberately not multiples of the GEMM register tile), after
 // every mutation path: init_train, init_sequential, N Sherman–Morrison
-// training steps, and apply_permutation.
+// training steps, and apply_permutation. It also pins that a row scores
+// the same in a block of any size, with or without supplied hidden rows,
+// at every numerics tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "edgedrift/linalg/matrix.hpp"
-#include "edgedrift/linalg/workspace.hpp"
+#include "edgedrift/linalg/numerics.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/util/rng.hpp"
 
 namespace {
 
-using edgedrift::linalg::KernelWorkspace;
+using edgedrift::linalg::ConstMatrixView;
 using edgedrift::linalg::Matrix;
+using edgedrift::linalg::NumericsTier;
 using edgedrift::model::BatchWorkspace;
 using edgedrift::model::MultiInstanceModel;
 using edgedrift::model::Prediction;
@@ -66,21 +71,29 @@ MultiInstanceModel make_model(std::size_t num_labels, std::size_t dim,
   return MultiInstanceModel(num_labels, proj, 1e-2);
 }
 
-/// EXPECT bit-exact agreement of the fused and per-instance score paths on
-/// every row of `probes`.
+/// EXPECT bit-exact agreement of the fused per-row scorer (a 1-row
+/// score_batch) and the per-instance path on every row of `probes`.
 void expect_fused_matches_reference(const MultiInstanceModel& model,
                                     const Matrix& probes) {
-  KernelWorkspace ws;
-  std::vector<double> fused(model.num_labels());
-  std::vector<double> reference(model.num_labels());
+  BatchWorkspace ws;
   for (std::size_t r = 0; r < probes.rows(); ++r) {
-    model.scores(probes.row(r), fused, ws);
-    model.scores(probes.row(r), reference);
+    model.score_batch(ConstMatrixView(probes.row(r)), ws);
     for (std::size_t c = 0; c < model.num_labels(); ++c) {
-      EXPECT_EQ(fused[c], reference[c])
+      EXPECT_EQ(ws.scores(0, c), model.instance(c).score(probes.row(r)))
           << "row " << r << " label " << c << " diverged";
     }
   }
+}
+
+/// The per-instance reference prediction: argmin over instance(c).score.
+Prediction reference_predict(const MultiInstanceModel& model,
+                             std::span<const double> x) {
+  Prediction best{0, model.instance(0).score(x)};
+  for (std::size_t c = 1; c < model.num_labels(); ++c) {
+    const double s = model.instance(c).score(x);
+    if (s < best.score) best = {c, s};
+  }
+  return best;
 }
 
 /// EXPECT the packed mirror to hold exactly the per-instance betas.
@@ -126,10 +139,10 @@ TEST_P(FusedScoringSweep, BitIdenticalAfterSequentialUpdates) {
   model.init_sequential();
   expect_packed_mirrors_instances(model);
 
-  // N Sherman–Morrison steps through both fused (train_closest with a
-  // workspace) and explicit-label training.
+  // N Sherman–Morrison steps through both fused (train_closest) and
+  // explicit-label training.
   auto stream = make_clusters(rng, num_labels, 30, kDim);
-  KernelWorkspace ws;
+  BatchWorkspace ws;
   for (std::size_t i = 0; i < stream.x.rows(); ++i) {
     if (i % 3 == 0) {
       model.train_label(stream.x.row(i),
@@ -162,20 +175,67 @@ TEST_P(FusedScoringSweep, BitIdenticalAfterPermutation) {
   expect_packed_mirrors_instances(model);
 }
 
+// A row scores the same wherever it is scored: in a block of 1, 2, 9 or
+// 150 rows, projected by the core or supplied as hidden rows, at every
+// tier — and at f64 that is the per-instance oracle's score. The f64 and
+// f32 kernels agree element by element, so 2,000 probes cover them; the i8
+// leg takes 20,000, enough to meet rows whose f64 hidden activations sit so
+// close to a code boundary that quantizing their f32 narrowing instead
+// would flip a code.
 TEST_P(FusedScoringSweep, BatchScoresBitIdenticalToScalar) {
   const std::size_t num_labels = GetParam();
-  Rng rng(29);
+  Rng rng(7);
   auto data = make_clusters(rng, num_labels, 40, kDim);
-  auto model = make_model(num_labels, kDim, kHidden, 109);
+  auto model = make_model(num_labels, kDim, kHidden, 131);
   model.init_train(data.x, data.labels);
+  const Matrix all_probes =
+      make_clusters(rng, num_labels, 20000 / num_labels + 1, kDim).x;
+  Matrix all_hidden;
+  model.projection()->hidden_batch_into(all_probes, all_hidden);
 
-  auto probes = make_clusters(rng, num_labels, 9, kDim);
-  BatchWorkspace ws;
-  model.score_batch(probes.x, ws);
-  for (std::size_t r = 0; r < probes.x.rows(); ++r) {
-    for (std::size_t c = 0; c < num_labels; ++c) {
-      EXPECT_EQ(ws.scores(r, c), model.instance(c).score(probes.x.row(r)))
-          << "row " << r << " label " << c;
+  for (const NumericsTier tier : {NumericsTier::kExactF64,
+                                  NumericsTier::kFastF32,
+                                  NumericsTier::kQuantI8}) {
+    SCOPED_TRACE(std::string("tier ") + edgedrift::linalg::tier_name(tier));
+    model.set_numerics_tier(tier);
+    const std::size_t n =
+        tier == NumericsTier::kQuantI8 ? all_probes.rows() : 2000;
+    const ConstMatrixView probes{all_probes, 0, n};
+    const ConstMatrixView hidden{all_hidden, 0, n};
+    BatchWorkspace ws;
+    // Every row scored alone: the per-row kernel.
+    Matrix alone(n, num_labels);
+    for (std::size_t r = 0; r < n; ++r) {
+      model.score_batch(ConstMatrixView(probes.row(r)), ws);
+      alone.set_row(r, ws.scores.row(0));
+    }
+    if (tier == NumericsTier::kExactF64) {
+      std::size_t oracle_mismatches = 0;
+      for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t c = 0; c < num_labels; ++c) {
+          oracle_mismatches +=
+              alone(r, c) != model.instance(c).score(probes.row(r));
+        }
+      }
+      EXPECT_EQ(oracle_mismatches, 0u) << "f64 scores left the oracle";
+    }
+    for (const std::size_t block : {1u, 2u, 9u, 150u}) {
+      for (const bool supply_hidden : {false, true}) {
+        std::size_t mismatches = 0;
+        for (std::size_t start = 0; start < n; start += block) {
+          const std::size_t end = std::min(n, start + block);
+          const ConstMatrixView h{hidden, start, end};
+          model.score_batch({probes, start, end}, ws,
+                            supply_hidden ? &h : nullptr);
+          for (std::size_t r = start; r < end; ++r) {
+            for (std::size_t c = 0; c < num_labels; ++c) {
+              mismatches += ws.scores(r - start, c) != alone(r, c);
+            }
+          }
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << "block " << block << (supply_hidden ? ", hidden supplied" : "");
+      }
     }
   }
 }
@@ -196,12 +256,12 @@ TEST(FusedScoring, TrainClosestMatchesReferenceTrajectory) {
   reference_model.init_train(data.x, data.labels);
 
   auto stream = make_clusters(rng, kLabels, 25, kDim);
-  KernelWorkspace ws;
+  BatchWorkspace ws;
   for (std::size_t i = 0; i < stream.x.rows(); ++i) {
     const Prediction fused = fused_model.train_closest(stream.x.row(i), ws);
     // Reference: per-instance scoring, then an explicit train of the winner
     // (recomputes the hidden projection instead of sharing it).
-    const Prediction ref = reference_model.predict(stream.x.row(i));
+    const Prediction ref = reference_predict(reference_model, stream.x.row(i));
     reference_model.train_label(stream.x.row(i), ref.label);
     ASSERT_EQ(fused.label, ref.label) << "step " << i;
     ASSERT_EQ(fused.score, ref.score) << "step " << i;
@@ -225,7 +285,7 @@ TEST(FusedScoring, ResetKeepsMirrorInSync) {
   expect_packed_mirrors_instances(model);
 
   auto stream = make_clusters(rng, kLabels, 10, kDim);
-  KernelWorkspace ws;
+  BatchWorkspace ws;
   for (std::size_t i = 0; i < stream.x.rows(); ++i) {
     model.train_closest(stream.x.row(i), ws);
   }

@@ -12,8 +12,7 @@
 // disagreement under 1%, drift count equal with indices within one window.
 //
 // Regenerate after an intentional numerics change with
-//   EDGEDRIFT_REGEN_GOLDEN=1 ./edgedrift_tests \
-//       --gtest_filter='GoldenReplay.*'
+//   EDGEDRIFT_REGEN_GOLDEN=1 ./edgedrift_tests --gtest_filter='GoldenReplay.*'
 // from a portable-SIMD build, and commit the diff.
 #include <cinttypes>
 #include <cstdio>

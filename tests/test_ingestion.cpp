@@ -3,10 +3,12 @@
 // reference under chunked drain, ring-wrap tails, backpressure kBlock vs
 // kReject, manual dispatch (submit-then-poll), multi-producer submission
 // into distinct streams, telemetry accounting, and the typed SubmitStatus
-// errors on malformed requests (unknown id, partial label span, bad width).
+// errors on malformed requests (unknown id, partial label span, bad width,
+// non-finite values).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -355,11 +357,70 @@ TEST(Ingestion, SubmitReturnsTypedErrorsInsteadOfAsserting) {
   EXPECT_EQ(manager.submit_batch(0, wide, {}, &status), 0u);
   EXPECT_EQ(status, SubmitStatus::kDimensionMismatch);
 
+  // NaN and infinities: the row, or the whole block holding one bad value
+  // in its last row, is refused before any slot is reserved.
+  const std::size_t submitted = manager.telemetry(0).submitted;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    const auto good = data[0].test.x.row(0);
+    std::vector<double> row(good.begin(), good.end());
+    row[3] = bad;
+    EXPECT_FALSE(manager.submit(0, row, -1, &status));
+    EXPECT_EQ(status, SubmitStatus::kNonFinite);
+    edgedrift::linalg::Matrix block = data[0].test.x;
+    block(block.rows() - 1, 3) = bad;
+    EXPECT_EQ(manager.submit_batch(0, block, {}, &status), 0u);
+    EXPECT_EQ(status, SubmitStatus::kNonFinite);
+    EXPECT_EQ(manager.telemetry(0).submitted, submitted);
+  }
+
   // None of the failures disturbed the stream: a good submit still lands.
   EXPECT_TRUE(manager.submit(0, data[0].test.x.row(0), -1, &status));
   EXPECT_EQ(status, SubmitStatus::kOk);
   manager.drain();
   EXPECT_EQ(manager.telemetry(0).processed, 1u);
+}
+
+// An accepted NaN row poisons the detector's recent centroids, after which
+// the stream never fires on the drift at row 1000. The row must be refused
+// whole (kNonFinite), so the stream steps exactly as the same stream
+// without it: one drift, one recovery.
+TEST(Ingestion, NonFiniteRowIsRefusedAndDriftStillDetected) {
+  const auto data = make_streams(1, 2000);
+  const Dataset& test = data[0].test;
+  const auto good = test.x.row(200);
+  std::vector<double> poisoned(good.begin(), good.end());
+  poisoned[3] = std::numeric_limits<double>::quiet_NaN();
+
+  const auto replay = [&](bool inject) {
+    ManagerOptions options;
+    options.dispatch = DispatchMode::kManual;
+    PipelineManager manager(make_config(), 1, options);
+    manager.fit(0, data[0].train.x, data[0].train.labels);
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      if (inject && i == 200) {
+        SubmitStatus status = SubmitStatus::kOk;
+        EXPECT_FALSE(manager.submit(0, poisoned, -1, &status));
+        EXPECT_EQ(status, SubmitStatus::kNonFinite);
+      }
+      EXPECT_TRUE(manager.submit(0, test.x.row(i)));
+    }
+    manager.drain();
+    return manager.take_steps(0);
+  };
+
+  const std::vector<PipelineStep> clean = replay(false);
+  std::size_t drifts = 0;
+  std::size_t recoveries = 0;
+  for (const PipelineStep& step : clean) {
+    drifts += step.drift_detected;
+    recoveries += step.reconstruction_finished;
+  }
+  ASSERT_EQ(drifts, 1u) << "the clean stream must detect its one drift";
+  ASSERT_EQ(recoveries, 1u);
+  expect_steps_equal(replay(true), clean);
 }
 
 }  // namespace

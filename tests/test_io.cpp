@@ -169,9 +169,10 @@ TEST(Checkpoint, RoundTripPreservesPredictions) {
                    original.centroid_detector()->theta_drift());
 
   // Every prediction and score must be bit-identical.
+  edgedrift::model::BatchWorkspace ws;
   for (std::size_t i = 0; i < scenario.stream.size(); ++i) {
-    const auto a = original.model().predict(scenario.stream.x.row(i));
-    const auto b = restored->model().predict(scenario.stream.x.row(i));
+    const auto a = original.model().predict(scenario.stream.x.row(i), ws);
+    const auto b = restored->model().predict(scenario.stream.x.row(i), ws);
     EXPECT_EQ(a.label, b.label);
     EXPECT_DOUBLE_EQ(a.score, b.score);
   }

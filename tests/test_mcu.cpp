@@ -86,9 +86,10 @@ TEST_F(StaticPipelineNsl, LoadCopiesThresholds) {
 TEST_F(StaticPipelineNsl, PredictionsMatchDoublePipeline) {
   std::size_t disagreements = 0;
   const std::size_t n = 500;
+  edgedrift::model::BatchWorkspace ws;
   for (std::size_t i = 0; i < n; ++i) {
     const auto x = test_.x.row(i);
-    const auto ref = reference_->model().predict(x);
+    const auto ref = reference_->model().predict(x, ws);
     float score = 0.0f;
     const std::size_t label = device_.predict(to_float(x), score);
     if (label != ref.label) ++disagreements;

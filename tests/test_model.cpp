@@ -2,12 +2,17 @@
 // per-label OS-ELM autoencoders with argmin-score prediction.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/util/rng.hpp"
 
 namespace {
 
+using edgedrift::linalg::ConstMatrixView;
 using edgedrift::linalg::Matrix;
+using edgedrift::model::BatchWorkspace;
 using edgedrift::model::MultiInstanceModel;
 using edgedrift::model::Prediction;
 using edgedrift::oselm::Activation;
@@ -43,15 +48,24 @@ MultiInstanceModel make_model(Rng& rng, std::size_t num_labels = 2,
   return MultiInstanceModel(num_labels, proj, 1e-2, forgetting);
 }
 
+/// Every instance's score of x through the model's scoring core.
+std::vector<double> scores_of(const MultiInstanceModel& model,
+                              std::span<const double> x, BatchWorkspace& ws) {
+  model.score_batch(ConstMatrixView(x), ws);
+  const auto row = ws.scores.row(0);
+  return {row.begin(), row.end()};
+}
+
 TEST(MultiInstanceModel, PredictsTrainingLabels) {
   Rng rng(1);
   auto data = make_two_class(rng, 150);
   auto model = make_model(rng);
   model.init_train(data.x, data.labels);
 
+  BatchWorkspace ws;
   std::size_t hits = 0;
   for (std::size_t i = 0; i < data.x.rows(); ++i) {
-    const Prediction pred = model.predict(data.x.row(i));
+    const Prediction pred = model.predict(data.x.row(i), ws);
     if (static_cast<int>(pred.label) == data.labels[i]) ++hits;
   }
   EXPECT_GT(static_cast<double>(hits) / data.x.rows(), 0.95);
@@ -64,9 +78,10 @@ TEST(MultiInstanceModel, GeneralizesToHeldOutSamples) {
   auto model = make_model(rng);
   model.init_train(train.x, train.labels);
 
+  BatchWorkspace ws;
   std::size_t hits = 0;
   for (std::size_t i = 0; i < test.x.rows(); ++i) {
-    if (static_cast<int>(model.predict(test.x.row(i)).label) ==
+    if (static_cast<int>(model.predict(test.x.row(i), ws).label) ==
         test.labels[i]) {
       ++hits;
     }
@@ -80,10 +95,10 @@ TEST(MultiInstanceModel, ScoreOfMatchesScoresVector) {
   auto model = make_model(rng);
   model.init_train(data.x, data.labels);
 
-  std::vector<double> scores(2);
-  model.scores(data.x.row(0), scores);
-  EXPECT_DOUBLE_EQ(scores[0], model.score_of(data.x.row(0), 0));
-  EXPECT_DOUBLE_EQ(scores[1], model.score_of(data.x.row(0), 1));
+  BatchWorkspace ws;
+  const std::vector<double> scores = scores_of(model, data.x.row(0), ws);
+  EXPECT_DOUBLE_EQ(scores[0], model.instance(0).score(data.x.row(0)));
+  EXPECT_DOUBLE_EQ(scores[1], model.instance(1).score(data.x.row(0)));
 }
 
 TEST(MultiInstanceModel, PredictionScoreIsMinimum) {
@@ -92,9 +107,9 @@ TEST(MultiInstanceModel, PredictionScoreIsMinimum) {
   auto model = make_model(rng);
   model.init_train(data.x, data.labels);
 
-  const Prediction pred = model.predict(data.x.row(5));
-  std::vector<double> scores(2);
-  model.scores(data.x.row(5), scores);
+  BatchWorkspace ws;
+  const Prediction pred = model.predict(data.x.row(5), ws);
+  const std::vector<double> scores = scores_of(model, data.x.row(5), ws);
   EXPECT_DOUBLE_EQ(pred.score, std::min(scores[0], scores[1]));
 }
 
@@ -106,7 +121,8 @@ TEST(MultiInstanceModel, TrainClosestUpdatesWinningInstance) {
 
   const auto seen_before_0 = model.instance(0).samples_seen();
   const auto seen_before_1 = model.instance(1).samples_seen();
-  const Prediction pred = model.train_closest(data.x.row(0));
+  BatchWorkspace ws;
+  const Prediction pred = model.train_closest(data.x.row(0), ws);
   if (pred.label == 0) {
     EXPECT_EQ(model.instance(0).samples_seen(), seen_before_0 + 1);
     EXPECT_EQ(model.instance(1).samples_seen(), seen_before_1);
@@ -131,8 +147,8 @@ TEST(MultiInstanceModel, InitSequentialGivesUniformScores) {
   model.init_sequential();
   // Zero beta everywhere: both instances give identical MSE = mean(x^2).
   std::vector<double> x{0.5, 0.5, 0.5, 0.5, 0.5, 0.5};
-  std::vector<double> scores(2);
-  model.scores(x, scores);
+  BatchWorkspace ws;
+  const std::vector<double> scores = scores_of(model, x, ws);
   EXPECT_DOUBLE_EQ(scores[0], scores[1]);
   EXPECT_DOUBLE_EQ(scores[0], 0.25);
 }
@@ -153,10 +169,11 @@ TEST(MultiInstanceModel, PermutationSwapsInstances) {
   auto model = make_model(rng);
   model.init_train(data.x, data.labels);
 
-  const Prediction before = model.predict(data.x.row(0));
+  BatchWorkspace ws;
+  const Prediction before = model.predict(data.x.row(0), ws);
   const std::vector<std::size_t> perm{1, 0};
   model.apply_permutation(perm);
-  const Prediction after = model.predict(data.x.row(0));
+  const Prediction after = model.predict(data.x.row(0), ws);
   EXPECT_EQ(after.label, 1 - before.label);
   EXPECT_DOUBLE_EQ(after.score, before.score);
 }
@@ -185,7 +202,8 @@ TEST(MultiInstanceModel, SingleLabelModelWorks) {
     for (std::size_t j = 0; j < 6; ++j) x(i, j) = rng.uniform(0.0, 1.0);
   }
   model.init_train(x, labels);
-  const Prediction pred = model.predict(x.row(0));
+  BatchWorkspace ws;
+  const Prediction pred = model.predict(x.row(0), ws);
   EXPECT_EQ(pred.label, 0u);
   EXPECT_GE(pred.score, 0.0);
 }

@@ -3,16 +3,21 @@
 // training, and the checkpoint's tier field.
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "edgedrift/core/pipeline.hpp"
+#include "edgedrift/data/gaussian_concept.hpp"
+#include "edgedrift/data/stream.hpp"
+#include "edgedrift/eval/paper_configs.hpp"
 #include "edgedrift/io/checkpoint.hpp"
 #include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/linalg/numerics.hpp"
 #include "edgedrift/linalg/quant.hpp"
-#include "edgedrift/linalg/workspace.hpp"
+#include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/util/rng.hpp"
 
@@ -175,7 +180,7 @@ TEST(NumericsTiers, EpochAdvancesOnTierEntryAndTraining) {
   const std::uint64_t after_entry = model.quantization_epoch();
   EXPECT_GE(after_entry, before + 3);
 
-  linalg::KernelWorkspace ws;
+  model::BatchWorkspace ws;
   util::Rng rng(5);
   std::vector<double> x(12);
   for (auto& v : x) v = rng.uniform(0.0, 1.0);
@@ -188,19 +193,22 @@ TEST(NumericsTiers, EpochAdvancesOnTierEntryAndTraining) {
 TEST(NumericsTiers, ReplicaStaysFreshAcrossSmSteps) {
   model::MultiInstanceModel model = make_model(2, 10, 6);
   model.set_numerics_tier(NumericsTier::kQuantI8);
-  linalg::KernelWorkspace ws;
+  model::BatchWorkspace ws;
   util::Rng rng(9);
   std::vector<double> x(10);
   std::vector<double> i8_scores(2), f64_scores(2);
+  const linalg::ConstMatrixView row{std::span<const double>(x)};
   for (int step = 0; step < 50; ++step) {
     for (auto& v : x) v = rng.uniform(0.0, 1.0);
     model.train_closest(std::span<const double>(x), ws);
 
     // The i8 scores must track the exact tier through every re-quantized
     // update: same argmin instance and a small relative score error.
-    model.scores(std::span<const double>(x), i8_scores, ws);
+    model.score_batch(row, ws);
+    linalg::copy(ws.scores.row(0), i8_scores);
     model.set_numerics_tier(NumericsTier::kExactF64);
-    model.scores(std::span<const double>(x), f64_scores, ws);
+    model.score_batch(row, ws);
+    linalg::copy(ws.scores.row(0), f64_scores);
     model.set_numerics_tier(NumericsTier::kQuantI8);
     for (std::size_t c = 0; c < 2; ++c) {
       const double scale = std::max(std::abs(f64_scores[c]), 1e-6);
@@ -250,6 +258,64 @@ TEST(NumericsTiers, CheckpointRecordsAndEnforcesTier) {
   EXPECT_FALSE(
       io::load_pipeline(blob, NumericsTier::kQuantI8, &error).has_value());
   EXPECT_NE(error.find("tier"), std::string::npos) << error;
+}
+
+// The serving layer must not change what a stream decides, at i8 too. On
+// a label-rich stream (C = 23, d = 38, the paper's NSL-KDD pipeline,
+// detect-only) process_rows() in 16-row blocks steps exactly like
+// process(), which scores one row at a time. Seed 6 holds rows whose f64
+// hidden activations sit so close to an i8 code boundary that quantizing
+// their f32 narrowing instead would flip a code.
+TEST(NumericsTiers, I8ProcessRowsBitIdenticalToProcessOnLabelRichStream) {
+  constexpr std::uint64_t kSeed = 6;
+  constexpr std::size_t kClasses = 23;
+  constexpr std::size_t kDim = 38;
+  util::Rng geometry(kSeed * 7919);
+  std::vector<data::GaussianClass> classes(kClasses);
+  for (auto& c : classes) {
+    c.mean.resize(kDim);
+    for (auto& m : c.mean) m = geometry.uniform(-2.0, 2.0);
+    c.stddev = {0.4};
+  }
+  const data::GaussianConcept mixture(std::move(classes));
+  util::Rng fit_rng(kSeed * 31);
+  const data::Dataset fit = data::draw(mixture, 4600, fit_rng);
+  util::Rng stream_rng(kSeed * 97);
+  const data::Dataset stream = data::draw(mixture, 8192, stream_rng);
+
+  core::PipelineConfig config = eval::nsl_kdd_paper_config().pipeline;
+  config.input_dim = kDim;
+  config.num_labels = kClasses;
+  config.detector_initial_count = -1;
+  config.recovery = core::RecoveryPolicy::kDetectOnly;
+  config.numerics = NumericsTier::kQuantI8;
+  config.seed = kSeed;
+
+  core::Pipeline sequential(config);
+  sequential.fit(fit.x, fit.labels);
+  core::Pipeline blocked(config);
+  blocked.fit(fit.x, fit.labels);
+  std::vector<core::PipelineStep> steps;
+  const std::span<const int> labels(stream.labels);
+  for (std::size_t at = 0; at < stream.size(); at += 16) {
+    blocked.process_rows({stream.x, at, at + 16}, labels.subspan(at, 16),
+                         steps);
+  }
+  ASSERT_EQ(steps.size(), stream.size());
+  std::size_t score_diffs = 0;
+  std::size_t label_diffs = 0;
+  std::size_t drift_diffs = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const core::PipelineStep want =
+        sequential.process(stream.x.row(i), stream.labels[i]);
+    score_diffs += steps[i].prediction.score != want.prediction.score;
+    label_diffs += steps[i].prediction.label != want.prediction.label;
+    drift_diffs += steps[i].drift_detected != want.drift_detected;
+  }
+  EXPECT_EQ(score_diffs, 0u);
+  EXPECT_EQ(label_diffs, 0u);
+  EXPECT_EQ(drift_diffs, 0u);
+  EXPECT_EQ(blocked.stats().drifts, sequential.stats().drifts);
 }
 
 }  // namespace

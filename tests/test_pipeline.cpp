@@ -140,9 +140,10 @@ TEST(Pipeline, BaselineWithoutRetrainingStaysDegraded) {
 
   std::size_t tail_hits = 0;
   const std::size_t tail_start = scenario.test.size() * 3 / 4;
+  edgedrift::model::BatchWorkspace ws;
   for (std::size_t i = tail_start; i < scenario.test.size(); ++i) {
     // Query the model directly — no detector, no retraining.
-    const auto pred = pipeline.model().predict(scenario.test.x.row(i));
+    const auto pred = pipeline.model().predict(scenario.test.x.row(i), ws);
     if (static_cast<int>(pred.label) == scenario.test.labels[i]) ++tail_hits;
   }
   const double tail_accuracy =

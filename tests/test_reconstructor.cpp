@@ -10,6 +10,7 @@ using edgedrift::drift::Reconstructor;
 using edgedrift::drift::ReconstructorConfig;
 using edgedrift::drift::ReconstructionPhase;
 using edgedrift::linalg::Matrix;
+using edgedrift::model::BatchWorkspace;
 using edgedrift::model::MultiInstanceModel;
 using edgedrift::oselm::Activation;
 using edgedrift::oselm::make_projection;
@@ -41,13 +42,14 @@ TEST(Reconstructor, PhaseScheduleFollowsAlgorithmTwo) {
   Rng rng(1);
   auto model = make_model(rng);
   Reconstructor recon(small_config(), 2, 4);
+  BatchWorkspace ws;
   recon.begin(model, Matrix(2, 4));
 
   // Counts after increment: 1..9 -> search, 10..59 -> update,
   // 60..99 -> train-nearest, 100..199 -> train-predict, 200 -> done.
   std::vector<ReconstructionPhase> seen;
   for (int i = 1; i < 200; ++i) {
-    const bool running = recon.step(cluster_sample(rng, i % 2, 4), model);
+    const bool running = recon.step(cluster_sample(rng, i % 2, 4), model, ws);
     ASSERT_TRUE(running) << "ended early at " << i;
     seen.push_back(recon.phase());
   }
@@ -61,7 +63,7 @@ TEST(Reconstructor, PhaseScheduleFollowsAlgorithmTwo) {
   EXPECT_EQ(seen[197], ReconstructionPhase::kTrainPredict);
 
   // The 200th step completes the reconstruction.
-  EXPECT_FALSE(recon.step(cluster_sample(rng, 0, 4), model));
+  EXPECT_FALSE(recon.step(cluster_sample(rng, 0, 4), model, ws));
   EXPECT_FALSE(recon.active());
 }
 
@@ -69,6 +71,7 @@ TEST(Reconstructor, CoordinatesConvergeToNewClusters) {
   Rng rng(2);
   auto model = make_model(rng);
   Reconstructor recon(small_config(), 2, 4);
+  BatchWorkspace ws;
   // Seeds sit between the new clusters, as the recent test centroids would
   // after a detected drift (Algorithm 3 assumes coordinates near the data:
   // it maximizes pairwise spread, so a far-away seed would never be
@@ -76,7 +79,7 @@ TEST(Reconstructor, CoordinatesConvergeToNewClusters) {
   recon.begin(model, Matrix(2, 4, 6.0));
 
   int i = 0;
-  while (recon.step(cluster_sample(rng, i++ % 2, 4), model)) {
+  while (recon.step(cluster_sample(rng, i++ % 2, 4), model, ws)) {
   }
 
   // The two coordinates must sit near (5,..) and (9,..) in some order.
@@ -93,10 +96,11 @@ TEST(Reconstructor, ModelLearnsNewConceptDuringReconstruction) {
   Rng rng(3);
   auto model = make_model(rng);
   Reconstructor recon(small_config(), 2, 4);
+  BatchWorkspace ws;
   recon.begin(model, Matrix(2, 4, 6.0));
 
   int i = 0;
-  while (recon.step(cluster_sample(rng, i++ % 2, 4), model)) {
+  while (recon.step(cluster_sample(rng, i++ % 2, 4), model, ws)) {
   }
 
   // After reconstruction the model must separate the two new clusters.
@@ -108,7 +112,7 @@ TEST(Reconstructor, ModelLearnsNewConceptDuringReconstruction) {
   for (int c = 0; c < 2; ++c) {
     int votes[2] = {0, 0};
     for (int t = 0; t < trials; ++t) {
-      const auto pred = model.predict(cluster_sample(rng, c, 4));
+      const auto pred = model.predict(cluster_sample(rng, c, 4), ws);
       ++votes[pred.label];
     }
     label_of_cluster[c] = votes[1] > votes[0] ? 1 : 0;
@@ -123,9 +127,10 @@ TEST(Reconstructor, SuggestedThetaDriftIsPositive) {
   Rng rng(4);
   auto model = make_model(rng);
   Reconstructor recon(small_config(), 2, 4);
+  BatchWorkspace ws;
   recon.begin(model, Matrix(2, 4));
   int i = 0;
-  while (recon.step(cluster_sample(rng, i++ % 2, 4), model)) {
+  while (recon.step(cluster_sample(rng, i++ % 2, 4), model, ws)) {
   }
   EXPECT_GT(recon.suggested_theta_drift(1.0), 0.0);
   // z = 2 threshold must not be below the z = 1 threshold.
@@ -159,11 +164,12 @@ TEST(Reconstructor, SecondReconstructionAfterCompletion) {
   Rng rng(6);
   auto model = make_model(rng);
   Reconstructor recon(small_config(), 2, 4);
+  BatchWorkspace ws;
 
   for (int round = 0; round < 2; ++round) {
     recon.begin(model, recon.coords().centroids());
     int i = 0;
-    while (recon.step(cluster_sample(rng, i++ % 2, 4), model)) {
+    while (recon.step(cluster_sample(rng, i++ % 2, 4), model, ws)) {
     }
     EXPECT_FALSE(recon.active());
   }
@@ -176,10 +182,11 @@ TEST(Reconstructor, SingleLabelReconstruction) {
   auto proj = make_projection(4, 8, Activation::kSigmoid, rng);
   MultiInstanceModel model(1, proj, 1e-2);
   Reconstructor recon(small_config(), 1, 4);
+  BatchWorkspace ws;
   recon.begin(model, Matrix(1, 4));
 
   int i = 0;
-  while (recon.step(cluster_sample(rng, 0, 4), model)) {
+  while (recon.step(cluster_sample(rng, 0, 4), model, ws)) {
     ++i;
   }
   EXPECT_EQ(i + 1, 200);
@@ -192,10 +199,11 @@ TEST(Reconstructor, MemoryIsSmallAndConstant) {
   Rng rng(8);
   auto model = make_model(rng);
   Reconstructor recon(small_config(), 2, 4);
+  BatchWorkspace ws;
   recon.begin(model, Matrix(2, 4));
   const std::size_t before = recon.memory_bytes();
   for (int i = 0; i < 50; ++i) {
-    recon.step(cluster_sample(rng, i % 2, 4), model);
+    recon.step(cluster_sample(rng, i % 2, 4), model, ws);
   }
   EXPECT_EQ(recon.memory_bytes(), before);
   // Two 4-dim coordinates: well under a kilobyte of state.
