@@ -222,11 +222,12 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
 
 /// Scoring-replica footprint per stream at each tier: the bytes of beta a
 /// gateway must keep resident per stream to score it. f64 carries the
-/// packed [L x C*n] master; f32 the narrowed replica; i8 the code matrix
-/// plus one float scale per packed column. (The f64 master also stays
-/// resident in the f32/i8 tiers for training, but scoring-only consumers —
-/// the replicated-stream case the density metric is about — ship only the
-/// replica.)
+/// packed [L x C*n] master; f32 the narrowed replica; i8 the code tiles
+/// plus one float scale per packed column, both with their padding to
+/// whole row quads and column groups (QuantizedMatrix::memory_bytes). (The
+/// f64 master also stays resident in the f32/i8 tiers for training, but
+/// scoring-only consumers — the replicated-stream case the density metric
+/// is about — ship only the replica.)
 void append_stream_density_rows(
     std::vector<edgedrift::bench::KernelRecord>& records) {
   for (const std::size_t c : {std::size_t{2}, std::size_t{5},
@@ -236,9 +237,9 @@ void append_stream_density_rows(
         static_cast<double>(kHidden * packed_cols * sizeof(double));
     const double f32_bytes =
         static_cast<double>(kHidden * packed_cols * sizeof(float));
-    const double i8_bytes = static_cast<double>(
-        kHidden * packed_cols * sizeof(std::int8_t) +
-        packed_cols * sizeof(float));
+    linalg::QuantizedMatrix replica;
+    linalg::quantize(Matrix(kHidden, packed_cols), replica);
+    const double i8_bytes = static_cast<double>(replica.memory_bytes());
     const char* precisions[] = {"f64", "f32", "i8"};
     const double bytes[] = {f64_bytes, f32_bytes, i8_bytes};
     for (int t = 0; t < 3; ++t) {

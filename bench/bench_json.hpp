@@ -8,6 +8,7 @@
 //     "simd": "avx2-fma|neon|portable",
 //     "build_flags": "...",           // compiler flags baked in by CMake
 //     "git_sha": "...",               // commit baked in by CMake
+//     "cpu": "...",                   // host CPU model at run time
 //     "results": [ {"name", "precision", "ns_per_op",
 //                   "samples_per_second", "gflops", "bytes_per_stream"} ]
 //   }
@@ -19,6 +20,7 @@
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -66,6 +68,21 @@ inline std::string extract_json_path(int& argc, char** argv) {
   return extract_path_flag(argc, argv, "--json");
 }
 
+/// The host CPU's model name from /proc/cpuinfo; "unknown" where that file
+/// or its "model name" line is absent.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
 /// Writes the v1 schema. Returns false when the file cannot be opened.
 inline bool write_kernel_json(const std::string& path,
                               const std::string& binary,
@@ -78,6 +95,7 @@ inline bool write_kernel_json(const std::string& path,
   std::fprintf(f, "  \"simd\": \"%s\",\n", linalg::simd::kLevelName);
   std::fprintf(f, "  \"build_flags\": \"%s\",\n", EDGEDRIFT_BUILD_FLAGS);
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", EDGEDRIFT_GIT_SHA);
+  std::fprintf(f, "  \"cpu\": \"%s\",\n", cpu_model().c_str());
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < records.size(); ++i) {
     const KernelRecord& r = records[i];

@@ -7,8 +7,13 @@
 // closes, drift fires iff
 //   dist = sum_c sum_d |cor[c][d] - train_cor[c][d]|  >=  theta_drift.
 //
-// Everything is O(C*D) memory and O(C*D) work per sample — no sample is
-// ever stored, which is the paper's entire memory argument (Table 4).
+// The detector keeps the C per-label L1 terms of `dist`: a windowed sample
+// moves one label's centroid, so it recomputes that one term and sums the C
+// cached terms in label order — O(D + C) work per windowed sample, with the
+// same doubles added in the same order as a full O(C*D) sweep. Every path
+// that rewrites the recent or trained centroids refreshes all C terms.
+// Memory is O(C*D), and no sample is ever stored, which is the paper's
+// entire memory argument (Table 4).
 #pragma once
 
 #include <cstddef>
@@ -97,8 +102,8 @@ class CentroidDetector : public Detector {
   }
 
   /// Drift localization: per-label L1 displacement between the recent and
-  /// trained centroid (the per-label terms of Algorithm 1's `dist`).
-  /// `out` must have length num_labels.
+  /// trained centroid (the per-label terms of Algorithm 1's `dist`, read
+  /// from the cache observe() keeps). `out` must have length num_labels.
   void per_label_distances(std::span<double> out) const;
 
   /// Drift localization: the `k` dimensions contributing the largest
@@ -114,7 +119,8 @@ class CentroidDetector : public Detector {
                double theta_drift);
 
  private:
-  double distance_sum() const;
+  /// Recomputes every label's cached L1 term from recent_ and trained_.
+  void refresh_label_distances();
 
   CentroidDetectorConfig config_;
   double theta_drift_ = 0.0;
@@ -126,6 +132,8 @@ class CentroidDetector : public Detector {
   bool check_ = false;
   std::size_t win_ = 0;
   double last_distance_ = 0.0;
+  /// Per-label L1(recent_.row(c), trained_.row(c)): the C terms of `dist`.
+  std::vector<double> label_distances_;
 
   // calibrate() scratch, reused across re-calibrations (a recovery may
   // calibrate many times over a long stream).

@@ -9,7 +9,9 @@
 //   - portable  otherwise: a 4-wide unrolled-scalar struct the compiler can
 //     autovectorize, with no ISA assumptions beyond plain doubles.
 // Defining EDGEDRIFT_SIMD_FORCE_PORTABLE pins the portable backend even when
-// the compiler flags would allow a vector ISA.
+// the compiler flags would allow a vector ISA. The int8 tile lanes at the
+// end of the file have AVX2 and VNNI forms only; NEON builds run their
+// portable lane.
 //
 // Numerics policy (docs/ARCHITECTURE.md, "Kernel layer & numerics policy"):
 // every per-element accumulation in the kernels is one `madd()` — a fused
@@ -22,9 +24,11 @@
 // comparable to a naive loop.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #if !defined(EDGEDRIFT_SIMD_FORCE_PORTABLE)
 #if defined(__AVX2__) && defined(__FMA__)
@@ -416,96 +420,149 @@ EDGEDRIFT_ALWAYS_INLINE double dot_product(const double* EDGEDRIFT_RESTRICT a,
 }
 
 // --------------------------------------------------------------------------
-// int8 accumulation lanes — the kQuantI8 tier's matvec/GEMM inner loop
+// int8 dot-product tile lanes — the kQuantI8 tier's matvec inner loop
 // (linalg/quant.cpp).
 //
-// Contract: acc[j] += x * row[j] (and the two-row fused form), computed
-// EXACTLY in int32. Integer accumulation is associative, so any lane width,
-// unroll factor or row pairing produces the identical int32 result as the
-// scalar loop — the i8 tier's accumulators stay bit-identical across the
-// portable and native backends by construction. Preconditions: |x| <= 127
-// and |row[j]| <= 127 (the symmetric code domain quantize() emits; -128
-// never appears), so per-element products fit in int16 with headroom for
-// one two-row sum (|x0*r0 + x1*r1| <= 32258 < 32767 — no saturation in the
-// AVX2 maddubs path, no overflow in the NEON int16 path).
+// Tiles (QuantizedMatrix in linalg/quant.hpp): a k x n code matrix is cut
+// into column groups of kI8TileCols = 8 outputs and row quads of
+// kI8TileRows = 4 rows. Each (group, quad) pair is one kI8TileBytes = 32-byte
+// tile whose bytes 4j..4j+3 hold column j's codes of rows 4q..4q+3,
+// zero-padded past row k and column n, and a group's tiles are contiguous
+// in quad order. A tile's 32-bit lane j is thus one column's quad, the
+// operand of a 4-way byte dot product; a group's eight int32 sums stay in
+// one register across every quad, and each output is written once.
+//
+// Contract: y[j] = float(sum_i x[i] * code(i, j)) * x_scale * scales[j] for
+// j < n, the sum computed EXACTLY in int32 (2^16 terms x 127^2 < 2^31) and
+// the dequant multiplied in that order. Integer addition is associative, so
+// every lane writes the bit-identical float of the scalar loop — the i8
+// tier stays bit-identical across the portable and native backends by
+// construction. Preconditions: x and every code in [-127, 127] (-128 never
+// appears, so |x| and -code are exact bytes), `tiles` holds
+// col_groups x row_quads tiles and `scales` col_groups * 8 floats.
+//
+// Three lanes, each callable directly (tests/test_simd_kernels.cpp runs all
+// that the build compiles): the portable loop in every build, the AVX2
+// maddubs lane in AVX2 builds, and the VNNI lane behind i8_vnni_available().
+// quant.cpp dispatches to the best of them.
 // --------------------------------------------------------------------------
+
+inline constexpr std::size_t kI8TileCols = 8;
+inline constexpr std::size_t kI8TileRows = 4;
+inline constexpr std::size_t kI8TileBytes = kI8TileCols * kI8TileRows;
+
+/// Portable lane: plain loops, exact by definition.
+inline void i8_tiles_dequant_portable(
+    const std::int8_t* EDGEDRIFT_RESTRICT tiles,
+    const std::int8_t* EDGEDRIFT_RESTRICT x, std::size_t k, std::size_t n,
+    float x_scale, const float* EDGEDRIFT_RESTRICT scales,
+    float* EDGEDRIFT_RESTRICT y) {
+  const std::size_t quads = (k + kI8TileRows - 1) / kI8TileRows;
+  for (std::size_t col = 0; col < n; col += kI8TileCols) {
+    std::int32_t acc[kI8TileCols] = {};
+    for (std::size_t q = 0; q < quads; ++q, tiles += kI8TileBytes) {
+      // The quad's codes, zero past k like the tile rows they meet.
+      std::int32_t xq[kI8TileRows] = {};
+      const std::size_t rows = std::min(kI8TileRows, k - q * kI8TileRows);
+      for (std::size_t i = 0; i < rows; ++i) xq[i] = x[q * kI8TileRows + i];
+      for (std::size_t j = 0; j < kI8TileCols; ++j) {
+        const std::int8_t* lane = tiles + j * kI8TileRows;
+        acc[j] += xq[0] * lane[0] + xq[1] * lane[1] + xq[2] * lane[2] +
+                  xq[3] * lane[3];
+      }
+    }
+    const std::size_t width = std::min(kI8TileCols, n - col);
+    for (std::size_t j = 0; j < width; ++j) {
+      y[col + j] = static_cast<float>(acc[j]) * x_scale * scales[col + j];
+    }
+  }
+}
 
 #if defined(EDGEDRIFT_SIMD_AVX2)
 
-/// acc[0:n] += x * row[0:n], exact int32. 16 codes per step: sign-extend to
-/// int16, mullo (exact — |x*r| <= 16129), widen to int32, add.
-EDGEDRIFT_ALWAYS_INLINE void i8_scaled_accumulate(
-    std::int32_t x, const std::int8_t* EDGEDRIFT_RESTRICT row,
-    std::int32_t* EDGEDRIFT_RESTRICT acc, std::size_t n) {
-  const __m256i vx = _mm256_set1_epi16(static_cast<short>(x));
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const __m128i r8 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + j));
-    const __m256i prod = _mm256_mullo_epi16(vx, _mm256_cvtepi8_epi16(r8));
-    const __m256i lo32 =
-        _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod));
-    const __m256i hi32 =
-        _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1));
-    __m256i* a0 = reinterpret_cast<__m256i*>(acc + j);
-    __m256i* a1 = reinterpret_cast<__m256i*>(acc + j + 8);
-    _mm256_storeu_si256(a0, _mm256_add_epi32(_mm256_loadu_si256(a0), lo32));
-    _mm256_storeu_si256(a1, _mm256_add_epi32(_mm256_loadu_si256(a1), hi32));
-  }
-  for (; j < n; ++j) acc[j] += x * static_cast<std::int32_t>(row[j]);
+namespace detail {
+
+/// Codes x[0..3] as one 32-bit word: byte i holds row i of the quad, the
+/// byte a tile's lane j holds for column j.
+EDGEDRIFT_ALWAYS_INLINE std::int32_t i8_quad_word(const std::int8_t* x) {
+  std::int32_t word;
+  std::memcpy(&word, x, sizeof(word));
+  return word;
 }
 
-/// acc[0:n] += x0 * row0[0:n] + x1 * row1[0:n], exact int32. The maddubs
-/// scheme: interleave the two rows byte-wise so each 16-bit lane holds one
-/// output's (row0[j], row1[j]) pair, put |x0|,|x1| in the unsigned operand
-/// and push the signs of x0/x1 onto the row bytes via sign_epi8 — then
-/// maddubs computes |x0|*sgn(x0)*row0[j] + |x1|*sgn(x1)*row1[j] =
-/// x0*row0[j] + x1*row1[j] per lane, saturation-free by the |sum| <= 32258
-/// bound above.
-EDGEDRIFT_ALWAYS_INLINE void i8_scaled_accumulate2(
-    std::int32_t x0, const std::int8_t* EDGEDRIFT_RESTRICT row0,
-    std::int32_t x1, const std::int8_t* EDGEDRIFT_RESTRICT row1,
-    std::int32_t* EDGEDRIFT_RESTRICT acc, std::size_t n) {
-  const int a0 = x0 < 0 ? -x0 : x0;
-  const int a1 = x1 < 0 ? -x1 : x1;
-  const __m256i vmag =
-      _mm256_set1_epi16(static_cast<short>(a0 | (a1 << 8)));
-  const int s0 = (x0 > 0) - (x0 < 0);
-  const int s1 = (x1 > 0) - (x1 < 0);
-  const __m256i vsign =
-      _mm256_set1_epi16(static_cast<short>((s0 & 0xff) | (s1 << 8)));
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const __m128i r0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row0 + j));
-    const __m128i r1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row1 + j));
-    const __m256i inter = _mm256_set_m128i(_mm_unpackhi_epi8(r0, r1),
-                                           _mm_unpacklo_epi8(r0, r1));
-    const __m256i prod =
-        _mm256_maddubs_epi16(vmag, _mm256_sign_epi8(inter, vsign));
-    const __m256i lo32 =
-        _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod));
-    const __m256i hi32 =
-        _mm256_cvtepi16_epi32(_mm256_extracti128_si256(prod, 1));
-    __m256i* p0 = reinterpret_cast<__m256i*>(acc + j);
-    __m256i* p1 = reinterpret_cast<__m256i*>(acc + j + 8);
-    _mm256_storeu_si256(p0, _mm256_add_epi32(_mm256_loadu_si256(p0), lo32));
-    _mm256_storeu_si256(p1, _mm256_add_epi32(_mm256_loadu_si256(p1), hi32));
+/// The last quad's word when k is not a multiple of 4 (its rows past k
+/// zero), else 0.
+EDGEDRIFT_ALWAYS_INLINE std::int32_t i8_tail_word(const std::int8_t* x,
+                                                  std::size_t k) {
+  std::int8_t bytes[kI8TileRows] = {};
+  const std::size_t full = k - k % kI8TileRows;
+  std::memcpy(bytes, x + full, k - full);
+  return i8_quad_word(bytes);
+}
+
+/// One AVX2 tile step: |x|'s quad is the unsigned maddubs operand and x's
+/// signs are pushed onto the tile bytes (sign_epi8), so maddubs forms each
+/// column's pair sums x0*c0 + x1*c1 and x2*c2 + x3*c3 in int16 — at most
+/// 2 * 127^2 = 32258, no saturation — and madd_epi16 against ones adds the
+/// two into the column's int32 lane.
+EDGEDRIFT_ALWAYS_INLINE __m256i i8_tile_step_avx2(__m256i acc, __m256i xq,
+                                                  const std::int8_t* tile) {
+  const __m256i t = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tile));
+  const __m256i pairs =
+      _mm256_maddubs_epi16(_mm256_abs_epi8(xq), _mm256_sign_epi8(t, xq));
+  return _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, _mm256_set1_epi16(1)));
+}
+
+/// Writes the group starting at column `col`: float(acc) * x_scale *
+/// scales, all eight outputs when the group is full, the n - col that
+/// exist when it is the last, partial one.
+EDGEDRIFT_ALWAYS_INLINE void i8_store_group(__m256i acc, __m256 vxs,
+                                            const float* scales, float* y,
+                                            std::size_t col, std::size_t n) {
+  const __m256 out = _mm256_mul_ps(
+      _mm256_mul_ps(_mm256_cvtepi32_ps(acc), vxs), _mm256_loadu_ps(scales));
+  if (col + kI8TileCols <= n) {
+    _mm256_storeu_ps(y + col, out);
+    return;
   }
-  for (; j < n; ++j) {
-    acc[j] += x0 * static_cast<std::int32_t>(row0[j]) +
-              x1 * static_cast<std::int32_t>(row1[j]);
+  alignas(32) float tail[kI8TileCols];
+  _mm256_store_ps(tail, out);
+  std::memcpy(y + col, tail, (n - col) * sizeof(float));
+}
+
+}  // namespace detail
+
+/// AVX2 lane: one maddubs + madd_epi16 step per tile
+/// (detail::i8_tile_step_avx2).
+inline void i8_tiles_dequant_avx2(const std::int8_t* EDGEDRIFT_RESTRICT tiles,
+                                  const std::int8_t* EDGEDRIFT_RESTRICT x,
+                                  std::size_t k, std::size_t n, float x_scale,
+                                  const float* EDGEDRIFT_RESTRICT scales,
+                                  float* EDGEDRIFT_RESTRICT y) {
+  const std::size_t full = k / kI8TileRows;
+  const bool tail = k % kI8TileRows != 0;
+  const __m256i x_tail = _mm256_set1_epi32(detail::i8_tail_word(x, k));
+  const __m256 vxs = _mm256_set1_ps(x_scale);
+  for (std::size_t col = 0; col < n; col += kI8TileCols) {
+    __m256i acc = _mm256_setzero_si256();
+    for (std::size_t q = 0; q < full; ++q, tiles += kI8TileBytes) {
+      const __m256i xq =
+          _mm256_set1_epi32(detail::i8_quad_word(x + q * kI8TileRows));
+      acc = detail::i8_tile_step_avx2(acc, xq, tiles);
+    }
+    if (tail) {
+      acc = detail::i8_tile_step_avx2(acc, x_tail, tiles);
+      tiles += kI8TileBytes;
+    }
+    detail::i8_store_group(acc, vxs, scales + col, y, col, n);
   }
 }
 
 #if defined(__GNUC__) || defined(__clang__)
-// AVX-VNNI four-row lane: vpdpbusd fuses the byte multiply, the four-way
-// lane sum AND the int32 accumulate in one instruction, with no int16
-// saturation stage at all (maddubs saturates; the two-row pairing above
-// exists to stay under that bound). Compiled behind a function-level target
-// attribute so the binary still runs on plain-AVX2 hosts; callers must gate
-// on i8_vnni_available().
+// VNNI lane: vpdpbusd fuses the byte multiply, the 4-way lane sum and the
+// int32 accumulate in one instruction, with no int16 stage to saturate.
+// Compiled behind a function-level target attribute so the binary still
+// runs on plain-AVX2 hosts; callers must gate on i8_vnni_available().
 #define EDGEDRIFT_HAVE_I8_VNNI 1
 
 /// Runtime gate for the VNNI lane, resolved once per process.
@@ -515,146 +572,42 @@ inline bool i8_vnni_available() {
   return available;
 }
 
-/// acc[0:n] += sum_k x[k] * rows[k][0:n] for four rows, exact int32.
-/// Column-major byte interleave puts (row0[j], row1[j], row2[j], row3[j])
-/// into one 32-bit lane; |x|s ride in the unsigned vpdpbusd operand and
-/// their signs are pushed onto the row bytes (sign_epi8), so each lane
-/// accumulates x0*r0[j] + x1*r1[j] + x2*r2[j] + x3*r3[j]. The four-product
-/// sum is bounded by 4 * 127 * 127 = 64516 and vpdpbusd widens to int32
-/// before adding — no saturation anywhere, so the result is bit-identical
-/// to the scalar loop (integer accumulation is associative).
+/// One VNNI tile step: the AVX2 step's sign trick with one vpdpbusd; the
+/// four-product sum per lane is at most 4 * 127^2 = 64516 and is widened
+/// before it is added.
+__attribute__((target("avx512vnni,avx512vl"))) EDGEDRIFT_ALWAYS_INLINE __m256i
+i8_tile_step_vnni(__m256i acc, __m256i xq, const std::int8_t* tile) {
+  const __m256i t = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tile));
+  return _mm256_dpbusd_epi32(acc, _mm256_abs_epi8(xq), _mm256_sign_epi8(t, xq));
+}
+
+/// VNNI lane: the AVX2 lane's loop with i8_tile_step_vnni.
 __attribute__((target("avx512vnni,avx512vl"))) inline void
-i8_scaled_accumulate4_vnni(const std::int32_t* EDGEDRIFT_RESTRICT x,
-                           const std::int8_t* const* EDGEDRIFT_RESTRICT rows,
-                           std::int32_t* EDGEDRIFT_RESTRICT acc,
-                           std::size_t n) {
-  const auto mag = [](std::int32_t v) {
-    return static_cast<std::uint32_t>(v < 0 ? -v : v);
-  };
-  const auto sgn = [](std::int32_t v) { return v < 0 ? -1 : 1; };
-  const __m256i vmag = _mm256_set1_epi32(static_cast<int>(
-      mag(x[0]) | (mag(x[1]) << 8) | (mag(x[2]) << 16) | (mag(x[3]) << 24)));
-  const __m256i vsign = _mm256_set1_epi32(
-      static_cast<int>((sgn(x[0]) & 0xff) | ((sgn(x[1]) & 0xff) << 8) |
-                       ((sgn(x[2]) & 0xff) << 16) |
-                       (static_cast<std::uint32_t>(sgn(x[3]) & 0xff) << 24)));
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const __m128i r0 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[0] + j));
-    const __m128i r1 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[1] + j));
-    const __m128i r2 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[2] + j));
-    const __m128i r3 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[3] + j));
-    // Byte interleave to column-major: lane j holds r0[j],r1[j],r2[j],r3[j].
-    const __m128i ab_lo = _mm_unpacklo_epi8(r0, r1);
-    const __m128i ab_hi = _mm_unpackhi_epi8(r0, r1);
-    const __m128i cd_lo = _mm_unpacklo_epi8(r2, r3);
-    const __m128i cd_hi = _mm_unpackhi_epi8(r2, r3);
-    const __m256i cols0 =
-        _mm256_set_m128i(_mm_unpackhi_epi16(ab_lo, cd_lo),
-                         _mm_unpacklo_epi16(ab_lo, cd_lo));  // cols j..j+7
-    const __m256i cols1 =
-        _mm256_set_m128i(_mm_unpackhi_epi16(ab_hi, cd_hi),
-                         _mm_unpacklo_epi16(ab_hi, cd_hi));  // cols j+8..j+15
-    __m256i* p0 = reinterpret_cast<__m256i*>(acc + j);
-    __m256i* p1 = reinterpret_cast<__m256i*>(acc + j + 8);
-    _mm256_storeu_si256(
-        p0, _mm256_dpbusd_epi32(_mm256_loadu_si256(p0), vmag,
-                                _mm256_sign_epi8(cols0, vsign)));
-    _mm256_storeu_si256(
-        p1, _mm256_dpbusd_epi32(_mm256_loadu_si256(p1), vmag,
-                                _mm256_sign_epi8(cols1, vsign)));
-  }
-  for (; j < n; ++j) {
-    acc[j] += x[0] * static_cast<std::int32_t>(rows[0][j]) +
-              x[1] * static_cast<std::int32_t>(rows[1][j]) +
-              x[2] * static_cast<std::int32_t>(rows[2][j]) +
-              x[3] * static_cast<std::int32_t>(rows[3][j]);
+i8_tiles_dequant_vnni(const std::int8_t* EDGEDRIFT_RESTRICT tiles,
+                      const std::int8_t* EDGEDRIFT_RESTRICT x, std::size_t k,
+                      std::size_t n, float x_scale,
+                      const float* EDGEDRIFT_RESTRICT scales,
+                      float* EDGEDRIFT_RESTRICT y) {
+  const std::size_t full = k / kI8TileRows;
+  const bool tail = k % kI8TileRows != 0;
+  const __m256i x_tail = _mm256_set1_epi32(detail::i8_tail_word(x, k));
+  const __m256 vxs = _mm256_set1_ps(x_scale);
+  for (std::size_t col = 0; col < n; col += kI8TileCols) {
+    __m256i acc = _mm256_setzero_si256();
+    for (std::size_t q = 0; q < full; ++q, tiles += kI8TileBytes) {
+      const __m256i xq =
+          _mm256_set1_epi32(detail::i8_quad_word(x + q * kI8TileRows));
+      acc = i8_tile_step_vnni(acc, xq, tiles);
+    }
+    if (tail) {
+      acc = i8_tile_step_vnni(acc, x_tail, tiles);
+      tiles += kI8TileBytes;
+    }
+    detail::i8_store_group(acc, vxs, scales + col, y, col, n);
   }
 }
 #endif  // __GNUC__ || __clang__
 
-#elif defined(EDGEDRIFT_SIMD_NEON)
-
-/// acc[0:n] += x * row[0:n], exact int32. 16 codes per step via the
-/// widening multiply-accumulate (vmlal): int8 -> int16 -> int32.
-EDGEDRIFT_ALWAYS_INLINE void i8_scaled_accumulate(
-    std::int32_t x, const std::int8_t* EDGEDRIFT_RESTRICT row,
-    std::int32_t* EDGEDRIFT_RESTRICT acc, std::size_t n) {
-  const std::int16_t xs = static_cast<std::int16_t>(x);
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const int8x16_t r = vld1q_s8(row + j);
-    const int16x8_t lo = vmovl_s8(vget_low_s8(r));
-    const int16x8_t hi = vmovl_s8(vget_high_s8(r));
-    vst1q_s32(acc + j,
-              vmlal_n_s16(vld1q_s32(acc + j), vget_low_s16(lo), xs));
-    vst1q_s32(acc + j + 4,
-              vmlal_n_s16(vld1q_s32(acc + j + 4), vget_high_s16(lo), xs));
-    vst1q_s32(acc + j + 8,
-              vmlal_n_s16(vld1q_s32(acc + j + 8), vget_low_s16(hi), xs));
-    vst1q_s32(acc + j + 12,
-              vmlal_n_s16(vld1q_s32(acc + j + 12), vget_high_s16(hi), xs));
-  }
-  for (; j < n; ++j) acc[j] += x * static_cast<std::int32_t>(row[j]);
-}
-
-/// acc[0:n] += x0 * row0[0:n] + x1 * row1[0:n], exact int32. Fuses the
-/// per-element pair sum in int16 (|x0*r0 + x1*r1| <= 32258 — no overflow),
-/// then widen-adds into the int32 accumulators.
-EDGEDRIFT_ALWAYS_INLINE void i8_scaled_accumulate2(
-    std::int32_t x0, const std::int8_t* EDGEDRIFT_RESTRICT row0,
-    std::int32_t x1, const std::int8_t* EDGEDRIFT_RESTRICT row1,
-    std::int32_t* EDGEDRIFT_RESTRICT acc, std::size_t n) {
-  const std::int16_t xs0 = static_cast<std::int16_t>(x0);
-  const std::int16_t xs1 = static_cast<std::int16_t>(x1);
-  std::size_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    const int8x16_t r0 = vld1q_s8(row0 + j);
-    const int8x16_t r1 = vld1q_s8(row1 + j);
-    const int16x8_t lo = vmlaq_n_s16(
-        vmulq_n_s16(vmovl_s8(vget_low_s8(r0)), xs0),
-        vmovl_s8(vget_low_s8(r1)), xs1);
-    const int16x8_t hi = vmlaq_n_s16(
-        vmulq_n_s16(vmovl_s8(vget_high_s8(r0)), xs0),
-        vmovl_s8(vget_high_s8(r1)), xs1);
-    vst1q_s32(acc + j, vaddw_s16(vld1q_s32(acc + j), vget_low_s16(lo)));
-    vst1q_s32(acc + j + 4,
-              vaddw_s16(vld1q_s32(acc + j + 4), vget_high_s16(lo)));
-    vst1q_s32(acc + j + 8,
-              vaddw_s16(vld1q_s32(acc + j + 8), vget_low_s16(hi)));
-    vst1q_s32(acc + j + 12,
-              vaddw_s16(vld1q_s32(acc + j + 12), vget_high_s16(hi)));
-  }
-  for (; j < n; ++j) {
-    acc[j] += x0 * static_cast<std::int32_t>(row0[j]) +
-              x1 * static_cast<std::int32_t>(row1[j]);
-  }
-}
-
-#else  // portable: plain loops, exact by definition, autovectorizable.
-
-EDGEDRIFT_ALWAYS_INLINE void i8_scaled_accumulate(
-    std::int32_t x, const std::int8_t* EDGEDRIFT_RESTRICT row,
-    std::int32_t* EDGEDRIFT_RESTRICT acc, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    acc[j] += x * static_cast<std::int32_t>(row[j]);
-  }
-}
-
-EDGEDRIFT_ALWAYS_INLINE void i8_scaled_accumulate2(
-    std::int32_t x0, const std::int8_t* EDGEDRIFT_RESTRICT row0,
-    std::int32_t x1, const std::int8_t* EDGEDRIFT_RESTRICT row1,
-    std::int32_t* EDGEDRIFT_RESTRICT acc, std::size_t n) {
-  for (std::size_t j = 0; j < n; ++j) {
-    acc[j] += x0 * static_cast<std::int32_t>(row0[j]) +
-              x1 * static_cast<std::int32_t>(row1[j]);
-  }
-}
-
-#endif
+#endif  // EDGEDRIFT_SIMD_AVX2
 
 }  // namespace edgedrift::linalg::simd

@@ -49,8 +49,7 @@ struct BatchWorkspace {
   linalg::MatrixF32 hidden_f32;  ///< f32: narrowed hidden activations.
   linalg::MatrixF32 input_f32;   ///< Narrowed input rows (f32 MSE operand).
   linalg::MatrixF32 recon_f32;   ///< f32/i8 fused reconstruction.
-  linalg::AlignedVector<std::int8_t> q_row;   ///< i8: one row's hidden codes.
-  linalg::AlignedVector<std::int32_t> accum;  ///< i8: int32 accumulators.
+  linalg::AlignedVector<std::int8_t> q_row;  ///< i8: one row's hidden codes.
 
   // Chunked-training gather scratch: one winner bucket is gathered at a
   // time, so the buffers are sized by the chunk, not the batch.
@@ -74,11 +73,8 @@ struct BatchWorkspace {
     if (tier == linalg::NumericsTier::kFastF32) {
       hidden_f32.resize_zero(rows, hidden_dim);
     }
-    if (tier == linalg::NumericsTier::kQuantI8) {
-      if (q_row.size() < hidden_dim) q_row.resize(hidden_dim);
-      if (accum.size() < num_labels * input_dim) {
-        accum.resize(num_labels * input_dim);
-      }
+    if (tier == linalg::NumericsTier::kQuantI8 && q_row.size() < hidden_dim) {
+      q_row.resize(hidden_dim);
     }
   }
 
@@ -224,8 +220,8 @@ class MultiInstanceModel {
 
   /// The f32 shadow replica (valid while the f32 tier is active).
   const linalg::MatrixF32& packed_beta_f32() const { return packed_beta_f32_; }
-  /// The int8 replica with per-column scales (valid while the i8 tier is
-  /// active).
+  /// The int8 replica: dot-product tiles of codes with per-column scales
+  /// (valid while the i8 tier is active).
   const linalg::QuantizedMatrix& packed_beta_q() const {
     return packed_beta_q_;
   }

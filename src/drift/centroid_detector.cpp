@@ -15,7 +15,8 @@ CentroidDetector::CentroidDetector(CentroidDetectorConfig config)
       trained_(config.num_labels, config.dim),
       recent_(config.num_labels, config.dim),
       counts_(config.num_labels, 0),
-      calibrated_counts_(config.num_labels, 0) {
+      calibrated_counts_(config.num_labels, 0),
+      label_distances_(config.num_labels, 0.0) {
   EDGEDRIFT_ASSERT(config_.num_labels > 0, "need at least one label");
   EDGEDRIFT_ASSERT(config_.dim > 0, "dim must be positive");
   EDGEDRIFT_ASSERT(config_.window_size > 0, "window size must be positive");
@@ -89,6 +90,8 @@ Detection CentroidDetector::observe(const Observation& obs) {
 
   // Lines 11-19: inside an open window, fold the sample into the recent
   // centroid of its predicted label and re-evaluate the summed displacement.
+  // Only label c's centroid moved, so only its term is recomputed; the sum
+  // adds the same C doubles in the same label order as a full sweep.
   if (check_ && win_ < config_.window_size) {
     const auto c = static_cast<std::size_t>(obs.predicted_label);
     if (config_.ewma_decay > 0.0) {
@@ -98,7 +101,10 @@ Detection CentroidDetector::observe(const Observation& obs) {
       linalg::running_mean_update(recent_.row(c), obs.x, counts_[c]);
       ++counts_[c];
     }
-    last_distance_ = distance_sum();
+    label_distances_[c] = linalg::l1_distance(recent_.row(c), trained_.row(c));
+    double total = 0.0;
+    for (const double d : label_distances_) total += d;
+    last_distance_ = total;
     ++win_;
     if (win_ == config_.window_size) {
       result.statistic = last_distance_;
@@ -112,20 +118,16 @@ Detection CentroidDetector::observe(const Observation& obs) {
   return result;
 }
 
-double CentroidDetector::distance_sum() const {
-  double total = 0.0;
+void CentroidDetector::refresh_label_distances() {
   for (std::size_t c = 0; c < config_.num_labels; ++c) {
-    total += linalg::l1_distance(recent_.row(c), trained_.row(c));
+    label_distances_[c] = linalg::l1_distance(recent_.row(c), trained_.row(c));
   }
-  return total;
 }
 
 void CentroidDetector::per_label_distances(std::span<double> out) const {
   EDGEDRIFT_ASSERT(out.size() == config_.num_labels,
                    "output arity mismatch");
-  for (std::size_t c = 0; c < config_.num_labels; ++c) {
-    out[c] = linalg::l1_distance(recent_.row(c), trained_.row(c));
-  }
+  std::copy(label_distances_.begin(), label_distances_.end(), out.begin());
 }
 
 std::vector<std::size_t> CentroidDetector::top_drifted_dimensions(
@@ -161,6 +163,7 @@ void CentroidDetector::reset() {
   check_ = false;
   win_ = 0;
   last_distance_ = 0.0;
+  refresh_label_distances();
 }
 
 void CentroidDetector::rebuild_reference(const linalg::Matrix& x) {
@@ -208,12 +211,14 @@ void CentroidDetector::restore(const linalg::Matrix& trained,
   check_ = false;
   win_ = 0;
   last_distance_ = 0.0;
+  refresh_label_distances();
 }
 
 std::size_t CentroidDetector::memory_bytes() const {
   return trained_.memory_bytes() + recent_.memory_bytes() +
          (counts_.capacity() + calibrated_counts_.capacity()) *
-             sizeof(std::size_t);
+             sizeof(std::size_t) +
+         label_distances_.capacity() * sizeof(double);
 }
 
 }  // namespace edgedrift::drift

@@ -1,9 +1,8 @@
-// int8 quantization kernels (see quant.hpp for the scheme and the error
-// model). The integer accumulations run on the simd.hpp i8 lanes (AVX2
-// maddubs / NEON widening-mla / portable scalar): they are exact in int32,
-// so lane width and the two-row pairing below cannot change the result —
-// every backend produces the bit-identical accumulator the scalar loop
-// would.
+// int8 quantization kernels (see quant.hpp for the scheme, the tile layout
+// and the error model). The integer dot products run on the simd.hpp tile
+// lanes (VNNI vpdpbusd / AVX2 maddubs / portable loop): they are exact in
+// int32, so the lane cannot change the result — every backend produces the
+// bit-identical output the scalar loop would.
 #include "edgedrift/linalg/quant.hpp"
 
 #include <algorithm>
@@ -48,12 +47,13 @@ void quantize_columns(const Matrix& src, QuantizedMatrix& out,
   float* scales = out.scales.data() + col_begin;
   column_maxabs(src, col_begin, col_end, scales);
   for (std::size_t j = 0; j < width; ++j) scales[j] /= kQMax;
+  std::int8_t* tiles = out.tiles.data();
   for (std::size_t r = 0; r < src.rows(); ++r) {
     const double* srow = src.data() + r * src.cols() + col_begin;
-    std::int8_t* qrow = out.q.data() + r * out.q.cols() + col_begin;
     for (std::size_t j = 0; j < width; ++j) {
-      qrow[j] = scales[j] == 0.0f ? std::int8_t{0}
-                                  : encode(srow[j], 1.0f / scales[j]);
+      tiles[out.tile_offset(r, col_begin + j)] =
+          scales[j] == 0.0f ? std::int8_t{0}
+                            : encode(srow[j], 1.0f / scales[j]);
     }
   }
 }
@@ -61,14 +61,13 @@ void quantize_columns(const Matrix& src, QuantizedMatrix& out,
 }  // namespace
 
 void quantize(const Matrix& src, QuantizedMatrix& out) {
-  out.q.resize_discard(src.rows(), src.cols());
-  if (out.scales.size() < src.cols()) out.scales.resize(src.cols());
+  out.reshape(src.rows(), src.cols());
   quantize_columns(src, out, 0, src.cols());
 }
 
 void quantize_block(const Matrix& src, QuantizedMatrix& out,
                     std::size_t col_begin, std::size_t width) {
-  EDGEDRIFT_ASSERT(out.q.rows() == src.rows() && out.q.cols() == src.cols(),
+  EDGEDRIFT_ASSERT(out.rows() == src.rows() && out.cols() == src.cols(),
                    "quantize_block shape mismatch");
   EDGEDRIFT_ASSERT(col_begin + width <= src.cols(),
                    "quantize_block column range out of bounds");
@@ -91,80 +90,28 @@ float quantize_vector(std::span<const double> x, std::span<std::int8_t> q) {
 
 void i8_matvec_transposed_dequant(const QuantizedMatrix& a,
                                   std::span<const std::int8_t> q_x,
-                                  float x_scale, std::span<std::int32_t> acc,
-                                  std::span<float> y) {
+                                  float x_scale, std::span<float> y) {
   EDGEDRIFT_ASSERT(a.rows() == q_x.size(), "i8 matvec_t input size mismatch");
   EDGEDRIFT_ASSERT(a.cols() == y.size(), "i8 matvec_t output size mismatch");
-  EDGEDRIFT_ASSERT(acc.size() >= a.cols(), "i8 matvec_t scratch too small");
-  const std::size_t n = a.cols();
-  std::int32_t* EDGEDRIFT_RESTRICT ap = acc.data();
-  std::fill(ap, ap + n, 0);
 #if defined(EDGEDRIFT_HAVE_I8_VNNI)
   if (simd::i8_vnni_available()) {
-    // Quad dispatch for the VNNI lane: gather the next four nonzero rows,
-    // feed them through vpdpbusd (exact int32 — same accumulator the pair
-    // path produces), then flush any sub-quad remainder through the
-    // maddubs kernels. All three paths are bit-identical.
-    std::int32_t xs[4];
-    const std::int8_t* rows[4];
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      if (q_x[i] == 0) continue;
-      xs[k] = q_x[i];
-      rows[k] = a.q.data() + i * n;
-      if (++k == 4) {
-        simd::i8_scaled_accumulate4_vnni(xs, rows, ap, n);
-        k = 0;
-      }
-    }
-    if (k >= 2) {
-      simd::i8_scaled_accumulate2(static_cast<std::int8_t>(xs[0]), rows[0],
-                                  static_cast<std::int8_t>(xs[1]), rows[1],
-                                  ap, n);
-      if (k == 3) {
-        simd::i8_scaled_accumulate(static_cast<std::int8_t>(xs[2]), rows[2],
-                                   ap, n);
-      }
-    } else if (k == 1) {
-      simd::i8_scaled_accumulate(static_cast<std::int8_t>(xs[0]), rows[0],
-                                 ap, n);
-    }
-    const float* EDGEDRIFT_RESTRICT vsp = a.scales.data();
-    for (std::size_t j = 0; j < n; ++j) {
-      y[j] = static_cast<float>(ap[j]) * x_scale * vsp[j];
-    }
+    simd::i8_tiles_dequant_vnni(a.tiles.data(), q_x.data(), a.rows(),
+                                a.cols(), x_scale, a.scales.data(), y.data());
     return;
   }
 #endif
-  // Row-pair dispatch: zero codes contribute nothing and are skipped; the
-  // surviving rows go through the fused two-row kernel (one pass over the
-  // accumulators per pair) with a single-row call for the odd tail.
-  std::size_t i = 0;
-  while (i < a.rows()) {
-    if (q_x[i] == 0) {
-      ++i;
-      continue;
-    }
-    std::size_t i2 = i + 1;
-    while (i2 < a.rows() && q_x[i2] == 0) ++i2;
-    if (i2 < a.rows()) {
-      simd::i8_scaled_accumulate2(q_x[i], a.q.data() + i * n, q_x[i2],
-                                  a.q.data() + i2 * n, ap, n);
-      i = i2 + 1;
-    } else {
-      simd::i8_scaled_accumulate(q_x[i], a.q.data() + i * n, ap, n);
-      i = i2;
-    }
-  }
-  const float* EDGEDRIFT_RESTRICT sp = a.scales.data();
-  for (std::size_t j = 0; j < n; ++j) {
-    y[j] = static_cast<float>(ap[j]) * x_scale * sp[j];
-  }
+#if defined(EDGEDRIFT_SIMD_AVX2)
+  simd::i8_tiles_dequant_avx2(a.tiles.data(), q_x.data(), a.rows(), a.cols(),
+                              x_scale, a.scales.data(), y.data());
+#else
+  simd::i8_tiles_dequant_portable(a.tiles.data(), q_x.data(), a.rows(),
+                                  a.cols(), x_scale, a.scales.data(),
+                                  y.data());
+#endif
 }
 
 void i8_gemm_dequant(ConstMatrixView a, const QuantizedMatrix& b,
-                     MatrixF32& c, std::span<std::int8_t> q_row,
-                     std::span<std::int32_t> acc) {
+                     MatrixF32& c, std::span<std::int8_t> q_row) {
   EDGEDRIFT_ASSERT(a.cols() == b.rows(), "i8 gemm shape mismatch");
   EDGEDRIFT_ASSERT(q_row.size() >= a.cols(), "i8 gemm row scratch too small");
   c.resize_discard(a.rows(), b.cols());
@@ -178,7 +125,7 @@ void i8_gemm_dequant(ConstMatrixView a, const QuantizedMatrix& b,
       std::fill(crow.begin(), crow.end(), 0.0f);
       continue;
     }
-    i8_matvec_transposed_dequant(b, qr, row_scale, acc, crow);
+    i8_matvec_transposed_dequant(b, qr, row_scale, crow);
   }
 }
 

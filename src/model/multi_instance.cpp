@@ -37,10 +37,7 @@ void MultiInstanceModel::set_numerics_tier(linalg::NumericsTier tier) {
   if (tier_ == linalg::NumericsTier::kFastF32) {
     packed_beta_f32_.resize_discard(packed_beta_.rows(), packed_beta_.cols());
   } else {
-    packed_beta_q_.q.resize_discard(packed_beta_.rows(), packed_beta_.cols());
-    if (packed_beta_q_.scales.size() < packed_beta_.cols()) {
-      packed_beta_q_.scales.resize(packed_beta_.cols());
-    }
+    packed_beta_q_.reshape(packed_beta_.rows(), packed_beta_.cols());
   }
   for (std::size_t c = 0; c < num_labels(); ++c) refresh_replica_block(c);
 }
@@ -214,9 +211,7 @@ void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
     // int32 matvec per row: the tier's error is just the two grids, and
     // one row gets the same codes in a block of any size.
     if (ws.q_row.size() < hidden_dim()) ws.q_row.resize(hidden_dim());
-    if (ws.accum.size() < packed_n) ws.accum.resize(packed_n);
-    linalg::i8_gemm_dequant(h, packed_beta_q_, ws.recon_f32, ws.q_row,
-                            ws.accum);
+    linalg::i8_gemm_dequant(h, packed_beta_q_, ws.recon_f32, ws.q_row);
   }
   for (std::size_t r = 0; r < rows; ++r) {
     const std::span<const float> xr{ws.input_f32.data() + r * n, n};

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "edgedrift/drift/centroid_detector.hpp"
 #include "edgedrift/drift/threshold.hpp"
+#include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/rng.hpp"
 
 namespace {
@@ -331,6 +334,106 @@ TEST(CentroidDetector, TopDriftedDimensionsClampsK) {
   auto cal = make_training(rng);
   det.calibrate(cal.x, cal.labels);
   EXPECT_EQ(det.top_drifted_dimensions(100).size(), 4u);  // dim = 4.
+}
+
+// The cached statistic: observe() recomputes only the moved label's L1 term
+// and sums the C cached terms, so last_distance() and per_label_distances()
+// must equal a full recompute from the public centroids bit for bit —
+// through a window that fires and through every path that rewrites the
+// recent or trained centroids.
+TEST(CentroidDetector, CachedStatisticMatchesFullSweep) {
+  constexpr std::size_t kDim = 6;
+  for (const std::size_t labels : {1UL, 2UL, 23UL}) {
+    for (const double decay : {0.0, 0.1}) {
+      SCOPED_TRACE("C=" + std::to_string(labels) +
+                   " ewma_decay=" + std::to_string(decay));
+      Rng rng(100 + labels);
+      CentroidDetectorConfig config;
+      config.num_labels = labels;
+      config.dim = kDim;
+      config.window_size = 10;
+      config.theta_error = 0.5;
+      config.ewma_decay = decay;
+      config.initial_count = 0;
+      CentroidDetector det(config);
+
+      const auto anchor = [](std::size_t c) {
+        return 3.0 * static_cast<double>(c);
+      };
+      Matrix train(labels * 30, kDim);
+      std::vector<int> train_labels(train.rows());
+      for (std::size_t i = 0; i < train.rows(); ++i) {
+        train_labels[i] = static_cast<int>(i % labels);
+        for (std::size_t j = 0; j < kDim; ++j) {
+          train(i, j) = rng.gaussian(anchor(i % labels), 0.2);
+        }
+      }
+      det.calibrate(train, train_labels);
+
+      std::vector<double> want(labels), got(labels);
+      const auto expect_cache_matches = [&](const char* where) {
+        double total = 0.0;
+        for (std::size_t c = 0; c < labels; ++c) {
+          want[c] = edgedrift::linalg::l1_distance(
+              det.recent_centroids().row(c), det.trained_centroids().row(c));
+          total += want[c];
+        }
+        det.per_label_distances(got);
+        for (std::size_t c = 0; c < labels; ++c) {
+          EXPECT_EQ(got[c], want[c]) << where << " label " << c;
+        }
+        return total;
+      };
+
+      // Every third sample is below the gate; a sample is folded (and the
+      // statistic re-evaluated) when the window is open or it opens one.
+      std::vector<double> x(kDim);
+      std::size_t fired = 0;
+      const auto drive = [&](std::size_t rows, double shift,
+                             const char* where) {
+        for (std::size_t i = 0; i < rows; ++i) {
+          const std::size_t c = rng.uniform_index(labels);
+          for (auto& v : x) v = rng.gaussian(anchor(c) + shift, 0.2);
+          const double score = i % 3 == 2 ? 0.1 : 1.0;
+          const bool folded =
+              det.window_open() || score >= config.theta_error;
+          const Detection d = det.observe(obs_of(x, static_cast<int>(c),
+                                                 score));
+          if (d.drift) ++fired;
+          const double total = expect_cache_matches(where);
+          if (folded) {
+            EXPECT_EQ(det.last_distance(), total) << where;
+          }
+        }
+      };
+
+      drive(40, 0.0, "stationary");
+      drive(60, 5.0, "shifted");
+      EXPECT_GT(fired, 0u) << "the shifted windows must fire";
+
+      det.reset();
+      expect_cache_matches("reset");
+      drive(15, 5.0, "after reset");
+
+      const Matrix moved = det.recent_centroids();
+      const std::vector<std::size_t> counts(det.counts().begin(),
+                                            det.counts().end());
+      det.rearm(moved, counts, det.theta_drift());
+      expect_cache_matches("rearm");
+      drive(15, 0.0, "after rearm");
+
+      const Matrix trained = det.trained_centroids();
+      Matrix recent = trained;
+      for (std::size_t c = 0; c < labels; ++c) recent(c, c % kDim) += 1.5;
+      det.restore(trained, recent, counts, counts, det.theta_drift());
+      expect_cache_matches("restore");
+      drive(15, 0.0, "after restore");
+
+      det.rebuild_reference(train);
+      expect_cache_matches("rebuild_reference");
+      drive(15, 2.0, "after rebuild_reference");
+    }
+  }
 }
 
 }  // namespace

@@ -70,14 +70,14 @@ TEST(NumericsTiers, QuantizeSaturatesSymmetrically) {
   m(1, 0) = -3.0; m(1, 1) = 3.0;
   linalg::QuantizedMatrix q;
   linalg::quantize(m, q);
-  EXPECT_EQ(q.q(0, 0), 127);
-  EXPECT_EQ(q.q(1, 0), -127);
-  EXPECT_EQ(q.q(0, 1), -127);
+  EXPECT_EQ(q.code(0, 0), 127);
+  EXPECT_EQ(q.code(1, 0), -127);
+  EXPECT_EQ(q.code(0, 1), -127);
   EXPECT_FLOAT_EQ(q.scales[1], 5.0f / 127.0f);
   for (std::size_t r = 0; r < q.rows(); ++r) {
     for (std::size_t c = 0; c < q.cols(); ++c) {
-      EXPECT_GE(q.q(r, c), -127);
-      EXPECT_LE(q.q(r, c), 127);
+      EXPECT_GE(q.code(r, c), -127);
+      EXPECT_LE(q.code(r, c), 127);
     }
   }
 }
@@ -90,7 +90,7 @@ TEST(NumericsTiers, ZeroColumnQuantizesToZero) {
   linalg::quantize(m, q);
   EXPECT_EQ(q.scales[0], 0.0f);
   for (std::size_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(q.q(r, 0), 0);
+    EXPECT_EQ(q.code(r, 0), 0);
     EXPECT_NEAR(q.dequant(r, 1), m(r, 1), q.scales[1] / 2.0f + 1e-9);
   }
 }
@@ -110,21 +110,25 @@ TEST(NumericsTiers, RandomRoundTripHonorsHalfScaleBound) {
 }
 
 TEST(NumericsTiers, QuantizeBlockMatchesFullQuantize) {
+  // The packed beta at L = 22, d = 38, C = 23: instance 1 owns columns
+  // [38, 76), a block that starts and ends inside a column group, so its
+  // refresh shares tiles with instances 0 and 2.
   util::Rng rng(11);
-  Matrix m = Matrix::random_uniform(16, 24, rng, -3.0, 3.0);
+  Matrix m = Matrix::random_uniform(22, 874, rng, -3.0, 3.0);
   linalg::QuantizedMatrix full, blocked;
   linalg::quantize(m, full);
   linalg::quantize(m, blocked);
   // Perturb one column block of the master, refresh only that block.
   for (std::size_t r = 0; r < m.rows(); ++r) {
-    for (std::size_t c = 8; c < 16; ++c) m(r, c) *= 1.5;
+    for (std::size_t c = 38; c < 76; ++c) m(r, c) *= 1.5;
   }
-  linalg::quantize_block(m, blocked, 8, 8);
+  linalg::quantize_block(m, blocked, 38, 38);
   linalg::quantize(m, full);
   for (std::size_t c = 0; c < m.cols(); ++c) {
     EXPECT_FLOAT_EQ(blocked.scales[c], full.scales[c]) << "col " << c;
     for (std::size_t r = 0; r < m.rows(); ++r) {
-      EXPECT_EQ(blocked.q(r, c), full.q(r, c)) << "(" << r << ", " << c << ")";
+      EXPECT_EQ(blocked.code(r, c), full.code(r, c))
+          << "(" << r << ", " << c << ")";
     }
   }
 }
