@@ -17,6 +17,15 @@
 // or, when samples arrive in blocks:
 //   std::vector<core::PipelineStep> steps;
 //   pipeline.process_rows(block, {}, steps);   // == process() row by row
+//
+// Model ownership: a pipeline holds its model through a std::shared_ptr.
+// Pipelines built on one template (the sharing constructor, which
+// io::load_pipeline uses when a checkpoint's model equals its template's)
+// score against one model object. Every write (fit(), a recovery's reset,
+// training and permutation, model_mutable()) goes through one private
+// accessor that first copies the model unless this pipeline is its only
+// owner, so a shared model is never written in place; scoring reads it
+// through MultiInstanceModel's const API.
 #pragma once
 
 #include <cstddef>
@@ -151,6 +160,13 @@ class Pipeline {
  public:
   explicit Pipeline(PipelineConfig config);
 
+  /// Builds a pipeline on `share_with`'s model instead of drawing a
+  /// projection and building one: the two share that model until either
+  /// writes it, and the writer copies it first. `config` must carry the
+  /// model's shape and numerics tier; the rest of the pipeline (detector,
+  /// recovery, scratch) is built from `config` as usual.
+  Pipeline(PipelineConfig config, const Pipeline& share_with);
+
   /// Batch initial training: fits the per-label autoencoders, calibrates
   /// theta_error from the training scores, then calibrates the detector
   /// (trained centroids + theta_drift via Eq. 1 for the centroid family;
@@ -210,6 +226,8 @@ class Pipeline {
   }
 
   const PipelineConfig& config() const { return config_; }
+  /// The model this pipeline scores against. Pipelines that share a model
+  /// return the same object until one of them writes it.
   const model::MultiInstanceModel& model() const { return *model_; }
   const drift::Detector& detector() const { return *detector_; }
   const drift::Reconstructor& reconstructor() const { return reconstructor_; }
@@ -232,25 +250,22 @@ class Pipeline {
 
   // Persistence hooks (see io/checkpoint.hpp): mutable access to the
   // trained state and a way to mark the pipeline usable after that state
-  // has been restored externally.
-  model::MultiInstanceModel& model_mutable() { return *model_; }
+  // has been restored externally. model_mutable() is a write: it copies a
+  // shared model first, so the returned model is this pipeline's own.
+  model::MultiInstanceModel& model_mutable() { return model_for_write(); }
   drift::Detector& detector_mutable() { return *detector_; }
   void finish_restore(double theta_error) {
     theta_error_ = theta_error;
     fitted_ = true;
-    if (config_.train_chunk > 1) {
-      // Mirror fit()'s pre-grow: a restored stream must honor the
-      // allocation-free drain contract from its first recovery chunk, and
-      // restore (unlike the drain) is allowed to allocate.
-      const std::size_t chunk =
-          std::min(config_.train_chunk, config_.max_batch_rows);
-      model_->reserve_chunk_train(chunk, batch_ws_);
-      chunk_labels_.resize(chunk);
-    }
+    // Mirror fit()'s pre-grow: a restored stream must honor the
+    // allocation-free drain contract from its first recovery chunk, and
+    // restore (unlike the drain) is allowed to allocate.
+    if (config_.train_chunk > 1) reserve_chunk_train();
   }
 
   /// Bytes of the complete on-device state (model + detector + recovery
-  /// bookkeeping) — what must fit the Pico's 264 kB.
+  /// bookkeeping) — what must fit the Pico's 264 kB. Counts the whole
+  /// model whether or not it is shared.
   std::size_t memory_bytes() const;
 
   /// Bytes of the detection-and-recovery state alone (detector, recovery
@@ -273,6 +288,21 @@ class Pipeline {
     linalg::Matrix centroids;
     std::vector<std::size_t> counts;
   };
+
+  /// Both public constructors: builds around `model`, or draws the
+  /// projection and builds a fresh model when it is null.
+  Pipeline(PipelineConfig config,
+           std::shared_ptr<model::MultiInstanceModel> model);
+
+  /// The model for writing. Copies it first unless this pipeline is its
+  /// only owner, so no pipeline writes a model that another one reads.
+  model::MultiInstanceModel& model_for_write();
+
+  /// Pre-grows the chunked-training scratch (train_chunk > 1): the
+  /// workspace's gather buffers, and the model's rank-k block scratch when
+  /// this pipeline owns its model. A shared model is not written; its
+  /// private copy is reserved when model_for_write() makes it.
+  void reserve_chunk_train();
 
   /// True when no recovery is training the model, i.e. predictions are a
   /// pure function of the sample (the precondition for batch pre-scoring).
@@ -314,7 +344,7 @@ class Pipeline {
   void update_tracker(std::size_t label, std::span<const double> x);
 
   PipelineConfig config_;
-  std::unique_ptr<model::MultiInstanceModel> model_;
+  std::shared_ptr<model::MultiInstanceModel> model_;
   std::unique_ptr<drift::Detector> detector_;
   drift::CentroidDetector* centroid_ = nullptr;  ///< Downcast view or null.
   drift::Reconstructor reconstructor_;

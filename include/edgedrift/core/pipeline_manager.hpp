@@ -37,7 +37,14 @@
 // contract the checkpoint layer already guarantees (tests/test_eviction.cpp).
 // seed_cold_from() registers large stream populations (100k+) directly in
 // the cold store from one fitted template, so registered-stream count is
-// bounded by cold-store bytes, not by resident models.
+// bounded by cold-store bytes, not by resident models. The manager also
+// loads that template once and holds its model for its whole lifetime; a
+// seeded stream's restores score against that one model until the stream
+// first writes it (a recovery), when it copies it (copy on write, see
+// core/pipeline.hpp). Template models are held by the manager and are not
+// part of any shard's hot_bytes: a stream on its template's model is
+// charged only its own bytes (detector, recovery bookkeeping, ring), and
+// its private copy is charged once it makes one.
 //
 // The worker drains whatever is queued in contiguous bursts of up to
 // drain_batch_max rows straight out of the slab, one
@@ -206,11 +213,15 @@ class PipelineManager {
   /// Registers `count` new streams cold: stream `source_id` (fitted,
   /// resident) is serialized once and every new id maps to that shared
   /// template blob in its shard's cold store — the 100k-stream
-  /// registration path, costing one checkpoint and one blob regardless of
-  /// count. New ids are num_streams()..num_streams()+count-1; returns the
-  /// first new id. Each seeded stream becomes an independent pipeline on
-  /// first submit (restored from the template, then diverging with its own
-  /// samples). Setup-phase API: must not race submits.
+  /// registration path, costing one checkpoint, one blob and one template
+  /// model regardless of count. The blob is loaded once, through
+  /// io::load_template with every check, and the manager holds that model
+  /// until it is destroyed. New ids are num_streams()..num_streams()+count-1;
+  /// returns the first new id. A seeded stream is restored on its first
+  /// submit with its own detector and ring, sharing the template's model
+  /// until its first write (a recovery), which goes to a private copy; from
+  /// then on it diverges with its own samples. Setup-phase API: must not
+  /// race submits.
   std::size_t seed_cold_from(std::size_t source_id, std::size_t count);
 
   /// Resident / evicted stream totals across shards.
@@ -272,6 +283,10 @@ class PipelineManager {
   std::size_t drain_burst(Stream& s);
   /// LRU touch + enforce_budget after a drain cycle.
   void after_drain(Stream& s);
+  /// Once a stream that shared its template's model has written a private
+  /// copy, charges the copy to hot_bytes and drops the template handle.
+  /// Called by the stream's consumer right after its pipeline ran.
+  void charge_private_copy(Stream& s);
   /// Evicts LRU-idle streams until the shard is within budget. Caller
   /// holds shard.evict_mutex. `skip` (may be null) is never victimized —
   /// the stream whose restore triggered this enforcement, whose
@@ -285,7 +300,8 @@ class PipelineManager {
   /// Rebuilds a cold stream from its blob. Caller holds s.produce_mutex;
   /// takes shard.evict_mutex itself. False -> kRestoreFailed.
   bool restore_cold(Shard& shard, Stream& s);
-  /// Model + ring bytes of a resident stream (the hot-budget unit).
+  /// Pipeline + ring bytes of a resident stream, without the model while
+  /// it shares its template's (the hot_bytes unit).
   std::size_t hot_footprint(const Stream& s) const;
   /// Wakes kBlock producers after head advanced past `head_before`.
   void notify_space(Stream& s);
@@ -298,6 +314,10 @@ class PipelineManager {
   /// input_dim and the numerics tier for restores and dimension checks.
   PipelineConfig template_config_;
   bool obs_on_ = false;  ///< Cached obs gate: kObsCompiled && obs.enabled.
+  /// One per seed_cold_from() call: the template whose model its seeded
+  /// streams share. Held for the manager's lifetime, so a stream on it
+  /// always sees a second owner and copies before writing.
+  std::vector<std::unique_ptr<io::ModelTemplate>> templates_;
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<std::unique_ptr<Shard>> shards_;
 

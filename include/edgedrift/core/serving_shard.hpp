@@ -46,6 +46,10 @@
 #include "edgedrift/obs/shard_obs.hpp"
 #include "edgedrift/obs/snapshot.hpp"
 
+namespace edgedrift::io {
+struct ModelTemplate;
+}  // namespace edgedrift::io
+
 namespace edgedrift::core {
 
 /// Per-stream serving counters. Written by the consumer (and, for
@@ -144,7 +148,16 @@ struct ManagedStream {
   // ---- residency / eviction bookkeeping (guarded by shard evict_mutex
   //      unless noted) ----
   Residency residency = Residency::kHot;  ///< See class comment for locking.
-  std::size_t hot_footprint_bytes = 0;    ///< Model + ring bytes while hot.
+  /// Bytes this stream adds to the shard's hot_bytes while hot: its ring
+  /// and pipeline, without the model while it shares its template's.
+  std::size_t hot_footprint_bytes = 0;
+  /// The template this stream was seeded from (seed_cold_from), or null.
+  /// Restores pass it to io::load_pipeline, so the stream runs on the
+  /// template's model while its own equals it. Cleared, and the model
+  /// charged to hot_bytes, once the stream has written a private copy (its
+  /// model never equals the template's again). Written by the consumer
+  /// under evict_mutex, read by the consumer and by restores.
+  const io::ModelTemplate* model_template = nullptr;
 
   /// Treiber-stack link; owned by the ready stack between push and take.
   std::atomic<ManagedStream*> ready_next{nullptr};

@@ -77,6 +77,8 @@ class Reader {
   bool read_doubles(std::vector<double>& values);
   bool read_sizes(std::vector<std::size_t>& values);
   bool read_matrix(linalg::Matrix& m);
+  /// Views the next `bytes` bytes in place (no copy) and moves past them.
+  bool read_view(std::size_t bytes, std::string_view& view);
 
   /// Verifies magic, format version, and the expected section tag.
   bool read_header(std::string_view expected_section);

@@ -20,9 +20,22 @@
 // std::string and load_pipeline parses a std::string_view, with no stream
 // in between. The std::ostream / std::istream overloads and the file
 // functions are thin adapters over it.
+//
+// Template sharing: load_pipeline may be given a ModelTemplate, a blob and
+// the pipeline load_template() built from it. After every check above, a
+// blob whose model-determining config fields (shape, activation, weight
+// scale, reg_lambda, seed, numerics tier) and whole model section
+// (projection weights and fingerprint, instance count, every beta, P and
+// samples-seen count) equal the template blob's bytes is built on the
+// template pipeline's model: no projection is drawn, and no model is
+// built, parsed or requantized. The projection check keeps its meaning,
+// because the template passed it against the same seed. Any difference
+// parses the blob's own model as without a template. The restored pipeline
+// copies the shared model before its first write (core/pipeline.hpp).
 #pragma once
 
 #include <istream>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -40,6 +53,25 @@ namespace edgedrift::io {
 /// restore site must get the tier it expects or fail loudly.
 bool save_pipeline(std::string& out, const core::Pipeline& pipeline);
 
+/// A checkpoint blob and the pipeline load_template() built from it: the
+/// model that loads of blobs with an equal model share (see the header
+/// comment). Holding it keeps that model alive, and since the template
+/// pipeline is one of its owners, every pipeline loaded onto it copies the
+/// model before writing, so the template is never written in place.
+struct ModelTemplate {
+  std::shared_ptr<const std::string> blob;
+  core::Pipeline pipeline;
+};
+
+/// Loads `blob` through load_pipeline, with every check and the same
+/// arguments, and keeps the result as a template. nullopt (and `error`) as
+/// load_pipeline.
+std::optional<ModelTemplate> load_template(
+    std::shared_ptr<const std::string> blob,
+    std::optional<linalg::NumericsTier> expect_tier = std::nullopt,
+    std::string* error = nullptr,
+    const core::PipelineConfig* runtime = nullptr);
+
 /// Loads a pipeline from exactly one checkpoint blob. Returns nullopt on
 /// any corruption, format-version, or consistency failure; when `error` is
 /// non-null it then receives a human-readable reason. When `expect_tier` is
@@ -54,11 +86,19 @@ bool save_pipeline(std::string& out, const core::Pipeline& pipeline);
 /// format can restore state into); anything else fails the load. This is
 /// how PipelineManager's eviction layer rehydrates cold streams with the
 /// manager's own serving knobs instead of checkpoint-era defaults.
+///
+/// `model_template` (optional) lets a blob whose model equals the
+/// template's share the template pipeline's model instead of building its
+/// own (see the header comment). It changes no check and no result: the
+/// restored pipeline steps bit for bit as one loaded without it. The
+/// template need only live through the call: the restored pipeline
+/// co-owns the model.
 std::optional<core::Pipeline> load_pipeline(
     std::string_view blob,
     std::optional<linalg::NumericsTier> expect_tier = std::nullopt,
     std::string* error = nullptr,
-    const core::PipelineConfig* runtime = nullptr);
+    const core::PipelineConfig* runtime = nullptr,
+    const ModelTemplate* model_template = nullptr);
 
 /// Stream adapter: writes the blob save_pipeline(std::string&) builds.
 /// Returns false on the same conditions or on a stream write failure.

@@ -10,6 +10,13 @@
 // train_closest(), train_label() and train_buckets_from_hidden() are the
 // training side. All scratch lives in a caller-owned BatchWorkspace. The
 // per-instance path, instance(c).score(x), remains as the test oracle.
+//
+// Const-use contract: no const method writes model state (there is no
+// mutable member and no lazy repair), so any number of threads may score
+// one frozen model at once, each with its own workspace. The serving layer
+// depends on it across streams: pipelines restored from one template share
+// one model object on every shard worker, and core::Pipeline copies the
+// model before any non-const call while another owner holds it.
 #pragma once
 
 #include <cstddef>

@@ -185,6 +185,7 @@ void PipelineManager::coalesce_group(Shard& shard) {
           std::span<const int>(shard.stage_labels).subspan(m.offset, m.take),
           s.steps, &hidden);
     }
+    charge_private_copy(s);
     if (obs_on_) {
       obs::StreamObs& ob = s.pipeline->obs();
       const std::uint64_t mask = ob.latency_sample_mask();

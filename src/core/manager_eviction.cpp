@@ -17,7 +17,16 @@
 namespace edgedrift::core {
 
 std::size_t PipelineManager::hot_footprint(const Stream& s) const {
-  std::size_t bytes = s.pipeline != nullptr ? s.pipeline->memory_bytes() : 0;
+  std::size_t bytes = 0;
+  if (s.pipeline != nullptr) {
+    // The manager holds a template's model; a stream on it is charged only
+    // its own state (detector, recovery bookkeeping, reference buffers).
+    const bool shares =
+        s.model_template != nullptr &&
+        &s.pipeline->model() == &s.model_template->pipeline.model();
+    bytes = shares ? s.pipeline->detector_memory_bytes()
+                   : s.pipeline->memory_bytes();
+  }
   bytes += s.slab.size() * sizeof(double);
   bytes += s.labels.capacity() * sizeof(int);
   bytes += s.submit_ns.capacity() * sizeof(std::uint64_t);
@@ -113,6 +122,25 @@ void PipelineManager::enforce_budget_locked(Shard& shard,
   }
 }
 
+void PipelineManager::charge_private_copy(Stream& s) {
+  // A model address other than the template's means the pipeline wrote a
+  // private copy (a recovery): charge it from now on. The stream's model
+  // never equals the template's again, so its restores stop comparing. The
+  // caller is the stream's consumer, the only thread that writes its model;
+  // after_drain runs once the consumer role is released, when a poll() on
+  // another thread may be copying it.
+  if (s.model_template == nullptr ||
+      &s.pipeline->model() == &s.model_template->pipeline.model()) {
+    return;
+  }
+  Shard& shard = *shards_[s.shard];
+  std::lock_guard lock(shard.evict_mutex);
+  s.model_template = nullptr;
+  shard.hot_bytes -= s.hot_footprint_bytes;
+  s.hot_footprint_bytes = hot_footprint(s);
+  shard.hot_bytes += s.hot_footprint_bytes;
+}
+
 void PipelineManager::after_drain(Stream& s) {
   Shard& shard = *shards_[s.shard];
   std::lock_guard lock(shard.evict_mutex);
@@ -151,8 +179,9 @@ bool PipelineManager::restore_cold(Shard& shard, Stream& s) {
     shard.obs.add_restore_failure();
     return false;
   }
-  std::optional<Pipeline> pipeline = io::load_pipeline(
-      *blob, template_config_.numerics, nullptr, &template_config_);
+  std::optional<Pipeline> pipeline =
+      io::load_pipeline(*blob, template_config_.numerics, nullptr,
+                        &template_config_, s.model_template);
   if (!pipeline) {
     // The blob stays in the store: the stream remains cold-but-addressed,
     // and the caller surfaces kRestoreFailed (with the blob intact an
@@ -201,6 +230,16 @@ std::size_t PipelineManager::seed_cold_from(std::size_t source_id,
   const bool ok = io::save_pipeline(*blob, *src.pipeline);
   EDGEDRIFT_ASSERT(ok, "seed_cold_from: source stream is not serializable "
                        "(centroid detector required)");
+  // And one model: the blob is loaded once, with every check, and the
+  // manager keeps it, so a seeded stream's restore shares it instead of
+  // building, parsing and requantizing its own.
+  std::optional<io::ModelTemplate> loaded = io::load_template(
+      blob, template_config_.numerics, nullptr, &template_config_);
+  EDGEDRIFT_ASSERT(loaded.has_value(),
+                   "seed_cold_from: the template blob does not load");
+  templates_.push_back(
+      std::make_unique<io::ModelTemplate>(std::move(*loaded)));
+  const io::ModelTemplate* model_template = templates_.back().get();
   const std::size_t first = streams_.size();
   streams_.reserve(first + count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -209,6 +248,7 @@ std::size_t PipelineManager::seed_cold_from(std::size_t source_id,
     s->id = id;
     s->shard = shard_of(id);
     s->residency = Stream::Residency::kCold;
+    s->model_template = model_template;
     Shard& shard = *shards_[s->shard];
     shard.cold.put_memory(static_cast<std::uint64_t>(id), blob);
     {

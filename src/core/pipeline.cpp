@@ -46,8 +46,15 @@ linalg::Matrix per_label_means(const linalg::Matrix& x,
 
 }  // namespace
 
-Pipeline::Pipeline(PipelineConfig config)
+Pipeline::Pipeline(PipelineConfig config) : Pipeline(config, nullptr) {}
+
+Pipeline::Pipeline(PipelineConfig config, const Pipeline& share_with)
+    : Pipeline(config, share_with.model_) {}
+
+Pipeline::Pipeline(PipelineConfig config,
+                   std::shared_ptr<model::MultiInstanceModel> model)
     : config_(config),
+      model_(std::move(model)),
       reconstructor_(config.reconstruction, config.num_labels,
                      config.input_dim),
       obs_(std::make_unique<obs::StreamObs>(config.obs, config.num_labels)),
@@ -59,13 +66,20 @@ Pipeline::Pipeline(PipelineConfig config)
   // Journal scratch: per_label_distances() writes into this preallocated
   // span on the drift branch, keeping event recording heap-free.
   obs_label_dist_.resize(config_.num_labels, 0.0);
-  util::Rng rng(config_.seed);
-  auto projection =
-      oselm::make_projection(config_.input_dim, config_.hidden_dim,
-                             config_.activation, rng, config_.weight_scale);
-  model_ = std::make_unique<model::MultiInstanceModel>(
-      config_.num_labels, std::move(projection), config_.reg_lambda);
-  model_->set_numerics_tier(config_.numerics);
+  if (model_ == nullptr) {
+    util::Rng rng(config_.seed);
+    auto projection =
+        oselm::make_projection(config_.input_dim, config_.hidden_dim,
+                               config_.activation, rng, config_.weight_scale);
+    model_ = std::make_shared<model::MultiInstanceModel>(
+        config_.num_labels, std::move(projection), config_.reg_lambda);
+    model_->set_numerics_tier(config_.numerics);
+  }
+  EDGEDRIFT_ASSERT(model_->num_labels() == config_.num_labels &&
+                       model_->input_dim() == config_.input_dim &&
+                       model_->hidden_dim() == config_.hidden_dim &&
+                       model_->numerics_tier() == config_.numerics,
+                   "shared model does not match the pipeline config");
   detector_ =
       drift::make_detector(config_.detector, detector_config(config_));
   if (config_.detector.kind == drift::DetectorKind::kCentroid) {
@@ -83,7 +97,7 @@ Pipeline::Pipeline(PipelineConfig config)
 }
 
 void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
-  model_->init_train(x, labels);
+  model_for_write().init_train(x, labels);
 
   // Pre-grow the streaming scratch to the steady-state geometry up front:
   // the calibration pass below reuses the batch workspace, and even the
@@ -92,16 +106,7 @@ void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
   batch_ws_.reserve(config_.max_batch_rows, config_.input_dim,
                     config_.hidden_dim, config_.num_labels, config_.numerics);
   chunk_preds_.reserve(config_.max_batch_rows);
-  if (config_.train_chunk > 1) {
-    // Chunked training scratch: every instance's Woodbury workspace and
-    // rank-k buffers plus the bucket gather scratch, pre-grown so a chunked
-    // drain honors the steady-state allocation-free contract from its very
-    // first recovery chunk (pinned by tests/test_allocation_free.cpp).
-    const std::size_t chunk =
-        std::min(config_.train_chunk, config_.max_batch_rows);
-    model_->reserve_chunk_train(chunk, batch_ws_);
-    chunk_labels_.resize(chunk);
-  }
+  if (config_.train_chunk > 1) reserve_chunk_train();
 
   if (config_.theta_error <= 0.0) {
     // Auto-calibrate the anomaly gate from the training scores: a window
@@ -364,6 +369,8 @@ std::size_t Pipeline::recover(linalg::ConstMatrixView x,
   };
   const bool obs_on = obs_enabled_;
   const std::uint64_t obs_t0 = obs_on ? obs::now_ns() : 0;
+  // start_recovery() already took the private copy; this is the owner check.
+  model::MultiInstanceModel& model = model_for_write();
 
   // Chunked training: the rows the current recovery sub-phase can absorb
   // without straddling a phase boundary or performing a finishing sample.
@@ -399,7 +406,7 @@ std::size_t Pipeline::recover(linalg::ConstMatrixView x,
     if (hidden == nullptr) {
       batch_ws_.hidden.resize_discard(take, config_.hidden_dim);
       for (std::size_t r = 0; r < take; ++r) {
-        model_->projection()->hidden(xc.row(r), batch_ws_.hidden.row(r));
+        model.projection()->hidden(xc.row(r), batch_ws_.hidden.row(r));
       }
     }
     const linalg::ConstMatrixView hc =
@@ -412,10 +419,10 @@ std::size_t Pipeline::recover(linalg::ConstMatrixView x,
     // hc may view batch_ws_.hidden: the scoring core never writes it when
     // hidden rows are supplied.
     const auto predict_chunk = [&] {
-      model_->predict_batch(xc, batch_ws_, chunk, &hc);
+      model.predict_batch(xc, batch_ws_, chunk, &hc);
     };
     if (reconstructing) {
-      consumed = reconstructor_.train_chunk(xc, hc, *model_, batch_ws_, chunk,
+      consumed = reconstructor_.train_chunk(xc, hc, model, batch_ws_, chunk,
                                             labels, &tstats);
       EDGEDRIFT_DASSERT(consumed == 0 || consumed == take,
                         "chunk eligibility disagreement");
@@ -430,12 +437,12 @@ std::size_t Pipeline::recover(linalg::ConstMatrixView x,
         for (std::size_t r = 0; r < take; ++r) {
           labels[r] = nearest_recal(xc.row(r));
         }
-        tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
+        tstats = model.train_buckets_from_hidden(xc, hc, labels, batch_ws_);
         predict_chunk();
       } else {
         predict_chunk();
         for (std::size_t r = 0; r < take; ++r) labels[r] = chunk[r].label;
-        tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
+        tstats = model.train_buckets_from_hidden(xc, hc, labels, batch_ws_);
       }
       consumed = take;
     }
@@ -446,13 +453,13 @@ std::size_t Pipeline::recover(linalg::ConstMatrixView x,
     // current prediction so accuracy accounting stays per-sample.
     const std::span<const double> xr = xc.row(0);
     if (reconstructing) {
-      finished = !reconstructor_.step(xr, *model_, batch_ws_);
-      single = model_->predict(xr, batch_ws_);
+      finished = !reconstructor_.step(xr, model, batch_ws_);
+      single = model.predict(xr, batch_ws_);
     } else if (recal_bootstrap) {
-      model_->train_label(xr, nearest_recal(xr));
-      single = model_->predict(xr, batch_ws_);
+      model.train_label(xr, nearest_recal(xr));
+      single = model.predict(xr, batch_ws_);
     } else {
-      single = model_->train_closest(xr, batch_ws_);
+      single = model.train_closest(xr, batch_ws_);
     }
     consumed = 1;
     preds = {&single, 1};
@@ -513,13 +520,13 @@ void Pipeline::start_recovery() {
       // Seed from the detector's own recent centroids when it tracks them,
       // else from the pipeline's running estimate of the new concept.
       const linalg::Matrix* seed = detector_->reconstruction_seed();
-      reconstructor_.begin(*model_,
+      reconstructor_.begin(model_for_write(),
                            seed != nullptr ? *seed : tracker_.centroids);
       state_ = RecoveryState::kReconstructing;
       return;
     }
     case RecoveryPolicy::kResetRecalibrate: {
-      model_->reset();
+      model_for_write().reset();
       const linalg::Matrix* seed = detector_->reconstruction_seed();
       recal_.centroids = seed != nullptr ? *seed : tracker_.centroids;
       recal_.counts.assign(config_.num_labels, 1);
@@ -546,7 +553,7 @@ void Pipeline::finish_reconstruction() {
   for (std::size_t i = 0; i < perm.size(); ++i) identity &= perm[i] == i;
   if (!identity) {
     coords.apply_permutation(perm);
-    model_->apply_permutation(perm);
+    model_for_write().apply_permutation(perm);
   }
   // The rebuilt coordinates are the anchor for any later recovery.
   trained_means_ = coords.centroids();
@@ -594,6 +601,33 @@ void Pipeline::update_tracker(std::size_t label, std::span<const double> x) {
   linalg::running_mean_update(tracker_.centroids.row(label), x,
                               tracker_.counts[label]);
   ++tracker_.counts[label];
+}
+
+model::MultiInstanceModel& Pipeline::model_for_write() {
+  // A shared model has another owner (another pipeline, or the template
+  // holder that outlives them), which may be reading it on another thread:
+  // write a private copy instead. The copy shares the immutable projection.
+  if (model_.use_count() != 1) {
+    model_ = std::make_shared<model::MultiInstanceModel>(*model_);
+    if (config_.train_chunk > 1) reserve_chunk_train();
+  }
+  return *model_;
+}
+
+void Pipeline::reserve_chunk_train() {
+  // Chunked training scratch: every instance's Woodbury workspace and
+  // rank-k buffers plus the bucket gather scratch, pre-grown so a chunked
+  // drain honors the steady-state allocation-free contract from its very
+  // first recovery chunk (pinned by tests/test_allocation_free.cpp).
+  const std::size_t chunk =
+      std::min(config_.train_chunk, config_.max_batch_rows);
+  if (model_.use_count() == 1) {
+    model_->reserve_chunk_train(chunk, batch_ws_);
+  } else {
+    batch_ws_.reserve_chunk_train(chunk, config_.input_dim,
+                                  config_.hidden_dim, config_.num_labels);
+  }
+  chunk_labels_.resize(chunk);
 }
 
 std::size_t Pipeline::memory_bytes() const {

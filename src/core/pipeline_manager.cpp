@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "edgedrift/io/checkpoint.hpp"
 #include "edgedrift/util/assert.hpp"
 
 namespace edgedrift::core {
@@ -283,6 +284,7 @@ std::size_t PipelineManager::drain_burst(Stream& s) {
     total += burst;
     tail = s.tail.load();
   }
+  charge_private_copy(s);
   return total;
 }
 

@@ -116,6 +116,13 @@ bool Reader::read_matrix(linalg::Matrix& m) {
   return take(m.data(), m.size() * sizeof(double));
 }
 
+bool Reader::read_view(std::size_t bytes, std::string_view& view) {
+  const char* p = next(bytes);
+  if (p == nullptr) return false;
+  view = {p, bytes};
+  return true;
+}
+
 bool Reader::read_header(std::string_view expected_section) {
   std::uint32_t magic = 0, version = 0;
   std::uint64_t size = 0;

@@ -1,5 +1,6 @@
 #include "edgedrift/io/checkpoint.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -112,25 +113,72 @@ std::uint64_t add_sat(std::uint64_t a, std::uint64_t b) {
   return b > kMaxU64 - a ? kMaxU64 : a + b;
 }
 
-// Bytes between theta_error and the digest, which the config fixes: alpha,
-// bias, the fingerprint, the instance count, C x (beta, P, samples seen),
-// the two centroid blocks, the two count vectors and theta_drift, each
+// Bytes of the model section, which the config fixes: alpha, bias, the
+// fingerprint, the instance count and C x (beta, P, samples seen), each
 // block with its u64 length prefix(es).
-std::uint64_t state_bytes(const core::PipelineConfig& config) {
+std::uint64_t model_bytes(const core::PipelineConfig& config) {
   const std::uint64_t c = config.num_labels;
   const std::uint64_t d = config.input_dim;
   const std::uint64_t h = config.hidden_dim;
   const std::uint64_t hd = mul_sat(h, d);
-  // Fixed u64 words: alpha dims, bias length, fingerprint, instance count,
-  // both centroid blocks' dims, both count-vector lengths, theta_drift.
-  constexpr std::uint64_t kFixedWords = 12;
-  // Per label: beta and P dims, samples seen, two counts, two centroid
-  // rows, beta and P.
-  const std::uint64_t per_label =
-      add_sat(add_sat(7, mul_sat(2, d)), add_sat(hd, mul_sat(h, h)));
+  // Fixed u64 words: alpha dims, bias length, fingerprint, instance count.
+  constexpr std::uint64_t kFixedWords = 5;
+  // Per label: beta and P dims, samples seen, beta and P.
+  const std::uint64_t per_label = add_sat(5, add_sat(hd, mul_sat(h, h)));
   const std::uint64_t words =
       add_sat(add_sat(kFixedWords, add_sat(hd, h)), mul_sat(c, per_label));
   return mul_sat(words, sizeof(std::uint64_t));
+}
+
+// Bytes between theta_error and the digest: the model section, then the
+// two centroid blocks, the two count vectors and theta_drift.
+std::uint64_t state_bytes(const core::PipelineConfig& config) {
+  // Fixed u64 words: both centroid blocks' dims, both count-vector lengths,
+  // theta_drift. Per label: two counts and two centroid rows.
+  constexpr std::uint64_t kFixedWords = 7;
+  const std::uint64_t per_label = add_sat(2, mul_sat(2, config.input_dim));
+  const std::uint64_t words =
+      add_sat(kFixedWords, mul_sat(config.num_labels, per_label));
+  return add_sat(model_bytes(config), mul_sat(words, sizeof(std::uint64_t)));
+}
+
+// The config fields that determine the model a blob builds: its shape, the
+// projection's draw (activation, weight scale, seed), the ridge term a
+// recovery resets to, and the scoring tier. Doubles compare by their bytes.
+bool same_model_config(const core::PipelineConfig& a,
+                       const core::PipelineConfig& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return a.num_labels == b.num_labels && a.input_dim == b.input_dim &&
+         a.hidden_dim == b.hidden_dim && a.activation == b.activation &&
+         bits(a.weight_scale) == bits(b.weight_scale) &&
+         bits(a.reg_lambda) == bits(b.reg_lambda) && a.seed == b.seed &&
+         a.numerics == b.numerics;
+}
+
+// True, with `r` moved past the model section, when `blob` would build
+// exactly the template's model: its model-determining config fields and its
+// whole model section equal the template blob's bytes. The header and the
+// config block have fixed widths, so the section sits at the same offset in
+// both blobs. `r` is left where it was otherwise.
+bool matches_template(std::string_view blob, Reader& r,
+                      const core::PipelineConfig& config,
+                      const ModelTemplate& model_template) {
+  if (!same_model_config(config, model_template.pipeline.config())) {
+    return false;
+  }
+  Reader ahead = r;
+  std::string_view section;
+  if (!ahead.read_view(model_bytes(config), section)) return false;
+  const std::string_view theirs = *model_template.blob;
+  const auto at = static_cast<std::size_t>(section.data() - blob.data());
+  if (theirs.size() < at + section.size()) return false;
+  // Seeded streams restore from the template blob itself: the same bytes.
+  if (theirs.data() + at != section.data() &&
+      theirs.substr(at, section.size()) != section) {
+    return false;
+  }
+  r = ahead;
+  return true;
 }
 
 // Why a blob failed its digest. Other format versions seal blobs with other
@@ -198,7 +246,8 @@ bool save_pipeline(std::string& out, const core::Pipeline& pipeline) {
 
 std::optional<core::Pipeline> load_pipeline(
     std::string_view blob, std::optional<linalg::NumericsTier> expect_tier,
-    std::string* error, const core::PipelineConfig* runtime) {
+    std::string* error, const core::PipelineConfig* runtime,
+    const ModelTemplate* model_template) {
   const auto fail = [error](const std::string& why) {
     if (error != nullptr) *error = why;
     return std::nullopt;
@@ -261,50 +310,57 @@ std::optional<core::Pipeline> load_pipeline(
     effective.max_batch_rows = runtime->max_batch_rows;
     effective.train_chunk = runtime->train_chunk;
   }
-  core::Pipeline pipeline(effective);
+  std::optional<core::Pipeline> pipeline;
+  if (model_template != nullptr &&
+      matches_template(blob, r, config, *model_template)) {
+    pipeline.emplace(effective, model_template->pipeline);
+  } else {
+    pipeline.emplace(effective);
 
-  // Verify projection integrity (same seed => identical weights).
-  linalg::Matrix alpha;
-  std::vector<double> bias;
-  if (!r.read_matrix(alpha) || !r.read_doubles(bias)) {
-    return fail("truncated projection block");
-  }
-  const auto& projection = *pipeline.model().projection();
-  if (alpha.rows() != projection.alpha().rows() ||
-      alpha.cols() != projection.alpha().cols() ||
-      linalg::Matrix::max_abs_diff(alpha, projection.alpha()) != 0.0) {
-    return fail("projection weights diverge from the persisted seed");
-  }
-  std::uint64_t fingerprint = 0;
-  if (!r.read_u64(fingerprint)) {
-    return fail("truncated projection fingerprint");
-  }
-  if (fingerprint != projection.fingerprint()) {
-    return fail("projection fingerprint mismatch — the restored stream "
-                "would not rejoin its save-side coalescing group");
-  }
+    // Verify projection integrity (same seed => identical weights).
+    linalg::Matrix alpha;
+    std::vector<double> bias;
+    if (!r.read_matrix(alpha) || !r.read_doubles(bias)) {
+      return fail("truncated projection block");
+    }
+    const auto& projection = *pipeline->model().projection();
+    if (alpha.rows() != projection.alpha().rows() ||
+        alpha.cols() != projection.alpha().cols() ||
+        linalg::Matrix::max_abs_diff(alpha, projection.alpha()) != 0.0) {
+      return fail("projection weights diverge from the persisted seed");
+    }
+    std::uint64_t fingerprint = 0;
+    if (!r.read_u64(fingerprint)) {
+      return fail("truncated projection fingerprint");
+    }
+    if (fingerprint != projection.fingerprint()) {
+      return fail("projection fingerprint mismatch — the restored stream "
+                  "would not rejoin its save-side coalescing group");
+    }
 
-  // Instance states.
-  std::uint64_t labels = 0;
-  if (!r.read_u64(labels) || labels != config.num_labels) {
-    return fail("instance count does not match the config's num_labels");
-  }
-  for (std::size_t c = 0; c < labels; ++c) {
-    linalg::Matrix beta, p;
-    std::uint64_t seen = 0;
-    if (!r.read_matrix(beta) || !r.read_matrix(p) || !r.read_u64(seen)) {
-      return fail("truncated instance state");
+    // Instance states.
+    std::uint64_t labels = 0;
+    if (!r.read_u64(labels) || labels != config.num_labels) {
+      return fail("instance count does not match the config's num_labels");
     }
-    if (beta.rows() != config.hidden_dim ||
-        beta.cols() != config.input_dim || p.rows() != config.hidden_dim ||
-        p.cols() != config.hidden_dim) {
-      return fail("instance beta/P shape does not match the config");
+    model::MultiInstanceModel& model = pipeline->model_mutable();
+    for (std::size_t c = 0; c < labels; ++c) {
+      linalg::Matrix beta, p;
+      std::uint64_t seen = 0;
+      if (!r.read_matrix(beta) || !r.read_matrix(p) || !r.read_u64(seen)) {
+        return fail("truncated instance state");
+      }
+      if (beta.rows() != config.hidden_dim ||
+          beta.cols() != config.input_dim || p.rows() != config.hidden_dim ||
+          p.cols() != config.hidden_dim) {
+        return fail("instance beta/P shape does not match the config");
+      }
+      model.instance_mutable(c).restore_state(std::move(beta), std::move(p),
+                                              seen);
     }
-    pipeline.model_mutable().instance_mutable(c).restore_state(
-        std::move(beta), std::move(p), seen);
+    // Out-of-band beta mutation: rebuild the fused scorer's packed mirror.
+    model.repack_ensemble();
   }
-  // Out-of-band beta mutation: rebuild the fused scorer's packed mirror.
-  pipeline.model_mutable().repack_ensemble();
 
   // Detector state.
   linalg::Matrix trained, recent;
@@ -329,11 +385,21 @@ std::optional<core::Pipeline> load_pipeline(
   }
   // The restored config carries the default (centroid) detector spec, so
   // the rebuilt pipeline always has a centroid detector to restore into.
-  pipeline.centroid_detector_mutable()->restore(trained, recent, counts,
-                                                calibrated_counts,
-                                                theta_drift);
-  pipeline.finish_restore(theta_error);
+  pipeline->centroid_detector_mutable()->restore(trained, recent, counts,
+                                                 calibrated_counts,
+                                                 theta_drift);
+  pipeline->finish_restore(theta_error);
   return pipeline;
+}
+
+std::optional<ModelTemplate> load_template(
+    std::shared_ptr<const std::string> blob,
+    std::optional<linalg::NumericsTier> expect_tier, std::string* error,
+    const core::PipelineConfig* runtime) {
+  std::optional<core::Pipeline> pipeline =
+      load_pipeline(*blob, expect_tier, error, runtime);
+  if (!pipeline) return std::nullopt;
+  return ModelTemplate{std::move(blob), std::move(*pipeline)};
 }
 
 bool save_pipeline(std::ostream& out, const core::Pipeline& pipeline) {

@@ -27,11 +27,15 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/core/pipeline_manager.hpp"
+#include "edgedrift/io/checkpoint.hpp"
 #include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/obs/stream_obs.hpp"
@@ -273,8 +277,22 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
       train(i, j) = rng.gaussian(mean, 0.2);
     }
   }
-  Pipeline pipeline(config);
-  pipeline.fit(train, labels);
+  Pipeline fitted(config);
+  fitted.fit(train, labels);
+
+  // A seeded stream: restored from the fitted pipeline's checkpoint onto a
+  // template's model, so its first write at detection makes a private copy
+  // that must reserve the chunk scratch as fit() does. The template loads
+  // without the runtime config (train_chunk 1), so its model has none.
+  auto blob = std::make_shared<std::string>();
+  ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, fitted));
+  const std::optional<edgedrift::io::ModelTemplate> model_template =
+      edgedrift::io::load_template(blob);
+  ASSERT_TRUE(model_template.has_value());
+  std::optional<Pipeline> seeded = edgedrift::io::load_pipeline(
+      *blob, std::nullopt, nullptr, &config, &*model_template);
+  ASSERT_TRUE(seeded.has_value());
+  ASSERT_EQ(&seeded->model(), &model_template->pipeline.model());
 
   // A drifted stream: the same two classes shifted on the even dimensions,
   // enough rows to detect, cross the coordinate phases and train chunked.
@@ -286,41 +304,46 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
     }
   }
 
-  std::vector<edgedrift::core::PipelineStep> out;
-  out.reserve(2 * kBurst);
-  std::size_t at = 0;
-  const auto feed = [&] {
-    out.clear();
-    pipeline.process_rows({post, at, at + kBurst}, {}, out);
-    at += kBurst;
-  };
+  for (Pipeline* pipeline : {&fitted, &*seeded}) {
+    SCOPED_TRACE(pipeline == &fitted ? "fitted" : "seeded");
+    std::vector<edgedrift::core::PipelineStep> out;
+    out.reserve(2 * kBurst);
+    std::size_t at = 0;
+    const auto feed = [&] {
+      out.clear();
+      pipeline->process_rows({post, at, at + kBurst}, {}, out);
+      at += kBurst;
+    };
 
-  // Detect, then warm through the per-sample coordinate phases and the
-  // first few chunked training calls (grow-only buffers reach their
-  // high-water marks; the pre-growth in fit() is what keeps this short).
-  while (!pipeline.recovering() && at + kBurst <= post.rows()) feed();
-  ASSERT_TRUE(pipeline.reconstructing()) << "drift must trigger a recovery";
-  const std::size_t n_update = config.reconstruction.n_update;
-  while (pipeline.reconstructor().count() < n_update + 3 * kBurst &&
-         at + kBurst <= post.rows()) {
-    feed();
+    // Detect, then warm through the per-sample coordinate phases and the
+    // first few chunked training calls (grow-only buffers reach their
+    // high-water marks; the pre-growth in fit() is what keeps this short).
+    while (!pipeline->recovering() && at + kBurst <= post.rows()) feed();
+    ASSERT_TRUE(pipeline->reconstructing())
+        << "drift must trigger a recovery";
+    EXPECT_NE(&pipeline->model(), &model_template->pipeline.model());
+    const std::size_t n_update = config.reconstruction.n_update;
+    while (pipeline->reconstructor().count() < n_update + 3 * kBurst &&
+           at + kBurst <= post.rows()) {
+      feed();
+    }
+    ASSERT_GE(pipeline->reconstructor().count(), n_update + 3 * kBurst);
+
+    // Measure strictly inside the chunk-trained retraining window (well
+    // short of the n_total/2 phase boundary).
+    constexpr std::size_t kMeasuredBursts = 5;
+    ASSERT_LT(pipeline->reconstructor().count() + kMeasuredBursts * kBurst,
+              config.reconstruction.n_total / 2);
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    for (std::size_t b = 0; b < kMeasuredBursts; ++b) feed();
+    g_count_allocs.store(false, std::memory_order_relaxed);
+
+    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
+        << "chunked recovery training must not touch the heap";
+    ASSERT_TRUE(pipeline->reconstructing())
+        << "the measured window must lie inside the recovery";
   }
-  ASSERT_GE(pipeline.reconstructor().count(), n_update + 3 * kBurst);
-
-  // Measure strictly inside the chunk-trained retraining window (well
-  // short of the n_total/2 phase boundary).
-  constexpr std::size_t kMeasuredBursts = 5;
-  ASSERT_LT(pipeline.reconstructor().count() + kMeasuredBursts * kBurst,
-            config.reconstruction.n_total / 2);
-  g_alloc_count.store(0, std::memory_order_relaxed);
-  g_count_allocs.store(true, std::memory_order_relaxed);
-  for (std::size_t b = 0; b < kMeasuredBursts; ++b) feed();
-  g_count_allocs.store(false, std::memory_order_relaxed);
-
-  EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
-      << "chunked recovery training must not touch the heap";
-  ASSERT_TRUE(pipeline.reconstructing())
-      << "the measured window must lie inside the recovery";
 #endif
 }
 

@@ -5,7 +5,9 @@
 // LRU order under the budget, stats must carry across residency cycles, a
 // corrupted spill file must surface kRestoreFailed instead of crashing, and
 // eviction must stay data-race-free against concurrent submits and stats()
-// (this file runs under TSan and ASan/UBSan in CI).
+// (this file runs under TSan and ASan/UBSan in CI). Streams seeded from one
+// template share its model until their first write, and hot_bytes charges
+// that model only to the streams that copied it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +15,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "edgedrift/core/pipeline_manager.hpp"
 #include "edgedrift/data/drift_stream.hpp"
 #include "edgedrift/data/gaussian_concept.hpp"
+#include "edgedrift/io/checkpoint.hpp"
 #include "edgedrift/linalg/numerics.hpp"
 #include "edgedrift/util/rng.hpp"
 
@@ -30,10 +34,12 @@ using edgedrift::core::Pipeline;
 using edgedrift::core::PipelineConfig;
 using edgedrift::core::PipelineManager;
 using edgedrift::core::PipelineStep;
+using edgedrift::core::RecoveryPolicy;
 using edgedrift::core::SubmitStatus;
 using edgedrift::data::Dataset;
 using edgedrift::data::GaussianClass;
 using edgedrift::data::GaussianConcept;
+using edgedrift::linalg::Matrix;
 using edgedrift::linalg::NumericsTier;
 using edgedrift::util::Rng;
 
@@ -435,6 +441,321 @@ TEST(Eviction, EvictionRacesSubmitAndStats) {
     EXPECT_EQ(manager.stats(s).samples, kPerStream) << "stream " << s;
   }
   EXPECT_EQ(manager.totals().samples, kStreams * kPerStream);
+}
+
+// ------------------------------------------------ template model sharing
+
+/// The blob seed_cold_from serializes from `manager`'s stream `id`.
+std::string template_blob(PipelineManager& manager, std::size_t id) {
+  std::string blob;
+  EXPECT_TRUE(edgedrift::io::save_pipeline(blob, manager.stream(id)));
+  return blob;
+}
+
+/// A lone pipeline restored from `blob` without a template: the reference
+/// a seeded stream must step exactly like.
+Pipeline lone_restore(const std::string& blob, const PipelineConfig& config) {
+  std::optional<Pipeline> pipeline =
+      edgedrift::io::load_pipeline(blob, config.numerics, nullptr, &config);
+  EXPECT_TRUE(pipeline.has_value());
+  return std::move(*pipeline);
+}
+
+/// Row-block submits and drains for a set of streams, against one lone
+/// reference each fed the same blocks.
+struct SharedStreams {
+  std::vector<std::size_t> ids;
+  std::vector<Matrix> rows;
+  std::vector<Pipeline> refs;
+  std::vector<std::vector<PipelineStep>> expected, actual;
+
+  void submit(PipelineManager& manager, std::size_t k, std::size_t at,
+              std::size_t n) {
+    const edgedrift::linalg::ConstMatrixView block{rows[k], at, at + n};
+    ASSERT_EQ(manager.submit_batch(ids[k], block), n);
+    refs[k].process_rows(block, {}, expected[k]);
+  }
+  void collect(PipelineManager& manager) {
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      manager.take_steps(ids[k], actual[k]);
+    }
+  }
+};
+
+SharedStreams seeded_streams(std::size_t first, std::size_t count,
+                             const std::string& blob,
+                             const PipelineConfig& config,
+                             std::size_t rows_each, std::uint64_t seed) {
+  SharedStreams st;
+  Rng rng(seed);
+  for (std::size_t k = 0; k < count; ++k) {
+    st.ids.push_back(first + k);
+    st.rows.push_back(edgedrift::data::draw(pre_concept(), rows_each, rng).x);
+    st.refs.push_back(lone_restore(blob, config));
+  }
+  st.expected.resize(count);
+  st.actual.resize(count);
+  return st;
+}
+
+/// Seeded streams that have each been touched once all score against one
+/// model (not the source stream's), and step exactly like lone pipelines
+/// restored from the template without sharing: bit for bit at f64, by
+/// decision at i8.
+void check_seeded_streams_share(NumericsTier tier) {
+  constexpr std::size_t kSeeded = 5;
+  constexpr std::size_t kRows = 240;
+  PipelineConfig config = make_config();
+  config.numerics = tier;
+  config.recovery = RecoveryPolicy::kDetectOnly;
+  ManagerOptions options;
+  options.dispatch = DispatchMode::kManual;
+  const StreamData data = make_drift_stream(1100, 200);
+  PipelineManager manager(config, 1, options);
+  manager.fit(0, data.train.x, data.train.labels);
+  const std::string blob = template_blob(manager, 0);
+  const std::size_t first = manager.seed_cold_from(0, kSeeded);
+  SharedStreams st =
+      seeded_streams(first, kSeeded, blob, config, kRows, 1101);
+
+  for (std::size_t at = 0; at < kRows; at += 4) {
+    // Blocks of 1 to 4 rows, so that the drains score blocks of each size.
+    for (std::size_t k = 0; k < kSeeded; ++k) {
+      st.submit(manager, k, at, 1 + (at / 4 + k) % 4);
+    }
+    manager.drain();
+    st.collect(manager);
+    const auto& shared = manager.stream(first).model();
+    EXPECT_NE(&shared, &manager.stream(0).model());
+    for (std::size_t k = 1; k < kSeeded; ++k) {
+      ASSERT_EQ(&manager.stream(first + k).model(), &shared)
+          << "seeded stream " << first + k << " has its own model";
+    }
+  }
+  for (std::size_t k = 0; k < kSeeded; ++k) {
+    SCOPED_TRACE("seeded stream " + std::to_string(first + k));
+    if (tier == NumericsTier::kExactF64) {
+      expect_steps_equal(st.actual[k], st.expected[k]);
+      continue;
+    }
+    const DecisionTrace a = trace_of(st.actual[k]);
+    const DecisionTrace e = trace_of(st.expected[k]);
+    EXPECT_EQ(a.labels, e.labels);
+    EXPECT_EQ(a.drift_positions, e.drift_positions);
+  }
+}
+
+TEST(Eviction, SeededStreamsShareOneTemplateModelAtF64) {
+  check_seeded_streams_share(NumericsTier::kExactF64);
+}
+
+TEST(Eviction, SeededStreamsShareOneTemplateModelAtI8) {
+  check_seeded_streams_share(NumericsTier::kQuantI8);
+}
+
+/// Under kReconstruct, one seeded stream drifts. It copies the template's
+/// model at detection and steps bit for bit like its lone reference
+/// through the whole recovery (chunked with train_chunk > 1, since each
+/// drain hands it 8-row blocks); the other streams keep sharing and
+/// scoring exactly. After evict and restore the drifted stream loads its
+/// own model and still matches.
+void check_drifted_stream_copies(std::size_t train_chunk) {
+  constexpr std::size_t kSeeded = 3;
+  constexpr std::size_t kBlock = 8;
+  PipelineConfig config = make_config();
+  config.train_chunk = train_chunk;
+  ManagerOptions options;
+  options.dispatch = DispatchMode::kManual;
+  const StreamData data = make_drift_stream(1200);
+  PipelineManager manager(config, 1, options);
+  manager.fit(0, data.train.x, data.train.labels);
+  const std::string blob = template_blob(manager, 0);
+  const std::size_t first = manager.seed_cold_from(0, kSeeded);
+  SharedStreams st =
+      seeded_streams(first, kSeeded, blob, config, data.test.size(), 1201);
+  st.rows[0] = data.test.x;  // Stream `first` drifts; the others do not.
+
+  std::size_t copied_at = 0;
+  bool evicted = false;
+  for (std::size_t at = 0; at + kBlock <= data.test.size(); at += kBlock) {
+    for (std::size_t k = 0; k < kSeeded; ++k) st.submit(manager, k, at, kBlock);
+    manager.drain();
+    st.collect(manager);
+    const auto* drifted = &manager.stream(first).model();
+    const auto* quiet = &manager.stream(first + 1).model();
+    EXPECT_EQ(&manager.stream(first + 2).model(), quiet)
+        << "the quiet streams stopped sharing at row " << at;
+    const bool detected = std::any_of(
+        st.actual[0].begin(), st.actual[0].end(),
+        [](const PipelineStep& step) { return step.drift_detected; });
+    if (!detected) {
+      EXPECT_EQ(drifted, quiet) << "copied before the first detection";
+    } else if (copied_at == 0) {
+      EXPECT_NE(drifted, quiet) << "detection did not copy the model";
+      copied_at = at;
+    }
+    // Evict once the first recovery has finished.
+    if (!evicted && manager.stats(first).recoveries > 0 &&
+        !manager.stream(first).recovering()) {
+      ASSERT_TRUE(manager.evict(first));
+      evicted = true;
+    } else if (evicted) {
+      EXPECT_NE(&manager.stream(first).model(), quiet)
+          << "the drifted stream's restore shares the template";
+    }
+  }
+  ASSERT_GT(copied_at, 0u) << "the drift must be detected";
+  ASSERT_TRUE(evicted) << "the recovery must finish before the stream ends";
+  for (std::size_t k = 0; k < kSeeded; ++k) {
+    SCOPED_TRACE("seeded stream " + std::to_string(first + k));
+    expect_steps_equal(st.actual[k], st.expected[k]);
+  }
+}
+
+TEST(Eviction, DriftedSeededStreamCopiesTheTemplateModel) {
+  check_drifted_stream_copies(1);
+}
+
+TEST(Eviction, DriftedSeededStreamCopiesTheTemplateModelChunked) {
+  check_drifted_stream_copies(8);
+}
+
+// kShard dispatch with 2 shards and a hot budget of 2 per shard: seeded
+// streams on both workers share one model while one of them drifts and
+// evictions churn, and every stream steps bit for bit like its reference.
+// The drifting stream's shard serves it and one quiet stream, within the
+// budget: checkpoint v3 does not persist an open anomaly window, so an
+// eviction mid-window would change its decisions with or without sharing.
+// The other shard serves every other quiet stream, over the budget.
+TEST(Eviction, ShardWorkersShareOneTemplateModelUnderChurn) {
+  constexpr std::size_t kSeeded = 10;
+  constexpr std::size_t kRounds = 250;
+  constexpr std::size_t kBlock = 4;
+  const PipelineConfig config = make_config();
+  ManagerOptions options;
+  options.shards = 2;
+  options.hot_stream_budget = 2;
+  const StreamData data = make_drift_stream(1300, kRounds * kBlock);
+  PipelineManager manager(config, 1, options);
+  manager.fit(0, data.train.x, data.train.labels);
+  const std::string blob = template_blob(manager, 0);
+  const std::size_t first = manager.seed_cold_from(0, kSeeded);
+  SharedStreams st =
+      seeded_streams(first, kSeeded, blob, config, 2 * kRounds * kBlock, 1301);
+  st.rows[0] = data.test.x;  // Stream `first` drifts; the others do not.
+
+  // Active streams: the drifting one and one quiet probe on its shard, and
+  // every seeded stream of the other shard. The probes are touched last
+  // before each check, so each is its shard's most recent, resident stream.
+  const std::size_t drift_shard = manager.shard_of(first);
+  std::vector<std::size_t> active = {0};
+  std::size_t drift_probe = 0;
+  std::size_t quiet_probe = 0;
+  for (std::size_t k = 1; k < kSeeded; ++k) {
+    if (manager.shard_of(first + k) != drift_shard) {
+      active.push_back(k);
+      if (quiet_probe == 0) quiet_probe = k;
+    } else if (drift_probe == 0) {
+      active.push_back(k);
+      drift_probe = k;
+    }
+  }
+  ASSERT_NE(drift_probe, 0u);
+  ASSERT_NE(quiet_probe, 0u);
+  ASSERT_GE(active.size(), 5u) << "the quiet shard must exceed its budget";
+  const std::size_t probes[] = {drift_probe, quiet_probe};
+
+  std::vector<std::size_t> cursor(kSeeded, 0);
+  const auto feed = [&](std::size_t k) {
+    st.submit(manager, k, cursor[k], kBlock);
+    cursor[k] += kBlock;
+  };
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (const std::size_t k : active) feed(k);
+    if (round % 25 != 24) continue;
+    manager.drain();
+    for (const std::size_t k : probes) feed(k);
+    manager.drain();
+    st.collect(manager);
+    const auto* shared = &manager.stream(first + drift_probe).model();
+    for (const std::size_t k : probes) {
+      ASSERT_TRUE(manager.resident(first + k));
+      EXPECT_EQ(&manager.stream(first + k).model(), shared)
+          << "probe " << first + k << " after round " << round;
+    }
+    for (const std::size_t k : active) {
+      if (k == 0 || !manager.resident(first + k)) continue;
+      EXPECT_EQ(&manager.stream(first + k).model(), shared)
+          << "seeded stream " << first + k << " after round " << round;
+    }
+  }
+  manager.drain();
+  st.collect(manager);
+  EXPECT_GE(manager.stats(first).drifts, 1u) << "stream " << first;
+  EXPECT_NE(&manager.stream(first).model(),
+            &manager.stream(first + drift_probe).model());
+  for (const std::size_t k : active) {
+    SCOPED_TRACE("seeded stream " + std::to_string(first + k));
+    expect_steps_equal(st.actual[k], st.expected[k]);
+  }
+  if (edgedrift::obs::kObsCompiled) {
+    const edgedrift::obs::Snapshot snap = manager.stats();
+    EXPECT_GT(snap.shards[1 - drift_shard].evictions, 10u);
+  }
+}
+
+// hot_bytes charges a stream on its template's model only its own bytes,
+// and charges the model once the stream has written a private copy.
+TEST(Eviction, HotBytesChargeTheTemplateModelOnlyOnceCopied) {
+  PipelineConfig config = make_config();
+  ManagerOptions options;
+  options.dispatch = DispatchMode::kManual;
+  const StreamData data = make_drift_stream(1400);
+  PipelineManager manager(config, 1, options);
+  manager.fit(0, data.train.x, data.train.labels);
+  const std::size_t first = manager.seed_cold_from(0, 2);
+  const auto hot_bytes = [&] { return manager.stats().shards[0].hot_bytes; };
+  const std::size_t ring =
+      options.queue_capacity *
+      (config.input_dim * sizeof(double) + sizeof(int) +
+       (edgedrift::obs::kObsCompiled ? sizeof(std::uint64_t) : 0));
+
+  // Restores onto the template: each stream adds its detector, recovery
+  // bookkeeping and ring, not the model.
+  std::size_t before = hot_bytes();
+  ASSERT_TRUE(manager.submit(first, data.test.x.row(0)));
+  ASSERT_TRUE(manager.submit(first + 1, data.test.x.row(0)));
+  manager.drain();
+  const Pipeline& drifting = manager.stream(first);
+  ASSERT_EQ(&drifting.model(), &manager.stream(first + 1).model());
+  const std::size_t own = drifting.detector_memory_bytes();
+  ASSERT_LT(own, drifting.memory_bytes());
+  EXPECT_EQ(hot_bytes() - before, 2 * (own + ring));
+
+  // The drift's detection copies the model; the drain's bookkeeping then
+  // charges the copy (memory_bytes() always counts the whole model).
+  before = hot_bytes();
+  std::size_t row = 1;
+  while (!manager.stream(first).recovering() && row < data.test.size()) {
+    ASSERT_TRUE(manager.submit(first, data.test.x.row(row++)));
+    manager.drain();
+  }
+  ASSERT_TRUE(manager.stream(first).recovering()) << "no drift detected";
+  EXPECT_NE(&manager.stream(first).model(), &manager.stream(first + 1).model());
+  EXPECT_EQ(hot_bytes(), before - own + manager.stream(first).memory_bytes());
+
+  // Finish the recovery, evict, and restore: the stream's own model is
+  // charged in full.
+  while (manager.stream(first).recovering() && row < data.test.size()) {
+    ASSERT_TRUE(manager.submit(first, data.test.x.row(row++)));
+    manager.drain();
+  }
+  ASSERT_FALSE(manager.stream(first).recovering());
+  ASSERT_TRUE(manager.evict(first));
+  before = hot_bytes();
+  ASSERT_TRUE(manager.submit(first, data.test.x.row(row)));
+  manager.drain();
+  EXPECT_EQ(hot_bytes() - before, manager.stream(first).memory_bytes() + ring);
 }
 
 }  // namespace

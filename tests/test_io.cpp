@@ -1,7 +1,9 @@
-// Tests for binary serialization and pipeline checkpointing.
+// Tests for binary serialization and pipeline checkpointing, including
+// loads that share a template's model.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string_view>
 
@@ -17,6 +19,7 @@ namespace {
 
 using edgedrift::core::Pipeline;
 using edgedrift::core::PipelineConfig;
+using edgedrift::io::ModelTemplate;
 using edgedrift::io::Reader;
 using edgedrift::io::Writer;
 using edgedrift::linalg::Matrix;
@@ -261,16 +264,24 @@ TEST(Checkpoint, EveryTruncationPointFailsCleanly) {
   Pipeline original(small_config());
   original.fit(scenario.train.x, scenario.train.labels);
 
-  std::string blob;
-  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, original));
-  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
-    std::string error;
-    EXPECT_FALSE(edgedrift::io::load_pipeline(
-                     std::string_view(blob).substr(0, cut), std::nullopt,
-                     &error)
-                     .has_value())
-        << "accepted a blob truncated at byte " << cut;
-    EXPECT_FALSE(error.empty()) << "no reason for the cut at byte " << cut;
+  auto blob = std::make_shared<std::string>();
+  ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, original));
+  // With and without a template of the uncut blob: sharing a model must
+  // not skip a check.
+  const std::optional<ModelTemplate> shared =
+      edgedrift::io::load_template(blob);
+  ASSERT_TRUE(shared.has_value());
+  const ModelTemplate* const templates[] = {&*shared, nullptr};
+  for (const ModelTemplate* model_template : templates) {
+    for (std::size_t cut = 0; cut < blob->size(); ++cut) {
+      std::string error;
+      EXPECT_FALSE(edgedrift::io::load_pipeline(
+                       std::string_view(*blob).substr(0, cut), std::nullopt,
+                       &error, nullptr, model_template)
+                       .has_value())
+          << "accepted a blob truncated at byte " << cut;
+      EXPECT_FALSE(error.empty()) << "no reason for the cut at byte " << cut;
+    }
   }
 }
 
@@ -282,17 +293,26 @@ TEST(Checkpoint, RandomSingleByteCorruptionIsAlwaysRejected) {
   Pipeline original(small_config());
   original.fit(scenario.train.x, scenario.train.labels);
 
-  std::string blob;
-  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, original));
-  std::string corrupted = blob;
-  for (std::size_t pos = 0; pos < blob.size(); ++pos) {
-    for (int bit = 0; bit < 8; ++bit) {
-      corrupted[pos] = static_cast<char>(blob[pos] ^ (1 << bit));
-      EXPECT_FALSE(edgedrift::io::load_pipeline(corrupted).has_value())
-          << "accepted a blob with byte " << pos << " bit " << bit
-          << " flipped";
+  auto blob = std::make_shared<std::string>();
+  ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, original));
+  const std::optional<ModelTemplate> shared =
+      edgedrift::io::load_template(blob);
+  ASSERT_TRUE(shared.has_value());
+  const ModelTemplate* const templates[] = {&*shared, nullptr};
+  for (const ModelTemplate* model_template : templates) {
+    std::string corrupted = *blob;
+    for (std::size_t pos = 0; pos < blob->size(); ++pos) {
+      for (int bit = 0; bit < 8; ++bit) {
+        corrupted[pos] = static_cast<char>((*blob)[pos] ^ (1 << bit));
+        EXPECT_FALSE(edgedrift::io::load_pipeline(corrupted, std::nullopt,
+                                                  nullptr, nullptr,
+                                                  model_template)
+                         .has_value())
+            << "accepted a blob with byte " << pos << " bit " << bit
+            << " flipped";
+      }
+      corrupted[pos] = (*blob)[pos];
     }
-    corrupted[pos] = blob[pos];
   }
 }
 
@@ -371,6 +391,157 @@ TEST(Checkpoint, StreamAdaptersMatchTheBufferCore) {
   EXPECT_EQ(stream.str(), blob);
 
   EXPECT_TRUE(edgedrift::io::load_pipeline(stream).has_value());
+}
+
+// ------------------------------------------------------ template sharing
+
+/// Expects two models to hold the same trained state bit for bit: every
+/// instance's beta, P and samples-seen count, and the packed ensemble.
+void expect_same_model(const edgedrift::model::MultiInstanceModel& a,
+                       const edgedrift::model::MultiInstanceModel& b) {
+  ASSERT_EQ(a.num_labels(), b.num_labels());
+  for (std::size_t c = 0; c < a.num_labels(); ++c) {
+    const auto& na = a.instance(c).net();
+    const auto& nb = b.instance(c).net();
+    EXPECT_EQ(Matrix::max_abs_diff(na.beta(), nb.beta()), 0.0) << c;
+    EXPECT_EQ(Matrix::max_abs_diff(na.p(), nb.p()), 0.0) << c;
+    EXPECT_EQ(na.samples_seen(), nb.samples_seen()) << c;
+  }
+  EXPECT_EQ(Matrix::max_abs_diff(a.packed_beta(), b.packed_beta()), 0.0);
+}
+
+TEST(Checkpoint, BlobWithTheTemplateModelSharesIt) {
+  Rng rng(12);
+  auto scenario = make_scenario(rng);
+  PipelineConfig config = small_config();
+  config.recovery = edgedrift::core::RecoveryPolicy::kDetectOnly;
+  Pipeline original(config);
+  original.fit(scenario.train.x, scenario.train.labels);
+  auto blob = std::make_shared<std::string>();
+  ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, original));
+  const std::optional<ModelTemplate> shared =
+      edgedrift::io::load_template(blob, std::nullopt, nullptr, &config);
+  ASSERT_TRUE(shared.has_value());
+  const edgedrift::model::MultiInstanceModel& model = shared->pipeline.model();
+
+  auto restored = edgedrift::io::load_pipeline(*blob, std::nullopt, nullptr,
+                                               &config, &*shared);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(&restored->model(), &model);
+
+  // A restored stream re-saves another config block (its calibrated
+  // theta_error) and detector state around the same model: still shared.
+  for (std::size_t i = 0; i < 100; ++i) {
+    restored->process(scenario.stream.x.row(i));
+  }
+  std::string resaved;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(resaved, *restored));
+  ASSERT_NE(resaved, *blob);
+  auto again = edgedrift::io::load_pipeline(resaved, std::nullopt, nullptr,
+                                            &config, &*shared);
+  auto lone =
+      edgedrift::io::load_pipeline(resaved, std::nullopt, nullptr, &config);
+  ASSERT_TRUE(again.has_value() && lone.has_value());
+  EXPECT_EQ(&again->model(), &model);
+  EXPECT_NE(&lone->model(), &model);
+  expect_same_model(again->model(), lone->model());
+  for (std::size_t i = 100; i < scenario.stream.size(); ++i) {
+    const auto a = again->process(scenario.stream.x.row(i));
+    const auto b = lone->process(scenario.stream.x.row(i));
+    EXPECT_EQ(a.prediction.label, b.prediction.label);
+    EXPECT_EQ(a.prediction.score, b.prediction.score);
+    EXPECT_EQ(a.drift_detected, b.drift_detected);
+    EXPECT_EQ(a.statistic, b.statistic);
+  }
+
+  // A write goes to a private copy; the template keeps its bytes.
+  edgedrift::model::MultiInstanceModel& own = again->model_mutable();
+  EXPECT_NE(&own, &model);
+  own.reset();
+  expect_same_model(model, original.model());
+  EXPECT_EQ(&restored->model(), &model);
+}
+
+/// Byte offsets of three model-determining fields in a checkpoint v3 blob.
+/// The config block (128 bytes from the end of the section tag) opens with
+/// num_labels, input_dim, hidden_dim (u64), the activation (u32),
+/// weight_scale and reg_lambda; the effective theta_error (f64) follows
+/// it, then the model section: alpha (2 dims + d*h), bias (length + h),
+/// the fingerprint, the instance count, and instance 0's beta (2 dims +
+/// h*d), P (2 dims + h*h) and samples-seen count.
+struct ModelFieldOffsets {
+  std::size_t reg_lambda, p00, samples_seen0;
+};
+
+ModelFieldOffsets model_field_offsets(const std::string& blob,
+                                      const PipelineConfig& config) {
+  constexpr std::size_t w = sizeof(double);
+  const std::string_view section = "edgedrift.pipeline";
+  const std::size_t config_at = blob.find(section) + section.size();
+  const std::size_t d = config.input_dim;
+  const std::size_t h = config.hidden_dim;
+  const std::size_t model_at = config_at + 128 + w;
+  const std::size_t beta0 = model_at + (2 + d * h + 1 + h + 2) * w;
+  const std::size_t p00 = beta0 + (2 + h * d + 2) * w;
+  return {config_at + 3 * w + 4 + w, p00, p00 + h * h * w};
+}
+
+TEST(Checkpoint, BlobWithAnotherModelLoadsItsOwn) {
+  Rng rng(13);
+  auto scenario = make_scenario(rng);
+  const PipelineConfig config = small_config();
+  Pipeline original(config);
+  original.fit(scenario.train.x, scenario.train.labels);
+  auto blob = std::make_shared<std::string>();
+  ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, original));
+  const std::optional<ModelTemplate> shared =
+      edgedrift::io::load_template(blob);
+  ASSERT_TRUE(shared.has_value());
+  const edgedrift::model::MultiInstanceModel& model = shared->pipeline.model();
+  const ModelFieldOffsets at = model_field_offsets(*blob, config);
+
+  const auto scale_f64 = [](std::string& b, std::size_t pos, double by) {
+    double v = 0.0;
+    std::memcpy(&v, b.data() + pos, sizeof(v));
+    v *= by;
+    std::memcpy(b.data() + pos, &v, sizeof(v));
+  };
+  struct Edit {
+    const char* field;
+    std::string blob;
+  };
+  std::vector<Edit> edits = {{"P(0, 0)", *blob},
+                             {"samples_seen", *blob},
+                             {"reg_lambda", *blob}};
+  scale_f64(edits[0].blob, at.p00, 1.5);
+  std::uint64_t seen = 0;
+  std::memcpy(&seen, blob->data() + at.samples_seen0, sizeof(seen));
+  ++seen;
+  std::memcpy(edits[1].blob.data() + at.samples_seen0, &seen, sizeof(seen));
+  scale_f64(edits[2].blob, at.reg_lambda, 2.0);
+
+  for (Edit& edit : edits) {
+    SCOPED_TRACE(edit.field);
+    reseal(edit.blob);
+    std::string error;
+    auto own = edgedrift::io::load_pipeline(edit.blob, std::nullopt, &error,
+                                            nullptr, &*shared);
+    ASSERT_TRUE(own.has_value()) << error;
+    EXPECT_NE(&own->model(), &model);
+    auto lone = edgedrift::io::load_pipeline(edit.blob);
+    ASSERT_TRUE(lone.has_value());
+    expect_same_model(own->model(), lone->model());
+    EXPECT_EQ(own->config().reg_lambda, lone->config().reg_lambda);
+  }
+  // Each edit reached the field it names.
+  const auto p_edit = edgedrift::io::load_pipeline(edits[0].blob);
+  EXPECT_EQ(p_edit->model().instance(0).net().p()(0, 0),
+            1.5 * model.instance(0).net().p()(0, 0));
+  const auto seen_edit = edgedrift::io::load_pipeline(edits[1].blob);
+  EXPECT_EQ(seen_edit->model().instance(0).samples_seen(),
+            model.instance(0).samples_seen() + 1);
+  const auto lambda_edit = edgedrift::io::load_pipeline(edits[2].blob);
+  EXPECT_EQ(lambda_edit->config().reg_lambda, 2.0 * config.reg_lambda);
 }
 
 }  // namespace
