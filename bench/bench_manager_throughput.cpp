@@ -5,7 +5,8 @@
 // inside the same binary, interleaved rep by rep — the noise-mitigation
 // protocol for single-core containers. The pre-ring per-sample drain this
 // bench once compared against is gone; its last numbers are the
-// drain=sample records of the committed BENCH_manager.json.
+// drain=sample records of BENCH_manager.json as committed at 60a5f16 (git
+// history).
 //
 // Three configurations span the regime: NSL-KDD-like (d=38, C=2), where
 // the per-sample matvec path is already near memory-bound and the batch

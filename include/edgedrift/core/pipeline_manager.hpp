@@ -85,7 +85,10 @@ enum class BackpressurePolicy {
 /// Who runs the consumer.
 enum class DispatchMode {
   kShard,   ///< Dedicated per-shard drain workers (optionally core-pinned).
-  kManual,  ///< submit() only enqueues; the caller drains via poll()/drain().
+  /// submit() only enqueues, listing the stream on its shard's ready
+  /// stack; the caller drains via poll() or drain(), and drain() visits
+  /// only the listed streams.
+  kManual,
 };
 
 /// Why a submit was (partially) refused. kOk also covers kReject
@@ -197,7 +200,9 @@ class PipelineManager {
   void poll(std::size_t id);
 
   /// Blocks until every submitted sample has been processed. In kManual
-  /// dispatch, drains every stream on the calling thread.
+  /// dispatch, drains on the calling thread the streams listed on the
+  /// shards' ready stacks since the last drain — those that published rows
+  /// — so a drain costs O(streams with rows), not O(registered streams).
   void drain();
 
   /// Evicts stream `id` now if it is resident and idle (empty ring, no
@@ -260,7 +265,8 @@ class PipelineManager {
 
   void init_streams(const PipelineConfig& config, std::size_t num_streams);
   void start_workers();
-  /// Hands the stream to its shard worker if no drain cycle owns it.
+  /// Hands the stream to its shard worker if no drain cycle owns it
+  /// (kShard), or lists it for drain() if it is not listed yet (kManual).
   void maybe_schedule(Stream& s);
   /// Worker body for one shard: take-all / drain / park loop.
   void shard_worker(Shard& shard);

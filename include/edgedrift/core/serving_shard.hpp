@@ -8,11 +8,14 @@
 //     intrusive hooks linking it into its shard's ready stack and LRU list,
 //     and the counters carried across evict/restore cycles.
 //   ReadyStack — a Treiber stack of streams with published-but-undrained
-//     rows. Producers push after winning a stream's scheduled flag; the
-//     shard's single worker takes the whole stack at once. The scheduled
-//     flag guarantees a stream is pushed at most once per drain cycle, so
-//     the classic ABA hazard (pop racing a reinsertion) cannot arise —
-//     nobody pops single nodes.
+//     rows, serving both dispatch modes. Producers push after winning a
+//     stream's flag: `scheduled` in kShard dispatch, where the shard's
+//     single worker takes the whole stack at once, and `listed` in kManual
+//     dispatch, where drain() takes it, so a drain visits only the streams
+//     that published rows since the last one. Either flag guarantees a
+//     stream is pushed at most once until the stack is taken, so the
+//     classic ABA hazard (pop racing a reinsertion) cannot arise — nobody
+//     pops single nodes.
 //   ShardState — everything one shard owns: the ready stack, the worker
 //     thread and its park/wake latch, the LRU list + hot/cold gauges under
 //     the shard's evict mutex, the cold store, and the shard obs block.
@@ -135,6 +138,12 @@ struct ManagedStream {
   std::atomic<std::uint64_t> tail{0};
 
   std::atomic<bool> scheduled{false};  ///< A drain cycle is queued/running.
+  /// kManual dispatch only: the stream sits on its shard's ready stack
+  /// waiting for drain(). Separate from `scheduled`, which stays the
+  /// consumer role that poll() and the drain's planning pass claim. drain()
+  /// reads ready_next, then clears this flag, then reads the ring, so rows
+  /// published after the clear list the stream again.
+  std::atomic<bool> listed{false};
 
   std::mutex produce_mutex;  ///< Serializes producers; kBlock cv anchor.
   std::condition_variable space_cv;
@@ -179,8 +188,10 @@ struct ManagedStream {
 };
 
 /// Lock-free multi-producer stack of streams awaiting a drain cycle.
-/// push() is called by producers (at most once per stream per cycle — the
-/// scheduled flag gates it); take_all() by the shard's single worker.
+/// push() is called by producers, at most once per stream until the stack
+/// is taken: the scheduled flag gates it in kShard dispatch, the listed
+/// flag in kManual. take_all() is called by the shard's single consumer:
+/// its worker (kShard) or the thread running drain() (kManual).
 class ReadyStack {
  public:
   void push(ManagedStream* s) {
@@ -190,9 +201,19 @@ class ReadyStack {
     } while (!head_.compare_exchange_weak(head, s));
   }
 
-  /// Detaches and returns the whole stack (LIFO chain via ready_next),
-  /// or nullptr when empty.
-  ManagedStream* take_all() { return head_.exchange(nullptr); }
+  /// Detaches the whole stack and returns it as a chain via ready_next in
+  /// push order (the stack holds it newest-first), or nullptr when empty.
+  ManagedStream* take_all() {
+    ManagedStream* chain = head_.exchange(nullptr);
+    ManagedStream* ordered = nullptr;
+    while (chain != nullptr) {
+      ManagedStream* next = chain->ready_next.load(std::memory_order_relaxed);
+      chain->ready_next.store(ordered, std::memory_order_relaxed);
+      ordered = chain;
+      chain = next;
+    }
+    return ordered;
+  }
 
   bool empty() const { return head_.load() == nullptr; }
 
@@ -285,7 +306,9 @@ struct ShardState {
     std::size_t offset = 0;    ///< First staging row of this stream's block.
     std::size_t queued = 0;    ///< Ring depth at planning time (telemetry).
   };
-  std::vector<ManagedStream*> plan_candidates;  ///< This cycle's chain.
+  /// This cycle's chain: the streams taken off the ready stack (in
+  /// kManual, those of them whose ring holds rows).
+  std::vector<ManagedStream*> plan_candidates;
   /// Eligible candidates keyed by projection fingerprint — one pipeline
   /// pointer chase per stream per planning pass; the group sort and the
   /// run scan compare flat keys.

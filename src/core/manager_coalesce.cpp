@@ -20,10 +20,12 @@
 // tiers (tests/test_coalesced_drain.cpp).
 //
 // Scheduling safety: the caller owns every candidate's `scheduled` flag
-// (the shard worker took them off the ready stack; the kManual drain wins
-// the flag explicitly), which is exactly the condition that blocks eviction
-// (evictable_locked requires !scheduled) — so no stream can be evicted or
-// restored between group formation and scatter. Streams that are
+// (the shard worker took them off the ready stack; the kManual drain takes
+// the listed streams off the same stack and wins the flag explicitly,
+// skipping a stream a concurrent poll() holds), which is exactly the
+// condition that blocks eviction (evictable_locked requires !scheduled) —
+// so no stream can be evicted or restored between group formation and
+// scatter. Streams that are
 // ineligible (recovering, unfitted, released) or whose group is too small
 // fall back to the ordinary per-stream drain that always follows a
 // planning pass; the same pass also picks up rows the staging caps left

@@ -30,10 +30,15 @@ void PipelineManager::start_workers() {
 }
 
 void PipelineManager::maybe_schedule(Stream& s) {
-  if (options_.dispatch == DispatchMode::kManual) return;
+  Shard& shard = *shards_[s.shard];
+  if (options_.dispatch == DispatchMode::kManual) {
+    // No worker: list the stream for the next drain(), once until that
+    // drain takes it. The consumer role stays with `scheduled`.
+    if (!s.listed.exchange(true)) shard.ready.push(&s);
+    return;
+  }
   if (s.scheduled.exchange(true)) return;  // A drain cycle already owns it.
   active_.fetch_add(1);
-  Shard& shard = *shards_[s.shard];
   shard.ready.push(&s);
   if (shard.parked.load()) {
     // Lock-and-drop pins the worker either before its wait predicate (it
@@ -50,8 +55,8 @@ void PipelineManager::shard_worker(Shard& shard) {
   util::ThreadPool::mark_inline_worker();
   if (options_.pin_cores) pin_worker(shard);
   for (;;) {
-    Stream* chain = shard.ready.take_all();
-    if (chain == nullptr) {
+    Stream* ordered = shard.ready.take_all();
+    if (ordered == nullptr) {
       if (shard.stopping.load()) return;
       shard.parked.store(true);
       if (shard.ready.empty() && !shard.stopping.load()) {
@@ -63,15 +68,6 @@ void PipelineManager::shard_worker(Shard& shard) {
       }
       shard.parked.store(false);
       continue;
-    }
-    // The Treiber stack hands the chain over newest-first; reverse it so
-    // streams drain roughly in scheduling order.
-    Stream* ordered = nullptr;
-    while (chain != nullptr) {
-      Stream* next = chain->ready_next.load(std::memory_order_relaxed);
-      chain->ready_next.store(ordered, std::memory_order_relaxed);
-      ordered = chain;
-      chain = next;
     }
     if (options_.coalesce) {
       // The coalesced pass drains shared-projection groups in one

@@ -306,9 +306,10 @@ void PipelineManager::notify_done() {
 void PipelineManager::poll(std::size_t id) {
   EDGEDRIFT_ASSERT(id < streams_.size(), "stream id out of range");
   Stream& s = *streams_[id];
-  // Empty-ring fast path: the manual drain loop polls every stream after
-  // the coalesced planning pass has already emptied most rings — skip the
-  // scheduled-flag claim and the after_drain bookkeeping for those.
+  // Empty-ring fast path: the manual drain polls the streams it took off
+  // the ready stacks after the coalesced planning pass has already emptied
+  // most of their rings — skip the scheduled-flag claim and the after_drain
+  // bookkeeping for those.
   if (s.tail.load() == s.head.load()) return;
   bool drained = false;
   for (;;) {
@@ -328,36 +329,48 @@ void PipelineManager::poll(std::size_t id) {
 void PipelineManager::drain() {
   if (options_.dispatch == DispatchMode::kManual) {
     while (pending_.load() != 0) {
-      if (options_.coalesce) {
-        // Deterministic coalescing for the manual dispatcher: every shard
-        // plans over all of its streams with published rows, then the poll
-        // sweep drains the leftovers. Manual mode is single-threaded
-        // operation by design, but the consumer role is still claimed per
-        // stream through the scheduled flag so a concurrent poll() can
-        // never double-drain.
-        for (auto& shard : shards_) shard->plan_candidates.clear();
-        for (auto& sp : streams_) {
-          Stream& s = *sp;
-          if (s.tail.load() == s.head.load()) continue;
-          if (s.scheduled.exchange(true)) continue;
-          shards_[s.shard]->plan_candidates.push_back(&s);
-        }
-        for (auto& shard : shards_) {
-          coalesce_candidates(*shard);
-          for (Stream* s : shard->plan_candidates) {
-            s->scheduled.store(false);
-            after_drain(*s);
+      // Each shard's ready stack holds the streams listed since the last
+      // pass, the only ones that can hold rows, so the drain never scans
+      // the registered streams. Every shard plans its coalesced groups over
+      // its listed streams, then the poll sweep drains the leftovers.
+      // Manual mode is single-threaded by design, but the consumer role is
+      // still claimed per stream through the scheduled flag, so a
+      // concurrent poll() can never double-drain.
+      for (auto& shard : shards_) {
+        auto& cand = shard->plan_candidates;
+        cand.clear();
+        for (Stream* s = shard->ready.take_all(); s != nullptr;) {
+          // Read the link before clearing the flag: from then on a producer
+          // may list the stream again, reusing ready_next. The ring read
+          // after the clear sees every row published before it; an earlier
+          // poll() may have emptied the ring, or evict() pushed the stream
+          // cold while it was idle. The planning pass needs the consumer
+          // role, so a stream a concurrent poll() holds is left to it.
+          Stream* next = s->ready_next.load(std::memory_order_relaxed);
+          s->listed.store(false);
+          if (s->tail.load() != s->head.load() &&
+              !(options_.coalesce && s->scheduled.exchange(true))) {
+            cand.push_back(s);
           }
+          s = next;
         }
-        if (pending_.load() == 0) {
-          // The planning pass consumed every published row — the usual
-          // steady state when all streams fit one group. Skip the poll
-          // sweep; the loop condition re-checks for racing producers.
-          notify_done();
-          continue;
+        if (!options_.coalesce) continue;
+        coalesce_candidates(*shard);
+        for (Stream* s : cand) {
+          s->scheduled.store(false);
+          after_drain(*s);
         }
       }
-      for (std::size_t id = 0; id < streams_.size(); ++id) poll(id);
+      if (options_.coalesce && pending_.load() == 0) {
+        // The planning pass consumed every published row — the usual
+        // steady state when all streams fit one group. Skip the poll
+        // sweep; the loop condition re-checks for racing producers.
+        notify_done();
+        continue;
+      }
+      for (auto& shard : shards_) {
+        for (Stream* s : shard->plan_candidates) poll(s->id);
+      }
     }
     return;
   }

@@ -431,6 +431,94 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
 #endif
 }
 
+// The kManual gateway loop over many streams: submit_batch() lists each
+// touched stream on its shard's ready stack, and drain() takes the stacks,
+// plans the coalesced group over the listed streams and polls the leftovers.
+// After a warm-up that touches every stream, the listing path and the
+// per-shard chain scratch must not touch the heap while each round touches
+// a different subset, with and without coalescing.
+TEST(AllocationFree, SteadyStateManualMultiStreamDrainDoesNotAllocate) {
+#if defined(EDGEDRIFT_ALLOC_HOOKS_DISABLED)
+  GTEST_SKIP() << "allocation hooks disabled under sanitizers";
+#else
+  constexpr std::size_t kDim = 16;
+  constexpr std::size_t kSeeded = 11;
+  constexpr std::size_t kStreams = kSeeded + 1;
+  constexpr std::size_t kRows = 6;
+
+  edgedrift::core::PipelineConfig config;
+  config.num_labels = 2;
+  config.input_dim = kDim;
+  config.hidden_dim = 12;
+  config.recovery = edgedrift::core::RecoveryPolicy::kDetectOnly;
+
+  for (const bool coalesce : {true, false}) {
+    SCOPED_TRACE(coalesce ? "coalesce on" : "coalesce off");
+    edgedrift::core::ManagerOptions options;
+    options.dispatch = edgedrift::core::DispatchMode::kManual;
+    options.shards = 2;
+    options.queue_capacity = 16;
+    options.coalesce = coalesce;
+    edgedrift::core::PipelineManager manager(config, 1, options);
+
+    Rng rng(19);
+    Matrix train(200, kDim);
+    std::vector<int> labels(train.rows());
+    for (std::size_t i = 0; i < train.rows(); ++i) {
+      labels[i] = static_cast<int>(i % 2);
+      const double mean = labels[i] == 0 ? 0.2 : 1.2;
+      for (std::size_t j = 0; j < kDim; ++j) {
+        train(i, j) = rng.gaussian(mean, 0.2);
+      }
+    }
+    manager.fit(0, train, labels);
+    manager.seed_cold_from(0, kSeeded);
+
+    Matrix block(kRows, kDim);
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const double mean = i % 2 == 0 ? 0.2 : 1.2;
+      for (std::size_t j = 0; j < kDim; ++j) {
+        block(i, j) = rng.gaussian(mean, 0.2);
+      }
+    }
+    std::vector<edgedrift::core::PipelineStep> steps;
+    steps.reserve(2 * kRows);
+    // Round r touches the streams whose id is not a multiple of r % 4 + 2,
+    // some of them twice, so each drain lists a different subset.
+    const auto round_trip = [&](std::size_t round, bool every_stream) {
+      const std::size_t skip = round % 4 + 2;
+      for (std::size_t id = 0; id < kStreams; ++id) {
+        if (!every_stream && id % skip == 0) continue;
+        manager.submit_batch(id, block);
+        if (id % 3 == 0) manager.submit_batch(id, block);
+      }
+      manager.drain();
+      for (std::size_t id = 0; id < kStreams; ++id) {
+        manager.take_steps(id, steps);
+        steps.clear();
+      }
+    };
+
+    // Warm-up: restores every seeded stream and takes every grow-only
+    // buffer (step vectors, chain and planning scratch, staging) to its
+    // high-water mark.
+    for (std::size_t round = 0; round < 3; ++round) round_trip(round, true);
+
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    for (std::size_t round = 0; round < 12; ++round) round_trip(round, false);
+    g_count_allocs.store(false, std::memory_order_relaxed);
+
+    EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
+        << "steady-state kManual submit_batch()/drain() must not touch the "
+           "heap";
+    EXPECT_EQ(manager.hot_streams(), kStreams);
+    EXPECT_EQ(manager.telemetry(kStreams - 1).processed,
+              manager.telemetry(kStreams - 1).submitted);
+  }
+#endif
+}
+
 TEST(AllocationFree, UncollectedStepBacklogGrowsGeometrically) {
 #if defined(EDGEDRIFT_ALLOC_HOOKS_DISABLED)
   GTEST_SKIP() << "allocation hooks disabled under sanitizers";

@@ -12,7 +12,8 @@
 //    detection shift, near-total label agreement).
 //  - Streams with mismatched fingerprints (independent projections) fall
 //    back to the per-stream path and are counted in ShardObs.
-//  - submit_batch racing shard-worker coalesced drains loses no samples
+//  - submit_batch racing shard-worker coalesced drains loses no samples,
+//    and racing a kManual drain() loop keeps every stream bit-identical
 //    (run under TSan in CI).
 #include <gtest/gtest.h>
 
@@ -365,6 +366,64 @@ TEST(CoalescedDrain, SubmitBatchRacesCoalescedShardDrains) {
         << "stream " << s;
   }
   EXPECT_EQ(manager.totals().samples, kStreams * kBatches * kBurst);
+}
+
+// The race surface of the kManual drain: producer threads feed their own
+// seeded streams through submit_batch (and, on a full ring, drain them
+// inline through poll()) while the test thread loops drain(). A stream whose
+// rows land after a drain cleared its listed flag is listed again, so no row
+// is stranded; every stream's steps stay in FIFO order and bit-identical to
+// a per-stream drain of the same rows, across the drift and the recovery
+// that moves streams out of the coalesced group. Run under TSan in CI.
+TEST(CoalescedDrain, ManualDrainRacesProducerThreads) {
+  constexpr std::size_t kProducers = 4;
+  constexpr std::size_t kStreams = 2 * kProducers;
+  constexpr std::size_t kSamples = 320;
+  const Dataset train = make_train();
+  const auto tests = make_tests(kStreams, kSamples);
+
+  PipelineManager reference(make_config(), 1, manual_options(false));
+  seed_group(reference, kStreams, train);
+  const auto want = run_rounds(reference, tests, 8);
+
+  ManagerOptions options = manual_options(true);
+  options.shards = 2;
+  options.queue_capacity = 64;
+  PipelineManager manager(make_config(), 1, options);
+  seed_group(manager, kStreams, train);
+
+  std::atomic<std::size_t> finished{0};
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      // Blocks of 1 to 24 rows, alternating between the producer's streams.
+      const std::size_t own[] = {p, p + kProducers};
+      std::size_t width = 1;
+      for (std::size_t at = 0; at < kSamples;) {
+        const std::size_t take = std::min(width, kSamples - at);
+        for (const std::size_t s : own) {
+          const edgedrift::linalg::ConstMatrixView block{tests[s].x, at,
+                                                         at + take};
+          EXPECT_EQ(manager.submit_batch(s, block), take);
+        }
+        at += take;
+        width = width % 24 + 1;
+      }
+      finished.fetch_add(1);
+    });
+  }
+  while (finished.load() < kProducers) {
+    manager.drain();
+    std::this_thread::yield();
+  }
+  for (auto& p : producers) p.join();
+  manager.drain();
+
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    SCOPED_TRACE("stream " + std::to_string(s));
+    EXPECT_EQ(manager.telemetry(s).processed, kSamples);
+    expect_steps_bit_identical(manager.take_steps(s), want[s]);
+  }
 }
 
 }  // namespace

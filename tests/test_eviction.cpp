@@ -7,7 +7,9 @@
 // eviction must stay data-race-free against concurrent submits and stats()
 // (this file runs under TSan and ASan/UBSan in CI). Streams seeded from one
 // template share its model until their first write, and hot_bytes charges
-// that model only to the streams that copied it.
+// that model only to the streams that copied it. The kManual drain visits
+// only the streams listed since the last drain, and skips listed streams
+// that poll() emptied or evict() pushed cold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <fstream>
 #include <optional>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "edgedrift/core/pipeline_manager.hpp"
@@ -756,6 +759,121 @@ TEST(Eviction, HotBytesChargeTheTemplateModelOnlyOnceCopied) {
   ASSERT_TRUE(manager.submit(first, data.test.x.row(row)));
   manager.drain();
   EXPECT_EQ(hot_bytes() - before, manager.stream(first).memory_bytes() + ring);
+}
+
+// ------------------------------------------------ kManual drain listing
+
+// A cold-churn round under kManual dispatch: each drain visits only the
+// streams listed on their shard's ready stack since the last one, a few of
+// thousands registered, while every restore evicts another stream to stay
+// within the hot budget. Every row must drain exactly once, and every
+// touched stream step bit for bit like a lone restore of the template.
+TEST(Eviction, ManualDrainVisitsListedStreamsUnderColdChurn) {
+  constexpr std::size_t kSeeded = 4000;
+  constexpr std::size_t kRounds = 60;
+  constexpr std::size_t kTouched = 8;
+  constexpr std::size_t kBlock = 16;
+  PipelineConfig config = make_config();
+  config.recovery = RecoveryPolicy::kDetectOnly;
+  ManagerOptions options;
+  options.dispatch = DispatchMode::kManual;
+  options.shards = 2;
+  options.hot_stream_budget = 4;
+  const StreamData data = make_drift_stream(1500, 200);
+  PipelineManager manager(config, 1, options);
+  manager.fit(0, data.train.x, data.train.labels);
+  const std::string blob = template_blob(manager, 0);
+  const std::size_t first = manager.seed_cold_from(0, kSeeded);
+
+  std::unordered_map<std::size_t, Pipeline> refs;
+  std::unordered_map<std::size_t, std::vector<PipelineStep>> expected;
+  std::unordered_map<std::size_t, std::vector<PipelineStep>> actual;
+  Rng rng(1501);
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t t = 0; t < kTouched; ++t) {
+      // Ids may repeat within a round: the second block finds its stream
+      // listed already.
+      const std::size_t id =
+          first + static_cast<std::size_t>(rng.uniform() * kSeeded) % kSeeded;
+      const Matrix block = edgedrift::data::draw(pre_concept(), kBlock, rng).x;
+      ASSERT_EQ(manager.submit_batch(id, block), kBlock);
+      auto ref = refs.find(id);
+      if (ref == refs.end()) {
+        ref = refs.emplace(id, lone_restore(blob, config)).first;
+      }
+      ref->second.process_rows(block, {}, expected[id]);
+    }
+    manager.drain();
+    EXPECT_LE(manager.hot_streams(),
+              options.shards * options.hot_stream_budget);
+    for (std::size_t id = 0; id < manager.num_streams(); ++id) {
+      ASSERT_EQ(manager.telemetry(id).processed,
+                manager.telemetry(id).submitted)
+          << "stream " << id << " after round " << round;
+    }
+    for (const auto& entry : refs) {
+      manager.take_steps(entry.first, actual[entry.first]);
+    }
+  }
+  ASSERT_GT(refs.size(), kRounds * kTouched / 2);
+  for (const auto& [id, steps] : expected) {
+    SCOPED_TRACE("seeded stream " + std::to_string(id));
+    expect_steps_equal(actual[id], steps);
+  }
+  if (edgedrift::obs::kObsCompiled) {
+    const edgedrift::obs::Snapshot snap = manager.stats();
+    for (const auto& shard : snap.shards) {
+      EXPECT_GT(shard.evictions, 100u) << "shard " << shard.shard_id;
+      EXPECT_GT(shard.coalesced_gemms, 0u) << "shard " << shard.shard_id;
+    }
+  }
+}
+
+// Two listed streams whose rows are gone before drain() takes their shard's
+// ready stack: one emptied by poll(id), one emptied by poll(id) and then
+// pushed cold by evict(id). The drain skips both: no row is processed
+// twice, the evicted stream stays cold until its next submit, and every
+// stream's steps are complete.
+TEST(Eviction, ManualDrainSkipsListedStreamsPolledOrEvicted) {
+  constexpr std::size_t kSeeded = 6;
+  constexpr std::size_t kRounds = 4;
+  constexpr std::size_t kBlock = 12;
+  PipelineConfig config = make_config();
+  config.recovery = RecoveryPolicy::kDetectOnly;
+  ManagerOptions options;
+  options.dispatch = DispatchMode::kManual;
+  options.shards = 2;
+  const StreamData data = make_drift_stream(1600, 200);
+  PipelineManager manager(config, 1, options);
+  manager.fit(0, data.train.x, data.train.labels);
+  const std::string blob = template_blob(manager, 0);
+  const std::size_t first = manager.seed_cold_from(0, kSeeded);
+  SharedStreams st =
+      seeded_streams(first, kSeeded, blob, config, kRounds * kBlock, 1601);
+  const std::size_t polled = first;
+  const std::size_t evicted = first + 1;
+
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (std::size_t k = 0; k < kSeeded; ++k) {
+      st.submit(manager, k, round * kBlock, kBlock);
+    }
+    manager.poll(polled);
+    manager.poll(evicted);
+    ASSERT_TRUE(manager.evict(evicted));
+    manager.drain();
+    EXPECT_TRUE(manager.resident(polled));
+    EXPECT_FALSE(manager.resident(evicted));
+    for (std::size_t k = 0; k < kSeeded; ++k) {
+      EXPECT_EQ(manager.telemetry(first + k).processed, (round + 1) * kBlock)
+          << "seeded stream " << first + k;
+    }
+    st.collect(manager);
+  }
+  for (std::size_t k = 0; k < kSeeded; ++k) {
+    SCOPED_TRACE("seeded stream " + std::to_string(first + k));
+    expect_steps_equal(st.actual[k], st.expected[k]);
+  }
 }
 
 }  // namespace

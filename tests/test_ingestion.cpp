@@ -1,10 +1,10 @@
 // Serving-layer ingestion semantics (core::PipelineManager ring buffers):
 // per-stream FIFO and step-for-step equality against a sequential Pipeline
 // reference under chunked drain, ring-wrap tails, backpressure kBlock vs
-// kReject, manual dispatch (submit-then-poll), multi-producer submission
-// into distinct streams, telemetry accounting, and the typed SubmitStatus
-// errors on malformed requests (unknown id, partial label span, bad width,
-// non-finite values).
+// kReject, manual dispatch (submit-then-poll, and a drain after inline
+// full-ring polls), multi-producer submission into distinct streams,
+// telemetry accounting, and the typed SubmitStatus errors on malformed
+// requests (unknown id, partial label span, bad width, non-finite values).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -233,6 +233,39 @@ TEST(Ingestion, ManualDispatchPollMatchesSequential) {
   manager.take_steps(0, steps);
   expect_steps_equal(steps, expected);
   EXPECT_EQ(manager.telemetry(0).processed, data[0].test.size());
+}
+
+// kManual with kBlock: a block larger than queue_capacity drains inline
+// through poll() while it is submitted. Several streams on two shards take
+// such blocks back to back, so each is listed for the next drain() with
+// most of its rows already gone; that drain finishes the rest.
+TEST(Ingestion, ManualDrainFinishesInlineFullRingPolls) {
+  constexpr std::size_t kStreams = 4;
+  const auto data = make_streams(kStreams, 300);
+  ManagerOptions options;
+  options.queue_capacity = 32;
+  options.drain_batch_max = 16;
+  options.dispatch = DispatchMode::kManual;
+  options.shards = 2;
+
+  PipelineManager manager(make_config(), kStreams, options);
+  std::vector<std::vector<PipelineStep>> expected(kStreams);
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    manager.fit(s, data[s].train.x, data[s].train.labels);
+    expected[s] = sequential_reference(manager.stream(s).config(), data[s]);
+  }
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    EXPECT_EQ(manager.submit_batch(s, data[s].test.x), data[s].test.size());
+    EXPECT_LE(manager.telemetry(s).submitted - manager.telemetry(s).processed,
+              options.queue_capacity);
+  }
+  manager.drain();
+  for (std::size_t s = 0; s < kStreams; ++s) {
+    SCOPED_TRACE("stream " + std::to_string(s));
+    expect_steps_equal(manager.take_steps(s), expected[s]);
+    EXPECT_EQ(manager.telemetry(s).processed, data[s].test.size());
+    EXPECT_GE(manager.telemetry(s).blocked, 1u);
+  }
 }
 
 // Several producer threads, each feeding its own stream through batch
