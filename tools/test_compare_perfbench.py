@@ -2,7 +2,9 @@
 """Tests of tools/compare_perfbench.py on the fixtures in
 tools/testdata/compare_perfbench/: three label-rich pairs, where the change
 is better on every end-to-end metric but setup_s, and one pair of
-`--workload all` runs.
+`--workload all` runs. Also checks that the committed perfbench record,
+BENCH_perfbench.txt at the repo root, is a sound `--workload all` run that
+the comparator reads.
 
     python3 tools/test_compare_perfbench.py
 """
@@ -16,6 +18,11 @@ import unittest
 HERE = os.path.dirname(os.path.abspath(__file__))
 TOOL = os.path.join(HERE, "compare_perfbench.py")
 DATA = os.path.join(HERE, "testdata", "compare_perfbench")
+RECORD = os.path.join(HERE, os.pardir, "BENCH_perfbench.txt")
+WORKLOADS = {"fleet-drift", "label-rich", "cold-churn"}
+
+sys.path.insert(0, HERE)
+import compare_perfbench  # noqa: E402
 
 
 def fixture(name):
@@ -134,6 +141,39 @@ class CompareTest(unittest.TestCase):
                            [fixture("label-rich-change-1.txt")])
         self.assertEqual(code, 2)
         self.assertIn("different workloads", err)
+
+
+class RecordTest(unittest.TestCase):
+    """The committed record: the stdout of one `--workload all` run."""
+
+    def test_record_is_a_sound_run_of_every_workload(self):
+        runs = compare_perfbench.parse_run(RECORD)
+        self.assertEqual(set(runs), WORKLOADS)
+        for workload, result in runs.items():
+            self.assertTrue(result["sound"], workload)
+            self.assertIn("throughput", result["metrics"], workload)
+        provenance = []
+        with open(RECORD) as f:
+            for line in f.read().splitlines():
+                if line.startswith("{"):
+                    obj = json.loads(line)
+                    if "perfbench" in obj:
+                        provenance.append(obj["perfbench"])
+                    else:
+                        self.assertIs(obj["correct"], True)
+                        self.assertEqual(obj["failed"], 0)
+        self.assertEqual({p["workload"] for p in provenance}, WORKLOADS)
+        for p in provenance:
+            self.assertEqual(p["failed_share"], 0, p["workload"])
+            for key in ("source", "nproc", "cpu", "simd", "build_flags"):
+                self.assertTrue(p.get(key), f"{p['workload']} lacks {key}")
+
+    def test_comparator_reads_the_record_as_a_parent(self):
+        code, out, err = run([RECORD], [RECORD])
+        self.assertEqual(code, 0, err + out)
+        for workload in WORKLOADS:
+            self.assertIn(f"{workload}: decision digests equal in 1 of 1",
+                          out)
 
 
 if __name__ == "__main__":
