@@ -414,14 +414,15 @@ int main(int argc, char** argv) {
                 records);
     }
 
-    // Drain chunk ablation at 8 streams. Same recovery-free protocol as
-    // run_drain.
+    // Drain chunk ablation at 8 streams: the stream config's max_batch_rows
+    // caps each drain burst. Same recovery-free protocol as run_drain.
     config.recovery = core::RecoveryPolicy::kDetectOnly;
     for (const std::size_t chunk : {32UL, 512UL}) {
       core::ManagerOptions options;
       options.queue_capacity = stationary.x.rows();
-      options.drain_batch_max = chunk;
-      core::PipelineManager manager(config, 8, options);
+      core::PipelineConfig chunk_config = config;
+      chunk_config.max_batch_rows = chunk;
+      core::PipelineManager manager(chunk_config, 8, options);
       for (std::size_t s = 0; s < 8; ++s) {
         manager.fit(s, train.x, train.labels);
       }

@@ -15,7 +15,9 @@
 //     that published rows since the last one. Either flag guarantees a
 //     stream is pushed at most once until the stack is taken, so the
 //     classic ABA hazard (pop racing a reinsertion) cannot arise — nobody
-//     pops single nodes.
+//     pops single nodes. The taken chain runs newest push first; its
+//     consumer walks it once into the shard's plan_candidates, and the
+//     drain cycle runs them in push order.
 //   ShardState — everything one shard owns: the ready stack, the worker
 //     thread and its park/wake latch, the LRU list + hot/cold gauges under
 //     the shard's evict mutex, the cold store, and the shard obs block.
@@ -140,9 +142,9 @@ struct ManagedStream {
   std::atomic<bool> scheduled{false};  ///< A drain cycle is queued/running.
   /// kManual dispatch only: the stream sits on its shard's ready stack
   /// waiting for drain(). Separate from `scheduled`, which stays the
-  /// consumer role that poll() and the drain's planning pass claim. drain()
-  /// reads ready_next, then clears this flag, then reads the ring, so rows
-  /// published after the clear list the stream again.
+  /// consumer role that poll() and drain() claim. drain() reads ready_next,
+  /// then clears this flag, then reads the ring, so rows published after
+  /// the clear list the stream again.
   std::atomic<bool> listed{false};
 
   std::mutex produce_mutex;  ///< Serializes producers; kBlock cv anchor.
@@ -191,7 +193,8 @@ struct ManagedStream {
 /// push() is called by producers, at most once per stream until the stack
 /// is taken: the scheduled flag gates it in kShard dispatch, the listed
 /// flag in kManual. take_all() is called by the shard's single consumer:
-/// its worker (kShard) or the thread running drain() (kManual).
+/// its worker (kShard) or the thread running drain() (kManual), which
+/// walks the chain once.
 class ReadyStack {
  public:
   void push(ManagedStream* s) {
@@ -201,19 +204,9 @@ class ReadyStack {
     } while (!head_.compare_exchange_weak(head, s));
   }
 
-  /// Detaches the whole stack and returns it as a chain via ready_next in
-  /// push order (the stack holds it newest-first), or nullptr when empty.
-  ManagedStream* take_all() {
-    ManagedStream* chain = head_.exchange(nullptr);
-    ManagedStream* ordered = nullptr;
-    while (chain != nullptr) {
-      ManagedStream* next = chain->ready_next.load(std::memory_order_relaxed);
-      chain->ready_next.store(ordered, std::memory_order_relaxed);
-      ordered = chain;
-      chain = next;
-    }
-    return ordered;
-  }
+  /// Detaches the whole stack and returns it as a chain via ready_next,
+  /// newest push first, or nullptr when empty.
+  ManagedStream* take_all() { return head_.exchange(nullptr); }
 
   bool empty() const { return head_.load() == nullptr; }
 
@@ -306,8 +299,9 @@ struct ShardState {
     std::size_t offset = 0;    ///< First staging row of this stream's block.
     std::size_t queued = 0;    ///< Ring depth at planning time (telemetry).
   };
-  /// This cycle's chain: the streams taken off the ready stack (in
-  /// kManual, those of them whose ring holds rows).
+  /// This cycle's streams, each with its consumer role held: the chain
+  /// taken off the ready stack (in kManual, those of them with rows whose
+  /// role drain() won), newest push first until drain_cycle reverses it.
   std::vector<ManagedStream*> plan_candidates;
   /// Eligible candidates keyed by projection fingerprint — one pipeline
   /// pointer chase per stream per planning pass; the group sort and the

@@ -8,10 +8,10 @@
 //
 // Since the tiered-numerics refactor the storage layer is precision-generic:
 // MatrixT<T> carries the shape/ownership logic once, and the library
-// instantiates it for the three tier scalars — double (the exact reference
-// tier), float (the f32 scoring tier) and int8 (the quantized tier's packed
-// payload; see linalg/quant.hpp for the scales that give those bytes
-// meaning). `Matrix` remains the double alias every existing call site uses.
+// instantiates it for double (the exact reference tier) and float (the f32
+// scoring tier). The quantized tier keeps its int8 payload in tiles of its
+// own (linalg/quant.hpp). `Matrix` remains the double alias every existing
+// call site uses.
 //
 // All heap blocks are 64-byte aligned (AlignedAllocator below): one cache
 // line, and wide enough for any current SIMD vector, so the f32/int8 kernels
@@ -287,13 +287,10 @@ class MatrixT {
 using Matrix = MatrixT<double>;
 /// f32 scoring-tier shadow storage.
 using MatrixF32 = MatrixT<float>;
-/// int8 quantized-tier packed payload (scales live in linalg/quant.hpp).
-using MatrixI8 = MatrixT<std::int8_t>;
 
-// The three tier scalars are instantiated once in matrix.cpp.
+// Both scalars are instantiated once in matrix.cpp.
 extern template class MatrixT<double>;
 extern template class MatrixT<float>;
-extern template class MatrixT<std::int8_t>;
 
 /// Non-owning const view of a contiguous row-major block — the zero-copy
 /// operand for batch kernels reading rows straight out of a larger matrix

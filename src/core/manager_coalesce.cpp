@@ -15,21 +15,20 @@
 // shape/activation digest folded with the numerics tier — so two streams
 // land in one group only when their hidden batches are bit-identical and
 // their scoring replicas have the same format. The projection GEMM is
-// row-independent, which makes the coalesced drain bit-identical to the
-// per-stream drain at kExactF64 and decision-equivalent at the approximate
-// tiers (tests/test_coalesced_drain.cpp).
+// row-independent and a row scores the same in any block, which makes the
+// coalesced drain bit-identical to the per-stream drain at every tier
+// (tests/test_coalesced_drain.cpp).
 //
-// Scheduling safety: the caller owns every candidate's `scheduled` flag
-// (the shard worker took them off the ready stack; the kManual drain takes
-// the listed streams off the same stack and wins the flag explicitly,
-// skipping a stream a concurrent poll() holds), which is exactly the
-// condition that blocks eviction (evictable_locked requires !scheduled) —
-// so no stream can be evicted or restored between group formation and
-// scatter. Streams that are
-// ineligible (recovering, unfitted, released) or whose group is too small
-// fall back to the ordinary per-stream drain that always follows a
-// planning pass; the same pass also picks up rows the staging caps left
-// behind.
+// Scheduling safety: drain_cycle's caller owns every candidate's
+// `scheduled` flag (the shard worker took them off the ready stack; the
+// kManual drain takes the listed streams off the same stack and wins the
+// flag explicitly, skipping a stream a concurrent poll() holds), which is
+// exactly the condition that blocks eviction (evictable_locked requires
+// !scheduled) — so no stream can be evicted or restored between group
+// formation and scatter. Streams that are ineligible (recovering,
+// unfitted, released) or whose group is too small fall back to the
+// per-stream drain that follows every planning pass in drain_cycle; the
+// same pass also picks up rows the staging caps left behind.
 #include <algorithm>
 
 #include "edgedrift/core/pipeline_manager.hpp"
@@ -108,8 +107,8 @@ void PipelineManager::coalesce_candidates(Shard& shard) {
       run_begin = run_end;
       continue;
     }
-    // Pack the group: one row block per member, bounded per stream by
-    // drain_batch_max and overall by the staging budget. Only rows already
+    // Pack the group: one row block per member, bounded per stream by its
+    // max_batch_rows and overall by the staging budget. Only rows already
     // published at planning time are taken — the planner never waits on a
     // producer.
     shard.plan.clear();
@@ -120,7 +119,8 @@ void PipelineManager::coalesce_candidates(Shard& shard) {
       const std::size_t queued =
           static_cast<std::size_t>(s.tail.load() - head);
       const std::size_t take =
-          std::min({queued, options_.drain_batch_max, kCoalesceRows - total});
+          std::min({queued, s.pipeline->config().max_batch_rows,
+                    kCoalesceRows - total});
       if (take == 0) continue;
       shard.plan.push_back({&s, head, take, total, queued});
       total += take;
@@ -136,7 +136,6 @@ void PipelineManager::coalesce_candidates(Shard& shard) {
 
 void PipelineManager::coalesce_group(Shard& shard) {
   auto& plan = shard.plan;
-  const std::size_t capacity = options_.queue_capacity;
   const std::size_t total = plan.back().offset + plan.back().take;
   const std::uint64_t t0 = obs::now_ns();
 
@@ -148,7 +147,8 @@ void PipelineManager::coalesce_group(Shard& shard) {
   shard.stage_x.resize_discard(total, template_config_.input_dim);
   if (shard.stage_labels.size() < total) shard.stage_labels.resize(total);
   for (const auto& m : plan) {
-    const std::size_t slot = static_cast<std::size_t>(m.head % capacity);
+    const std::size_t slot =
+        static_cast<std::size_t>(m.head % options_.queue_capacity);
     linalg::gather_ring_rows(m.stream->slab, slot, m.take, shard.stage_x,
                              m.offset);
     linalg::gather_ring_values(
@@ -173,9 +173,8 @@ void PipelineManager::coalesce_group(Shard& shard) {
                          shard.packed_alpha);
 
   // Scatter: each stream scores its row block against its own packed beta
-  // and runs its own detector, then releases its ring slots. Per-slot
-  // bookkeeping mirrors drain_burst exactly — latency stamps are read
-  // before the head advance frees the slots for producer reuse.
+  // and runs its own detector, then releases its ring slots through the
+  // same release_rows() as drain_burst.
   for (const auto& m : plan) {
     Stream& s = *m.stream;
     {
@@ -188,30 +187,12 @@ void PipelineManager::coalesce_group(Shard& shard) {
           s.steps, &hidden);
     }
     charge_private_copy(s);
-    if (obs_on_) {
-      obs::StreamObs& ob = s.pipeline->obs();
-      const std::uint64_t mask = ob.latency_sample_mask();
-      const std::uint64_t first = (m.head + mask) & ~mask;
-      if (first < m.head + m.take) {
-        const std::uint64_t t_end = obs::now_ns();
-        for (std::uint64_t a = first; a < m.head + m.take; a += mask + 1) {
-          ob.submit_to_drain.record(
-              t_end - s.submit_ns[static_cast<std::size_t>(a % capacity)]);
-        }
-      }
-      ob.counters.update_ring_high_water(m.queued);
-    }
-    s.head.store(m.head + m.take);
-    notify_space(s);
-    ++s.telemetry.drain_bursts;
-    ++s.telemetry.drain_burst_hist[detail::burst_bucket(m.take)];
-    s.telemetry.processed += m.take;
-    detail::raise_high_water(s.telemetry.queue_high_water, m.queued);
+    release_rows(s, m.head, m.take, m.queued);
   }
 
-  // One decrement for the whole group: nothing reads pending_ between the
-  // member scatters (done-notification happens in the caller's per-stream
-  // sweep), so batching the RMW is observationally equivalent and drops
+  // One decrement for the whole group: nothing waits on pending_ between
+  // the member scatters (done-notification comes after the drain cycle),
+  // so batching the RMW is observationally equivalent and drops
   // group_size-1 contended atomics per mega-batch.
   pending_.fetch_sub(total);
 

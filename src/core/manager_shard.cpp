@@ -1,5 +1,6 @@
-// The per-shard drain workers: scheduling handoff, the take-all/park loop,
-// and best-effort core pinning.
+// The drain cycle both dispatch modes share, the per-stream drain with its
+// scheduling handoff, the per-shard drain workers' take-all/park loop, and
+// best-effort core pinning.
 //
 // Park/wake protocol (no lost wakeups): a producer pushes onto the ready
 // stack, THEN loads `parked`; the worker stores `parked = true`, THEN
@@ -10,6 +11,7 @@
 // producer's load (the producer takes the wake mutex and notifies into the
 // wait). There is no interleaving in which the push lands after the final
 // recheck AND the parked-load misses the flag.
+#include <algorithm>
 #include <thread>
 
 #include "edgedrift/core/pipeline_manager.hpp"
@@ -55,8 +57,8 @@ void PipelineManager::shard_worker(Shard& shard) {
   util::ThreadPool::mark_inline_worker();
   if (options_.pin_cores) pin_worker(shard);
   for (;;) {
-    Stream* ordered = shard.ready.take_all();
-    if (ordered == nullptr) {
+    Stream* chain = shard.ready.take_all();
+    if (chain == nullptr) {
       if (shard.stopping.load()) return;
       shard.parked.store(true);
       if (shard.ready.empty() && !shard.stopping.load()) {
@@ -69,40 +71,35 @@ void PipelineManager::shard_worker(Shard& shard) {
       shard.parked.store(false);
       continue;
     }
-    if (options_.coalesce) {
-      // The coalesced pass drains shared-projection groups in one
-      // mega-batch each; the per-stream loop below then drains leftovers
-      // (staging caps, recovery fallbacks) and runs the scheduled-flag
-      // handoff for every chained stream, coalesced or not.
-      shard.plan_candidates.clear();
-      for (Stream* s = ordered; s != nullptr;
-           s = s->ready_next.load(std::memory_order_relaxed)) {
-        shard.plan_candidates.push_back(s);
-      }
-      coalesce_candidates(shard);
+    // Every chained stream's producer won its scheduled flag, so the
+    // worker holds each consumer role and no link is reused before
+    // drain_cycle hands the role back.
+    auto& cand = shard.plan_candidates;
+    cand.clear();
+    for (Stream* s = chain; s != nullptr;
+         s = s->ready_next.load(std::memory_order_relaxed)) {
+      cand.push_back(s);
     }
-    while (ordered != nullptr) {
-      // Save the link before run_stream: the moment the scheduled flag is
-      // released, a producer may push this stream again and repurpose
-      // ready_next for the new stack node.
-      Stream* next = ordered->ready_next.load(std::memory_order_relaxed);
-      ordered->ready_next.store(nullptr, std::memory_order_relaxed);
-      run_stream(*ordered);
-      // The final decrement happens under done_mutex_ so a drain() waiter
-      // can only observe active_ == 0 after this cycle is past its last
-      // member access — the manager may be destroyed the moment the wait
-      // returns. (The worker itself is joined by the destructor, which can
-      // only run after drain() returned.)
-      {
-        std::lock_guard lock(done_mutex_);
-        active_.fetch_sub(1);
-        if (pending_.load() == 0 && active_.load() == 0) {
-          done_cv_.notify_all();
-        }
-      }
-      ordered = next;
-    }
+    drain_cycle(shard);
+    // One decrement per cycle, under done_mutex_ so a drain() waiter can
+    // only observe active_ == 0 after this cycle is past its last member
+    // access — the manager may be destroyed the moment the wait returns.
+    // (The worker itself is joined by the destructor, which can only run
+    // after drain() returned.)
+    std::lock_guard lock(done_mutex_);
+    active_.fetch_sub(cand.size());
+    if (pending_.load() == 0 && active_.load() == 0) done_cv_.notify_all();
   }
+}
+
+void PipelineManager::drain_cycle(Shard& shard) {
+  auto& cand = shard.plan_candidates;
+  std::reverse(cand.begin(), cand.end());  // The stack is newest-first.
+  // The coalesced pass drains shared-projection groups in one mega-batch
+  // each; run_stream then drains leftovers (staging caps, recovery
+  // fallbacks) and hands back every stream's consumer role.
+  if (options_.coalesce) coalesce_candidates(shard);
+  for (Stream* s : cand) run_stream(*s);
 }
 
 void PipelineManager::run_stream(Stream& s) {

@@ -1,5 +1,6 @@
-// PipelineManager: construction, ingestion (submit/submit_batch), the ring
-// drain, and the stats surfaces. The shard worker loop lives in
+// PipelineManager: construction, ingestion (submit/submit_batch), the
+// per-stream ring drain, the kManual entry points poll() and drain(), and
+// the stats surfaces. The drain cycle and the shard worker loop live in
 // manager_shard.cpp; the eviction/restore layer in manager_eviction.cpp.
 #include "edgedrift/core/pipeline_manager.hpp"
 
@@ -42,8 +43,6 @@ PipelineManager::PipelineManager(const PipelineConfig& config,
       obs_on_(obs::kObsCompiled && config.obs.enabled) {
   EDGEDRIFT_ASSERT(num_streams > 0, "need at least one stream");
   EDGEDRIFT_ASSERT(options_.queue_capacity > 0, "queue_capacity must be > 0");
-  EDGEDRIFT_ASSERT(options_.drain_batch_max > 0,
-                   "drain_batch_max must be > 0");
   if (options_.shards == 0) options_.shards = 1;
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
@@ -237,19 +236,19 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
   return accepted;
 }
 
-std::size_t PipelineManager::drain_burst(Stream& s) {
+void PipelineManager::drain_burst(Stream& s) {
   const std::size_t capacity = options_.queue_capacity;
   std::uint64_t head = s.head.load();
   std::uint64_t tail = s.tail.load();
-  std::size_t total = 0;
   while (head != tail) {
     const std::size_t queued = static_cast<std::size_t>(tail - head);
     const std::size_t pos = static_cast<std::size_t>(head % capacity);
     // The largest contiguous slab range: stop at the ring-wrap boundary
     // (the wrapped remainder is the next burst, itself contiguous from
-    // slot 0) and at the drain_batch_max chunk bound.
-    const std::size_t burst = std::min(
-        {queued, capacity - pos, options_.drain_batch_max});
+    // slot 0) and at the stream's scoring chunk, max_batch_rows.
+    const std::size_t burst =
+        std::min({queued, capacity - pos,
+                  s.pipeline->config().max_batch_rows});
     const std::uint64_t t0 = now_ns();
     {
       std::lock_guard lock(s.steps_mutex);
@@ -257,35 +256,40 @@ std::size_t PipelineManager::drain_burst(Stream& s) {
       s.pipeline->process_rows({s.slab, pos, pos + burst},
                                labels.subspan(pos, burst), s.steps);
     }
-    // Record before the head advance frees the slots: a producer may
-    // reuse submit_ns[pos..] the moment head moves past them. Only the
-    // sampled slots (absolute position & mask == 0) carry stamps.
-    if (obs_on_) {
-      obs::StreamObs& ob = s.pipeline->obs();
-      const std::uint64_t mask = ob.latency_sample_mask();
-      const std::uint64_t first = (head + mask) & ~mask;
-      if (first < head + burst) {
-        const std::uint64_t t_end = obs::now_ns();
-        for (std::uint64_t a = first; a < head + burst; a += mask + 1) {
-          ob.submit_to_drain.record(t_end - s.submit_ns[pos + (a - head)]);
-        }
-      }
-      ob.counters.update_ring_high_water(queued);
-    }
-    head += burst;
-    s.head.store(head);
+    release_rows(s, head, burst, queued);
     pending_.fetch_sub(burst);
-    notify_space(s);
-    ++s.telemetry.drain_bursts;
-    ++s.telemetry.drain_burst_hist[burst_bucket(burst)];
     s.telemetry.busy_ns += now_ns() - t0;
-    s.telemetry.processed += burst;
-    raise_high_water(s.telemetry.queue_high_water, queued);
-    total += burst;
+    head += burst;
     tail = s.tail.load();
   }
   charge_private_copy(s);
-  return total;
+}
+
+void PipelineManager::release_rows(Stream& s, std::uint64_t head,
+                                   std::size_t take, std::size_t queued) {
+  // Record before the head store frees the slots: a producer may reuse
+  // their submit_ns entries the moment head moves past them. Only the
+  // sampled slots (absolute position & mask == 0) carry stamps.
+  if (obs_on_) {
+    obs::StreamObs& ob = s.pipeline->obs();
+    const std::uint64_t mask = ob.latency_sample_mask();
+    const std::uint64_t first = (head + mask) & ~mask;
+    if (first < head + take) {
+      const std::uint64_t t_end = obs::now_ns();
+      for (std::uint64_t a = first; a < head + take; a += mask + 1) {
+        ob.submit_to_drain.record(
+            t_end - s.submit_ns[static_cast<std::size_t>(
+                        a % options_.queue_capacity)]);
+      }
+    }
+    ob.counters.update_ring_high_water(queued);
+  }
+  s.head.store(head + take);
+  notify_space(s);
+  ++s.telemetry.drain_bursts;
+  ++s.telemetry.drain_burst_hist[burst_bucket(take)];
+  s.telemetry.processed += take;
+  raise_high_water(s.telemetry.queue_high_water, queued);
 }
 
 void PipelineManager::notify_space(Stream& s) {
@@ -306,36 +310,25 @@ void PipelineManager::notify_done() {
 void PipelineManager::poll(std::size_t id) {
   EDGEDRIFT_ASSERT(id < streams_.size(), "stream id out of range");
   Stream& s = *streams_[id];
-  // Empty-ring fast path: the manual drain polls the streams it took off
-  // the ready stacks after the coalesced planning pass has already emptied
-  // most of their rings — skip the scheduled-flag claim and the after_drain
-  // bookkeeping for those.
-  if (s.tail.load() == s.head.load()) return;
-  bool drained = false;
-  for (;;) {
-    // Take the consumer role through the same flag the shard workers use,
-    // so poll() never violates the one-consumer-per-stream invariant.
-    if (s.scheduled.exchange(true)) break;
-    drain_burst(s);
-    drained = true;
-    s.scheduled.store(false);
-    if (s.tail.load() == s.head.load()) break;
-  }
-  // Keep the LRU order and budget honest in manual mode too.
-  if (drained) after_drain(s);
+  // An empty ring needs no consumer: skip the claim and the after_drain
+  // bookkeeping. Otherwise take the consumer role through the same flag
+  // the shard workers and drain() use, so poll() never violates the
+  // one-consumer-per-stream invariant; a stream whose role another
+  // consumer holds is left to it.
+  if (s.tail.load() == s.head.load() || s.scheduled.exchange(true)) return;
+  run_stream(s);
   notify_done();
 }
 
 void PipelineManager::drain() {
   if (options_.dispatch == DispatchMode::kManual) {
+    // Each shard's ready stack holds the streams listed since the last
+    // pass, the only ones that can hold rows, so the drain never scans the
+    // registered streams. Manual mode is single-threaded by design, but
+    // the consumer role is still claimed per stream through the scheduled
+    // flag, so a concurrent poll() can never double-drain. The loop
+    // condition re-checks for racing producers.
     while (pending_.load() != 0) {
-      // Each shard's ready stack holds the streams listed since the last
-      // pass, the only ones that can hold rows, so the drain never scans
-      // the registered streams. Every shard plans its coalesced groups over
-      // its listed streams, then the poll sweep drains the leftovers.
-      // Manual mode is single-threaded by design, but the consumer role is
-      // still claimed per stream through the scheduled flag, so a
-      // concurrent poll() can never double-drain.
       for (auto& shard : shards_) {
         auto& cand = shard->plan_candidates;
         cand.clear();
@@ -344,32 +337,17 @@ void PipelineManager::drain() {
           // may list the stream again, reusing ready_next. The ring read
           // after the clear sees every row published before it; an earlier
           // poll() may have emptied the ring, or evict() pushed the stream
-          // cold while it was idle. The planning pass needs the consumer
-          // role, so a stream a concurrent poll() holds is left to it.
+          // cold while it was idle. A stream whose role a concurrent poll()
+          // holds is left to it.
           Stream* next = s->ready_next.load(std::memory_order_relaxed);
           s->listed.store(false);
           if (s->tail.load() != s->head.load() &&
-              !(options_.coalesce && s->scheduled.exchange(true))) {
+              !s->scheduled.exchange(true)) {
             cand.push_back(s);
           }
           s = next;
         }
-        if (!options_.coalesce) continue;
-        coalesce_candidates(*shard);
-        for (Stream* s : cand) {
-          s->scheduled.store(false);
-          after_drain(*s);
-        }
-      }
-      if (options_.coalesce && pending_.load() == 0) {
-        // The planning pass consumed every published row — the usual
-        // steady state when all streams fit one group. Skip the poll
-        // sweep; the loop condition re-checks for racing producers.
-        notify_done();
-        continue;
-      }
-      for (auto& shard : shards_) {
-        for (Stream* s : shard->plan_candidates) poll(s->id);
+        drain_cycle(*shard);
       }
     }
     return;

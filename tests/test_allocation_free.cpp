@@ -362,16 +362,16 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
   // throughout, so the zero-allocation bound covers the instrumented path.
   constexpr std::size_t kDim = 48;
   constexpr std::size_t kHidden = 22;
-  constexpr std::size_t kRows = 48;  // > drain_batch_max and wraps the ring.
+  constexpr std::size_t kRows = 48;  // > max_batch_rows and wraps the ring.
 
   edgedrift::core::PipelineConfig config;
   config.num_labels = 2;
   config.input_dim = kDim;
   config.hidden_dim = kHidden;
+  config.max_batch_rows = 32;
 
   edgedrift::core::ManagerOptions options;
   options.queue_capacity = 64;
-  options.drain_batch_max = 32;
   options.dispatch = edgedrift::core::DispatchMode::kManual;
 
   edgedrift::core::PipelineManager manager(config, 1, options);
@@ -432,8 +432,9 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
 }
 
 // The kManual gateway loop over many streams: submit_batch() lists each
-// touched stream on its shard's ready stack, and drain() takes the stacks,
-// plans the coalesced group over the listed streams and polls the leftovers.
+// touched stream on its shard's ready stack, and drain() takes the stacks
+// and runs each shard's drain cycle over the listed streams (the coalesced
+// planning pass, then each stream's leftovers).
 // After a warm-up that touches every stream, the listing path and the
 // per-shard chain scratch must not touch the heap while each round touches
 // a different subset, with and without coalescing.

@@ -122,10 +122,11 @@ TEST(Ingestion, ChunkedDrainWithRingWrapsMatchesSequential) {
   const auto data = make_streams(1);
   ManagerOptions options;
   options.queue_capacity = 7;
-  options.drain_batch_max = 3;
   options.backpressure = BackpressurePolicy::kBlock;
 
-  PipelineManager manager(make_config(), 1, options);
+  PipelineConfig config = make_config();
+  config.max_batch_rows = 3;
+  PipelineManager manager(config, 1, options);
   manager.fit(0, data[0].train.x, data[0].train.labels);
   const auto expected = sequential_reference(manager.stream(0).config(),
                                              data[0]);
@@ -150,10 +151,11 @@ TEST(Ingestion, SubmitBatchBlocksUntilDrainedAndMatchesSequential) {
   const auto data = make_streams(1);
   ManagerOptions options;
   options.queue_capacity = 32;
-  options.drain_batch_max = 16;
   options.backpressure = BackpressurePolicy::kBlock;
 
-  PipelineManager manager(make_config(), 1, options);
+  PipelineConfig config = make_config();
+  config.max_batch_rows = 16;
+  PipelineManager manager(config, 1, options);
   manager.fit(0, data[0].train.x, data[0].train.labels);
   const auto expected = sequential_reference(manager.stream(0).config(),
                                              data[0]);
@@ -207,10 +209,11 @@ TEST(Ingestion, ManualDispatchPollMatchesSequential) {
   const auto data = make_streams(1, 800);
   ManagerOptions options;
   options.queue_capacity = 32;
-  options.drain_batch_max = 16;
   options.dispatch = DispatchMode::kManual;
 
-  PipelineManager manager(make_config(), 1, options);
+  PipelineConfig config = make_config();
+  config.max_batch_rows = 16;
+  PipelineManager manager(config, 1, options);
   manager.fit(0, data[0].train.x, data[0].train.labels);
   const auto expected = sequential_reference(manager.stream(0).config(),
                                              data[0]);
@@ -244,11 +247,12 @@ TEST(Ingestion, ManualDrainFinishesInlineFullRingPolls) {
   const auto data = make_streams(kStreams, 300);
   ManagerOptions options;
   options.queue_capacity = 32;
-  options.drain_batch_max = 16;
   options.dispatch = DispatchMode::kManual;
   options.shards = 2;
 
-  PipelineManager manager(make_config(), kStreams, options);
+  PipelineConfig config = make_config();
+  config.max_batch_rows = 16;
+  PipelineManager manager(config, kStreams, options);
   std::vector<std::vector<PipelineStep>> expected(kStreams);
   for (std::size_t s = 0; s < kStreams; ++s) {
     manager.fit(s, data[s].train.x, data[s].train.labels);
@@ -276,9 +280,10 @@ TEST(Ingestion, MultiProducerDistinctStreamsStayIndependent) {
   const auto data = make_streams(kStreams, 900);
   ManagerOptions options;
   options.queue_capacity = 48;
-  options.drain_batch_max = 16;
 
-  PipelineManager manager(make_config(), kStreams, options);
+  PipelineConfig config = make_config();
+  config.max_batch_rows = 16;
+  PipelineManager manager(config, kStreams, options);
   std::vector<std::vector<PipelineStep>> expected(kStreams);
   for (std::size_t s = 0; s < kStreams; ++s) {
     manager.fit(s, data[s].train.x, data[s].train.labels);
@@ -318,9 +323,10 @@ TEST(Ingestion, TelemetryAccountsForEveryBurst) {
   const auto data = make_streams(1, 800);
   ManagerOptions options;
   options.queue_capacity = 64;
-  options.drain_batch_max = 32;
 
-  PipelineManager manager(make_config(), 1, options);
+  PipelineConfig config = make_config();
+  config.max_batch_rows = 32;
+  PipelineManager manager(config, 1, options);
   manager.fit(0, data[0].train.x, data[0].train.labels);
   manager.submit_batch(0, data[0].test.x);
   manager.drain();
@@ -337,7 +343,7 @@ TEST(Ingestion, TelemetryAccountsForEveryBurst) {
       std::accumulate(t.drain_burst_hist.begin(), t.drain_burst_hist.end(),
                       std::size_t{0});
   EXPECT_EQ(hist_total, t.drain_bursts);
-  // No burst can exceed drain_batch_max = 32 -> buckets above 2^5 stay 0.
+  // No burst can exceed max_batch_rows = 32 -> buckets above 2^5 stay 0.
   for (std::size_t b = 6; b < t.drain_burst_hist.size(); ++b) {
     EXPECT_EQ(t.drain_burst_hist[b], 0u) << "bucket " << b;
   }

@@ -149,10 +149,8 @@ TEST(NumericsTiers, QuantizeVectorRoundTrip) {
 TEST(NumericsTiers, MatrixStorageIsAligned) {
   Matrix a(5, 7);
   linalg::MatrixF32 b(3, 9);
-  linalg::MatrixI8 c(2, 130);
   EXPECT_TRUE(linalg::is_matrix_aligned(a.data()));
   EXPECT_TRUE(linalg::is_matrix_aligned(b.data()));
-  EXPECT_TRUE(linalg::is_matrix_aligned(c.data()));
 }
 
 /// A trained two-instance model for the replica-discipline tests.

@@ -11,8 +11,10 @@
 //    the label-rich C=23 configuration — instrumentation observes, never
 //    participates.
 //  - Concurrency: PipelineManager::stats() snapshots stay coherent while
-//    producers and pool drain tasks are live across >= 4 streams (the CI
-//    TSan job runs this file; see .github/workflows/ci.yml).
+//    producers and drains are live across >= 4 streams, both resident
+//    streams drained by the shard worker and a seed_cold_from group whose
+//    kManual drains coalesce every round (the CI TSan job runs this file;
+//    see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -321,11 +323,6 @@ TEST(ObsConcurrency, StatsSnapshotsStayCoherentUnderLoad) {
   // the trajectory stays on the hot path the whole test.
   config.recovery = core::RecoveryPolicy::kDetectOnly;
 
-  core::ManagerOptions options;
-  options.queue_capacity = 256;
-
-  core::PipelineManager manager(config, kStreams, options);
-
   util::Rng rng(31);
   linalg::Matrix train(240, kDim);
   std::vector<int> labels(train.rows());
@@ -336,7 +333,6 @@ TEST(ObsConcurrency, StatsSnapshotsStayCoherentUnderLoad) {
       train(i, j) = rng.gaussian(mean, 0.2);
     }
   }
-  for (std::size_t s = 0; s < kStreams; ++s) manager.fit(s, train, labels);
 
   linalg::Matrix block(kBlockRows, kDim);
   for (std::size_t i = 0; i < kBlockRows; ++i) {
@@ -346,71 +342,104 @@ TEST(ObsConcurrency, StatsSnapshotsStayCoherentUnderLoad) {
     }
   }
 
-  // Readers race the producers and the pool's drain tasks. Coherence under
-  // the race: per-stream counters are monotone across snapshots, and every
-  // sample completed by snapshot t must have been admitted by snapshot t+1
-  // (causality: samples_out only advances after samples_in).
-  std::atomic<bool> stop{false};
-  std::atomic<std::size_t> failures{0};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
-      std::vector<std::uint64_t> prev_in(kStreams, 0);
-      std::vector<std::uint64_t> prev_out(kStreams, 0);
-      while (!stop.load(std::memory_order_relaxed)) {
-        const obs::Snapshot snap = manager.stats();
-        if (snap.streams.size() != kStreams) {
-          failures.fetch_add(1);
-          continue;
-        }
-        for (std::size_t s = 0; s < kStreams; ++s) {
-          const obs::CounterSnapshot& c = snap.streams[s].counters;
-          if (c.samples_in < prev_in[s] || c.samples_out < prev_out[s] ||
-              prev_out[s] > c.samples_in) {
+  // Two inputs. Resident: four streams with distinct projections, drained
+  // by the shard worker, so none of them coalesces. Seeded: the same four
+  // streams as one seed_cold_from group (behind their template, stream 0),
+  // drained in kManual dispatch once per round, so every planning pass
+  // coalesces them; a ring capacity that is no multiple of the block makes
+  // the gathers cross the ring wrap.
+  for (const bool seeded : {false, true}) {
+    SCOPED_TRACE(seeded ? "seeded group, kManual" : "resident, kShard");
+    core::ManagerOptions options;
+    options.queue_capacity = seeded ? 200 : 256;
+    if (seeded) options.dispatch = core::DispatchMode::kManual;
+
+    core::PipelineManager manager(config, seeded ? 1 : kStreams, options);
+    std::size_t first = 0;
+    if (seeded) {
+      manager.fit(0, train, labels);
+      first = manager.seed_cold_from(0, kStreams);
+    } else {
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        manager.fit(s, train, labels);
+      }
+    }
+    const std::size_t num_streams = manager.num_streams();
+
+    // Readers race the producers and the drains. Coherence under the race:
+    // per-stream counters are monotone across snapshots, and every sample
+    // completed by snapshot t must have been admitted by snapshot t+1
+    // (causality: samples_out only advances after samples_in).
+    std::atomic<bool> stop{false};
+    std::atomic<std::size_t> failures{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+      readers.emplace_back([&] {
+        std::vector<std::uint64_t> prev_in(num_streams, 0);
+        std::vector<std::uint64_t> prev_out(num_streams, 0);
+        while (!stop.load(std::memory_order_relaxed)) {
+          const obs::Snapshot snap = manager.stats();
+          if (snap.streams.size() != num_streams) {
             failures.fetch_add(1);
+            continue;
           }
-          prev_in[s] = c.samples_in;
-          prev_out[s] = c.samples_out;
-        }
-        for (const obs::StreamSnapshot& s : snap.streams) {
-          for (const DriftEvent& ev : s.journal) {
-            if (ev.window_span != config.window_size ||
-                ev.action != RecoveryAction::kNone) {
+          for (std::size_t s = 0; s < num_streams; ++s) {
+            const obs::CounterSnapshot& c = snap.streams[s].counters;
+            if (c.samples_in < prev_in[s] || c.samples_out < prev_out[s] ||
+                prev_out[s] > c.samples_in) {
               failures.fetch_add(1);
+            }
+            prev_in[s] = c.samples_in;
+            prev_out[s] = c.samples_out;
+          }
+          for (const obs::StreamSnapshot& s : snap.streams) {
+            for (const DriftEvent& ev : s.journal) {
+              if (ev.window_span != config.window_size ||
+                  ev.action != RecoveryAction::kNone) {
+                failures.fetch_add(1);
+              }
             }
           }
         }
-      }
-    });
-  }
+      });
+    }
 
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    for (std::size_t s = 0; s < kStreams; ++s) {
-      manager.submit_batch(s, block);
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        manager.submit_batch(first + s, block);
+      }
+      if (seeded) manager.drain();
+    }
+    manager.drain();
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& t : readers) t.join();
+
+    EXPECT_EQ(failures.load(), 0u);
+
+    // Quiescent state: the books balance exactly.
+    const obs::Snapshot final_snap = manager.stats();
+    ASSERT_EQ(final_snap.streams.size(), num_streams);
+    for (std::size_t s = first; s < num_streams; ++s) {
+      const obs::CounterSnapshot& c = final_snap.streams[s].counters;
+      EXPECT_EQ(c.samples_in, kRounds * kBlockRows);
+      EXPECT_EQ(c.samples_out, kRounds * kBlockRows);
+      EXPECT_EQ(c.rejected, 0u);  // kBlock backpressure never drops.
+      EXPECT_LE(c.ring_high_water, options.queue_capacity);
+      // submit->drain is sampled on absolute ring position: positions
+      // 0..total-1 with (pos & mask) == 0, one per latency_sample_every.
+      EXPECT_EQ(final_snap.streams[s].submit_to_drain.count(),
+                kRounds * kBlockRows / config.obs.latency_sample_every);
+    }
+    const obs::CounterSnapshot totals = final_snap.totals();
+    EXPECT_EQ(totals.samples_in, kStreams * kRounds * kBlockRows);
+    if (seeded) {
+      std::uint64_t coalesced_gemms = 0;
+      for (const obs::ShardSnapshot& sh : final_snap.shards) {
+        coalesced_gemms += sh.coalesced_gemms;
+      }
+      EXPECT_GT(coalesced_gemms, 0u);
     }
   }
-  manager.drain();
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : readers) t.join();
-
-  EXPECT_EQ(failures.load(), 0u);
-
-  // Quiescent state: the books balance exactly.
-  const obs::Snapshot final_snap = manager.stats();
-  ASSERT_EQ(final_snap.streams.size(), kStreams);
-  for (std::size_t s = 0; s < kStreams; ++s) {
-    const obs::CounterSnapshot& c = final_snap.streams[s].counters;
-    EXPECT_EQ(c.samples_in, kRounds * kBlockRows);
-    EXPECT_EQ(c.samples_out, kRounds * kBlockRows);
-    EXPECT_EQ(c.rejected, 0u);  // kBlock backpressure never drops.
-    EXPECT_LE(c.ring_high_water, options.queue_capacity);
-    // submit->drain is sampled on absolute ring position: positions
-    // 0..total-1 with (pos & mask) == 0, one per latency_sample_every.
-    EXPECT_EQ(final_snap.streams[s].submit_to_drain.count(),
-              kRounds * kBlockRows / config.obs.latency_sample_every);
-  }
-  const obs::CounterSnapshot totals = final_snap.totals();
-  EXPECT_EQ(totals.samples_in, kStreams * kRounds * kBlockRows);
 }
 
 }  // namespace
