@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     }
     manager.drain();
     const double seconds = clock.elapsed_seconds();
-    const std::size_t total = manager.totals().samples;
+    const std::size_t total = manager.stats().totals().samples;
     table.add_row({"manager(" + std::to_string(streams) + " streams)",
                    std::to_string(total), util::fmt(seconds * 1e3, 1),
                    util::fmt(samples_per_second(total, seconds) / 1e3, 1)});

@@ -28,10 +28,12 @@
 //
 // The nsl-kdd 8-stream section also runs an obs-overhead ablation: the
 // same batched drain with the observability layer's runtime gate on vs
-// off, interleaved. The two records (drain=batch/obs=on|off) feed
-// tools/check_obs_overhead.py, which perf-smoke CI uses to pin the obs
-// recording cost under its budget. Pass `--stats-json <path>` to also
-// dump the obs=on manager's edgedrift-obs-v1 snapshot.
+// off, interleaved. The counters count on both sides, so the pair measures
+// the gated part: latency clock reads, histograms and the drift journal.
+// The two records (drain=batch/obs=on|off) feed
+// tools/check_obs_overhead.py, which perf-smoke CI uses to pin that cost
+// under its budget. Pass `--stats-json <path>` to also
+// dump the obs=on manager's edgedrift-obs-v2 snapshot.
 //
 // The nsl-kdd section also carries the coalescing ablation: a seeded
 // projection group of 16/64 resident streams drained at 1-8 pending
@@ -377,8 +379,9 @@ void run_drain(const std::string& prefix, const core::PipelineConfig& config,
   std::printf(
       "%s @%zu streams (batch): high-water %zu, %zu bursts, "
       "busy drain-rate %.0f ksamples/s\n",
-      prefix.c_str(), streams, t.queue_high_water.load(), t.drain_bursts,
-      t.samples_per_second() / 1e3);
+      prefix.c_str(), streams,
+      static_cast<std::size_t>(manager.stats(0).ring_high_water),
+      t.drain_bursts, t.samples_per_second() / 1e3);
 }
 
 }  // namespace

@@ -38,7 +38,7 @@
 //                   stage latency quantiles, drift journal) after the run;
 //                   available for pipeline-backed methods (proposed,
 //                   quanttree, spll, multiwindow) and any --detector
-//   --stats-json P  write the snapshot as edgedrift-obs-v1 JSON to P
+//   --stats-json P  write the snapshot as edgedrift-obs-v2 JSON to P
 //
 // Sweep subcommand — the scenario-grid detection matrix:
 //
@@ -272,8 +272,8 @@ int run_serve(const Options& opts, const data::Dataset& train,
   manager.drain();
   const double seconds = clock.elapsed_seconds();
 
-  const core::PipelineStats totals = manager.totals();
   const obs::Snapshot snapshot = manager.stats();
+  const core::PipelineStats totals = snapshot.totals();
   std::uint64_t evictions = 0;
   std::uint64_t restores = 0;
   std::uint64_t coalesced_gemms = 0;

@@ -54,11 +54,17 @@
 // call per burst of up to max_batch_rows rows — bit-identical to process()
 // row by row. poll() runs the same per-stream drain for one stream.
 //
+// Counting: each stream's pipeline and ring events are counted once, in
+// its obs::Counters book (always on); stats(id) reads it, summed across
+// evict/restore cycles, and stats() snapshots every book. telemetry(id)
+// holds only what the serving layer itself did (submits, blocked waits,
+// released rows, drain bursts, busy time).
+//
 // Thread-safety contract: submit()/submit_batch() may be called from any
-// thread. fit(), stream(), steps(), telemetry() and the per-stream stats
-// accessors must not race with in-flight samples for the same stream —
-// drain() first. stats() (the obs snapshot) and evict() are safe at any
-// time. seed_cold_from() is a setup-phase API: it must not race submits.
+// thread. fit(), stream(), steps() and telemetry() must not race with
+// in-flight samples for the same stream — drain() first. stats(id),
+// stats() (the obs snapshot) and evict() are safe at any time.
+// seed_cold_from() is a setup-phase API: it must not race submits.
 #pragma once
 
 #include <cstddef>
@@ -240,18 +246,18 @@ class PipelineManager {
   /// has reached its high-water capacity.
   void take_steps(std::size_t id, std::vector<PipelineStep>& out);
 
-  /// One stream's serving counters. drain() first.
+  /// One stream's serving-layer counters (submits, blocked waits,
+  /// released rows, drain bursts, busy time). drain() first.
   const StreamTelemetry& telemetry(std::size_t id) const;
 
-  /// One stream's pipeline counters (samples, drifts, ...), summed across
-  /// its evict/restore cycles. drain() first.
-  const PipelineStats& stats(std::size_t id) const;
-
-  /// Counters summed across all streams (hot and cold). drain() first.
-  PipelineStats totals() const;
+  /// One stream's counter book (samples, drifts, recoveries, kReject
+  /// drops, ring high-water, ...), summed across its evict/restore cycles.
+  /// Safe at any time; drain() first for a final count.
+  PipelineStats stats(std::size_t id) const;
 
   /// Observability snapshot: every stream (carried history + live block
-  /// for resident streams) plus one ShardSnapshot per shard. Safe to call
+  /// for resident streams) plus one ShardSnapshot per shard; totals() of
+  /// it sums the counter books of all streams, hot and cold. Safe to call
   /// at any time from any thread — per-shard consistency is provided by
   /// briefly holding each shard's evict mutex while its streams are read,
   /// so a snapshot never observes a half-evicted stream.
@@ -290,7 +296,8 @@ class PipelineManager {
   /// Processes everything currently published.
   void drain_burst(Stream& s);
   /// Frees `take` processed rows from ring position `head` (`queued` were
-  /// waiting): stamps, head store, producer wake-up, burst telemetry.
+  /// waiting): stamps, high-water, head store, producer wake-up, burst
+  /// telemetry.
   void release_rows(Stream& s, std::uint64_t head, std::size_t take,
                     std::size_t queued);
   /// LRU touch + enforce_budget after a drain cycle.
@@ -325,7 +332,10 @@ class PipelineManager {
   /// (detector spec, recovery, obs, max_batch_rows, train_chunk) and fixes
   /// input_dim and the numerics tier for restores and dimension checks.
   PipelineConfig template_config_;
-  bool obs_on_ = false;  ///< Cached obs gate: kObsCompiled && obs.enabled.
+  /// Cached latency-timing gate (kObsCompiled && obs.enabled): submit
+  /// stamps, the submit->drain and evict/restore histograms. The counters
+  /// and the busy_ns clock do not consult it.
+  bool obs_on_ = false;
   /// One per seed_cold_from() call: the template whose model its seeded
   /// streams share. Held for the manager's lifetime, so a stream on it
   /// always sees a second owner and copies before writing.

@@ -6,7 +6,7 @@
 //   ManagedStream — one stream's full serving state: the SPSC ring (slab +
 //     monotonic head/tail), the Pipeline while the stream is hot, the
 //     intrusive hooks linking it into its shard's ready stack and LRU list,
-//     and the counters carried across evict/restore cycles.
+//     and the obs books carried across evict/restore cycles.
 //   ReadyStack — a Treiber stack of streams with published-but-undrained
 //     rows, serving both dispatch modes. Producers push after winning a
 //     stream's flag: `scheduled` in kShard dispatch, where the shard's
@@ -57,21 +57,23 @@ struct ModelTemplate;
 
 namespace edgedrift::core {
 
-/// Per-stream serving counters. Written by the consumer (and, for
-/// submitted/rejected/blocked, by producers under the stream's produce
-/// mutex); except for the atomic high-water mark, read them only after
-/// drain() — the drain-first contract.
+/// Per-stream serving-layer counters: what the ring and its drains did.
+/// The stream's pipeline and ring events (samples, drifts, kReject drops,
+/// ring high-water, ...) are counted in its obs::Counters book, read
+/// through PipelineManager::stats(id). Plain fields, written by the
+/// consumer (and, for submitted/blocked, by producers under the stream's
+/// produce mutex); read them only after drain() — the drain-first
+/// contract.
 struct StreamTelemetry {
   std::size_t submitted = 0;   ///< Samples accepted into the ring.
-  std::size_t rejected = 0;    ///< Samples dropped by kReject backpressure.
   std::size_t blocked = 0;     ///< submit() calls that had to wait (kBlock).
-  std::size_t processed = 0;   ///< Samples drained through the pipeline.
+  /// Rows the ring released after the pipeline processed them (equal to
+  /// the book's samples for a managed stream).
+  std::size_t processed = 0;
   std::size_t drain_bursts = 0;         ///< Contiguous drain segments run.
-  /// Max queued depth ever observed. Atomic (relaxed CAS-max) because both
-  /// the producer (after a tail publish) and the drain task (per burst)
-  /// raise it concurrently; every other counter is single-writer.
-  std::atomic<std::size_t> queue_high_water{0};
-  std::uint64_t busy_ns = 0;   ///< Wall time spent inside drain bursts.
+  /// Wall time spent draining: per burst, or a coalesced group's time
+  /// split by row share. Timed with obs::now_ns() in every build.
+  std::uint64_t busy_ns = 0;
   /// drain_burst_hist[b] counts bursts of size in [2^(b-1)+1, 2^b]
   /// (bucket 0 = single-sample bursts): the drain-batch-size histogram.
   std::array<std::size_t, 17> drain_burst_hist{};
@@ -94,16 +96,6 @@ inline std::size_t burst_bucket(std::size_t n) {
   return std::min<std::size_t>(b, 16);
 }
 
-/// Relaxed CAS-max: producers and the drain task raise the high-water mark
-/// concurrently; losing a race to a larger value is the desired outcome.
-inline void raise_high_water(std::atomic<std::size_t>& hw,
-                             std::size_t depth) {
-  std::size_t cur = hw.load(std::memory_order_relaxed);
-  while (depth > cur &&
-         !hw.compare_exchange_weak(cur, depth, std::memory_order_relaxed)) {
-  }
-}
-
 /// Per-stream serving state. Producers serialize on produce_mutex and
 /// publish rows via tail; the shard's single worker owns head, the
 /// pipeline, steps and telemetry. Consumer handoff between drain cycles
@@ -113,7 +105,7 @@ inline void raise_high_water(std::atomic<std::size_t>& hw,
 /// Residency: a kHot stream owns its pipeline, ring slab and label/stamp
 /// arrays; a kCold stream has released all of them — its state is a
 /// checkpoint blob in the shard's ColdStore — and keeps only the cheap
-/// fields (telemetry, steps, carried counters). Residency writes hold BOTH
+/// fields (telemetry, steps, carried obs books). Residency writes hold BOTH
 /// the stream's produce_mutex and the shard's evict_mutex, so holding
 /// either is enough to read it.
 struct ManagedStream {
@@ -177,16 +169,11 @@ struct ManagedStream {
   ManagedStream* lru_next = nullptr;
   bool in_lru = false;
 
-  /// Observability and pipeline counters accumulated over every previous
-  /// hot period, merged in at eviction time (the live pipeline's books are
-  /// destroyed with it). Null until the first eviction, so the 100k
-  /// cold-seeded streams pay nothing for it.
+  /// The obs books (counters, histograms, journal) accumulated over every
+  /// previous hot period, merged in at eviction time (the live pipeline's
+  /// books are destroyed with it). Null until the first eviction, so the
+  /// 100k cold-seeded streams pay nothing for it.
   std::unique_ptr<obs::StreamSnapshot> carried_obs;
-  PipelineStats carried_stats;
-  /// Scratch for stats(id)'s return-by-reference contract: filled with
-  /// carried + live counters on each call. mutable-by-convention (stats()
-  /// is const); drain-first contract applies.
-  PipelineStats stats_view;
 };
 
 /// Lock-free multi-producer stack of streams awaiting a drain cycle.
@@ -297,7 +284,7 @@ struct ShardState {
     std::uint64_t head = 0;    ///< Ring head at planning time.
     std::size_t take = 0;      ///< Rows packed from this stream.
     std::size_t offset = 0;    ///< First staging row of this stream's block.
-    std::size_t queued = 0;    ///< Ring depth at planning time (telemetry).
+    std::size_t queued = 0;    ///< Ring depth at planning time (high-water).
   };
   /// This cycle's streams, each with its consumer role held: the chain
   /// taken off the ready stack (in kManual, those of them with rows whose

@@ -19,7 +19,7 @@
 //              equivalence — on the committed golden scenarios, detection
 //              times, drift counts and recovery outcomes match the f64
 //              reference within the tier's declared tolerance budget
-//              (eval/tier_equivalence.hpp). Per-score error is O(2^-24)
+//              (tests/tier_equivalence.hpp). Per-score error is O(2^-24)
 //              relative; training stays f64.
 //
 //   kQuantI8   Scoring reads an int8 replica with per-column float scales

@@ -1,18 +1,24 @@
-// obs::Counters — relaxed-atomic per-stream serving counters.
+// obs::Counters — a stream's one counter book.
 //
-// The always-on half of the observability layer (see obs/stream_obs.hpp):
-// one cache-friendly block of std::atomic<uint64_t> per stream, written
-// with relaxed increments by whichever thread is doing the work (producers
-// count rejections and ring depth, the single consumer counts everything
-// else) and read at any time by a stats() snapshot. Relaxed is enough
-// because every field is an independent monotonic counter: a snapshot may
-// be "torn" across fields (samples_in one increment ahead of samples_out)
-// but each individual value is always a real count — the coherence
-// contract tests/test_obs.cpp pins under ThreadSanitizer.
+// Every pipeline and ring event of a stream is counted here, exactly once:
+// the samples the pipeline consumed, drift detections, completed
+// recoveries and the samples they consumed, detector windows, GEMM
+// pre-scored chunks, chunked-training updates, kReject drops and the ring
+// high-water mark. core::PipelineStats names the snapshot struct, so
+// Pipeline::stats(), PipelineManager::stats(id) and the obs snapshots read
+// one book.
 //
-// Compiled out: defining EDGEDRIFT_NO_OBS (CMake -DEDGEDRIFT_NO_OBS=ON)
-// turns every mutator in the obs layer into an empty inline function, so
-// an MCU-class build pays zero bytes and zero cycles for instrumentation.
+// The block is std::atomic<uint64_t> written with relaxed stores by
+// whichever thread does the work (producers count rejections and ring
+// depth, the stream's single consumer counts everything else) and read at
+// any time by a stats() snapshot. Relaxed is enough because every field is
+// an independent monotonic counter: a snapshot may be torn across fields,
+// but each value is a real count, and each is monotone across snapshots
+// (the coherence contract tests/test_obs.cpp pins under ThreadSanitizer).
+//
+// The counters always count. EDGEDRIFT_NO_OBS (CMake -DEDGEDRIFT_NO_OBS=ON)
+// and ObsOptions::enabled switch off only the sampled latency timing (its
+// clock reads and histograms) and the drift journal.
 #pragma once
 
 #include <atomic>
@@ -21,16 +27,16 @@
 
 namespace edgedrift::obs {
 
-/// False when the whole obs layer is compiled to no-ops.
+/// False when latency timing and the journal are compiled out.
 #if defined(EDGEDRIFT_NO_OBS)
 inline constexpr bool kObsCompiled = false;
 #else
 inline constexpr bool kObsCompiled = true;
 #endif
 
-/// Monotonic wall clock for latency instrumentation (steady, ns).
+/// The library's one clock: monotonic wall time in ns (steady). Each
+/// caller decides whether to read it.
 inline std::uint64_t now_ns() {
-  if constexpr (!kObsCompiled) return 0;
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -39,27 +45,32 @@ inline std::uint64_t now_ns() {
 
 /// Plain-value copy of one Counters block (what stats() hands out).
 struct CounterSnapshot {
-  std::uint64_t samples_in = 0;      ///< Samples entering the pipeline.
-  std::uint64_t samples_out = 0;     ///< Samples fully processed.
-  std::uint64_t rejected = 0;        ///< Dropped by kReject backpressure.
-  std::uint64_t windows_opened = 0;  ///< Detector evaluation windows opened.
-  std::uint64_t drifts = 0;          ///< Drift detections fired.
-  std::uint64_t retrains = 0;        ///< Recoveries completed.
-  std::uint64_t chunk_trains = 0;    ///< Rank-k bucket updates applied.
+  std::uint64_t samples = 0;           ///< Samples the pipeline consumed.
+  std::uint64_t drifts = 0;            ///< Drift detections fired.
+  std::uint64_t recoveries = 0;        ///< Recoveries completed.
+  std::uint64_t recovery_samples = 0;  ///< Samples consumed by recoveries.
+  std::uint64_t windows_opened = 0;    ///< Detector evaluation windows opened.
+  std::uint64_t batch_chunks = 0;      ///< GEMM pre-scored chunks issued.
+  std::uint64_t batch_rows = 0;        ///< Samples served by those chunks.
+  std::uint64_t chunk_trains = 0;      ///< Rank-k bucket updates applied.
   std::uint64_t chunk_train_rows = 0;  ///< Samples absorbed by those updates.
-  std::uint64_t requants_saved = 0;  ///< Replica refreshes amortized away.
-  std::uint64_t ring_high_water = 0; ///< Max observed ring depth.
+  std::uint64_t requants_saved = 0;    ///< Replica refreshes amortized away.
+  std::uint64_t rejected = 0;          ///< Dropped by kReject backpressure.
+  std::uint64_t ring_high_water = 0;   ///< Max observed ring depth.
 
+  /// Sums two books (high-water is the max).
   CounterSnapshot& operator+=(const CounterSnapshot& o) {
-    samples_in += o.samples_in;
-    samples_out += o.samples_out;
-    rejected += o.rejected;
-    windows_opened += o.windows_opened;
+    samples += o.samples;
     drifts += o.drifts;
-    retrains += o.retrains;
+    recoveries += o.recoveries;
+    recovery_samples += o.recovery_samples;
+    windows_opened += o.windows_opened;
+    batch_chunks += o.batch_chunks;
+    batch_rows += o.batch_rows;
     chunk_trains += o.chunk_trains;
     chunk_train_rows += o.chunk_train_rows;
     requants_saved += o.requants_saved;
+    rejected += o.rejected;
     ring_high_water = ring_high_water > o.ring_high_water
                           ? ring_high_water
                           : o.ring_high_water;
@@ -67,34 +78,36 @@ struct CounterSnapshot {
   }
 };
 
-/// Per-stream streaming counters, safe to read while written.
+/// Per-stream counters, safe to read while written.
 ///
 /// Every add_* field has exactly one logical writer (the stream's single
-/// drain task; rejections come from producers serialized by the stream's
+/// consumer; rejections come from producers serialized by the stream's
 /// produce mutex), so the mutators are plain load+store on the atomic —
-/// a regular store instead of a lock-prefixed RMW, which matters at two
-/// counter bumps per sample on a sub-microsecond batch path. Only
-/// ring_high_water has concurrent writers (producers and the drain task)
-/// and pays for a CAS loop.
+/// a regular store instead of a lock-prefixed RMW on the per-sample path.
+/// Only ring_high_water has concurrent writers (producers and the
+/// consumer) and pays for a CAS loop.
 class Counters {
  public:
-  void add_samples_in(std::uint64_t n = 1) { add(samples_in_, n); }
-  void add_samples_out(std::uint64_t n = 1) { add(samples_out_, n); }
-  void add_rejected(std::uint64_t n = 1) { add(rejected_, n); }
-  void add_window_opened() { add(windows_opened_, 1); }
+  void add_samples(std::uint64_t n = 1) { add(samples_, n); }
   void add_drift() { add(drifts_, 1); }
-  void add_retrain() { add(retrains_, 1); }
-  // Chunked-training instrumentation (written by the drain task like the
-  // other consumer-side counters): rank-k bucket updates issued, samples
-  // they absorbed, and f32/i8 replica requantizations the per-bucket
-  // amortization avoided relative to the per-sample path.
+  void add_recovery() { add(recoveries_, 1); }
+  void add_recovery_samples(std::uint64_t n) { add(recovery_samples_, n); }
+  void add_window_opened() { add(windows_opened_, 1); }
+  /// One GEMM pre-scored chunk that served `rows` samples.
+  void add_batch_chunk(std::uint64_t rows) {
+    add(batch_chunks_, 1);
+    add(batch_rows_, rows);
+  }
+  // Chunked training: rank-k bucket updates issued, samples they absorbed,
+  // and f32/i8 replica requantizations the per-bucket amortization avoided
+  // relative to the per-sample path.
   void add_chunk_trains(std::uint64_t n) { add(chunk_trains_, n); }
   void add_chunk_train_rows(std::uint64_t n) { add(chunk_train_rows_, n); }
   void add_requants_saved(std::uint64_t n) { add(requants_saved_, n); }
+  void add_rejected(std::uint64_t n) { add(rejected_, n); }
 
-  /// Relaxed CAS-max: producers of one stream may race each other here.
+  /// Relaxed CAS-max: producers and the consumer race each other here.
   void update_ring_high_water(std::uint64_t depth) {
-    if constexpr (!kObsCompiled) return;
     std::uint64_t cur = ring_high_water_.load(std::memory_order_relaxed);
     while (depth > cur &&
            !ring_high_water_.compare_exchange_weak(
@@ -102,53 +115,46 @@ class Counters {
     }
   }
 
+  /// Samples consumed so far (the consumer's own running index).
+  std::uint64_t samples() const {
+    return samples_.load(std::memory_order_relaxed);
+  }
+
   CounterSnapshot snapshot() const {
     CounterSnapshot s;
-    if constexpr (!kObsCompiled) return s;
-    s.samples_in = samples_in_.load(std::memory_order_relaxed);
-    s.samples_out = samples_out_.load(std::memory_order_relaxed);
-    s.rejected = rejected_.load(std::memory_order_relaxed);
-    s.windows_opened = windows_opened_.load(std::memory_order_relaxed);
+    s.samples = samples();
     s.drifts = drifts_.load(std::memory_order_relaxed);
-    s.retrains = retrains_.load(std::memory_order_relaxed);
+    s.recoveries = recoveries_.load(std::memory_order_relaxed);
+    s.recovery_samples = recovery_samples_.load(std::memory_order_relaxed);
+    s.windows_opened = windows_opened_.load(std::memory_order_relaxed);
+    s.batch_chunks = batch_chunks_.load(std::memory_order_relaxed);
+    s.batch_rows = batch_rows_.load(std::memory_order_relaxed);
     s.chunk_trains = chunk_trains_.load(std::memory_order_relaxed);
     s.chunk_train_rows = chunk_train_rows_.load(std::memory_order_relaxed);
     s.requants_saved = requants_saved_.load(std::memory_order_relaxed);
+    s.rejected = rejected_.load(std::memory_order_relaxed);
     s.ring_high_water = ring_high_water_.load(std::memory_order_relaxed);
     return s;
-  }
-
-  void reset() {
-    if constexpr (!kObsCompiled) return;
-    samples_in_.store(0, std::memory_order_relaxed);
-    samples_out_.store(0, std::memory_order_relaxed);
-    rejected_.store(0, std::memory_order_relaxed);
-    windows_opened_.store(0, std::memory_order_relaxed);
-    drifts_.store(0, std::memory_order_relaxed);
-    retrains_.store(0, std::memory_order_relaxed);
-    chunk_trains_.store(0, std::memory_order_relaxed);
-    chunk_train_rows_.store(0, std::memory_order_relaxed);
-    requants_saved_.store(0, std::memory_order_relaxed);
-    ring_high_water_.store(0, std::memory_order_relaxed);
   }
 
  private:
   /// Single-writer increment (see class comment): load+store, not RMW.
   static void add(std::atomic<std::uint64_t>& c, std::uint64_t n) {
-    if constexpr (!kObsCompiled) return;
     c.store(c.load(std::memory_order_relaxed) + n,
             std::memory_order_relaxed);
   }
 
-  std::atomic<std::uint64_t> samples_in_{0};
-  std::atomic<std::uint64_t> samples_out_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> windows_opened_{0};
+  std::atomic<std::uint64_t> samples_{0};
   std::atomic<std::uint64_t> drifts_{0};
-  std::atomic<std::uint64_t> retrains_{0};
+  std::atomic<std::uint64_t> recoveries_{0};
+  std::atomic<std::uint64_t> recovery_samples_{0};
+  std::atomic<std::uint64_t> windows_opened_{0};
+  std::atomic<std::uint64_t> batch_chunks_{0};
+  std::atomic<std::uint64_t> batch_rows_{0};
   std::atomic<std::uint64_t> chunk_trains_{0};
   std::atomic<std::uint64_t> chunk_train_rows_{0};
   std::atomic<std::uint64_t> requants_saved_{0};
+  std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> ring_high_water_{0};
 };
 

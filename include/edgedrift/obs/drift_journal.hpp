@@ -15,8 +15,10 @@
 // publish), so concurrent snapshot() readers always observe a coherent
 // record or retry — no locks anywhere, clean under ThreadSanitizer.
 //
-// Under EDGEDRIFT_NO_OBS the journal allocates nothing and records nothing
-// (see obs/counters.hpp).
+// The journal is switched like latency timing: under EDGEDRIFT_NO_OBS it
+// allocates nothing and records nothing, and with ObsOptions::enabled off
+// the pipeline never writes it. The drift count itself is the counter
+// book's (obs::Counters::drifts), which counts in every build.
 #pragma once
 
 #include <atomic>

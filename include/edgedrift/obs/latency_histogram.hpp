@@ -4,13 +4,14 @@
 // saturates into the last bucket): bucket 0 holds the value 0, bucket b>0
 // holds values in [2^(b-1), 2^b - 1]. record() is one bit_width plus one
 // relaxed fetch_add — no heap, no lock, safe to read concurrently — so it
-// can sit on the per-sample serving path. Histograms merge by bucket-wise
-// addition; merge(a, b) is exactly equivalent to recording every value into
-// one histogram (tests/test_obs.cpp proves the property over random
-// sweeps).
+// can sit on the per-sample serving path. Snapshots merge by bucket-wise
+// addition (HistogramSnapshot::operator+=, how an evicted stream's history
+// is carried); merging two snapshots is exactly equivalent to recording
+// every value into one histogram (tests/test_obs.cpp proves the property
+// over random sweeps).
 //
-// Under EDGEDRIFT_NO_OBS every mutator compiles to an empty inline
-// function (see obs/counters.hpp).
+// Under EDGEDRIFT_NO_OBS record() compiles to an empty inline function and
+// snapshots read zero (see obs/counters.hpp).
 #pragma once
 
 #include <array>
@@ -89,25 +90,6 @@ class LatencyHistogram {
     }
   }
 
-  /// Bucket-wise accumulation of another histogram's current contents.
-  void merge(const LatencyHistogram& other) {
-    if constexpr (!kObsCompiled) return;
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      const std::uint64_t n =
-          other.buckets_[b].load(std::memory_order_relaxed);
-      if (n != 0) buckets_[b].fetch_add(n, std::memory_order_relaxed);
-    }
-    sum_ns_.fetch_add(other.sum_ns_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    const std::uint64_t other_max =
-        other.max_ns_.load(std::memory_order_relaxed);
-    std::uint64_t cur = max_ns_.load(std::memory_order_relaxed);
-    while (other_max > cur &&
-           !max_ns_.compare_exchange_weak(cur, other_max,
-                                          std::memory_order_relaxed)) {
-    }
-  }
-
   HistogramSnapshot snapshot() const {
     HistogramSnapshot s;
     if constexpr (!kObsCompiled) return s;
@@ -117,13 +99,6 @@ class LatencyHistogram {
     s.sum_ns = sum_ns_.load(std::memory_order_relaxed);
     s.max_ns = max_ns_.load(std::memory_order_relaxed);
     return s;
-  }
-
-  void reset() {
-    if constexpr (!kObsCompiled) return;
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    sum_ns_.store(0, std::memory_order_relaxed);
-    max_ns_.store(0, std::memory_order_relaxed);
   }
 
  private:

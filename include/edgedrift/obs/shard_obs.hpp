@@ -12,15 +12,15 @@
 // the shard itself and are copied into the ShardSnapshot by stats(); this
 // block only holds the monotonic event counters and histograms.
 //
-// Under EDGEDRIFT_NO_OBS every mutator compiles to an empty inline
-// function (see obs/counters.hpp).
+// The counters count in every build. EDGEDRIFT_NO_OBS and
+// ObsOptions::enabled switch off only the evict/restore latency histograms
+// (see obs/counters.hpp).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 
-#include "edgedrift/obs/counters.hpp"
 #include "edgedrift/obs/latency_histogram.hpp"
 
 namespace edgedrift::obs {
@@ -69,13 +69,11 @@ class ShardObs {
   /// One coalesced mega-batch: `rows` ring rows from `streams` streams
   /// went through a single shared projection GEMM.
   void add_coalesced_gemm(std::size_t rows, std::size_t streams) {
-    if constexpr (!kObsCompiled) return;
     coalesced_gemms_.fetch_add(1, std::memory_order_relaxed);
     coalesced_rows_.fetch_add(rows, std::memory_order_relaxed);
     coalesced_streams_.fetch_add(streams, std::memory_order_relaxed);
   }
   void add_coalesce_fallback(std::size_t streams) {
-    if constexpr (!kObsCompiled) return;
     coalesce_fallbacks_.fetch_add(streams, std::memory_order_relaxed);
   }
 
@@ -87,7 +85,6 @@ class ShardObs {
   ShardSnapshot snapshot(std::size_t shard_id) const {
     ShardSnapshot s;
     s.shard_id = shard_id;
-    if constexpr (!kObsCompiled) return s;
     s.evictions = evictions_.load(std::memory_order_relaxed);
     s.restores = restores_.load(std::memory_order_relaxed);
     s.restore_failures = restore_failures_.load(std::memory_order_relaxed);
@@ -106,7 +103,6 @@ class ShardObs {
  private:
   /// Multi-writer increment (producer restore path races worker evictions).
   static void add(std::atomic<std::uint64_t>& c) {
-    if constexpr (!kObsCompiled) return;
     c.fetch_add(1, std::memory_order_relaxed);
   }
 

@@ -2,12 +2,13 @@
 //
 // A snapshot is what crosses the thread boundary: every field is a copied
 // value, safe to hold, print or serialize long after the pipelines moved
-// on. PipelineManager::stats() (and Pipeline::obs_snapshot() for a single
-// stream) produce one; to_text() renders the operator-facing summary the
-// CLI --stats flag prints, and write_json() emits the machine-readable
-// "edgedrift-obs-v1" record — the observability sibling of the
-// edgedrift-bench-v1 schema (same envelope: schema / binary / simd level),
-// consumed by the bench reporters and the perf-smoke CI job.
+// on. PipelineManager::stats() (and Pipeline::obs().snapshot(id) for a
+// single stream) produce one; to_text() renders the operator-facing summary
+// the CLI --stats flag prints, and write_json() emits the machine-readable
+// "edgedrift-obs-v2" record — the observability sibling of the
+// edgedrift-bench-v1 schema (same envelope: schema / binary / simd level).
+// v2 carries each stream's counter book under the field names of
+// obs::CounterSnapshot.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +31,7 @@ struct StreamSnapshot {
   HistogramSnapshot score;            ///< Model scoring, per sample.
   HistogramSnapshot detect;           ///< Detector observe(), per sample.
   HistogramSnapshot reconstruct;      ///< Recovery step, per sample.
-  std::uint64_t drift_events_total = 0;  ///< Lifetime journal count.
-  std::vector<DriftEvent> journal;       ///< Retained events, oldest first.
+  std::vector<DriftEvent> journal;    ///< Retained events, oldest first.
 
   /// Merges another snapshot of the SAME stream (how PipelineManager folds
   /// a live obs block into the history carried across evict/restore
@@ -43,7 +43,6 @@ struct StreamSnapshot {
     score += o.score;
     detect += o.detect;
     reconstruct += o.reconstruct;
-    drift_events_total += o.drift_events_total;
     journal.insert(journal.end(), o.journal.begin(), o.journal.end());
     return *this;
   }
@@ -62,7 +61,7 @@ struct Snapshot {
   /// recent drift events).
   std::string to_text() const;
 
-  /// "edgedrift-obs-v1" JSON. `source` names the producing binary.
+  /// "edgedrift-obs-v2" JSON. `source` names the producing binary.
   std::string to_json(std::string_view source) const;
 
   /// Writes to_json() to `path`; false when the file cannot be opened.

@@ -1,17 +1,19 @@
 // obs::StreamObs — the per-stream observability block core::Pipeline owns.
 //
-// One StreamObs bundles the four recording primitives of the layer:
-// relaxed-atomic Counters, three pipeline-stage LatencyHistograms plus the
-// serving layer's submit->drain histogram, and the DriftJournal. Everything
-// is preallocated at construction and recording is allocation-free and
-// lock-free, so the block can be written from the serving hot path and read
-// by stats() snapshots at any time from any thread.
+// One StreamObs bundles the recording primitives of the layer: the
+// stream's counter book (obs::Counters, always on), three pipeline-stage
+// LatencyHistograms plus the serving layer's submit->drain histogram, and
+// the DriftJournal. Everything is preallocated at construction and
+// recording is allocation-free and lock-free, so the block can be written
+// from the serving hot path and read by stats() snapshots at any time from
+// any thread.
 //
 // Instrumentation is observation-only by contract: nothing the pipeline
 // computes may depend on a StreamObs, so obs-on and obs-off runs are
 // bit-identical (tests/test_obs.cpp pins this on the C=23 configuration).
-// ObsOptions::enabled gates recording at runtime; compiling with
-// EDGEDRIFT_NO_OBS removes the layer entirely (see obs/counters.hpp).
+// ObsOptions::enabled (at runtime) and EDGEDRIFT_NO_OBS (at compile time)
+// switch off the latency timing and the journal; the counters count in
+// every build (see obs/counters.hpp).
 #pragma once
 
 #include <cstddef>
@@ -26,8 +28,9 @@ namespace edgedrift::obs {
 
 /// Observability knobs, fixed at pipeline construction.
 struct ObsOptions {
-  /// Runtime master switch. Off: the pipeline skips every recording site
-  /// (the StreamObs stays readable, just frozen at zero).
+  /// Runtime switch for latency timing and the journal. Off: the pipeline
+  /// reads no clock for them and records no histogram or drift event (they
+  /// stay readable, frozen at zero); the counters still count.
   bool enabled = true;
 
   /// Drift events the journal retains before overwriting the oldest.
@@ -53,7 +56,8 @@ class StreamObs {
         enabled_(kObsCompiled && options.enabled),
         sample_mask_(mask_of(options.latency_sample_every)) {}
 
-  /// True when recording sites should run (compile-time AND runtime gate).
+  /// True when latency timing and the journal run (compile-time AND
+  /// runtime gate). The counters do not consult it.
   bool enabled() const { return enabled_; }
 
   /// (tick & mask) == 0 selects the samples that are clock-timed; the
@@ -69,18 +73,8 @@ class StreamObs {
     s.score = score.snapshot();
     s.detect = detect.snapshot();
     s.reconstruct = reconstruct.snapshot();
-    s.drift_events_total = journal.total_events();
     s.journal = journal.snapshot();
     return s;
-  }
-
-  void reset() {
-    counters.reset();
-    submit_to_drain.reset();
-    score.reset();
-    detect.reset();
-    reconstruct.reset();
-    journal.reset();
   }
 
   Counters counters;

@@ -198,7 +198,7 @@ void PipelineManager::coalesce_group(Shard& shard) {
 
   // The group's wall time covers gather + GEMM + every member's scatter;
   // attribute it to members by row share so per-stream samples_per_second
-  // stays meaningful.
+  // stays meaningful. The clock runs in every build, as in drain_burst.
   const std::uint64_t elapsed = obs::now_ns() - t0;
   for (const auto& m : plan) {
     m.stream->telemetry.busy_ns += elapsed * m.take / total;

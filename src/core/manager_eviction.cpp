@@ -55,17 +55,13 @@ bool PipelineManager::evict_locked(Shard& shard, Stream& s) {
   if (!io::save_pipeline(*blob, *s.pipeline)) return false;
   shard.cold.put(static_cast<std::uint64_t>(s.id), std::move(blob));
 
-  // Carry the pipeline's books across the residency gap — the live blocks
-  // die with the pipeline, stats(id)/stats() report carried + live.
-  s.carried_stats += s.pipeline->stats();
-  if (obs_on_) {
-    obs::StreamSnapshot live = s.pipeline->obs().snapshot(s.id);
-    if (s.carried_obs == nullptr) {
-      s.carried_obs =
-          std::make_unique<obs::StreamSnapshot>(std::move(live));
-    } else {
-      *s.carried_obs += live;
-    }
+  // Carry the pipeline's obs books across the residency gap — the live
+  // block dies with the pipeline, stats(id)/stats() report carried + live.
+  obs::StreamSnapshot live = s.pipeline->obs().snapshot(s.id);
+  if (s.carried_obs == nullptr) {
+    s.carried_obs = std::make_unique<obs::StreamSnapshot>(std::move(live));
+  } else {
+    *s.carried_obs += live;
   }
 
   // Release the hot state: the model and the ring storage, whose slab

@@ -216,23 +216,13 @@ void Pipeline::process_rows(linalg::ConstMatrixView x,
     std::size_t consumed = 0;
     while (consumed < chunk) {
       const std::size_t r = i + consumed;
-      steps[r] = frozen_step(x.row(r), chunk_preds_[consumed], label_of(r),
-                             /*count_io=*/false);
+      steps[r] = frozen_step(x.row(r), chunk_preds_[consumed], label_of(r));
       ++consumed;
       // A detection just started a recovery: the remaining pre-scored
       // predictions are stale (the model is about to retrain).
       if (!model_frozen()) break;
     }
-    // Bulk the samples_in/out bump for the whole chunk (in before out, so
-    // a racing stats() reader never sees out run ahead across snapshots).
-    if (obs_enabled_) {
-      obs_->counters.add_samples_in(consumed);
-      obs_->counters.add_samples_out(consumed);
-    }
-    if (chunk > 1) {
-      ++stats_.batch_chunks;
-      stats_.batch_rows += consumed;
-    }
+    if (chunk > 1) obs_->counters.add_batch_chunk(consumed);
     i += consumed;
   }
 }
@@ -253,10 +243,9 @@ void Pipeline::score_rows(linalg::ConstMatrixView x,
 
 PipelineStep Pipeline::frozen_step(std::span<const double> x,
                                    const model::Prediction& pred,
-                                   int true_label, bool count_io) {
-  ++stats_.samples;
-  const bool obs_on = obs_enabled_;
-  if (obs_on && count_io) obs_->counters.add_samples_in();
+                                   int true_label) {
+  obs::Counters& counters = obs_->counters;
+  counters.add_samples();
   PipelineStep step;
   step.prediction = pred;
   if (tracker_enabled_) update_tracker(pred.label, x);
@@ -268,10 +257,7 @@ PipelineStep Pipeline::frozen_step(std::span<const double> x,
       detector_->rebuild_reference(refit_buffer_);
       state_ = RecoveryState::kIdle;
     }
-    if (obs_on) {
-      if (count_io) obs_->counters.add_samples_out();
-      ++obs_tick_;
-    }
+    ++obs_tick_;
     return step;
   }
 
@@ -282,41 +268,32 @@ PipelineStep Pipeline::frozen_step(std::span<const double> x,
   obs.error = true_label >= 0 &&
               static_cast<std::size_t>(true_label) != pred.label;
   const bool window_was_open =
-      obs_on && centroid_ != nullptr && centroid_->window_open();
-  const bool timed_detect = obs_on && (obs_tick_ & obs_mask_) == 0;
+      centroid_ != nullptr && centroid_->window_open();
+  const bool timed_detect = obs_enabled_ && (obs_tick_ & obs_mask_) == 0;
+  ++obs_tick_;
   const std::uint64_t obs_t0 = timed_detect ? obs::now_ns() : 0;
   const drift::Detection detection = detector_->observe(obs);
   if (timed_detect) obs_->detect.record(obs::now_ns() - obs_t0);
-  if (obs_on) {
-    // Window accounting: the centroid family exposes its anomaly window
-    // directly (count open transitions); for everything else each emitted
-    // statistic marks one completed evaluation window.
-    if (centroid_ != nullptr) {
-      if (!window_was_open && centroid_->window_open()) {
-        obs_->counters.add_window_opened();
-      }
-    } else if (detection.statistic_valid) {
-      obs_->counters.add_window_opened();
-    }
+  // Window accounting: the centroid family exposes its anomaly window
+  // directly (count open transitions); for everything else each emitted
+  // statistic marks one completed evaluation window.
+  if (centroid_ != nullptr ? !window_was_open && centroid_->window_open()
+                           : detection.statistic_valid) {
+    counters.add_window_opened();
   }
   step.statistic = detection.statistic;
   step.statistic_valid = detection.statistic_valid;
 
   if (detection.drift) {
     step.drift_detected = true;
-    ++stats_.drifts;
-    if (obs_on) record_drift_event(detection);
+    counters.add_drift();
+    if (obs_enabled_) record_drift_event(detection);
     start_recovery();
-  }
-  if (obs_on) {
-    if (count_io) obs_->counters.add_samples_out();
-    ++obs_tick_;
   }
   return step;
 }
 
 void Pipeline::record_drift_event(const drift::Detection& detection) {
-  obs_->counters.add_drift();
   std::span<const double> distances;
   double theta = 0.0;
   if (centroid_ != nullptr) {
@@ -336,8 +313,9 @@ void Pipeline::record_drift_event(const drift::Detection& detection) {
       action = obs::RecoveryAction::kNone;
       break;
   }
-  // stats_.samples was already advanced for this sample: index = samples-1.
-  obs_->journal.begin_event(stats_.samples - 1, detection.statistic, theta,
+  // The sample counter was already advanced for this sample.
+  obs_->journal.begin_event(obs_->counters.samples() - 1,
+                            detection.statistic, theta,
                            static_cast<std::uint32_t>(config_.window_size),
                            action, distances);
 }
@@ -367,8 +345,7 @@ std::size_t Pipeline::recover(linalg::ConstMatrixView x,
     }
     return nearest;
   };
-  const bool obs_on = obs_enabled_;
-  const std::uint64_t obs_t0 = obs_on ? obs::now_ns() : 0;
+  const std::uint64_t obs_t0 = obs_enabled_ ? obs::now_ns() : 0;
   // start_recovery() already took the private copy; this is the owner check.
   model::MultiInstanceModel& model = model_for_write();
 
@@ -490,22 +467,20 @@ std::size_t Pipeline::recover(linalg::ConstMatrixView x,
     out[consumed - 1].reconstruction_finished = true;
   }
 
-  stats_.samples += consumed;
-  stats_.recovery_samples += consumed;
-  if (obs_on) {
-    obs_->counters.add_samples_in(consumed);
-    obs_->counters.add_samples_out(consumed);
-    obs_->reconstruct.record((obs::now_ns() - obs_t0) / consumed);
-    if (tstats.rows > 0) {
-      obs_->counters.add_chunk_trains(tstats.buckets);
-      obs_->counters.add_chunk_train_rows(tstats.rows);
-      if (tstats.replica_refreshes > 0) {
-        obs_->counters.add_requants_saved(tstats.rows -
-                                          tstats.replica_refreshes);
-      }
+  obs::Counters& counters = obs_->counters;
+  counters.add_samples(consumed);
+  counters.add_recovery_samples(consumed);
+  if (tstats.rows > 0) {
+    counters.add_chunk_trains(tstats.buckets);
+    counters.add_chunk_train_rows(tstats.rows);
+    if (tstats.replica_refreshes > 0) {
+      counters.add_requants_saved(tstats.rows - tstats.replica_refreshes);
     }
-    obs_tick_ += consumed;
   }
+  if (obs_enabled_) {
+    obs_->reconstruct.record((obs::now_ns() - obs_t0) / consumed);
+  }
+  obs_tick_ += consumed;
   return consumed;
 }
 
@@ -563,11 +538,8 @@ void Pipeline::finish_reconstruction() {
   // training-phase samples.
   detector_->rearm(coords.centroids(), coords.counts(),
                    reconstructor_.suggested_theta_drift(config_.z));
-  ++stats_.recoveries;
-  if (obs_->enabled()) {
-    obs_->counters.add_retrain();
-    obs_->journal.complete_event(reconstructor_.count());
-  }
+  obs_->counters.add_recovery();
+  if (obs_enabled_) obs_->journal.complete_event(reconstructor_.count());
   if (detector_->needs_reference_data()) {
     begin_reference_collection();
   } else {
@@ -580,11 +552,8 @@ void Pipeline::finish_recalibration() {
   // (<= 0 means "retain") and anchor it on the recovery centroids.
   detector_->rearm(recal_.centroids, recal_.counts, 0.0);
   trained_means_ = recal_.centroids;
-  ++stats_.recoveries;
-  if (obs_->enabled()) {
-    obs_->counters.add_retrain();
-    obs_->journal.complete_event(recal_count_);
-  }
+  obs_->counters.add_recovery();
+  if (obs_enabled_) obs_->journal.complete_event(recal_count_);
   if (detector_->needs_reference_data()) {
     begin_reference_collection();
   } else {

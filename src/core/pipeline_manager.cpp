@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 
 #include "edgedrift/io/checkpoint.hpp"
@@ -15,15 +14,7 @@
 namespace edgedrift::core {
 namespace {
 
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 using detail::burst_bucket;
-using detail::raise_high_water;
 
 void set_status(SubmitStatus* status, SubmitStatus value) {
   if (status != nullptr) *status = value;
@@ -171,10 +162,7 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
       const std::uint64_t avail = capacity - (tail - s.head.load());
       if (avail == 0) {
         if (options_.backpressure == BackpressurePolicy::kReject) {
-          s.telemetry.rejected += x.rows() - r;
-          if (obs_on_) {
-            s.pipeline->obs().counters.add_rejected(x.rows() - r);
-          }
+          s.pipeline->obs().counters.add_rejected(x.rows() - r);
           break;
         }
         if (!counted_block) {
@@ -224,10 +212,8 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
       }
       s.tail.store(tail + take);
       s.telemetry.submitted += take;
-      const std::size_t depth =
-          static_cast<std::size_t>(tail + take - s.head.load());
-      raise_high_water(s.telemetry.queue_high_water, depth);
-      if (obs_on_) s.pipeline->obs().counters.update_ring_high_water(depth);
+      s.pipeline->obs().counters.update_ring_high_water(tail + take -
+                                                        s.head.load());
       accepted += take;
       r += take;
     }
@@ -249,7 +235,7 @@ void PipelineManager::drain_burst(Stream& s) {
     const std::size_t burst =
         std::min({queued, capacity - pos,
                   s.pipeline->config().max_batch_rows});
-    const std::uint64_t t0 = now_ns();
+    const std::uint64_t t0 = obs::now_ns();
     {
       std::lock_guard lock(s.steps_mutex);
       const std::span<const int> labels(s.labels);
@@ -258,7 +244,7 @@ void PipelineManager::drain_burst(Stream& s) {
     }
     release_rows(s, head, burst, queued);
     pending_.fetch_sub(burst);
-    s.telemetry.busy_ns += now_ns() - t0;
+    s.telemetry.busy_ns += obs::now_ns() - t0;
     head += burst;
     tail = s.tail.load();
   }
@@ -270,8 +256,8 @@ void PipelineManager::release_rows(Stream& s, std::uint64_t head,
   // Record before the head store frees the slots: a producer may reuse
   // their submit_ns entries the moment head moves past them. Only the
   // sampled slots (absolute position & mask == 0) carry stamps.
+  obs::StreamObs& ob = s.pipeline->obs();
   if (obs_on_) {
-    obs::StreamObs& ob = s.pipeline->obs();
     const std::uint64_t mask = ob.latency_sample_mask();
     const std::uint64_t first = (head + mask) & ~mask;
     if (first < head + take) {
@@ -282,14 +268,13 @@ void PipelineManager::release_rows(Stream& s, std::uint64_t head,
                         a % options_.queue_capacity)]);
       }
     }
-    ob.counters.update_ring_high_water(queued);
   }
+  ob.counters.update_ring_high_water(queued);
   s.head.store(head + take);
   notify_space(s);
   ++s.telemetry.drain_bursts;
   ++s.telemetry.drain_burst_hist[burst_bucket(take)];
   s.telemetry.processed += take;
-  raise_high_water(s.telemetry.queue_high_water, queued);
 }
 
 void PipelineManager::notify_space(Stream& s) {
@@ -381,16 +366,14 @@ const StreamTelemetry& PipelineManager::telemetry(std::size_t id) const {
   return streams_[id]->telemetry;
 }
 
-const PipelineStats& PipelineManager::stats(std::size_t id) const {
+PipelineStats PipelineManager::stats(std::size_t id) const {
   EDGEDRIFT_ASSERT(id < streams_.size(), "stream id out of range");
-  Stream& s = *streams_[id];
-  Shard& shard = *shards_[s.shard];
-  std::lock_guard lock(shard.evict_mutex);
-  s.stats_view = s.carried_stats;
-  if (s.residency == Stream::Residency::kHot) {
-    s.stats_view += s.pipeline->stats();
-  }
-  return s.stats_view;
+  const Stream& s = *streams_[id];
+  std::lock_guard lock(shards_[s.shard]->evict_mutex);
+  PipelineStats stats;
+  if (s.carried_obs != nullptr) stats = s.carried_obs->counters;
+  if (s.residency == Stream::Residency::kHot) stats += s.pipeline->stats();
+  return stats;
 }
 
 obs::Snapshot PipelineManager::stats() const {
@@ -423,12 +406,6 @@ obs::Snapshot PipelineManager::stats() const {
     snap.shards.push_back(std::move(sh));
   }
   return snap;
-}
-
-PipelineStats PipelineManager::totals() const {
-  PipelineStats totals;
-  for (std::size_t i = 0; i < streams_.size(); ++i) totals += stats(i);
-  return totals;
 }
 
 }  // namespace edgedrift::core

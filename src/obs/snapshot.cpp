@@ -72,27 +72,24 @@ CounterSnapshot Snapshot::totals() const {
 std::string Snapshot::to_text() const {
   std::string out;
 
-  util::Table counters({"Stream", "in", "out", "rejected", "windows",
-                        "drifts", "retrains", "chunk-upd", "chunk-rows",
-                        "requant-saved", "ring-hw"});
+  util::Table counters({"Stream", "samples", "drifts", "recoveries",
+                        "recovery-samples", "windows", "batch-chunks",
+                        "batch-rows", "chunk-upd", "chunk-rows",
+                        "requant-saved", "rejected", "ring-hw"});
+  const auto add_counter_row = [&](std::string label,
+                                   const CounterSnapshot& c) {
+    counters.add_row({std::move(label), fmt_u64(c.samples),
+                      fmt_u64(c.drifts), fmt_u64(c.recoveries),
+                      fmt_u64(c.recovery_samples), fmt_u64(c.windows_opened),
+                      fmt_u64(c.batch_chunks), fmt_u64(c.batch_rows),
+                      fmt_u64(c.chunk_trains), fmt_u64(c.chunk_train_rows),
+                      fmt_u64(c.requants_saved), fmt_u64(c.rejected),
+                      fmt_u64(c.ring_high_water)});
+  };
   for (const StreamSnapshot& s : streams) {
-    const CounterSnapshot& c = s.counters;
-    counters.add_row({std::to_string(s.stream_id), fmt_u64(c.samples_in),
-                      fmt_u64(c.samples_out), fmt_u64(c.rejected),
-                      fmt_u64(c.windows_opened), fmt_u64(c.drifts),
-                      fmt_u64(c.retrains), fmt_u64(c.chunk_trains),
-                      fmt_u64(c.chunk_train_rows), fmt_u64(c.requants_saved),
-                      fmt_u64(c.ring_high_water)});
+    add_counter_row(std::to_string(s.stream_id), s.counters);
   }
-  if (streams.size() > 1) {
-    const CounterSnapshot c = totals();
-    counters.add_row({"total", fmt_u64(c.samples_in),
-                      fmt_u64(c.samples_out), fmt_u64(c.rejected),
-                      fmt_u64(c.windows_opened), fmt_u64(c.drifts),
-                      fmt_u64(c.retrains), fmt_u64(c.chunk_trains),
-                      fmt_u64(c.chunk_train_rows), fmt_u64(c.requants_saved),
-                      fmt_u64(c.ring_high_water)});
-  }
+  if (streams.size() > 1) add_counter_row("total", totals());
   out += "counters:\n" + counters.str() + "\n";
 
   util::Table latency({"Stream", "Stage", "count", "mean", "p50<=",
@@ -171,7 +168,7 @@ std::string Snapshot::to_text() const {
 std::string Snapshot::to_json(std::string_view source) const {
   std::string out;
   out += "{\n";
-  out += "  \"schema\": \"edgedrift-obs-v1\",\n";
+  out += "  \"schema\": \"edgedrift-obs-v2\",\n";
   out += "  \"binary\": \"" + std::string(source) + "\",\n";
   out += "  \"simd\": \"" + std::string(linalg::simd::kLevelName) + "\",\n";
   out += "  \"streams\": [\n";
@@ -179,19 +176,19 @@ std::string Snapshot::to_json(std::string_view source) const {
   for (std::size_t i = 0; i < streams.size(); ++i) {
     const StreamSnapshot& s = streams[i];
     const CounterSnapshot& c = s.counters;
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"id\": %zu,\n"
-                  "      \"counters\": {\"samples_in\": %" PRIu64
-                  ", \"samples_out\": %" PRIu64 ", \"rejected\": %" PRIu64
-                  ", \"windows_opened\": %" PRIu64 ", \"drifts\": %" PRIu64
-                  ", \"retrains\": %" PRIu64 ", \"chunk_trains\": %" PRIu64
-                  ", \"chunk_train_rows\": %" PRIu64
-                  ", \"requants_saved\": %" PRIu64
-                  ", \"ring_high_water\": %" PRIu64 "},\n",
-                  s.stream_id, c.samples_in, c.samples_out, c.rejected,
-                  c.windows_opened, c.drifts, c.retrains, c.chunk_trains,
-                  c.chunk_train_rows, c.requants_saved,
-                  c.ring_high_water);
+    std::snprintf(
+        buf, sizeof(buf),
+        "    {\"id\": %zu,\n"
+        "      \"counters\": {\"samples\": %" PRIu64 ", \"drifts\": %" PRIu64
+        ", \"recoveries\": %" PRIu64 ", \"recovery_samples\": %" PRIu64
+        ",\n        \"windows_opened\": %" PRIu64 ", \"batch_chunks\": %" PRIu64
+        ", \"batch_rows\": %" PRIu64 ", \"chunk_trains\": %" PRIu64
+        ",\n        \"chunk_train_rows\": %" PRIu64
+        ", \"requants_saved\": %" PRIu64 ", \"rejected\": %" PRIu64
+        ", \"ring_high_water\": %" PRIu64 "},\n",
+        s.stream_id, c.samples, c.drifts, c.recoveries, c.recovery_samples,
+        c.windows_opened, c.batch_chunks, c.batch_rows, c.chunk_trains,
+        c.chunk_train_rows, c.requants_saved, c.rejected, c.ring_high_water);
     out += buf;
     out += "      \"latency\": {\n";
     append_histogram_json(out, "submit_to_drain", s.submit_to_drain, false);
@@ -199,11 +196,7 @@ std::string Snapshot::to_json(std::string_view source) const {
     append_histogram_json(out, "detect", s.detect, false);
     append_histogram_json(out, "reconstruct", s.reconstruct, true);
     out += "      },\n";
-    std::snprintf(buf, sizeof(buf),
-                  "      \"drift_events_total\": %" PRIu64
-                  ",\n      \"drift_events\": [",
-                  s.drift_events_total);
-    out += buf;
+    out += "      \"drift_events\": [";
     for (std::size_t e = 0; e < s.journal.size(); ++e) {
       const DriftEvent& ev = s.journal[e];
       std::snprintf(buf, sizeof(buf),

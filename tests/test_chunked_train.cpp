@@ -32,13 +32,14 @@
 #include "edgedrift/data/gaussian_concept.hpp"
 #include "edgedrift/data/nsl_kdd_like.hpp"
 #include "edgedrift/eval/paper_configs.hpp"
-#include "edgedrift/eval/tier_equivalence.hpp"
 #include "edgedrift/linalg/gemm.hpp"
 #include "edgedrift/linalg/numerics.hpp"
 #include "edgedrift/linalg/updates.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/oselm/autoencoder.hpp"
 #include "edgedrift/util/rng.hpp"
+
+#include "tier_equivalence.hpp"
 
 namespace {
 
@@ -475,8 +476,6 @@ void check_chunk_decision_equivalence(NumericsTier tier) {
     const auto got = run_rounds(chunked, tests, 8);
     expect_decision_equivalent(got, want);
 
-    // The counters are compiled to no-ops under EDGEDRIFT_NO_OBS.
-    if (!edgedrift::obs::kObsCompiled) continue;
     const edgedrift::obs::CounterSnapshot totals =
         chunked.stats().totals();
     EXPECT_GT(totals.chunk_trains, 0u) << "chunked run must issue block updates";
@@ -517,14 +516,12 @@ TEST(ChunkedTrain, RecoveringStreamsStayInCoalescedGroups) {
   seed_group(manager, kStreams, train);
   const auto got = run_rounds(manager, tests, 8);
 
-  if (edgedrift::obs::kObsCompiled) {
-    const edgedrift::obs::Snapshot snap = manager.stats();
-    ASSERT_EQ(snap.shards.size(), 1u);
-    EXPECT_GT(snap.shards[0].coalesced_gemms, 0u);
-    const edgedrift::obs::CounterSnapshot totals = snap.totals();
-    EXPECT_GT(totals.chunk_trains, 0u)
-        << "recovery training must have run through the chunked path";
-  }
+  const edgedrift::obs::Snapshot snap = manager.stats();
+  ASSERT_EQ(snap.shards.size(), 1u);
+  EXPECT_GT(snap.shards[0].coalesced_gemms, 0u);
+  const edgedrift::obs::CounterSnapshot totals = snap.totals();
+  EXPECT_GT(totals.chunk_trains, 0u)
+      << "recovery training must have run through the chunked path";
   std::size_t drifts = 0;
   for (const auto& steps : got) {
     for (const PipelineStep& step : steps) drifts += step.drift_detected;
@@ -620,7 +617,7 @@ TEST(ChunkedTrain, SubmitBatchRacesChunkedShardDrains) {
     EXPECT_EQ(manager.stats(s).samples, kBatches * kBurst)
         << "stream " << s;
   }
-  EXPECT_EQ(manager.totals().samples, kStreams * kBatches * kBurst);
+  EXPECT_EQ(manager.stats().totals().samples, kStreams * kBatches * kBurst);
 }
 
 }  // namespace

@@ -180,9 +180,7 @@ TEST(CoalescedDrain, SharedGroupIsBitIdenticalAtF64) {
   ASSERT_GE(drifts, kStreams) << "scenario must drift on every stream";
 
   // The runs must differ in HOW they drained: the coalesced manager did
-  // real multi-stream GEMMs, the reference did none. (The counters are
-  // compiled to no-ops under EDGEDRIFT_NO_OBS.)
-  if (!edgedrift::obs::kObsCompiled) return;
+  // real multi-stream GEMMs, the reference did none.
   const edgedrift::obs::Snapshot snap = coalesced.stats();
   ASSERT_EQ(snap.shards.size(), 1u);
   EXPECT_GT(snap.shards[0].coalesced_gemms, 0u);
@@ -226,9 +224,7 @@ void check_tier_decision_equivalent(NumericsTier tier) {
   seed_group(reference, kStreams, train);
   const auto want = run_rounds(reference, tests, 4);
 
-  if (edgedrift::obs::kObsCompiled) {
-    EXPECT_GT(coalesced.stats().shards[0].coalesced_gemms, 0u);
-  }
+  EXPECT_GT(coalesced.stats().shards[0].coalesced_gemms, 0u);
 
   for (std::size_t s = 0; s < kStreams; ++s) {
     SCOPED_TRACE("stream " + std::to_string(s));
@@ -283,7 +279,6 @@ TEST(CoalescedDrain, FingerprintMismatchFallsBackPerStream) {
     expect_steps_bit_identical(got[s], want[s]);
   }
 
-  if (!edgedrift::obs::kObsCompiled) return;
   const edgedrift::obs::Snapshot snap = coalesced.stats();
   ASSERT_EQ(snap.shards.size(), 1u);
   EXPECT_EQ(snap.shards[0].coalesced_gemms, 0u);
@@ -318,7 +313,6 @@ TEST(CoalescedDrain, EvictRestoreChurnKeepsBitIdentityAtF64) {
     expect_steps_bit_identical(got[s], want[s]);
   }
 
-  if (!edgedrift::obs::kObsCompiled) return;
   const edgedrift::obs::Snapshot snap = coalesced.stats();
   ASSERT_EQ(snap.shards.size(), 1u);
   EXPECT_GT(snap.shards[0].coalesced_gemms, 0u);
@@ -365,7 +359,7 @@ TEST(CoalescedDrain, SubmitBatchRacesCoalescedShardDrains) {
     EXPECT_EQ(manager.stats(s).samples, kBatches * kBurst)
         << "stream " << s;
   }
-  EXPECT_EQ(manager.totals().samples, kStreams * kBatches * kBurst);
+  EXPECT_EQ(manager.stats().totals().samples, kStreams * kBatches * kBurst);
 }
 
 // The race surface of the kManual drain: producer threads feed their own

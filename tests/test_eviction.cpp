@@ -221,7 +221,7 @@ TEST(Eviction, EvictRestoreKeepsDriftDecisionsAtI8) {
 }
 
 // Pipeline counters must accumulate across residency cycles: stats(id)
-// reports carried + live, totals() sums hot and cold streams alike.
+// reports carried + live, stats().totals() sums hot and cold streams alike.
 TEST(Eviction, StatsCarryAcrossEvictRestoreCycles) {
   const StreamData data = make_drift_stream(300, 600);
   PipelineManager manager(make_config(), 1);
@@ -233,25 +233,24 @@ TEST(Eviction, StatsCarryAcrossEvictRestoreCycles) {
   manager.drain();
   ASSERT_TRUE(manager.evict(0));
   EXPECT_EQ(manager.stats(0).samples, 200u);  // Carried while cold.
-  EXPECT_EQ(manager.totals().samples, 200u);
+  EXPECT_EQ(manager.stats().totals().samples, 200u);
 
   for (std::size_t i = 200; i < 600; ++i) {
     manager.submit(0, data.test.x.row(i));
   }
   manager.drain();
   EXPECT_EQ(manager.stats(0).samples, 600u);  // Carried + live.
-  EXPECT_EQ(manager.totals().samples, 600u);
+  EXPECT_EQ(manager.stats().totals().samples, 600u);
 
   const edgedrift::obs::Snapshot snap = manager.stats();
   ASSERT_EQ(snap.streams.size(), 1u);
   ASSERT_EQ(snap.shards.size(), 1u);
   EXPECT_EQ(snap.shards[0].hot_streams, 1u);
   EXPECT_EQ(snap.shards[0].cold_streams, 0u);
-  // The shard counters and histograms are compiled to no-ops under
-  // EDGEDRIFT_NO_OBS.
-  if (!edgedrift::obs::kObsCompiled) return;
   EXPECT_EQ(snap.shards[0].evictions, 1u);
   EXPECT_EQ(snap.shards[0].restores, 1u);
+  // The latency histograms are compiled out under EDGEDRIFT_NO_OBS.
+  if (!edgedrift::obs::kObsCompiled) return;
   // The eviction/restore latency histograms must record exactly one sample
   // per transition, with a sane (non-zero, bounded) magnitude — the
   // restore-latency surface the density benchmarks gate on.
@@ -350,11 +349,9 @@ TEST(Eviction, CorruptSpillFileReportsRestoreFailed) {
   EXPECT_EQ(status, SubmitStatus::kRestoreFailed);
   EXPECT_FALSE(manager.resident(0));
 
-  if (edgedrift::obs::kObsCompiled) {
-    const edgedrift::obs::Snapshot snap = manager.stats();
-    ASSERT_EQ(snap.shards.size(), 1u);
-    EXPECT_GE(snap.shards[0].restore_failures, 1u);
-  }
+  const edgedrift::obs::Snapshot snap = manager.stats();
+  ASSERT_EQ(snap.shards.size(), 1u);
+  EXPECT_GE(snap.shards[0].restore_failures, 1u);
   fs::remove_all(dir);
 }
 
@@ -443,7 +440,7 @@ TEST(Eviction, EvictionRacesSubmitAndStats) {
   for (std::size_t s = 0; s < kStreams; ++s) {
     EXPECT_EQ(manager.stats(s).samples, kPerStream) << "stream " << s;
   }
-  EXPECT_EQ(manager.totals().samples, kStreams * kPerStream);
+  EXPECT_EQ(manager.stats().totals().samples, kStreams * kPerStream);
 }
 
 // ------------------------------------------------ template model sharing
@@ -701,10 +698,8 @@ TEST(Eviction, ShardWorkersShareOneTemplateModelUnderChurn) {
     SCOPED_TRACE("seeded stream " + std::to_string(first + k));
     expect_steps_equal(st.actual[k], st.expected[k]);
   }
-  if (edgedrift::obs::kObsCompiled) {
-    const edgedrift::obs::Snapshot snap = manager.stats();
-    EXPECT_GT(snap.shards[1 - drift_shard].evictions, 10u);
-  }
+  const edgedrift::obs::Snapshot snap = manager.stats();
+  EXPECT_GT(snap.shards[1 - drift_shard].evictions, 10u);
 }
 
 // hot_bytes charges a stream on its template's model only its own bytes,
@@ -820,12 +815,10 @@ TEST(Eviction, ManualDrainVisitsListedStreamsUnderColdChurn) {
     SCOPED_TRACE("seeded stream " + std::to_string(id));
     expect_steps_equal(actual[id], steps);
   }
-  if (edgedrift::obs::kObsCompiled) {
-    const edgedrift::obs::Snapshot snap = manager.stats();
-    for (const auto& shard : snap.shards) {
-      EXPECT_GT(shard.evictions, 100u) << "shard " << shard.shard_id;
-      EXPECT_GT(shard.coalesced_gemms, 0u) << "shard " << shard.shard_id;
-    }
+  const edgedrift::obs::Snapshot snap = manager.stats();
+  for (const auto& shard : snap.shards) {
+    EXPECT_GT(shard.evictions, 100u) << "shard " << shard.shard_id;
+    EXPECT_GT(shard.coalesced_gemms, 0u) << "shard " << shard.shard_id;
   }
 }
 

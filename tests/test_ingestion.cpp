@@ -140,8 +140,8 @@ TEST(Ingestion, ChunkedDrainWithRingWrapsMatchesSequential) {
   const StreamTelemetry& t = manager.telemetry(0);
   EXPECT_EQ(t.submitted, data[0].test.size());
   EXPECT_EQ(t.processed, data[0].test.size());
-  EXPECT_EQ(t.rejected, 0u);
-  EXPECT_LE(t.queue_high_water, options.queue_capacity);
+  EXPECT_EQ(manager.stats(0).rejected, 0u);
+  EXPECT_LE(manager.stats(0).ring_high_water, options.queue_capacity);
 }
 
 // submit_batch publishes whole blocks under one reservation; the steps must
@@ -188,11 +188,11 @@ TEST(Ingestion, RejectPolicyCountsDropsInsteadOfBlocking) {
     if (manager.submit(0, data[0].test.x.row(i))) ++accepted;
   }
   EXPECT_EQ(accepted, options.queue_capacity);
-  EXPECT_EQ(manager.telemetry(0).rejected, 50 - options.queue_capacity);
+  EXPECT_EQ(manager.stats(0).rejected, 50 - options.queue_capacity);
 
   // Batch submit on the full ring rejects every row.
   EXPECT_EQ(manager.submit_batch(0, data[0].test.x), 0u);
-  EXPECT_EQ(manager.telemetry(0).rejected,
+  EXPECT_EQ(manager.stats(0).rejected,
             50 - options.queue_capacity + data[0].test.size());
 
   // Draining frees the ring; the accepted samples come out in FIFO order.
@@ -313,7 +313,7 @@ TEST(Ingestion, MultiProducerDistinctStreamsStayIndependent) {
     SCOPED_TRACE("stream " + std::to_string(s));
     expect_steps_equal(manager.take_steps(s), expected[s]);
     EXPECT_EQ(manager.telemetry(s).processed, data[s].test.size());
-    EXPECT_EQ(manager.telemetry(s).rejected, 0u);
+    EXPECT_EQ(manager.stats(s).rejected, 0u);
   }
 }
 
@@ -335,8 +335,8 @@ TEST(Ingestion, TelemetryAccountsForEveryBurst) {
   EXPECT_EQ(t.submitted, data[0].test.size());
   EXPECT_EQ(t.processed, data[0].test.size());
   EXPECT_GE(t.drain_bursts, 1u);
-  EXPECT_GE(t.queue_high_water, 1u);
-  EXPECT_LE(t.queue_high_water, options.queue_capacity);
+  EXPECT_GE(manager.stats(0).ring_high_water, 1u);
+  EXPECT_LE(manager.stats(0).ring_high_water, options.queue_capacity);
   EXPECT_GT(t.busy_ns, 0u);
   EXPECT_GT(t.samples_per_second(), 0.0);
   const std::size_t hist_total =
@@ -360,7 +360,45 @@ TEST(Ingestion, BatchDrainRoutesThroughProcessBatch) {
   EXPECT_GE(manager.stats(0).batch_chunks, 1u);
   EXPECT_GE(manager.stats(0).batch_rows, 1u);
   EXPECT_LE(manager.stats(0).batch_rows, manager.stats(0).samples);
-  EXPECT_EQ(manager.totals().batch_rows, manager.stats(0).batch_rows);
+  EXPECT_EQ(manager.stats().totals().batch_rows, manager.stats(0).batch_rows);
+}
+
+// Coalesced members must account their busy time: a shared-projection
+// group's wall time is split across its members by row share, read from
+// the same clock as a per-stream burst in every build (EDGEDRIFT_NO_OBS
+// included).
+TEST(Ingestion, CoalescedMembersAccountBusyTime) {
+  constexpr std::size_t kMembers = 4;
+  constexpr std::size_t kRounds = 8;
+  constexpr std::size_t kTick = 16;
+  const auto data = make_streams(1);
+  ManagerOptions options;
+  options.dispatch = DispatchMode::kManual;
+  PipelineManager manager(make_config(), 1, options);
+  manager.fit(0, data[0].train.x, data[0].train.labels);
+  const std::size_t first = manager.seed_cold_from(0, kMembers);
+
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const edgedrift::linalg::ConstMatrixView tick{
+        data[0].test.x, round * kTick, (round + 1) * kTick};
+    for (std::size_t k = 0; k < kMembers; ++k) {
+      ASSERT_EQ(manager.submit_batch(first + k, tick), kTick);
+    }
+    manager.drain();
+  }
+
+  std::uint64_t coalesced_gemms = 0;
+  for (const auto& shard : manager.stats().shards) {
+    coalesced_gemms += shard.coalesced_gemms;
+  }
+  EXPECT_GT(coalesced_gemms, 0u);
+  for (std::size_t k = 0; k < kMembers; ++k) {
+    SCOPED_TRACE("member " + std::to_string(first + k));
+    const StreamTelemetry& t = manager.telemetry(first + k);
+    EXPECT_EQ(t.processed, kRounds * kTick);
+    EXPECT_GT(t.busy_ns, 0u);
+    EXPECT_GT(t.samples_per_second(), 0.0);
+  }
 }
 
 // Malformed submissions must fail with a typed status instead of asserting:

@@ -1,29 +1,40 @@
 // The observability layer's contracts, pinned:
 //
 //  - LatencyHistogram properties: log2 bucket bounds contain every value,
-//    counts and sums are conserved, and merge(a, b) is exactly recording
-//    every value into one histogram.
+//    counts and sums are conserved, and adding two snapshots (the merge the
+//    eviction carry uses) is exactly recording every value into one
+//    histogram.
 //  - DriftJournal: fixed-capacity wraparound keeps the most recent events
 //    oldest-first, completion updates the last-begun record, and the
 //    lifetime counter survives overwrites.
 //  - Bit-identity: a pipeline with obs recording enabled produces the
 //    exact same prediction/drift trajectory as its obs-disabled twin on
 //    the label-rich C=23 configuration — instrumentation observes, never
-//    participates.
+//    participates. Both twins count the same run; only the enabled one
+//    times and journals it.
 //  - Concurrency: PipelineManager::stats() snapshots stay coherent while
 //    producers and drains are live across >= 4 streams, both resident
 //    streams drained by the shard worker and a seed_cold_from group whose
 //    kManual drains coalesce every round (the CI TSan job runs this file;
-//    see .github/workflows/ci.yml).
+//    see .github/workflows/ci.yml). The counters count in every build, so
+//    this runs under EDGEDRIFT_NO_OBS too.
+//  - Exporters: the edgedrift-obs-v2 JSON carries every counter of every
+//    stream by name with the value stats(id) returns, across an
+//    evict/restore cycle, and the text table's total row is
+//    stats().totals().
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/core/pipeline_manager.hpp"
+#include "edgedrift/data/drift_stream.hpp"
 #include "edgedrift/data/gaussian_concept.hpp"
 #include "edgedrift/data/stream.hpp"
 #include "edgedrift/obs/drift_journal.hpp"
@@ -122,14 +133,14 @@ TEST(ObsHistogram, MergeEqualsRecordingAll) {
       b.record(v);
       all.record(v);
     }
-    a.merge(b);
-    const HistogramSnapshot merged = a.snapshot();
+    HistogramSnapshot merged = a.snapshot();
+    merged += b.snapshot();
     const HistogramSnapshot direct = all.snapshot();
     EXPECT_EQ(merged.buckets, direct.buckets);
     EXPECT_EQ(merged.sum_ns, direct.sum_ns);
     EXPECT_EQ(merged.max_ns, direct.max_ns);
 
-    // The snapshot-level operator+= agrees with the atomic-level merge.
+    // Adding to an empty snapshot is the identity.
     HistogramSnapshot sum;
     sum += direct;
     EXPECT_EQ(sum.buckets, direct.buckets);
@@ -293,23 +304,28 @@ TEST(ObsBitIdentity, TrajectoriesMatchWithObsOnAndOff) {
   ASSERT_GE(drifts, 1u) << "the shifted stream must exercise the drift and "
                            "recovery instrumentation";
 
+  // The counters always count: both twins booked the same run.
+  const obs::StreamSnapshot recorded = on.obs().snapshot(0);
+  const obs::StreamSnapshot frozen = off.obs().snapshot(0);
+  for (const obs::StreamSnapshot* twin : {&recorded, &frozen}) {
+    EXPECT_EQ(twin->counters.samples, data.stream.size());
+    EXPECT_EQ(twin->counters.drifts, drifts);
+  }
+  // The disabled twin timed nothing and journaled nothing.
+  EXPECT_EQ(frozen.score.count(), 0u);
+  EXPECT_EQ(frozen.detect.count(), 0u);
+  EXPECT_EQ(frozen.reconstruct.count(), 0u);
+  EXPECT_EQ(off.obs().journal.total_events(), 0u);
+  EXPECT_TRUE(frozen.journal.empty());
   if (obs::kObsCompiled) {
-    // The enabled twin recorded the run; the disabled twin stayed frozen.
-    const obs::StreamSnapshot recorded = on.obs().snapshot(0);
-    EXPECT_EQ(recorded.counters.samples_in, data.stream.size());
-    EXPECT_EQ(recorded.counters.samples_out, data.stream.size());
-    EXPECT_EQ(recorded.counters.drifts, drifts);
-    EXPECT_EQ(recorded.drift_events_total, drifts);
-    const obs::StreamSnapshot frozen = off.obs().snapshot(0);
-    EXPECT_EQ(frozen.counters.samples_in, 0u);
-    EXPECT_EQ(frozen.drift_events_total, 0u);
+    // The enabled twin journaled every detection.
+    EXPECT_EQ(on.obs().journal.total_events(), drifts);
   }
 }
 
 // -------------------------------------------------------------- concurrency
 
 TEST(ObsConcurrency, StatsSnapshotsStayCoherentUnderLoad) {
-  if (!obs::kObsCompiled) GTEST_SKIP() << "built with EDGEDRIFT_NO_OBS";
   constexpr std::size_t kStreams = 4;
   constexpr std::size_t kDim = 16;
   constexpr std::size_t kRounds = 40;
@@ -367,16 +383,17 @@ TEST(ObsConcurrency, StatsSnapshotsStayCoherentUnderLoad) {
     const std::size_t num_streams = manager.num_streams();
 
     // Readers race the producers and the drains. Coherence under the race:
-    // per-stream counters are monotone across snapshots, and every sample
-    // completed by snapshot t must have been admitted by snapshot t+1
-    // (causality: samples_out only advances after samples_in).
+    // the sample count and the ring high-water are monotone across
+    // snapshots, and no stream ever counts more samples than the test
+    // submits to it (a row counted twice would show here first).
+    constexpr std::uint64_t kRowsPerStream = kRounds * kBlockRows;
     std::atomic<bool> stop{false};
     std::atomic<std::size_t> failures{0};
     std::vector<std::thread> readers;
     for (int r = 0; r < 2; ++r) {
       readers.emplace_back([&] {
-        std::vector<std::uint64_t> prev_in(num_streams, 0);
-        std::vector<std::uint64_t> prev_out(num_streams, 0);
+        std::vector<std::uint64_t> prev_samples(num_streams, 0);
+        std::vector<std::uint64_t> prev_high_water(num_streams, 0);
         while (!stop.load(std::memory_order_relaxed)) {
           const obs::Snapshot snap = manager.stats();
           if (snap.streams.size() != num_streams) {
@@ -385,12 +402,13 @@ TEST(ObsConcurrency, StatsSnapshotsStayCoherentUnderLoad) {
           }
           for (std::size_t s = 0; s < num_streams; ++s) {
             const obs::CounterSnapshot& c = snap.streams[s].counters;
-            if (c.samples_in < prev_in[s] || c.samples_out < prev_out[s] ||
-                prev_out[s] > c.samples_in) {
+            if (c.samples < prev_samples[s] ||
+                c.ring_high_water < prev_high_water[s] ||
+                c.samples > kRowsPerStream) {
               failures.fetch_add(1);
             }
-            prev_in[s] = c.samples_in;
-            prev_out[s] = c.samples_out;
+            prev_samples[s] = c.samples;
+            prev_high_water[s] = c.ring_high_water;
           }
           for (const obs::StreamSnapshot& s : snap.streams) {
             for (const DriftEvent& ev : s.journal) {
@@ -421,17 +439,19 @@ TEST(ObsConcurrency, StatsSnapshotsStayCoherentUnderLoad) {
     ASSERT_EQ(final_snap.streams.size(), num_streams);
     for (std::size_t s = first; s < num_streams; ++s) {
       const obs::CounterSnapshot& c = final_snap.streams[s].counters;
-      EXPECT_EQ(c.samples_in, kRounds * kBlockRows);
-      EXPECT_EQ(c.samples_out, kRounds * kBlockRows);
+      EXPECT_EQ(c.samples, kRowsPerStream);
       EXPECT_EQ(c.rejected, 0u);  // kBlock backpressure never drops.
       EXPECT_LE(c.ring_high_water, options.queue_capacity);
       // submit->drain is sampled on absolute ring position: positions
       // 0..total-1 with (pos & mask) == 0, one per latency_sample_every.
-      EXPECT_EQ(final_snap.streams[s].submit_to_drain.count(),
-                kRounds * kBlockRows / config.obs.latency_sample_every);
+      // Latency timing is what EDGEDRIFT_NO_OBS compiles out.
+      if (obs::kObsCompiled) {
+        EXPECT_EQ(final_snap.streams[s].submit_to_drain.count(),
+                  kRowsPerStream / config.obs.latency_sample_every);
+      }
     }
     const obs::CounterSnapshot totals = final_snap.totals();
-    EXPECT_EQ(totals.samples_in, kStreams * kRounds * kBlockRows);
+    EXPECT_EQ(totals.samples, kStreams * kRowsPerStream);
     if (seeded) {
       std::uint64_t coalesced_gemms = 0;
       for (const obs::ShardSnapshot& sh : final_snap.shards) {
@@ -439,6 +459,113 @@ TEST(ObsConcurrency, StatsSnapshotsStayCoherentUnderLoad) {
       }
       EXPECT_GT(coalesced_gemms, 0u);
     }
+  }
+}
+
+// ---------------------------------------------------------------- exporters
+
+/// The 12 counters by the name the JSON export gives them, in the column
+/// order of the text table.
+const std::pair<const char*, std::uint64_t obs::CounterSnapshot::*>
+    kCounterFields[] = {
+        {"samples", &obs::CounterSnapshot::samples},
+        {"drifts", &obs::CounterSnapshot::drifts},
+        {"recoveries", &obs::CounterSnapshot::recoveries},
+        {"recovery_samples", &obs::CounterSnapshot::recovery_samples},
+        {"windows_opened", &obs::CounterSnapshot::windows_opened},
+        {"batch_chunks", &obs::CounterSnapshot::batch_chunks},
+        {"batch_rows", &obs::CounterSnapshot::batch_rows},
+        {"chunk_trains", &obs::CounterSnapshot::chunk_trains},
+        {"chunk_train_rows", &obs::CounterSnapshot::chunk_train_rows},
+        {"requants_saved", &obs::CounterSnapshot::requants_saved},
+        {"rejected", &obs::CounterSnapshot::rejected},
+        {"ring_high_water", &obs::CounterSnapshot::ring_high_water},
+};
+
+TEST(ObsExport, JsonAndTextCarryTheCounterBook) {
+  data::GaussianClass a;
+  a.mean.assign(8, 0.2);
+  a.stddev = {0.15};
+  data::GaussianClass b;
+  b.mean.assign(8, 1.2);
+  b.stddev = {0.15};
+  const data::GaussianConcept pre({a, b});
+  for (std::size_t j = 0; j < 8; j += 2) {
+    a.mean[j] += 0.9;
+    b.mean[j] += 0.55;
+  }
+  const data::GaussianConcept post({a, b});
+  util::Rng rng(100);
+  const data::Dataset train = data::draw(pre, 600, rng);
+  const data::Dataset test =
+      data::make_sudden_drift(pre, post, 1500, 750, rng);
+
+  core::PipelineConfig config;
+  config.num_labels = 2;
+  config.input_dim = 8;
+  config.hidden_dim = 12;
+  config.window_size = 40;
+  config.detector_initial_count = 0;
+  config.reconstruction.n_search = 20;
+  config.reconstruction.n_update = 100;
+  config.reconstruction.n_total = 400;
+  core::ManagerOptions options;
+  options.dispatch = core::DispatchMode::kManual;
+  options.backpressure = core::BackpressurePolicy::kReject;
+  options.queue_capacity = 64;
+  core::PipelineManager manager(config, 2, options);
+  constexpr std::size_t kBlock = 50;
+  const auto feed = [&](std::size_t id, std::size_t from, std::size_t to) {
+    for (std::size_t at = from; at < to; at += kBlock) {
+      manager.submit_batch(id, {test.x, at, std::min(at + kBlock, to)});
+      manager.drain();
+    }
+  };
+  for (std::size_t id = 0; id < 2; ++id) manager.fit(id, train.x, train.labels);
+
+  // Stream 0 is evicted before its drift and restored by the next submit,
+  // so its book is carried + live; an oversized block then overflows its
+  // ring under kReject.
+  feed(0, 0, 600);
+  ASSERT_TRUE(manager.evict(0));
+  feed(0, 600, test.size());
+  EXPECT_EQ(manager.submit_batch(0, {test.x, 0, 100}),
+            options.queue_capacity);
+  manager.drain();
+  feed(1, 0, test.size());
+  ASSERT_GT(manager.stats(0).drifts, 0u) << "stream 0 must drift";
+  ASSERT_GT(manager.stats(0).rejected, 0u);
+
+  const obs::Snapshot snap = manager.stats();
+  const std::string json = snap.to_json("test_obs");
+  EXPECT_NE(json.find("\"schema\": \"edgedrift-obs-v2\""), std::string::npos);
+  for (std::size_t id = 0; id < 2; ++id) {
+    SCOPED_TRACE("stream " + std::to_string(id));
+    const std::size_t at = json.find("\"id\": " + std::to_string(id) +
+                                     ",\n      \"counters\": {");
+    ASSERT_NE(at, std::string::npos);
+    const core::PipelineStats stats = manager.stats(id);
+    for (const auto& [name, field] : kCounterFields) {
+      const std::string key = "\"" + std::string(name) + "\": ";
+      const std::size_t pos = json.find(key, at);
+      ASSERT_NE(pos, std::string::npos) << name;
+      EXPECT_EQ(std::stoull(json.substr(pos + key.size())), stats.*field)
+          << name;
+    }
+  }
+
+  // The text table's total row, cell by cell after the label.
+  const std::string text = snap.to_text();
+  const std::size_t row = text.find("| total ");
+  ASSERT_NE(row, std::string::npos);
+  std::istringstream cells(text.substr(row, text.find('\n', row) - row));
+  std::string cell;
+  std::getline(cells, cell, '|');  // Before the first bar.
+  std::getline(cells, cell, '|');  // The "total" label.
+  const core::PipelineStats totals = manager.stats().totals();
+  for (const auto& [name, field] : kCounterFields) {
+    ASSERT_TRUE(std::getline(cells, cell, '|')) << name;
+    EXPECT_EQ(std::stoull(cell), totals.*field) << name;
   }
 }
 

@@ -136,7 +136,7 @@ TEST(PipelineManager, MatchesSequentialPipelinePerStream) {
     EXPECT_EQ(manager.stats(s).samples, n);
   }
 
-  const PipelineStats totals = manager.totals();
+  const PipelineStats totals = manager.stats().totals();
   EXPECT_EQ(totals.samples, n * kStreams);
   std::size_t drifts = 0;
   for (std::size_t s = 0; s < kStreams; ++s) drifts += manager.stats(s).drifts;
@@ -196,7 +196,7 @@ TEST(PipelineManager, ConcurrentSubmittersKeepPerStreamOrder) {
 TEST(PipelineManager, DrainOnEmptyManagerReturnsImmediately) {
   PipelineManager manager(make_config(), 1);
   manager.drain();  // Nothing submitted: must not block.
-  EXPECT_EQ(manager.totals().samples, 0u);
+  EXPECT_EQ(manager.stats().totals().samples, 0u);
 }
 
 }  // namespace

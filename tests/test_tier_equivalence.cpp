@@ -1,14 +1,15 @@
 // Drift-decision equivalence across numerics tiers: the fp32 and int8
 // scoring tiers must reproduce the f64 reference run's decisions on the
-// golden-replay scenario (eval/tier_equivalence.hpp). The f64 tier itself
+// golden-replay scenario (tests/tier_equivalence.hpp). The f64 tier itself
 // is pinned bit-for-bit by test_golden_replay.cpp; here it doubles as the
 // self-equivalence sanity row (every diff must be exactly zero).
 #include <gtest/gtest.h>
 
 #include "edgedrift/data/nsl_kdd_like.hpp"
 #include "edgedrift/eval/paper_configs.hpp"
-#include "edgedrift/eval/tier_equivalence.hpp"
 #include "edgedrift/util/rng.hpp"
+
+#include "tier_equivalence.hpp"
 
 namespace {
 

@@ -10,7 +10,9 @@ and compares the interleaved obs-overhead ablation pair:
 The obs=on throughput must stay within --budget (default 3%) of obs=off.
 Comparing the two in-binary, interleaved runs makes the check stable on
 shared CI runners: both sides see the same machine, thermal state and
-build, so the ratio isolates exactly the recording cost.
+build, so the ratio isolates exactly the gated recording cost: latency
+clock reads, histograms and the drift journal. The per-stream counters
+count on both sides.
 
 Exit code 0 when within budget, 1 when exceeded or records are missing.
 """
