@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -269,7 +270,7 @@ struct DeviceFixture {
       }
     }
     reference.fit(train, labels);
-    device.load(reference);
+    if (!device.load(reference)) std::abort();
     for (std::size_t j = 0; j < 38; ++j) {
       sample_d[j] = rng.gaussian(0.2, 0.2);
       sample_f[j] = static_cast<float>(sample_d[j]);

@@ -12,11 +12,12 @@
 // is the cheapest stage.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <vector>
 
-#include "edgedrift/cluster/sequential_kmeans.hpp"
 #include "edgedrift/data/cooling_fan_like.hpp"
 #include "edgedrift/drift/centroid_detector.hpp"
+#include "edgedrift/drift/steps.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/util/rng.hpp"
 
@@ -36,14 +37,17 @@ struct Fixture {
       kDim, kHidden, oselm::Activation::kSigmoid, rng);
   model::MultiInstanceModel model{kLabels, projection, 1e-2};
   model::BatchWorkspace ws;
-  cluster::SequentialKMeans coords{kLabels, kDim};
+  // The reconstruction's coordinate store, as drift::Reconstructor holds it.
+  linalg::Matrix coords{kLabels, kDim};
+  std::vector<std::size_t> coord_counts = std::vector<std::size_t>(kLabels, 1);
+  std::vector<double> init_scratch = std::vector<double>(kDim);
   drift::CentroidDetector detector{[] {
     drift::CentroidDetectorConfig config;
     config.num_labels = kLabels;
     config.dim = kDim;
-    config.window_size = 1u << 30;  // Keep the window open forever.
-    config.theta_error = 0.0;       // Gate always open.
-    config.theta_drift = 1e18;      // Never fire.
+    config.window_size = 1;     // Every sample closes a window and sums dist.
+    config.theta_error = 0.0;   // Gate always open.
+    config.theta_drift = 1e18;  // Never fire.
     return config;
   }()};
   std::vector<double> sample = std::vector<double>(kDim);
@@ -62,8 +66,7 @@ struct Fixture {
     }
     model.init_train(train.x, train.labels);
     detector.calibrate(train.x, train.labels);
-    coords.set_centroids(detector.trained_centroids(),
-                         std::vector<std::size_t>(kLabels, 1));
+    coords = detector.trained_centroids();
     FanSample();
   }
 
@@ -105,7 +108,8 @@ BENCHMARK(BM_DistanceComputation)->Name("distance computation");
 void BM_RetrainNoPrediction(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    const std::size_t label = f.coords.nearest(f.sample);
+    const std::size_t label =
+        drift::steps::nearest_row<double>(f.coords.flat(), f.sample);
     f.model.train_label(f.sample, label);
   }
 }
@@ -127,7 +131,9 @@ BENCHMARK(BM_RetrainWithPrediction)
 void BM_InitCoord(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.coords.spread_init(f.sample));
+    benchmark::DoNotOptimize(drift::steps::spread_coord(
+        f.coords.flat(), std::span<const double>(f.sample),
+        std::span(f.init_scratch)));
   }
 }
 BENCHMARK(BM_InitCoord)->Name("label coordinates initialization");
@@ -136,7 +142,9 @@ BENCHMARK(BM_InitCoord)->Name("label coordinates initialization");
 void BM_UpdateCoord(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.coords.update(f.sample));
+    benchmark::DoNotOptimize(drift::steps::update_coord(
+        f.coords.flat(), std::span(f.coord_counts),
+        std::span<const double>(f.sample), false));
   }
 }
 BENCHMARK(BM_UpdateCoord)->Name("label coordinates update");

@@ -7,13 +7,11 @@
 // closes, drift fires iff
 //   dist = sum_c sum_d |cor[c][d] - train_cor[c][d]|  >=  theta_drift.
 //
-// The detector keeps the C per-label L1 terms of `dist`: a windowed sample
-// moves one label's centroid, so it recomputes that one term and sums the C
-// cached terms in label order — O(D + C) work per windowed sample, with the
-// same doubles added in the same order as a full O(C*D) sweep. Every path
-// that rewrites the recent or trained centroids refreshes all C terms.
-// Memory is O(C*D), and no sample is ever stored, which is the paper's
-// entire memory argument (Table 4).
+// The window and the statistic are the shared Algorithm 1 steps
+// (drift/steps.hpp), which mcu::StaticPipeline runs at float. A windowed
+// sample costs one O(D) centroid fold; `dist` is summed once, O(C*D), when
+// the window closes. Memory is O(C*D), and no sample is ever stored, which
+// is the paper's entire memory argument (Table 4).
 #pragma once
 
 #include <cstddef>
@@ -21,6 +19,7 @@
 #include <vector>
 
 #include "edgedrift/drift/detector.hpp"
+#include "edgedrift/drift/steps.hpp"
 #include "edgedrift/linalg/matrix.hpp"
 
 namespace edgedrift::drift {
@@ -83,9 +82,11 @@ class CentroidDetector : public Detector {
   // Introspection ------------------------------------------------------
   const CentroidDetectorConfig& config() const { return config_; }
   double theta_drift() const { return theta_drift_; }
-  bool window_open() const { return check_; }
-  std::size_t window_position() const { return win_; }
-  double last_distance() const { return last_distance_; }
+  bool window_open() const { return window_.open; }
+  std::size_t window_position() const { return window_.pos; }
+  /// Algorithm 1's `dist` for the current recent centroids: the statistic
+  /// the last closed window compared with theta_drift.
+  double last_distance() const;
   const linalg::Matrix& trained_centroids() const { return trained_; }
   const linalg::Matrix& recent_centroids() const { return recent_; }
   std::span<const std::size_t> counts() const { return counts_; }
@@ -102,8 +103,8 @@ class CentroidDetector : public Detector {
   }
 
   /// Drift localization: per-label L1 displacement between the recent and
-  /// trained centroid (the per-label terms of Algorithm 1's `dist`, read
-  /// from the cache observe() keeps). `out` must have length num_labels.
+  /// trained centroid (the per-label terms of Algorithm 1's `dist`). `out`
+  /// must have length num_labels.
   void per_label_distances(std::span<double> out) const;
 
   /// Drift localization: the `k` dimensions contributing the largest
@@ -119,9 +120,6 @@ class CentroidDetector : public Detector {
                double theta_drift);
 
  private:
-  /// Recomputes every label's cached L1 term from recent_ and trained_.
-  void refresh_label_distances();
-
   CentroidDetectorConfig config_;
   double theta_drift_ = 0.0;
   linalg::Matrix trained_;  ///< C x D, frozen reference.
@@ -129,11 +127,7 @@ class CentroidDetector : public Detector {
   std::vector<std::size_t> counts_;
   std::vector<std::size_t> calibrated_counts_;
   bool calibrated_ = false;
-  bool check_ = false;
-  std::size_t win_ = 0;
-  double last_distance_ = 0.0;
-  /// Per-label L1(recent_.row(c), trained_.row(c)): the C terms of `dist`.
-  std::vector<double> label_distances_;
+  steps::Window window_;
 
   // calibrate() scratch, reused across re-calibrations (a recovery may
   // calibrate many times over a long stream).

@@ -20,31 +20,22 @@
 // While running, the reconstructor also accumulates the Equation 1 distance
 // statistics of phase 3/4 samples so the detector can be re-armed with a
 // threshold matched to the new concept.
+//
+// The phase schedule, the coordinate steps and the Equation 1 accumulator
+// are the shared steps of drift/steps.hpp, which mcu::StaticPipeline runs at
+// float; this class holds their double state (C x D coordinates, their
+// counts, Init_Coord's scratch row) and drives the OS-ELM training.
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
-#include "edgedrift/cluster/sequential_kmeans.hpp"
+#include "edgedrift/drift/steps.hpp"
+#include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 
 namespace edgedrift::drift {
-
-/// Phase lengths of Algorithm 2.
-struct ReconstructorConfig {
-  std::size_t n_search = 20;   ///< N_search: samples spent spreading coords.
-  std::size_t n_update = 120;  ///< N_update: samples spent refining coords.
-  std::size_t n_total = 600;   ///< N: samples until reconstruction finishes.
-};
-
-/// Current phase of a running reconstruction.
-enum class ReconstructionPhase {
-  kIdle,          ///< Not reconstructing.
-  kSearchCoords,  ///< Algorithm 3 (Init_Coord).
-  kUpdateCoords,  ///< Algorithm 4 (Update_Coord).
-  kTrainNearest,  ///< Algorithm 2 lines 8-9.
-  kTrainPredict,  ///< Algorithm 2 lines 11-12.
-};
 
 /// Streaming model reconstruction driver.
 class Reconstructor {
@@ -96,9 +87,14 @@ class Reconstructor {
   std::size_t count() const { return count_; }
   const ReconstructorConfig& config() const { return config_; }
 
-  /// Rebuilt label coordinates (valid during/after a reconstruction).
-  const cluster::SequentialKMeans& coords() const { return coords_; }
-  cluster::SequentialKMeans& coords_mutable() { return coords_; }
+  /// Rebuilt label coordinates, C x D (valid during/after a
+  /// reconstruction), and the samples each absorbed in Update_Coord.
+  const linalg::Matrix& coords() const { return coords_; }
+  std::span<const std::size_t> coord_counts() const { return coord_counts_; }
+
+  /// Reorders the coordinates and their counts so position i holds the old
+  /// coordinate perm[i] (the re-alignment with the pre-drift labels).
+  void permute(std::span<const std::size_t> perm);
 
   /// Equation 1 threshold recomputed over the training-phase samples of the
   /// finished reconstruction; 0 when no sample contributed.
@@ -108,17 +104,14 @@ class Reconstructor {
   std::size_t memory_bytes() const;
 
  private:
-  void update_phase();
-
   ReconstructorConfig config_;
-  cluster::SequentialKMeans coords_;
+  linalg::Matrix coords_;
+  std::vector<std::size_t> coord_counts_;
+  std::vector<double> init_scratch_;  ///< Init_Coord's saved coordinate.
   ReconstructionPhase phase_ = ReconstructionPhase::kIdle;
   std::size_t count_ = 0;
-
-  // Welford accumulator over sample-to-own-coordinate L1 distances.
-  std::size_t dist_count_ = 0;
-  double dist_mean_ = 0.0;
-  double dist_m2_ = 0.0;
+  /// Equation 1 over sample-to-own-coordinate L1 distances.
+  steps::Welford<double> distances_;
 };
 
 }  // namespace edgedrift::drift

@@ -15,6 +15,12 @@
 // double-precision library, shipped via io::checkpoint or directly), after
 // which the device runs prediction, drift detection and reconstruction with
 // no dynamic memory and no double-precision math on the hot path.
+//
+// Algorithms 1-4 themselves — the window, the coordinate phases, Equation
+// 1's re-arm, the label match and permutation — are the library's shared
+// steps (drift/steps.hpp) instantiated at float, so the device decides as
+// core::Pipeline does (tests/test_mcu_conformance.cpp). Only the OS-ELM math
+// (projection, scoring, rank-1 training, instance reset) is written here.
 #pragma once
 
 #include <array>
@@ -22,9 +28,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 
 #include "edgedrift/core/pipeline.hpp"
+#include "edgedrift/drift/steps.hpp"
 #include "edgedrift/util/assert.hpp"
 
 namespace edgedrift::mcu {
@@ -53,8 +59,11 @@ class StaticPipeline {
   StaticPipeline() = default;
 
   /// Copies a fitted double-precision pipeline's state, narrowing to
-  /// float32. The pipeline's dimensions must match the template caps.
-  void load(const core::Pipeline& pipeline);
+  /// float32. Returns false, changing nothing, for a pipeline the device
+  /// does not run: a detector other than the centroid one, a recovery other
+  /// than kReconstruct, or an activation other than sigmoid. The pipeline's
+  /// dimensions must match the template caps.
+  [[nodiscard]] bool load(const core::Pipeline& pipeline);
 
   bool loaded() const { return loaded_; }
 
@@ -94,9 +103,13 @@ class StaticPipeline {
   /// (valid right after predict()/score_of() on the same sample).
   void train_with_current_hidden(std::span<const float> x, std::size_t label);
 
-  float recent_distance_sum() const;
-  std::size_t nearest_coord(std::span<const float> x) const;
-  float coord_spread() const;
+  /// Algorithm 2 for one sample of a running reconstruction.
+  void reconstruct(std::span<const float> x, StaticStep& step);
+
+  /// The finishing sample's re-alignment and re-arm: matches the rebuilt
+  /// coordinates to the pre-drift centroids, permutes coordinates and
+  /// instances together, and re-arms Algorithm 1 on the coordinates.
+  void finish_reconstruction();
 
   // ---- projection (shared by every instance) ----
   std::array<float, kDim * kHidden> alpha_{};
@@ -112,26 +125,24 @@ class StaticPipeline {
   std::array<std::uint32_t, kLabels> counts_{};
   float theta_error_ = 0.0f;
   float theta_drift_ = 0.0f;
+  float ewma_decay_ = 0.0f;
   std::uint32_t window_size_ = 100;
-  std::uint32_t win_ = 0;
-  bool check_ = false;
+  long initial_count_ = -1;  ///< detector_initial_count.
+  drift::steps::Window window_;
 
   // ---- reconstruction state (Algorithms 2-4) ----
   std::array<float, kLabels * kDim> coords_{};
   std::array<std::uint32_t, kLabels> coord_counts_{};
   std::uint32_t recon_count_ = 0;  ///< 0 = idle; otherwise Algorithm 2 count.
-  std::uint32_t n_search_ = 0;
-  std::uint32_t n_update_ = 0;
-  std::uint32_t n_total_ = 0;
-  // Eq. 1 re-calibration accumulators (Welford in float).
-  std::uint32_t dist_count_ = 0;
-  float dist_mean_ = 0.0f;
-  float dist_m2_ = 0.0f;
   float z_ = 1.0f;
   float p_prior_ = 100.0f;  ///< 1 / reg_lambda, for post-drift P resets.
+  drift::ReconstructorConfig phases_;  ///< Algorithm 2's phase lengths.
+  drift::steps::Welford<float> distances_;  ///< Equation 1's re-arm.
 
   // ---- scratch ----
   mutable std::array<float, kHidden> h_scratch_{};
+  /// A reconstructed sample while scoring or training; Init_Coord's saved
+  /// coordinate while a reconstruction spreads its coordinates.
   mutable std::array<float, kDim> recon_scratch_{};
   std::array<float, kHidden> ph_scratch_{};
 
@@ -143,13 +154,19 @@ class StaticPipeline {
 // ===========================================================================
 
 template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
-void StaticPipeline<kDim, kHidden, kLabels>::load(
+bool StaticPipeline<kDim, kHidden, kLabels>::load(
     const core::Pipeline& pipeline) {
   EDGEDRIFT_ASSERT(pipeline.fitted(), "load() needs a fitted pipeline");
   const auto& config = pipeline.config();
   EDGEDRIFT_ASSERT(config.input_dim == kDim, "input_dim mismatch");
   EDGEDRIFT_ASSERT(config.hidden_dim == kHidden, "hidden_dim mismatch");
   EDGEDRIFT_ASSERT(config.num_labels == kLabels, "num_labels mismatch");
+  const drift::CentroidDetector* centroid = pipeline.centroid_detector();
+  if (centroid == nullptr ||
+      config.recovery != core::RecoveryPolicy::kReconstruct ||
+      config.activation != oselm::Activation::kSigmoid) {
+    return false;
+  }
 
   const auto& projection = *pipeline.model().projection();
   for (std::size_t d = 0; d < kDim; ++d) {
@@ -176,9 +193,6 @@ void StaticPipeline<kDim, kHidden, kLabels>::load(
     }
   }
 
-  const drift::CentroidDetector* centroid = pipeline.centroid_detector();
-  EDGEDRIFT_ASSERT(centroid != nullptr,
-                   "StaticPipeline mirrors the centroid detector");
   const auto& detector = *centroid;
   for (std::size_t c = 0; c < kLabels; ++c) {
     for (std::size_t d = 0; d < kDim; ++d) {
@@ -191,16 +205,16 @@ void StaticPipeline<kDim, kHidden, kLabels>::load(
   }
   theta_error_ = static_cast<float>(pipeline.theta_error());
   theta_drift_ = static_cast<float>(detector.theta_drift());
+  ewma_decay_ = static_cast<float>(config.ewma_decay);
+  initial_count_ = config.detector_initial_count;
   window_size_ = static_cast<std::uint32_t>(config.window_size);
   z_ = static_cast<float>(config.z);
-  n_search_ = static_cast<std::uint32_t>(config.reconstruction.n_search);
-  n_update_ = static_cast<std::uint32_t>(config.reconstruction.n_update);
-  n_total_ = static_cast<std::uint32_t>(config.reconstruction.n_total);
+  phases_ = config.reconstruction;
   p_prior_ = static_cast<float>(1.0 / config.reg_lambda);
-  win_ = 0;
-  check_ = false;
+  window_ = {};
   recon_count_ = 0;
   loaded_ = true;
+  return true;
 }
 
 template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
@@ -324,242 +338,109 @@ void StaticPipeline<kDim, kHidden, kLabels>::train_with_current_hidden(
 }
 
 template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
-float StaticPipeline<kDim, kHidden, kLabels>::recent_distance_sum() const {
-  float total = 0.0f;
-  for (std::size_t i = 0; i < kLabels * kDim; ++i) {
-    total += std::fabs(recent_centroids_[i] - trained_centroids_[i]);
-  }
-  return total;
-}
-
-template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
-std::size_t StaticPipeline<kDim, kHidden, kLabels>::nearest_coord(
-    std::span<const float> x) const {
-  std::size_t best = 0;
-  float best_d = 0.0f;
-  for (std::size_t c = 0; c < kLabels; ++c) {
-    const float* coord = coords_.data() + c * kDim;
-    float d = 0.0f;
-    for (std::size_t j = 0; j < kDim; ++j) {
-      const float delta = x[j] - coord[j];
-      d += delta * delta;
-    }
-    if (c == 0 || d < best_d) {
-      best_d = d;
-      best = c;
-    }
-  }
-  return best;
-}
-
-template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
-float StaticPipeline<kDim, kHidden, kLabels>::coord_spread() const {
-  float total = 0.0f;
-  for (std::size_t a = 0; a < kLabels; ++a) {
-    for (std::size_t b = a + 1; b < kLabels; ++b) {
-      const float* ca = coords_.data() + a * kDim;
-      const float* cb = coords_.data() + b * kDim;
-      for (std::size_t j = 0; j < kDim; ++j) {
-        total += std::fabs(ca[j] - cb[j]);
-      }
-    }
-  }
-  return total;
-}
-
-template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
 StaticStep StaticPipeline<kDim, kHidden, kLabels>::process(
     std::span<const float> x) {
   EDGEDRIFT_ASSERT(loaded_, "process() before load()");
   EDGEDRIFT_ASSERT(x.size() == kDim, "sample dim mismatch");
   StaticStep step;
-
-  // ---- reconstruction in progress (Algorithm 2) ----
   if (recon_count_ > 0) {
-    step.reconstructing = true;
-    const std::uint32_t count = recon_count_++;
-    if (count >= n_total_) {
-      // Done. First re-align the rebuilt clusters with the pre-drift label
-      // identities: greedily match each old trained centroid to its
-      // nearest rebuilt coordinate and permute coordinates plus instance
-      // state together. Swaps are element-wise so no block-sized temporary
-      // is ever needed (the fan config's beta block alone is ~45k floats).
-      std::array<std::size_t, kLabels> perm{};
-      {
-        std::array<bool, kLabels> used{};
-        for (std::size_t label = 0; label < kLabels; ++label) {
-          float best = 0.0f;
-          std::size_t pick = kLabels;
-          for (std::size_t j = 0; j < kLabels; ++j) {
-            if (used[j]) continue;
-            const float* t = trained_centroids_.data() + label * kDim;
-            const float* c = coords_.data() + j * kDim;
-            float d = 0.0f;
-            for (std::size_t k = 0; k < kDim; ++k) {
-              const float delta = t[k] - c[k];
-              d += delta * delta;
-            }
-            if (pick == kLabels || d < best) {
-              best = d;
-              pick = j;
-            }
-          }
-          used[pick] = true;
-          perm[label] = pick;
-        }
+    reconstruct(x, step);
+    return step;
+  }
+
+  // ---- Algorithm 1 main loop ----
+  step.label = predict(x, step.score);
+  if (drift::steps::window_observe(
+          window_, x, step.label, step.score, theta_error_, window_size_,
+          ewma_decay_, std::span<float>(recent_centroids_),
+          std::span<std::uint32_t>(counts_)) &&
+      drift::steps::window_distance<float>(recent_centroids_,
+                                           trained_centroids_, kDim) >=
+          theta_drift_) {
+    step.drift_detected = true;
+    // Enter reconstruction seeded from the recent centroids, with every
+    // instance reset to the sequential prior (beta = 0, P = I / lambda).
+    coords_ = recent_centroids_;
+    coord_counts_.fill(0);
+    beta_.fill(0.0f);
+    p_.fill(0.0f);
+    for (std::size_t c = 0; c < kLabels; ++c) {
+      float* p = p_.data() + c * kHidden * kHidden;
+      for (std::size_t h = 0; h < kHidden; ++h) {
+        p[h * kHidden + h] = p_prior_;
       }
-      // Apply the permutation with in-place transpositions.
-      auto swap_blocks = [this](std::size_t a, std::size_t b) {
-        for (std::size_t k = 0; k < kDim; ++k) {
-          std::swap(coords_[a * kDim + k], coords_[b * kDim + k]);
-        }
-        std::swap(coord_counts_[a], coord_counts_[b]);
-        for (std::size_t k = 0; k < kHidden * kDim; ++k) {
-          std::swap(beta_[a * kHidden * kDim + k],
-                    beta_[b * kHidden * kDim + k]);
-        }
-        for (std::size_t k = 0; k < kHidden * kHidden; ++k) {
-          std::swap(p_[a * kHidden * kHidden + k],
-                    p_[b * kHidden * kHidden + k]);
-        }
-      };
-      for (std::size_t i = 0; i < kLabels; ++i) {
-        while (perm[i] != i) {
-          swap_blocks(i, perm[i]);
-          std::swap(perm[i], perm[perm[i]]);
-        }
-      }
-      // Coords become the new trained centroids, Eq. 1 re-arms.
-      for (std::size_t i = 0; i < kLabels * kDim; ++i) {
-        trained_centroids_[i] = coords_[i];
-        recent_centroids_[i] = coords_[i];
-      }
-      for (std::size_t c = 0; c < kLabels; ++c) counts_[c] = 0;
-      if (dist_count_ > 1) {
-        const float variance =
-            dist_m2_ / static_cast<float>(dist_count_);
-        theta_drift_ =
-            dist_mean_ + z_ * std::sqrt(variance > 0.0f ? variance : 0.0f);
-      }
-      recon_count_ = 0;
-      check_ = false;
-      win_ = 0;
-      step.reconstruction_finished = true;
-      step.label = predict(x, step.score);
-      return step;
     }
-    if (count < n_search_) {
-      // Algorithm 3: first kLabels samples seed directly; later ones
-      // substitute if they raise the pairwise spread.
-      if (count <= kLabels) {
-        float* coord = coords_.data() + ((count - 1) % kLabels) * kDim;
-        for (std::size_t j = 0; j < kDim; ++j) coord[j] = x[j];
-        coord_counts_[(count - 1) % kLabels] = 1;
-      } else {
-        const float base = coord_spread();
-        float best = base;
-        int chosen = -1;
-        std::array<float, kDim> saved;
-        for (std::size_t c = 0; c < kLabels; ++c) {
-          float* coord = coords_.data() + c * kDim;
-          for (std::size_t j = 0; j < kDim; ++j) {
-            saved[j] = coord[j];
-            coord[j] = x[j];
-          }
-          const float candidate = coord_spread();
-          for (std::size_t j = 0; j < kDim; ++j) coord[j] = saved[j];
-          if (candidate > best) {
-            best = candidate;
-            chosen = static_cast<int>(c);
-          }
-        }
-        if (chosen >= 0) {
-          float* coord = coords_.data() + chosen * kDim;
-          for (std::size_t j = 0; j < kDim; ++j) coord[j] = x[j];
-          coord_counts_[static_cast<std::size_t>(chosen)] = 1;
-        }
-      }
-    } else if (count < n_update_) {
-      // Algorithm 4: sequential k-means refinement.
-      const std::size_t c = nearest_coord(x);
-      float* coord = coords_.data() + c * kDim;
-      const float n = static_cast<float>(coord_counts_[c]);
-      const float inv = 1.0f / (n + 1.0f);
-      for (std::size_t j = 0; j < kDim; ++j) {
-        coord[j] = (coord[j] * n + x[j]) * inv;
-      }
-      ++coord_counts_[c];
-    } else {
-      // Algorithm 2 lines 8-12: retrain, by nearest coord for the first
-      // half, by model prediction afterwards. Either way the sample is
-      // projected exactly once: predict() leaves its hidden vector in
-      // h_scratch_ and the training step picks it up from there.
+    distances_ = {};
+    recon_count_ = 1;
+  }
+  return step;
+}
+
+template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
+void StaticPipeline<kDim, kHidden, kLabels>::reconstruct(
+    std::span<const float> x, StaticStep& step) {
+  namespace steps = drift::steps;
+  using drift::ReconstructionPhase;
+  step.reconstructing = true;
+  const std::size_t count = recon_count_++;
+  const std::span<float> coords(coords_);
+  const ReconstructionPhase phase = steps::phase_at(count, phases_);
+  switch (phase) {
+    case ReconstructionPhase::kIdle:
+      // The N-th sample, in the library's order: predict, then re-align
+      // and re-arm.
+      step.label = predict(x, step.score);
+      finish_reconstruction();
+      step.reconstruction_finished = true;
+      return;
+    case ReconstructionPhase::kSearchCoords:
+      steps::init_coord(coords, x, count, std::span<float>(recon_scratch_));
+      break;
+    case ReconstructionPhase::kUpdateCoords:
+      steps::update_coord(coords, std::span<std::uint32_t>(coord_counts_), x,
+                          count == phases_.n_search);
+      break;
+    case ReconstructionPhase::kTrainNearest:
+    case ReconstructionPhase::kTrainPredict: {
+      // Algorithm 2 lines 8-12: retrain the nearest coordinate's instance,
+      // then the predicted one. Either way the sample is projected once:
+      // predict() leaves its hidden vector in h_scratch_ for the training
+      // step.
       std::size_t label;
-      if (count < n_total_ / 2) {
-        label = nearest_coord(x);
+      if (phase == ReconstructionPhase::kTrainNearest) {
+        label = steps::nearest_row<float>(coords, x);
         hidden_of(x, h_scratch_);
       } else {
         float ignored;
         label = predict(x, ignored);
       }
       train_with_current_hidden(x, label);
-      // Eq. 1 accumulators against the rebuilt coordinates.
-      const float* coord = coords_.data() + label * kDim;
-      float d = 0.0f;
-      for (std::size_t j = 0; j < kDim; ++j) {
-        d += std::fabs(x[j] - coord[j]);
-      }
-      ++dist_count_;
-      const float delta = d - dist_mean_;
-      dist_mean_ += delta / static_cast<float>(dist_count_);
-      dist_m2_ += delta * (d - dist_mean_);
+      distances_.add(linalg::l1_distance(x, steps::row(coords, kDim, label)));
+      break;
     }
-    step.label = predict(x, step.score);
-    return step;
   }
-
-  // ---- Algorithm 1 main loop ----
   step.label = predict(x, step.score);
-  if (!check_ && step.score >= theta_error_) {
-    check_ = true;
-    win_ = 0;
-  }
-  if (check_ && win_ < window_size_) {
-    float* recent = recent_centroids_.data() + step.label * kDim;
-    const float n = static_cast<float>(counts_[step.label]);
-    const float inv = 1.0f / (n + 1.0f);
-    for (std::size_t j = 0; j < kDim; ++j) {
-      recent[j] = (recent[j] * n + x[j]) * inv;
-    }
-    ++counts_[step.label];
-    ++win_;
-    if (win_ == window_size_) {
-      if (recent_distance_sum() >= theta_drift_) {
-        step.drift_detected = true;
-        // Enter reconstruction seeded from the recent centroids.
-        for (std::size_t i = 0; i < kLabels * kDim; ++i) {
-          coords_[i] = recent_centroids_[i];
-        }
-        for (std::size_t c = 0; c < kLabels; ++c) coord_counts_[c] = 0;
-        // Reset every instance to the sequential prior (beta = 0,
-        // P = I / lambda approximated by a large prior).
-        for (auto& b : beta_) b = 0.0f;
-        for (auto& pv : p_) pv = 0.0f;
-        for (std::size_t c = 0; c < kLabels; ++c) {
-          float* p = p_.data() + c * kHidden * kHidden;
-          for (std::size_t h = 0; h < kHidden; ++h) {
-            p[h * kHidden + h] = p_prior_;
-          }
-        }
-        dist_count_ = 0;
-        dist_mean_ = 0.0f;
-        dist_m2_ = 0.0f;
-        recon_count_ = 1;
-      }
-      check_ = false;
-    }
-  }
-  return step;
+}
+
+template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
+void StaticPipeline<kDim, kHidden, kLabels>::finish_reconstruction() {
+  namespace steps = drift::steps;
+  std::array<std::size_t, kLabels> perm{};
+  std::array<std::size_t, kLabels> work{};
+  std::array<float, kLabels * kLabels> cost{};
+  steps::match_rows<float>(trained_centroids_, coords_, kDim, perm, cost,
+                           work);
+  steps::permute_rows<float>(coords_, kDim, perm);
+  steps::permute_rows<std::uint32_t>(coord_counts_, 1, perm);
+  steps::permute_rows<float>(beta_, kHidden * kDim, perm);
+  steps::permute_rows<float>(p_, kHidden * kHidden, perm);
+  trained_centroids_ = coords_;
+  recent_centroids_ = coords_;
+  steps::rearm_counts<std::uint32_t, std::uint32_t>(counts_, initial_count_,
+                                                   coord_counts_);
+  theta_drift_ = steps::rearm_theta(theta_drift_, distances_.threshold(z_));
+  window_ = {};
+  recon_count_ = 0;
 }
 
 }  // namespace edgedrift::mcu

@@ -33,18 +33,21 @@ struct StreamSnapshot {
   HistogramSnapshot reconstruct;      ///< Recovery step, per sample.
   std::vector<DriftEvent> journal;    ///< Retained events, oldest first.
 
-  /// Merges another snapshot of the SAME stream (how PipelineManager folds
+  /// Merges a later snapshot of the SAME stream (how PipelineManager folds
   /// a live obs block into the history carried across evict/restore
-  /// cycles): counters and histograms add, journals concatenate in order.
-  /// Keeps this snapshot's stream_id.
-  StreamSnapshot& operator+=(const StreamSnapshot& o) {
+  /// cycles): counters and histograms add; the journals concatenate in
+  /// order and, as one journal would, keep the newest `journal_capacity`
+  /// events. Keeps this snapshot's stream_id.
+  void merge(const StreamSnapshot& o, std::size_t journal_capacity) {
     counters += o.counters;
     submit_to_drain += o.submit_to_drain;
     score += o.score;
     detect += o.detect;
     reconstruct += o.reconstruct;
     journal.insert(journal.end(), o.journal.begin(), o.journal.end());
-    return *this;
+    if (journal.size() > journal_capacity) {
+      journal.erase(journal.begin(), journal.end() - journal_capacity);
+    }
   }
 };
 

@@ -57,11 +57,12 @@ bool PipelineManager::evict_locked(Shard& shard, Stream& s) {
 
   // Carry the pipeline's obs books across the residency gap — the live
   // block dies with the pipeline, stats(id)/stats() report carried + live.
-  obs::StreamSnapshot live = s.pipeline->obs().snapshot(s.id);
+  const obs::StreamObs& live_obs = s.pipeline->obs();
+  obs::StreamSnapshot live = live_obs.snapshot(s.id);
   if (s.carried_obs == nullptr) {
     s.carried_obs = std::make_unique<obs::StreamSnapshot>(std::move(live));
   } else {
-    *s.carried_obs += live;
+    s.carried_obs->merge(live, live_obs.journal.capacity());
   }
 
   // Release the hot state: the model and the ring storage, whose slab

@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "edgedrift/cluster/matching.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/assert.hpp"
 #include "edgedrift/util/rng.hpp"
@@ -518,25 +517,34 @@ void Pipeline::finish_reconstruction() {
   // reference centroids (or the pipeline's per-label anchor when the
   // detector tracks none), then permute coordinates and model instances
   // together.
-  auto& coords = reconstructor_.coords_mutable();
+  const linalg::Matrix& coords = reconstructor_.coords();
   const linalg::Matrix* ref = detector_->reference_centroids();
   const linalg::Matrix& reference =
       ref != nullptr ? *ref : trained_means_;
-  const std::vector<std::size_t> perm =
-      cluster::match_rows(reference, coords.centroids());
+  EDGEDRIFT_ASSERT(reference.rows() == coords.rows() &&
+                       reference.cols() == coords.cols(),
+                   "reference centroid shape mismatch");
+  // Finish-time scratch: a reconstruction ends once per N samples, so the
+  // match allocates here rather than holding C x C costs in every stream.
+  const std::size_t n = config_.num_labels;
+  std::vector<double> cost(n * n);
+  std::vector<std::size_t> index(2 * n);  // The permutation, then scratch.
+  const std::span<std::size_t> perm = std::span(index).first(n);
+  drift::steps::match_rows(reference.flat(), coords.flat(), config_.input_dim,
+                           perm, std::span(cost), std::span(index).last(n));
   bool identity = true;
   for (std::size_t i = 0; i < perm.size(); ++i) identity &= perm[i] == i;
   if (!identity) {
-    coords.apply_permutation(perm);
+    reconstructor_.permute(perm);
     model_for_write().apply_permutation(perm);
   }
   // The rebuilt coordinates are the anchor for any later recovery.
-  trained_means_ = coords.centroids();
+  trained_means_ = coords;
 
   // Re-arm the detector: the rebuilt coordinates become the new trained
   // centroids, with an Eq. 1 threshold recomputed over the reconstruction's
   // training-phase samples.
-  detector_->rearm(coords.centroids(), coords.counts(),
+  detector_->rearm(coords, reconstructor_.coord_counts(),
                    reconstructor_.suggested_theta_drift(config_.z));
   obs_->counters.add_recovery();
   if (obs_enabled_) obs_->journal.complete_event(reconstructor_.count());

@@ -390,7 +390,8 @@ obs::Snapshot PipelineManager::stats() const {
     if (s.carried_obs != nullptr) ss = *s.carried_obs;
     ss.stream_id = i;
     if (s.residency == Stream::Residency::kHot) {
-      ss += s.pipeline->obs().snapshot(i);
+      const obs::StreamObs& live = s.pipeline->obs();
+      ss.merge(live.snapshot(i), live.journal.capacity());
     }
     snap.streams.push_back(std::move(ss));
   }

@@ -15,8 +15,7 @@ CentroidDetector::CentroidDetector(CentroidDetectorConfig config)
       trained_(config.num_labels, config.dim),
       recent_(config.num_labels, config.dim),
       counts_(config.num_labels, 0),
-      calibrated_counts_(config.num_labels, 0),
-      label_distances_(config.num_labels, 0.0) {
+      calibrated_counts_(config.num_labels, 0) {
   EDGEDRIFT_ASSERT(config_.num_labels > 0, "need at least one label");
   EDGEDRIFT_ASSERT(config_.dim > 0, "dim must be positive");
   EDGEDRIFT_ASSERT(config_.window_size > 0, "window size must be positive");
@@ -82,52 +81,27 @@ Detection CentroidDetector::observe(const Observation& obs) {
                    "predicted label out of range");
 
   Detection result;
-  // Algorithm 1 lines 8-10: arm the window on an anomalous sample.
-  if (!check_ && obs.anomaly_score >= config_.theta_error) {
-    check_ = true;
-    win_ = 0;
-  }
-
-  // Lines 11-19: inside an open window, fold the sample into the recent
-  // centroid of its predicted label and re-evaluate the summed displacement.
-  // Only label c's centroid moved, so only its term is recomputed; the sum
-  // adds the same C doubles in the same label order as a full sweep.
-  if (check_ && win_ < config_.window_size) {
-    const auto c = static_cast<std::size_t>(obs.predicted_label);
-    if (config_.ewma_decay > 0.0) {
-      linalg::ewma_update(recent_.row(c), obs.x, config_.ewma_decay);
-      ++counts_[c];
-    } else {
-      linalg::running_mean_update(recent_.row(c), obs.x, counts_[c]);
-      ++counts_[c];
-    }
-    label_distances_[c] = linalg::l1_distance(recent_.row(c), trained_.row(c));
-    double total = 0.0;
-    for (const double d : label_distances_) total += d;
-    last_distance_ = total;
-    ++win_;
-    if (win_ == config_.window_size) {
-      result.statistic = last_distance_;
-      result.statistic_valid = true;
-      if (last_distance_ >= theta_drift_) {
-        result.drift = true;
-      }
-      check_ = false;
-    }
+  if (steps::window_observe(
+          window_, obs.x, static_cast<std::size_t>(obs.predicted_label),
+          obs.anomaly_score, config_.theta_error, config_.window_size,
+          config_.ewma_decay, recent_.flat(), std::span(counts_))) {
+    result.statistic = last_distance();
+    result.statistic_valid = true;
+    result.drift = result.statistic >= theta_drift_;
   }
   return result;
 }
 
-void CentroidDetector::refresh_label_distances() {
-  for (std::size_t c = 0; c < config_.num_labels; ++c) {
-    label_distances_[c] = linalg::l1_distance(recent_.row(c), trained_.row(c));
-  }
+double CentroidDetector::last_distance() const {
+  return steps::window_distance(recent_.flat(), trained_.flat(), config_.dim);
 }
 
 void CentroidDetector::per_label_distances(std::span<double> out) const {
   EDGEDRIFT_ASSERT(out.size() == config_.num_labels,
                    "output arity mismatch");
-  std::copy(label_distances_.begin(), label_distances_.end(), out.begin());
+  for (std::size_t c = 0; c < config_.num_labels; ++c) {
+    out[c] = linalg::l1_distance(recent_.row(c), trained_.row(c));
+  }
 }
 
 std::vector<std::size_t> CentroidDetector::top_drifted_dimensions(
@@ -154,16 +128,9 @@ std::vector<std::size_t> CentroidDetector::top_drifted_dimensions(
 void CentroidDetector::reset() {
   // Recent centroids restart from the trained reference.
   recent_ = trained_;
-  if (config_.initial_count >= 0) {
-    std::fill(counts_.begin(), counts_.end(),
-              static_cast<std::size_t>(config_.initial_count));
-  } else {
-    counts_ = calibrated_counts_;
-  }
-  check_ = false;
-  win_ = 0;
-  last_distance_ = 0.0;
-  refresh_label_distances();
+  steps::rearm_counts(std::span(counts_), config_.initial_count,
+                      std::span<const std::size_t>(calibrated_counts_));
+  window_ = {};
 }
 
 void CentroidDetector::rebuild_reference(const linalg::Matrix& x) {
@@ -183,7 +150,7 @@ void CentroidDetector::rearm(const linalg::Matrix& new_trained_centroids,
                    "centroid shape mismatch");
   trained_ = new_trained_centroids;
   calibrated_counts_.assign(counts.begin(), counts.end());
-  if (new_theta_drift > 0.0) theta_drift_ = new_theta_drift;
+  theta_drift_ = steps::rearm_theta(theta_drift_, new_theta_drift);
   reset();
 }
 
@@ -208,17 +175,13 @@ void CentroidDetector::restore(const linalg::Matrix& trained,
                             calibrated_counts.end());
   theta_drift_ = theta_drift;
   calibrated_ = true;
-  check_ = false;
-  win_ = 0;
-  last_distance_ = 0.0;
-  refresh_label_distances();
+  window_ = {};
 }
 
 std::size_t CentroidDetector::memory_bytes() const {
   return trained_.memory_bytes() + recent_.memory_bytes() +
          (counts_.capacity() + calibrated_counts_.capacity()) *
-             sizeof(std::size_t) +
-         label_distances_.capacity() * sizeof(double);
+             sizeof(std::size_t);
 }
 
 }  // namespace edgedrift::drift

@@ -1,7 +1,6 @@
 #include "edgedrift/drift/reconstructor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/assert.hpp"
@@ -10,7 +9,12 @@ namespace edgedrift::drift {
 
 Reconstructor::Reconstructor(ReconstructorConfig config,
                              std::size_t num_labels, std::size_t dim)
-    : config_(config), coords_(num_labels, dim) {
+    : config_(config),
+      coords_(num_labels, dim),
+      coord_counts_(num_labels, 0),
+      init_scratch_(dim, 0.0) {
+  EDGEDRIFT_ASSERT(num_labels > 0 && dim > 0,
+                   "labels and dim must be positive");
   EDGEDRIFT_ASSERT(config_.n_search <= config_.n_update,
                    "N_search must not exceed N_update");
   EDGEDRIFT_ASSERT(config_.n_update <= config_.n_total,
@@ -23,61 +27,44 @@ Reconstructor::Reconstructor(ReconstructorConfig config,
 
 void Reconstructor::begin(model::MultiInstanceModel& model,
                           const linalg::Matrix& seed_coords) {
-  EDGEDRIFT_ASSERT(seed_coords.rows() == coords_.num_clusters() &&
-                       seed_coords.cols() == coords_.dim(),
+  EDGEDRIFT_ASSERT(seed_coords.rows() == coords_.rows() &&
+                       seed_coords.cols() == coords_.cols(),
                    "seed coordinate shape mismatch");
   model.init_sequential();
-  std::vector<std::size_t> zeros(coords_.num_clusters(), 0);
-  coords_.set_centroids(seed_coords, zeros);
+  linalg::copy(seed_coords.flat(), coords_.flat());
+  std::fill(coord_counts_.begin(), coord_counts_.end(), 0);
   count_ = 0;
-  dist_count_ = 0;
-  dist_mean_ = 0.0;
-  dist_m2_ = 0.0;
-  phase_ = config_.n_search > 0 ? ReconstructionPhase::kSearchCoords
-                                : ReconstructionPhase::kUpdateCoords;
-  update_phase();
+  distances_ = {};
+  phase_ = steps::phase_at(count_, config_);
 }
 
 bool Reconstructor::step(std::span<const double> x,
                          model::MultiInstanceModel& model,
                          model::BatchWorkspace& ws) {
   EDGEDRIFT_ASSERT(active(), "step() without begin()");
-  EDGEDRIFT_ASSERT(x.size() == coords_.dim(), "sample dim mismatch");
+  EDGEDRIFT_ASSERT(x.size() == coords_.cols(), "sample dim mismatch");
   ++count_;  // Algorithm 2 line 2 increments before the phase tests.
-  if (count_ >= config_.n_total) {
-    // Algorithm 2 lines 13-15: the N-th sample does no work; reconstruction
-    // reports completion so Algorithm 1 clears its drift flag.
-    phase_ = ReconstructionPhase::kIdle;
-    return false;
-  }
-  update_phase();
-
+  phase_ = steps::phase_at(count_, config_);
+  const std::span<double> coords = coords_.flat();
   switch (phase_) {
+    case ReconstructionPhase::kIdle:
+      // Algorithm 2 lines 13-15: the N-th sample does no work;
+      // reconstruction reports completion so Algorithm 1 clears its drift
+      // flag.
+      return false;
     case ReconstructionPhase::kSearchCoords:
-      // "C initial samples are selected as initial coordinates of C labels"
-      // (paper Section 3.3): the first C streamed samples seed the
-      // coordinates unconditionally — the begin() seeds are placeholders
-      // and must not win the spread contest against real data. Later
-      // samples substitute via the Algorithm 3 spread maximization.
-      if (count_ <= coords_.num_clusters()) {
-        linalg::copy(x, coords_.centroid_mutable(count_ - 1));
-      } else {
-        coords_.spread_init(x);
-      }
+      steps::init_coord(coords, x, count_, std::span(init_scratch_));
       break;
     case ReconstructionPhase::kUpdateCoords:
-      coords_.update(x);
+      steps::update_coord(coords, std::span(coord_counts_), x,
+                          count_ == config_.n_search);
       break;
     case ReconstructionPhase::kTrainNearest: {
-      const std::size_t label = coords_.nearest(x);
+      const std::size_t label = steps::nearest_row<double>(coords, x);
       model.train_label(x, label);
       // Track Equation 1 distances against the rebuilt coordinates so the
       // detector can be re-armed for the new concept.
-      const double d = linalg::l1_distance(x, coords_.centroid(label));
-      ++dist_count_;
-      const double delta = d - dist_mean_;
-      dist_mean_ += delta / static_cast<double>(dist_count_);
-      dist_m2_ += delta * (d - dist_mean_);
+      distances_.add(linalg::l1_distance(x, coords_.row(label)));
       break;
     }
     case ReconstructionPhase::kTrainPredict: {
@@ -86,15 +73,9 @@ bool Reconstructor::step(std::span<const double> x,
       // instance's update (identical semantics to predict + train_label on
       // the predicted label).
       const model::Prediction pred = model.train_closest(x, ws);
-      const double d = linalg::l1_distance(x, coords_.centroid(pred.label));
-      ++dist_count_;
-      const double delta = d - dist_mean_;
-      dist_mean_ += delta / static_cast<double>(dist_count_);
-      dist_m2_ += delta * (d - dist_mean_);
+      distances_.add(linalg::l1_distance(x, coords_.row(pred.label)));
       break;
     }
-    case ReconstructionPhase::kIdle:
-      break;
   }
   return true;
 }
@@ -107,7 +88,7 @@ std::size_t Reconstructor::train_chunk(linalg::ConstMatrixView x,
                                        std::span<std::size_t> labels,
                                        model::ChunkTrainStats* stats) {
   EDGEDRIFT_ASSERT(active(), "train_chunk() without begin()");
-  EDGEDRIFT_ASSERT(x.cols() == coords_.dim(), "chunk dim mismatch");
+  EDGEDRIFT_ASSERT(x.cols() == coords_.cols(), "chunk dim mismatch");
   EDGEDRIFT_ASSERT(preds.size() >= x.rows() && labels.size() >= x.rows(),
                    "chunk scratch too small");
   // c0 is the Algorithm 2 count the first row would get from step()'s
@@ -126,7 +107,7 @@ std::size_t Reconstructor::train_chunk(linalg::ConstMatrixView x,
     // Coordinates are frozen in the training phases, so per-row nearest()
     // matches the sequential loop exactly.
     for (std::size_t r = 0; r < take; ++r) {
-      labels[r] = coords_.nearest(xc.row(r));
+      labels[r] = steps::nearest_row<double>(coords_.flat(), xc.row(r));
     }
   } else {
     // Self-labeling: the whole chunk predicts against the pre-chunk model
@@ -146,42 +127,27 @@ std::size_t Reconstructor::train_chunk(linalg::ConstMatrixView x,
   // frozen coordinates — identical accumulation chain to the sequential
   // loop (only the trained model differs).
   for (std::size_t r = 0; r < take; ++r) {
-    const double d =
-        linalg::l1_distance(xc.row(r), coords_.centroid(labels[r]));
-    ++dist_count_;
-    const double delta = d - dist_mean_;
-    dist_mean_ += delta / static_cast<double>(dist_count_);
-    dist_m2_ += delta * (d - dist_mean_);
+    distances_.add(linalg::l1_distance(xc.row(r), coords_.row(labels[r])));
   }
   count_ += take;
-  update_phase();  // Same post-step phase bookkeeping as step().
+  phase_ = steps::phase_at(count_, config_);
   return take;
 }
 
-void Reconstructor::update_phase() {
-  if (phase_ == ReconstructionPhase::kIdle) return;
-  if (count_ < config_.n_search) {
-    phase_ = ReconstructionPhase::kSearchCoords;
-  } else if (count_ < config_.n_update) {
-    // Entering the refinement phase: the coordinates currently hold real
-    // samples placed by Init_Coord, so give each a unit weight.
-    if (phase_ == ReconstructionPhase::kSearchCoords) coords_.set_counts(1);
-    phase_ = ReconstructionPhase::kUpdateCoords;
-  } else if (count_ < config_.n_total / 2) {
-    phase_ = ReconstructionPhase::kTrainNearest;
-  } else {
-    phase_ = ReconstructionPhase::kTrainPredict;
-  }
+void Reconstructor::permute(std::span<const std::size_t> perm) {
+  EDGEDRIFT_ASSERT(perm.size() == coords_.rows(), "permutation arity");
+  steps::permute_rows(coords_.flat(), coords_.cols(), perm);
+  steps::permute_rows(std::span(coord_counts_), 1, perm);
 }
 
 double Reconstructor::suggested_theta_drift(double z) const {
-  if (dist_count_ == 0) return 0.0;
-  const double variance = dist_m2_ / static_cast<double>(dist_count_);
-  return dist_mean_ + z * std::sqrt(std::max(0.0, variance));
+  return distances_.threshold(z);
 }
 
 std::size_t Reconstructor::memory_bytes() const {
-  return coords_.memory_bytes() + sizeof(*this) - sizeof(coords_);
+  return sizeof(*this) + coords_.memory_bytes() +
+         coord_counts_.capacity() * sizeof(std::size_t) +
+         init_scratch_.capacity() * sizeof(double);
 }
 
 }  // namespace edgedrift::drift

@@ -130,12 +130,24 @@ double l1_distance(std::span<const double> a, std::span<const double> b) {
   return total;
 }
 
+float l1_distance(std::span<const float> a, std::span<const float> b) {
+  EDGEDRIFT_DASSERT(a.size() == b.size(), "distance size mismatch");
+  float total = 0.0f;
+  for (std::size_t i = 0; i < a.size(); ++i) total += std::abs(a[i] - b[i]);
+  return total;
+}
+
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   EDGEDRIFT_DASSERT(x.size() == y.size(), "axpy size mismatch");
   simd::scaled_accumulate(alpha, x.data(), y.data(), x.size());
 }
 
 void copy(std::span<const double> src, std::span<double> dst) {
+  EDGEDRIFT_DASSERT(src.size() == dst.size(), "copy size mismatch");
+  std::copy(src.begin(), src.end(), dst.begin());
+}
+
+void copy(std::span<const float> src, std::span<float> dst) {
   EDGEDRIFT_DASSERT(src.size() == dst.size(), "copy size mismatch");
   std::copy(src.begin(), src.end(), dst.begin());
 }
@@ -165,6 +177,25 @@ void ewma_update(std::span<double> mean, std::span<const double> x,
   const double* EDGEDRIFT_RESTRICT xs = x.data();
   for (std::size_t i = 0; i < mean.size(); ++i) {
     m[i] = decay * m[i] + w * xs[i];
+  }
+}
+
+void running_mean_update(std::span<float> mean, std::span<const float> x,
+                         std::size_t count) {
+  EDGEDRIFT_DASSERT(mean.size() == x.size(), "running mean size mismatch");
+  const float n = static_cast<float>(count);
+  const float inv = 1.0f / (n + 1.0f);
+  for (std::size_t i = 0; i < mean.size(); ++i) {
+    mean[i] = (mean[i] * n + x[i]) * inv;
+  }
+}
+
+void ewma_update(std::span<float> mean, std::span<const float> x,
+                 float decay) {
+  EDGEDRIFT_DASSERT(mean.size() == x.size(), "ewma size mismatch");
+  const float w = 1.0f - decay;
+  for (std::size_t i = 0; i < mean.size(); ++i) {
+    mean[i] = decay * mean[i] + w * x[i];
   }
 }
 

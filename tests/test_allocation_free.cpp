@@ -35,6 +35,7 @@
 
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/core/pipeline_manager.hpp"
+#include "edgedrift/data/nsl_kdd_like.hpp"
 #include "edgedrift/io/checkpoint.hpp"
 #include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/model/multi_instance.hpp"
@@ -344,6 +345,61 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
     ASSERT_TRUE(pipeline->reconstructing())
         << "the measured window must lie inside the recovery";
   }
+#endif
+}
+
+TEST(AllocationFree, ReconstructionStepsDoNotAllocate) {
+#if defined(EDGEDRIFT_ALLOC_HOOKS_DISABLED)
+  GTEST_SKIP() << "allocation hooks disabled under sanitizers";
+#else
+  // Algorithms 2-4 between a detection and the finishing sample: beginning
+  // the reconstruction, Init_Coord, Update_Coord and the training phases
+  // run on preallocated state. The stream is the StaticPipelineNsl
+  // fixture's (seed 71, detector_initial_count 0); allocations are counted
+  // per row from the drift row through the row before the finishing row.
+  // The finishing row matches and permutes with finish-time scratch, so
+  // its count is only recorded.
+  edgedrift::data::NslKddLikeConfig data_config;
+  data_config.train_size = 800;
+  data_config.test_size = 4000;
+  data_config.drift_point = 1500;
+  edgedrift::data::NslKddLike generator(data_config);
+  Rng rng(71);
+  const edgedrift::data::Dataset train = generator.training(rng);
+  const edgedrift::data::Dataset stream = generator.test_stream(rng);
+
+  PipelineConfig config;
+  config.num_labels = 2;
+  config.input_dim = 38;
+  config.hidden_dim = 22;
+  config.window_size = 100;
+  config.detector_initial_count = 0;
+  config.theta_error_z = 4.0;
+  config.reconstruction = {20, 120, 500};
+  Pipeline pipeline(config);
+  pipeline.fit(train.x, train.labels);
+
+  bool detected = false;
+  bool finished = false;
+  std::size_t during = 0;
+  for (std::size_t i = 0; i < stream.size() && !finished; ++i) {
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    const auto step = pipeline.process(stream.x.row(i));
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    const std::size_t allocs = g_alloc_count.load(std::memory_order_relaxed);
+    detected |= step.drift_detected;
+    if (!detected) continue;
+    if (step.reconstruction_finished) {
+      finished = true;
+      RecordProperty("finishing_row_allocations", static_cast<int>(allocs));
+    } else {
+      during += allocs;
+    }
+  }
+  ASSERT_TRUE(finished) << "the drift must be detected and recovered";
+  EXPECT_EQ(during, 0u)
+      << "a reconstruction must not touch the heap before its last sample";
 #endif
 }
 

@@ -1,6 +1,6 @@
-// Tests for the clustering substrate: batch k-means / k-means++,
-// sequential k-means (Algorithms 3-4 building blocks), and the diagonal GMM
-// behind SPLL.
+// Tests for the clustering substrate: batch k-means / k-means++, the
+// sequential k-means steps of Algorithms 3-4 (drift/steps.hpp), and the
+// diagonal GMM behind SPLL.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,7 @@
 
 #include "edgedrift/cluster/gmm.hpp"
 #include "edgedrift/cluster/kmeans.hpp"
-#include "edgedrift/cluster/sequential_kmeans.hpp"
+#include "edgedrift/drift/steps.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/rng.hpp"
 
@@ -17,9 +17,9 @@ namespace {
 
 using edgedrift::cluster::DiagonalGmm;
 using edgedrift::cluster::KMeansResult;
-using edgedrift::cluster::SequentialKMeans;
 using edgedrift::linalg::Matrix;
 using edgedrift::util::Rng;
+namespace steps = edgedrift::drift::steps;
 
 // Three well-separated blobs in 2-D.
 Matrix three_blobs(Rng& rng, std::size_t per_blob = 50) {
@@ -132,83 +132,121 @@ TEST(KMeans, AssignToNearestAgainstKnownCentroids) {
   EXPECT_EQ(assign[2], 0);
 }
 
+// The SequentialKMeans suite covers the coordinate steps both copies of
+// the proposed system run: Update_Coord's running mean, Init_Coord's spread
+// substitution, and the match and permutation that re-align labels.
+
 TEST(SequentialKMeans, UpdateMovesCentroidTowardSamples) {
-  SequentialKMeans skm(2, 2);
-  Matrix init{{0.0, 0.0}, {10.0, 10.0}};
+  Matrix coords{{0.0, 0.0}, {10.0, 10.0}};
   std::vector<std::size_t> counts{1, 1};
-  skm.set_centroids(init, counts);
 
   // Stream points around (1, 1): cluster 0 should drift there.
   Rng rng(7);
   for (int i = 0; i < 200; ++i) {
-    std::vector<double> x{rng.gaussian(1.0, 0.1), rng.gaussian(1.0, 0.1)};
-    EXPECT_EQ(skm.update(x), 0u);
+    const std::vector<double> x{rng.gaussian(1.0, 0.1),
+                                rng.gaussian(1.0, 0.1)};
+    EXPECT_EQ(steps::update_coord(coords.flat(), std::span(counts),
+                                  std::span(x), false),
+              0u);
   }
-  EXPECT_NEAR(skm.centroid(0)[0], 1.0, 0.1);
-  EXPECT_NEAR(skm.centroid(0)[1], 1.0, 0.1);
+  EXPECT_NEAR(coords(0, 0), 1.0, 0.1);
+  EXPECT_NEAR(coords(0, 1), 1.0, 0.1);
   // Cluster 1 untouched.
-  EXPECT_DOUBLE_EQ(skm.centroid(1)[0], 10.0);
-  EXPECT_EQ(skm.count(1), 1u);
+  EXPECT_DOUBLE_EQ(coords(1, 0), 10.0);
+  EXPECT_EQ(counts[1], 1u);
 }
 
 TEST(SequentialKMeans, RunningMeanIsExactMean) {
-  SequentialKMeans skm(1, 1);
+  Matrix coords(1, 1);
+  std::vector<std::size_t> counts{0};
   const std::vector<double> values{3.0, 5.0, 7.0, 9.0};
   for (const double v : values) {
-    std::vector<double> x{v};
-    skm.update(x);
+    const std::vector<double> x{v};
+    steps::update_coord(coords.flat(), std::span(counts), std::span(x),
+                        false);
   }
-  EXPECT_DOUBLE_EQ(skm.centroid(0)[0], 6.0);
-  EXPECT_EQ(skm.count(0), 4u);
+  EXPECT_DOUBLE_EQ(coords(0, 0), 6.0);
+  EXPECT_EQ(counts[0], 4u);
 }
 
 TEST(SequentialKMeans, SpreadInitMaximizesPairwiseDistance) {
-  SequentialKMeans skm(3, 1);
+  Matrix coords(3, 1);
+  std::vector<double> saved(1);
+  const auto spread_init = [&](double v) {
+    const std::vector<double> x{v};
+    return steps::spread_coord(coords.flat(), std::span(x),
+                               std::span(saved));
+  };
   // All coords start at 0; feeding spread-out points must place them.
-  std::vector<double> a{0.0}, b{10.0}, c{-10.0}, mid{1.0};
-  skm.spread_init(a);
-  skm.spread_init(b);
-  skm.spread_init(c);
-  const double spread = skm.pairwise_l1_spread();
+  spread_init(0.0);
+  spread_init(10.0);
+  spread_init(-10.0);
+  const double spread = steps::pairwise_l1_spread<double>(coords.flat(), 1);
   EXPECT_DOUBLE_EQ(spread, 40.0);  // |0-10| + |0+10| + |10+10| = 40.
 
   // A midpoint sample cannot improve the spread, so it must be rejected.
-  EXPECT_EQ(skm.spread_init(mid), -1);
-  EXPECT_DOUBLE_EQ(skm.pairwise_l1_spread(), 40.0);
+  EXPECT_EQ(spread_init(1.0), -1);
+  EXPECT_DOUBLE_EQ(steps::pairwise_l1_spread<double>(coords.flat(), 1),
+                   40.0);
 }
 
 TEST(SequentialKMeans, SpreadInitReplacesWorstCoordinate) {
-  SequentialKMeans skm(2, 1);
-  std::vector<double> a{1.0}, b{2.0}, far{100.0};
-  skm.spread_init(a);   // coords ~ {1, 0}
-  skm.spread_init(b);   // improves to {1, 2} or similar
-  skm.spread_init(far); // must replace the coordinate nearer the other one
-  EXPECT_GE(skm.pairwise_l1_spread(), 98.0);
+  Matrix coords(2, 1);
+  std::vector<double> saved(1);
+  for (const double v : {1.0, 2.0, 100.0}) {
+    // {1, 0}, then {2, 0}; 100 must replace the coordinate nearer the other.
+    const std::vector<double> x{v};
+    steps::spread_coord(coords.flat(), std::span(x), std::span(saved));
+  }
+  EXPECT_GE(steps::pairwise_l1_spread<double>(coords.flat(), 1), 98.0);
 }
 
 TEST(SequentialKMeans, PermutationReordersClusters) {
-  SequentialKMeans skm(2, 2);
-  Matrix init{{1.0, 2.0}, {3.0, 4.0}};
+  Matrix coords{{1.0, 2.0}, {3.0, 4.0}};
   std::vector<std::size_t> counts{5, 9};
-  skm.set_centroids(init, counts);
   const std::vector<std::size_t> perm{1, 0};
-  skm.apply_permutation(perm);
-  EXPECT_DOUBLE_EQ(skm.centroid(0)[0], 3.0);
-  EXPECT_DOUBLE_EQ(skm.centroid(1)[1], 2.0);
-  EXPECT_EQ(skm.count(0), 9u);
-  EXPECT_EQ(skm.count(1), 5u);
+  steps::permute_rows(coords.flat(), 2, perm);
+  steps::permute_rows(std::span(counts), 1, perm);
+  EXPECT_DOUBLE_EQ(coords(0, 0), 3.0);
+  EXPECT_DOUBLE_EQ(coords(1, 1), 2.0);
+  EXPECT_EQ(counts[0], 9u);
+  EXPECT_EQ(counts[1], 5u);
 }
 
-TEST(SequentialKMeans, MemoryIsConstantInSampleCount) {
-  SequentialKMeans skm(2, 8);
-  const std::size_t before = skm.memory_bytes();
-  Rng rng(8);
-  std::vector<double> x(8);
-  for (int i = 0; i < 1000; ++i) {
-    for (auto& v : x) v = rng.gaussian();
-    skm.update(x);
+// A 2-cycle is its own inverse; a 3-cycle tells a permutation from its
+// inverse. Position i must hold the old row perm[i].
+TEST(SequentialKMeans, PermutationFollowsThreeCycle) {
+  Matrix rows{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}, {7.0, 8.0}};
+  const std::vector<std::size_t> perm{1, 2, 0, 3};
+  steps::permute_rows(rows.flat(), 2, perm);
+  const std::vector<double> got(rows.flat().begin(), rows.flat().end());
+  EXPECT_EQ(got, (std::vector<double>{3.0, 4.0, 5.0, 6.0, 1.0, 2.0, 7.0,
+                                      8.0}));
+}
+
+// Exhaustive up to 8 rows, greedy above: on well-separated rows both
+// recover the permutation that scrambled the candidates.
+TEST(SequentialKMeans, MatchRowsRecoversScrambledRows) {
+  for (const std::size_t n : {3UL, 8UL, 11UL}) {
+    Rng rng(n);
+    Matrix reference(n, 2), candidates(n, 2);
+    std::vector<std::size_t> scramble(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      scramble[i] = (i * 5 + 2) % n;
+      reference(i, 0) = 10.0 * static_cast<double>(i);
+      reference(i, 1) = -3.0 * static_cast<double>(i);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < 2; ++j) {
+        candidates(scramble[i], j) = reference(i, j) + rng.gaussian(0.0, 0.3);
+      }
+    }
+    std::vector<std::size_t> perm(n), work(n);
+    std::vector<double> cost(n * n);
+    steps::match_rows<double>(reference.flat(), candidates.flat(), 2,
+                              perm, cost, work);
+    EXPECT_EQ(perm, scramble) << "n = " << n;
   }
-  EXPECT_EQ(skm.memory_bytes(), before);
 }
 
 TEST(Gmm, FromClustersMatchesClusterStatistics) {

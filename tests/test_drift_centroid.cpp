@@ -336,11 +336,10 @@ TEST(CentroidDetector, TopDriftedDimensionsClampsK) {
   EXPECT_EQ(det.top_drifted_dimensions(100).size(), 4u);  // dim = 4.
 }
 
-// The cached statistic: observe() recomputes only the moved label's L1 term
-// and sums the C cached terms, so last_distance() and per_label_distances()
-// must equal a full recompute from the public centroids bit for bit —
-// through a window that fires and through every path that rewrites the
-// recent or trained centroids.
+// The statistic: last_distance() and per_label_distances() must equal a
+// full recompute from the public centroids bit for bit — through a window
+// that fires and through every path that rewrites the recent or trained
+// centroids.
 TEST(CentroidDetector, CachedStatisticMatchesFullSweep) {
   constexpr std::size_t kDim = 6;
   for (const std::size_t labels : {1UL, 2UL, 23UL}) {

@@ -260,6 +260,47 @@ TEST(Eviction, StatsCarryAcrossEvictRestoreCycles) {
   EXPECT_LT(snap.shards[0].restore_ns.mean_ns(), 1e9);  // < 1 s each.
 }
 
+// An evicted stream carries its drift journal as one journal would: the
+// newest journal_capacity events, oldest first, however many evict/restore
+// cycles it went through. Each cycle's live journal is the reference for
+// the events that cycle added.
+TEST(Eviction, CarriedJournalKeepsTheNewestEvents) {
+  constexpr std::size_t kCapacity = 4;
+  constexpr std::size_t kCycles = 20;
+  constexpr std::size_t kRows = 500;
+  const StreamData data = make_drift_stream(1200, 2 * kRows);
+  PipelineConfig config = make_config();
+  config.recovery = RecoveryPolicy::kDetectOnly;
+  config.obs.journal_capacity = kCapacity;
+  ManagerOptions options;
+  options.dispatch = DispatchMode::kManual;
+  PipelineManager manager(config, 1, options);
+  manager.fit(0, data.train.x, data.train.labels);
+
+  std::vector<edgedrift::obs::DriftEvent> expected;
+  for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
+    SCOPED_TRACE("cycle " + std::to_string(cycle));
+    for (std::size_t i = kRows; i < 2 * kRows; ++i) {  // Post-drift rows.
+      manager.submit(0, data.test.x.row(i));
+    }
+    manager.drain();
+    manager.take_steps(0);
+    const auto live = manager.stream(0).obs().snapshot(0).journal;
+    expected.insert(expected.end(), live.begin(), live.end());
+    if (expected.size() > kCapacity) {
+      expected.erase(expected.begin(), expected.end() - kCapacity);
+    }
+    ASSERT_TRUE(manager.evict(0));
+    const auto journal = manager.stats().streams[0].journal;
+    ASSERT_EQ(journal.size(), expected.size());
+    for (std::size_t k = 0; k < journal.size(); ++k) {
+      EXPECT_EQ(journal[k].sample_index, expected[k].sample_index);
+      EXPECT_EQ(journal[k].statistic, expected[k].statistic);
+    }
+  }
+  EXPECT_GT(manager.stats(0).drifts, kCycles * kCapacity);
+}
+
 // With a hot budget under manual dispatch the resident set must be exactly
 // the budget's worth of most-recently-drained streams — the LRU property,
 // checked against a model of the expected recency order at every step.

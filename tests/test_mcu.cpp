@@ -1,8 +1,11 @@
 // Tests for the MCU deployment profile (mcu::StaticPipeline): compile-time
-// memory budget, agreement with the double-precision pipeline, and the full
-// detect -> reconstruct -> recover loop in float32.
+// memory budget, agreement with the double-precision pipeline, the full
+// detect -> reconstruct -> recover loop in float32, and load()'s refusal of
+// pipelines it does not run. tests/test_mcu_conformance.cpp compares the
+// two copies' decisions row by row.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "edgedrift/core/pipeline.hpp"
@@ -66,7 +69,7 @@ class StaticPipelineNsl : public ::testing::Test {
     config.reconstruction = {20, 120, 500};
     reference_ = std::make_unique<Pipeline>(config);
     reference_->fit(train_.x, train_.labels);
-    device_.load(*reference_);
+    ASSERT_TRUE(device_.load(*reference_));
   }
 
   edgedrift::data::Dataset train_;
@@ -158,11 +161,94 @@ TEST(StaticPipelineFan, SingleLabelConfigLoadsAndRuns) {
   reference.fit(train.x, train.labels);
 
   static FanPipeline device;  // ~100 kB: keep off the test thread's stack.
-  device.load(reference);
+  ASSERT_TRUE(device.load(reference));
   float score = 0.0f;
   const std::size_t label = device.predict(to_float(train.x.row(0)), score);
   EXPECT_EQ(label, 0u);
   EXPECT_LT(score, 0.1f);
+}
+
+// load() refuses a pipeline the device would run differently — another
+// detector, another recovery policy, another activation — and a refused
+// load leaves the device as it was.
+using SmallPipeline = edgedrift::mcu::StaticPipeline<8, 6, 2>;
+
+std::unique_ptr<Pipeline> fitted_small(const PipelineConfig& config,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  edgedrift::linalg::Matrix x(200, 8);
+  std::vector<int> labels(200);
+  for (std::size_t i = 0; i < 200; ++i) {
+    labels[i] = static_cast<int>(i % 2);
+    for (std::size_t j = 0; j < 8; ++j) {
+      x(i, j) = rng.gaussian(labels[i] == 0 ? 0.2 : 1.2, 0.2);
+    }
+  }
+  auto pipeline = std::make_unique<Pipeline>(config);
+  pipeline->fit(x, labels);
+  return pipeline;
+}
+
+PipelineConfig small_config() {
+  PipelineConfig config;
+  config.num_labels = 2;
+  config.input_dim = 8;
+  config.hidden_dim = 6;
+  return config;
+}
+
+void expect_refused(const PipelineConfig& config) {
+  auto device = std::make_unique<SmallPipeline>();
+  EXPECT_FALSE(device->load(*fitted_small(config, 12)));
+  EXPECT_FALSE(device->loaded());
+
+  ASSERT_TRUE(device->load(*fitted_small(small_config(), 11)));
+  std::vector<float> x(8, 0.7f);
+  float score_before = 0.0f;
+  const std::size_t label_before = device->predict(x, score_before);
+  const float theta_error = device->theta_error();
+  const float theta_drift = device->theta_drift();
+  EXPECT_FALSE(device->load(*fitted_small(config, 12)));
+  EXPECT_TRUE(device->loaded());
+  float score_after = 0.0f;
+  EXPECT_EQ(device->predict(x, score_after), label_before);
+  EXPECT_EQ(score_after, score_before);
+  EXPECT_EQ(device->theta_error(), theta_error);
+  EXPECT_EQ(device->theta_drift(), theta_drift);
+}
+
+TEST(StaticPipeline, LoadRefusesOtherDetectors) {
+  using edgedrift::drift::DetectorKind;
+  for (const DetectorKind kind :
+       {DetectorKind::kMultiWindow, DetectorKind::kDdm,
+        DetectorKind::kAdwin}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    PipelineConfig config = small_config();
+    config.detector.kind = kind;
+    expect_refused(config);
+  }
+}
+
+TEST(StaticPipeline, LoadRefusesOtherRecoveryPolicies) {
+  using edgedrift::core::RecoveryPolicy;
+  for (const RecoveryPolicy policy :
+       {RecoveryPolicy::kDetectOnly, RecoveryPolicy::kResetRecalibrate}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    PipelineConfig config = small_config();
+    config.recovery = policy;
+    expect_refused(config);
+  }
+}
+
+TEST(StaticPipeline, LoadRefusesOtherActivations) {
+  using edgedrift::oselm::Activation;
+  for (const Activation activation :
+       {Activation::kTanh, Activation::kRelu, Activation::kIdentity}) {
+    SCOPED_TRACE(static_cast<int>(activation));
+    PipelineConfig config = small_config();
+    config.activation = activation;
+    expect_refused(config);
+  }
 }
 
 }  // namespace

@@ -84,8 +84,8 @@ TEST(Reconstructor, CoordinatesConvergeToNewClusters) {
 
   // The two coordinates must sit near (5,..) and (9,..) in some order.
   const auto& coords = recon.coords();
-  const double c00 = coords.centroid(0)[0];
-  const double c10 = coords.centroid(1)[0];
+  const double c00 = coords(0, 0);
+  const double c10 = coords(1, 0);
   const double lo = std::min(c00, c10);
   const double hi = std::max(c00, c10);
   EXPECT_NEAR(lo, 5.0, 0.5);
@@ -167,7 +167,7 @@ TEST(Reconstructor, SecondReconstructionAfterCompletion) {
   BatchWorkspace ws;
 
   for (int round = 0; round < 2; ++round) {
-    recon.begin(model, recon.coords().centroids());
+    recon.begin(model, recon.coords());
     int i = 0;
     while (recon.step(cluster_sample(rng, i++ % 2, 4), model, ws)) {
     }
@@ -190,7 +190,7 @@ TEST(Reconstructor, SingleLabelReconstruction) {
     ++i;
   }
   EXPECT_EQ(i + 1, 200);
-  EXPECT_NEAR(recon.coords().centroid(0)[0], 5.0, 0.6);
+  EXPECT_NEAR(recon.coords()(0, 0), 5.0, 0.6);
   // The single instance now reconstructs the new concept.
   EXPECT_LT(model.instance(0).score(cluster_sample(rng, 0, 4)), 0.5);
 }
