@@ -33,7 +33,7 @@
 // The two records (drain=batch/obs=on|off) feed
 // tools/check_obs_overhead.py, which perf-smoke CI uses to pin that cost
 // under its budget. Pass `--stats-json <path>` to also
-// dump the obs=on manager's edgedrift-obs-v2 snapshot.
+// dump the obs=on manager's edgedrift-obs-v3 snapshot.
 //
 // The nsl-kdd section also carries the coalescing ablation: a seeded
 // projection group of 16/64 resident streams drained at 1-8 pending
@@ -222,129 +222,6 @@ void run_coalesce_ablation(const core::PipelineConfig& base,
       static_cast<unsigned long long>(sh.coalesce_fallbacks));
 }
 
-/// Training-side ablation: `resident` streams seeded from one template are
-/// driven into a never-ending kResetRecalibrate recovery (n_total is set
-/// beyond the horizon), so every drained sample is a recovery training
-/// sample — the workload the chunked rank-k path
-/// (PipelineConfig::train_chunk) exists for. One manager per chunk size in
-/// {1,4,8} over identical drifted submissions, interleaved rep by rep,
-/// median-of-9 (the chunk=8/chunk=1 i8 ratio feeds a CI gate,
-/// tools/check_train_gain.py, and a best-of ratio is outlier-biased).
-void run_train_ablation(const core::PipelineConfig& base,
-                        const data::Dataset& train,
-                        const linalg::Matrix& drifted, std::size_t resident,
-                        std::size_t burst, linalg::NumericsTier tier,
-                        const char* precision, util::Table& table,
-                        std::vector<bench::KernelRecord>& records) {
-  constexpr std::size_t kSamplesPerRep = 4096;
-  constexpr std::size_t kBlockRotation = 32;
-  const std::size_t rounds =
-      std::max<std::size_t>(1, kSamplesPerRep / (resident * burst));
-
-  core::PipelineConfig config = base;
-  config.numerics = tier;
-  config.recovery = core::RecoveryPolicy::kResetRecalibrate;
-  // Recovery must span the whole measurement: the retraining never ends.
-  config.reconstruction.n_total = std::size_t{1} << 30;
-
-  std::vector<linalg::Matrix> blocks;
-  for (std::size_t b = 0; b < kBlockRotation; ++b) {
-    linalg::Matrix block(burst, drifted.cols());
-    for (std::size_t r = 0; r < burst; ++r) {
-      block.set_row(r, drifted.row((b * burst + r) % drifted.rows()));
-    }
-    blocks.push_back(std::move(block));
-  }
-
-  const std::array<std::size_t, 3> chunks = {1, 4, 8};
-  std::vector<ModeRun> modes(chunks.size());
-  for (std::size_t m = 0; m < modes.size(); ++m) {
-    modes[m].label = "chunk=" + std::to_string(chunks[m]);
-    core::ManagerOptions options;
-    options.dispatch = core::DispatchMode::kManual;
-    options.queue_capacity = std::max<std::size_t>(64, burst);
-    modes[m].options = options;
-    core::PipelineConfig chunked = config;
-    chunked.train_chunk = chunks[m];
-    modes[m].manager =
-        std::make_unique<core::PipelineManager>(chunked, 1, options);
-    modes[m].manager->fit(0, train.x, train.labels);
-    modes[m].manager->seed_cold_from(0, resident - 1);
-    // Warm-up doubles as the drift trigger: drive the drifted stream until
-    // every resident stream has entered its (endless) recovery.
-    bool all_recovering = false;
-    for (std::size_t round = 0; round < 400 && !all_recovering; ++round) {
-      for (std::size_t s = 0; s < resident; ++s) {
-        modes[m].manager->submit_batch(s, blocks[round % kBlockRotation]);
-      }
-      modes[m].manager->drain();
-      all_recovering = true;
-      for (std::size_t s = 0; s < resident; ++s) {
-        modes[m].manager->take_steps(s);
-        all_recovering =
-            all_recovering && modes[m].manager->stream(s).recovering();
-      }
-    }
-    if (!all_recovering) {
-      std::fprintf(stderr,
-                   "train ablation (%s, %s): warm-up never drifted every "
-                   "stream — rows are not pure training\n",
-                   precision, modes[m].label.c_str());
-    }
-  }
-
-  constexpr std::size_t kTrainReps = 9;
-  std::array<std::vector<double>, 3> rep_sps;
-  for (std::size_t rep = 0; rep < kTrainReps; ++rep) {
-    for (std::size_t m = 0; m < modes.size(); ++m) {
-      util::Stopwatch clock;
-      for (std::size_t round = 0; round < rounds; ++round) {
-        const linalg::Matrix& block = blocks[round % kBlockRotation];
-        for (std::size_t s = 0; s < resident; ++s) {
-          modes[m].manager->submit_batch(s, block);
-        }
-        modes[m].manager->drain();
-      }
-      const double seconds = clock.elapsed_seconds();
-      rep_sps[m].push_back(
-          seconds > 0.0
-              ? static_cast<double>(resident * burst * rounds) / seconds
-              : 0.0);
-      for (std::size_t s = 0; s < resident; ++s) {
-        modes[m].manager->take_steps(s);
-      }
-    }
-  }
-  for (std::size_t m = 0; m < modes.size(); ++m) {
-    auto& reps = rep_sps[m];
-    auto mid = reps.begin() + reps.size() / 2;
-    std::nth_element(reps.begin(), mid, reps.end());
-    modes[m].best_samples_per_second = *mid;
-  }
-
-  const std::string prefix = "nsl-kdd/train/resident=" +
-                             std::to_string(resident) +
-                             "/burst=" + std::to_string(burst);
-  const double per_sample = modes[0].best_samples_per_second;
-  for (const ModeRun& m : modes) {
-    const double sps = m.best_samples_per_second;
-    table.add_row({"nsl-kdd",
-                   std::to_string(resident) + std::string("/") + precision,
-                   "train/burst=" + std::to_string(burst) + "/" + m.label,
-                   util::fmt(sps > 0.0 ? 1e9 / sps : 0.0, 0),
-                   util::fmt(sps / 1e3, 1),
-                   util::fmt(per_sample > 0.0 ? sps / per_sample : 0.0, 2)});
-    records.push_back(make_record(prefix + "/" + m.label, sps, precision));
-  }
-  const obs::CounterSnapshot totals = modes.back().manager->stats().totals();
-  std::printf(
-      "train ablation (%s) chunk=8: %llu block updates over %llu rows, "
-      "%llu requantizations saved\n",
-      precision, static_cast<unsigned long long>(totals.chunk_trains),
-      static_cast<unsigned long long>(totals.chunk_train_rows),
-      static_cast<unsigned long long>(totals.requants_saved));
-}
-
 /// Best-of throughput of the batched drain at one stream count; appends a
 /// table row and a JSON record under `prefix`.
 void run_drain(const std::string& prefix, const core::PipelineConfig& config,
@@ -510,26 +387,6 @@ int main(int argc, char** argv) {
                               linalg::NumericsTier::kQuantI8, "i8", table,
                               records);
       }
-    }
-
-    // Training-side ablation: the same template population held in an
-    // endless recovery, so the drain is pure self-label retraining. Chunk
-    // {1,4,8} at f64 and i8; the i8 rows feed tools/check_train_gain.py
-    // (perf-smoke gates chunk=8 >= 1.4x chunk=1 there — the requant
-    // amortization is the dominant term in that tier).
-    {
-      linalg::Matrix drifted = stationary.x;
-      for (std::size_t i = 0; i < drifted.rows(); ++i) {
-        for (std::size_t j = 0; j < drifted.cols(); j += 2) {
-          drifted(i, j) += 0.9;
-        }
-      }
-      run_train_ablation(config, train, drifted, 16, 8,
-                         linalg::NumericsTier::kExactF64, "f64", table,
-                         records);
-      run_train_ablation(config, train, drifted, 16, 8,
-                         linalg::NumericsTier::kQuantI8, "i8", table,
-                         records);
     }
   }
 

@@ -1,5 +1,5 @@
 // Microkernel benchmarks for the numeric substrate: GEMM variants, the
-// OS-ELM sequential step vs the Woodbury block step, detector primitives.
+// OS-ELM rank-1 sequential step, detector primitives.
 // These are engineering benches (not a paper table); they justify the
 // kernel choices DESIGN.md documents: rank-1 updates keep the per-sample
 // cost at O(h^2) and batch paths amortize through the blocked GEMM.
@@ -15,7 +15,6 @@
 #include "edgedrift/linalg/gemm.hpp"
 #include "edgedrift/linalg/naive.hpp"
 #include "edgedrift/linalg/solve.hpp"
-#include "edgedrift/linalg/updates.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/mcu/static_pipeline.hpp"
 #include "edgedrift/oselm/oselm.hpp"
@@ -188,23 +187,6 @@ void BM_OsElmSequentialStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OsElmSequentialStep)->Name("oselm rank-1 train (511-22-511)");
-
-// The equivalent batch path: Woodbury block of 32 samples.
-void BM_OsElmBlockStep(benchmark::State& state) {
-  util::Rng rng(5);
-  auto proj = oselm::make_projection(511, 22, oselm::Activation::kSigmoid,
-                                     rng);
-  oselm::OsElmConfig config;
-  config.output_dim = 511;
-  oselm::OsElm net(proj, config);
-  net.init_sequential();
-  const Matrix x = Matrix::random_uniform(32, 511, rng, 0.0, 1.0);
-  for (auto _ : state) {
-    net.train_batch(x, x);
-  }
-  state.SetItemsProcessed(state.iterations() * 32);
-}
-BENCHMARK(BM_OsElmBlockStep)->Name("oselm woodbury train, 32-batch");
 
 void BM_OsElmPredict(benchmark::State& state) {
   util::Rng rng(6);

@@ -23,12 +23,6 @@
 //                   the packed-beta replicas under the error-bounded
 //                   drift-decision-equivalence contract (applies to
 //                   pipeline-backed methods and --detector runs)
-//   --train-chunk N chunked rank-k recovery training      (default 1):
-//                   1 keeps the exact per-sample path; N > 1 buckets each
-//                   drained chunk by winning instance, applies one Woodbury
-//                   block update per bucket and requantizes the f32/i8
-//                   replicas once per bucket (decision-equivalent, not
-//                   bit-identical)
 //   --window N      proposed-method window size W        (default 100)
 //   --drift-at N    true drift index for delay reporting  (dataset default)
 //   --seed N        stream RNG seed                       (default 2023)
@@ -38,7 +32,7 @@
 //                   stage latency quantiles, drift journal) after the run;
 //                   available for pipeline-backed methods (proposed,
 //                   quanttree, spll, multiwindow) and any --detector
-//   --stats-json P  write the snapshot as edgedrift-obs-v2 JSON to P
+//   --stats-json P  write the snapshot as edgedrift-obs-v3 JSON to P
 //
 // Sweep subcommand — the scenario-grid detection matrix:
 //
@@ -101,7 +95,6 @@ struct Options {
   std::string detector;
   std::string recovery = "reconstruct";
   std::string numerics = "f64";
-  std::size_t train_chunk = 1;
   std::size_t window = 100;
   std::optional<std::size_t> drift_at;
   std::uint64_t seed = 2023;
@@ -123,7 +116,7 @@ struct Options {
                "          [--method proposed|baseline|quanttree|spll|onlad|multiwindow]\n"
                "          [--detector KIND] [--recovery reconstruct|"
                "recalibrate|detect-only]\n"
-               "          [--numerics f64|f32|i8] [--train-chunk N]\n"
+               "          [--numerics f64|f32|i8]\n"
                "          [--window N] [--drift-at N] [--seed N]\n"
                "          [--series N] [--checkpoint PATH]\n"
                "          [--stats] [--stats-json PATH]\n"
@@ -154,8 +147,6 @@ bool parse_options(int argc, char** argv, Options& opts) {
       opts.recovery = next();
     } else if (arg == "--numerics") {
       opts.numerics = next();
-    } else if (arg == "--train-chunk") {
-      opts.train_chunk = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--window") {
       opts.window = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--drift-at") {
@@ -586,7 +577,6 @@ int main(int argc, char** argv) {
     usage(argv[0]);
   }
   config.pipeline.numerics = *tier;
-  config.pipeline.train_chunk = opts.train_chunk > 0 ? opts.train_chunk : 1;
   config.seed = opts.seed;
 
   std::printf("dataset: %s (%zu train / %zu test, %zu features)\n",

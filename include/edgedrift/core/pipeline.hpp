@@ -96,19 +96,6 @@ struct PipelineConfig {
   /// (bounds the batch workspace size).
   std::size_t max_batch_rows = 256;
 
-  /// Chunked rank-k training (opt-in). 1 — the default — keeps the exact
-  /// per-sample recovery path, bit-identical to every release so far. A
-  /// value k > 1 lets a batched drain consume recovery training samples in
-  /// chunks of up to k: the chunk's winners are bucketed per instance, each
-  /// bucket absorbed by one Woodbury block update
-  /// (OsElm::train_batch_from_hidden), and the f32/i8 replica requantized
-  /// once per bucket instead of once per sample. Decision-equivalent, not
-  /// bit-identical, to the per-sample path (validated for k in {2,4,8} by
-  /// tests/test_chunked_train.cpp across all numerics tiers); the effective
-  /// chunk is capped by max_batch_rows. Scalar process() always stays
-  /// per-sample — chunking is a property of process_rows() blocks.
-  std::size_t train_chunk = 1;
-
   /// Scoring numerics tier (linalg/numerics.hpp): kExactF64 is the
   /// bit-identical reference, kFastF32/kQuantI8 score against the
   /// packed-beta replicas under the error-bounded drift-decision-
@@ -169,18 +156,17 @@ class Pipeline {
   /// The row-range core: processes every row of `x` in order and appends
   /// one step per row to `out` (never cleared; grown geometrically, so an
   /// uncollected backlog costs amortized O(1) per row). Sample-for-sample
-  /// bit-identical to calling process() row by row, in every numerics tier
-  /// (decision-equivalent once chunked training, train_chunk > 1, engages).
+  /// bit-identical to calling process() row by row, in every numerics tier.
   /// `true_labels` is empty or holds one label per row (-1 = no label).
   ///
   /// While the model is frozen, rows are pre-scored in chunks of up to
   /// max_batch_rows, each one call into the model's scoring core
   /// (MultiInstanceModel::score_batch), where a row scores the same in a
   /// block of any size; once a detection starts a recovery, the remaining
-  /// rows go through the recovery path (chunked rank-k training when
-  /// train_chunk > 1). `x` is a view, so a PipelineManager ring slab range
-  /// or a caller batch is read in place; the internal chunk buffers are
-  /// grow-only.
+  /// rows go one by one through the recovery path, which trains the model
+  /// with one rank-1 step per sample. `x` is a view, so a PipelineManager
+  /// ring slab range or a caller batch is read in place; the internal chunk
+  /// buffers are grow-only.
   ///
   /// `hidden` (optional) supplies the hidden-space projection: row i holds
   /// g(x.row(i) * A + b) for this pipeline's projection or any projection
@@ -248,10 +234,6 @@ class Pipeline {
   void finish_restore(double theta_error) {
     theta_error_ = theta_error;
     fitted_ = true;
-    // Mirror fit()'s pre-grow: a restored stream must honor the
-    // allocation-free drain contract from its first recovery chunk, and
-    // restore (unlike the drain) is allowed to allocate.
-    if (config_.train_chunk > 1) reserve_chunk_train();
   }
 
   /// Bytes of the complete on-device state (model + detector + recovery
@@ -289,12 +271,6 @@ class Pipeline {
   /// only owner, so no pipeline writes a model that another one reads.
   model::MultiInstanceModel& model_for_write();
 
-  /// Pre-grows the chunked-training scratch (train_chunk > 1): the
-  /// workspace's gather buffers, and the model's rank-k block scratch when
-  /// this pipeline owns its model. A shared model is not written; its
-  /// private copy is reserved when model_for_write() makes it.
-  void reserve_chunk_train();
-
   /// True when no recovery is training the model, i.e. predictions are a
   /// pure function of the sample (the precondition for batch pre-scoring).
   bool model_frozen() const {
@@ -313,17 +289,10 @@ class Pipeline {
   PipelineStep frozen_step(std::span<const double> x,
                            const model::Prediction& pred, int true_label);
 
-  /// The recovery path: consumes rows of `x` from `row` on while a
-  /// recovery trains the model, writes one step per consumed row to
-  /// out[0..) and returns how many (>= 1). With train_chunk > 1 a training
-  /// phase absorbs up to train_chunk rows through the bucketed rank-k path
-  /// (Reconstructor::train_chunk, or the chunked kRecalibrating body), using
-  /// the caller's `hidden` rows when non-null; coordinate phases, finishing
-  /// samples, 1-row tails and the train_chunk == 1 default take one row
-  /// through the exact per-sample path.
-  std::size_t recover(linalg::ConstMatrixView x,
-                      const linalg::ConstMatrixView* hidden, std::size_t row,
-                      PipelineStep* out);
+  /// The recovery path for one sample while a recovery trains the model:
+  /// the reconstruction step (or kResetRecalibrate's bootstrap or
+  /// self-label step), then the tracker, the finish and the counters.
+  PipelineStep recover(std::span<const double> x);
   void record_drift_event(const drift::Detection& detection);
   void start_recovery();
   void finish_reconstruction();
@@ -380,7 +349,6 @@ class Pipeline {
   // in place through ConstMatrixView — no staging matrix.
   model::BatchWorkspace batch_ws_;
   std::vector<model::Prediction> chunk_preds_;
-  std::vector<std::size_t> chunk_labels_;  ///< Chunked-training winners.
 };
 
 }  // namespace edgedrift::core

@@ -110,7 +110,7 @@ enum class SubmitStatus {
 };
 
 /// Serving-layer knobs, fixed at construction. Everything about a stream's
-/// own processing (numerics tier, chunked training, batch size, obs) comes
+/// own processing (numerics tier, recovery, batch size, obs) comes
 /// from the PipelineConfig the manager is built from.
 struct ManagerOptions {
   std::size_t queue_capacity = 1024;  ///< Ring slots per stream.
@@ -329,7 +329,7 @@ class PipelineManager {
 
   ManagerOptions options_;
   /// Stream-template config: seeds restored pipelines' runtime-only fields
-  /// (detector spec, recovery, obs, max_batch_rows, train_chunk) and fixes
+  /// (detector spec, recovery, obs, max_batch_rows) and fixes
   /// input_dim and the numerics tier for restores and dimension checks.
   PipelineConfig template_config_;
   /// Cached latency-timing gate (kObsCompiled && obs.enabled): submit

@@ -56,32 +56,6 @@ class Reconstructor {
   bool step(std::span<const double> x, model::MultiInstanceModel& model,
             model::BatchWorkspace& ws);
 
-  /// Chunked variant of step() for the training phases (3 and 4) only:
-  /// consumes up to x.rows() samples in one pass and returns how many were
-  /// taken (0 = caller must fall back to per-sample step(), i.e. the
-  /// coordinate phases, the finishing sample, or a tail of one row).
-  /// `h` must be the model's hidden activations of the rows of `x` (the
-  /// score_batch() contract on supplied hidden rows); `labels` and `preds`
-  /// are caller scratch of at least x.rows() entries. A chunk never
-  /// straddles a phase boundary and never performs the finishing sample, so
-  /// completion always flows through step(). Semantics vs the sequential
-  /// loop: phase-3 winner labels come from the frozen coordinates (exact —
-  /// coordinates do not move during training phases); phase-4 self-labels
-  /// are predicted for the whole chunk against the pre-chunk model (the
-  /// chunked-training approximation); the Equation 1 Welford statistics
-  /// accumulate per row in stream order against the frozen coordinates
-  /// (exact). Bucketed rank-k
-  /// training per winning instance replaces the per-sample rank-1 steps —
-  /// decision-equivalent, not bit-identical; callers gate it behind
-  /// PipelineConfig::train_chunk > 1. `stats` (optional) accumulates what
-  /// the bucketed update did for the obs counters.
-  std::size_t train_chunk(linalg::ConstMatrixView x, linalg::ConstMatrixView h,
-                          model::MultiInstanceModel& model,
-                          model::BatchWorkspace& ws,
-                          std::span<model::Prediction> preds,
-                          std::span<std::size_t> labels,
-                          model::ChunkTrainStats* stats);
-
   bool active() const { return phase_ != ReconstructionPhase::kIdle; }
   ReconstructionPhase phase() const { return phase_; }
   std::size_t count() const { return count_; }

@@ -7,8 +7,8 @@
 // Scoring has one core, score_batch(): a block of rows, with or without
 // the caller's hidden rows, scored against every instance at once through
 // the packed ensemble beta. predict_batch() and predict() are its argmin;
-// train_closest(), train_label() and train_buckets_from_hidden() are the
-// training side. All scratch lives in a caller-owned BatchWorkspace. The
+// train_closest() and train_label() are the training side, one rank-1
+// step per sample. All scratch lives in a caller-owned BatchWorkspace. The
 // per-instance path, instance(c).score(x), remains as the test oracle.
 //
 // Const-use contract: no const method writes model state (there is no
@@ -58,12 +58,6 @@ struct BatchWorkspace {
   linalg::MatrixF32 recon_f32;   ///< f32/i8 fused reconstruction.
   linalg::AlignedVector<std::int8_t> q_row;  ///< i8: one row's hidden codes.
 
-  // Chunked-training gather scratch: one winner bucket is gathered at a
-  // time, so the buffers are sized by the chunk, not the batch.
-  linalg::Matrix bucket_h;                 ///< Bucket rows' hidden rows.
-  linalg::Matrix bucket_t;                 ///< Bucket rows' targets (inputs).
-  std::vector<std::size_t> bucket_counts;  ///< Per-label winner counts.
-
   /// Pre-grows every buffer to the given batch geometry so the first
   /// score_batch() call is already allocation-free. Pass the pipeline's
   /// tier to also pre-grow that tier's scratch.
@@ -84,22 +78,6 @@ struct BatchWorkspace {
       q_row.resize(hidden_dim);
     }
   }
-
-  /// Pre-grows the chunked-training gather scratch for chunks of up to
-  /// `chunk` rows (allocation-free chunked training contract).
-  void reserve_chunk_train(std::size_t chunk, std::size_t input_dim,
-                           std::size_t hidden_dim, std::size_t num_labels) {
-    bucket_h.resize_zero(chunk, hidden_dim);
-    bucket_t.resize_zero(chunk, input_dim);
-    if (bucket_counts.size() < num_labels) bucket_counts.resize(num_labels);
-  }
-};
-
-/// What one chunked training call did — feeds the obs chunk counters.
-struct ChunkTrainStats {
-  std::size_t rows = 0;     ///< Samples absorbed by block updates.
-  std::size_t buckets = 0;  ///< Rank-k updates issued (non-empty buckets).
-  std::size_t replica_refreshes = 0;  ///< Tier replica re-derivations.
 };
 
 /// Per-label OS-ELM autoencoder bank.
@@ -162,29 +140,6 @@ class MultiInstanceModel {
 
   /// Sequentially trains the given instance on x.
   void train_label(std::span<const double> x, std::size_t label);
-
-  /// Chunked training: buckets the rows of `x` by `labels[r]` (the winning
-  /// instance per row, chosen by the caller — typically from a batch score
-  /// of the chunk against the pre-chunk model), then applies ONE rank-k
-  /// Woodbury block update per non-empty bucket via
-  /// Autoencoder::train_batch_from_hidden, repacks that ensemble block, and
-  /// refreshes its f32/i8 replica once per bucket instead of once per
-  /// sample — the requant amortization at the heart of the chunked path.
-  /// `h` must be this model's hidden activations of exactly the rows of `x`
-  /// (the score_batch() contract on `hidden`); `labels` has one winner per
-  /// row. Within a bucket, rows keep their stream order. Equivalent to the
-  /// per-sample winner loop in exact arithmetic when every row's winner is
-  /// computed against the same frozen pre-chunk model, NOT bit-identical —
-  /// callers gate it behind an opt-in chunk size. Allocation-free after
-  /// reserve_chunk_train().
-  ChunkTrainStats train_buckets_from_hidden(linalg::ConstMatrixView x,
-                                            linalg::ConstMatrixView h,
-                                            std::span<const std::size_t> labels,
-                                            BatchWorkspace& ws);
-
-  /// Pre-grows every instance's rank-k block scratch and the workspace's
-  /// bucket gather buffers for chunks of up to `chunk` rows.
-  void reserve_chunk_train(std::size_t chunk, BatchWorkspace& ws);
 
   /// Resets every instance's trainable state, keeping the projection.
   void reset();

@@ -3,10 +3,9 @@
 // Every pipeline and ring event of a stream is counted here, exactly once:
 // the samples the pipeline consumed, drift detections, completed
 // recoveries and the samples they consumed, detector windows, GEMM
-// pre-scored chunks, chunked-training updates, kReject drops and the ring
-// high-water mark. core::PipelineStats names the snapshot struct, so
-// Pipeline::stats(), PipelineManager::stats(id) and the obs snapshots read
-// one book.
+// pre-scored chunks, kReject drops and the ring high-water mark.
+// core::PipelineStats names the snapshot struct, so Pipeline::stats(),
+// PipelineManager::stats(id) and the obs snapshots read one book.
 //
 // The block is std::atomic<uint64_t> written with relaxed stores by
 // whichever thread does the work (producers count rejections and ring
@@ -52,9 +51,6 @@ struct CounterSnapshot {
   std::uint64_t windows_opened = 0;    ///< Detector evaluation windows opened.
   std::uint64_t batch_chunks = 0;      ///< GEMM pre-scored chunks issued.
   std::uint64_t batch_rows = 0;        ///< Samples served by those chunks.
-  std::uint64_t chunk_trains = 0;      ///< Rank-k bucket updates applied.
-  std::uint64_t chunk_train_rows = 0;  ///< Samples absorbed by those updates.
-  std::uint64_t requants_saved = 0;    ///< Replica refreshes amortized away.
   std::uint64_t rejected = 0;          ///< Dropped by kReject backpressure.
   std::uint64_t ring_high_water = 0;   ///< Max observed ring depth.
 
@@ -67,9 +63,6 @@ struct CounterSnapshot {
     windows_opened += o.windows_opened;
     batch_chunks += o.batch_chunks;
     batch_rows += o.batch_rows;
-    chunk_trains += o.chunk_trains;
-    chunk_train_rows += o.chunk_train_rows;
-    requants_saved += o.requants_saved;
     rejected += o.rejected;
     ring_high_water = ring_high_water > o.ring_high_water
                           ? ring_high_water
@@ -88,22 +81,16 @@ struct CounterSnapshot {
 /// consumer) and pays for a CAS loop.
 class Counters {
  public:
-  void add_samples(std::uint64_t n = 1) { add(samples_, n); }
+  void add_samples() { add(samples_, 1); }
   void add_drift() { add(drifts_, 1); }
   void add_recovery() { add(recoveries_, 1); }
-  void add_recovery_samples(std::uint64_t n) { add(recovery_samples_, n); }
+  void add_recovery_sample() { add(recovery_samples_, 1); }
   void add_window_opened() { add(windows_opened_, 1); }
   /// One GEMM pre-scored chunk that served `rows` samples.
   void add_batch_chunk(std::uint64_t rows) {
     add(batch_chunks_, 1);
     add(batch_rows_, rows);
   }
-  // Chunked training: rank-k bucket updates issued, samples they absorbed,
-  // and f32/i8 replica requantizations the per-bucket amortization avoided
-  // relative to the per-sample path.
-  void add_chunk_trains(std::uint64_t n) { add(chunk_trains_, n); }
-  void add_chunk_train_rows(std::uint64_t n) { add(chunk_train_rows_, n); }
-  void add_requants_saved(std::uint64_t n) { add(requants_saved_, n); }
   void add_rejected(std::uint64_t n) { add(rejected_, n); }
 
   /// Relaxed CAS-max: producers and the consumer race each other here.
@@ -129,9 +116,6 @@ class Counters {
     s.windows_opened = windows_opened_.load(std::memory_order_relaxed);
     s.batch_chunks = batch_chunks_.load(std::memory_order_relaxed);
     s.batch_rows = batch_rows_.load(std::memory_order_relaxed);
-    s.chunk_trains = chunk_trains_.load(std::memory_order_relaxed);
-    s.chunk_train_rows = chunk_train_rows_.load(std::memory_order_relaxed);
-    s.requants_saved = requants_saved_.load(std::memory_order_relaxed);
     s.rejected = rejected_.load(std::memory_order_relaxed);
     s.ring_high_water = ring_high_water_.load(std::memory_order_relaxed);
     return s;
@@ -151,9 +135,6 @@ class Counters {
   std::atomic<std::uint64_t> windows_opened_{0};
   std::atomic<std::uint64_t> batch_chunks_{0};
   std::atomic<std::uint64_t> batch_rows_{0};
-  std::atomic<std::uint64_t> chunk_trains_{0};
-  std::atomic<std::uint64_t> chunk_train_rows_{0};
-  std::atomic<std::uint64_t> requants_saved_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> ring_high_water_{0};
 };

@@ -5,10 +5,10 @@
 // on. PipelineManager::stats() (and Pipeline::obs().snapshot(id) for a
 // single stream) produce one; to_text() renders the operator-facing summary
 // the CLI --stats flag prints, and write_json() emits the machine-readable
-// "edgedrift-obs-v2" record — the observability sibling of the
+// "edgedrift-obs-v3" record — the observability sibling of the
 // edgedrift-bench-v1 schema (same envelope: schema / binary / simd level).
-// v2 carries each stream's counter book under the field names of
-// obs::CounterSnapshot.
+// Each stream's counter book is carried under the field names of
+// obs::CounterSnapshot; v3 dropped v2's three chunked-training counters.
 #pragma once
 
 #include <cstddef>
@@ -64,7 +64,7 @@ struct Snapshot {
   /// recent drift events).
   std::string to_text() const;
 
-  /// "edgedrift-obs-v2" JSON. `source` names the producing binary.
+  /// "edgedrift-obs-v3" JSON. `source` names the producing binary.
   std::string to_json(std::string_view source) const;
 
   /// Writes to_json() to `path`; false when the file cannot be opened.

@@ -40,20 +40,6 @@ class Autoencoder {
     net_.train_from_hidden(h, x);
   }
 
-  /// Rank-k block training on a chunk of samples with precomputed hidden
-  /// activations: one Woodbury P-update absorbs all rows (targets are the
-  /// inputs themselves). Equivalent to row-by-row train_from_hidden() in
-  /// exact arithmetic, not bit-identical — see OsElm::train_batch_from_hidden
-  /// for the contract (beta_version bumps once; rank-1 replay invalid).
-  void train_batch_from_hidden(const linalg::Matrix& h,
-                               const linalg::Matrix& x) {
-    net_.train_batch_from_hidden(h, x);
-  }
-
-  /// Pre-grows the rank-k block-training scratch for chunks of up to
-  /// `max_rows` samples (allocation-free chunked training contract).
-  void reserve_batch(std::size_t max_rows) { net_.reserve_batch(max_rows); }
-
   /// Mean squared reconstruction error of x — the anomaly score. Keeps the
   /// reconstruction on the stack. The per-instance reference path: the
   /// ensemble scores through MultiInstanceModel::score_batch(), which is

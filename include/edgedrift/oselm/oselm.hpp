@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "edgedrift/linalg/matrix.hpp"
-#include "edgedrift/linalg/updates.hpp"
 #include "edgedrift/oselm/projection.hpp"
 
 namespace edgedrift::oselm {
@@ -61,32 +60,6 @@ class OsElm {
   void train_from_hidden(std::span<const double> h,
                          std::span<const double> t);
 
-  /// Sequential training on a batch via the Woodbury identity. Equivalent to
-  /// calling train() row by row when forgetting_factor == 1.
-  void train_batch(const linalg::Matrix& x, const linalg::Matrix& t);
-
-  /// Rank-k block training with precomputed hidden activations: `h` is
-  /// [k x hidden_dim] rows of this network's projection of the trained
-  /// samples, `t` the matching [k x output_dim] targets. One Woodbury block
-  /// P-update plus one GEMM-pair beta update absorb the whole chunk —
-  /// equivalent to k sequential train_from_hidden() steps in exact
-  /// arithmetic when forgetting_factor == 1 (see linalg/updates.hpp for the
-  /// rank-1 seam contract), but NOT bit-identical to them. This is the
-  /// chunked-training hot path: every intermediate lives in grow-only
-  /// member scratch, so after reserve_batch() (or the first call at the
-  /// high-water chunk size) it is allocation-free. Bumps beta_version_ by
-  /// one for the whole chunk; last_update_ph()/last_update_err() are NOT
-  /// valid after a block step — packed-mirror owners must re-copy the block
-  /// (MultiInstanceModel::repack_block) instead of replaying a rank-1 ger.
-  void train_batch_from_hidden(const linalg::Matrix& h,
-                               const linalg::Matrix& t);
-
-  /// Pre-grows the rank-k block-training scratch (Woodbury workspace,
-  /// transpose/residual/delta buffers) for chunks of up to `max_rows`
-  /// samples, so the first train_batch_from_hidden() after initial training
-  /// already runs allocation-free.
-  void reserve_batch(std::size_t max_rows);
-
   /// y = prediction for x. `y` must have length output_dim(). The hidden
   /// activation lives on the stack (heap only for unusually wide hidden
   /// layers), so concurrent predict() calls on a frozen model never share
@@ -111,8 +84,8 @@ class OsElm {
   const linalg::Matrix& p() const { return p_; }
 
   /// Monotone counter bumped on every mutation of beta (init, sequential
-  /// and batch training, reset, restore). Ensemble owners that keep a
-  /// packed mirror of beta use it to detect when a block must be re-packed.
+  /// training, reset, restore). Ensemble owners that keep a packed mirror
+  /// of beta use it to detect when a block must be re-packed.
   std::uint64_t beta_version() const { return beta_version_; }
 
   /// Rank-1 factors of the most recent sequential train step:
@@ -154,11 +127,6 @@ class OsElm {
   std::vector<double> h_scratch_;
   std::vector<double> ph_scratch_;
   std::vector<double> err_scratch_;
-  // Block-update intermediates, reused across train_batch() /
-  // train_batch_from_hidden() calls (grow-only; pre-grown by
-  // reserve_batch() for the allocation-free chunked path).
-  linalg::WoodburyWorkspace woodbury_ws_;
-  linalg::Matrix batch_resid_;  ///< T - H beta: k x output_dim.
 };
 
 }  // namespace edgedrift::oselm

@@ -49,16 +49,10 @@ constexpr std::size_t kCoalesceMinStreams = 2;
 
 bool PipelineManager::coalesce_eligible(const Stream& s) const {
   // Residency and the pipeline pointer are stable while the caller holds
-  // the stream's scheduled flag: eviction requires !scheduled. With the
-  // default per-sample training (train_chunk <= 1) a stream mid-recovery
-  // drains per-stream, keeping the sequential path's exact update order;
-  // with chunked training opted in, recovery consumes whole bursts through
-  // the bucketed rank-k path, so the stream stays inside the mega-batch
-  // group and keeps reusing the shared-projection GEMM rows.
+  // the stream's scheduled flag: eviction requires !scheduled. A stream
+  // mid-recovery trains one row at a time, so it drains per-stream.
   return s.residency == Stream::Residency::kHot && s.pipeline != nullptr &&
-         s.pipeline->fitted() &&
-         (!s.pipeline->recovering() ||
-          s.pipeline->config().train_chunk > 1) &&
+         s.pipeline->fitted() && !s.pipeline->recovering() &&
          s.head.load() != s.tail.load();
 }
 

@@ -105,7 +105,6 @@ void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
   batch_ws_.reserve(config_.max_batch_rows, config_.input_dim,
                     config_.hidden_dim, config_.num_labels, config_.numerics);
   chunk_preds_.reserve(config_.max_batch_rows);
-  if (config_.train_chunk > 1) reserve_chunk_train();
 
   if (config_.theta_error <= 0.0) {
     // Auto-calibrate the anomaly gate from the training scores: a window
@@ -168,7 +167,7 @@ PipelineStep Pipeline::process(std::span<const double> x, int true_label) {
     score_rows(linalg::ConstMatrixView(x), nullptr, {&pred, 1});
     step = frozen_step(x, pred, true_label);
   } else {
-    recover(linalg::ConstMatrixView(x), nullptr, 0, &step);
+    step = recover(x);
   }
   return step;
 }
@@ -197,7 +196,8 @@ void Pipeline::process_rows(linalg::ConstMatrixView x,
   std::size_t i = 0;
   while (i < n) {
     if (!model_frozen()) {
-      i += recover(x, hidden, i, steps + i);
+      steps[i] = recover(x.row(i));
+      ++i;
       continue;
     }
     // While frozen, predictions are a pure per-sample function of the
@@ -319,168 +319,67 @@ void Pipeline::record_drift_event(const drift::Detection& detection) {
                            action, distances);
 }
 
-std::size_t Pipeline::recover(linalg::ConstMatrixView x,
-                              const linalg::ConstMatrixView* hidden,
-                              std::size_t row, PipelineStep* out) {
+PipelineStep Pipeline::recover(std::span<const double> x) {
   const auto& rc = config_.reconstruction;
   const bool reconstructing = state_ == RecoveryState::kReconstructing;
-  // kRecalibrating retrains without the coordinate search. A freshly reset
-  // model scores every sample identically, so self-labelling would collapse
-  // onto one label; bootstrap by training the instance nearest (L1) to the
-  // sample among the recovery centroids — the same supervision-free trick
-  // as reconstruction's train-nearest phase — then switch to self-labelled
-  // training once the instances have separated.
-  const std::size_t bootstrap = rc.n_search + rc.n_update;
-  const bool recal_bootstrap = !reconstructing && recal_count_ < bootstrap;
-  const auto nearest_recal = [&](std::span<const double> v) {
+  const std::uint64_t obs_t0 = obs_enabled_ ? obs::now_ns() : 0;
+  // start_recovery() already took the private copy; this is the owner check.
+  model::MultiInstanceModel& model = model_for_write();
+
+  PipelineStep step;
+  step.reconstructing = true;
+  bool finished = false;
+  if (reconstructing) {
+    // Report the model's current prediction so accuracy accounting stays
+    // per-sample.
+    finished = !reconstructor_.step(x, model, batch_ws_);
+    step.prediction = model.predict(x, batch_ws_);
+  } else if (recal_count_ < rc.n_search + rc.n_update) {
+    // kRecalibrating retrains without the coordinate search. A freshly
+    // reset model scores every sample identically, so self-labelling would
+    // collapse onto one label; bootstrap by training the instance nearest
+    // (L1) to the sample among the recovery centroids — the same
+    // supervision-free trick as reconstruction's train-nearest phase — then
+    // switch to self-labelled training once the instances have separated.
     std::size_t nearest = 0;
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < recal_.centroids.rows(); ++c) {
-      const double d = linalg::l1_distance(recal_.centroids.row(c), v);
+      const double d = linalg::l1_distance(recal_.centroids.row(c), x);
       if (d < best) {
         best = d;
         nearest = c;
       }
     }
-    return nearest;
-  };
-  const std::uint64_t obs_t0 = obs_enabled_ ? obs::now_ns() : 0;
-  // start_recovery() already took the private copy; this is the owner check.
-  model::MultiInstanceModel& model = model_for_write();
-
-  // Chunked training: the rows the current recovery sub-phase can absorb
-  // without straddling a phase boundary or performing a finishing sample.
-  // Those flow through the per-sample path, so completion semantics and the
-  // order-sensitive coordinate recursions are untouched.
-  std::size_t take = std::min(
-      {config_.train_chunk, config_.max_batch_rows, x.rows() - row});
-  if (take >= 2) {
-    if (reconstructing) {
-      const std::size_t c0 = reconstructor_.count() + 1;
-      const std::size_t half = rc.n_total / 2;
-      take = c0 < rc.n_update || c0 >= rc.n_total
-                 ? 0
-                 : std::min(take, (c0 < half ? half : rc.n_total) - c0);
-    } else {
-      take = std::min(
-          take, (recal_bootstrap ? bootstrap : rc.n_total) - recal_count_);
-    }
+    model.train_label(x, nearest);
+    step.prediction = model.predict(x, batch_ws_);
+  } else {
+    step.prediction = model.train_closest(x, batch_ws_);
   }
 
-  linalg::ConstMatrixView xc{x, row, row + 1};
-  model::Prediction single;
-  std::span<const model::Prediction> preds{&single, 1};
-  model::ChunkTrainStats tstats;
-  std::size_t consumed = 0;
-  bool finished = false;
-  if (take >= 2) {
-    // Hidden rows for the chunk: the caller's rows when supplied, else
-    // projected per row through the scalar kernel — at chunk sizes in the
-    // single digits the batch GEMM's per-call packing costs more than the
-    // projection itself, and the two are bit-identical row by row.
-    xc = {x, row, row + take};
-    if (hidden == nullptr) {
-      batch_ws_.hidden.resize_discard(take, config_.hidden_dim);
-      for (std::size_t r = 0; r < take; ++r) {
-        model.projection()->hidden(xc.row(r), batch_ws_.hidden.row(r));
-      }
-    }
-    const linalg::ConstMatrixView hc =
-        hidden != nullptr ? linalg::ConstMatrixView{*hidden, row, row + take}
-                          : linalg::ConstMatrixView{batch_ws_.hidden, 0, take};
-    chunk_preds_.resize(take);
-    if (chunk_labels_.size() < take) chunk_labels_.resize(take);
-    const std::span<model::Prediction> chunk{chunk_preds_.data(), take};
-    const std::span<std::size_t> labels{chunk_labels_.data(), take};
-    // hc may view batch_ws_.hidden: the scoring core never writes it when
-    // hidden rows are supplied.
-    const auto predict_chunk = [&] {
-      model.predict_batch(xc, batch_ws_, chunk, &hc);
-    };
-    if (reconstructing) {
-      consumed = reconstructor_.train_chunk(xc, hc, model, batch_ws_, chunk,
-                                            labels, &tstats);
-      EDGEDRIFT_DASSERT(consumed == 0 || consumed == take,
-                        "chunk eligibility disagreement");
-      // Post-train predictions, mirroring the per-sample predict-after-step.
-      if (consumed > 0) predict_chunk();
-    } else {
-      // Bootstrap labels the whole chunk against the chunk-start recovery
-      // centroids (per sample they move every row) and reports post-train
-      // predictions. Self-labelling trains on, and reports, the pre-train
-      // winners (the train_closest contract).
-      if (recal_bootstrap) {
-        for (std::size_t r = 0; r < take; ++r) {
-          labels[r] = nearest_recal(xc.row(r));
-        }
-        tstats = model.train_buckets_from_hidden(xc, hc, labels, batch_ws_);
-        predict_chunk();
-      } else {
-        predict_chunk();
-        for (std::size_t r = 0; r < take; ++r) labels[r] = chunk[r].label;
-        tstats = model.train_buckets_from_hidden(xc, hc, labels, batch_ws_);
-      }
-      consumed = take;
-    }
-    preds = {chunk.data(), consumed};
+  const std::size_t label = step.prediction.label;
+  if (tracker_enabled_) update_tracker(label, x);
+  if (!reconstructing) {
+    linalg::running_mean_update(recal_.centroids.row(label), x,
+                                recal_.counts[label]);
+    ++recal_.counts[label];
+    ++recal_count_;
+    finished = recal_count_ >= rc.n_total;
   }
-  if (consumed == 0) {
-    // The exact per-sample path. While reconstructing, report the model's
-    // current prediction so accuracy accounting stays per-sample.
-    const std::span<const double> xr = xc.row(0);
-    if (reconstructing) {
-      finished = !reconstructor_.step(xr, model, batch_ws_);
-      single = model.predict(xr, batch_ws_);
-    } else if (recal_bootstrap) {
-      model.train_label(xr, nearest_recal(xr));
-      single = model.predict(xr, batch_ws_);
-    } else {
-      single = model.train_closest(xr, batch_ws_);
-    }
-    consumed = 1;
-    preds = {&single, 1};
-  }
-
-  for (std::size_t r = 0; r < consumed; ++r) {
-    const std::size_t label = preds[r].label;
-    out[r] = PipelineStep{};
-    out[r].reconstructing = true;
-    out[r].prediction = preds[r];
-    if (tracker_enabled_) update_tracker(label, xc.row(r));
-    if (!reconstructing) {
-      linalg::running_mean_update(recal_.centroids.row(label), xc.row(r),
-                                  recal_.counts[label]);
-      ++recal_.counts[label];
-      ++recal_count_;
-    }
-  }
-  // A chunk stops short of a reconstruction's finishing sample and exactly
-  // at a recalibration's n_total, so completion lands on the last row.
-  if (!reconstructing) finished = recal_count_ >= rc.n_total;
   if (finished) {
     if (reconstructing) {
       finish_reconstruction();
     } else {
       finish_recalibration();
     }
-    out[consumed - 1].reconstruction_finished = true;
+    step.reconstruction_finished = true;
   }
 
   obs::Counters& counters = obs_->counters;
-  counters.add_samples(consumed);
-  counters.add_recovery_samples(consumed);
-  if (tstats.rows > 0) {
-    counters.add_chunk_trains(tstats.buckets);
-    counters.add_chunk_train_rows(tstats.rows);
-    if (tstats.replica_refreshes > 0) {
-      counters.add_requants_saved(tstats.rows - tstats.replica_refreshes);
-    }
-  }
-  if (obs_enabled_) {
-    obs_->reconstruct.record((obs::now_ns() - obs_t0) / consumed);
-  }
-  obs_tick_ += consumed;
-  return consumed;
+  counters.add_samples();
+  counters.add_recovery_sample();
+  if (obs_enabled_) obs_->reconstruct.record(obs::now_ns() - obs_t0);
+  ++obs_tick_;
+  return step;
 }
 
 void Pipeline::start_recovery() {
@@ -586,25 +485,8 @@ model::MultiInstanceModel& Pipeline::model_for_write() {
   // write a private copy instead. The copy shares the immutable projection.
   if (model_.use_count() != 1) {
     model_ = std::make_shared<model::MultiInstanceModel>(*model_);
-    if (config_.train_chunk > 1) reserve_chunk_train();
   }
   return *model_;
-}
-
-void Pipeline::reserve_chunk_train() {
-  // Chunked training scratch: every instance's Woodbury workspace and
-  // rank-k buffers plus the bucket gather scratch, pre-grown so a chunked
-  // drain honors the steady-state allocation-free contract from its very
-  // first recovery chunk (pinned by tests/test_allocation_free.cpp).
-  const std::size_t chunk =
-      std::min(config_.train_chunk, config_.max_batch_rows);
-  if (model_.use_count() == 1) {
-    model_->reserve_chunk_train(chunk, batch_ws_);
-  } else {
-    batch_ws_.reserve_chunk_train(chunk, config_.input_dim,
-                                  config_.hidden_dim, config_.num_labels);
-  }
-  chunk_labels_.resize(chunk);
 }
 
 std::size_t Pipeline::memory_bytes() const {

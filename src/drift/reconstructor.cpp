@@ -80,60 +80,6 @@ bool Reconstructor::step(std::span<const double> x,
   return true;
 }
 
-std::size_t Reconstructor::train_chunk(linalg::ConstMatrixView x,
-                                       linalg::ConstMatrixView h,
-                                       model::MultiInstanceModel& model,
-                                       model::BatchWorkspace& ws,
-                                       std::span<model::Prediction> preds,
-                                       std::span<std::size_t> labels,
-                                       model::ChunkTrainStats* stats) {
-  EDGEDRIFT_ASSERT(active(), "train_chunk() without begin()");
-  EDGEDRIFT_ASSERT(x.cols() == coords_.cols(), "chunk dim mismatch");
-  EDGEDRIFT_ASSERT(preds.size() >= x.rows() && labels.size() >= x.rows(),
-                   "chunk scratch too small");
-  // c0 is the Algorithm 2 count the first row would get from step()'s
-  // pre-increment. Only the training phases chunk; the coordinate phases
-  // are order-sensitive sequential recursions and the N-th (finishing)
-  // sample must flow through step() so completion reporting is unchanged.
-  const std::size_t c0 = count_ + 1;
-  if (c0 >= config_.n_total || c0 < config_.n_update) return 0;
-  const std::size_t half = config_.n_total / 2;
-  const bool nearest_phase = c0 < half;
-  const std::size_t cap = (nearest_phase ? half : config_.n_total) - c0;
-  const std::size_t take = std::min(x.rows(), cap);
-  if (take < 2) return 0;  // A 1-row "chunk" is just a worse rank-1 step.
-  const linalg::ConstMatrixView xc(x, 0, take), hc(h, 0, take);
-  if (nearest_phase) {
-    // Coordinates are frozen in the training phases, so per-row nearest()
-    // matches the sequential loop exactly.
-    for (std::size_t r = 0; r < take; ++r) {
-      labels[r] = steps::nearest_row<double>(coords_.flat(), xc.row(r));
-    }
-  } else {
-    // Self-labeling: the whole chunk predicts against the pre-chunk model
-    // (sequentially, row r would see the model trained through row r-1 —
-    // the chunked-training approximation).
-    model.predict_batch(xc, ws, preds.subspan(0, take), &hc);
-    for (std::size_t r = 0; r < take; ++r) labels[r] = preds[r].label;
-  }
-  const model::ChunkTrainStats done = model.train_buckets_from_hidden(
-      xc, hc, std::span<const std::size_t>(labels.data(), take), ws);
-  if (stats != nullptr) {
-    stats->rows += done.rows;
-    stats->buckets += done.buckets;
-    stats->replica_refreshes += done.replica_refreshes;
-  }
-  // Equation 1 Welford statistics, per row in stream order against the
-  // frozen coordinates — identical accumulation chain to the sequential
-  // loop (only the trained model differs).
-  for (std::size_t r = 0; r < take; ++r) {
-    distances_.add(linalg::l1_distance(xc.row(r), coords_.row(labels[r])));
-  }
-  count_ += take;
-  phase_ = steps::phase_at(count_, config_);
-  return take;
-}
-
 void Reconstructor::permute(std::span<const std::size_t> perm) {
   EDGEDRIFT_ASSERT(perm.size() == coords_.rows(), "permutation arity");
   steps::permute_rows(coords_.flat(), coords_.cols(), perm);

@@ -308,7 +308,6 @@ std::optional<core::Pipeline> load_pipeline(
     effective.reconstruction = runtime->reconstruction;
     effective.obs = runtime->obs;
     effective.max_batch_rows = runtime->max_batch_rows;
-    effective.train_chunk = runtime->train_chunk;
   }
   std::optional<core::Pipeline> pipeline;
   if (model_template != nullptr &&

@@ -1,6 +1,7 @@
 #include "edgedrift/linalg/updates.hpp"
 
 #include <cmath>
+#include <optional>
 #include <vector>
 
 #include "edgedrift/linalg/gemm.hpp"
@@ -72,123 +73,20 @@ bool oselm_p_update(Matrix& p, std::span<const double> h, double alpha,
   return true;
 }
 
-namespace {
-
-/// In-place LU with partial pivoting on the k x k Woodbury core — the same
-/// pivot selection and elimination arithmetic as solve.cpp's lu_factor, but
-/// factoring the workspace matrix itself and recording pivots into the
-/// workspace array, so repeated block updates stay heap-free.
-bool factor_core_in_place(Matrix& a, std::vector<std::size_t>& piv) {
-  const std::size_t n = a.rows();
-  if (piv.size() < n) piv.resize(n);
-  for (std::size_t i = 0; i < n; ++i) piv[i] = i;
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t pivot = k;
-    double best = std::abs(a(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double v = std::abs(a(i, k));
-      if (v > best) {
-        best = v;
-        pivot = i;
-      }
-    }
-    if (best < 1e-13) return false;
-    if (pivot != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(pivot, j));
-      std::swap(piv[k], piv[pivot]);
-    }
-    const double inv_diag = 1.0 / a(k, k);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double factor = a(i, k) * inv_diag;
-      a(i, k) = factor;
-      if (factor == 0.0) continue;
-      for (std::size_t j = k + 1; j < n; ++j) a(i, j) -= factor * a(k, j);
-    }
-  }
-  return true;
-}
-
-/// Solves (LU) X = B for every column of B into X (k x m each), using the
-/// factorization and pivots produced by factor_core_in_place. Same forward/
-/// backward substitution chain as solve.cpp's lu_solve, column-major over B.
-void solve_core_in_place(const Matrix& lu, std::span<const std::size_t> piv,
-                         const Matrix& b, Matrix& x) {
-  const std::size_t n = lu.rows();
-  x.resize_discard(n, b.cols());
-  for (std::size_t c = 0; c < b.cols(); ++c) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = b(piv[i], c);
-      for (std::size_t j = 0; j < i; ++j) acc -= lu(i, j) * x(j, c);
-      x(i, c) = acc;
-    }
-    for (std::size_t ii = n; ii-- > 0;) {
-      double acc = x(ii, c);
-      for (std::size_t j = ii + 1; j < n; ++j) acc -= lu(ii, j) * x(j, c);
-      x(ii, c) = acc / lu(ii, ii);
-    }
-  }
-}
-
-}  // namespace
-
-bool woodbury_update(Matrix& p, const Matrix& u, const Matrix& v,
-                     WoodburyWorkspace& ws) {
+bool woodbury_update(Matrix& p, const Matrix& u, const Matrix& v) {
   const std::size_t n = p.rows();
   const std::size_t k = u.cols();
   EDGEDRIFT_ASSERT(p.cols() == n, "P must be square");
   EDGEDRIFT_ASSERT(u.rows() == n && v.rows() == n && v.cols() == k,
                    "woodbury shape mismatch");
   // PU: n x k, core = I + V^T P U: k x k.
-  matmul_into(p, u, ws.pu);
-  matmul_at_b_into(v, ws.pu, ws.core);
-  for (std::size_t i = 0; i < k; ++i) ws.core(i, i) += 1.0;
-  // Factor the tiny core in place (allocation-free; same arithmetic as the
-  // general lu_factor) — the chunked training path runs this per bucket
-  // inside the steady-state allocation contract.
-  if (!factor_core_in_place(ws.core, ws.piv)) return false;
-  // P -= PU * core^-1 * (V^T P) = PU * core^-1 * (P^T V)^T.
-  matmul_at_b_into(v, p, ws.vtp);                              // k x n
-  solve_core_in_place(ws.core, ws.piv, ws.vtp, ws.core_inv_vtp);
-  matmul_into(ws.pu, ws.core_inv_vtp, ws.delta);               // n x n
-  p -= ws.delta;
-  return true;
-}
-
-bool woodbury_update(Matrix& p, const Matrix& u, const Matrix& v) {
-  WoodburyWorkspace ws;
-  return woodbury_update(p, u, v, ws);
-}
-
-bool woodbury_update_sym(Matrix& p, const Matrix& h, WoodburyWorkspace& ws) {
-  const std::size_t n = p.rows();
-  const std::size_t k = h.rows();
-  EDGEDRIFT_ASSERT(p.cols() == n, "P must be square");
-  EDGEDRIFT_ASSERT(h.cols() == n, "woodbury_sym shape mismatch");
-  // W = H P: one symmetric matvec per chunk row (P h_r == (h_r^T P)^T, the
-  // same trick oselm_p_update uses). At k in the single digits this beats
-  // the GEMM path, whose per-call B-packing dominates edge-sized shapes.
-  ws.w.resize_discard(k, n);
-  for (std::size_t r = 0; r < k; ++r) matvec(p, h.row(r), ws.w.row(r));
-  // core = I + H W^T: every entry a contiguous row-dot, symmetric since P
-  // is — fill the upper triangle and mirror.
-  ws.core.resize_discard(k, k);
-  for (std::size_t r = 0; r < k; ++r) {
-    ws.core(r, r) = 1.0 + dot(h.row(r), ws.w.row(r));
-    for (std::size_t s = r + 1; s < k; ++s) {
-      const double c = dot(h.row(r), ws.w.row(s));
-      ws.core(r, s) = c;
-      ws.core(s, r) = c;
-    }
-  }
-  if (!factor_core_in_place(ws.core, ws.piv)) return false;
-  // M = core^-1 W, then P -= W^T M as k fused rank-1 passes. Because both P
-  // and the core are symmetric, M^T = P H^T core^-1 = P_new H^T — exported
-  // to the caller through ws.m so the OS-ELM beta update never forms
-  // P_new H^T itself.
-  solve_core_in_place(ws.core, ws.piv, ws.w, ws.m);
-  for (std::size_t r = 0; r < k; ++r) {
-    ger(p, -1.0, ws.w.row(r), ws.m.row(r));
-  }
+  const Matrix pu = matmul(p, u);
+  Matrix core = matmul_at_b(v, pu);
+  for (std::size_t i = 0; i < k; ++i) core(i, i) += 1.0;
+  const std::optional<LuFactorization> lu = lu_factor(core);
+  if (!lu.has_value()) return false;
+  // P -= PU * core^-1 * (V^T P).
+  p -= matmul(pu, lu_solve_matrix(*lu, matmul_at_b(v, p)));
   return true;
 }
 

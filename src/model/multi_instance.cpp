@@ -257,65 +257,6 @@ void MultiInstanceModel::train_label(std::span<const double> x,
   sync_block_after_train(label);
 }
 
-ChunkTrainStats MultiInstanceModel::train_buckets_from_hidden(
-    linalg::ConstMatrixView x, linalg::ConstMatrixView h,
-    std::span<const std::size_t> labels, BatchWorkspace& ws) {
-  EDGEDRIFT_ASSERT(instances_.front().initialized(),
-                   "train_buckets_from_hidden() before initialization");
-  EDGEDRIFT_ASSERT(x.cols() == input_dim(), "chunk feature dim mismatch");
-  EDGEDRIFT_ASSERT(h.rows() == x.rows() && h.cols() == hidden_dim(),
-                   "chunk hidden shape mismatch");
-  EDGEDRIFT_ASSERT(labels.size() == x.rows(), "chunk label count mismatch");
-  ChunkTrainStats stats;
-  const std::size_t rows = x.rows();
-  if (rows == 0) return stats;
-  if (ws.bucket_counts.size() < num_labels()) {
-    ws.bucket_counts.resize(num_labels());
-  }
-  std::fill(ws.bucket_counts.begin(), ws.bucket_counts.begin() + num_labels(),
-            std::size_t{0});
-  for (const std::size_t l : labels) {
-    EDGEDRIFT_ASSERT(l < num_labels(), "chunk label out of range");
-    ++ws.bucket_counts[l];
-  }
-  const std::size_t n = input_dim();
-  for (std::size_t c = 0; c < num_labels(); ++c) {
-    const std::size_t m = ws.bucket_counts[c];
-    if (m == 0) continue;
-    // Gather the bucket's rows in stream order; the rank-k update absorbs
-    // them all at once (order within the bucket only matters for the exact-
-    // arithmetic equivalence argument, not the block algebra itself).
-    ws.bucket_h.resize_discard(m, hidden_dim());
-    ws.bucket_t.resize_discard(m, n);
-    std::size_t cursor = 0;
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (labels[r] != c) continue;
-      ws.bucket_h.set_row(cursor, h.row(r));
-      ws.bucket_t.set_row(cursor, x.row(r));
-      ++cursor;
-    }
-    instances_[c].train_batch_from_hidden(ws.bucket_h, ws.bucket_t);
-    // The block step invalidates the rank-1 replay factors, so the packed
-    // mirror takes a full block copy — and the tier replica one refresh per
-    // BUCKET instead of one per sample, the i8 training-cost amortization.
-    repack_block(c);
-    if (tier_ != linalg::NumericsTier::kExactF64) {
-      refresh_replica_block(c);
-      ++stats.replica_refreshes;
-    }
-    stats.rows += m;
-    ++stats.buckets;
-  }
-  return stats;
-}
-
-void MultiInstanceModel::reserve_chunk_train(std::size_t chunk,
-                                             BatchWorkspace& ws) {
-  if (chunk == 0) return;
-  for (auto& inst : instances_) inst.reserve_batch(chunk);
-  ws.reserve_chunk_train(chunk, input_dim(), hidden_dim(), num_labels());
-}
-
 void MultiInstanceModel::reset() {
   for (auto& inst : instances_) inst.reset();
   repack_ensemble();

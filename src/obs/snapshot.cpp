@@ -74,17 +74,14 @@ std::string Snapshot::to_text() const {
 
   util::Table counters({"Stream", "samples", "drifts", "recoveries",
                         "recovery-samples", "windows", "batch-chunks",
-                        "batch-rows", "chunk-upd", "chunk-rows",
-                        "requant-saved", "rejected", "ring-hw"});
+                        "batch-rows", "rejected", "ring-hw"});
   const auto add_counter_row = [&](std::string label,
                                    const CounterSnapshot& c) {
     counters.add_row({std::move(label), fmt_u64(c.samples),
                       fmt_u64(c.drifts), fmt_u64(c.recoveries),
                       fmt_u64(c.recovery_samples), fmt_u64(c.windows_opened),
                       fmt_u64(c.batch_chunks), fmt_u64(c.batch_rows),
-                      fmt_u64(c.chunk_trains), fmt_u64(c.chunk_train_rows),
-                      fmt_u64(c.requants_saved), fmt_u64(c.rejected),
-                      fmt_u64(c.ring_high_water)});
+                      fmt_u64(c.rejected), fmt_u64(c.ring_high_water)});
   };
   for (const StreamSnapshot& s : streams) {
     add_counter_row(std::to_string(s.stream_id), s.counters);
@@ -168,7 +165,7 @@ std::string Snapshot::to_text() const {
 std::string Snapshot::to_json(std::string_view source) const {
   std::string out;
   out += "{\n";
-  out += "  \"schema\": \"edgedrift-obs-v2\",\n";
+  out += "  \"schema\": \"edgedrift-obs-v3\",\n";
   out += "  \"binary\": \"" + std::string(source) + "\",\n";
   out += "  \"simd\": \"" + std::string(linalg::simd::kLevelName) + "\",\n";
   out += "  \"streams\": [\n";
@@ -182,13 +179,11 @@ std::string Snapshot::to_json(std::string_view source) const {
         "      \"counters\": {\"samples\": %" PRIu64 ", \"drifts\": %" PRIu64
         ", \"recoveries\": %" PRIu64 ", \"recovery_samples\": %" PRIu64
         ",\n        \"windows_opened\": %" PRIu64 ", \"batch_chunks\": %" PRIu64
-        ", \"batch_rows\": %" PRIu64 ", \"chunk_trains\": %" PRIu64
-        ",\n        \"chunk_train_rows\": %" PRIu64
-        ", \"requants_saved\": %" PRIu64 ", \"rejected\": %" PRIu64
+        ", \"batch_rows\": %" PRIu64 ",\n        \"rejected\": %" PRIu64
         ", \"ring_high_water\": %" PRIu64 "},\n",
         s.stream_id, c.samples, c.drifts, c.recoveries, c.recovery_samples,
-        c.windows_opened, c.batch_chunks, c.batch_rows, c.chunk_trains,
-        c.chunk_train_rows, c.requants_saved, c.rejected, c.ring_high_water);
+        c.windows_opened, c.batch_chunks, c.batch_rows, c.rejected,
+        c.ring_high_water);
     out += buf;
     out += "      \"latency\": {\n";
     append_histogram_json(out, "submit_to_drain", s.submit_to_drain, false);

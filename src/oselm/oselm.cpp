@@ -104,59 +104,6 @@ void OsElm::train_on_hidden(std::span<const double> t) {
   ++samples_seen_;
 }
 
-void OsElm::train_batch(const linalg::Matrix& x, const linalg::Matrix& t) {
-  EDGEDRIFT_ASSERT(initialized_, "train_batch() before initialization");
-  EDGEDRIFT_ASSERT(x.rows() == t.rows(), "X/T row mismatch");
-  EDGEDRIFT_ASSERT(x.cols() == input_dim(), "X feature dim mismatch");
-  if (x.rows() == 0) return;
-  const linalg::Matrix h = projection_->hidden_batch(x);
-  train_batch_from_hidden(h, t);
-}
-
-void OsElm::train_batch_from_hidden(const linalg::Matrix& h,
-                                    const linalg::Matrix& t) {
-  EDGEDRIFT_ASSERT(initialized_,
-                   "train_batch_from_hidden() before initialization");
-  EDGEDRIFT_ASSERT(h.rows() == t.rows(), "H/T row mismatch");
-  EDGEDRIFT_ASSERT(h.cols() == hidden_dim(), "H hidden dim mismatch");
-  EDGEDRIFT_ASSERT(t.cols() == output_dim(), "T target dim mismatch");
-  EDGEDRIFT_ASSERT(config_.forgetting_factor == 1.0,
-                   "block update requires forgetting_factor == 1");
-  const std::size_t k = h.rows();
-  if (k == 0) return;
-  // resid = T - H beta with the PRE-update beta, one row at a time through
-  // the same matvec_transposed kernel the per-sample path uses (beta^T h_r).
-  // Must run before the P update below.
-  batch_resid_.resize_discard(k, output_dim());
-  for (std::size_t r = 0; r < k; ++r) {
-    const std::span<double> resid = batch_resid_.row(r);
-    linalg::matvec_transposed(beta_, h.row(r), resid);
-    const double* EDGEDRIFT_RESTRICT tr = t.data() + r * output_dim();
-    for (std::size_t o = 0; o < output_dim(); ++o) {
-      resid[o] = tr[o] - resid[o];
-    }
-  }
-  // P <- (P^-1 + H^T H)^-1 via the symmetric Woodbury kernel, which takes H
-  // in the row-major layout the drain hands over (no transpose staging) and
-  // leaves M = (P_new H^T)^T in the workspace.
-  const bool ok = linalg::woodbury_update_sym(p_, h, woodbury_ws_);
-  EDGEDRIFT_ASSERT(ok, "Woodbury core singular in block training");
-  // beta <- beta + P_new H^T resid = beta + M^T resid, applied as k fused
-  // rank-1 passes — the n^2 d GEMM the naive form needs is already folded
-  // into the Woodbury solve via the P_new H^T = P H^T core^-1 identity.
-  for (std::size_t r = 0; r < k; ++r) {
-    linalg::ger(beta_, 1.0, woodbury_ws_.m.row(r), batch_resid_.row(r));
-  }
-  samples_seen_ += k;
-  ++beta_version_;
-}
-
-void OsElm::reserve_batch(std::size_t max_rows) {
-  if (max_rows == 0) return;
-  woodbury_ws_.reserve(hidden_dim(), max_rows);
-  batch_resid_.resize_zero(max_rows, output_dim());
-}
-
 void OsElm::predict(std::span<const double> x, std::span<double> y) const {
   EDGEDRIFT_ASSERT(initialized_, "predict() before initialization");
   EDGEDRIFT_ASSERT(x.size() == input_dim(), "x size mismatch");
@@ -209,13 +156,6 @@ std::size_t OsElm::memory_bytes(bool include_projection) const {
                       (h_scratch_.capacity() + ph_scratch_.capacity() +
                        err_scratch_.capacity()) *
                           sizeof(double);
-  bytes += woodbury_ws_.pu.memory_bytes() + woodbury_ws_.core.memory_bytes() +
-           woodbury_ws_.vtp.memory_bytes() +
-           woodbury_ws_.core_inv_vtp.memory_bytes() +
-           woodbury_ws_.delta.memory_bytes() + woodbury_ws_.w.memory_bytes() +
-           woodbury_ws_.m.memory_bytes() +
-           woodbury_ws_.piv.capacity() * sizeof(std::size_t);
-  bytes += batch_resid_.memory_bytes();
   if (include_projection) bytes += projection_->memory_bytes();
   return bytes;
 }

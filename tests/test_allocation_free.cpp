@@ -244,15 +244,15 @@ TEST(AllocationFree, SteadyStateFusedTrainClosestDoesNotAllocate) {
 #endif
 }
 
-TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
+TEST(AllocationFree, BurstRecoveryTrainingDoesNotAllocate) {
 #if defined(EDGEDRIFT_ALLOC_HOOKS_DISABLED)
   GTEST_SKIP() << "allocation hooks disabled under sanitizers";
 #else
-  // The chunked rank-k training path: with train_chunk > 1, fit() pre-grows
-  // the Woodbury workspaces, per-instance block scratch and bucket gather
-  // buffers, so a batched drain consuming recovery training samples in
-  // chunks — winner bucketing, block P/beta updates, packed-block repack —
-  // performs zero heap allocations once warm.
+  // Recovery training fed in drain-shaped bursts: process_rows() takes a
+  // recovering stream's rows one by one through the rank-1 training path
+  // (train the nearest coordinate's instance, then predict), which performs
+  // zero heap allocations once warm — on a fitted pipeline and on a seeded
+  // stream whose first write copied its template's model.
   constexpr std::size_t kDim = 48;
   constexpr std::size_t kHidden = 22;
   constexpr std::size_t kBurst = 8;
@@ -266,7 +266,6 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
   config.reconstruction.n_search = 20;
   config.reconstruction.n_update = 100;
   config.reconstruction.n_total = 400;
-  config.train_chunk = kBurst;
 
   Rng rng(23);
   Matrix train(200, kDim);
@@ -283,8 +282,7 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
 
   // A seeded stream: restored from the fitted pipeline's checkpoint onto a
   // template's model, so its first write at detection makes a private copy
-  // that must reserve the chunk scratch as fit() does. The template loads
-  // without the runtime config (train_chunk 1), so its model has none.
+  // that then trains under the counter.
   auto blob = std::make_shared<std::string>();
   ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, fitted));
   const std::optional<edgedrift::io::ModelTemplate> model_template =
@@ -296,7 +294,7 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
   ASSERT_EQ(&seeded->model(), &model_template->pipeline.model());
 
   // A drifted stream: the same two classes shifted on the even dimensions,
-  // enough rows to detect, cross the coordinate phases and train chunked.
+  // enough rows to detect, cross the coordinate phases and train.
   Matrix post(600, kDim);
   for (std::size_t i = 0; i < post.rows(); ++i) {
     const double mean = i % 2 == 0 ? 0.2 : 1.2;
@@ -316,9 +314,8 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
       at += kBurst;
     };
 
-    // Detect, then warm through the per-sample coordinate phases and the
-    // first few chunked training calls (grow-only buffers reach their
-    // high-water marks; the pre-growth in fit() is what keeps this short).
+    // Detect, then warm through the coordinate phases and the first few
+    // training bursts (grow-only buffers reach their high-water marks).
     while (!pipeline->recovering() && at + kBurst <= post.rows()) feed();
     ASSERT_TRUE(pipeline->reconstructing())
         << "drift must trigger a recovery";
@@ -330,8 +327,8 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
     }
     ASSERT_GE(pipeline->reconstructor().count(), n_update + 3 * kBurst);
 
-    // Measure strictly inside the chunk-trained retraining window (well
-    // short of the n_total/2 phase boundary).
+    // Measure strictly inside phase 3, the train-nearest phase (well short
+    // of the n_total/2 phase boundary).
     constexpr std::size_t kMeasuredBursts = 5;
     ASSERT_LT(pipeline->reconstructor().count() + kMeasuredBursts * kBurst,
               config.reconstruction.n_total / 2);
@@ -341,7 +338,7 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
     g_count_allocs.store(false, std::memory_order_relaxed);
 
     EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
-        << "chunked recovery training must not touch the heap";
+        << "recovery training must not touch the heap";
     ASSERT_TRUE(pipeline->reconstructing())
         << "the measured window must lie inside the recovery";
   }

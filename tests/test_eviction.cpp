@@ -594,17 +594,15 @@ TEST(Eviction, SeededStreamsShareOneTemplateModelAtI8) {
   check_seeded_streams_share(NumericsTier::kQuantI8);
 }
 
-/// Under kReconstruct, one seeded stream drifts. It copies the template's
-/// model at detection and steps bit for bit like its lone reference
-/// through the whole recovery (chunked with train_chunk > 1, since each
-/// drain hands it 8-row blocks); the other streams keep sharing and
-/// scoring exactly. After evict and restore the drifted stream loads its
-/// own model and still matches.
-void check_drifted_stream_copies(std::size_t train_chunk) {
+// Under kReconstruct, one seeded stream drifts. It copies the template's
+// model at detection and steps bit for bit like its lone reference
+// through the whole recovery, although each drain hands it 8-row blocks;
+// the other streams keep sharing and scoring exactly. After evict and
+// restore the drifted stream loads its own model and still matches.
+TEST(Eviction, DriftedSeededStreamCopiesTheTemplateModel) {
   constexpr std::size_t kSeeded = 3;
   constexpr std::size_t kBlock = 8;
-  PipelineConfig config = make_config();
-  config.train_chunk = train_chunk;
+  const PipelineConfig config = make_config();
   ManagerOptions options;
   options.dispatch = DispatchMode::kManual;
   const StreamData data = make_drift_stream(1200);
@@ -651,14 +649,6 @@ void check_drifted_stream_copies(std::size_t train_chunk) {
     SCOPED_TRACE("seeded stream " + std::to_string(first + k));
     expect_steps_equal(st.actual[k], st.expected[k]);
   }
-}
-
-TEST(Eviction, DriftedSeededStreamCopiesTheTemplateModel) {
-  check_drifted_stream_copies(1);
-}
-
-TEST(Eviction, DriftedSeededStreamCopiesTheTemplateModelChunked) {
-  check_drifted_stream_copies(8);
 }
 
 // kShard dispatch with 2 shards and a hot budget of 2 per shard: seeded

@@ -18,7 +18,7 @@
 //    kManual drains coalesce every round (the CI TSan job runs this file;
 //    see .github/workflows/ci.yml). The counters count in every build, so
 //    this runs under EDGEDRIFT_NO_OBS too.
-//  - Exporters: the edgedrift-obs-v2 JSON carries every counter of every
+//  - Exporters: the edgedrift-obs-v3 JSON carries every counter of every
 //    stream by name with the value stats(id) returns, across an
 //    evict/restore cycle, and the text table's total row is
 //    stats().totals().
@@ -464,7 +464,7 @@ TEST(ObsConcurrency, StatsSnapshotsStayCoherentUnderLoad) {
 
 // ---------------------------------------------------------------- exporters
 
-/// The 12 counters by the name the JSON export gives them, in the column
+/// The 9 counters by the name the JSON export gives them, in the column
 /// order of the text table.
 const std::pair<const char*, std::uint64_t obs::CounterSnapshot::*>
     kCounterFields[] = {
@@ -475,9 +475,6 @@ const std::pair<const char*, std::uint64_t obs::CounterSnapshot::*>
         {"windows_opened", &obs::CounterSnapshot::windows_opened},
         {"batch_chunks", &obs::CounterSnapshot::batch_chunks},
         {"batch_rows", &obs::CounterSnapshot::batch_rows},
-        {"chunk_trains", &obs::CounterSnapshot::chunk_trains},
-        {"chunk_train_rows", &obs::CounterSnapshot::chunk_train_rows},
-        {"requants_saved", &obs::CounterSnapshot::requants_saved},
         {"rejected", &obs::CounterSnapshot::rejected},
         {"ring_high_water", &obs::CounterSnapshot::ring_high_water},
 };
@@ -538,7 +535,7 @@ TEST(ObsExport, JsonAndTextCarryTheCounterBook) {
 
   const obs::Snapshot snap = manager.stats();
   const std::string json = snap.to_json("test_obs");
-  EXPECT_NE(json.find("\"schema\": \"edgedrift-obs-v2\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"edgedrift-obs-v3\""), std::string::npos);
   for (std::size_t id = 0; id < 2; ++id) {
     SCOPED_TRACE("stream " + std::to_string(id));
     const std::size_t at = json.find("\"id\": " + std::to_string(id) +

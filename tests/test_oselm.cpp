@@ -108,24 +108,6 @@ TEST(OsElm, SequentialEqualsBatchTraining) {
   EXPECT_EQ(sequential.samples_seen(), batch.samples_seen());
 }
 
-TEST(OsElm, BlockUpdateEqualsRankOneUpdates) {
-  Rng rng(5);
-  auto proj = make_projection(4, 9, Activation::kTanh, rng);
-  const Matrix x = Matrix::random_gaussian(50, 4, rng);
-  const Matrix t = Matrix::random_gaussian(50, 2, rng);
-
-  OsElm rank1(proj, small_config(2));
-  rank1.init_train(x.slice_rows(0, 30), t.slice_rows(0, 30));
-  for (std::size_t i = 30; i < 50; ++i) rank1.train(x.row(i), t.row(i));
-
-  OsElm block(proj, small_config(2));
-  block.init_train(x.slice_rows(0, 30), t.slice_rows(0, 30));
-  block.train_batch(x.slice_rows(30, 50), t.slice_rows(30, 50));
-
-  EXPECT_LT(Matrix::max_abs_diff(rank1.beta(), block.beta()), 1e-7);
-  EXPECT_LT(Matrix::max_abs_diff(rank1.p(), block.p()), 1e-7);
-}
-
 TEST(OsElm, PureSequentialLearnsLinearMap) {
   // Start from the data-free prior and learn y = W x with identity
   // activation (ELM degenerates to recursive ridge regression).

@@ -23,47 +23,35 @@ struct Trace {
 
 Trace run_trace(const core::PipelineConfig& base,
                 linalg::NumericsTier tier, const data::Dataset& train,
-                const data::Dataset& test, bool record_margins,
-                std::size_t burst) {
+                const data::Dataset& test, bool record_margins) {
   core::PipelineConfig config = base;
   config.numerics = tier;
   core::Pipeline pipeline(config);
   pipeline.fit(train.x, train.labels);
-  if (burst == 0) burst = 1;
 
   Trace t;
   t.theta_error = pipeline.theta_error();
   t.labels.reserve(test.size());
   model::BatchWorkspace ws;
   if (record_margins) t.margins.reserve(test.size());
-  std::vector<core::PipelineStep> steps;
-  for (std::size_t at = 0; at < test.size(); at += burst) {
-    const std::size_t take = std::min(burst, test.size() - at);
+  for (std::size_t i = 0; i < test.size(); ++i) {
     if (record_margins) {
-      // Margins are consumed only inside the shared-trajectory window,
-      // where the model is frozen — scoring the whole burst before
-      // processing it equals scoring each row just before its own step.
-      pipeline.model().score_batch({test.x, at, at + take}, ws);
-      for (std::size_t r = 0; r < take; ++r) {
-        const std::span<const double> scores = ws.scores.row(r);
-        const double best = *std::min_element(scores.begin(), scores.end());
-        double second = std::numeric_limits<double>::infinity();
-        for (const double s : scores) {
-          if (s > best && s < second) second = s;
-        }
-        if (!std::isfinite(second)) second = best;  // All scores tied.
-        t.margins.push_back((second - best) / std::max(best, 1e-12));
+      pipeline.model().score_batch(linalg::ConstMatrixView(test.x.row(i)),
+                                   ws);
+      const std::span<const double> scores = ws.scores.row(0);
+      const double best = *std::min_element(scores.begin(), scores.end());
+      double second = std::numeric_limits<double>::infinity();
+      for (const double s : scores) {
+        if (s > best && s < second) second = s;
       }
+      if (!std::isfinite(second)) second = best;  // All scores tied.
+      t.margins.push_back((second - best) / std::max(best, 1e-12));
     }
-    steps.clear();
-    pipeline.process_rows({test.x, at, at + take},
-                          std::span<const int>(test.labels).subspan(at, take),
-                          steps);
-    for (std::size_t i = 0; i < take; ++i) {
-      t.labels.push_back(steps[i].prediction.label);
-      if (steps[i].drift_detected) t.drifts.push_back(at + i);
-      t.recoveries += steps[i].reconstruction_finished;
-    }
+    const core::PipelineStep step =
+        pipeline.process(test.x.row(i), test.labels[i]);
+    t.labels.push_back(step.prediction.label);
+    if (step.drift_detected) t.drifts.push_back(i);
+    t.recoveries += step.reconstruction_finished;
   }
   return t;
 }
@@ -75,9 +63,9 @@ TierEquivalenceReport check_tier_equivalence(
     const data::Dataset& test, const TierEquivalenceConfig& config) {
   const Trace reference =
       run_trace(config.pipeline, linalg::NumericsTier::kExactF64, train,
-                test, /*record_margins=*/true, config.burst);
+                test, /*record_margins=*/true);
   const Trace candidate = run_trace(config.pipeline, tier, train, test,
-                                    /*record_margins=*/false, config.burst);
+                                    /*record_margins=*/false);
 
   TierEquivalenceReport report;
   report.tier = tier;

@@ -10,8 +10,8 @@
 // recovery. The golden-replay test pins the f64 tier to a committed
 // transcript bit for bit; this harness pins the reduced tiers to the f64
 // run within explicit decision tolerances. It is a test oracle, built into
-// the test binary only (tests/test_tier_equivalence.cpp,
-// tests/test_chunked_train.cpp); the library does not ship it.
+// the test binary only (tests/test_tier_equivalence.cpp); the library does
+// not ship it.
 //
 // Per-sample labels are compared only over the shared-trajectory window
 // [0, first detection of either run): a detection may legitimately shift by
@@ -55,14 +55,6 @@ struct TierEquivalenceConfig {
   double decision_margin_floor = 0.05;
   /// Relative tolerance on the calibrated theta_error gate.
   double theta_rel_tol = 0.05;
-  /// Rows fed per process_rows() call. 1 replays the stream sample by
-  /// sample (a one-row block takes process()'s per-row scorer); >1 replays
-  /// it in blocks of this many rows — the shape a serving-layer drain
-  /// presents, and the only shape on which chunked training
-  /// (PipelineConfig::train_chunk) engages. Both runs of the comparison
-  /// use the same burst, so a chunked config is checked chunked-tier
-  /// against chunked-f64.
-  std::size_t burst = 1;
 };
 
 /// What the comparison measured, plus the verdict.
