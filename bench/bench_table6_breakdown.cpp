@@ -110,7 +110,7 @@ void BM_RetrainNoPrediction(benchmark::State& state) {
   for (auto _ : state) {
     const std::size_t label =
         drift::steps::nearest_row<double>(f.coords.flat(), f.sample);
-    f.model.train_label(f.sample, label);
+    f.model.train_label(f.model.project(f.sample, f.ws), f.sample, label);
   }
 }
 BENCHMARK(BM_RetrainNoPrediction)
@@ -120,8 +120,7 @@ BENCHMARK(BM_RetrainNoPrediction)
 void BM_RetrainWithPrediction(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    const auto pred = f.model.predict(f.sample, f.ws);
-    f.model.train_label(f.sample, pred.label);
+    benchmark::DoNotOptimize(f.model.train_closest(f.sample, f.ws));
   }
 }
 BENCHMARK(BM_RetrainWithPrediction)

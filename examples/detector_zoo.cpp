@@ -126,14 +126,13 @@ int main() {
               "(paper Section 2.2.2); the proposed detector and the batch\n"
               "methods work from features alone.\n\n");
 
-  // Part 2: the same detector, three drift responses.
+  // Part 2: the same detector, both drift responses.
   struct PolicyRow {
     core::RecoveryPolicy policy;
     const char* name;
   };
   const PolicyRow policies[] = {
       {core::RecoveryPolicy::kReconstruct, "reconstruct (Algorithms 2-4)"},
-      {core::RecoveryPolicy::kResetRecalibrate, "reset + recalibrate"},
       {core::RecoveryPolicy::kDetectOnly, "detect only"},
   };
   util::Table recovery_table(

@@ -17,7 +17,7 @@
 //                   multiwindow, quanttree, spll, ddm, eddm, adwin,
 //                   kswin, pagehinkley) through the pipeline; overrides
 //                   --method
-//   --recovery reconstruct | recalibrate | detect-only   (default reconstruct)
+//   --recovery reconstruct | detect-only   (default reconstruct)
 //   --numerics f64 | f32 | i8   scoring numerics tier     (default f64):
 //                   f64 is the bit-exact reference; f32/i8 score against
 //                   the packed-beta replicas under the error-bounded
@@ -115,7 +115,7 @@ struct Options {
                "          [--train-csv PATH --test-csv PATH]\n"
                "          [--method proposed|baseline|quanttree|spll|onlad|multiwindow]\n"
                "          [--detector KIND] [--recovery reconstruct|"
-               "recalibrate|detect-only]\n"
+               "detect-only]\n"
                "          [--numerics f64|f32|i8]\n"
                "          [--window N] [--drift-at N] [--seed N]\n"
                "          [--series N] [--checkpoint PATH]\n"
@@ -189,7 +189,6 @@ std::optional<eval::Method> method_of(const std::string& name) {
 
 std::optional<core::RecoveryPolicy> recovery_of(const std::string& name) {
   if (name == "reconstruct") return core::RecoveryPolicy::kReconstruct;
-  if (name == "recalibrate") return core::RecoveryPolicy::kResetRecalibrate;
   if (name == "detect-only") return core::RecoveryPolicy::kDetectOnly;
   return std::nullopt;
 }

@@ -2,8 +2,8 @@
 // proposed system: the multi-instance OS-ELM discriminative model
 // (Section 3.1), a pluggable concept-drift detector (Algorithm 1's centroid
 // method by default, or any of the library's nine detector families via
-// drift::DetectorSpec) and a pluggable drift response (streaming model
-// reconstruction, Algorithms 2-4, by default).
+// drift::DetectorSpec) and its drift response: streaming model
+// reconstruction (Algorithms 2-4), or detect-only monitoring.
 //
 // Typical use:
 //   core::PipelineConfig config;
@@ -52,11 +52,6 @@ enum class RecoveryPolicy {
   /// instances, re-place the label coordinates, self-label retrain, then
   /// re-arm the detector against the rebuilt concept.
   kReconstruct,
-  /// Reset the model to the sequential prior and self-label retrain for
-  /// reconstruction.n_total samples, skipping the coordinate search; the
-  /// detector is re-armed on the per-label running centroids of the
-  /// recovery samples. Cheaper than kReconstruct, no cluster re-alignment.
-  kResetRecalibrate,
   /// Record the detection and reset the detector; the model is left
   /// untouched. For monitoring/evaluation of detectors in isolation.
   kDetectOnly,
@@ -163,10 +158,10 @@ class Pipeline {
   /// max_batch_rows, each one call into the model's scoring core
   /// (MultiInstanceModel::score_batch), where a row scores the same in a
   /// block of any size; once a detection starts a recovery, the remaining
-  /// rows go one by one through the recovery path, which trains the model
-  /// with one rank-1 step per sample. `x` is a view, so a PipelineManager
-  /// ring slab range or a caller batch is read in place; the internal chunk
-  /// buffers are grow-only.
+  /// rows go one by one through the recovery path, which projects each
+  /// row once and trains the model with one rank-1 step per sample. `x` is
+  /// a view, so a PipelineManager ring slab range or a caller batch is read
+  /// in place; the internal chunk buffers are grow-only.
   ///
   /// `hidden` (optional) supplies the hidden-space projection: row i holds
   /// g(x.row(i) * A + b) for this pipeline's projection or any projection
@@ -190,13 +185,11 @@ class Pipeline {
   std::uint64_t projection_fingerprint() const { return projection_fp_; }
 
   bool fitted() const { return fitted_; }
-  bool reconstructing() const {
-    return state_ == RecoveryState::kReconstructing;
-  }
-  /// True while any recovery (reconstruction or recalibration) is running.
+  /// True while a reconstruction (Algorithms 2-4) trains the model; false
+  /// while the model is frozen, so predictions are a pure function of the
+  /// sample (the precondition for batch pre-scoring).
   bool recovering() const {
-    return state_ == RecoveryState::kReconstructing ||
-           state_ == RecoveryState::kRecalibrating;
+    return state_ == RecoveryState::kReconstructing;
   }
 
   const PipelineConfig& config() const { return config_; }
@@ -250,7 +243,6 @@ class Pipeline {
   enum class RecoveryState {
     kIdle,                 ///< Normal detection.
     kReconstructing,       ///< Algorithms 2-4 are consuming samples.
-    kRecalibrating,        ///< kResetRecalibrate retraining is running.
     kCollectingReference,  ///< Refilling a batch detector's reference.
   };
 
@@ -271,13 +263,6 @@ class Pipeline {
   /// only owner, so no pipeline writes a model that another one reads.
   model::MultiInstanceModel& model_for_write();
 
-  /// True when no recovery is training the model, i.e. predictions are a
-  /// pure function of the sample (the precondition for batch pre-scoring).
-  bool model_frozen() const {
-    return state_ == RecoveryState::kIdle ||
-           state_ == RecoveryState::kCollectingReference;
-  }
-
   /// Predicts every row of a frozen-model block into `out` with one call
   /// into the model's scoring core, using the caller's `hidden` rows when
   /// non-null, and times it into obs score: a 1-row block on the sampled
@@ -289,14 +274,14 @@ class Pipeline {
   PipelineStep frozen_step(std::span<const double> x,
                            const model::Prediction& pred, int true_label);
 
-  /// The recovery path for one sample while a recovery trains the model:
-  /// the reconstruction step (or kResetRecalibrate's bootstrap or
-  /// self-label step), then the tracker, the finish and the counters.
+  /// The recovery path for one sample while a reconstruction trains the
+  /// model: x is projected once, Algorithm 2's row step trains from that
+  /// hidden row and the emitted prediction scores it; then the tracker,
+  /// the finish and the counters.
   PipelineStep recover(std::span<const double> x);
   void record_drift_event(const drift::Detection& detection);
   void start_recovery();
   void finish_reconstruction();
-  void finish_recalibration();
   void begin_reference_collection();
   void update_tracker(std::size_t label, std::span<const double> x);
 
@@ -334,10 +319,6 @@ class Pipeline {
   RecentTracker tracker_;
   linalg::Matrix trained_means_;  ///< Per-label anchor for re-alignment.
   std::size_t train_rows_ = 0;
-
-  // kResetRecalibrate bookkeeping.
-  RecentTracker recal_;
-  std::size_t recal_count_ = 0;
 
   // Post-recovery reference window for batch detectors (QuantTree, SPLL).
   linalg::Matrix refit_buffer_;

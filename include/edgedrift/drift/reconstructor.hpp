@@ -21,10 +21,12 @@
 // statistics of phase 3/4 samples so the detector can be re-armed with a
 // threshold matched to the new concept.
 //
-// The phase schedule, the coordinate steps and the Equation 1 accumulator
-// are the shared steps of drift/steps.hpp, which mcu::StaticPipeline runs at
-// float; this class holds their double state (C x D coordinates, their
-// counts, Init_Coord's scratch row) and drives the OS-ELM training.
+// The row step itself — the phase from the count, the coordinate steps, the
+// label that trains and the Equation 1 accumulator — is
+// steps::reconstruct_row (drift/steps.hpp), which mcu::StaticPipeline runs
+// at float; this class holds its double state (C x D coordinates, their
+// counts, Init_Coord's scratch row) and supplies the OS-ELM prediction and
+// training on MultiInstanceModel.
 #pragma once
 
 #include <cstddef>
@@ -49,12 +51,15 @@ class Reconstructor {
   void begin(model::MultiInstanceModel& model,
              const linalg::Matrix& seed_coords);
 
-  /// Consumes one sample (Algorithm 2 body). Returns true while the
-  /// reconstruction is still running, false once count reached N — mirroring
-  /// Reconstruct_Model()'s return value feeding Algorithm 1's `drift` flag.
-  /// `ws` is the caller's model scratch (phase 4's self-labeling predict).
-  bool step(std::span<const double> x, model::MultiInstanceModel& model,
-            model::BatchWorkspace& ws);
+  /// Consumes one sample (Algorithm 2 body, steps::reconstruct_row).
+  /// Returns true while the reconstruction is still running, false once
+  /// count reached N — mirroring Reconstruct_Model()'s return value feeding
+  /// Algorithm 1's `drift` flag. `hidden` is x's hidden row
+  /// (MultiInstanceModel::project()): the training phases self-label and
+  /// train from it, and the caller scores it again for its emitted
+  /// prediction, so x is projected once. `ws` is the caller's model scratch.
+  bool step(std::span<const double> x, std::span<const double> hidden,
+            model::MultiInstanceModel& model, model::BatchWorkspace& ws);
 
   bool active() const { return phase_ != ReconstructionPhase::kIdle; }
   ReconstructionPhase phase() const { return phase_; }

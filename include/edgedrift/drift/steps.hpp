@@ -1,8 +1,10 @@
 // The per-sample steps of the proposed system's Algorithms 1-4, written once
 // for both copies of it: the library's CentroidDetector, Reconstructor and
 // Pipeline run them at double on linalg::Matrix storage, and
-// mcu::StaticPipeline runs them at float on fixed-capacity arrays. The OS-ELM
-// math (projection, scoring, training, instance reset) stays in each copy.
+// mcu::StaticPipeline runs them at float on fixed-capacity arrays. Algorithm
+// 2's row dispatch (reconstruct_row) is here too; the OS-ELM math
+// (projection, scoring, training, instance reset) stays in each copy and
+// reaches the dispatch through two callbacks.
 //
 // Every centroid or coordinate set is a flat row-major C x D span. The steps
 // compute through the linalg kernels, so at double they add the same doubles
@@ -221,6 +223,46 @@ struct Welford {
     return mean + z * std::sqrt(std::max(T(0), variance));
   }
 };
+
+/// Algorithm 2's body for its count-th sample: Init_Coord in phase 1,
+/// Update_Coord in phase 2, and in phases 3-4 one OS-ELM step on the
+/// instance of the nearest coordinate (lines 8-9) or of the model's own
+/// prediction (lines 11-12), whose L1 distance to that label's coordinate
+/// joins Equation 1's re-arm statistics. The caller supplies the OS-ELM
+/// math: `predict()` returns the model's label for x, `train(label)` trains
+/// that instance on x. Returns the phase; kIdle marks the N-th, finishing
+/// sample, which does no work (lines 13-15). `saved` is Init_Coord's
+/// scratch of x.size() values.
+template <class T, class Count, class Predict, class Train>
+ReconstructionPhase reconstruct_row(std::span<T> coords,
+                                    std::span<Count> counts,
+                                    std::span<T> saved,
+                                    Welford<T>& distances,
+                                    std::span<const T> x, std::size_t count,
+                                    const ReconstructorConfig& config,
+                                    Predict&& predict, Train&& train) {
+  const ReconstructionPhase phase = phase_at(count, config);
+  switch (phase) {
+    case ReconstructionPhase::kIdle:
+      break;
+    case ReconstructionPhase::kSearchCoords:
+      init_coord(coords, x, count, saved);
+      break;
+    case ReconstructionPhase::kUpdateCoords:
+      update_coord(coords, counts, x, count == config.n_search);
+      break;
+    case ReconstructionPhase::kTrainNearest:
+    case ReconstructionPhase::kTrainPredict: {
+      const std::size_t label = phase == ReconstructionPhase::kTrainNearest
+                                    ? nearest_row<T>(coords, x)
+                                    : predict();
+      train(label);
+      distances.add(linalg::l1_distance(x, row(coords, x.size(), label)));
+      break;
+    }
+  }
+  return phase;
+}
 
 /// The theta_drift a re-armed detector runs with: a recomputed threshold
 /// <= 0 keeps the current one.

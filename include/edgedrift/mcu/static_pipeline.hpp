@@ -16,11 +16,13 @@
 // which the device runs prediction, drift detection and reconstruction with
 // no dynamic memory and no double-precision math on the hot path.
 //
-// Algorithms 1-4 themselves — the window, the coordinate phases, Equation
-// 1's re-arm, the label match and permutation — are the library's shared
-// steps (drift/steps.hpp) instantiated at float, so the device decides as
-// core::Pipeline does (tests/test_mcu_conformance.cpp). Only the OS-ELM math
-// (projection, scoring, rank-1 training, instance reset) is written here.
+// Algorithms 1-4 themselves — the window, Algorithm 2's row step with its
+// coordinate phases, Equation 1's re-arm, the label match and permutation —
+// are the library's shared steps (drift/steps.hpp) instantiated at float, so
+// the device decides as core::Pipeline does (tests/test_mcu_conformance.cpp).
+// Only the OS-ELM math (projection, scoring, rank-1 training, instance
+// reset) is written here. Like the library, a reconstruction projects each
+// sample once: training and the emitted prediction read one hidden vector.
 #pragma once
 
 #include <array>
@@ -99,11 +101,18 @@ class StaticPipeline {
   float score_from_hidden(const std::array<float, kHidden>& h,
                           std::span<const float> x, std::size_t label) const;
 
+  /// predict() assuming h_scratch_ already holds the projection of x.
+  std::size_t predict_from_hidden(std::span<const float> x,
+                                  float& score_out) const;
+
   /// OS-ELM step assuming h_scratch_ already holds the projection of x
-  /// (valid right after predict()/score_of() on the same sample).
+  /// (valid right after predict()/score_of() on the same sample). Leaves
+  /// h_scratch_ as it found it.
   void train_with_current_hidden(std::span<const float> x, std::size_t label);
 
-  /// Algorithm 2 for one sample of a running reconstruction.
+  /// Algorithm 2 for one sample of a running reconstruction
+  /// (steps::reconstruct_row), then the emitted prediction, from one
+  /// projection of x.
   void reconstruct(std::span<const float> x, StaticStep& step);
 
   /// The finishing sample's re-alignment and re-arm: matches the rebuilt
@@ -268,6 +277,12 @@ std::size_t StaticPipeline<kDim, kHidden, kLabels>::predict(
   // path recomputed it kLabels times). h_scratch_ still holds the sample's
   // hidden vector afterwards, which the training path reuses.
   hidden_of(x, h_scratch_);
+  return predict_from_hidden(x, score_out);
+}
+
+template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
+std::size_t StaticPipeline<kDim, kHidden, kLabels>::predict_from_hidden(
+    std::span<const float> x, float& score_out) const {
   std::size_t best = 0;
   float best_score = score_from_hidden(h_scratch_, x, 0);
   for (std::size_t c = 1; c < kLabels; ++c) {
@@ -379,47 +394,26 @@ StaticStep StaticPipeline<kDim, kHidden, kLabels>::process(
 template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
 void StaticPipeline<kDim, kHidden, kLabels>::reconstruct(
     std::span<const float> x, StaticStep& step) {
-  namespace steps = drift::steps;
-  using drift::ReconstructionPhase;
   step.reconstructing = true;
-  const std::size_t count = recon_count_++;
-  const std::span<float> coords(coords_);
-  const ReconstructionPhase phase = steps::phase_at(count, phases_);
-  switch (phase) {
-    case ReconstructionPhase::kIdle:
-      // The N-th sample, in the library's order: predict, then re-align
-      // and re-arm.
-      step.label = predict(x, step.score);
-      finish_reconstruction();
-      step.reconstruction_finished = true;
-      return;
-    case ReconstructionPhase::kSearchCoords:
-      steps::init_coord(coords, x, count, std::span<float>(recon_scratch_));
-      break;
-    case ReconstructionPhase::kUpdateCoords:
-      steps::update_coord(coords, std::span<std::uint32_t>(coord_counts_), x,
-                          count == phases_.n_search);
-      break;
-    case ReconstructionPhase::kTrainNearest:
-    case ReconstructionPhase::kTrainPredict: {
-      // Algorithm 2 lines 8-12: retrain the nearest coordinate's instance,
-      // then the predicted one. Either way the sample is projected once:
-      // predict() leaves its hidden vector in h_scratch_ for the training
-      // step.
-      std::size_t label;
-      if (phase == ReconstructionPhase::kTrainNearest) {
-        label = steps::nearest_row<float>(coords, x);
-        hidden_of(x, h_scratch_);
-      } else {
-        float ignored;
-        label = predict(x, ignored);
-      }
-      train_with_current_hidden(x, label);
-      distances_.add(linalg::l1_distance(x, steps::row(coords, kDim, label)));
-      break;
-    }
+  // One projection per sample: phases 3-4 train from h_scratch_ and the
+  // emitted prediction scores it, after the training, as the library does.
+  hidden_of(x, h_scratch_);
+  const drift::ReconstructionPhase phase =
+      drift::steps::reconstruct_row<float>(
+          coords_, std::span<std::uint32_t>(coord_counts_), recon_scratch_,
+          distances_, x, recon_count_++, phases_,
+          [&] {
+            float ignored;
+            return predict_from_hidden(x, ignored);
+          },
+          [&](std::size_t label) { train_with_current_hidden(x, label); });
+  step.label = predict_from_hidden(x, step.score);
+  if (phase == drift::ReconstructionPhase::kIdle) {
+    // The N-th sample, in the library's order: predict, then re-align and
+    // re-arm.
+    finish_reconstruction();
+    step.reconstruction_finished = true;
   }
-  step.label = predict(x, step.score);
 }
 
 template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>

@@ -8,7 +8,8 @@
 // the caller's hidden rows, scored against every instance at once through
 // the packed ensemble beta. predict_batch() and predict() are its argmin;
 // train_closest() and train_label() are the training side, one rank-1
-// step per sample. All scratch lives in a caller-owned BatchWorkspace. The
+// step per sample, each from a hidden row projected once per sample
+// (project()). All scratch lives in a caller-owned BatchWorkspace. The
 // per-instance path, instance(c).score(x), remains as the test oracle.
 //
 // Const-use contract: no const method writes model state (there is no
@@ -129,8 +130,16 @@ class MultiInstanceModel {
                      std::span<Prediction> out,
                      const linalg::ConstMatrixView* hidden = nullptr) const;
 
-  /// predict_batch() of the 1-row block x.
-  Prediction predict(std::span<const double> x, BatchWorkspace& ws) const;
+  /// predict_batch() of the 1-row block x. `hidden`, when not empty, is
+  /// x's hidden row (project()), scored as a supplied row.
+  Prediction predict(std::span<const double> x, BatchWorkspace& ws,
+                     std::span<const double> hidden = {}) const;
+
+  /// Projects x into ws.hidden and returns that row: one projection that a
+  /// caller can both train from (train_label()) and score (predict()'s
+  /// `hidden`), in either order, since training never changes it.
+  std::span<const double> project(std::span<const double> x,
+                                  BatchWorkspace& ws) const;
 
   /// Predicts, then sequentially trains the winning instance; returns the
   /// prediction made before training. The sample is projected once: the
@@ -138,8 +147,10 @@ class MultiInstanceModel {
   /// scoring core left in ws.hidden.
   Prediction train_closest(std::span<const double> x, BatchWorkspace& ws);
 
-  /// Sequentially trains the given instance on x.
-  void train_label(std::span<const double> x, std::size_t label);
+  /// Sequentially trains instance `label` on x, from x's hidden row
+  /// `hidden` (project(), or ws.hidden after scoring x unsupplied).
+  void train_label(std::span<const double> hidden, std::span<const double> x,
+                   std::size_t label);
 
   /// Resets every instance's trainable state, keeping the projection.
   void reset();

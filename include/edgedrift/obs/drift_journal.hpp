@@ -10,10 +10,11 @@
 // Storage is preallocated at construction (one slot array plus one flat
 // [capacity x num_labels] distance buffer), so begin/complete never touch
 // the heap — they can run inside the serving hot path's drift branch.
-// Every field is a relaxed atomic and each slot carries a seqlock-style
-// sequence counter (odd while being written, bumped with release on
-// publish), so concurrent snapshot() readers always observe a coherent
-// record or retry — no locks anywhere, clean under ThreadSanitizer.
+// Every field is an atomic, stored with release and loaded with acquire,
+// and each slot carries a seqlock-style sequence counter (odd while being
+// written, bumped with release on publish), so concurrent snapshot() readers
+// always observe a coherent record or retry — no locks and no fences
+// anywhere, so ThreadSanitizer models every ordering the reader relies on.
 //
 // The journal is switched like latency timing: under EDGEDRIFT_NO_OBS it
 // allocates nothing and records nothing, and with ObsOptions::enabled off
@@ -36,7 +37,6 @@ namespace edgedrift::obs {
 enum class RecoveryAction : std::uint8_t {
   kNone = 0,         ///< Detect-only: the model was left untouched.
   kReconstruct = 1,  ///< Streaming model reconstruction (Algorithms 2-4).
-  kRecalibrate = 2,  ///< Reset + self-label retrain.
 };
 
 /// Plain-value copy of one drift event (what snapshot() hands out).
@@ -88,20 +88,20 @@ class DriftJournal {
     Slot& s = slots_[slot];
     // Odd sequence = record under construction; readers retry.
     s.seq.fetch_add(1, std::memory_order_acq_rel);
-    s.sample_index.store(sample_index, std::memory_order_relaxed);
-    s.statistic.store(statistic, std::memory_order_relaxed);
-    s.theta_drift.store(theta_drift, std::memory_order_relaxed);
-    s.window_span.store(window_span, std::memory_order_relaxed);
+    s.sample_index.store(sample_index, std::memory_order_release);
+    s.statistic.store(statistic, std::memory_order_release);
+    s.theta_drift.store(theta_drift, std::memory_order_release);
+    s.window_span.store(window_span, std::memory_order_release);
     s.action.store(static_cast<std::uint8_t>(action),
-                   std::memory_order_relaxed);
+                   std::memory_order_release);
     // Detect-only events have no recovery to wait for.
     s.completed.store(action == RecoveryAction::kNone,
-                      std::memory_order_relaxed);
-    s.recovery_samples.store(0, std::memory_order_relaxed);
-    s.has_distances.store(!per_label.empty(), std::memory_order_relaxed);
+                      std::memory_order_release);
+    s.recovery_samples.store(0, std::memory_order_release);
+    s.has_distances.store(!per_label.empty(), std::memory_order_release);
     for (std::size_t c = 0; c < num_labels_ && c < per_label.size(); ++c) {
       distances_[slot * num_labels_ + c].store(per_label[c],
-                                               std::memory_order_relaxed);
+                                               std::memory_order_release);
     }
     s.seq.fetch_add(1, std::memory_order_release);
     events_.store(event + 1, std::memory_order_release);
@@ -115,8 +115,8 @@ class DriftJournal {
     if (capacity_ == 0 || event == 0) return;
     Slot& s = slots_[static_cast<std::size_t>((event - 1) % capacity_)];
     s.seq.fetch_add(1, std::memory_order_acq_rel);
-    s.recovery_samples.store(recovery_samples, std::memory_order_relaxed);
-    s.completed.store(true, std::memory_order_relaxed);
+    s.recovery_samples.store(recovery_samples, std::memory_order_release);
+    s.completed.store(true, std::memory_order_release);
     s.seq.fetch_add(1, std::memory_order_release);
   }
 
@@ -158,30 +158,32 @@ class DriftJournal {
     std::atomic<bool> has_distances{false};
   };
 
-  /// Seqlock read of one slot; false after repeated torn reads.
+  /// Seqlock read of one slot; false after repeated torn reads. Each field
+  /// load is an acquire: one that reads a newer write's field synchronizes
+  /// with that write's release store, which follows its odd sequence bump,
+  /// so the closing sequence load sees the bump and the read retries.
   bool read_slot(std::size_t slot, DriftEvent& ev) const {
     const Slot& s = slots_[slot];
     for (int attempt = 0; attempt < 8; ++attempt) {
       const std::uint64_t seq0 = s.seq.load(std::memory_order_acquire);
       if (seq0 % 2 != 0) continue;  // Mid-write; retry.
-      ev.sample_index = s.sample_index.load(std::memory_order_relaxed);
-      ev.statistic = s.statistic.load(std::memory_order_relaxed);
-      ev.theta_drift = s.theta_drift.load(std::memory_order_relaxed);
-      ev.window_span = s.window_span.load(std::memory_order_relaxed);
+      ev.sample_index = s.sample_index.load(std::memory_order_acquire);
+      ev.statistic = s.statistic.load(std::memory_order_acquire);
+      ev.theta_drift = s.theta_drift.load(std::memory_order_acquire);
+      ev.window_span = s.window_span.load(std::memory_order_acquire);
       ev.action = static_cast<RecoveryAction>(
-          s.action.load(std::memory_order_relaxed));
-      ev.completed = s.completed.load(std::memory_order_relaxed);
+          s.action.load(std::memory_order_acquire));
+      ev.completed = s.completed.load(std::memory_order_acquire);
       ev.recovery_samples =
-          s.recovery_samples.load(std::memory_order_relaxed);
+          s.recovery_samples.load(std::memory_order_acquire);
       ev.per_label_distance.clear();
-      if (s.has_distances.load(std::memory_order_relaxed)) {
+      if (s.has_distances.load(std::memory_order_acquire)) {
         ev.per_label_distance.resize(num_labels_);
         for (std::size_t c = 0; c < num_labels_; ++c) {
           ev.per_label_distance[c] = distances_[slot * num_labels_ + c].load(
-              std::memory_order_relaxed);
+              std::memory_order_acquire);
         }
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (s.seq.load(std::memory_order_relaxed) == seq0) return true;
     }
     return false;

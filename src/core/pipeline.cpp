@@ -1,7 +1,6 @@
 #include "edgedrift/core/pipeline.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "edgedrift/linalg/vector_ops.hpp"
@@ -161,15 +160,10 @@ void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
 
 PipelineStep Pipeline::process(std::span<const double> x, int true_label) {
   EDGEDRIFT_ASSERT(fitted_, "process() before fit()");
-  PipelineStep step;
-  if (model_frozen()) {
-    model::Prediction pred;
-    score_rows(linalg::ConstMatrixView(x), nullptr, {&pred, 1});
-    step = frozen_step(x, pred, true_label);
-  } else {
-    step = recover(x);
-  }
-  return step;
+  if (recovering()) return recover(x);
+  model::Prediction pred;
+  score_rows(linalg::ConstMatrixView(x), nullptr, {&pred, 1});
+  return frozen_step(x, pred, true_label);
 }
 
 void Pipeline::process_rows(linalg::ConstMatrixView x,
@@ -195,7 +189,7 @@ void Pipeline::process_rows(linalg::ConstMatrixView x,
   PipelineStep* const steps = out.data() + base;
   std::size_t i = 0;
   while (i < n) {
-    if (!model_frozen()) {
+    if (recovering()) {
       steps[i] = recover(x.row(i));
       ++i;
       continue;
@@ -219,7 +213,7 @@ void Pipeline::process_rows(linalg::ConstMatrixView x,
       ++consumed;
       // A detection just started a recovery: the remaining pre-scored
       // predictions are stale (the model is about to retrain).
-      if (!model_frozen()) break;
+      if (recovering()) break;
     }
     if (chunk > 1) obs_->counters.add_batch_chunk(consumed);
     i += consumed;
@@ -300,18 +294,10 @@ void Pipeline::record_drift_event(const drift::Detection& detection) {
     distances = obs_label_dist_;
     theta = centroid_->theta_drift();
   }
-  obs::RecoveryAction action = obs::RecoveryAction::kNone;
-  switch (config_.recovery) {
-    case RecoveryPolicy::kReconstruct:
-      action = obs::RecoveryAction::kReconstruct;
-      break;
-    case RecoveryPolicy::kResetRecalibrate:
-      action = obs::RecoveryAction::kRecalibrate;
-      break;
-    case RecoveryPolicy::kDetectOnly:
-      action = obs::RecoveryAction::kNone;
-      break;
-  }
+  const obs::RecoveryAction action =
+      config_.recovery == RecoveryPolicy::kReconstruct
+          ? obs::RecoveryAction::kReconstruct
+          : obs::RecoveryAction::kNone;
   // The sample counter was already advanced for this sample.
   obs_->journal.begin_event(obs_->counters.samples() - 1,
                             detection.statistic, theta,
@@ -320,57 +306,22 @@ void Pipeline::record_drift_event(const drift::Detection& detection) {
 }
 
 PipelineStep Pipeline::recover(std::span<const double> x) {
-  const auto& rc = config_.reconstruction;
-  const bool reconstructing = state_ == RecoveryState::kReconstructing;
   const std::uint64_t obs_t0 = obs_enabled_ ? obs::now_ns() : 0;
   // start_recovery() already took the private copy; this is the owner check.
   model::MultiInstanceModel& model = model_for_write();
 
+  // One projection per row: Algorithm 2's training and the emitted
+  // prediction read the same hidden row, which training never changes.
+  const std::span<const double> hidden = model.project(x, batch_ws_);
   PipelineStep step;
   step.reconstructing = true;
-  bool finished = false;
-  if (reconstructing) {
-    // Report the model's current prediction so accuracy accounting stays
-    // per-sample.
-    finished = !reconstructor_.step(x, model, batch_ws_);
-    step.prediction = model.predict(x, batch_ws_);
-  } else if (recal_count_ < rc.n_search + rc.n_update) {
-    // kRecalibrating retrains without the coordinate search. A freshly
-    // reset model scores every sample identically, so self-labelling would
-    // collapse onto one label; bootstrap by training the instance nearest
-    // (L1) to the sample among the recovery centroids — the same
-    // supervision-free trick as reconstruction's train-nearest phase — then
-    // switch to self-labelled training once the instances have separated.
-    std::size_t nearest = 0;
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < recal_.centroids.rows(); ++c) {
-      const double d = linalg::l1_distance(recal_.centroids.row(c), x);
-      if (d < best) {
-        best = d;
-        nearest = c;
-      }
-    }
-    model.train_label(x, nearest);
-    step.prediction = model.predict(x, batch_ws_);
-  } else {
-    step.prediction = model.train_closest(x, batch_ws_);
-  }
-
-  const std::size_t label = step.prediction.label;
-  if (tracker_enabled_) update_tracker(label, x);
-  if (!reconstructing) {
-    linalg::running_mean_update(recal_.centroids.row(label), x,
-                                recal_.counts[label]);
-    ++recal_.counts[label];
-    ++recal_count_;
-    finished = recal_count_ >= rc.n_total;
-  }
+  const bool finished = !reconstructor_.step(x, hidden, model, batch_ws_);
+  // Report the model's current prediction so accuracy accounting stays
+  // per-sample.
+  step.prediction = model.predict(x, batch_ws_, hidden);
+  if (tracker_enabled_) update_tracker(step.prediction.label, x);
   if (finished) {
-    if (reconstructing) {
-      finish_reconstruction();
-    } else {
-      finish_recalibration();
-    }
+    finish_reconstruction();
     step.reconstruction_finished = true;
   }
 
@@ -383,31 +334,18 @@ PipelineStep Pipeline::recover(std::span<const double> x) {
 }
 
 void Pipeline::start_recovery() {
-  switch (config_.recovery) {
-    case RecoveryPolicy::kDetectOnly:
-      // Record-and-rearm: the model is left alone, the detector restarts
-      // against its existing reference.
-      detector_->reset();
-      return;
-    case RecoveryPolicy::kReconstruct: {
-      // Seed from the detector's own recent centroids when it tracks them,
-      // else from the pipeline's running estimate of the new concept.
-      const linalg::Matrix* seed = detector_->reconstruction_seed();
-      reconstructor_.begin(model_for_write(),
-                           seed != nullptr ? *seed : tracker_.centroids);
-      state_ = RecoveryState::kReconstructing;
-      return;
-    }
-    case RecoveryPolicy::kResetRecalibrate: {
-      model_for_write().reset();
-      const linalg::Matrix* seed = detector_->reconstruction_seed();
-      recal_.centroids = seed != nullptr ? *seed : tracker_.centroids;
-      recal_.counts.assign(config_.num_labels, 1);
-      recal_count_ = 0;
-      state_ = RecoveryState::kRecalibrating;
-      return;
-    }
+  if (config_.recovery == RecoveryPolicy::kDetectOnly) {
+    // Record-and-rearm: the model is left alone, the detector restarts
+    // against its existing reference.
+    detector_->reset();
+    return;
   }
+  // Seed from the detector's own recent centroids when it tracks them, else
+  // from the pipeline's running estimate of the new concept.
+  const linalg::Matrix* seed = detector_->reconstruction_seed();
+  reconstructor_.begin(model_for_write(),
+                       seed != nullptr ? *seed : tracker_.centroids);
+  state_ = RecoveryState::kReconstructing;
 }
 
 void Pipeline::finish_reconstruction() {
@@ -447,20 +385,6 @@ void Pipeline::finish_reconstruction() {
                    reconstructor_.suggested_theta_drift(config_.z));
   obs_->counters.add_recovery();
   if (obs_enabled_) obs_->journal.complete_event(reconstructor_.count());
-  if (detector_->needs_reference_data()) {
-    begin_reference_collection();
-  } else {
-    state_ = RecoveryState::kIdle;
-  }
-}
-
-void Pipeline::finish_recalibration() {
-  // No Eq. 1 statistics were gathered, so keep the detector's threshold
-  // (<= 0 means "retain") and anchor it on the recovery centroids.
-  detector_->rearm(recal_.centroids, recal_.counts, 0.0);
-  trained_means_ = recal_.centroids;
-  obs_->counters.add_recovery();
-  if (obs_enabled_) obs_->journal.complete_event(recal_count_);
   if (detector_->needs_reference_data()) {
     begin_reference_collection();
   } else {

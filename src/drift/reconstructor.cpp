@@ -39,45 +39,20 @@ void Reconstructor::begin(model::MultiInstanceModel& model,
 }
 
 bool Reconstructor::step(std::span<const double> x,
+                         std::span<const double> hidden,
                          model::MultiInstanceModel& model,
                          model::BatchWorkspace& ws) {
   EDGEDRIFT_ASSERT(active(), "step() without begin()");
   EDGEDRIFT_ASSERT(x.size() == coords_.cols(), "sample dim mismatch");
   ++count_;  // Algorithm 2 line 2 increments before the phase tests.
-  phase_ = steps::phase_at(count_, config_);
-  const std::span<double> coords = coords_.flat();
-  switch (phase_) {
-    case ReconstructionPhase::kIdle:
-      // Algorithm 2 lines 13-15: the N-th sample does no work;
-      // reconstruction reports completion so Algorithm 1 clears its drift
-      // flag.
-      return false;
-    case ReconstructionPhase::kSearchCoords:
-      steps::init_coord(coords, x, count_, std::span(init_scratch_));
-      break;
-    case ReconstructionPhase::kUpdateCoords:
-      steps::update_coord(coords, std::span(coord_counts_), x,
-                          count_ == config_.n_search);
-      break;
-    case ReconstructionPhase::kTrainNearest: {
-      const std::size_t label = steps::nearest_row<double>(coords, x);
-      model.train_label(x, label);
-      // Track Equation 1 distances against the rebuilt coordinates so the
-      // detector can be re-armed for the new concept.
-      distances_.add(linalg::l1_distance(x, coords_.row(label)));
-      break;
-    }
-    case ReconstructionPhase::kTrainPredict: {
-      // Fused predict-then-train: projects the sample once and shares the
-      // hidden vector between the ensemble scorer and the winning
-      // instance's update (identical semantics to predict + train_label on
-      // the predicted label).
-      const model::Prediction pred = model.train_closest(x, ws);
-      distances_.add(linalg::l1_distance(x, coords_.row(pred.label)));
-      break;
-    }
-  }
-  return true;
+  phase_ = steps::reconstruct_row<double>(
+      coords_.flat(), std::span(coord_counts_), std::span(init_scratch_),
+      distances_, x, count_, config_,
+      [&] { return model.predict(x, ws, hidden).label; },
+      [&](std::size_t label) { model.train_label(hidden, x, label); });
+  // The N-th sample reports completion, so Algorithm 1 clears its drift
+  // flag.
+  return phase_ != ReconstructionPhase::kIdle;
 }
 
 void Reconstructor::permute(std::span<const std::size_t> perm) {

@@ -1,41 +1,13 @@
 #include "edgedrift/linalg/updates.hpp"
 
 #include <cmath>
-#include <optional>
-#include <vector>
 
 #include "edgedrift/linalg/gemm.hpp"
 #include "edgedrift/linalg/simd.hpp"
-#include "edgedrift/linalg/solve.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/assert.hpp"
 
 namespace edgedrift::linalg {
-
-bool sherman_morrison_update(Matrix& p, std::span<const double> u,
-                             std::span<const double> v,
-                             std::span<double> pu_scratch,
-                             std::span<double> vtp_scratch) {
-  const std::size_t n = p.rows();
-  EDGEDRIFT_ASSERT(p.cols() == n, "P must be square");
-  EDGEDRIFT_ASSERT(u.size() == n && v.size() == n,
-                   "sherman_morrison size mismatch");
-  EDGEDRIFT_ASSERT(pu_scratch.size() == n && vtp_scratch.size() == n,
-                   "sherman_morrison scratch size mismatch");
-  matvec(p, u, pu_scratch);
-  matvec_transposed(p, v, vtp_scratch);
-  const double denom = 1.0 + dot(v, pu_scratch);
-  if (std::abs(denom) < 1e-13) return false;
-  const double scale = -1.0 / denom;
-  ger(p, scale, pu_scratch, vtp_scratch);
-  return true;
-}
-
-bool sherman_morrison_update(Matrix& p, std::span<const double> u,
-                             std::span<const double> v) {
-  std::vector<double> pu(p.rows()), vtp(p.rows());
-  return sherman_morrison_update(p, u, v, pu, vtp);
-}
 
 bool oselm_p_update(Matrix& p, std::span<const double> h, double alpha,
                     std::span<double> ph_scratch) {
@@ -70,23 +42,6 @@ bool oselm_p_update(Matrix& p, std::span<const double> h, double alpha,
       prow[j] = simd::madd(neg_scale_phi, ph[j], inv_alpha * prow[j]);
     }
   }
-  return true;
-}
-
-bool woodbury_update(Matrix& p, const Matrix& u, const Matrix& v) {
-  const std::size_t n = p.rows();
-  const std::size_t k = u.cols();
-  EDGEDRIFT_ASSERT(p.cols() == n, "P must be square");
-  EDGEDRIFT_ASSERT(u.rows() == n && v.rows() == n && v.cols() == k,
-                   "woodbury shape mismatch");
-  // PU: n x k, core = I + V^T P U: k x k.
-  const Matrix pu = matmul(p, u);
-  Matrix core = matmul_at_b(v, pu);
-  for (std::size_t i = 0; i < k; ++i) core(i, i) += 1.0;
-  const std::optional<LuFactorization> lu = lu_factor(core);
-  if (!lu.has_value()) return false;
-  // P -= PU * core^-1 * (V^T P).
-  p -= matmul(pu, lu_solve_matrix(*lu, matmul_at_b(v, p)));
   return true;
 }
 

@@ -154,8 +154,7 @@ void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
   const bool one_row = rows == 1;
   if (hidden == nullptr) {
     if (one_row) {
-      ws.hidden.resize_discard(1, hidden_dim());
-      projection_->hidden(x.row(0), ws.hidden.row(0));
+      project(x.row(0), ws);
     } else {
       projection_->hidden_batch_into(x, ws.hidden);
     }
@@ -236,24 +235,34 @@ void MultiInstanceModel::predict_batch(
 }
 
 Prediction MultiInstanceModel::predict(std::span<const double> x,
-                                       BatchWorkspace& ws) const {
+                                       BatchWorkspace& ws,
+                                       std::span<const double> hidden) const {
   Prediction pred;
-  predict_batch(linalg::ConstMatrixView(x), ws, {&pred, 1});
+  const linalg::ConstMatrixView h(hidden);
+  predict_batch(linalg::ConstMatrixView(x), ws, {&pred, 1},
+                hidden.empty() ? nullptr : &h);
   return pred;
+}
+
+std::span<const double> MultiInstanceModel::project(
+    std::span<const double> x, BatchWorkspace& ws) const {
+  ws.hidden.resize_discard(1, hidden_dim());
+  projection_->hidden(x, ws.hidden.row(0));
+  return ws.hidden.row(0);
 }
 
 Prediction MultiInstanceModel::train_closest(std::span<const double> x,
                                              BatchWorkspace& ws) {
   const Prediction pred = predict(x, ws);
-  instances_[pred.label].train_from_hidden(ws.hidden.row(0), x);
-  sync_block_after_train(pred.label);
+  train_label(ws.hidden.row(0), x, pred.label);
   return pred;
 }
 
-void MultiInstanceModel::train_label(std::span<const double> x,
+void MultiInstanceModel::train_label(std::span<const double> hidden,
+                                     std::span<const double> x,
                                      std::size_t label) {
   EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  instances_[label].train(x);
+  instances_[label].train_from_hidden(hidden, x);
   sync_block_after_train(label);
 }
 

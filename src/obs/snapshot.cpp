@@ -32,8 +32,6 @@ const char* action_name(RecoveryAction a) {
       return "detect-only";
     case RecoveryAction::kReconstruct:
       return "reconstruct";
-    case RecoveryAction::kRecalibrate:
-      return "recalibrate";
   }
   return "?";
 }

@@ -317,7 +317,7 @@ TEST(AllocationFree, BurstRecoveryTrainingDoesNotAllocate) {
     // Detect, then warm through the coordinate phases and the first few
     // training bursts (grow-only buffers reach their high-water marks).
     while (!pipeline->recovering() && at + kBurst <= post.rows()) feed();
-    ASSERT_TRUE(pipeline->reconstructing())
+    ASSERT_TRUE(pipeline->recovering())
         << "drift must trigger a recovery";
     EXPECT_NE(&pipeline->model(), &model_template->pipeline.model());
     const std::size_t n_update = config.reconstruction.n_update;
@@ -339,7 +339,7 @@ TEST(AllocationFree, BurstRecoveryTrainingDoesNotAllocate) {
 
     EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
         << "recovery training must not touch the heap";
-    ASSERT_TRUE(pipeline->reconstructing())
+    ASSERT_TRUE(pipeline->recovering())
         << "the measured window must lie inside the recovery";
   }
 #endif

@@ -260,10 +260,12 @@ TEST_P(DetectorKindTest, ProcessBatchBitIdenticalToProcess) {
 }
 
 // Every recovery policy must run to completion for every detector kind and
-// leave the pipeline streaming again.
+// leave the pipeline streaming again: a reconstruction finishes, and
+// detect-only records its detections without ever starting one.
 TEST_P(DetectorKindTest, RecoveryPoliciesCompleteAndResumeStreaming) {
   for (const RecoveryPolicy policy :
-       {RecoveryPolicy::kReconstruct, RecoveryPolicy::kResetRecalibrate}) {
+       {RecoveryPolicy::kReconstruct, RecoveryPolicy::kDetectOnly}) {
+    SCOPED_TRACE(static_cast<int>(policy));
     Rng rng(3);
     auto scenario = make_scenario(rng);
     PipelineConfig config = make_config(GetParam());
@@ -275,6 +277,12 @@ TEST_P(DetectorKindTest, RecoveryPoliciesCompleteAndResumeStreaming) {
       pipeline.process(scenario.test.x.row(i), scenario.test.labels[i]);
     }
     EXPECT_GE(pipeline.stats().drifts, 1u);
+    if (policy == RecoveryPolicy::kDetectOnly) {
+      EXPECT_EQ(pipeline.stats().recoveries, 0u);
+      EXPECT_EQ(pipeline.stats().recovery_samples, 0u);
+      EXPECT_FALSE(pipeline.recovering());
+      continue;
+    }
     EXPECT_GE(pipeline.stats().recoveries, 1u);
     EXPECT_GT(pipeline.stats().recovery_samples, 0u);
     // A late re-detection may leave one more recovery in flight at stream

@@ -76,7 +76,9 @@ TEST(FailureInjection, ModelRejectsOutOfRangeLabel) {
   edgedrift::model::MultiInstanceModel model(2, proj);
   model.init_sequential();
   std::vector<double> x(4);
-  EXPECT_DEATH(model.train_label(x, 7), "label out of range");
+  edgedrift::model::BatchWorkspace ws;
+  EXPECT_DEATH(model.train_label(model.project(x, ws), x, 7),
+               "label out of range");
 }
 
 TEST(FailureInjection, DetectorObserveBeforeCalibrateAborts) {

@@ -145,7 +145,7 @@ TEST_P(FusedScoringSweep, BitIdenticalAfterSequentialUpdates) {
   BatchWorkspace ws;
   for (std::size_t i = 0; i < stream.x.rows(); ++i) {
     if (i % 3 == 0) {
-      model.train_label(stream.x.row(i),
+      model.train_label(model.project(stream.x.row(i), ws), stream.x.row(i),
                         static_cast<std::size_t>(stream.labels[i]));
     } else {
       model.train_closest(stream.x.row(i), ws);
@@ -259,10 +259,11 @@ TEST(FusedScoring, TrainClosestMatchesReferenceTrajectory) {
   BatchWorkspace ws;
   for (std::size_t i = 0; i < stream.x.rows(); ++i) {
     const Prediction fused = fused_model.train_closest(stream.x.row(i), ws);
-    // Reference: per-instance scoring, then an explicit train of the winner
+    // Reference: per-instance scoring, then the winner's own OS-ELM step
     // (recomputes the hidden projection instead of sharing it).
     const Prediction ref = reference_predict(reference_model, stream.x.row(i));
-    reference_model.train_label(stream.x.row(i), ref.label);
+    reference_model.instance_mutable(ref.label).train(stream.x.row(i));
+    reference_model.repack_ensemble();
     ASSERT_EQ(fused.label, ref.label) << "step " << i;
     ASSERT_EQ(fused.score, ref.score) << "step " << i;
   }

@@ -213,33 +213,6 @@ TEST(Solve, RidgeLeastSquaresMatchesPinvPath) {
   EXPECT_LT(Matrix::max_abs_diff(via_pinv, direct), 1e-9);
 }
 
-TEST(Updates, ShermanMorrisonMatchesDirectInverse) {
-  Rng rng(11);
-  const Matrix a = random_spd(6, rng);
-  Matrix p = *linalg::inverse(a);
-  std::vector<double> u(6), v(6);
-  for (auto& e : u) e = rng.gaussian();
-  for (auto& e : v) e = rng.gaussian();
-
-  ASSERT_TRUE(linalg::sherman_morrison_update(p, u, v));
-
-  Matrix updated = a;
-  linalg::ger(updated, 1.0, u, v);
-  const auto direct = linalg::inverse(updated);
-  ASSERT_TRUE(direct.has_value());
-  EXPECT_LT(Matrix::max_abs_diff(p, *direct), 1e-8);
-}
-
-TEST(Updates, ShermanMorrisonRefusesSingularUpdate) {
-  // A - a a^T / (a^T a) * (a^T a) makes denominator zero when v^T P u = -1.
-  Matrix p = Matrix::identity(2);
-  std::vector<double> u{1.0, 0.0};
-  std::vector<double> v{-1.0, 0.0};  // 1 + v^T P u = 0.
-  Matrix before = p;
-  EXPECT_FALSE(linalg::sherman_morrison_update(p, u, v));
-  EXPECT_DOUBLE_EQ(Matrix::max_abs_diff(p, before), 0.0);
-}
-
 TEST(Updates, OselmPUpdateMatchesGramAccumulation) {
   // P_k = (H_k^T H_k + lambda I)^-1 must hold after sequential updates.
   Rng rng(12);
@@ -282,74 +255,6 @@ TEST(Updates, OselmPUpdateWithForgettingDiscountsGram) {
   const auto direct = linalg::inverse(inv_p);
   ASSERT_TRUE(direct.has_value());
   EXPECT_LT(Matrix::max_abs_diff(p, *direct), 1e-7);
-}
-
-TEST(Updates, WoodburyMatchesDirectInverse) {
-  Rng rng(14);
-  const std::size_t n = 7;
-  const std::size_t k = 3;
-  const Matrix a = random_spd(n, rng);
-  Matrix p = *linalg::inverse(a);
-  const Matrix u = Matrix::random_gaussian(n, k, rng, 0.4);
-  const Matrix v = Matrix::random_gaussian(n, k, rng, 0.4);
-
-  ASSERT_TRUE(linalg::woodbury_update(p, u, v));
-
-  const Matrix updated = a + linalg::matmul_a_bt(u, v);
-  const auto direct = linalg::inverse(updated);
-  ASSERT_TRUE(direct.has_value());
-  EXPECT_LT(Matrix::max_abs_diff(p, *direct), 1e-7);
-}
-
-/// A generic well-conditioned inverse: start from the RLS prior I/lambda and
-/// absorb a few random rank-1 updates so P has no special structure left.
-Matrix random_inverse(std::size_t n, Rng& rng) {
-  Matrix p(n, n);
-  for (std::size_t i = 0; i < n; ++i) p(i, i) = 1.0 / 0.05;
-  std::vector<double> u(n);
-  for (int step = 0; step < 6; ++step) {
-    for (std::size_t i = 0; i < n; ++i) u[i] = rng.gaussian(0.0, 1.0);
-    linalg::sherman_morrison_update(p, u, u);
-  }
-  return p;
-}
-
-double max_abs(const Matrix& m) {
-  double v = 0.0;
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      v = std::max(v, std::abs(m(i, j)));
-    }
-  }
-  return v;
-}
-
-// With k = 1 the Woodbury identity degenerates to Sherman–Morrison, and the
-// two kernels — one fused ger, one tiny LU solve — agree to 1e-12 relative
-// over random shapes.
-TEST(Updates, WoodburyRankOneMatchesShermanMorrison) {
-  Rng rng(123);
-  for (const std::size_t n : {2u, 3u, 7u, 16u, 33u, 64u}) {
-    SCOPED_TRACE("n = " + std::to_string(n));
-    for (int trial = 0; trial < 8; ++trial) {
-      Matrix p_sm = random_inverse(n, rng);
-      Matrix p_wb = p_sm;
-      std::vector<double> u(n);
-      std::vector<double> v(n);
-      Matrix u_col(n, 1);
-      Matrix v_col(n, 1);
-      for (std::size_t i = 0; i < n; ++i) {
-        u[i] = rng.gaussian(0.0, 1.0);
-        v[i] = rng.gaussian(0.0, 1.0);
-        u_col(i, 0) = u[i];
-        v_col(i, 0) = v[i];
-      }
-      ASSERT_TRUE(linalg::sherman_morrison_update(p_sm, u, v));
-      ASSERT_TRUE(linalg::woodbury_update(p_wb, u_col, v_col));
-      const double scale = std::max(max_abs(p_sm), 1e-300);
-      EXPECT_LE(Matrix::max_abs_diff(p_sm, p_wb) / scale, 1e-12);
-    }
-  }
 }
 
 TEST(VectorOps, DistancesAndNorms) {

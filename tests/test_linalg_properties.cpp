@@ -1,6 +1,5 @@
 // Parameterized property sweeps for the linear-algebra substrate, swept
-// across matrix sizes: factorization identities, incremental-update
-// equivalence, and GEMM algebraic laws.
+// across matrix sizes: factorization identities and GEMM algebraic laws.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +7,6 @@
 #include "edgedrift/linalg/gemm.hpp"
 #include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/linalg/solve.hpp"
-#include "edgedrift/linalg/updates.hpp"
 #include "edgedrift/util/rng.hpp"
 
 namespace {
@@ -50,44 +48,6 @@ TEST_P(SizeSweep, CholeskyAgreesWithLuOnSpd) {
   ASSERT_TRUE(chol.has_value());
   ASSERT_TRUE(lu.has_value());
   EXPECT_LT(Matrix::max_abs_diff(*chol, *lu), 1e-7);
-}
-
-TEST_P(SizeSweep, RepeatedShermanMorrisonTracksDirectInverse) {
-  const std::size_t n = GetParam();
-  Rng rng(n * 7 + 3);
-  Matrix a = random_spd(n, rng);
-  Matrix p = *linalg::inverse(a);
-  // 10 successive rank-1 updates, then compare against one direct inverse.
-  for (int step = 0; step < 10; ++step) {
-    std::vector<double> u(n), v(n);
-    for (auto& e : u) e = rng.gaussian(0.0, 0.3);
-    for (auto& e : v) e = rng.gaussian(0.0, 0.3);
-    ASSERT_TRUE(linalg::sherman_morrison_update(p, u, v));
-    linalg::ger(a, 1.0, u, v);
-  }
-  const auto direct = linalg::inverse(a);
-  ASSERT_TRUE(direct.has_value());
-  EXPECT_LT(Matrix::max_abs_diff(p, *direct), 1e-6);
-}
-
-TEST_P(SizeSweep, WoodburyEqualsSequentialRankOne) {
-  const std::size_t n = GetParam();
-  const std::size_t k = 4;
-  Rng rng(n * 11 + 4);
-  const Matrix a = random_spd(n, rng);
-  const Matrix u = Matrix::random_gaussian(n, k, rng, 0.3);
-
-  // Symmetric update A + U U^T applied two ways.
-  Matrix p_block = *linalg::inverse(a);
-  ASSERT_TRUE(linalg::woodbury_update(p_block, u, u));
-
-  Matrix p_seq = *linalg::inverse(a);
-  for (std::size_t col = 0; col < k; ++col) {
-    std::vector<double> uc(n);
-    for (std::size_t r = 0; r < n; ++r) uc[r] = u(r, col);
-    ASSERT_TRUE(linalg::sherman_morrison_update(p_seq, uc, uc));
-  }
-  EXPECT_LT(Matrix::max_abs_diff(p_block, p_seq), 1e-7);
 }
 
 TEST_P(SizeSweep, GemmIsAssociativeWithinTolerance) {

@@ -136,7 +136,8 @@ TEST(MultiInstanceModel, TrainLabelTargetsSpecificInstance) {
   auto model = make_model(rng);
   model.init_sequential();
   std::vector<double> x{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
-  model.train_label(x, 1);
+  BatchWorkspace ws;
+  model.train_label(model.project(x, ws), x, 1);
   EXPECT_EQ(model.instance(0).samples_seen(), 0u);
   EXPECT_EQ(model.instance(1).samples_seen(), 1u);
 }

@@ -202,7 +202,7 @@ TEST(ObsJournal, CompletionTargetsTheLastBegunEvent) {
     EXPECT_FALSE(events[0].completed);
     EXPECT_TRUE(events[0].per_label_distance.empty());
   }
-  journal.begin_event(9, 1.5, 2.0, 50, RecoveryAction::kRecalibrate, {});
+  journal.begin_event(9, 1.5, 2.0, 50, RecoveryAction::kReconstruct, {});
   journal.complete_event(123);
   const std::vector<DriftEvent> events = journal.snapshot();
   ASSERT_EQ(events.size(), 2u);

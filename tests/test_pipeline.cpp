@@ -2,6 +2,9 @@
 // fit -> stream -> detect -> reconstruct -> recover.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/core/version.hpp"
 #include "edgedrift/data/drift_stream.hpp"
@@ -206,6 +209,50 @@ TEST(Pipeline, ReconstructionConsumesConfiguredSamples) {
   ASSERT_GE(recon_finished, 0);
   EXPECT_EQ(recon_finished - recon_started,
             static_cast<std::ptrdiff_t>(config.reconstruction.n_total));
+}
+
+// A recovery row is projected once: Algorithm 2's training and the emitted
+// prediction read one hidden row. So every row of a reconstruction but the
+// finishing one (whose finish permutes the model after its prediction) must
+// emit exactly what a fresh predict() of the model taken right after that
+// row returns, label and score bits, in every numerics tier.
+TEST(Pipeline, RecoveryRowsEmitTheTrainedModelsPrediction) {
+  using edgedrift::drift::ReconstructionPhase;
+  using edgedrift::linalg::NumericsTier;
+  for (const NumericsTier tier : {NumericsTier::kExactF64,
+                                  NumericsTier::kFastF32,
+                                  NumericsTier::kQuantI8}) {
+    SCOPED_TRACE(edgedrift::linalg::tier_name(tier));
+    Rng rng(5);
+    auto scenario = make_scenario(rng);
+    PipelineConfig config = make_config();
+    config.numerics = tier;
+    Pipeline pipeline(config);
+    pipeline.fit(scenario.train.x, scenario.train.labels);
+
+    edgedrift::model::BatchWorkspace ws;
+    std::size_t checked = 0;
+    std::size_t trained = 0;
+    for (std::size_t i = 0; i < scenario.test.size(); ++i) {
+      const auto x = scenario.test.x.row(i);
+      const PipelineStep step = pipeline.process(x);
+      if (!step.reconstructing || step.reconstruction_finished) continue;
+      const edgedrift::model::Prediction fresh =
+          pipeline.model().predict(x, ws);
+      ASSERT_EQ(step.prediction.label, fresh.label) << "row " << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(step.prediction.score),
+                std::bit_cast<std::uint64_t>(fresh.score))
+          << "row " << i;
+      ++checked;
+      const ReconstructionPhase phase = pipeline.reconstructor().phase();
+      trained += phase == ReconstructionPhase::kTrainNearest ||
+                 phase == ReconstructionPhase::kTrainPredict;
+    }
+    // At least one whole reconstruction, training phases included.
+    EXPECT_GE(checked, config.reconstruction.n_total - 1);
+    EXPECT_GE(trained,
+              config.reconstruction.n_total - config.reconstruction.n_update);
+  }
 }
 
 TEST(Pipeline, VersionConstantsExposed) {

@@ -38,6 +38,12 @@ std::vector<double> cluster_sample(Rng& rng, int which, std::size_t dim) {
   return x;
 }
 
+// One Algorithm 2 step on x, projected once as core::Pipeline does.
+bool step(Reconstructor& recon, MultiInstanceModel& model, BatchWorkspace& ws,
+          const std::vector<double>& x) {
+  return recon.step(x, model.project(x, ws), model, ws);
+}
+
 TEST(Reconstructor, PhaseScheduleFollowsAlgorithmTwo) {
   Rng rng(1);
   auto model = make_model(rng);
@@ -49,7 +55,7 @@ TEST(Reconstructor, PhaseScheduleFollowsAlgorithmTwo) {
   // 60..99 -> train-nearest, 100..199 -> train-predict, 200 -> done.
   std::vector<ReconstructionPhase> seen;
   for (int i = 1; i < 200; ++i) {
-    const bool running = recon.step(cluster_sample(rng, i % 2, 4), model, ws);
+    const bool running = step(recon, model, ws, cluster_sample(rng, i % 2, 4));
     ASSERT_TRUE(running) << "ended early at " << i;
     seen.push_back(recon.phase());
   }
@@ -63,7 +69,7 @@ TEST(Reconstructor, PhaseScheduleFollowsAlgorithmTwo) {
   EXPECT_EQ(seen[197], ReconstructionPhase::kTrainPredict);
 
   // The 200th step completes the reconstruction.
-  EXPECT_FALSE(recon.step(cluster_sample(rng, 0, 4), model, ws));
+  EXPECT_FALSE(step(recon, model, ws, cluster_sample(rng, 0, 4)));
   EXPECT_FALSE(recon.active());
 }
 
@@ -79,7 +85,7 @@ TEST(Reconstructor, CoordinatesConvergeToNewClusters) {
   recon.begin(model, Matrix(2, 4, 6.0));
 
   int i = 0;
-  while (recon.step(cluster_sample(rng, i++ % 2, 4), model, ws)) {
+  while (step(recon, model, ws, cluster_sample(rng, i++ % 2, 4))) {
   }
 
   // The two coordinates must sit near (5,..) and (9,..) in some order.
@@ -100,7 +106,7 @@ TEST(Reconstructor, ModelLearnsNewConceptDuringReconstruction) {
   recon.begin(model, Matrix(2, 4, 6.0));
 
   int i = 0;
-  while (recon.step(cluster_sample(rng, i++ % 2, 4), model, ws)) {
+  while (step(recon, model, ws, cluster_sample(rng, i++ % 2, 4))) {
   }
 
   // After reconstruction the model must separate the two new clusters.
@@ -130,7 +136,7 @@ TEST(Reconstructor, SuggestedThetaDriftIsPositive) {
   BatchWorkspace ws;
   recon.begin(model, Matrix(2, 4));
   int i = 0;
-  while (recon.step(cluster_sample(rng, i++ % 2, 4), model, ws)) {
+  while (step(recon, model, ws, cluster_sample(rng, i++ % 2, 4))) {
   }
   EXPECT_GT(recon.suggested_theta_drift(1.0), 0.0);
   // z = 2 threshold must not be below the z = 1 threshold.
@@ -169,7 +175,7 @@ TEST(Reconstructor, SecondReconstructionAfterCompletion) {
   for (int round = 0; round < 2; ++round) {
     recon.begin(model, recon.coords());
     int i = 0;
-    while (recon.step(cluster_sample(rng, i++ % 2, 4), model, ws)) {
+    while (step(recon, model, ws, cluster_sample(rng, i++ % 2, 4))) {
     }
     EXPECT_FALSE(recon.active());
   }
@@ -186,7 +192,7 @@ TEST(Reconstructor, SingleLabelReconstruction) {
   recon.begin(model, Matrix(1, 4));
 
   int i = 0;
-  while (recon.step(cluster_sample(rng, 0, 4), model, ws)) {
+  while (step(recon, model, ws, cluster_sample(rng, 0, 4))) {
     ++i;
   }
   EXPECT_EQ(i + 1, 200);
@@ -203,7 +209,7 @@ TEST(Reconstructor, MemoryIsSmallAndConstant) {
   recon.begin(model, Matrix(2, 4));
   const std::size_t before = recon.memory_bytes();
   for (int i = 0; i < 50; ++i) {
-    recon.step(cluster_sample(rng, i % 2, 4), model, ws);
+    step(recon, model, ws, cluster_sample(rng, i % 2, 4));
   }
   EXPECT_EQ(recon.memory_bytes(), before);
   // Two 4-dim coordinates: well under a kilobyte of state.
