@@ -15,9 +15,9 @@
 #include "edgedrift/data/nsl_kdd_like.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/model/multi_instance.hpp"
-#include "edgedrift/oselm/classifier.hpp"
 #include "edgedrift/util/rng.hpp"
 #include "edgedrift/util/table.hpp"
+#include "oracle/classifier.hpp"
 
 using namespace edgedrift;
 

@@ -77,10 +77,10 @@ int main() {
   detector_base.initial_count = 0;
   {
     // theta_error from training scores (mean + 3 sigma).
+    model::BatchWorkspace ws;
+    model.score_batch(train.x, ws);
     std::vector<double> scores(train.size());
-    for (std::size_t i = 0; i < train.size(); ++i) {
-      scores[i] = model.instance(0).score(train.x.row(i));
-    }
+    for (std::size_t i = 0; i < train.size(); ++i) scores[i] = ws.scores(i, 0);
     double mu = 0.0;
     for (const double s : scores) mu += s;
     mu /= scores.size();

@@ -23,6 +23,7 @@
 #include "bench_json.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/reference_instance.hpp"
 
 namespace {
 
@@ -115,17 +116,22 @@ void BM_ScoresFusedI8(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoresFusedI8)->Arg(2)->Arg(3)->Arg(5)->Arg(23);
 
-/// The per-instance reference path: each instance projects and
-/// reconstructs independently (instance(c).score recomputes the hidden
-/// activation per label, exactly what the pre-fusion scorer did).
+/// The per-label reference path: one standalone autoencoder per label,
+/// rebuilt from the model, each projecting and reconstructing on its own
+/// (Autoencoder::score recomputes the hidden activation per label, exactly
+/// what the pre-fusion scorer did).
 void BM_ScoresPerInstance(benchmark::State& state) {
   const auto c = static_cast<std::size_t>(state.range(0));
   BenchSetup setup = make_setup(c);
+  std::vector<oselm::Autoencoder> instances;
+  for (std::size_t label = 0; label < c; ++label) {
+    instances.push_back(oracle::reference_instance(setup.model, label));
+  }
   std::vector<double> out(c);
   std::size_t i = 0;
   for (auto _ : state) {
     for (std::size_t label = 0; label < c; ++label) {
-      out[label] = setup.model.instance(label).score(setup.probes.row(i));
+      out[label] = instances[label].score(setup.probes.row(i));
     }
     benchmark::DoNotOptimize(out.data());
     i = (i + 1) % kProbeRows;

@@ -13,12 +13,12 @@
 #include "bench_json.hpp"
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/linalg/gemm.hpp"
-#include "edgedrift/linalg/naive.hpp"
 #include "edgedrift/linalg/solve.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/mcu/static_pipeline.hpp"
 #include "edgedrift/oselm/oselm.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/naive.hpp"
 
 namespace {
 

@@ -45,6 +45,10 @@ class Writer {
   void write_doubles(std::span<const double> values);
   void write_sizes(std::span<const std::size_t> values);
   void write_matrix(const linalg::Matrix& m);
+  /// Columns [col_begin, col_begin + cols) of m, in the bytes write_matrix()
+  /// writes for a matrix holding just those columns.
+  void write_columns(const linalg::Matrix& m, std::size_t col_begin,
+                     std::size_t cols);
 
   /// Writes the file header (magic + format version + a section tag).
   void write_header(std::string_view section);

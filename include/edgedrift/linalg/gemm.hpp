@@ -1,6 +1,9 @@
 // Matrix-multiply kernels. The blocked kernel is cache-tiled; the threaded
-// variant splits output rows across the global thread pool and is used only
-// by the batch paths (initial ELM training, baseline batch detectors).
+// variants split output rows across the global thread pool:
+// matmul_parallel_into() is score_batch()'s block kernel (f64 and f32
+// tiers) and the projection's hidden_batch_into(),
+// matmul_packed_parallel_into() runs the serving layer's coalesced
+// projection, and matmul_parallel() serves OsElm::predict_batch().
 #pragma once
 
 #include <cstddef>
@@ -50,15 +53,12 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 /// C = A * B using the global thread pool for large problems.
 Matrix matmul_parallel(const Matrix& a, const Matrix& b);
 
-/// C = A * B into a caller-provided matrix (resized if needed). The
-/// allocation-free variant the batch scoring hot path uses with
-/// preallocated workspaces; per-element results are bit-identical to
-/// matmul(). C is fully overwritten — the kernels seed their accumulators
-/// at zero, so no pre-zeroing pass runs over the output.
-void matmul_into(ConstMatrixView a, const Matrix& b, Matrix& c);
-
-/// matmul_into with the global thread pool for large problems. Row-
-/// partitioned, so per-element results stay bit-identical to matmul().
+/// C = A * B into a caller-provided matrix (resized if needed), with the
+/// global thread pool for large problems. The allocation-free variant the
+/// batch scoring hot path uses with preallocated workspaces. Row-
+/// partitioned, so per-element results stay bit-identical to matmul(). C is
+/// fully overwritten — the kernels seed their accumulators at zero, so no
+/// pre-zeroing pass runs over the output.
 void matmul_parallel_into(ConstMatrixView a, const Matrix& b, Matrix& c);
 
 /// y = A * x (shapes: [m,n] x [n] -> [m]). `y` must have length m.
@@ -68,32 +68,34 @@ void matvec(const Matrix& a, std::span<const double> x, std::span<double> y);
 void matvec_transposed(const Matrix& a, std::span<const double> x,
                        std::span<double> y);
 
+/// matvec_transposed() of a column block: y = A[:, col_begin :
+/// col_begin + y.size())^T * x. Per element of y this is the same
+/// ascending-row madd chain as matvec_transposed() on a dense matrix of the
+/// block's shape, so a block and a standalone copy of it give the same bits.
+void matvec_transposed_block(const Matrix& a, std::size_t col_begin,
+                             std::span<const double> x, std::span<double> y);
+
 /// f32-tier y = A^T * x (shapes: [m,n]^T x [m] -> [n]). Same ascending-row
 /// accumulation shape as the f64 overload, on the float lane set; lives
 /// outside the bit-identity contract (error-bounded tier).
 void matvec_transposed(const MatrixF32& a, std::span<const float> x,
                        std::span<float> y);
 
-/// f32-tier C = A * B into caller storage (resized, fully overwritten).
-/// Row-streamed scaled-accumulate kernel: with the ensemble-scoring shapes
-/// (k = hidden_dim ~ 22, B a few tens of KB) B stays cache-resident, so the
-/// win over f64 is the halved bandwidth, not a fancier tiling.
-void matmul_into(ConstMatrixViewT<float> a, const MatrixF32& b, MatrixF32& c);
-
-/// f32 matmul_into with the global thread pool for large problems.
+/// f32-tier C = A * B into caller storage (resized, fully overwritten),
+/// with the global thread pool for large problems. Row-streamed
+/// scaled-accumulate kernel: with the ensemble-scoring shapes (k =
+/// hidden_dim ~ 22, B a few tens of KB) B stays cache-resident, so the win
+/// over f64 is the halved bandwidth, not a fancier tiling.
 void matmul_parallel_into(ConstMatrixViewT<float> a, const MatrixF32& b,
                           MatrixF32& c);
 
-/// Rank-1 update A += alpha * u * v^T (u length rows, v length cols).
-void ger(Matrix& a, double alpha, std::span<const double> u,
-         std::span<const double> v);
-
 /// Rank-1 update of a column block: A[:, col_begin : col_begin + v.size())
-/// += alpha * u * v^T. Per element this is the same madd as ger() on a
-/// dense matrix of the block's shape, so a column block updated through
-/// ger_block stays bit-identical to a standalone matrix updated through
-/// ger() with the same vectors — the invariant the packed ensemble beta
-/// relies on (model/multi_instance.cpp).
+/// += alpha * u * v^T (u length rows; col_begin 0 with v length cols
+/// updates all of A). Per element this is one madd, the same whether the
+/// block is part of a wider matrix or a dense matrix of its own, so a block
+/// stays bit-identical to a standalone copy updated with the same vectors —
+/// what lets OS-ELM's rank-1 step train a label's block of the packed
+/// ensemble beta in place (oselm/oselm.hpp).
 void ger_block(Matrix& a, std::size_t col_begin, double alpha,
                std::span<const double> u, std::span<const double> v);
 

@@ -188,16 +188,16 @@ bool StaticPipeline<kDim, kHidden, kLabels>::load(
     bias_[h] = static_cast<float>(projection.bias()[h]);
   }
 
+  const auto& model = pipeline.model();
   for (std::size_t c = 0; c < kLabels; ++c) {
-    const auto& net = pipeline.model().instance(c).net();
     for (std::size_t h = 0; h < kHidden; ++h) {
       for (std::size_t d = 0; d < kDim; ++d) {
         beta_[(c * kHidden + h) * kDim + d] =
-            static_cast<float>(net.beta()(h, d));
+            static_cast<float>(model.packed_beta()(h, c * kDim + d));
       }
       for (std::size_t h2 = 0; h2 < kHidden; ++h2) {
         p_[(c * kHidden + h) * kHidden + h2] =
-            static_cast<float>(net.p()(h, h2));
+            static_cast<float>(model.p(c)(h, h2));
       }
     }
   }

@@ -1,16 +1,23 @@
 // The discriminative model of the paper (Section 3.1): one OS-ELM
-// autoencoder instance per class label, all sharing a single random
-// projection. Prediction returns the label whose instance reconstructs the
-// sample best (smallest anomaly score); sequential training updates only
-// that closest instance.
+// autoencoder per class label, all sharing a single random projection.
+// Prediction returns the label whose autoencoder reconstructs the sample
+// best (smallest anomaly score); sequential training updates only that
+// closest label's autoencoder.
+//
+// Trained state: one packed beta [L x C*n] whose column block c is label
+// c's beta, plus one P and one samples-seen count per label. The packed
+// beta is the model's only beta. Scoring reads every block in one matvec or
+// GEMM; training writes one block in place through OS-ELM's rank-1 step
+// (oselm::train_step(), the function a standalone OsElm trains with), so
+// block c holds the bits a standalone oselm::Autoencoder trained on label
+// c's rows would hold.
 //
 // Scoring has one core, score_batch(): a block of rows, with or without
-// the caller's hidden rows, scored against every instance at once through
-// the packed ensemble beta. predict_batch() and predict() are its argmin;
+// the caller's hidden rows, scored against every label at once through
+// the packed beta. predict_batch() and predict() are its argmin;
 // train_closest() and train_label() are the training side, one rank-1
 // step per sample, each from a hidden row projected once per sample
-// (project()). All scratch lives in a caller-owned BatchWorkspace. The
-// per-instance path, instance(c).score(x), remains as the test oracle.
+// (project()). All scoring scratch lives in a caller-owned BatchWorkspace.
 //
 // Const-use contract: no const method writes model state (there is no
 // mutable member and no lazy repair), so any number of threads may score
@@ -28,14 +35,14 @@
 #include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/linalg/numerics.hpp"
 #include "edgedrift/linalg/quant.hpp"
-#include "edgedrift/oselm/autoencoder.hpp"
+#include "edgedrift/oselm/oselm.hpp"
 
 namespace edgedrift::model {
 
 /// Result of a model prediction.
 struct Prediction {
-  std::size_t label = 0;  ///< argmin-score instance index.
-  double score = 0.0;     ///< Anomaly score of that instance.
+  std::size_t label = 0;  ///< argmin-score label.
+  double score = 0.0;     ///< Anomaly score of that label.
 };
 
 /// The model's one scratch type: every scoring and training entry point
@@ -51,7 +58,7 @@ struct BatchWorkspace {
   /// caller-supplied hidden rows (never written when they are supplied).
   linalg::Matrix hidden;
   linalg::Matrix recon;   ///< rows x (num_labels * input_dim): fused recon.
-  linalg::Matrix scores;  ///< rows x num_labels: per-instance MSE scores.
+  linalg::Matrix scores;  ///< rows x num_labels: per-label MSE scores.
 
   // Tiered-scoring scratch (empty — zero bytes — in the f64 tier).
   linalg::MatrixF32 hidden_f32;  ///< f32: narrowed hidden activations.
@@ -84,32 +91,35 @@ struct BatchWorkspace {
 /// Per-label OS-ELM autoencoder bank.
 class MultiInstanceModel {
  public:
-  /// `num_labels` instances over one shared projection.
-  /// forgetting_factor < 1 turns every instance into an ONLAD autoencoder.
+  /// `num_labels` autoencoders over one shared projection.
+  /// forgetting_factor < 1 turns every label into an ONLAD autoencoder.
   MultiInstanceModel(std::size_t num_labels, oselm::ProjectionPtr projection,
                      double reg_lambda = 1e-2, double forgetting_factor = 1.0);
 
-  std::size_t num_labels() const { return instances_.size(); }
-  std::size_t input_dim() const { return instances_.front().input_dim(); }
-  std::size_t hidden_dim() const { return instances_.front().hidden_dim(); }
+  std::size_t num_labels() const { return p_.size(); }
+  std::size_t input_dim() const { return projection_->input_dim(); }
+  std::size_t hidden_dim() const { return projection_->hidden_dim(); }
+  /// Every label's OS-ELM hyper-parameters (output_dim == input_dim()).
+  const oselm::OsElmConfig& config() const { return config_; }
 
-  /// Batch initial training: instance L trains on the rows of X whose label
+  /// Batch initial training: label L trains on the rows of X whose label
   /// is L. Labels must be in [0, num_labels).
   void init_train(const linalg::Matrix& x, std::span<const int> labels);
 
-  /// Data-free init of every instance (pure-sequential start).
+  /// Data-free init of every label (pure-sequential start): beta = 0,
+  /// P = I / lambda.
   void init_sequential();
 
   /// The scoring core (Algorithm 1 line 6 for a block of rows): scores
-  /// every instance on every row of X into ws.scores, where
-  /// ws.scores(r, c) is bit-identical to instance(c).score(x.row(r)) at
-  /// f64. One shared hidden projection feeds a fused reconstruction of all
-  /// C instances against the active tier's packed beta, then one MSE
-  /// reduction per instance. The kernel follows from the row count: a
-  /// 1-row block takes the per-row fused matvec, a longer block the fused
-  /// [rows x C*n] GEMM. The two agree bit for bit row by row in every tier
-  /// (the i8 tier quantizes the same f64 hidden row in both), so a row
-  /// scores identically whatever block it arrives in.
+  /// every label on every row of X into ws.scores, where ws.scores(r, c)
+  /// at f64 is bit-identical to the score a standalone Autoencoder holding
+  /// label c's state gives x.row(r). One shared hidden projection feeds a
+  /// fused reconstruction of all C labels against the active tier's packed
+  /// beta, then one MSE reduction per label. The kernel follows from the
+  /// row count: a 1-row block takes the per-row fused matvec, a longer
+  /// block the fused [rows x C*n] GEMM. The two agree bit for bit row by
+  /// row in every tier (the i8 tier quantizes the same f64 hidden row in
+  /// both), so a row scores identically whatever block it arrives in.
   ///
   /// X is a row-block view (Matrix converts implicitly), so a contiguous
   /// row range — a drain burst in a ring slab, a calibration chunk — scores
@@ -123,7 +133,7 @@ class MultiInstanceModel {
   void score_batch(linalg::ConstMatrixView x, BatchWorkspace& ws,
                    const linalg::ConstMatrixView* hidden = nullptr) const;
 
-  /// Label = argmin instance score (Algorithm 1 lines 6–7) for every row:
+  /// Label = argmin label score (Algorithm 1 lines 6–7) for every row:
   /// out[r] from ws.scores.row(r) after score_batch(x, ws, hidden). `out`
   /// must have length x.rows().
   void predict_batch(linalg::ConstMatrixView x, BatchWorkspace& ws,
@@ -141,54 +151,58 @@ class MultiInstanceModel {
   std::span<const double> project(std::span<const double> x,
                                   BatchWorkspace& ws) const;
 
-  /// Predicts, then sequentially trains the winning instance; returns the
+  /// Predicts, then sequentially trains the winning label; returns the
   /// prediction made before training. The sample is projected once: the
   /// winner's training step (err = t - beta^T h) reuses the hidden row the
   /// scoring core left in ws.hidden.
   Prediction train_closest(std::span<const double> x, BatchWorkspace& ws);
 
-  /// Sequentially trains instance `label` on x, from x's hidden row
-  /// `hidden` (project(), or ws.hidden after scoring x unsupplied).
+  /// One rank-1 OS-ELM step of label `label` on x, in place on its block,
+  /// from x's hidden row `hidden` (project(), or ws.hidden after scoring x
+  /// unsupplied).
   void train_label(std::span<const double> hidden, std::span<const double> x,
                    std::size_t label);
 
-  /// Resets every instance's trainable state, keeping the projection.
-  void reset();
+  /// Same as init_sequential(): resets every label's trainable state,
+  /// keeping the projection.
+  void reset() { init_sequential(); }
 
-  /// Reorders instances so position i holds the previous instance perm[i].
-  /// Used after model reconstruction to re-align rebuilt clusters with the
-  /// pre-drift label identities.
+  /// Reorders labels so position i holds the previous label perm[i] (its
+  /// beta block, P and count). Used after model reconstruction to re-align
+  /// rebuilt clusters with the pre-drift label identities.
   void apply_permutation(std::span<const std::size_t> perm);
 
-  const oselm::Autoencoder& instance(std::size_t label) const;
+  /// Overwrites label `label`'s trained state (checkpoint restore): its
+  /// beta block, P and samples-seen count. Shapes must be hidden_dim x
+  /// input_dim and hidden_dim x hidden_dim.
+  void restore_label(std::size_t label, const linalg::Matrix& beta,
+                     linalg::Matrix p, std::size_t samples_seen);
 
-  /// Mutable instance access (persistence / state restoration). Callers
-  /// that mutate an instance's beta through this handle must call
-  /// repack_ensemble() afterwards so the fused scorer sees the new state.
-  oselm::Autoencoder& instance_mutable(std::size_t label);
   const oselm::ProjectionPtr& projection() const { return projection_; }
 
-  /// Rebuilds the packed ensemble beta from every instance's beta (exact
-  /// element copies). The model keeps the mirror in sync through its own
-  /// training APIs; this is only needed after out-of-band mutation via
-  /// instance_mutable() (e.g. checkpoint restore).
-  void repack_ensemble();
-
-  /// Column-blocked view of the whole ensemble: packed(i, c * input_dim + j)
-  /// == instance(c).net().beta()(i, j). One matvec/GEMM against it
-  /// reconstructs every instance at once.
+  /// The model's beta, column-blocked: packed(i, c * input_dim + j) is label
+  /// c's beta(i, j). One matvec/GEMM against it reconstructs every label at
+  /// once.
   const linalg::Matrix& packed_beta() const { return packed_beta_; }
 
+  /// Label `label`'s P = (H^T H + lambda I)^-1 over its samples so far.
+  const linalg::Matrix& p(std::size_t label) const { return p_[label]; }
+
+  /// Training samples label `label` absorbed since the last init.
+  std::size_t samples_seen(std::size_t label) const {
+    return samples_seen_[label];
+  }
+
   /// Selects the scoring tier (linalg/numerics.hpp). Training and the f64
-  /// packed master are untouched in every tier; a non-f64 tier builds its
+  /// packed beta are untouched in every tier; a non-f64 tier builds its
   /// shadow replica of the packed beta immediately and keeps it refreshed
-  /// from the master after every beta mutation. Idempotent per tier value.
+  /// from the f64 beta after every block write. Idempotent per tier value.
   void set_numerics_tier(linalg::NumericsTier tier);
   linalg::NumericsTier numerics_tier() const { return tier_; }
 
   /// Monotone counter bumped every time a replica block is re-narrowed /
-  /// re-quantized from the f64 master — the beta_version discipline's twin
-  /// for the approximate tiers. Stays 0 while the model is in the f64 tier.
+  /// re-quantized from the f64 beta. Stays 0 while the model is in the f64
+  /// tier.
   std::uint64_t quantization_epoch() const { return quantization_epoch_; }
 
   /// The f32 shadow replica (valid while the f32 tier is active).
@@ -199,47 +213,45 @@ class MultiInstanceModel {
     return packed_beta_q_;
   }
 
-  /// Bytes: per-instance trainable state plus the shared projection once.
-  /// Deliberately excludes the packed ensemble mirror: the device profile
-  /// (mcu::StaticPipeline) stores beta exactly once, so the mirror is a
-  /// host-side throughput artifact, not part of the Table 4 working set.
+  /// Bytes of the device working set: the shared projection, the packed
+  /// beta (every label's beta, counted once), every label's P, the rank-1
+  /// step's scratch and one sample's workspace rows.
   std::size_t memory_bytes() const;
 
  private:
-  /// Copies instance c's beta into its column block of the packed mirror.
-  void repack_block(std::size_t c);
+  /// Counts a write of label c's beta block and re-derives the block of the
+  /// active tier's replica from it.
+  void block_written(std::size_t c);
 
-  /// Replays the rank-1 step of instance c's most recent sequential train
-  /// into the packed mirror (writes only the owning column block; exactly
-  /// the element-wise madds the dense ger applied to the instance's beta).
-  void sync_block_after_train(std::size_t c);
-
-  /// True when every packed block matches its instance's beta version.
-  bool packed_in_sync() const;
-
-  /// Re-derives instance c's column block of the active tier's replica from
-  /// the f64 master (narrow for f32, re-quantize with fresh scales for i8)
-  /// and bumps the quantization epoch. No-op contractually excluded: only
-  /// called when tier_ != kExactF64.
+  /// Re-derives label c's column block of the active tier's replica from
+  /// the f64 beta (narrow for f32, re-quantize with fresh scales for i8)
+  /// and bumps the quantization epoch. Only called when
+  /// tier_ != kExactF64.
   void refresh_replica_block(std::size_t c);
 
-  /// True when every replica block was refreshed at its packed version.
+  /// True when every replica block was refreshed after its last write.
   bool replicas_in_sync() const;
 
   oselm::ProjectionPtr projection_;
-  std::vector<oselm::Autoencoder> instances_;
-  /// hidden_dim x (num_labels * input_dim): all betas, column-blocked.
+  oselm::OsElmConfig config_;
+  bool initialized_ = false;
+  /// hidden_dim x (num_labels * input_dim): every label's beta,
+  /// column-blocked.
   linalg::Matrix packed_beta_;
-  /// Per-block OsElm::beta_version() snapshot at the last sync.
-  std::vector<std::uint64_t> packed_versions_;
+  std::vector<linalg::Matrix> p_;           ///< Per label: hidden x hidden.
+  std::vector<std::size_t> samples_seen_;   ///< Per label.
+  std::vector<double> ph_;                  ///< Rank-1 step scratch (P h).
+  std::vector<double> err_;                 ///< Rank-1 step scratch (err).
+  /// Per-block write counter: bumped on every write of a beta block.
+  std::vector<std::uint64_t> block_writes_;
 
   linalg::NumericsTier tier_ = linalg::NumericsTier::kExactF64;
   /// f32 shadow of packed_beta_ (kFastF32 tier only).
   linalg::MatrixF32 packed_beta_f32_;
   /// int8 + per-column-scale replica of packed_beta_ (kQuantI8 tier only).
   linalg::QuantizedMatrix packed_beta_q_;
-  /// Per-block packed_versions_ snapshot at the last replica refresh.
-  std::vector<std::uint64_t> replica_versions_;
+  /// Per-block block_writes_ snapshot at the last replica refresh.
+  std::vector<std::uint64_t> replica_writes_;
   std::uint64_t quantization_epoch_ = 0;
 };
 

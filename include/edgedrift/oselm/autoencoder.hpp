@@ -1,7 +1,10 @@
-// OS-ELM autoencoder: the discriminative-model building block of the paper
-// (Section 3.1). Targets equal inputs; the reconstruction error is the
+// OS-ELM autoencoder: one label's model of the paper (Section 3.1) as a
+// standalone object. Targets equal inputs; the reconstruction error is the
 // anomaly score used both for prediction (argmin across per-label instances)
 // and for the theta_error gate of the drift detector (Algorithm 1, line 8).
+// model::MultiInstanceModel holds C of these as column blocks of one packed
+// beta and trains them through the same OS-ELM step (oselm.hpp), so an
+// Autoencoder trained on a label's rows holds that label's block bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -33,13 +36,6 @@ class Autoencoder {
   /// One sequential training step on sample x.
   void train(std::span<const double> x) { net_.train(x, x); }
 
-  /// Sequential training step with a precomputed hidden activation of x
-  /// (shared-hidden hot path: the ensemble projects once per sample and
-  /// reuses `h` for scoring and training).
-  void train_from_hidden(std::span<const double> h, std::span<const double> x) {
-    net_.train_from_hidden(h, x);
-  }
-
   /// Mean squared reconstruction error of x — the anomaly score. Keeps the
   /// reconstruction on the stack. The per-instance reference path: the
   /// ensemble scores through MultiInstanceModel::score_batch(), which is
@@ -58,7 +54,7 @@ class Autoencoder {
 
   const OsElm& net() const { return net_; }
 
-  /// Restores trained state (deserialization path).
+  /// Restores trained state.
   void restore_state(linalg::Matrix beta, linalg::Matrix p,
                      std::size_t samples_seen) {
     net_.restore_state(std::move(beta), std::move(p), samples_seen);

@@ -4,13 +4,20 @@
 // Model: y = beta^T g(A^T x + b) where the projection (A, b) is random and
 // fixed; only beta (hidden_dim x output_dim) is trained. Training state is
 // the pair (beta, P) with P = (H^T H + lambda I)^-1 over everything seen so
-// far. The batch phase computes P by Cholesky; every subsequent sample is a
-// rank-1 Sherman–Morrison step, so no inversion ever happens on-device —
-// the property the paper relies on for the 264 kB Raspberry Pi Pico target.
+// far. The batch phase computes P by Cholesky (solve_batch()); every
+// subsequent sample is one rank-1 Sherman–Morrison step (train_step()), so
+// no inversion ever happens on-device — the property the paper relies on
+// for the 264 kB Raspberry Pi Pico target.
+//
+// The OS-ELM arithmetic is written once, in the three free functions below,
+// which OsElm and model::MultiInstanceModel both train through.
+// train_step() updates beta in place as a column block of a larger matrix:
+// OsElm passes its own beta as block 0, and the model passes its packed
+// ensemble beta with the label's block, so a block holds the bits a
+// standalone OsElm trained on the same samples holds.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -25,6 +32,26 @@ struct OsElmConfig {
   double reg_lambda = 1e-2;        ///< Ridge term of the initial training.
   double forgetting_factor = 1.0;  ///< 1.0 = plain OS-ELM; <1.0 = ONLAD.
 };
+
+/// P = I / reg_lambda: the data-free recursive-least-squares prior.
+void set_p_prior(linalg::Matrix& p, double reg_lambda);
+
+/// Batch initial training on rows of X (inputs) and T (targets):
+/// P = (H^T H + lambda I)^-1 and beta = P H^T T, with H the projection of X.
+void solve_batch(const Projection& projection, const linalg::Matrix& x,
+                 const linalg::Matrix& t, double reg_lambda,
+                 linalg::Matrix& beta, linalg::Matrix& p);
+
+/// One sequential step on the sample with hidden activation h and target t,
+/// in place on the column block beta[:, col : col + t.size()) and on P:
+/// the forgetting-aware Sherman–Morrison P update (resetting P to the prior
+/// when it has numerically exploded), err = t - beta_block^T h with the
+/// pre-update block, then beta_block += (P h) err^T. `ph` (length
+/// hidden_dim) and `err` (length t.size()) are scratch.
+void train_step(const OsElmConfig& config, linalg::Matrix& beta,
+                std::size_t col, linalg::Matrix& p, std::span<const double> h,
+                std::span<const double> t, std::span<double> ph,
+                std::span<double> err);
 
 /// A single OS-ELM regressor over a shared random projection.
 class OsElm {
@@ -53,13 +80,6 @@ class OsElm {
   /// Sequential training on one (x, t) pair — the batch-size-1 fast path.
   void train(std::span<const double> x, std::span<const double> t);
 
-  /// Sequential training with a precomputed hidden activation. `h` must be
-  /// this network's projection of the trained sample (bit-equal to what
-  /// hidden() would produce); the ensemble hot path computes it once per
-  /// sample and shares it across prediction and training.
-  void train_from_hidden(std::span<const double> h,
-                         std::span<const double> t);
-
   /// y = prediction for x. `y` must have length output_dim(). The hidden
   /// activation lives on the stack (heap only for unusually wide hidden
   /// layers), so concurrent predict() calls on a frozen model never share
@@ -72,8 +92,8 @@ class OsElm {
   /// Resets beta and P to the data-free prior, keeping the projection.
   void reset();
 
-  /// Restores trained state (deserialization path). Shapes must match the
-  /// projection and output dim.
+  /// Restores trained state. Shapes must match the projection and output
+  /// dim.
   void restore_state(linalg::Matrix beta, linalg::Matrix p,
                      std::size_t samples_seen);
 
@@ -82,19 +102,6 @@ class OsElm {
 
   const linalg::Matrix& beta() const { return beta_; }
   const linalg::Matrix& p() const { return p_; }
-
-  /// Monotone counter bumped on every mutation of beta (init, sequential
-  /// training, reset, restore). Ensemble owners that keep a packed mirror
-  /// of beta use it to detect when a block must be re-packed.
-  std::uint64_t beta_version() const { return beta_version_; }
-
-  /// Rank-1 factors of the most recent sequential train step:
-  /// beta_new = beta_old + last_update_ph ⊗ last_update_err. Valid until
-  /// the next training call. Lets an ensemble owner replay the exact
-  /// element-wise update into a packed mirror of beta without recomputing
-  /// it (see MultiInstanceModel's packed ensemble beta).
-  std::span<const double> last_update_ph() const { return ph_scratch_; }
-  std::span<const double> last_update_err() const { return err_scratch_; }
 
   /// Bytes of trainable state (beta + P + scratch). Pass
   /// include_projection=true to add the shared projection weights.
@@ -105,21 +112,12 @@ class OsElm {
     projection_->hidden(x, h);
   }
 
-  /// RLS covariance resetting: restores P to the data-free prior, keeping
-  /// beta (used when the forgetting factor makes P numerically explode).
-  void reset_p_to_prior();
-
-  /// Shared body of train()/train_from_hidden(): runs the P update and the
-  /// beta rank-1 step against the activation already in h_scratch_.
-  void train_on_hidden(std::span<const double> t);
-
   ProjectionPtr projection_;
   OsElmConfig config_;
   linalg::Matrix beta_;  ///< hidden_dim x output_dim.
   linalg::Matrix p_;     ///< hidden_dim x hidden_dim.
   bool initialized_ = false;
   std::size_t samples_seen_ = 0;
-  std::uint64_t beta_version_ = 1;  ///< Bumped on every beta mutation.
 
   // Per-sample training scratch, reused to keep the hot path
   // allocation-free. predict() deliberately does not touch these so it is

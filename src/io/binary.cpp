@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "edgedrift/util/assert.hpp"
 #include "edgedrift/util/digest.hpp"
 
 namespace edgedrift::io {
@@ -35,6 +36,16 @@ void Writer::write_matrix(const linalg::Matrix& m) {
   write_u64(m.rows());
   write_u64(m.cols());
   put(m.data(), m.size() * sizeof(double));
+}
+
+void Writer::write_columns(const linalg::Matrix& m, std::size_t col_begin,
+                           std::size_t cols) {
+  EDGEDRIFT_ASSERT(col_begin + cols <= m.cols(), "column block out of range");
+  write_u64(m.rows());
+  write_u64(cols);
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    put(m.data() + i * m.cols() + col_begin, cols * sizeof(double));
+  }
 }
 
 void Writer::write_header(std::string_view section) {

@@ -224,14 +224,15 @@ bool save_pipeline(std::string& out, const core::Pipeline& pipeline) {
   w.write_doubles(projection.bias());
   w.write_u64(projection.fingerprint());
 
-  // Per-instance trained state.
+  // Per-label trained state: the label's block of the packed beta, its P
+  // and its samples-seen count.
   const auto& model = pipeline.model();
   w.write_u64(model.num_labels());
   for (std::size_t c = 0; c < model.num_labels(); ++c) {
-    const auto& net = model.instance(c).net();
-    w.write_matrix(net.beta());
-    w.write_matrix(net.p());
-    w.write_u64(net.samples_seen());
+    w.write_columns(model.packed_beta(), c * model.input_dim(),
+                    model.input_dim());
+    w.write_matrix(model.p(c));
+    w.write_u64(model.samples_seen(c));
   }
 
   // Detector calibration.
@@ -337,14 +338,15 @@ std::optional<core::Pipeline> load_pipeline(
                   "would not rejoin its save-side coalescing group");
     }
 
-    // Instance states.
+    // Per-label states.
     std::uint64_t labels = 0;
     if (!r.read_u64(labels) || labels != config.num_labels) {
       return fail("instance count does not match the config's num_labels");
     }
     model::MultiInstanceModel& model = pipeline->model_mutable();
+    linalg::Matrix beta;
     for (std::size_t c = 0; c < labels; ++c) {
-      linalg::Matrix beta, p;
+      linalg::Matrix p;
       std::uint64_t seen = 0;
       if (!r.read_matrix(beta) || !r.read_matrix(p) || !r.read_u64(seen)) {
         return fail("truncated instance state");
@@ -354,11 +356,8 @@ std::optional<core::Pipeline> load_pipeline(
           p.cols() != config.hidden_dim) {
         return fail("instance beta/P shape does not match the config");
       }
-      model.instance_mutable(c).restore_state(std::move(beta), std::move(p),
-                                              seen);
+      model.restore_label(c, beta, std::move(p), seen);
     }
-    // Out-of-band beta mutation: rebuild the fused scorer's packed mirror.
-    model.repack_ensemble();
   }
 
   // Detector state.

@@ -247,12 +247,6 @@ Matrix matmul_parallel(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void matmul_into(ConstMatrixView a, const Matrix& b, Matrix& c) {
-  EDGEDRIFT_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
-  c.resize_discard(a.rows(), b.cols());
-  matmul_rows(a, b, c, 0, a.rows(), pack_b(b));
-}
-
 void matmul_parallel_into(ConstMatrixView a, const Matrix& b, Matrix& c) {
   EDGEDRIFT_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
   c.resize_discard(a.rows(), b.cols());
@@ -310,16 +304,24 @@ void matvec(const Matrix& a, std::span<const double> x, std::span<double> y) {
 
 void matvec_transposed(const Matrix& a, std::span<const double> x,
                        std::span<double> y) {
-  EDGEDRIFT_ASSERT(a.rows() == x.size(), "matvec_t input size mismatch");
   EDGEDRIFT_ASSERT(a.cols() == y.size(), "matvec_t output size mismatch");
+  matvec_transposed_block(a, 0, x, y);
+}
+
+void matvec_transposed_block(const Matrix& a, std::size_t col_begin,
+                             std::span<const double> x, std::span<double> y) {
+  EDGEDRIFT_ASSERT(a.rows() == x.size(), "matvec_t input size mismatch");
+  EDGEDRIFT_ASSERT(col_begin + y.size() <= a.cols(),
+                   "matvec_t column block out of range");
   std::fill(y.begin(), y.end(), 0.0);
   const std::size_t n = a.cols();
+  const std::size_t bn = y.size();
   double* EDGEDRIFT_RESTRICT yp = y.data();
   // Per element of y this is an ascending-i madd chain — the scalar twin of
   // the GEMM microkernel's accumulation, which keeps hidden()/predict()
   // bit-identical to hidden_batch()/score_batch() rows.
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    simd::scaled_accumulate(x[i], a.data() + i * n, yp, n);
+    simd::scaled_accumulate(x[i], a.data() + i * n + col_begin, yp, bn);
   }
 }
 
@@ -366,12 +368,6 @@ void matmul_rows_f32(ConstMatrixViewT<float> a, const MatrixF32& b,
 
 }  // namespace
 
-void matmul_into(ConstMatrixViewT<float> a, const MatrixF32& b, MatrixF32& c) {
-  EDGEDRIFT_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
-  c.resize_discard(a.rows(), b.cols());
-  matmul_rows_f32(a, b, c, 0, a.rows());
-}
-
 void matmul_parallel_into(ConstMatrixViewT<float> a, const MatrixF32& b,
                           MatrixF32& c) {
   EDGEDRIFT_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
@@ -387,17 +383,6 @@ void matmul_parallel_into(ConstMatrixViewT<float> a, const MatrixF32& b,
       /*min_chunk=*/16);
 }
 
-void ger(Matrix& a, double alpha, std::span<const double> u,
-         std::span<const double> v) {
-  EDGEDRIFT_ASSERT(a.rows() == u.size() && a.cols() == v.size(),
-                   "ger shape mismatch");
-  const std::size_t n = a.cols();
-  const double* EDGEDRIFT_RESTRICT vp = v.data();
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    simd::scaled_accumulate(alpha * u[i], vp, a.data() + i * n, n);
-  }
-}
-
 void ger_block(Matrix& a, std::size_t col_begin, double alpha,
                std::span<const double> u, std::span<const double> v) {
   EDGEDRIFT_ASSERT(a.rows() == u.size(), "ger_block row mismatch");
@@ -406,8 +391,8 @@ void ger_block(Matrix& a, std::size_t col_begin, double alpha,
   const std::size_t n = a.cols();
   const std::size_t bn = v.size();
   const double* EDGEDRIFT_RESTRICT vp = v.data();
-  // Same per-row scaled_accumulate as ger(), applied to the strided block:
-  // each block element receives exactly the madd a dense ger would apply.
+  // One scaled_accumulate per row of the strided block: each block element
+  // receives exactly the madd a dense matrix of the block's shape would.
   for (std::size_t i = 0; i < a.rows(); ++i) {
     simd::scaled_accumulate(alpha * u[i], vp, a.data() + i * n + col_begin,
                             bn);

@@ -4,12 +4,28 @@
 #include <limits>
 
 #include "edgedrift/linalg/gemm.hpp"
-#include "edgedrift/linalg/simd.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/assert.hpp"
 #include "edgedrift/util/thread_pool.hpp"
 
 namespace edgedrift::model {
+
+namespace {
+
+/// Copies columns [from_col, from_col + cols) of `from` into columns
+/// [to_col, to_col + cols) of `to`, row by row (equal row counts); into an
+/// f32 matrix the copy narrows each element.
+template <typename To>
+void copy_columns(const linalg::Matrix& from, std::size_t from_col,
+                  linalg::MatrixT<To>& to, std::size_t to_col,
+                  std::size_t cols) {
+  for (std::size_t i = 0; i < from.rows(); ++i) {
+    const double* src = from.data() + i * from.cols() + from_col;
+    std::copy(src, src + cols, to.data() + i * to.cols() + to_col);
+  }
+}
+
+}  // namespace
 
 MultiInstanceModel::MultiInstanceModel(std::size_t num_labels,
                                        oselm::ProjectionPtr projection,
@@ -18,14 +34,19 @@ MultiInstanceModel::MultiInstanceModel(std::size_t num_labels,
     : projection_(std::move(projection)) {
   EDGEDRIFT_ASSERT(num_labels > 0, "need at least one label");
   EDGEDRIFT_ASSERT(projection_ != nullptr, "projection must not be null");
-  instances_.reserve(num_labels);
-  for (std::size_t i = 0; i < num_labels; ++i) {
-    instances_.emplace_back(projection_, reg_lambda, forgetting_factor);
-  }
-  packed_beta_.resize_zero(projection_->hidden_dim(),
-                           num_labels * projection_->input_dim());
-  packed_versions_.assign(num_labels, 0);
-  replica_versions_.assign(num_labels, 0);
+  EDGEDRIFT_ASSERT(reg_lambda > 0.0, "reg_lambda must be positive");
+  EDGEDRIFT_ASSERT(forgetting_factor > 0.0 && forgetting_factor <= 1.0,
+                   "forgetting factor must be in (0, 1]");
+  config_.output_dim = input_dim();
+  config_.reg_lambda = reg_lambda;
+  config_.forgetting_factor = forgetting_factor;
+  packed_beta_.resize_zero(hidden_dim(), num_labels * input_dim());
+  p_.assign(num_labels, linalg::Matrix(hidden_dim(), hidden_dim()));
+  samples_seen_.assign(num_labels, 0);
+  ph_.resize(hidden_dim());
+  err_.resize(input_dim());
+  block_writes_.assign(num_labels, 0);
+  replica_writes_.assign(num_labels, 0);
 }
 
 void MultiInstanceModel::set_numerics_tier(linalg::NumericsTier tier) {
@@ -44,30 +65,30 @@ void MultiInstanceModel::set_numerics_tier(linalg::NumericsTier tier) {
 
 void MultiInstanceModel::refresh_replica_block(std::size_t c) {
   const std::size_t n = input_dim();
-  const std::size_t stride = packed_beta_.cols();
   if (tier_ == linalg::NumericsTier::kFastF32) {
-    for (std::size_t i = 0; i < hidden_dim(); ++i) {
-      const double* EDGEDRIFT_RESTRICT src =
-          packed_beta_.data() + i * stride + c * n;
-      float* EDGEDRIFT_RESTRICT dst =
-          packed_beta_f32_.data() + i * stride + c * n;
-      for (std::size_t j = 0; j < n; ++j) dst[j] = static_cast<float>(src[j]);
-    }
+    copy_columns(packed_beta_, c * n, packed_beta_f32_, c * n, n);
   } else {
     // Fresh per-column scales for the block: a rank-1 train step can move
     // a column's max|w|, and a stale scale would silently saturate.
     linalg::quantize_block(packed_beta_, packed_beta_q_, c * n, n);
   }
-  replica_versions_[c] = packed_versions_[c];
+  replica_writes_[c] = block_writes_[c];
   ++quantization_epoch_;
 }
 
 bool MultiInstanceModel::replicas_in_sync() const {
-  if (tier_ == linalg::NumericsTier::kExactF64) return true;
-  for (std::size_t c = 0; c < num_labels(); ++c) {
-    if (replica_versions_[c] != packed_versions_[c]) return false;
-  }
-  return true;
+  return tier_ == linalg::NumericsTier::kExactF64 ||
+         replica_writes_ == block_writes_;
+}
+
+void MultiInstanceModel::block_written(std::size_t c) {
+  ++block_writes_[c];
+  // Approximate tiers re-derive the whole block from the f64 beta: a rank-1
+  // step can move a column's max|w|, so the i8 scales must be recomputed,
+  // and replaying the update in f32 would drift from the f64 beta over many
+  // steps. Full re-narrow/re-quantize keeps the replica's error a pure
+  // function of the current f64 beta.
+  if (tier_ != linalg::NumericsTier::kExactF64) refresh_replica_block(c);
 }
 
 void MultiInstanceModel::init_train(const linalg::Matrix& x,
@@ -75,7 +96,7 @@ void MultiInstanceModel::init_train(const linalg::Matrix& x,
   EDGEDRIFT_ASSERT(x.rows() == labels.size(), "X/label row mismatch");
   // One counting pass over the labels, then one bucketed gather pass over
   // the rows — O(N + C) bookkeeping instead of rescanning all N labels for
-  // each of the C instances.
+  // each of the C labels.
   std::vector<std::size_t> counts(num_labels(), 0);
   for (const int l : labels) {
     EDGEDRIFT_ASSERT(l >= 0 && static_cast<std::size_t>(l) < num_labels(),
@@ -92,30 +113,42 @@ void MultiInstanceModel::init_train(const linalg::Matrix& x,
     const std::size_t label = static_cast<std::size_t>(labels[r]);
     blocks[label].set_row(cursor[label]++, x.row(r));
   }
-  // The per-instance solves are independent — instance state is disjoint,
-  // the shared projection is only read, and repack_block() writes disjoint
-  // column blocks of the mirror — so fan them over the pool. Each solve's
-  // result is a pure function of its block; the fan-out changes which
-  // thread runs a solve, never its operand order, so the trained state is
-  // bit-identical to the sequential loop. Nested parallel_for inside the
-  // solves runs inline on the workers (ThreadPool::in_worker).
+  // The per-label solves are independent — each writes only its own P and
+  // beta, and the shared projection is only read — so fan them over the
+  // pool. Each solve's result is a pure function of its block; the fan-out
+  // changes which thread runs a solve, never its operand order, so the
+  // trained state is bit-identical to the sequential loop. Nested
+  // parallel_for inside the solves runs inline on the workers
+  // (ThreadPool::in_worker).
+  std::vector<linalg::Matrix> betas(num_labels());
   util::ThreadPool::global().parallel_for(
       0, num_labels(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t label = lo; label < hi; ++label) {
-          instances_[label].init_train(blocks[label]);
-          repack_block(label);
+          oselm::solve_batch(*projection_, blocks[label], blocks[label],
+                             config_.reg_lambda, betas[label], p_[label]);
         }
       },
       /*min_chunk=*/1);
-  if (tier_ != linalg::NumericsTier::kExactF64) {
-    for (std::size_t c = 0; c < num_labels(); ++c) refresh_replica_block(c);
+  // Block writes stay on this thread: a replica refresh bumps the shared
+  // quantization epoch.
+  for (std::size_t label = 0; label < num_labels(); ++label) {
+    copy_columns(betas[label], 0, packed_beta_, label * input_dim(),
+                 input_dim());
+    samples_seen_[label] = counts[label];
+    block_written(label);
   }
+  initialized_ = true;
 }
 
 void MultiInstanceModel::init_sequential() {
-  for (auto& inst : instances_) inst.init_sequential();
-  repack_ensemble();
+  packed_beta_.fill(0.0);
+  for (std::size_t c = 0; c < num_labels(); ++c) {
+    oselm::set_p_prior(p_[c], config_.reg_lambda);
+    samples_seen_[c] = 0;
+    block_written(c);
+  }
+  initialized_ = true;
 }
 
 namespace {
@@ -141,9 +174,7 @@ void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
   EDGEDRIFT_ASSERT(hidden == nullptr || (hidden->rows() == x.rows() &&
                                          hidden->cols() == hidden_dim()),
                    "hidden block shape mismatch");
-  EDGEDRIFT_ASSERT(instances_.front().initialized(),
-                   "score_batch() before initialization");
-  EDGEDRIFT_DASSERT(packed_in_sync(), "packed ensemble beta out of sync");
+  EDGEDRIFT_ASSERT(initialized_, "score_batch() before initialization");
   EDGEDRIFT_DASSERT(replicas_in_sync(), "tier replica missed a beta update");
   const std::size_t rows = x.rows();
   const std::size_t n = input_dim();
@@ -164,8 +195,8 @@ void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
   ws.scores.resize_discard(rows, num_labels());  // Fully written below.
 
   if (tier_ == linalg::NumericsTier::kExactF64) {
-    // R = H * packed_beta: row r, columns [c*n, (c+1)*n) hold instance c's
-    // reconstruction of row r, bit-identical to its own matvec.
+    // R = H * packed_beta: row r, columns [c*n, (c+1)*n) hold label c's
+    // reconstruction of row r, bit-identical to a matvec on its block.
     ws.recon.resize_discard(rows, packed_n);
     if (one_row) {
       linalg::matvec_transposed(packed_beta_, h.row(0), ws.recon.row(0));
@@ -177,7 +208,8 @@ void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
       const double* recon_row = ws.recon.data() + r * packed_n;
       for (std::size_t label = 0; label < num_labels(); ++label) {
         // Same squared_l2_distance kernel as Autoencoder::score() — one
-        // shared MSE reduction keeps the fused path bit-identical.
+        // shared MSE reduction keeps a label's score bit-identical to a
+        // standalone autoencoder's.
         const std::span<const double> rr{recon_row + label * n, n};
         ws.scores(r, label) =
             linalg::squared_l2_distance(xr, rr) / static_cast<double>(n);
@@ -262,98 +294,59 @@ void MultiInstanceModel::train_label(std::span<const double> hidden,
                                      std::span<const double> x,
                                      std::size_t label) {
   EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  instances_[label].train_from_hidden(hidden, x);
-  sync_block_after_train(label);
-}
-
-void MultiInstanceModel::reset() {
-  for (auto& inst : instances_) inst.reset();
-  repack_ensemble();
+  EDGEDRIFT_ASSERT(initialized_, "train_label() before initialization");
+  EDGEDRIFT_ASSERT(x.size() == input_dim(), "x size mismatch");
+  oselm::train_step(config_, packed_beta_, label * input_dim(), p_[label],
+                    hidden, x, ph_, err_);
+  ++samples_seen_[label];
+  block_written(label);
 }
 
 void MultiInstanceModel::apply_permutation(
     std::span<const std::size_t> perm) {
   EDGEDRIFT_ASSERT(perm.size() == num_labels(), "permutation arity mismatch");
-  std::vector<oselm::Autoencoder> reordered;
-  reordered.reserve(instances_.size());
-  for (const std::size_t src : perm) {
-    EDGEDRIFT_ASSERT(src < instances_.size(), "permutation index range");
-    reordered.push_back(std::move(instances_[src]));
-  }
-  instances_ = std::move(reordered);
-  repack_ensemble();
-}
-
-const oselm::Autoencoder& MultiInstanceModel::instance(
-    std::size_t label) const {
-  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  return instances_[label];
-}
-
-oselm::Autoencoder& MultiInstanceModel::instance_mutable(std::size_t label) {
-  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  return instances_[label];
-}
-
-void MultiInstanceModel::repack_block(std::size_t c) {
-  const oselm::OsElm& net = instances_[c].net();
-  const linalg::Matrix& beta = net.beta();
-  const std::size_t n = input_dim();
-  const std::size_t stride = packed_beta_.cols();
-  for (std::size_t i = 0; i < hidden_dim(); ++i) {
-    const double* src = beta.data() + i * n;
-    std::copy(src, src + n, packed_beta_.data() + i * stride + c * n);
-  }
-  packed_versions_[c] = net.beta_version();
-  // Replica refresh is the CALLER's duty after repack_block: init_train
-  // fans repack_block over the pool, and refresh_replica_block bumps the
-  // shared quantization epoch, which must stay single-threaded.
-}
-
-void MultiInstanceModel::sync_block_after_train(std::size_t c) {
-  const oselm::OsElm& net = instances_[c].net();
-  EDGEDRIFT_DASSERT(net.beta_version() == packed_versions_[c] + 1,
-                    "packed block missed a beta update");
-  // Replay beta += ph (x) err into the owning column block: ger_block runs
-  // the identical element-wise scaled_accumulate the dense ger applied to
-  // the instance's beta, so the mirror stays bit-equal without a copy.
-  linalg::ger_block(packed_beta_, c * input_dim(), 1.0, net.last_update_ph(),
-                    net.last_update_err());
-  packed_versions_[c] = net.beta_version();
-  // Approximate tiers re-derive the whole block from the mutated master:
-  // a rank-1 step can move a column's max|w|, so the i8 scales must be
-  // recomputed, and replaying the update in f32 would drift from the master
-  // over many steps. Full re-narrow/re-quantize keeps the replica's error a
-  // pure function of the current master.
-  if (tier_ != linalg::NumericsTier::kExactF64) refresh_replica_block(c);
-}
-
-void MultiInstanceModel::repack_ensemble() {
+  const linalg::Matrix before = packed_beta_;
+  std::vector<linalg::Matrix> p(num_labels());
+  std::vector<std::size_t> seen(num_labels());
   for (std::size_t c = 0; c < num_labels(); ++c) {
-    repack_block(c);
-    if (tier_ != linalg::NumericsTier::kExactF64) refresh_replica_block(c);
+    const std::size_t src = perm[c];
+    EDGEDRIFT_ASSERT(src < num_labels(), "permutation index range");
+    copy_columns(before, src * input_dim(), packed_beta_, c * input_dim(),
+                 input_dim());
+    p[c] = std::move(p_[src]);
+    seen[c] = samples_seen_[src];
+    block_written(c);
   }
+  p_ = std::move(p);
+  samples_seen_ = std::move(seen);
 }
 
-bool MultiInstanceModel::packed_in_sync() const {
-  for (std::size_t c = 0; c < num_labels(); ++c) {
-    if (packed_versions_[c] != instances_[c].net().beta_version()) {
-      return false;
-    }
-  }
-  return true;
+void MultiInstanceModel::restore_label(std::size_t label,
+                                       const linalg::Matrix& beta,
+                                       linalg::Matrix p,
+                                       std::size_t samples_seen) {
+  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
+  EDGEDRIFT_ASSERT(beta.rows() == hidden_dim() && beta.cols() == input_dim(),
+                   "restored beta shape mismatch");
+  EDGEDRIFT_ASSERT(p.rows() == hidden_dim() && p.cols() == hidden_dim(),
+                   "restored P shape mismatch");
+  copy_columns(beta, 0, packed_beta_, label * input_dim(), input_dim());
+  p_[label] = std::move(p);
+  samples_seen_[label] = samples_seen;
+  initialized_ = true;
+  block_written(label);
 }
 
 std::size_t MultiInstanceModel::memory_bytes() const {
-  // num_labels() doubles account for one sample's score row
-  // (BatchWorkspace::scores) — still part of the device working set. The
-  // packed ensemble mirror is deliberately excluded: the device profile
-  // stores each beta exactly once (see the header comment).
+  // One sample's BatchWorkspace rows (hidden, fused reconstruction, scores)
+  // are caller-owned but still part of the device working set.
+  const std::size_t sample_rows =
+      hidden_dim() + num_labels() * input_dim() + num_labels();
   std::size_t bytes = projection_->memory_bytes() +
-                      num_labels() * sizeof(double);
-  for (const auto& inst : instances_) {
-    bytes += inst.memory_bytes(/*include_projection=*/false);
-  }
+                      packed_beta_.memory_bytes() +
+                      (ph_.capacity() + err_.capacity() + sample_rows) *
+                          sizeof(double);
+  for (const linalg::Matrix& p : p_) bytes += p.memory_bytes();
   return bytes;
 }
 

@@ -1,16 +1,65 @@
 #include "edgedrift/oselm/oselm.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "edgedrift/linalg/gemm.hpp"
-#include "edgedrift/linalg/simd.hpp"
 #include "edgedrift/linalg/solve.hpp"
 #include "edgedrift/linalg/updates.hpp"
-#include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/assert.hpp"
 
 namespace edgedrift::oselm {
+
+void set_p_prior(linalg::Matrix& p, double reg_lambda) {
+  p.fill(0.0);
+  const double prior = 1.0 / reg_lambda;
+  for (std::size_t i = 0; i < p.rows(); ++i) p(i, i) = prior;
+}
+
+void solve_batch(const Projection& projection, const linalg::Matrix& x,
+                 const linalg::Matrix& t, double reg_lambda,
+                 linalg::Matrix& beta, linalg::Matrix& p) {
+  EDGEDRIFT_ASSERT(x.rows() == t.rows(), "X/T row mismatch");
+  EDGEDRIFT_ASSERT(x.cols() == projection.input_dim(), "X feature dim mismatch");
+  const linalg::Matrix h = projection.hidden_batch(x);
+  p = linalg::regularized_gram_inverse(h, reg_lambda);
+  beta = linalg::matmul(p, linalg::matmul_at_b(h, t));
+}
+
+void train_step(const OsElmConfig& config, linalg::Matrix& beta,
+                std::size_t col, linalg::Matrix& p, std::span<const double> h,
+                std::span<const double> t, std::span<double> ph,
+                std::span<double> err) {
+  EDGEDRIFT_ASSERT(h.size() == p.rows() && ph.size() == p.rows(),
+                   "h size mismatch");
+  EDGEDRIFT_ASSERT(t.size() == err.size(), "t size mismatch");
+  // Covariance-resetting safeguard: with a forgetting factor, P grows like
+  // alpha^-t in unexcited directions and eventually overflows (a known RLS
+  // failure mode). When the trace explodes or the rank-1 step reports a
+  // loss of positive definiteness, restart P from the prior while keeping
+  // the learned beta — the standard RLS remedy.
+  if (config.forgetting_factor < 1.0) {
+    double trace = 0.0;
+    for (std::size_t i = 0; i < p.rows(); ++i) trace += p(i, i);
+    if (!std::isfinite(trace) ||
+        trace > 1e9 * static_cast<double>(p.rows())) {
+      set_p_prior(p, config.reg_lambda);
+    }
+  }
+  // P <- forgetting-aware Sherman–Morrison step.
+  if (!linalg::oselm_p_update(p, h, config.forgetting_factor, ph)) {
+    set_p_prior(p, config.reg_lambda);
+    const bool ok = linalg::oselm_p_update(p, h, config.forgetting_factor, ph);
+    EDGEDRIFT_ASSERT(ok, "P update failed even from the prior");
+  }
+  // err = t - beta^T h (prediction error with the pre-update beta), through
+  // the same per-element chain as the ensemble scorer's reconstruction.
+  linalg::matvec_transposed_block(beta, col, h, err);
+  for (std::size_t o = 0; o < err.size(); ++o) err[o] = t[o] - err[o];
+  // beta <- beta + (P_new h) err^T.
+  linalg::matvec(p, h, ph);
+  linalg::ger_block(beta, col, 1.0, ph, err);
+}
 
 OsElm::OsElm(ProjectionPtr projection, OsElmConfig config)
     : projection_(std::move(projection)), config_(config) {
@@ -29,25 +78,17 @@ OsElm::OsElm(ProjectionPtr projection, OsElmConfig config)
 }
 
 void OsElm::init_train(const linalg::Matrix& x, const linalg::Matrix& t) {
-  EDGEDRIFT_ASSERT(x.rows() == t.rows(), "X/T row mismatch");
-  EDGEDRIFT_ASSERT(x.cols() == input_dim(), "X feature dim mismatch");
   EDGEDRIFT_ASSERT(t.cols() == output_dim(), "T target dim mismatch");
-  const linalg::Matrix h = projection_->hidden_batch(x);
-  p_ = linalg::regularized_gram_inverse(h, config_.reg_lambda);
-  beta_ = linalg::matmul(p_, linalg::matmul_at_b(h, t));
+  solve_batch(*projection_, x, t, config_.reg_lambda, beta_, p_);
   initialized_ = true;
   samples_seen_ = x.rows();
-  ++beta_version_;
 }
 
 void OsElm::init_sequential() {
   beta_.fill(0.0);
-  p_.fill(0.0);
-  const double prior = 1.0 / config_.reg_lambda;
-  for (std::size_t i = 0; i < p_.rows(); ++i) p_(i, i) = prior;
+  set_p_prior(p_, config_.reg_lambda);
   initialized_ = true;
   samples_seen_ = 0;
-  ++beta_version_;
 }
 
 void OsElm::train(std::span<const double> x, std::span<const double> t) {
@@ -55,52 +96,7 @@ void OsElm::train(std::span<const double> x, std::span<const double> t) {
   EDGEDRIFT_ASSERT(x.size() == input_dim(), "x size mismatch");
   EDGEDRIFT_ASSERT(t.size() == output_dim(), "t size mismatch");
   hidden(x, h_scratch_);
-  train_on_hidden(t);
-}
-
-void OsElm::train_from_hidden(std::span<const double> h,
-                              std::span<const double> t) {
-  EDGEDRIFT_ASSERT(initialized_, "train_from_hidden() before initialization");
-  EDGEDRIFT_ASSERT(h.size() == hidden_dim(), "h size mismatch");
-  EDGEDRIFT_ASSERT(t.size() == output_dim(), "t size mismatch");
-  std::copy(h.begin(), h.end(), h_scratch_.begin());
-  train_on_hidden(t);
-}
-
-void OsElm::train_on_hidden(std::span<const double> t) {
-  // Covariance-resetting safeguard: with a forgetting factor, P grows like
-  // alpha^-t in unexcited directions and eventually overflows (a known RLS
-  // failure mode). When the trace explodes or the rank-1 step reports a
-  // loss of positive definiteness, restart P from the prior while keeping
-  // the learned beta — the standard RLS remedy.
-  if (config_.forgetting_factor < 1.0) {
-    double trace = 0.0;
-    for (std::size_t i = 0; i < hidden_dim(); ++i) trace += p_(i, i);
-    if (!std::isfinite(trace) ||
-        trace > 1e9 * static_cast<double>(hidden_dim())) {
-      reset_p_to_prior();
-    }
-  }
-  // P <- forgetting-aware Sherman–Morrison step.
-  if (!linalg::oselm_p_update(p_, h_scratch_, config_.forgetting_factor,
-                              ph_scratch_)) {
-    reset_p_to_prior();
-    const bool ok = linalg::oselm_p_update(
-        p_, h_scratch_, config_.forgetting_factor, ph_scratch_);
-    EDGEDRIFT_ASSERT(ok, "P update failed even from the prior");
-  }
-  // err = t - beta^T h (prediction error with the pre-update beta). The
-  // beta^T h reconstruction is the same kernel the fused ensemble scorer
-  // uses, so training reuses a vectorized path instead of a strided
-  // column-wise scalar loop.
-  linalg::matvec_transposed(beta_, h_scratch_, err_scratch_);
-  for (std::size_t o = 0; o < output_dim(); ++o) {
-    err_scratch_[o] = t[o] - err_scratch_[o];
-  }
-  // beta <- beta + (P_new h) err^T.
-  linalg::matvec(p_, h_scratch_, ph_scratch_);
-  linalg::ger(beta_, 1.0, ph_scratch_, err_scratch_);
-  ++beta_version_;
+  train_step(config_, beta_, 0, p_, h_scratch_, t, ph_scratch_, err_scratch_);
   ++samples_seen_;
 }
 
@@ -142,13 +138,6 @@ void OsElm::restore_state(linalg::Matrix beta, linalg::Matrix p,
   p_ = std::move(p);
   samples_seen_ = samples_seen;
   initialized_ = true;
-  ++beta_version_;
-}
-
-void OsElm::reset_p_to_prior() {
-  p_.fill(0.0);
-  const double prior = 1.0 / config_.reg_lambda;
-  for (std::size_t i = 0; i < p_.rows(); ++i) p_(i, i) = prior;
 }
 
 std::size_t OsElm::memory_bytes(bool include_projection) const {

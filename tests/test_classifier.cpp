@@ -4,8 +4,8 @@
 
 #include "edgedrift/data/gaussian_concept.hpp"
 #include "edgedrift/data/stream.hpp"
-#include "edgedrift/oselm/classifier.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/classifier.hpp"
 
 namespace {
 

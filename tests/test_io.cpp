@@ -10,8 +10,11 @@
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/data/drift_stream.hpp"
 #include "edgedrift/data/gaussian_concept.hpp"
+#include "edgedrift/data/nsl_kdd_like.hpp"
 #include "edgedrift/io/binary.hpp"
 #include "edgedrift/io/checkpoint.hpp"
+#include "edgedrift/linalg/numerics.hpp"
+#include "edgedrift/linalg/simd.hpp"
 #include "edgedrift/util/digest.hpp"
 #include "edgedrift/util/rng.hpp"
 
@@ -393,19 +396,88 @@ TEST(Checkpoint, StreamAdaptersMatchTheBufferCore) {
   EXPECT_TRUE(edgedrift::io::load_pipeline(stream).has_value());
 }
 
+// ------------------------------------------------------------ v3 bytes
+
+/// The digest of a whole blob, its trailing checksum included.
+std::uint64_t blob_digest(const std::string& blob) {
+  return edgedrift::util::digest64(blob.data(), blob.size());
+}
+
+// Checkpoint v3's bytes are part of its contract. Template sharing compares
+// a blob's whole model section byte for byte (io/checkpoint.hpp), so a
+// layout slip in the save path would silently turn every shared restore
+// into a full model parse. Three fixed pipelines must save to the recorded
+// blobs: f64 fitted, f64 after one completed reconstruction, and i8
+// fitted. The digests pin portable-backend numbers, so the test is exact
+// there and skips on the native backends, as GoldenReplay does.
+TEST(Checkpoint, V3BytesArePinned) {
+  if (std::strcmp(edgedrift::linalg::simd::kLevelName, "portable") != 0) {
+    GTEST_SKIP() << "blob digests are pinned on the portable backend";
+  }
+  constexpr std::uint64_t kFittedF64 = 0x68df1a7ec4b2412d;
+  constexpr std::uint64_t kReconstructedF64 = 0x3a9d5c0a42c0f634;
+  constexpr std::uint64_t kFittedI8 = 0xf53335e11cdafbf4;
+  const auto hex = [](std::uint64_t v) {
+    std::ostringstream os;
+    os << "0x" << std::hex << v;
+    return os.str();
+  };
+
+  for (const auto tier : {edgedrift::linalg::NumericsTier::kExactF64,
+                          edgedrift::linalg::NumericsTier::kQuantI8}) {
+    Rng rng(13);
+    auto scenario = make_scenario(rng);
+    PipelineConfig config = small_config();
+    config.numerics = tier;
+    Pipeline fitted(config);
+    fitted.fit(scenario.train.x, scenario.train.labels);
+    std::string blob;
+    ASSERT_TRUE(edgedrift::io::save_pipeline(blob, fitted));
+    const bool f64 = tier == edgedrift::linalg::NumericsTier::kExactF64;
+    EXPECT_EQ(hex(blob_digest(blob)), hex(f64 ? kFittedF64 : kFittedI8))
+        << edgedrift::linalg::tier_name(tier) << " fitted";
+  }
+
+  // The StaticPipelineNsl stream: drift at row 1500, recovered by row 2100.
+  edgedrift::data::NslKddLikeConfig data_config;
+  data_config.train_size = 800;
+  data_config.test_size = 4000;
+  data_config.drift_point = 1500;
+  edgedrift::data::NslKddLike generator(data_config);
+  Rng rng(71);
+  const edgedrift::data::Dataset train = generator.training(rng);
+  const edgedrift::data::Dataset stream = generator.test_stream(rng);
+  PipelineConfig config;
+  config.num_labels = 2;
+  config.input_dim = 38;
+  config.hidden_dim = 22;
+  config.window_size = 100;
+  config.detector_initial_count = 0;
+  config.theta_error_z = 4.0;
+  config.reconstruction = {20, 120, 500};
+  Pipeline pipeline(config);
+  pipeline.fit(train.x, train.labels);
+  bool finished = false;
+  for (std::size_t i = 0; i < stream.size() && !finished; ++i) {
+    finished = pipeline.process(stream.x.row(i)).reconstruction_finished;
+  }
+  ASSERT_TRUE(finished) << "the drift must be detected and recovered";
+  std::string blob;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, pipeline));
+  EXPECT_EQ(hex(blob_digest(blob)), hex(kReconstructedF64))
+      << "f64 after a reconstruction";
+}
+
 // ------------------------------------------------------ template sharing
 
-/// Expects two models to hold the same trained state bit for bit: every
-/// instance's beta, P and samples-seen count, and the packed ensemble.
+/// Expects two models to hold the same trained state bit for bit: the
+/// packed beta, and every label's P and samples-seen count.
 void expect_same_model(const edgedrift::model::MultiInstanceModel& a,
                        const edgedrift::model::MultiInstanceModel& b) {
   ASSERT_EQ(a.num_labels(), b.num_labels());
   for (std::size_t c = 0; c < a.num_labels(); ++c) {
-    const auto& na = a.instance(c).net();
-    const auto& nb = b.instance(c).net();
-    EXPECT_EQ(Matrix::max_abs_diff(na.beta(), nb.beta()), 0.0) << c;
-    EXPECT_EQ(Matrix::max_abs_diff(na.p(), nb.p()), 0.0) << c;
-    EXPECT_EQ(na.samples_seen(), nb.samples_seen()) << c;
+    EXPECT_EQ(Matrix::max_abs_diff(a.p(c), b.p(c)), 0.0) << c;
+    EXPECT_EQ(a.samples_seen(c), b.samples_seen(c)) << c;
   }
   EXPECT_EQ(Matrix::max_abs_diff(a.packed_beta(), b.packed_beta()), 0.0);
 }
@@ -535,11 +607,9 @@ TEST(Checkpoint, BlobWithAnotherModelLoadsItsOwn) {
   }
   // Each edit reached the field it names.
   const auto p_edit = edgedrift::io::load_pipeline(edits[0].blob);
-  EXPECT_EQ(p_edit->model().instance(0).net().p()(0, 0),
-            1.5 * model.instance(0).net().p()(0, 0));
+  EXPECT_EQ(p_edit->model().p(0)(0, 0), 1.5 * model.p(0)(0, 0));
   const auto seen_edit = edgedrift::io::load_pipeline(edits[1].blob);
-  EXPECT_EQ(seen_edit->model().instance(0).samples_seen(),
-            model.instance(0).samples_seen() + 1);
+  EXPECT_EQ(seen_edit->model().samples_seen(0), model.samples_seen(0) + 1);
   const auto lambda_edit = edgedrift::io::load_pipeline(edits[2].blob);
   EXPECT_EQ(lambda_edit->config().reg_lambda, 2.0 * config.reg_lambda);
 }

@@ -135,7 +135,7 @@ TEST(Gemm, GerRankOneUpdate) {
   Matrix a(2, 2);
   std::vector<double> u{1, 2};
   std::vector<double> v{3, 4};
-  linalg::ger(a, 0.5, u, v);
+  linalg::ger_block(a, 0, 0.5, u, v);
   EXPECT_DOUBLE_EQ(a(0, 0), 1.5);
   EXPECT_DOUBLE_EQ(a(1, 1), 4.0);
 }
@@ -229,7 +229,7 @@ TEST(Updates, OselmPUpdateMatchesGramAccumulation) {
     std::vector<double> h(h_dim);
     for (auto& e : h) e = rng.gaussian();
     linalg::oselm_p_update(p, h, 1.0, scratch);
-    linalg::ger(gram, 1.0, h, h);
+    linalg::ger_block(gram, 0, 1.0, h, h);
   }
   const auto direct = linalg::inverse(gram);
   ASSERT_TRUE(direct.has_value());
@@ -250,7 +250,7 @@ TEST(Updates, OselmPUpdateWithForgettingDiscountsGram) {
     for (auto& e : h) e = rng.gaussian();
     linalg::oselm_p_update(p, h, alpha, scratch);
     inv_p *= alpha;
-    linalg::ger(inv_p, 1.0, h, h);
+    linalg::ger_block(inv_p, 0, 1.0, h, h);
   }
   const auto direct = linalg::inverse(inv_p);
   ASSERT_TRUE(direct.has_value());

@@ -7,6 +7,7 @@
 
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/reference_instance.hpp"
 
 namespace {
 
@@ -15,6 +16,7 @@ using edgedrift::linalg::Matrix;
 using edgedrift::model::BatchWorkspace;
 using edgedrift::model::MultiInstanceModel;
 using edgedrift::model::Prediction;
+using edgedrift::oracle::reference_instance;
 using edgedrift::oselm::Activation;
 using edgedrift::oselm::make_projection;
 using edgedrift::util::Rng;
@@ -97,8 +99,10 @@ TEST(MultiInstanceModel, ScoreOfMatchesScoresVector) {
 
   BatchWorkspace ws;
   const std::vector<double> scores = scores_of(model, data.x.row(0), ws);
-  EXPECT_DOUBLE_EQ(scores[0], model.instance(0).score(data.x.row(0)));
-  EXPECT_DOUBLE_EQ(scores[1], model.instance(1).score(data.x.row(0)));
+  EXPECT_DOUBLE_EQ(scores[0],
+                   reference_instance(model, 0).score(data.x.row(0)));
+  EXPECT_DOUBLE_EQ(scores[1],
+                   reference_instance(model, 1).score(data.x.row(0)));
 }
 
 TEST(MultiInstanceModel, PredictionScoreIsMinimum) {
@@ -119,15 +123,15 @@ TEST(MultiInstanceModel, TrainClosestUpdatesWinningInstance) {
   auto model = make_model(rng);
   model.init_train(data.x, data.labels);
 
-  const auto seen_before_0 = model.instance(0).samples_seen();
-  const auto seen_before_1 = model.instance(1).samples_seen();
+  const auto seen_before_0 = model.samples_seen(0);
+  const auto seen_before_1 = model.samples_seen(1);
   BatchWorkspace ws;
   const Prediction pred = model.train_closest(data.x.row(0), ws);
   if (pred.label == 0) {
-    EXPECT_EQ(model.instance(0).samples_seen(), seen_before_0 + 1);
-    EXPECT_EQ(model.instance(1).samples_seen(), seen_before_1);
+    EXPECT_EQ(model.samples_seen(0), seen_before_0 + 1);
+    EXPECT_EQ(model.samples_seen(1), seen_before_1);
   } else {
-    EXPECT_EQ(model.instance(1).samples_seen(), seen_before_1 + 1);
+    EXPECT_EQ(model.samples_seen(1), seen_before_1 + 1);
   }
 }
 
@@ -138,8 +142,8 @@ TEST(MultiInstanceModel, TrainLabelTargetsSpecificInstance) {
   std::vector<double> x{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
   BatchWorkspace ws;
   model.train_label(model.project(x, ws), x, 1);
-  EXPECT_EQ(model.instance(0).samples_seen(), 0u);
-  EXPECT_EQ(model.instance(1).samples_seen(), 1u);
+  EXPECT_EQ(model.samples_seen(0), 0u);
+  EXPECT_EQ(model.samples_seen(1), 1u);
 }
 
 TEST(MultiInstanceModel, InitSequentialGivesUniformScores) {
@@ -160,8 +164,8 @@ TEST(MultiInstanceModel, ResetRestoresSequentialPrior) {
   auto model = make_model(rng);
   model.init_train(data.x, data.labels);
   model.reset();
-  EXPECT_EQ(model.instance(0).samples_seen(), 0u);
-  EXPECT_EQ(model.instance(1).samples_seen(), 0u);
+  EXPECT_EQ(model.samples_seen(0), 0u);
+  EXPECT_EQ(model.samples_seen(1), 0u);
 }
 
 TEST(MultiInstanceModel, PermutationSwapsInstances) {

@@ -156,14 +156,14 @@ TEST(Reconstructor, BeginResetsModelAndState) {
     }
   }
   model.init_train(train, labels);
-  EXPECT_GT(model.instance(0).samples_seen(), 0u);
+  EXPECT_GT(model.samples_seen(0), 0u);
 
   Reconstructor recon(small_config(), 2, 4);
   recon.begin(model, Matrix(2, 4));
   EXPECT_TRUE(recon.active());
   EXPECT_EQ(recon.count(), 0u);
-  EXPECT_EQ(model.instance(0).samples_seen(), 0u);
-  EXPECT_EQ(model.instance(1).samples_seen(), 0u);
+  EXPECT_EQ(model.samples_seen(0), 0u);
+  EXPECT_EQ(model.samples_seen(1), 0u);
 }
 
 TEST(Reconstructor, SecondReconstructionAfterCompletion) {
@@ -198,7 +198,7 @@ TEST(Reconstructor, SingleLabelReconstruction) {
   EXPECT_EQ(i + 1, 200);
   EXPECT_NEAR(recon.coords()(0, 0), 5.0, 0.6);
   // The single instance now reconstructs the new concept.
-  EXPECT_LT(model.instance(0).score(cluster_sample(rng, 0, 4)), 0.5);
+  EXPECT_LT(model.predict(cluster_sample(rng, 0, 4), ws).score, 0.5);
 }
 
 TEST(Reconstructor, MemoryIsSmallAndConstant) {

@@ -22,11 +22,11 @@
 
 #include "edgedrift/linalg/gemm.hpp"
 #include "edgedrift/linalg/matrix.hpp"
-#include "edgedrift/linalg/naive.hpp"
 #include "edgedrift/linalg/quant.hpp"
 #include "edgedrift/linalg/simd.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/naive.hpp"
 
 namespace {
 
@@ -136,9 +136,42 @@ TEST(SimdKernels, GerMatchesNaive) {
     std::vector<double> u(s.m), v(s.n);
     for (auto& e : u) e = rng.gaussian();
     for (auto& e : v) e = rng.gaussian();
-    linalg::ger(got, 0.75, u, v);
+    linalg::ger_block(got, 0, 0.75, u, v);
     linalg::naive::ger(want, 0.75, u, v);
     expect_matrix_close(got, want, "ger");
+  }
+}
+
+// The block kernels OS-ELM trains a packed-beta block with: a column block
+// of a wider matrix gets exactly the bits a dense matrix of the block's
+// shape gets from matvec_transposed() and a full-width ger_block().
+TEST(SimdKernels, ColumnBlockKernelsMatchDenseBitForBit) {
+  Rng rng(53);
+  for (const Shape& s : kShapes) {
+    const std::size_t lead = 3;
+    Matrix wide = Matrix::random_gaussian(s.m, lead + s.n + 5, rng);
+    Matrix dense(s.m, s.n);
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) dense(i, j) = wide(i, lead + j);
+    }
+    std::vector<double> u(s.m), v(s.n);
+    for (auto& e : u) e = rng.gaussian();
+    for (auto& e : v) e = rng.gaussian();
+
+    std::vector<double> from_block(s.n), from_dense(s.n);
+    linalg::matvec_transposed_block(wide, lead, u, from_block);
+    linalg::matvec_transposed(dense, u, from_dense);
+    EXPECT_EQ(from_block, from_dense) << s.m << "x" << s.n;
+
+    linalg::ger_block(wide, lead, 0.75, u, v);
+    linalg::ger_block(dense, 0, 0.75, u, v);
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) {
+        mismatches += wide(i, lead + j) != dense(i, j);
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << s.m << "x" << s.n;
   }
 }
 
