@@ -16,9 +16,9 @@
 #include "edgedrift/linalg/solve.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/mcu/static_pipeline.hpp"
-#include "edgedrift/oselm/oselm.hpp"
 #include "edgedrift/util/rng.hpp"
 #include "oracle/naive.hpp"
+#include "oracle/oselm.hpp"
 
 namespace {
 

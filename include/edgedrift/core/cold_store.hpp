@@ -1,12 +1,13 @@
 // core::ColdStore — where evicted streams' serialized Pipeline state lives.
 //
 // One store per shard (so no two shards contend on its mutex). An entry is
-// an opaque checkpoint blob (io/checkpoint.hpp format, tier-enforced at
-// restore time) held either in memory as a shared immutable string, or —
-// when a spill directory is configured — as a file on disk. shared_ptr
-// ownership is what makes mass cold-seeding cheap: 100k streams seeded from
-// one fitted template all point at the same blob, so the cold side of a
-// 100k-stream registration costs one serialization and one allocation.
+// an opaque checkpoint blob (io/checkpoint.hpp format, a full checkpoint or
+// a template delta, tier-enforced at restore time) held either in memory as
+// a shared immutable string, or — when a spill directory is configured — as
+// a file on disk. shared_ptr ownership is what makes mass cold-seeding
+// cheap: 100k streams seeded from one fitted template all point at the same
+// delta, so the cold side of a 100k-stream registration costs one
+// serialization and one allocation.
 //
 // Thread safety: every method is safe from any thread (internal mutex).
 // The serving layer still serializes put/peek/erase *per stream id* through

@@ -20,8 +20,8 @@
 //
 // Model ownership: a pipeline holds its model through a std::shared_ptr.
 // Pipelines built on one template (the sharing constructor, which
-// io::load_pipeline uses when a checkpoint's model equals its template's)
-// score against one model object. Every write (fit(), a recovery's reset,
+// io::load_pipeline uses to load a template delta) score against one model
+// object. Every write (fit(), a recovery's reset,
 // training and permutation, model_mutable()) goes through one private
 // accessor that first copies the model unless this pipeline is its only
 // owner, so a shared model is never written in place; scoring reads it

@@ -29,9 +29,9 @@
 // Eviction: with hot_stream_budget > 0, each shard keeps at most that many
 // streams resident. After a drain cycle the worker pushes the least-
 // recently-active idle streams out: the Pipeline is serialized through the
-// io checkpoint layer (format v3, tier recorded) into the shard's
-// ColdStore (in-memory, or spilled to cold_spill_dir), and the ring slab
-// is released. The next submit() to a cold stream restores it
+// io checkpoint layer (format v4, tier and Algorithm 1's window recorded)
+// into the shard's ColdStore (in-memory, or spilled to cold_spill_dir),
+// and the ring slab is released. The next submit() to a cold stream restores it
 // transparently before enqueueing. The round trip is bit-identical at
 // kExactF64 and drift-decision-equivalent at kFastF32/kQuantI8 — the same
 // contract the checkpoint layer already guarantees (tests/test_eviction.cpp).
@@ -39,9 +39,11 @@
 // the cold store from one fitted template, so registered-stream count is
 // bounded by cold-store bytes, not by resident models. The manager also
 // loads that template once and holds its model for its whole lifetime; a
-// seeded stream's restores score against that one model until the stream
-// first writes it (a recovery), when it copies it (copy on write, see
-// core/pipeline.hpp). Template models are held by the manager and are not
+// seeded stream is stored as a template delta (its detector state and
+// window around the template's handle, io/checkpoint.hpp), and its
+// restores score against that one model until the stream first writes it
+// (a recovery), when it copies it (copy on write, see core/pipeline.hpp)
+// and its evictions save full blobs from then on. Template models are held by the manager and are not
 // part of any shard's hot_bytes: a stream on its template's model is
 // charged only its own bytes (detector, recovery bookkeeping, ring), and
 // its private copy is charged once it makes one.
@@ -220,12 +222,11 @@ class PipelineManager {
   bool resident(std::size_t id) const;
 
   /// Registers `count` new streams cold: stream `source_id` (fitted,
-  /// resident) is serialized once and every new id maps to that shared
-  /// template blob in its shard's cold store — the 100k-stream
-  /// registration path, costing one checkpoint, one blob and one template
-  /// model regardless of count. The blob is loaded once, through
-  /// io::load_template with every check, and the manager holds that model
-  /// until it is destroyed. New ids are num_streams()..num_streams()+count-1;
+  /// resident) is serialized once, loaded once through io::load_template
+  /// with every check, and the manager holds that template model until it
+  /// is destroyed. Every new id maps to one shared template delta in its
+  /// shard's cold store — the 100k-stream registration path, costing one
+  /// checkpoint, one template model and one delta regardless of count. New ids are num_streams()..num_streams()+count-1;
   /// returns the first new id. A seeded stream is restored on its first
   /// submit with its own detector and ring, sharing the template's model
   /// until its first write (a recovery), which goes to a private copy; from

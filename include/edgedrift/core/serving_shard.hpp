@@ -155,11 +155,13 @@ struct ManagedStream {
   /// and pipeline, without the model while it shares its template's.
   std::size_t hot_footprint_bytes = 0;
   /// The template this stream was seeded from (seed_cold_from), or null.
-  /// Restores pass it to io::load_pipeline, so the stream runs on the
-  /// template's model while its own equals it. Cleared, and the model
-  /// charged to hot_bytes, once the stream has written a private copy (its
-  /// model never equals the template's again). Written by the consumer
-  /// under evict_mutex, read by the consumer and by restores.
+  /// Evictions pass it to io::save_pipeline, which writes a template delta
+  /// while the stream runs on the template's model, and restores pass it
+  /// to io::load_pipeline, which loads the delta onto that model. Cleared,
+  /// and the model charged to hot_bytes, once the stream has written a
+  /// private copy (it never returns to the template's model). Written by
+  /// the consumer under evict_mutex, read by the consumer, evictions and
+  /// restores.
   const io::ModelTemplate* model_template = nullptr;
 
   /// Treiber-stack link; owned by the ready stack between push and take.

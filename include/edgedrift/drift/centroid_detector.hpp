@@ -113,11 +113,13 @@ class CentroidDetector : public Detector {
   /// moved, at zero extra state.
   std::vector<std::size_t> top_drifted_dimensions(std::size_t k) const;
 
-  /// Restores full calibrated state (deserialization path).
+  /// Restores full calibrated state, Algorithm 1's window included
+  /// (deserialization path). `window.pos` must not exceed W, and must be
+  /// below it while the window is open.
   void restore(const linalg::Matrix& trained, const linalg::Matrix& recent,
                std::span<const std::size_t> counts,
                std::span<const std::size_t> calibrated_counts,
-               double theta_drift);
+               double theta_drift, steps::Window window);
 
  private:
   CentroidDetectorConfig config_;

@@ -22,15 +22,22 @@
 namespace edgedrift::io {
 
 inline constexpr std::uint32_t kMagic = 0x45444446;  // "EDDF".
-/// v3: the trailing checksum is util::digest64 over the whole blob,
-/// verified before parsing. v2 blobs (byte-serial checksum) and v1 blobs
-/// (no NumericsTier field) are rejected with an error naming their version
-/// and must be re-saved. Since v2 the config carries the NumericsTier (part
-/// of the drift-decision contract, so it is never defaulted on restore) and
-/// the projection fingerprint follows the projection block (verified on
-/// load against the rebuilt projection's digest, so restored streams rejoin
-/// their save-side coalescing groups).
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// v4: a full checkpoint ends its state with Algorithm 1's window (the open
+/// flag and the position, two u64 words), so a restored stream resumes an
+/// open window where it was saved. A second section tag marks a template
+/// delta, which stores a stream on a template's model as the template's
+/// handle instead of the model (io/checkpoint.hpp). v3 blobs still load,
+/// with the window closed. Since v3 the trailing checksum is
+/// util::digest64 over the whole blob, verified before parsing. v2 blobs
+/// (byte-serial checksum) and v1 blobs (no NumericsTier field) are rejected
+/// with an error naming their version and must be re-saved. Since v2 the
+/// config carries the NumericsTier (part of the drift-decision contract, so
+/// it is never defaulted on restore) and the projection fingerprint follows
+/// the projection block (verified on load against the rebuilt projection's
+/// digest, so restored streams rejoin their save-side coalescing groups).
+inline constexpr std::uint32_t kFormatVersion = 4;
+/// The oldest version a Reader's caller still parses (checkpoint v3).
+inline constexpr std::uint32_t kOldestReadableVersion = 3;
 
 /// Appends to a byte buffer. The digest written by write_checksum() covers
 /// the bytes this writer appended.
@@ -84,7 +91,12 @@ class Reader {
   /// Views the next `bytes` bytes in place (no copy) and moves past them.
   bool read_view(std::size_t bytes, std::string_view& view);
 
-  /// Verifies magic, format version, and the expected section tag.
+  /// Reads the header: fails unless the magic matches, and hands back the
+  /// format version and the section tag (a view into the buffer) for the
+  /// caller to dispatch on.
+  bool read_header(std::uint32_t& version, std::string_view& section);
+  /// Verifies magic, the current format version, and the expected section
+  /// tag.
   bool read_header(std::string_view expected_section);
 
   /// Checks the trailing digest against every byte before it, then drops

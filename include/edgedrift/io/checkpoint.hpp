@@ -5,37 +5,44 @@
 // the full training window) runs on a gateway-class machine; the resulting
 // state blob — a few tens of kB for the paper's configurations — is shipped
 // to the microcontroller, which then runs the fully sequential part only.
-// The serving layer's cold store keeps evicted streams as the same blobs.
+// The serving layer's cold store keeps evicted streams as the same blobs,
+// or as template deltas (below).
 //
-// The checkpoint stores the full PipelineConfig, the shared projection
-// weights, every instance's (beta, P) pair, and the detector's centroid
-// state (format v3, io/binary.hpp). Loading verifies the trailing digest
-// over the whole blob before it parses anything, proves the blob holds
-// every block its config declares before it allocates the pipeline, and
-// verifies the projection weights bit-for-bit (they are re-drawn from the
-// persisted seed, so any mismatch indicates a version or RNG change and
-// the load fails cleanly).
+// A full checkpoint (format v4, io/binary.hpp) stores the full
+// PipelineConfig, the shared projection weights, every label's (beta, P)
+// pair, the detector's centroid state and Algorithm 1's window: its open
+// flag and position, so a stream saved mid-window resumes that window
+// where it stopped. Loading verifies the trailing digest over the whole
+// blob before it parses anything, proves the blob holds every block its
+// config declares before it allocates the pipeline, and verifies the
+// projection weights bit-for-bit (they are re-drawn from the persisted
+// seed, so any mismatch indicates a version or RNG change and the load
+// fails cleanly). v3 blobs, which stop before the window, still load, with
+// the window closed.
 //
 // The core API works on byte buffers: save_pipeline appends to a
 // std::string and load_pipeline parses a std::string_view, with no stream
 // in between. The std::ostream / std::istream overloads and the file
 // functions are thin adapters over it.
 //
-// Template sharing: load_pipeline may be given a ModelTemplate, a blob and
-// the pipeline load_template() built from it. After every check above, a
-// blob whose model-determining config fields (shape, activation, weight
-// scale, reg_lambda, seed, numerics tier) and whole model section
-// (projection weights and fingerprint, instance count, every beta, P and
-// samples-seen count) equal the template blob's bytes is built on the
-// template pipeline's model: no projection is drawn, and no model is
-// built, parsed or requantized. The projection check keeps its meaning,
-// because the template passed it against the same seed. Any difference
-// parses the blob's own model as without a template. The restored pipeline
-// copies the shared model before its first write (core/pipeline.hpp).
+// Template deltas: load_template() loads a full blob as a ModelTemplate
+// and digests that blob's model section once, into the template's handle.
+// Given the template, save_pipeline writes a pipeline whose model *is* the
+// template's model object as a delta: the header (section
+// "edgedrift.delta"), the config block and theta_error, the handle, the
+// detector block and the window words, about 1.5 KB at C=2, D=38 against
+// 29.6 KB for the full blob. Loading a delta needs the template whose
+// handle and model-determining config fields (shape, activation, weight
+// scale, reg_lambda, seed, numerics tier) it names; without it the load
+// fails with a reason before anything is allocated. The restored pipeline
+// scores the template's model: no projection is drawn, and no model is
+// built, parsed or requantized. It copies the model before its first
+// write (core/pipeline.hpp), after which it saves full blobs again. A
+// full blob always builds its own model.
 #pragma once
 
+#include <cstdint>
 #include <istream>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -46,28 +53,32 @@
 
 namespace edgedrift::io {
 
-/// Appends a checkpoint of a fitted pipeline to `out`. Returns false, and
-/// appends nothing, when the pipeline is not fitted or its detector is not
-/// the centroid family. The checkpoint records the pipeline's active
-/// NumericsTier: the tier is part of the drift-decision contract, so a
-/// restore site must get the tier it expects or fail loudly.
-bool save_pipeline(std::string& out, const core::Pipeline& pipeline);
-
-/// A checkpoint blob and the pipeline load_template() built from it: the
-/// model that loads of blobs with an equal model share (see the header
-/// comment). Holding it keeps that model alive, and since the template
-/// pipeline is one of its owners, every pipeline loaded onto it copies the
-/// model before writing, so the template is never written in place.
+/// The pipeline load_template() built from a full checkpoint, whose model
+/// template deltas name, and that model's handle (see the header comment).
+/// Holding it keeps the model alive, and since the template pipeline is one
+/// of its owners, every pipeline loaded onto it copies the model before
+/// writing, so the template is never written in place.
 struct ModelTemplate {
-  std::shared_ptr<const std::string> blob;
   core::Pipeline pipeline;
+  /// util::digest64 of the template blob's model section.
+  std::uint64_t handle = 0;
 };
 
-/// Loads `blob` through load_pipeline, with every check and the same
-/// arguments, and keeps the result as a template. nullopt (and `error`) as
-/// load_pipeline.
+/// Appends a checkpoint of a fitted pipeline to `out`: a template delta when
+/// `model_template` is given and the pipeline's model is that template's
+/// model object, a full blob otherwise. Returns false, and appends nothing,
+/// when the pipeline is not fitted or its detector is not the centroid
+/// family. The checkpoint records the pipeline's active NumericsTier: the
+/// tier is part of the drift-decision contract, so a restore site must get
+/// the tier it expects or fail loudly.
+bool save_pipeline(std::string& out, const core::Pipeline& pipeline,
+                   const ModelTemplate* model_template = nullptr);
+
+/// Loads a full blob through load_pipeline, with every check and the same
+/// arguments, and keeps the result as a template with its handle. nullopt
+/// (and `error`) as load_pipeline, and for a delta.
 std::optional<ModelTemplate> load_template(
-    std::shared_ptr<const std::string> blob,
+    std::string_view blob,
     std::optional<linalg::NumericsTier> expect_tier = std::nullopt,
     std::string* error = nullptr,
     const core::PipelineConfig* runtime = nullptr);
@@ -87,10 +98,10 @@ std::optional<ModelTemplate> load_template(
 /// how PipelineManager's eviction layer rehydrates cold streams with the
 /// manager's own serving knobs instead of checkpoint-era defaults.
 ///
-/// `model_template` (optional) lets a blob whose model equals the
-/// template's share the template pipeline's model instead of building its
-/// own (see the header comment). It changes no check and no result: the
-/// restored pipeline steps bit for bit as one loaded without it. The
+/// `model_template` is the template a delta names; a full blob ignores it.
+/// A delta loaded without it, or with a template of another handle or
+/// model config, fails with a reason. The restored pipeline steps bit for
+/// bit as one loaded from the full blob its source would save. The
 /// template need only live through the call: the restored pipeline
 /// co-owns the model.
 std::optional<core::Pipeline> load_pipeline(

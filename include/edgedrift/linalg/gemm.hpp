@@ -3,7 +3,8 @@
 // matmul_parallel_into() is score_batch()'s block kernel (f64 and f32
 // tiers) and the projection's hidden_batch_into(),
 // matmul_packed_parallel_into() runs the serving layer's coalesced
-// projection, and matmul_parallel() serves OsElm::predict_batch().
+// projection, and matmul_parallel() serves the tests' standalone OS-ELM
+// (tests/oracle/oselm.hpp).
 #pragma once
 
 #include <cstddef>

@@ -8,9 +8,9 @@
 // c's beta, plus one P and one samples-seen count per label. The packed
 // beta is the model's only beta. Scoring reads every block in one matvec or
 // GEMM; training writes one block in place through OS-ELM's rank-1 step
-// (oselm::train_step(), the function a standalone OsElm trains with), so
-// block c holds the bits a standalone oselm::Autoencoder trained on label
-// c's rows would hold.
+// (oselm::train_step()), so block c holds the bits a standalone OS-ELM
+// autoencoder trained through the same step on label c's rows would hold
+// (the tests' oracle, tests/oracle/autoencoder.hpp).
 //
 // Scoring has one core, score_batch(): a block of rows, with or without
 // the caller's hidden rows, scored against every label at once through
@@ -112,8 +112,8 @@ class MultiInstanceModel {
 
   /// The scoring core (Algorithm 1 line 6 for a block of rows): scores
   /// every label on every row of X into ws.scores, where ws.scores(r, c)
-  /// at f64 is bit-identical to the score a standalone Autoencoder holding
-  /// label c's state gives x.row(r). One shared hidden projection feeds a
+  /// at f64 is bit-identical to the score a standalone OS-ELM autoencoder
+  /// holding label c's state gives x.row(r). One shared hidden projection feeds a
   /// fused reconstruction of all C labels against the active tier's packed
   /// beta, then one MSE reduction per label. The kernel follows from the
   /// row count: a 1-row block takes the per-row fused matvec, a longer

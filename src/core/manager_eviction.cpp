@@ -51,8 +51,10 @@ bool PipelineManager::evictable_locked(const Stream& s) const {
 
 bool PipelineManager::evict_locked(Shard& shard, Stream& s) {
   const std::uint64_t t0 = obs_on_ ? obs::now_ns() : 0;
+  // A stream on its template's model saves a template delta: its detector
+  // state and window around the template's handle, not the model.
   auto blob = std::make_shared<std::string>();
-  if (!io::save_pipeline(*blob, *s.pipeline)) return false;
+  if (!io::save_pipeline(*blob, *s.pipeline, s.model_template)) return false;
   shard.cold.put(static_cast<std::uint64_t>(s.id), std::move(blob));
 
   // Carry the pipeline's obs books across the residency gap — the live
@@ -121,8 +123,8 @@ void PipelineManager::enforce_budget_locked(Shard& shard,
 
 void PipelineManager::charge_private_copy(Stream& s) {
   // A model address other than the template's means the pipeline wrote a
-  // private copy (a recovery): charge it from now on. The stream's model
-  // never equals the template's again, so its restores stop comparing. The
+  // private copy (a recovery): charge it from now on. The stream never
+  // returns to the template's model, so its evictions save full blobs. The
   // caller is the stream's consumer, the only thread that writes its model;
   // after_drain runs once the consumer role is released, when a poll() on
   // another thread may be copying it.
@@ -221,22 +223,24 @@ std::size_t PipelineManager::seed_cold_from(std::size_t source_id,
   EDGEDRIFT_ASSERT(src.residency == Stream::Residency::kHot &&
                        src.pipeline != nullptr && src.pipeline->fitted(),
                    "seed_cold_from needs a fitted, resident source stream");
-  // One blob, shared by every seeded id: the whole population costs one
-  // serialization plus one string, however large `count` is.
-  auto blob = std::make_shared<std::string>();
-  const bool ok = io::save_pipeline(*blob, *src.pipeline);
+  // One model: the source's checkpoint is loaded once, with every check,
+  // and the manager keeps it as the template a seeded stream's restore
+  // shares instead of building, parsing and requantizing its own.
+  std::string source;
+  const bool ok = io::save_pipeline(source, *src.pipeline);
   EDGEDRIFT_ASSERT(ok, "seed_cold_from: source stream is not serializable "
                        "(centroid detector required)");
-  // And one model: the blob is loaded once, with every check, and the
-  // manager keeps it, so a seeded stream's restore shares it instead of
-  // building, parsing and requantizing its own.
   std::optional<io::ModelTemplate> loaded = io::load_template(
-      blob, template_config_.numerics, nullptr, &template_config_);
+      source, template_config_.numerics, nullptr, &template_config_);
   EDGEDRIFT_ASSERT(loaded.has_value(),
                    "seed_cold_from: the template blob does not load");
   templates_.push_back(
       std::make_unique<io::ModelTemplate>(std::move(*loaded)));
   const io::ModelTemplate* model_template = templates_.back().get();
+  // And one template delta, shared by every seeded id: the whole
+  // population costs one delta string, however large `count` is.
+  auto blob = std::make_shared<std::string>();
+  io::save_pipeline(*blob, model_template->pipeline, model_template);
   const std::size_t first = streams_.size();
   streams_.reserve(first + count);
   for (std::size_t i = 0; i < count; ++i) {

@@ -158,7 +158,7 @@ void CentroidDetector::restore(const linalg::Matrix& trained,
                                const linalg::Matrix& recent,
                                std::span<const std::size_t> counts,
                                std::span<const std::size_t> calibrated_counts,
-                               double theta_drift) {
+                               double theta_drift, steps::Window window) {
   EDGEDRIFT_ASSERT(trained.rows() == config_.num_labels &&
                        trained.cols() == config_.dim,
                    "restored trained-centroid shape mismatch");
@@ -168,6 +168,9 @@ void CentroidDetector::restore(const linalg::Matrix& trained,
   EDGEDRIFT_ASSERT(counts.size() == config_.num_labels &&
                        calibrated_counts.size() == config_.num_labels,
                    "restored count arity mismatch");
+  EDGEDRIFT_ASSERT(window.pos <= config_.window_size &&
+                       !(window.open && window.pos == config_.window_size),
+                   "restored window position outside the window");
   trained_ = trained;
   recent_ = recent;
   counts_.assign(counts.begin(), counts.end());
@@ -175,7 +178,7 @@ void CentroidDetector::restore(const linalg::Matrix& trained,
                             calibrated_counts.end());
   theta_drift_ = theta_drift;
   calibrated_ = true;
-  window_ = {};
+  window_ = window;
 }
 
 std::size_t CentroidDetector::memory_bytes() const {

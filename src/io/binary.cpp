@@ -71,7 +71,8 @@ const char* Reader::next(std::size_t bytes) {
 bool Reader::take(void* dst, std::size_t bytes) {
   const char* src = next(bytes);
   if (src == nullptr) return false;
-  std::memcpy(dst, src, bytes);
+  // An empty block's destination may be null, which memcpy must not see.
+  if (bytes != 0) std::memcpy(dst, src, bytes);
   return true;
 }
 
@@ -134,15 +135,22 @@ bool Reader::read_view(std::size_t bytes, std::string_view& view) {
   return true;
 }
 
-bool Reader::read_header(std::string_view expected_section) {
-  std::uint32_t magic = 0, version = 0;
+bool Reader::read_header(std::uint32_t& version, std::string_view& section) {
+  std::uint32_t magic = 0;
   std::uint64_t size = 0;
-  if (!read_u32(magic) || !read_u32(version) || !read_count(1, size)) {
+  if (!read_u32(magic) || !read_u32(version) || !read_count(1, size) ||
+      !read_view(size, section)) {
     return false;
   }
-  const char* section = next(size);
-  if (magic != kMagic || version != kFormatVersion ||
-      std::string_view(section, size) != expected_section) {
+  if (magic != kMagic) ok_ = false;
+  return ok_;
+}
+
+bool Reader::read_header(std::string_view expected_section) {
+  std::uint32_t version = 0;
+  std::string_view section;
+  if (read_header(version, section) &&
+      (version != kFormatVersion || section != expected_section)) {
     ok_ = false;
   }
   return ok_;

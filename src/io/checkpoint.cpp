@@ -7,11 +7,13 @@
 #include <limits>
 
 #include "edgedrift/io/binary.hpp"
+#include "edgedrift/util/digest.hpp"
 
 namespace edgedrift::io {
 namespace {
 
-constexpr const char* kSection = "edgedrift.pipeline";
+constexpr std::string_view kSection = "edgedrift.pipeline";
+constexpr std::string_view kDeltaSection = "edgedrift.delta";
 
 void write_config(Writer& w, const core::PipelineConfig& config) {
   w.write_u64(config.num_labels);
@@ -32,6 +34,9 @@ void write_config(Writer& w, const core::PipelineConfig& config) {
   w.write_u64(config.seed);
   w.write_u32(static_cast<std::uint32_t>(config.numerics));  // Format v2.
 }
+
+// Bytes write_config() writes: fifteen 8-byte fields and two u32s.
+constexpr std::size_t kConfigBytes = 128;
 
 bool read_config(Reader& r, core::PipelineConfig& config) {
   std::uint64_t u64 = 0;
@@ -130,16 +135,36 @@ std::uint64_t model_bytes(const core::PipelineConfig& config) {
   return mul_sat(words, sizeof(std::uint64_t));
 }
 
-// Bytes between theta_error and the digest: the model section, then the
-// two centroid blocks, the two count vectors and theta_drift.
-std::uint64_t state_bytes(const core::PipelineConfig& config) {
+// Bytes of the detector block, which the config fixes: both centroid
+// blocks, both count vectors and theta_drift.
+std::uint64_t detector_bytes(const core::PipelineConfig& config) {
   // Fixed u64 words: both centroid blocks' dims, both count-vector lengths,
   // theta_drift. Per label: two counts and two centroid rows.
   constexpr std::uint64_t kFixedWords = 7;
   const std::uint64_t per_label = add_sat(2, mul_sat(2, config.input_dim));
   const std::uint64_t words =
       add_sat(kFixedWords, mul_sat(config.num_labels, per_label));
-  return add_sat(model_bytes(config), mul_sat(words, sizeof(std::uint64_t)));
+  return mul_sat(words, sizeof(std::uint64_t));
+}
+
+// What a blob's header says follows its config block.
+enum class Layout {
+  kFullV3,  ///< Model section, detector block.
+  kFull,    ///< Model section, detector block, window words.
+  kDelta,   ///< Template handle, detector block, window words.
+};
+
+// Algorithm 1's window: its open flag and its position.
+constexpr std::uint64_t kWindowBytes = 2 * sizeof(std::uint64_t);
+
+// Bytes between theta_error and the digest.
+std::uint64_t state_bytes(const core::PipelineConfig& config, Layout layout) {
+  const std::uint64_t detector = detector_bytes(config);
+  if (layout == Layout::kDelta) {
+    return add_sat(sizeof(std::uint64_t), add_sat(detector, kWindowBytes));
+  }
+  const std::uint64_t full = add_sat(model_bytes(config), detector);
+  return layout == Layout::kFullV3 ? full : add_sat(full, kWindowBytes);
 }
 
 // The config fields that determine the model a blob builds: its shape, the
@@ -155,64 +180,59 @@ bool same_model_config(const core::PipelineConfig& a,
          a.numerics == b.numerics;
 }
 
-// True, with `r` moved past the model section, when `blob` would build
-// exactly the template's model: its model-determining config fields and its
-// whole model section equal the template blob's bytes. The header and the
-// config block have fixed widths, so the section sits at the same offset in
-// both blobs. `r` is left where it was otherwise.
-bool matches_template(std::string_view blob, Reader& r,
-                      const core::PipelineConfig& config,
-                      const ModelTemplate& model_template) {
-  if (!same_model_config(config, model_template.pipeline.config())) {
-    return false;
-  }
-  Reader ahead = r;
-  std::string_view section;
-  if (!ahead.read_view(model_bytes(config), section)) return false;
-  const std::string_view theirs = *model_template.blob;
-  const auto at = static_cast<std::size_t>(section.data() - blob.data());
-  if (theirs.size() < at + section.size()) return false;
-  // Seeded streams restore from the template blob itself: the same bytes.
-  if (theirs.data() + at != section.data() &&
-      theirs.substr(at, section.size()) != section) {
-    return false;
-  }
-  r = ahead;
-  return true;
-}
-
 // Why a blob failed its digest. Other format versions seal blobs with other
-// checksums, so a blob that carries this format's magic but names another
-// version is reported by that version.
+// checksums, so a blob that carries this format's magic but names a version
+// this build does not read is reported by that version.
 std::string digest_failure(std::string_view blob) {
   Reader peek(blob);
   std::uint32_t magic = 0, version = 0;
   if (peek.read_u32(magic) && peek.read_u32(version) && magic == kMagic &&
-      version != kFormatVersion) {
+      (version < kOldestReadableVersion || version > kFormatVersion)) {
     return "checkpoint format version " + std::to_string(version) +
-           " is not supported: this build reads version " +
+           " is not supported: this build reads versions " +
+           std::to_string(kOldestReadableVersion) + " to " +
            std::to_string(kFormatVersion) + " (re-save the checkpoint)";
   }
   return "checkpoint checksum mismatch (corrupt or truncated blob)";
 }
 
+void write_detector(Writer& w, const drift::CentroidDetector& detector) {
+  w.write_matrix(detector.trained_centroids());
+  w.write_matrix(detector.recent_centroids());
+  w.write_sizes(detector.counts());
+  w.write_sizes(detector.calibrated_counts());
+  w.write_f64(detector.theta_drift());
+  w.write_u64(detector.window_open() ? 1 : 0);
+  w.write_u64(detector.window_position());
+}
+
 }  // namespace
 
-bool save_pipeline(std::string& out, const core::Pipeline& pipeline) {
+bool save_pipeline(std::string& out, const core::Pipeline& pipeline,
+                   const ModelTemplate* model_template) {
   if (!pipeline.fitted()) return false;
   // The checkpoint format stores centroid-detector calibration; pipelines
   // configured with another detector kind have no serializable detector
   // state in this format.
   const drift::CentroidDetector* detector = pipeline.centroid_detector();
   if (detector == nullptr) return false;
+  const bool delta = model_template != nullptr &&
+                     &pipeline.model() == &model_template->pipeline.model();
+  const Layout layout = delta ? Layout::kDelta : Layout::kFull;
   Writer w(out);
-  w.write_header(kSection);
+  w.write_header(delta ? kDeltaSection : kSection);
   write_config(w, pipeline.config());
   // The config fixes the size of the rest (theta_error, the state blocks,
   // the digest), so the buffer grows once.
-  out.reserve(out.size() + sizeof(double) + state_bytes(pipeline.config()) +
-              sizeof(std::uint64_t));
+  out.reserve(out.size() + sizeof(double) +
+              state_bytes(pipeline.config(), layout) + sizeof(std::uint64_t));
   w.write_f64(pipeline.theta_error());
+  if (delta) {
+    w.write_u64(model_template->handle);
+    write_detector(w, *detector);
+    w.write_checksum();
+    return true;
+  }
 
   // Shared projection weights (for integrity verification at load time),
   // followed by the projection fingerprint — the digest the serving layer
@@ -234,13 +254,7 @@ bool save_pipeline(std::string& out, const core::Pipeline& pipeline) {
     w.write_matrix(model.p(c));
     w.write_u64(model.samples_seen(c));
   }
-
-  // Detector calibration.
-  w.write_matrix(detector->trained_centroids());
-  w.write_matrix(detector->recent_centroids());
-  w.write_sizes(detector->counts());
-  w.write_sizes(detector->calibrated_counts());
-  w.write_f64(detector->theta_drift());
+  write_detector(w, *detector);
   w.write_checksum();
   return true;
 }
@@ -256,9 +270,22 @@ std::optional<core::Pipeline> load_pipeline(
   Reader r(blob);
   // Every byte is checked before any field is parsed or allocated from.
   if (!r.verify_checksum()) return fail(digest_failure(blob));
-  if (!r.read_header(kSection)) {
-    return fail("bad checkpoint header (wrong magic, section, or format "
-                "version)");
+  std::uint32_t version = 0;
+  std::string_view section;
+  if (!r.read_header(version, section)) {
+    return fail("bad checkpoint header (wrong magic or truncated)");
+  }
+  Layout layout;
+  if (version == kFormatVersion && section == kDeltaSection) {
+    layout = Layout::kDelta;
+  } else if (version == kFormatVersion && section == kSection) {
+    layout = Layout::kFull;
+  } else if (version == kOldestReadableVersion && section == kSection) {
+    layout = Layout::kFullV3;
+  } else {
+    return fail("bad checkpoint header (format version " +
+                std::to_string(version) + " with section '" +
+                std::string(section) + "')");
   }
 
   core::PipelineConfig config;
@@ -272,7 +299,7 @@ std::optional<core::Pipeline> load_pipeline(
   // Each field is bounded on its own, but their products size the
   // pipeline's allocations: prove the blob holds every block the config
   // declares before the Pipeline constructor allocates from it.
-  const std::uint64_t declared = state_bytes(config);
+  const std::uint64_t declared = state_bytes(config, layout);
   if (declared > r.remaining()) {
     return fail("checkpoint holds " + std::to_string(r.remaining()) +
                 " state bytes but its config declares " +
@@ -297,6 +324,24 @@ std::optional<core::Pipeline> load_pipeline(
                   "checkpoint format only restores centroid detector state");
     }
   }
+  if (layout == Layout::kDelta) {
+    // The template must be the one the delta names, proven before the
+    // pipeline is built on its model.
+    std::uint64_t handle = 0;
+    r.read_u64(handle);  // In bounds: the declared size is there.
+    if (model_template == nullptr) {
+      return fail("checkpoint is a template delta, but no template was "
+                  "given to load it onto");
+    }
+    if (handle != model_template->handle) {
+      return fail("template delta names another template (its handle does "
+                  "not match the given template's)");
+    }
+    if (!same_model_config(config, model_template->pipeline.config())) {
+      return fail("template delta's model config (shape, projection, "
+                  "reg_lambda or numerics tier) differs from its template's");
+    }
+  }
   // Construct with the persisted effective gate so the rebuilt detector
   // carries it from the start.
   core::PipelineConfig effective = config;
@@ -311,8 +356,7 @@ std::optional<core::Pipeline> load_pipeline(
     effective.max_batch_rows = runtime->max_batch_rows;
   }
   std::optional<core::Pipeline> pipeline;
-  if (model_template != nullptr &&
-      matches_template(blob, r, config, *model_template)) {
+  if (layout == Layout::kDelta) {
     pipeline.emplace(effective, model_template->pipeline);
   } else {
     pipeline.emplace(effective);
@@ -377,27 +421,53 @@ std::optional<core::Pipeline> load_pipeline(
       calibrated_counts.size() != config.num_labels) {
     return fail("detector centroid/count shapes do not match the config");
   }
+  // v3 stops before the window: it restores closed.
+  drift::steps::Window window;
+  if (layout != Layout::kFullV3) {
+    std::uint64_t open = 0, pos = 0;
+    if (!r.read_u64(open) || !r.read_u64(pos)) {
+      return fail("truncated window words");
+    }
+    // A closed window may rest at any position up to W (a window that
+    // closed keeps W); an open one is strictly inside.
+    if (open > 1 || pos > config.window_size ||
+        (open == 1 && pos == config.window_size)) {
+      return fail("window words (open " + std::to_string(open) +
+                  ", position " + std::to_string(pos) +
+                  ") are outside a window of " +
+                  std::to_string(config.window_size));
+    }
+    window = {open == 1, static_cast<std::size_t>(pos)};
+  }
   if (r.remaining() != 0) {
     return fail("checkpoint has " + std::to_string(r.remaining()) +
                 " unparsed bytes after the detector block");
   }
   // The restored config carries the default (centroid) detector spec, so
   // the rebuilt pipeline always has a centroid detector to restore into.
-  pipeline->centroid_detector_mutable()->restore(trained, recent, counts,
-                                                 calibrated_counts,
-                                                 theta_drift);
+  pipeline->centroid_detector_mutable()->restore(
+      trained, recent, counts, calibrated_counts, theta_drift, window);
   pipeline->finish_restore(theta_error);
   return pipeline;
 }
 
 std::optional<ModelTemplate> load_template(
-    std::shared_ptr<const std::string> blob,
-    std::optional<linalg::NumericsTier> expect_tier, std::string* error,
-    const core::PipelineConfig* runtime) {
+    std::string_view blob, std::optional<linalg::NumericsTier> expect_tier,
+    std::string* error, const core::PipelineConfig* runtime) {
+  // Every check, and a delta fails here: no template is given to load it.
   std::optional<core::Pipeline> pipeline =
-      load_pipeline(*blob, expect_tier, error, runtime);
+      load_pipeline(blob, expect_tier, error, runtime);
   if (!pipeline) return std::nullopt;
-  return ModelTemplate{std::move(blob), std::move(*pipeline)};
+  // The handle digests the model section, which follows the header, the
+  // config block and theta_error.
+  Reader r(blob);
+  std::uint32_t version = 0;
+  std::string_view section, skipped, model;
+  r.read_header(version, section);
+  r.read_view(kConfigBytes + sizeof(double), skipped);
+  r.read_view(model_bytes(pipeline->config()), model);
+  return ModelTemplate{std::move(*pipeline),
+                       util::digest64(model.data(), model.size())};
 }
 
 bool save_pipeline(std::ostream& out, const core::Pipeline& pipeline) {

@@ -207,9 +207,9 @@ void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
       const std::span<const double> xr = x.row(r);
       const double* recon_row = ws.recon.data() + r * packed_n;
       for (std::size_t label = 0; label < num_labels(); ++label) {
-        // Same squared_l2_distance kernel as Autoencoder::score() — one
-        // shared MSE reduction keeps a label's score bit-identical to a
-        // standalone autoencoder's.
+        // One squared_l2_distance MSE reduction, the kernel a standalone
+        // OS-ELM autoencoder scores with, keeps a label's score
+        // bit-identical to one.
         const std::span<const double> rr{recon_row + label * n, n};
         ws.scores(r, label) =
             linalg::squared_l2_distance(xr, rr) / static_cast<double>(n);

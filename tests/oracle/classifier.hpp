@@ -14,7 +14,7 @@
 #include <span>
 #include <vector>
 
-#include "edgedrift/oselm/oselm.hpp"
+#include "oracle/oselm.hpp"
 
 namespace edgedrift::oselm {
 

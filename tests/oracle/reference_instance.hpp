@@ -9,7 +9,7 @@
 #include <cstddef>
 
 #include "edgedrift/model/multi_instance.hpp"
-#include "edgedrift/oselm/autoencoder.hpp"
+#include "oracle/autoencoder.hpp"
 
 namespace edgedrift::oracle {
 

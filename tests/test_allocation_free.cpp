@@ -281,16 +281,20 @@ TEST(AllocationFree, BurstRecoveryTrainingDoesNotAllocate) {
   Pipeline fitted(config);
   fitted.fit(train, labels);
 
-  // A seeded stream: restored from the fitted pipeline's checkpoint onto a
-  // template's model, so its first write at detection makes a private copy
-  // that then trains under the counter.
-  auto blob = std::make_shared<std::string>();
-  ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, fitted));
+  // A seeded stream: the fitted pipeline's checkpoint becomes a template,
+  // and a template delta of it loads onto the template's model, so its
+  // first write at detection makes a private copy that then trains under
+  // the counter.
+  std::string blob;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, fitted));
   const std::optional<edgedrift::io::ModelTemplate> model_template =
       edgedrift::io::load_template(blob);
   ASSERT_TRUE(model_template.has_value());
+  std::string delta;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(delta, model_template->pipeline,
+                                           &*model_template));
   std::optional<Pipeline> seeded = edgedrift::io::load_pipeline(
-      *blob, std::nullopt, nullptr, &config, &*model_template);
+      delta, std::nullopt, nullptr, &config, &*model_template);
   ASSERT_TRUE(seeded.has_value());
   ASSERT_EQ(&seeded->model(), &model_template->pipeline.model());
 

@@ -424,7 +424,7 @@ TEST(CentroidDetector, CachedStatisticMatchesFullSweep) {
       const Matrix trained = det.trained_centroids();
       Matrix recent = trained;
       for (std::size_t c = 0; c < labels; ++c) recent(c, c % kDim) += 1.5;
-      det.restore(trained, recent, counts, counts, det.theta_drift());
+      det.restore(trained, recent, counts, counts, det.theta_drift(), {});
       expect_cache_matches("restore");
       drive(15, 0.0, "after restore");
 

@@ -158,6 +158,43 @@ TEST(Eviction, EvictRestoreRoundTripIsBitIdenticalAtF64) {
   expect_steps_equal(actual, expected);
 }
 
+// A lone pipeline round-tripped through a checkpoint before every row at
+// which Algorithm 1's window is open (the eviction tests' sudden drift,
+// 1000 rows, drift at row 500) steps bit for bit like the uninterrupted
+// pipeline and detects the drift: the checkpoint carries the open window.
+TEST(Checkpoint, MidWindowRoundTripsStepLikeTheUninterruptedPipeline) {
+  const StreamData data = make_drift_stream(100, 1000);
+  const PipelineConfig config = make_config();
+  Pipeline reference(config);
+  reference.fit(data.train.x, data.train.labels);
+  std::optional<Pipeline> interrupted(config);
+  interrupted->fit(data.train.x, data.train.labels);
+
+  std::vector<PipelineStep> expected, actual;
+  std::size_t round_trips = 0;
+  for (std::size_t i = 0; i < data.test.size(); ++i) {
+    if (!interrupted->recovering() &&
+        interrupted->centroid_detector()->window_open()) {
+      std::string blob;
+      ASSERT_TRUE(edgedrift::io::save_pipeline(blob, *interrupted));
+      std::string error;
+      interrupted =
+          edgedrift::io::load_pipeline(blob, config.numerics, &error, &config);
+      ASSERT_TRUE(interrupted.has_value()) << error;
+      ++round_trips;
+    }
+    expected.push_back(reference.process(data.test.x.row(i)));
+    actual.push_back(interrupted->process(data.test.x.row(i)));
+  }
+  EXPECT_GT(round_trips, 100u);
+  expect_steps_equal(actual, expected);
+  EXPECT_TRUE(std::any_of(actual.begin(), actual.end(),
+                          [](const PipelineStep& step) {
+                            return step.drift_detected;
+                          }))
+      << "the drift must be detected";
+}
+
 /// Drift positions and predicted labels of a step sequence.
 struct DecisionTrace {
   std::vector<std::size_t> drift_positions;
@@ -502,6 +539,80 @@ Pipeline lone_restore(const std::string& blob, const PipelineConfig& config) {
   return std::move(*pipeline);
 }
 
+/// Feeds `rows` to stream `id` of a kManual `manager`, one row per drain,
+/// and evicts the stream before every row at which it is resident, idle
+/// and its window is open. Returns the steps; `cold_sizes` receives the
+/// shard's cold-store bytes after each eviction (the evicted blob's size,
+/// when no other stream of the shard is cold).
+std::vector<PipelineStep> run_evicting_mid_window(
+    PipelineManager& manager, std::size_t id, const Matrix& rows,
+    std::vector<std::size_t>& cold_sizes) {
+  const std::size_t shard = manager.shard_of(id);
+  for (std::size_t i = 0; i < rows.rows(); ++i) {
+    if (manager.resident(id) && !manager.stream(id).recovering() &&
+        manager.stream(id).centroid_detector()->window_open()) {
+      EXPECT_TRUE(manager.evict(id)) << "eviction refused at row " << i;
+      cold_sizes.push_back(manager.stats().shards[shard].cold_bytes);
+    }
+    EXPECT_TRUE(manager.submit(id, rows.row(i)));
+    manager.drain();
+  }
+  return manager.take_steps(id);
+}
+
+// The same through PipelineManager::evict(), for a seeded stream: it is
+// evicted as a template delta while it shares the template's model, and
+// as a full blob once its recovery has copied the model.
+TEST(Eviction, SeededStreamEvictedMidWindowStepsUninterrupted) {
+  const StreamData data = make_drift_stream(100, 1000);
+  const PipelineConfig config = make_config();
+  ManagerOptions options;
+  options.dispatch = DispatchMode::kManual;
+  PipelineManager manager(config, 1, options);
+  manager.fit(0, data.train.x, data.train.labels);
+  Pipeline reference = lone_restore(template_blob(manager, 0), config);
+  const std::size_t seeded = manager.seed_cold_from(0, 1);
+
+  std::vector<PipelineStep> expected;
+  reference.process_rows(data.test.x, {}, expected);
+  std::vector<std::size_t> cold_sizes;
+  const std::vector<PipelineStep> actual =
+      run_evicting_mid_window(manager, seeded, data.test.x, cold_sizes);
+  ASSERT_GT(cold_sizes.size(), 100u);
+  expect_steps_equal(actual, expected);
+  EXPECT_GE(manager.stats(seeded).drifts, 1u);
+  // Deltas before the drift (a tenth of the full blob or less), full blobs
+  // after the recovery.
+  const auto [smallest, largest] =
+      std::minmax_element(cold_sizes.begin(), cold_sizes.end());
+  EXPECT_LT(*smallest * 8, *largest);
+  EXPECT_EQ(*largest, cold_sizes.back());
+}
+
+// The same for a stream with a private model: every eviction is a full
+// blob.
+TEST(Eviction, PrivateStreamEvictedMidWindowStepsUninterrupted) {
+  const StreamData data = make_drift_stream(100, 1000);
+  const PipelineConfig config = make_config();
+  ManagerOptions options;
+  options.dispatch = DispatchMode::kManual;
+  PipelineManager manager(config, 1, options);
+  manager.fit(0, data.train.x, data.train.labels);
+  Pipeline reference(config);
+  reference.fit(data.train.x, data.train.labels);
+
+  std::vector<PipelineStep> expected;
+  reference.process_rows(data.test.x, {}, expected);
+  std::vector<std::size_t> cold_sizes;
+  const std::vector<PipelineStep> actual =
+      run_evicting_mid_window(manager, 0, data.test.x, cold_sizes);
+  ASSERT_GT(cold_sizes.size(), 100u);
+  expect_steps_equal(actual, expected);
+  EXPECT_GE(manager.stats(0).drifts, 1u);
+  EXPECT_EQ(*std::min_element(cold_sizes.begin(), cold_sizes.end()),
+            *std::max_element(cold_sizes.begin(), cold_sizes.end()));
+}
+
 /// Row-block submits and drains for a set of streams, against one lone
 /// reference each fed the same blocks.
 struct SharedStreams {
@@ -654,10 +765,9 @@ TEST(Eviction, DriftedSeededStreamCopiesTheTemplateModel) {
 // kShard dispatch with 2 shards and a hot budget of 2 per shard: seeded
 // streams on both workers share one model while one of them drifts and
 // evictions churn, and every stream steps bit for bit like its reference.
-// The drifting stream's shard serves it and one quiet stream, within the
-// budget: checkpoint v3 does not persist an open anomaly window, so an
-// eviction mid-window would change its decisions with or without sharing.
-// The other shard serves every other quiet stream, over the budget.
+// Every seeded stream is served, so both shards serve more streams than
+// their budget, the drifting stream's shard included: its evictions may
+// come mid-window and mid-drift.
 TEST(Eviction, ShardWorkersShareOneTemplateModelUnderChurn) {
   constexpr std::size_t kSeeded = 10;
   constexpr std::size_t kRounds = 250;
@@ -675,25 +785,28 @@ TEST(Eviction, ShardWorkersShareOneTemplateModelUnderChurn) {
       seeded_streams(first, kSeeded, blob, config, 2 * kRounds * kBlock, 1301);
   st.rows[0] = data.test.x;  // Stream `first` drifts; the others do not.
 
-  // Active streams: the drifting one and one quiet probe on its shard, and
-  // every seeded stream of the other shard. The probes are touched last
-  // before each check, so each is its shard's most recent, resident stream.
+  // One quiet probe per shard is touched last before each check, so each
+  // is its shard's most recent, resident stream.
   const std::size_t drift_shard = manager.shard_of(first);
   std::vector<std::size_t> active = {0};
   std::size_t drift_probe = 0;
   std::size_t quiet_probe = 0;
+  std::size_t on_drift_shard = 1;
   for (std::size_t k = 1; k < kSeeded; ++k) {
-    if (manager.shard_of(first + k) != drift_shard) {
-      active.push_back(k);
-      if (quiet_probe == 0) quiet_probe = k;
-    } else if (drift_probe == 0) {
-      active.push_back(k);
-      drift_probe = k;
+    active.push_back(k);
+    if (manager.shard_of(first + k) == drift_shard) {
+      ++on_drift_shard;
+      if (drift_probe == 0) drift_probe = k;
+    } else if (quiet_probe == 0) {
+      quiet_probe = k;
     }
   }
   ASSERT_NE(drift_probe, 0u);
   ASSERT_NE(quiet_probe, 0u);
-  ASSERT_GE(active.size(), 5u) << "the quiet shard must exceed its budget";
+  ASSERT_GT(on_drift_shard, options.hot_stream_budget)
+      << "the drifting stream's shard must exceed its budget";
+  ASSERT_GT(kSeeded - on_drift_shard, options.hot_stream_budget)
+      << "the quiet shard must exceed its budget";
   const std::size_t probes[] = {drift_probe, quiet_probe};
 
   std::vector<std::size_t> cursor(kSeeded, 0);
@@ -723,14 +836,14 @@ TEST(Eviction, ShardWorkersShareOneTemplateModelUnderChurn) {
   manager.drain();
   st.collect(manager);
   EXPECT_GE(manager.stats(first).drifts, 1u) << "stream " << first;
-  EXPECT_NE(&manager.stream(first).model(),
-            &manager.stream(first + drift_probe).model());
   for (const std::size_t k : active) {
     SCOPED_TRACE("seeded stream " + std::to_string(first + k));
     expect_steps_equal(st.actual[k], st.expected[k]);
   }
   const edgedrift::obs::Snapshot snap = manager.stats();
-  EXPECT_GT(snap.shards[1 - drift_shard].evictions, 10u);
+  for (const auto& shard : snap.shards) {
+    EXPECT_GT(shard.evictions, 10u) << "shard " << shard.shard_id;
+  }
 }
 
 // hot_bytes charges a stream on its template's model only its own bytes,

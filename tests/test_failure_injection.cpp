@@ -12,8 +12,8 @@
 #include "edgedrift/drift/spll.hpp"
 #include "edgedrift/linalg/solve.hpp"
 #include "edgedrift/model/multi_instance.hpp"
-#include "edgedrift/oselm/oselm.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/oselm.hpp"
 
 namespace {
 

@@ -29,8 +29,8 @@
 #include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/linalg/numerics.hpp"
 #include "edgedrift/model/multi_instance.hpp"
-#include "edgedrift/oselm/autoencoder.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/autoencoder.hpp"
 #include "oracle/reference_instance.hpp"
 
 namespace {

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string_view>
 
@@ -259,28 +260,60 @@ TEST(Checkpoint, MissingFileReturnsNullopt) {
                    .has_value());
 }
 
-TEST(Checkpoint, EveryTruncationPointFailsCleanly) {
-  // Fuzz: a checkpoint cut at ANY byte offset must be rejected without
-  // crashing, and the rejection must say why.
-  Rng rng(7);
+/// A fitted small-config pipeline's full blob, its template, and a delta of
+/// the template's pipeline: the blobs the format tests run over.
+struct Blobs {
+  std::string full;
+  std::optional<ModelTemplate> shared;
+  std::string delta;
+};
+
+Blobs fitted_blobs(std::uint64_t seed) {
+  Rng rng(seed);
   auto scenario = make_scenario(rng);
   Pipeline original(small_config());
   original.fit(scenario.train.x, scenario.train.labels);
+  Blobs b;
+  EXPECT_TRUE(edgedrift::io::save_pipeline(b.full, original));
+  b.shared = edgedrift::io::load_template(b.full);
+  EXPECT_TRUE(b.shared.has_value());
+  EXPECT_TRUE(edgedrift::io::save_pipeline(b.delta, b.shared->pipeline,
+                                           &*b.shared));
+  EXPECT_LT(b.delta.size(), b.full.size());
+  return b;
+}
 
-  auto blob = std::make_shared<std::string>();
-  ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, original));
-  // With and without a template of the uncut blob: sharing a model must
-  // not skip a check.
-  const std::optional<ModelTemplate> shared =
-      edgedrift::io::load_template(blob);
-  ASSERT_TRUE(shared.has_value());
-  const ModelTemplate* const templates[] = {&*shared, nullptr};
-  for (const ModelTemplate* model_template : templates) {
-    for (std::size_t cut = 0; cut < blob->size(); ++cut) {
+/// The committed checkpoint v3 blob: small_config() fitted on
+/// make_scenario(Rng(14)) and saved 38 stream rows later, at position 7 of
+/// an open window, by the v3 code.
+std::string golden_v3() {
+  std::ifstream in(std::string(EDGEDRIFT_TEST_DIR) +
+                       "/golden/checkpoint_v3_open_window.bin",
+                   std::ios::binary);
+  EXPECT_TRUE(in.good()) << "missing tests/golden/checkpoint_v3_open_window.bin";
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(Checkpoint, EveryTruncationPointFailsCleanly) {
+  // Fuzz: a checkpoint cut at ANY byte offset must be rejected without
+  // crashing, and the rejection must say why: a full blob with and without
+  // a template (sharing a model must not skip a check), a delta with its
+  // template, and a v3 blob.
+  const Blobs b = fitted_blobs(7);
+  const std::string v3 = golden_v3();
+  const struct {
+    const std::string* blob;
+    const ModelTemplate* model_template;
+  } cases[] = {{&b.full, &*b.shared},
+               {&b.full, nullptr},
+               {&b.delta, &*b.shared},
+               {&v3, nullptr}};
+  for (const auto& c : cases) {
+    for (std::size_t cut = 0; cut < c.blob->size(); ++cut) {
       std::string error;
       EXPECT_FALSE(edgedrift::io::load_pipeline(
-                       std::string_view(*blob).substr(0, cut), std::nullopt,
-                       &error, nullptr, model_template)
+                       std::string_view(*c.blob).substr(0, cut), std::nullopt,
+                       &error, nullptr, c.model_template)
                        .has_value())
           << "accepted a blob truncated at byte " << cut;
       EXPECT_FALSE(error.empty()) << "no reason for the cut at byte " << cut;
@@ -290,31 +323,28 @@ TEST(Checkpoint, EveryTruncationPointFailsCleanly) {
 
 TEST(Checkpoint, RandomSingleByteCorruptionIsAlwaysRejected) {
   // Fuzz: flipping any single bit of any byte must trip either a
-  // structural check or the trailing digest. Exhaustive over the blob.
-  Rng rng(8);
-  auto scenario = make_scenario(rng);
-  Pipeline original(small_config());
-  original.fit(scenario.train.x, scenario.train.labels);
-
-  auto blob = std::make_shared<std::string>();
-  ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, original));
-  const std::optional<ModelTemplate> shared =
-      edgedrift::io::load_template(blob);
-  ASSERT_TRUE(shared.has_value());
-  const ModelTemplate* const templates[] = {&*shared, nullptr};
-  for (const ModelTemplate* model_template : templates) {
-    std::string corrupted = *blob;
-    for (std::size_t pos = 0; pos < blob->size(); ++pos) {
+  // structural check or the trailing digest. Exhaustive over a full blob,
+  // with and without a template, and over a delta with its template.
+  const Blobs b = fitted_blobs(8);
+  const struct {
+    const std::string* blob;
+    const ModelTemplate* model_template;
+  } cases[] = {{&b.full, &*b.shared}, {&b.full, nullptr},
+               {&b.delta, &*b.shared}};
+  for (const auto& c : cases) {
+    const std::string& blob = *c.blob;
+    std::string corrupted = blob;
+    for (std::size_t pos = 0; pos < blob.size(); ++pos) {
       for (int bit = 0; bit < 8; ++bit) {
-        corrupted[pos] = static_cast<char>((*blob)[pos] ^ (1 << bit));
+        corrupted[pos] = static_cast<char>(blob[pos] ^ (1 << bit));
         EXPECT_FALSE(edgedrift::io::load_pipeline(corrupted, std::nullopt,
                                                   nullptr, nullptr,
-                                                  model_template)
+                                                  c.model_template)
                          .has_value())
             << "accepted a blob with byte " << pos << " bit " << bit
             << " flipped";
       }
-      corrupted[pos] = (*blob)[pos];
+      corrupted[pos] = blob[pos];
     }
   }
 }
@@ -396,27 +426,29 @@ TEST(Checkpoint, StreamAdaptersMatchTheBufferCore) {
   EXPECT_TRUE(edgedrift::io::load_pipeline(stream).has_value());
 }
 
-// ------------------------------------------------------------ v3 bytes
+// ------------------------------------------------------------ v4 bytes
 
 /// The digest of a whole blob, its trailing checksum included.
 std::uint64_t blob_digest(const std::string& blob) {
   return edgedrift::util::digest64(blob.data(), blob.size());
 }
 
-// Checkpoint v3's bytes are part of its contract. Template sharing compares
-// a blob's whole model section byte for byte (io/checkpoint.hpp), so a
-// layout slip in the save path would silently turn every shared restore
-// into a full model parse. Three fixed pipelines must save to the recorded
-// blobs: f64 fitted, f64 after one completed reconstruction, and i8
-// fitted. The digests pin portable-backend numbers, so the test is exact
-// there and skips on the native backends, as GoldenReplay does.
-TEST(Checkpoint, V3BytesArePinned) {
+// Checkpoint v4's bytes are part of its contract: a delta names its model by
+// the digest of the template blob's model section (io/checkpoint.hpp), so a
+// layout slip in the save path would orphan every delta saved before it.
+// Three fixed pipelines must save to the recorded full blobs: f64 fitted,
+// f64 after one completed reconstruction, and i8 fitted; and the f64 fitted
+// template's pipeline to the recorded delta. The digests pin
+// portable-backend numbers, so the test is exact there and skips on the
+// native backends, as GoldenReplay does.
+TEST(Checkpoint, V4BytesArePinned) {
   if (std::strcmp(edgedrift::linalg::simd::kLevelName, "portable") != 0) {
     GTEST_SKIP() << "blob digests are pinned on the portable backend";
   }
-  constexpr std::uint64_t kFittedF64 = 0x68df1a7ec4b2412d;
-  constexpr std::uint64_t kReconstructedF64 = 0x3a9d5c0a42c0f634;
-  constexpr std::uint64_t kFittedI8 = 0xf53335e11cdafbf4;
+  constexpr std::uint64_t kFittedF64 = 0x67902fd106a84b45;
+  constexpr std::uint64_t kReconstructedF64 = 0x5d19eebf38469d14;
+  constexpr std::uint64_t kFittedI8 = 0x8b72f8d6798553f7;
+  constexpr std::uint64_t kDeltaF64 = 0xdfc93d57533d68ce;
   const auto hex = [](std::uint64_t v) {
     std::ostringstream os;
     os << "0x" << std::hex << v;
@@ -436,6 +468,14 @@ TEST(Checkpoint, V3BytesArePinned) {
     const bool f64 = tier == edgedrift::linalg::NumericsTier::kExactF64;
     EXPECT_EQ(hex(blob_digest(blob)), hex(f64 ? kFittedF64 : kFittedI8))
         << edgedrift::linalg::tier_name(tier) << " fitted";
+    if (!f64) continue;
+    const std::optional<ModelTemplate> shared =
+        edgedrift::io::load_template(blob);
+    ASSERT_TRUE(shared.has_value());
+    std::string delta;
+    ASSERT_TRUE(
+        edgedrift::io::save_pipeline(delta, shared->pipeline, &*shared));
+    EXPECT_EQ(hex(blob_digest(delta)), hex(kDeltaF64)) << "f64 delta";
   }
 
   // The StaticPipelineNsl stream: drift at row 1500, recovered by row 2100.
@@ -468,6 +508,213 @@ TEST(Checkpoint, V3BytesArePinned) {
       << "f64 after a reconstruction";
 }
 
+// A v3 blob, saved by the v3 code mid-window, still loads: with every
+// block it stores, and with the window it does not store closed. Saved
+// again it is a v4 blob of the same bytes, with the version word raised,
+// two zero window words added, and the config's theta_error set to the
+// persisted gate (every loaded pipeline carries the effective gate in its
+// config).
+TEST(Checkpoint, V3GoldenBlobLoadsWithTheWindowClosed) {
+  const std::string v3 = golden_v3();
+  ASSERT_FALSE(v3.empty());
+  std::string error;
+  const std::optional<Pipeline> loaded =
+      edgedrift::io::load_pipeline(v3, std::nullopt, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  const auto* detector = loaded->centroid_detector();
+  ASSERT_NE(detector, nullptr);
+  EXPECT_FALSE(detector->window_open());
+  EXPECT_EQ(detector->window_position(), 0u);
+
+  std::string expected = v3;
+  const std::uint32_t v4 = edgedrift::io::kFormatVersion;
+  std::memcpy(expected.data() + sizeof(edgedrift::io::kMagic), &v4,
+              sizeof(v4));
+  const std::string_view section = "edgedrift.pipeline";
+  const std::size_t config_at = expected.find(section) + section.size();
+  // The config block's theta_error field, and the persisted gate after the
+  // 128-byte block.
+  std::memcpy(expected.data() + config_at + 44, v3.data() + config_at + 128,
+              sizeof(double));
+  expected.insert(expected.size() - sizeof(std::uint64_t),
+                  2 * sizeof(std::uint64_t), '\0');
+  reseal(expected);
+  std::string resaved;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(resaved, *loaded));
+  EXPECT_EQ(resaved, expected);
+}
+
+// A delta loads only onto the template it names: with no template, or with
+// the template of a pipeline fitted under another seed, it fails with a
+// reason.
+TEST(Checkpoint, DeltaWithoutItsTemplateFailsWithAReason) {
+  const Blobs b = fitted_blobs(15);
+  Rng rng(15);
+  auto scenario = make_scenario(rng);
+  PipelineConfig other_config = small_config();
+  other_config.seed = small_config().seed + 1;
+  Pipeline other(other_config);
+  other.fit(scenario.train.x, scenario.train.labels);
+  std::string other_blob;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(other_blob, other));
+  const std::optional<ModelTemplate> other_template =
+      edgedrift::io::load_template(other_blob);
+  ASSERT_TRUE(other_template.has_value());
+  ASSERT_NE(other_template->handle, b.shared->handle);
+
+  for (const ModelTemplate* model_template :
+       {static_cast<const ModelTemplate*>(nullptr), &*other_template}) {
+    std::string error;
+    EXPECT_FALSE(edgedrift::io::load_pipeline(b.delta, std::nullopt, &error,
+                                              nullptr, model_template)
+                     .has_value());
+    EXPECT_FALSE(error.empty());
+  }
+  // Nor is a delta a template.
+  std::string error;
+  EXPECT_FALSE(edgedrift::io::load_template(b.delta, std::nullopt, &error)
+                   .has_value());
+  EXPECT_FALSE(error.empty());
+  EXPECT_TRUE(edgedrift::io::load_pipeline(b.delta, std::nullopt, nullptr,
+                                           nullptr, &*b.shared)
+                  .has_value());
+}
+
+// A structure-aware mutator over v3, v4 and delta blobs. It walks each
+// blob's layout to find its structural words (config dims and counts,
+// length prefixes, label and sample counts, the fingerprint, the handle
+// and the window words), overwrites one or two of them with edge values,
+// and reseals the digest so that every mutation reaches the parser. Each
+// load must fail with a reason, or return a pipeline that steps without
+// tripping an assertion. Seeded, with a fixed iteration budget.
+TEST(Checkpoint, StructureAwareMutationsFailCleanlyOrStep) {
+  constexpr std::size_t kIterations = 3000;
+  constexpr std::size_t kRows = 48;
+  constexpr std::size_t w = sizeof(std::uint64_t);
+  const Blobs b = fitted_blobs(16);
+  const PipelineConfig config = small_config();
+  const std::size_t c = config.num_labels, d = config.input_dim,
+                    h = config.hidden_dim;
+
+  // Offsets of a blob's structural u64 words.
+  const auto words = [&](const std::string& blob, std::string_view section,
+                         bool model, bool window) {
+    const std::size_t config_at = blob.find(section) + section.size();
+    std::vector<std::size_t> at;
+    for (const std::size_t field : {0, 1, 2}) at.push_back(config_at + field * w);
+    // window_size, detector_initial_count, n_search, n_update, n_total.
+    for (const std::size_t off : {68, 84, 92, 100, 108}) {
+      at.push_back(config_at + off);
+    }
+    std::size_t pos = config_at + 128 + w;  // After theta_error.
+    const auto matrix = [&](std::size_t rows, std::size_t cols) {
+      at.push_back(pos);
+      at.push_back(pos + w);
+      pos += (2 + rows * cols) * w;
+    };
+    const auto sizes = [&](std::size_t n) {
+      for (std::size_t k = 0; k <= n; ++k) at.push_back(pos + k * w);
+      pos += (1 + n) * w;
+    };
+    if (model) {
+      matrix(d, h);                     // alpha
+      at.push_back(pos);                // bias length
+      pos += (1 + h) * w;
+      at.push_back(pos);                // fingerprint
+      at.push_back(pos + w);            // instance count
+      pos += 2 * w;
+      for (std::size_t k = 0; k < c; ++k) {
+        matrix(h, d);                   // beta
+        matrix(h, h);                   // P
+        at.push_back(pos);              // samples seen
+        pos += w;
+      }
+    } else {
+      at.push_back(pos);                // handle
+      pos += w;
+    }
+    matrix(c, d);                       // trained
+    matrix(c, d);                       // recent
+    sizes(c);                           // counts
+    sizes(c);                           // calibrated counts
+    pos += w;                           // theta_drift
+    if (window) {
+      at.push_back(pos);
+      at.push_back(pos + w);
+      pos += 2 * w;
+    }
+    EXPECT_EQ(pos + w, blob.size()) << "layout walk out of step";
+    return at;
+  };
+  const std::string v3 = golden_v3();
+  const struct {
+    const char* name;
+    const std::string* blob;
+    std::vector<std::size_t> at;
+  } kinds[] = {
+      {"v3", &v3, words(v3, "edgedrift.pipeline", true, false)},
+      {"v4", &b.full, words(b.full, "edgedrift.pipeline", true, true)},
+      {"delta", &b.delta, words(b.delta, "edgedrift.delta", false, true)},
+  };
+
+  Rng rng(16);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform() * static_cast<double>(n)) %
+           n;
+  };
+  std::size_t loaded = 0, rejected = 0;
+  for (std::size_t it = 0; it < kIterations; ++it) {
+    const auto& kind = kinds[it % 3];
+    std::string blob = *kind.blob;
+    const std::size_t edits = 1 + pick(2);
+    for (std::size_t e = 0; e < edits; ++e) {
+      const std::size_t at = kind.at[pick(kind.at.size())];
+      std::uint64_t v = 0;
+      std::memcpy(&v, blob.data() + at, w);
+      const std::uint64_t other_word = [&] {
+        std::uint64_t o = 0;
+        std::memcpy(&o, blob.data() + kind.at[pick(kind.at.size())], w);
+        return o;
+      }();
+      const std::uint64_t values[] = {0,
+                                      1,
+                                      2,
+                                      v - 1,
+                                      v + 1,
+                                      v * 2,
+                                      v / 2,
+                                      config.window_size,
+                                      config.window_size - 1,
+                                      1ull << pick(64),
+                                      ~0ull,
+                                      ~0ull / w + 1,
+                                      other_word,
+                                      static_cast<std::uint64_t>(
+                                          rng.uniform() * 1e18)};
+      v = values[pick(std::size(values))];
+      std::memcpy(blob.data() + at, &v, w);
+    }
+    reseal(blob);
+    for (const ModelTemplate* model_template :
+         {static_cast<const ModelTemplate*>(nullptr), &*b.shared}) {
+      std::string error;
+      std::optional<Pipeline> pipeline = edgedrift::io::load_pipeline(
+          blob, std::nullopt, &error, nullptr, model_template);
+      if (!pipeline) {
+        EXPECT_FALSE(error.empty()) << kind.name << " iteration " << it;
+        ++rejected;
+        continue;
+      }
+      ++loaded;
+      const Matrix rows = Matrix::random_gaussian(
+          kRows, pipeline->config().input_dim, rng);
+      for (std::size_t r = 0; r < kRows; ++r) pipeline->process(rows.row(r));
+    }
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 // ------------------------------------------------------ template sharing
 
 /// Expects two models to hold the same trained state bit for bit: the
@@ -489,30 +736,37 @@ TEST(Checkpoint, BlobWithTheTemplateModelSharesIt) {
   config.recovery = edgedrift::core::RecoveryPolicy::kDetectOnly;
   Pipeline original(config);
   original.fit(scenario.train.x, scenario.train.labels);
-  auto blob = std::make_shared<std::string>();
-  ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, original));
+  std::string blob;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, original));
   const std::optional<ModelTemplate> shared =
       edgedrift::io::load_template(blob, std::nullopt, nullptr, &config);
   ASSERT_TRUE(shared.has_value());
   const edgedrift::model::MultiInstanceModel& model = shared->pipeline.model();
 
-  auto restored = edgedrift::io::load_pipeline(*blob, std::nullopt, nullptr,
+  // The template's pipeline saves as a delta, which loads onto its model.
+  std::string delta;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(delta, shared->pipeline, &*shared));
+  EXPECT_LT(delta.size(), blob.size() / 2);
+  auto restored = edgedrift::io::load_pipeline(delta, std::nullopt, nullptr,
                                                &config, &*shared);
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(&restored->model(), &model);
 
-  // A restored stream re-saves another config block (its calibrated
-  // theta_error) and detector state around the same model: still shared.
+  // A restored stream re-saves another detector state and window around
+  // the same model: a delta again, still shared, and stepping like a lone
+  // pipeline loaded from the full blob of the same state.
   for (std::size_t i = 0; i < 100; ++i) {
     restored->process(scenario.stream.x.row(i));
   }
-  std::string resaved;
-  ASSERT_TRUE(edgedrift::io::save_pipeline(resaved, *restored));
-  ASSERT_NE(resaved, *blob);
+  std::string resaved, full;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(resaved, *restored, &*shared));
+  ASSERT_TRUE(edgedrift::io::save_pipeline(full, *restored));
+  ASSERT_NE(resaved, delta);
+  EXPECT_EQ(resaved.size(), delta.size());
   auto again = edgedrift::io::load_pipeline(resaved, std::nullopt, nullptr,
                                             &config, &*shared);
   auto lone =
-      edgedrift::io::load_pipeline(resaved, std::nullopt, nullptr, &config);
+      edgedrift::io::load_pipeline(full, std::nullopt, nullptr, &config);
   ASSERT_TRUE(again.has_value() && lone.has_value());
   EXPECT_EQ(&again->model(), &model);
   EXPECT_NE(&lone->model(), &model);
@@ -526,15 +780,21 @@ TEST(Checkpoint, BlobWithTheTemplateModelSharesIt) {
     EXPECT_EQ(a.statistic, b.statistic);
   }
 
-  // A write goes to a private copy; the template keeps its bytes.
+  // A write goes to a private copy; the template keeps its bytes, and the
+  // writer saves full blobs from then on, with or without the template.
   edgedrift::model::MultiInstanceModel& own = again->model_mutable();
   EXPECT_NE(&own, &model);
   own.reset();
   expect_same_model(model, original.model());
   EXPECT_EQ(&restored->model(), &model);
+  std::string after_write, after_write_alone;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(after_write, *again, &*shared));
+  ASSERT_TRUE(edgedrift::io::save_pipeline(after_write_alone, *again));
+  EXPECT_EQ(after_write, after_write_alone);
+  EXPECT_EQ(after_write.size(), blob.size());
 }
 
-/// Byte offsets of three model-determining fields in a checkpoint v3 blob.
+/// Byte offsets of three model-determining fields in a full checkpoint.
 /// The config block (128 bytes from the end of the section tag) opens with
 /// num_labels, input_dim, hidden_dim (u64), the activation (u32),
 /// weight_scale and reg_lambda; the effective theta_error (f64) follows
@@ -564,13 +824,13 @@ TEST(Checkpoint, BlobWithAnotherModelLoadsItsOwn) {
   const PipelineConfig config = small_config();
   Pipeline original(config);
   original.fit(scenario.train.x, scenario.train.labels);
-  auto blob = std::make_shared<std::string>();
-  ASSERT_TRUE(edgedrift::io::save_pipeline(*blob, original));
+  std::string blob;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, original));
   const std::optional<ModelTemplate> shared =
       edgedrift::io::load_template(blob);
   ASSERT_TRUE(shared.has_value());
   const edgedrift::model::MultiInstanceModel& model = shared->pipeline.model();
-  const ModelFieldOffsets at = model_field_offsets(*blob, config);
+  const ModelFieldOffsets at = model_field_offsets(blob, config);
 
   const auto scale_f64 = [](std::string& b, std::size_t pos, double by) {
     double v = 0.0;
@@ -582,12 +842,15 @@ TEST(Checkpoint, BlobWithAnotherModelLoadsItsOwn) {
     const char* field;
     std::string blob;
   };
-  std::vector<Edit> edits = {{"P(0, 0)", *blob},
-                             {"samples_seen", *blob},
-                             {"reg_lambda", *blob}};
+  // A full blob builds its own model even with a template given: the
+  // template's own blob, and blobs edited in a model field.
+  std::vector<Edit> edits = {{"P(0, 0)", blob},
+                             {"samples_seen", blob},
+                             {"reg_lambda", blob},
+                             {"unedited", blob}};
   scale_f64(edits[0].blob, at.p00, 1.5);
   std::uint64_t seen = 0;
-  std::memcpy(&seen, blob->data() + at.samples_seen0, sizeof(seen));
+  std::memcpy(&seen, blob.data() + at.samples_seen0, sizeof(seen));
   ++seen;
   std::memcpy(edits[1].blob.data() + at.samples_seen0, &seen, sizeof(seen));
   scale_f64(edits[2].blob, at.reg_lambda, 2.0);

@@ -7,10 +7,10 @@
 
 #include "edgedrift/linalg/gemm.hpp"
 #include "edgedrift/oselm/activation.hpp"
-#include "edgedrift/oselm/autoencoder.hpp"
-#include "edgedrift/oselm/oselm.hpp"
 #include "edgedrift/oselm/projection.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/autoencoder.hpp"
+#include "oracle/oselm.hpp"
 
 namespace {
 

@@ -12,8 +12,8 @@
 #include "edgedrift/drift/quanttree.hpp"
 #include "edgedrift/linalg/gemm.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
-#include "edgedrift/oselm/oselm.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/oselm.hpp"
 
 namespace {
 
