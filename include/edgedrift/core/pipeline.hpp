@@ -160,7 +160,7 @@ class Pipeline {
   /// block of any size; once a detection starts a recovery, the remaining
   /// rows go one by one through the recovery path, which projects each
   /// row once and trains the model with one rank-1 step per sample. `x` is
-  /// a view, so a PipelineManager ring slab range or a caller batch is read
+  /// a view, so a PipelineManager ring page range or a caller batch is read
   /// in place; the internal chunk buffers are grow-only.
   ///
   /// `hidden` (optional) supplies the hidden-space projection: row i holds

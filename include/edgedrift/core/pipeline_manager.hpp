@@ -13,28 +13,32 @@
 // (core/shard_router.hpp), fixed for the manager's lifetime. Each shard
 // owns a dedicated drain worker (optionally core-pinned), its own ready
 // queue, its own LRU list and cold store — in the steady state no two
-// shards ever touch the same mutex, queue, or stream slab, so drain
+// shards ever touch the same mutex, queue, or ring page, so drain
 // throughput scales with shards up to the core count. submit() routes to
 // the owning shard lock-free (hash + per-stream producer mutex only).
 //
-// Ingestion is a fixed-capacity SPSC ring per stream: samples are copied
-// into a preallocated [capacity x dim] row slab (zero per-sample heap
-// allocation on the steady path) and published by a monotonic atomic tail
-// counter; the shard worker advances an atomic head. Producers of one
-// stream are serialized by a per-stream mutex (so submit() stays safe from
-// any thread), but no global lock is taken per sample. A full ring either
-// blocks the producer until the worker frees slots or rejects the sample,
-// per BackpressurePolicy.
+// Ingestion is a bounded SPSC ring per stream: samples are copied into
+// 64-row pages that the stream maps from its shard's grow-only page pool
+// while they hold queued rows (zero per-sample heap allocation on the
+// steady path), and published by a monotonic atomic tail counter; the
+// shard worker advances an atomic head and hands each page back once the
+// head passes it. A stream's ring memory follows its queued rows: at most
+// ceil(queued / 64) + 1 pages, one while idle. Producers of one stream are
+// serialized by a per-stream mutex (so submit() stays safe from any
+// thread), but no global lock is taken per sample. A ring holding
+// queue_capacity rows either blocks the producer until the worker frees
+// rows or rejects the sample, per BackpressurePolicy.
 //
 // Eviction: with hot_stream_budget > 0, each shard keeps at most that many
 // streams resident. After a drain cycle the worker pushes the least-
 // recently-active idle streams out: the Pipeline is serialized through the
 // io checkpoint layer (format v4, tier and Algorithm 1's window recorded)
 // into the shard's ColdStore (in-memory, or spilled to cold_spill_dir),
-// and the ring slab is released. The next submit() to a cold stream restores it
-// transparently before enqueueing. The round trip is bit-identical at
-// kExactF64 and drift-decision-equivalent at kFastF32/kQuantI8 — the same
-// contract the checkpoint layer already guarantees (tests/test_eviction.cpp).
+// and the ring's partial page goes back to the pool. The next submit() to a
+// cold stream restores it transparently before enqueueing. The round trip
+// is bit-identical at kExactF64 and drift-decision-equivalent at
+// kFastF32/kQuantI8 — the same contract the checkpoint layer already
+// guarantees (tests/test_eviction.cpp).
 // seed_cold_from() registers large stream populations (100k+) directly in
 // the cold store from one fitted template, so registered-stream count is
 // bounded by cold-store bytes, not by resident models. The manager also
@@ -45,16 +49,18 @@
 // (a recovery), when it copies it (copy on write, see core/pipeline.hpp)
 // and its evictions save full blobs from then on. Template models are held by the manager and are not
 // part of any shard's hot_bytes: a stream on its template's model is
-// charged only its own bytes (detector, recovery bookkeeping, ring), and
-// its private copy is charged once it makes one.
+// charged only its own bytes (detector, recovery bookkeeping), and its
+// private copy is charged once it makes one; a shard's hot_bytes adds
+// every ring page its pool holds.
 //
 // Both dispatch modes drain through one cycle (manager_shard.cpp) over the
 // streams taken off a shard's ready stack: with coalescing on, each
 // projection group first shares a mega-batch projection GEMM
 // (manager_coalesce.cpp), then every stream drains what is left in
-// contiguous bursts straight out of the slab, one Pipeline::process_rows()
-// call per burst of up to max_batch_rows rows — bit-identical to process()
-// row by row. poll() runs the same per-stream drain for one stream.
+// contiguous bursts straight out of its pages, one Pipeline::process_rows()
+// call per burst of up to max_batch_rows rows within one page —
+// bit-identical to process() row by row. poll() runs the same per-stream
+// drain for one stream.
 //
 // Counting: each stream's pipeline and ring events are counted once, in
 // its obs::Counters book (always on); stats(id) reads it, summed across
@@ -86,7 +92,7 @@ namespace edgedrift::core {
 
 /// What submit() does when a stream's ring is full.
 enum class BackpressurePolicy {
-  kBlock,   ///< Wait until the consumer frees slots.
+  kBlock,   ///< Wait until the consumer frees rows.
   kReject,  ///< Drop the sample and count it in telemetry.
 };
 
@@ -115,7 +121,10 @@ enum class SubmitStatus {
 /// own processing (numerics tier, recovery, batch size, obs) comes
 /// from the PipelineConfig the manager is built from.
 struct ManagerOptions {
-  std::size_t queue_capacity = 1024;  ///< Ring slots per stream.
+  /// The backlog bound: the most rows a stream may hold queued, at which
+  /// submit() blocks or rejects per `backpressure`. Not storage — a ring
+  /// maps 64-row pages only for the rows it holds.
+  std::size_t queue_capacity = 1024;
   /// Cross-stream coalescing (see manager_coalesce.cpp). When a drain cycle
   /// covers several ready streams that share a projection group — equal
   /// alpha/bias fingerprint, dims, activation and numerics tier, which is
@@ -179,23 +188,24 @@ class PipelineManager {
   bool submit(std::size_t id, std::span<const double> x, int true_label = -1,
               SubmitStatus* status = nullptr);
 
-  /// Enqueues every row of a block (copied into the stream's ring slab)
-  /// under one ring reservation: one producer lock, one tail publish per
-  /// contiguous segment, one scheduling check. `x` is a row-block view; a
-  /// Matrix converts implicitly. A cold stream is restored first
-  /// (transparently; the rows then proceed as usual). On a full ring:
-  /// kBlock waits for space (in kManual dispatch the submitting thread
-  /// drains the stream inline instead of deadlocking); kReject refuses the
-  /// rows that do not fit and counts the drop. Processing happens on the
-  /// owning shard's worker in submission order per stream (kShard) or when
-  /// the caller polls (kManual). Returns the number of rows accepted
-  /// (< x.rows() under kReject backpressure or on a typed error). On
-  /// failure `status` (when non-null) receives the typed reason instead of
-  /// an assertion: an unknown id, a failed restore, a row width other than
-  /// input_dim, a `true_labels` span that is neither empty nor one label
-  /// per row (kBadLabelSpan; never read out of bounds), or a NaN or
-  /// infinity anywhere in the block (kNonFinite). The last three refuse the
-  /// whole block before any slot is reserved.
+  /// Enqueues every row of a block (copied into the stream's ring pages)
+  /// under one producer lock: one ring reservation and tail publish for
+  /// all the rows that fit at once, one scheduling check. `x` is a
+  /// row-block view; a Matrix converts implicitly. A cold stream is
+  /// restored first (transparently; the rows then proceed as usual). When
+  /// the ring holds queue_capacity rows, kBlock waits for space (in
+  /// kManual dispatch the submitting thread drains the stream inline
+  /// instead of deadlocking); kReject refuses the rows that do not fit and
+  /// counts the drop. Processing happens on the owning shard's worker in
+  /// submission order per stream (kShard) or when the caller polls
+  /// (kManual). Returns the number of rows accepted (< x.rows() under
+  /// kReject backpressure or on a typed error). On failure `status` (when
+  /// non-null) receives the typed reason instead of an assertion: an
+  /// unknown id, a failed restore, a row width other than input_dim, a
+  /// `true_labels` span that is neither empty nor one label per row
+  /// (kBadLabelSpan; never read out of bounds), or a NaN or infinity
+  /// anywhere in the block (kNonFinite). The last three refuse the whole
+  /// block before any row is reserved.
   std::size_t submit_batch(std::size_t id, linalg::ConstMatrixView x,
                            std::span<const int> true_labels = {},
                            SubmitStatus* status = nullptr);
@@ -296,9 +306,17 @@ class PipelineManager {
   bool coalesce_eligible(const Stream& s) const;
   /// Processes everything currently published.
   void drain_burst(Stream& s);
+  /// Maps a page from the shard's pool into every unmapped page table
+  /// entry the ring rows [tail, tail + take) need, under one pool lock.
+  /// The caller is the stream's producer, before its tail store.
+  void map_pages(Shard& shard, Stream& s, std::uint64_t tail,
+                 std::size_t take);
+  /// Unmaps the pages [first, end) (absolute page numbers) and gives them
+  /// back to the stream's shard pool under one lock.
+  void give_pages(Stream& s, std::uint64_t first, std::uint64_t end);
   /// Frees `take` processed rows from ring position `head` (`queued` were
-  /// waiting): stamps, high-water, head store, producer wake-up, burst
-  /// telemetry.
+  /// waiting): stamps, high-water, the pages the head passes, head store,
+  /// producer wake-up, burst telemetry.
   void release_rows(Stream& s, std::uint64_t head, std::size_t take,
                     std::size_t queued);
   /// LRU touch + enforce_budget after a drain cycle.
@@ -320,8 +338,9 @@ class PipelineManager {
   /// Rebuilds a cold stream from its blob. Caller holds s.produce_mutex;
   /// takes shard.evict_mutex itself. False -> kRestoreFailed.
   bool restore_cold(Shard& shard, Stream& s);
-  /// Pipeline + ring bytes of a resident stream, without the model while
-  /// it shares its template's (the hot_bytes unit).
+  /// Pipeline bytes of a resident stream, without the model while it
+  /// shares its template's (the per-stream hot_bytes unit; ring pages are
+  /// charged per shard).
   std::size_t hot_footprint(const Stream& s) const;
   /// Wakes kBlock producers after head advanced.
   void notify_space(Stream& s);

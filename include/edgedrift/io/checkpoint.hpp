@@ -67,7 +67,9 @@ struct ModelTemplate {
 /// Appends a checkpoint of a fitted pipeline to `out`: a template delta when
 /// `model_template` is given and the pipeline's model is that template's
 /// model object, a full blob otherwise. Returns false, and appends nothing,
-/// when the pipeline is not fitted or its detector is not the centroid
+/// when the pipeline is not fitted, is recovering (recovering() true: the
+/// format stores no reconstruction state, so the loaded pipeline would
+/// resume idle and step differently), or its detector is not the centroid
 /// family. The checkpoint records the pipeline's active NumericsTier: the
 /// tier is part of the drift-decision contract, so a restore site must get
 /// the tier it expects or fail loudly.

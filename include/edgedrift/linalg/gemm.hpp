@@ -1,10 +1,9 @@
 // Matrix-multiply kernels. The blocked kernel is cache-tiled; the threaded
 // variants split output rows across the global thread pool:
 // matmul_parallel_into() is score_batch()'s block kernel (f64 and f32
-// tiers) and the projection's hidden_batch_into(),
+// tiers) and the projection's hidden_batch_into(), and
 // matmul_packed_parallel_into() runs the serving layer's coalesced
-// projection, and matmul_parallel() serves the tests' standalone OS-ELM
-// (tests/oracle/oselm.hpp).
+// projection.
 #pragma once
 
 #include <cstddef>
@@ -50,9 +49,6 @@ void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C = A * B^T without materializing B^T.
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
-
-/// C = A * B using the global thread pool for large problems.
-Matrix matmul_parallel(const Matrix& a, const Matrix& b);
 
 /// C = A * B into a caller-provided matrix (resized if needed), with the
 /// global thread pool for large problems. The allocation-free variant the

@@ -35,14 +35,14 @@ class Rng;
 
 namespace edgedrift::linalg {
 
-/// Alignment of every Matrix/ring-slab heap block: one cache line, and a
-/// superset of any SIMD vector alignment the kernel layer uses.
+/// Alignment of every Matrix heap block (ring pages included): one cache
+/// line, and a superset of any SIMD vector alignment the kernel layer uses.
 inline constexpr std::size_t kMatrixAlignment = 64;
 
 /// Minimal std::allocator replacement handing out kMatrixAlignment-aligned
-/// blocks via the aligned operator new (which does NOT route through the
-/// plain replaceable operator new — the allocation-counting test hooks
-/// replace only the plain forms, and aligned new/delete stay paired).
+/// blocks via the aligned operator new, which does not route through the
+/// plain one: the allocation-counting test hooks replace both forms, and
+/// aligned new/delete stay paired.
 template <typename T>
 struct AlignedAllocator {
   using value_type = T;
@@ -294,7 +294,7 @@ extern template class MatrixT<float>;
 
 /// Non-owning const view of a contiguous row-major block — the zero-copy
 /// operand for batch kernels reading rows straight out of a larger matrix
-/// (a PipelineManager ring slab, a chunk of a dataset). Converts implicitly
+/// (a PipelineManager ring page, a chunk of a dataset). Converts implicitly
 /// from MatrixT; the viewed storage must outlive the view.
 template <typename T>
 class ConstMatrixViewT {

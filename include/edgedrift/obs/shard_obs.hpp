@@ -31,7 +31,7 @@ struct ShardSnapshot {
   bool pinned = false;            ///< Worker thread is core-pinned.
   std::uint64_t hot_streams = 0;  ///< Streams resident in this shard.
   std::uint64_t cold_streams = 0; ///< Streams evicted to the cold store.
-  std::uint64_t hot_bytes = 0;    ///< Resident footprint (models + rings).
+  std::uint64_t hot_bytes = 0;    ///< Resident footprint (models + ring pages).
   std::uint64_t cold_bytes = 0;   ///< Cold-store payload bytes.
   std::uint64_t evictions = 0;    ///< Streams serialized out.
   std::uint64_t restores = 0;     ///< Streams deserialized back in.

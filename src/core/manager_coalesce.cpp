@@ -30,9 +30,9 @@
 // per-stream drain that follows every planning pass in drain_cycle; the
 // same pass also picks up rows the staging caps left behind.
 #include <algorithm>
+#include <cstring>
 
 #include "edgedrift/core/pipeline_manager.hpp"
-#include "edgedrift/linalg/gather.hpp"
 #include "edgedrift/util/assert.hpp"
 
 namespace edgedrift::core {
@@ -133,21 +133,28 @@ void PipelineManager::coalesce_group(Shard& shard) {
   const std::size_t total = plan.back().offset + plan.back().take;
   const std::uint64_t t0 = obs::now_ns();
 
-  // Gather: each member's ring burst is at most two contiguous segments of
-  // its slab, copied into its reserved staging block. Labels ride along in
-  // a parallel array so the scatter can hand each stream a span indexed by
-  // staging row, exactly like the per-stream drain hands s.labels indexed
-  // by ring slot.
-  shard.stage_x.resize_discard(total, template_config_.input_dim);
+  // Gather: each member's ring burst is one contiguous segment per ring
+  // page it touches, copied into its reserved staging block. Labels ride
+  // along in a parallel array so the scatter can hand each stream a span
+  // indexed by staging row, exactly like the per-stream drain hands a
+  // page's labels indexed by row.
+  const std::size_t dim = template_config_.input_dim;
+  shard.stage_x.resize_discard(total, dim);
   if (shard.stage_labels.size() < total) shard.stage_labels.resize(total);
   for (const auto& m : plan) {
-    const std::size_t slot =
-        static_cast<std::size_t>(m.head % options_.queue_capacity);
-    linalg::gather_ring_rows(m.stream->slab, slot, m.take, shard.stage_x,
-                             m.offset);
-    linalg::gather_ring_values(
-        m.stream->labels, slot, m.take,
-        std::span<int>(shard.stage_labels).subspan(m.offset, m.take));
+    for (std::size_t i = 0; i < m.take;) {
+      const std::uint64_t row = m.head + i;
+      const std::size_t pos =
+          static_cast<std::size_t>(row % detail::kRingPageRows);
+      const std::size_t seg =
+          std::min(m.take - i, detail::kRingPageRows - pos);
+      const detail::RingPage& page = m.stream->page_of(row);
+      std::memcpy(shard.stage_x.row(m.offset + i).data(),
+                  page.rows.row(pos).data(), seg * dim * sizeof(double));
+      std::copy_n(page.labels.begin() + pos, seg,
+                  shard.stage_labels.begin() + m.offset + i);
+      i += seg;
+    }
   }
 
   // One shared projection GEMM for the whole group. Any member's
@@ -167,7 +174,7 @@ void PipelineManager::coalesce_group(Shard& shard) {
                          shard.packed_alpha);
 
   // Scatter: each stream scores its row block against its own packed beta
-  // and runs its own detector, then releases its ring slots through the
+  // and runs its own detector, then releases its ring rows through the
   // same release_rows() as drain_burst.
   for (const auto& m : plan) {
     Stream& s = *m.stream;

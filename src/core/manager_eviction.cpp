@@ -8,8 +8,6 @@
 // first and only ever try_locks a victim's produce_mutex, so the two orders
 // cannot deadlock — a busy victim is simply skipped until its next idle
 // moment.
-#include <utility>
-
 #include "edgedrift/core/pipeline_manager.hpp"
 #include "edgedrift/io/checkpoint.hpp"
 #include "edgedrift/util/assert.hpp"
@@ -17,20 +15,14 @@
 namespace edgedrift::core {
 
 std::size_t PipelineManager::hot_footprint(const Stream& s) const {
-  std::size_t bytes = 0;
-  if (s.pipeline != nullptr) {
-    // The manager holds a template's model; a stream on it is charged only
-    // its own state (detector, recovery bookkeeping, reference buffers).
-    const bool shares =
-        s.model_template != nullptr &&
-        &s.pipeline->model() == &s.model_template->pipeline.model();
-    bytes = shares ? s.pipeline->detector_memory_bytes()
-                   : s.pipeline->memory_bytes();
-  }
-  bytes += s.slab.size() * sizeof(double);
-  bytes += s.labels.capacity() * sizeof(int);
-  bytes += s.submit_ns.capacity() * sizeof(std::uint64_t);
-  return bytes;
+  if (s.pipeline == nullptr) return 0;
+  // The manager holds a template's model; a stream on it is charged only
+  // its own state (detector, recovery bookkeeping, reference buffers).
+  const bool shares =
+      s.model_template != nullptr &&
+      &s.pipeline->model() == &s.model_template->pipeline.model();
+  return shares ? s.pipeline->detector_memory_bytes()
+                : s.pipeline->memory_bytes();
 }
 
 bool PipelineManager::evictable_locked(const Stream& s) const {
@@ -38,7 +30,7 @@ bool PipelineManager::evictable_locked(const Stream& s) const {
   // consumer role (the worker only touches the pipeline inside a cycle),
   // and no producer parked in the space_cv wait — a waiter released the
   // produce_mutex (so the try_lock may succeed) but will write into the
-  // slab the moment slots free up. Serializable: fitted, centroid-family
+  // ring the moment rows free up. Serializable: fitted, centroid-family
   // detector (the checkpoint format's requirement), and not mid-recovery
   // (recovery state is not persisted).
   return s.residency == Stream::Residency::kHot &&
@@ -67,10 +59,10 @@ bool PipelineManager::evict_locked(Shard& shard, Stream& s) {
     s.carried_obs->merge(live, live_obs.journal.capacity());
   }
 
-  // Release the hot state: the model and the ring storage, whose slab
-  // becomes the shard's spare for the next restore. Telemetry, steps and
-  // the monotonic ring counters stay (the ring is empty, so head == tail
-  // survives the slab's absence).
+  // Release the hot state: the model, and the ring's one page, the head's
+  // partial page, which goes back to the shard's pool (the ring is empty,
+  // so no other page is mapped). Telemetry, steps and the monotonic ring
+  // counters stay; the next write after the restore maps a fresh page.
   shard.lru.erase(&s);
   EDGEDRIFT_ASSERT(shard.hot_streams > 0, "hot-stream accounting underflow");
   --shard.hot_streams;
@@ -78,9 +70,10 @@ bool PipelineManager::evict_locked(Shard& shard, Stream& s) {
   shard.hot_bytes -= s.hot_footprint_bytes;
   s.hot_footprint_bytes = 0;
   s.pipeline.reset();
-  shard.spare_slab = std::exchange(s.slab, linalg::Matrix());
-  s.labels = std::vector<int>();
-  s.submit_ns = std::vector<std::uint64_t>();
+  const std::uint64_t head_page = s.head.load() / detail::kRingPageRows;
+  if (s.page_entry(head_page) != nullptr) {
+    give_pages(s, head_page, head_page + 1);
+  }
   s.residency = Stream::Residency::kCold;
 
   shard.obs.add_eviction();
@@ -189,15 +182,14 @@ bool PipelineManager::restore_cold(Shard& shard, Stream& s) {
     return false;
   }
   s.pipeline = std::make_unique<Pipeline>(std::move(*pipeline));
-  s.labels.assign(options_.queue_capacity, -1);
-  if (obs_on_) s.submit_ns.assign(options_.queue_capacity, 0);
+  // The ring needs no storage of its own: the next write maps a page from
+  // the shard's pool. A seeded stream sizes its page table on its first
+  // restore and keeps it.
+  if (s.pages.empty()) {
+    s.pages.assign(detail::ring_page_slots(options_.queue_capacity), nullptr);
+  }
   {
     std::lock_guard elock(shard.evict_mutex);
-    // Every ring slot is written before it is read, so a spare slab's old
-    // rows need no zeroing; only a restore that finds no spare allocates.
-    s.slab = std::exchange(shard.spare_slab, linalg::Matrix());
-    s.slab.resize_discard(options_.queue_capacity,
-                          template_config_.input_dim);
     s.residency = Stream::Residency::kHot;
     s.hot_footprint_bytes = hot_footprint(s);
     ++shard.hot_streams;
@@ -229,7 +221,7 @@ std::size_t PipelineManager::seed_cold_from(std::size_t source_id,
   std::string source;
   const bool ok = io::save_pipeline(source, *src.pipeline);
   EDGEDRIFT_ASSERT(ok, "seed_cold_from: source stream is not serializable "
-                       "(centroid detector required)");
+                       "(centroid detector required, not recovering)");
   std::optional<io::ModelTemplate> loaded = io::load_template(
       source, template_config_.numerics, nullptr, &template_config_);
   EDGEDRIFT_ASSERT(loaded.has_value(),

@@ -198,7 +198,7 @@ void Pipeline::process_rows(linalg::ConstMatrixView x,
     // model: pre-score up to max_batch_rows rows in one call into the
     // model's scoring core, then run the detector sequentially over them.
     // The rows are contiguous, so they feed the kernels as a view — no
-    // staging copy, whether x is a caller batch or a ring slab range.
+    // staging copy, whether x is a caller batch or a ring page range.
     const std::size_t chunk = std::min(n - i, config_.max_batch_rows);
     const linalg::ConstMatrixView rows{x, i, i + chunk};
     const linalg::ConstMatrixView h =

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "edgedrift/io/checkpoint.hpp"
 #include "edgedrift/util/assert.hpp"
@@ -15,6 +16,8 @@ namespace edgedrift::core {
 namespace {
 
 using detail::burst_bucket;
+using detail::kRingPageRows;
+using detail::RingPage;
 
 void set_status(SubmitStatus* status, SubmitStatus value) {
   if (status != nullptr) *status = value;
@@ -37,7 +40,7 @@ PipelineManager::PipelineManager(const PipelineConfig& config,
   if (options_.shards == 0) options_.shards = 1;
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Shard>(config.input_dim);
     shard->index = i;
     if (!options_.cold_spill_dir.empty()) {
       shard->cold.set_spill_dir(options_.cold_spill_dir);
@@ -58,9 +61,8 @@ void PipelineManager::init_streams(const PipelineConfig& config,
     stream->id = i;
     stream->shard = shard_of(i);
     stream->pipeline = std::make_unique<Pipeline>(stream_config);
-    stream->slab.resize_zero(options_.queue_capacity, config.input_dim);
-    stream->labels.assign(options_.queue_capacity, -1);
-    if (obs_on_) stream->submit_ns.assign(options_.queue_capacity, 0);
+    stream->pages.assign(detail::ring_page_slots(options_.queue_capacity),
+                         nullptr);
     Shard& shard = *shards_[stream->shard];
     {
       std::lock_guard lock(shard.evict_mutex);
@@ -151,8 +153,8 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
       // Checked inside the loop: every wait below releases produce_mutex,
       // and an evictor may push the stream cold while this producer sleeps
       // (space_waiters blocks that for the cv wait, but the kManual poll
-      // unlock has no such guard) — the slab must be re-materialized before
-      // any slot is written.
+      // unlock has no such guard) — the pipeline must be restored before
+      // any row is written.
       if (s.residency == Stream::Residency::kCold &&
           !restore_cold(shard, s)) {
         set_status(status, SubmitStatus::kRestoreFailed);
@@ -170,7 +172,7 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
           counted_block = true;
         }
         if (options_.dispatch == DispatchMode::kManual) {
-          // No consumer exists to free slots: drain the stream on this
+          // No consumer exists to free rows: drain the stream on this
           // thread (manual mode is single-threaded operation by design).
           lock.unlock();
           poll(id);
@@ -186,29 +188,45 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
         s.space_waiters.fetch_sub(1);
         continue;
       }
-      // One reservation covers every row that fits right now: copy them
-      // all, then publish with a single tail store.
+      // One reservation covers every row that fits right now: map its
+      // pages, copy the rows, then publish with a single tail store.
       const std::size_t take =
           static_cast<std::size_t>(std::min<std::uint64_t>(avail,
                                                            x.rows() - r));
       // pending_ rises before the rows are published so the consumer's
       // burst-sized decrement can never run ahead of it.
       pending_.fetch_add(take);
-      // Only slots whose absolute position matches the sample mask are
+      map_pages(shard, s, tail, take);
+      // Only rows whose absolute position matches the sample mask are
       // stamped — the drain side, which advances the same counter, reads
-      // exactly those. The clock is read once per segment, and only when
-      // the segment holds a sampled slot: every sampled row of it entered
-      // the ring "now" for submit->drain latency purposes.
+      // exactly those. The clock is read once per reservation, and only
+      // when it holds a sampled row: every sampled row of it entered the
+      // ring "now" for submit->drain latency purposes.
       const std::uint64_t mask =
           obs_on_ ? s.pipeline->obs().latency_sample_mask() : 0;
       const bool sampled = obs_on_ && ((tail + mask) & ~mask) < tail + take;
       const std::uint64_t t_sub = sampled ? obs::now_ns() : 0;
-      for (std::size_t i = 0; i < take; ++i) {
-        const std::size_t pos =
-            static_cast<std::size_t>((tail + i) % capacity);
-        s.slab.set_row(pos, x.row(r + i));
-        s.labels[pos] = true_labels.empty() ? -1 : true_labels[r + i];
-        if (sampled && ((tail + i) & mask) == 0) s.submit_ns[pos] = t_sub;
+      // One copy per page: the block's rows are contiguous, and so are a
+      // page's.
+      for (std::size_t i = 0; i < take;) {
+        const std::uint64_t row = tail + i;
+        const std::size_t pos = static_cast<std::size_t>(row % kRingPageRows);
+        const std::size_t seg = std::min(take - i, kRingPageRows - pos);
+        RingPage& page = s.page_of(row);
+        std::memcpy(page.rows.row(pos).data(), x.row(r + i).data(),
+                    seg * x.cols() * sizeof(double));
+        if (true_labels.empty()) {
+          std::fill_n(page.labels.begin() + pos, seg, -1);
+        } else {
+          std::copy_n(true_labels.begin() + r + i, seg,
+                      page.labels.begin() + pos);
+        }
+        if (sampled) {
+          for (std::size_t j = 0; j < seg; ++j) {
+            if (((row + j) & mask) == 0) page.submit_ns[pos + j] = t_sub;
+          }
+        }
+        i += seg;
       }
       s.tail.store(tail + take);
       s.telemetry.submitted += take;
@@ -222,25 +240,55 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
   return accepted;
 }
 
+void PipelineManager::map_pages(Shard& shard, Stream& s, std::uint64_t tail,
+                                std::size_t take) {
+  // Only the page holding a mid-page tail can be mapped already; every
+  // later page starts at a row this reservation writes.
+  std::uint64_t page = tail / kRingPageRows;
+  if (s.page_entry(page) != nullptr) ++page;
+  const std::uint64_t end = (tail + take - 1) / kRingPageRows + 1;
+  if (page == end) return;
+  RingPage* chain =
+      shard.ring_pages.take(static_cast<std::size_t>(end - page));
+  for (; page < end; ++page, chain = chain->next_free) {
+    s.page_entry(page) = chain;
+  }
+}
+
+void PipelineManager::give_pages(Stream& s, std::uint64_t first,
+                                 std::uint64_t end) {
+  if (first == end) return;
+  RingPage* chain = nullptr;
+  RingPage* chain_last = nullptr;
+  for (std::uint64_t page = first; page < end; ++page) {
+    RingPage*& entry = s.page_entry(page);
+    entry->next_free = chain;
+    chain = entry;
+    if (chain_last == nullptr) chain_last = entry;
+    entry = nullptr;
+  }
+  shards_[s.shard]->ring_pages.give(chain, chain_last);
+}
+
 void PipelineManager::drain_burst(Stream& s) {
-  const std::size_t capacity = options_.queue_capacity;
   std::uint64_t head = s.head.load();
   std::uint64_t tail = s.tail.load();
   while (head != tail) {
     const std::size_t queued = static_cast<std::size_t>(tail - head);
-    const std::size_t pos = static_cast<std::size_t>(head % capacity);
-    // The largest contiguous slab range: stop at the ring-wrap boundary
-    // (the wrapped remainder is the next burst, itself contiguous from
-    // slot 0) and at the stream's scoring chunk, max_batch_rows.
+    const std::size_t pos = static_cast<std::size_t>(head % kRingPageRows);
+    // The largest contiguous range: stop at the page boundary (the rest
+    // is the next burst, from the next page's first row) and at the
+    // stream's scoring chunk, max_batch_rows.
     const std::size_t burst =
-        std::min({queued, capacity - pos,
+        std::min({queued, kRingPageRows - pos,
                   s.pipeline->config().max_batch_rows});
+    const RingPage& page = s.page_of(head);
     const std::uint64_t t0 = obs::now_ns();
     {
       std::lock_guard lock(s.steps_mutex);
-      const std::span<const int> labels(s.labels);
-      s.pipeline->process_rows({s.slab, pos, pos + burst},
-                               labels.subspan(pos, burst), s.steps);
+      s.pipeline->process_rows(
+          {page.rows, pos, pos + burst},
+          std::span<const int>(page.labels).subspan(pos, burst), s.steps);
     }
     release_rows(s, head, burst, queued);
     pending_.fetch_sub(burst);
@@ -253,24 +301,28 @@ void PipelineManager::drain_burst(Stream& s) {
 
 void PipelineManager::release_rows(Stream& s, std::uint64_t head,
                                    std::size_t take, std::size_t queued) {
-  // Record before the head store frees the slots: a producer may reuse
-  // their submit_ns entries the moment head moves past them. Only the
-  // sampled slots (absolute position & mask == 0) carry stamps.
+  // Record before the pages go back: another stream's producer may reuse
+  // their stamps the moment they do. Only the sampled rows (absolute
+  // position & mask == 0) carry stamps.
   obs::StreamObs& ob = s.pipeline->obs();
+  const std::uint64_t end = head + take;
   if (obs_on_) {
     const std::uint64_t mask = ob.latency_sample_mask();
     const std::uint64_t first = (head + mask) & ~mask;
-    if (first < head + take) {
+    if (first < end) {
       const std::uint64_t t_end = obs::now_ns();
-      for (std::uint64_t a = first; a < head + take; a += mask + 1) {
+      for (std::uint64_t a = first; a < end; a += mask + 1) {
         ob.submit_to_drain.record(
-            t_end - s.submit_ns[static_cast<std::size_t>(
-                        a % options_.queue_capacity)]);
+            t_end - s.page_of(a).submit_ns[a % kRingPageRows]);
       }
     }
   }
   ob.counters.update_ring_high_water(queued);
-  s.head.store(head + take);
+  // Every page whose last row the new head passes goes back to the pool,
+  // its entry nulled before the head store: from that store on, a
+  // producer may map the entry one lap later.
+  give_pages(s, head / kRingPageRows, end / kRingPageRows);
+  s.head.store(end);
   notify_space(s);
   ++s.telemetry.drain_bursts;
   ++s.telemetry.drain_burst_hist[burst_bucket(take)];
@@ -402,7 +454,7 @@ obs::Snapshot PipelineManager::stats() const {
     sh.pinned = shard->pinned.load();
     sh.hot_streams = shard->hot_streams;
     sh.cold_streams = shard->cold_streams;
-    sh.hot_bytes = shard->hot_bytes;
+    sh.hot_bytes = shard->hot_bytes + shard->ring_pages.bytes();
     sh.cold_bytes = shard->cold.bytes();
     snap.shards.push_back(std::move(sh));
   }

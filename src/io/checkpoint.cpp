@@ -210,7 +210,10 @@ void write_detector(Writer& w, const drift::CentroidDetector& detector) {
 
 bool save_pipeline(std::string& out, const core::Pipeline& pipeline,
                    const ModelTemplate* model_template) {
-  if (!pipeline.fitted()) return false;
+  // The format stores no reconstruction state (Algorithm 2's coordinates,
+  // phase and count): a pipeline saved mid-recovery would load idle and
+  // step differently, so it is refused.
+  if (!pipeline.fitted() || pipeline.recovering()) return false;
   // The checkpoint format stores centroid-detector calibration; pipelines
   // configured with another detector kind have no serializable detector
   // state in this format.

@@ -241,12 +241,6 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-Matrix matmul_parallel(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  matmul_parallel_into(a, b, c);
-  return c;
-}
-
 void matmul_parallel_into(ConstMatrixView a, const Matrix& b, Matrix& c) {
   EDGEDRIFT_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
   c.resize_discard(a.rows(), b.cols());

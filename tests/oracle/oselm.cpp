@@ -69,7 +69,9 @@ void OsElm::predict(std::span<const double> x, std::span<double> y) const {
 
 linalg::Matrix OsElm::predict_batch(const linalg::Matrix& x) const {
   EDGEDRIFT_ASSERT(initialized_, "predict_batch() before initialization");
-  return linalg::matmul_parallel(projection_->hidden_batch(x), beta_);
+  linalg::Matrix out;
+  linalg::matmul_parallel_into(projection_->hidden_batch(x), beta_, out);
+  return out;
 }
 
 void OsElm::reset() { init_sequential(); }

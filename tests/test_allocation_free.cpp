@@ -6,11 +6,13 @@
 // here silently reintroduces one.
 //
 // Mechanism: counting replacements of the global operator new/delete,
-// enabled only around the measured loop. The dimensions are chosen ABOVE
-// the stack-buffer thresholds of the per-instance reference path (256
-// doubles in OsElm::predict / Autoencoder::score), so the test fails if the
-// pipeline ever falls back from its BatchWorkspace to those heap-fallback
-// paths.
+// plain and aligned, enabled only around the measured loop. The aligned
+// forms carry every Matrix, AlignedVector and ring page allocation
+// (linalg/matrix.hpp), so their growth is counted too. The dimensions are
+// chosen ABOVE the stack-buffer thresholds of the per-instance reference
+// path (256 doubles in OsElm::predict / Autoencoder::score), so the test
+// fails if the pipeline ever falls back from its BatchWorkspace to those
+// heap-fallback paths.
 //
 // Sanitizer builds replace the allocator themselves; the hooks would fight
 // them, so there the counting hooks and the zero-allocation expectations
@@ -57,24 +59,52 @@ std::atomic<std::size_t> g_alloc_count{0};
 #if !defined(EDGEDRIFT_ALLOC_HOOKS_DISABLED)
 
 namespace {
-void* counted_alloc(std::size_t size) {
+void count_alloc() {
   if (g_count_allocs.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+void* counted_alloc(std::size_t size) {
+  count_alloc();
   void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  count_alloc();
+  // aligned_alloc wants a nonzero size that is a multiple of the alignment.
+  const auto a = static_cast<std::size_t>(align);
+  void* p = std::aligned_alloc(a, size == 0 ? a : (size + a - 1) / a * a);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 }  // namespace
 
 // Global replacements: every new in the test binary funnels through
-// counted_alloc; deletes must therefore free() unconditionally.
+// counted_alloc or counted_aligned_alloc, both of which the C allocator
+// serves; deletes must therefore free() unconditionally.
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return counted_aligned_alloc(size, align);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 #endif  // !EDGEDRIFT_ALLOC_HOOKS_DISABLED
 
@@ -407,9 +437,10 @@ TEST(AllocationFree, ReconstructionStepsDoNotAllocate) {
 }
 
 TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
-  // The serving path: submit_batch() copies rows into the preallocated ring
-  // slab, the drain feeds contiguous slab ranges straight through
-  // process_rows(), and take_steps(out) recycles both step buffers.
+  // The serving path: submit_batch() copies rows into ring pages mapped
+  // from the shard's pool, the drain feeds contiguous page ranges straight
+  // through process_rows() and gives each passed page back, and
+  // take_steps(out) recycles both step buffers.
   // Manual dispatch keeps the whole loop on this thread — the shard
   // workers' Treiber ready-stack nodes live inside the Stream structs, but
   // handing off to another thread would make the allocation count racy, so
@@ -418,7 +449,8 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
   // throughout, so the zero-allocation bound covers the instrumented path.
   constexpr std::size_t kDim = 48;
   constexpr std::size_t kHidden = 22;
-  constexpr std::size_t kRows = 48;  // > max_batch_rows and wraps the ring.
+  constexpr std::size_t kRows = 48;  // > max_batch_rows, < a 64-row page.
+  constexpr std::size_t kBlocks = 5;  // Queued per round: 240 rows.
 
   edgedrift::core::PipelineConfig config;
   config.num_labels = 2;
@@ -427,7 +459,7 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
   config.max_batch_rows = 32;
 
   edgedrift::core::ManagerOptions options;
-  options.queue_capacity = 64;
+  options.queue_capacity = 256;  // 4 pages.
   options.dispatch = edgedrift::core::DispatchMode::kManual;
 
   edgedrift::core::PipelineManager manager(config, 1, options);
@@ -444,8 +476,9 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
   }
   manager.fit(0, train, labels);
 
-  // A stationary block, reused every round (48 rows into a 64-slot ring:
-  // the drain crosses the wrap boundary constantly).
+  // A stationary block, reused 5 times a round: 240 queued rows from a
+  // head that moves 240 rows a round span 4 or 5 pages, and most blocks
+  // cross a page boundary, so pages are mapped and given back every round.
   Matrix block(kRows, kDim);
   for (std::size_t i = 0; i < kRows; ++i) {
     const double mean = i % 2 == 0 ? 0.2 : 1.2;
@@ -455,27 +488,27 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
   }
 
   std::vector<edgedrift::core::PipelineStep> steps;
-  steps.reserve(kRows);
-
-  // Warm-up: ring slab is preallocated, but the pipeline's grow-only chunk
-  // buffers and the steps vectors reach their high-water marks here.
-  for (int round = 0; round < 3; ++round) {
-    manager.submit_batch(0, block);
+  steps.reserve(kBlocks * kRows);
+  const auto round_trip = [&] {
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      ASSERT_EQ(manager.submit_batch(0, block), kRows);
+    }
     manager.poll(0);
     manager.take_steps(0, steps);
     steps.clear();
-  }
+  };
+
+  // Warm-up: the page pool reaches the 5 pages a round can span (head
+  // offsets 0, 48 and 32 in its first three rounds), and the pipeline's
+  // grow-only chunk buffers and the steps vectors their high-water marks.
+  for (int round = 0; round < 3; ++round) round_trip();
   ASSERT_FALSE(manager.stream(0).recovering())
       << "stationary stream should not trigger a recovery";
+  const std::size_t hot_bytes = manager.stats().shards[0].hot_bytes;
 
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
-  for (int round = 0; round < 10; ++round) {
-    manager.submit_batch(0, block);
-    manager.poll(0);
-    manager.take_steps(0, steps);
-    steps.clear();
-  }
+  for (int round = 0; round < 10; ++round) round_trip();
   g_count_allocs.store(false, std::memory_order_relaxed);
 
   if (kCountingAllocs) {
@@ -484,6 +517,9 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
   }
   EXPECT_GT(manager.stream(0).obs().counters.snapshot().samples, 0u)
       << "the counter book must have been live during the measured loop";
+  EXPECT_EQ(manager.stats().shards[0].hot_bytes, hot_bytes)
+      << "the measured rounds must recycle the warm-up's pages";
+  EXPECT_EQ(manager.stats(0).ring_high_water, kBlocks * kRows);
 }
 
 // The kManual gateway loop over many streams: submit_batch() lists each
@@ -553,9 +589,19 @@ TEST(AllocationFree, SteadyStateManualMultiStreamDrainDoesNotAllocate) {
     };
 
     // Warm-up: restores every seeded stream and takes every grow-only
-    // buffer (step vectors, chain and planning scratch, staging) to its
-    // high-water mark.
-    for (std::size_t round = 0; round < 3; ++round) round_trip(round, true);
+    // buffer (step vectors, chain and planning scratch, staging, the
+    // shards' ring page pools) to its high-water mark. A ring holds at most
+    // 12 rows here, so it spans at most two pages, and in round 10 every
+    // stream crosses a page boundary at once (rows 60-65, or 120-131 for
+    // the ids that submit twice): from then on each pool holds two pages
+    // per stream.
+    for (std::size_t round = 0; round < 11; ++round) round_trip(round, true);
+    const auto hot_bytes = [&] {
+      std::size_t bytes = 0;
+      for (const auto& shard : manager.stats().shards) bytes += shard.hot_bytes;
+      return bytes;
+    };
+    const std::size_t warm_bytes = hot_bytes();
 
     g_alloc_count.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
@@ -570,6 +616,8 @@ TEST(AllocationFree, SteadyStateManualMultiStreamDrainDoesNotAllocate) {
     EXPECT_EQ(manager.hot_streams(), kStreams);
     EXPECT_EQ(manager.telemetry(kStreams - 1).processed,
               manager.telemetry(kStreams - 1).submitted);
+    EXPECT_EQ(hot_bytes(), warm_bytes)
+        << "the measured rounds must recycle the warm-up's pages";
   }
 }
 

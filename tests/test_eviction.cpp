@@ -847,7 +847,8 @@ TEST(Eviction, ShardWorkersShareOneTemplateModelUnderChurn) {
 }
 
 // hot_bytes charges a stream on its template's model only its own bytes,
-// and charges the model once the stream has written a private copy.
+// and charges the model once the stream has written a private copy. Rings
+// are charged as the ring pages their shard's pool holds.
 TEST(Eviction, HotBytesChargeTheTemplateModelOnlyOnceCopied) {
   PipelineConfig config = make_config();
   ManagerOptions options;
@@ -857,13 +858,13 @@ TEST(Eviction, HotBytesChargeTheTemplateModelOnlyOnceCopied) {
   manager.fit(0, data.train.x, data.train.labels);
   const std::size_t first = manager.seed_cold_from(0, 2);
   const auto hot_bytes = [&] { return manager.stats().shards[0].hot_bytes; };
-  const std::size_t ring =
-      options.queue_capacity *
-      (config.input_dim * sizeof(double) + sizeof(int) +
-       (edgedrift::obs::kObsCompiled ? sizeof(std::uint64_t) : 0));
+  // A ring page: 64 rows, each with its label and submit stamp.
+  const std::size_t page =
+      64 * (config.input_dim * sizeof(double) + sizeof(int) +
+            sizeof(std::uint64_t));
 
-  // Restores onto the template: each stream adds its detector, recovery
-  // bookkeeping and ring, not the model.
+  // Restores onto the template: each stream adds its detector and recovery
+  // bookkeeping, not the model, and its first row maps a new page.
   std::size_t before = hot_bytes();
   ASSERT_TRUE(manager.submit(first, data.test.x.row(0)));
   ASSERT_TRUE(manager.submit(first + 1, data.test.x.row(0)));
@@ -872,10 +873,11 @@ TEST(Eviction, HotBytesChargeTheTemplateModelOnlyOnceCopied) {
   ASSERT_EQ(&drifting.model(), &manager.stream(first + 1).model());
   const std::size_t own = drifting.detector_memory_bytes();
   ASSERT_LT(own, drifting.memory_bytes());
-  EXPECT_EQ(hot_bytes() - before, 2 * (own + ring));
+  EXPECT_EQ(hot_bytes() - before, 2 * (own + page));
 
   // The drift's detection copies the model; the drain's bookkeeping then
-  // charges the copy (memory_bytes() always counts the whole model).
+  // charges the copy (memory_bytes() always counts the whole model). The
+  // stream's 1-row ticks recycle its page: the pool does not grow.
   before = hot_bytes();
   std::size_t row = 1;
   while (!manager.stream(first).recovering() && row < data.test.size()) {
@@ -887,7 +889,7 @@ TEST(Eviction, HotBytesChargeTheTemplateModelOnlyOnceCopied) {
   EXPECT_EQ(hot_bytes(), before - own + manager.stream(first).memory_bytes());
 
   // Finish the recovery, evict, and restore: the stream's own model is
-  // charged in full.
+  // charged in full, and its row maps the page the eviction gave back.
   while (manager.stream(first).recovering() && row < data.test.size()) {
     ASSERT_TRUE(manager.submit(first, data.test.x.row(row++)));
     manager.drain();
@@ -897,7 +899,7 @@ TEST(Eviction, HotBytesChargeTheTemplateModelOnlyOnceCopied) {
   before = hot_bytes();
   ASSERT_TRUE(manager.submit(first, data.test.x.row(row)));
   manager.drain();
-  EXPECT_EQ(hot_bytes() - before, manager.stream(first).memory_bytes() + ring);
+  EXPECT_EQ(hot_bytes() - before, manager.stream(first).memory_bytes());
 }
 
 // ------------------------------------------------ kManual drain listing

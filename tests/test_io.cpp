@@ -2,9 +2,11 @@
 // loads that share a template's model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <sstream>
 #include <string_view>
 
@@ -211,6 +213,66 @@ TEST(Checkpoint, UnfittedPipelineRefusesToSave) {
   Pipeline pipeline(small_config());
   std::stringstream buffer;
   EXPECT_FALSE(edgedrift::io::save_pipeline(buffer, pipeline));
+}
+
+// The format stores no reconstruction state, so a pipeline mid-recovery is
+// refused instead of saved as if idle. The stream is the StaticPipelineNsl
+// one (seed 71): saved 50 rows into its reconstruction, such a blob loaded
+// idle and stepped differently on 310 of the next 2,050 rows. Once the
+// reconstruction finishes, the pipeline saves again and its copy steps
+// like it.
+TEST(Checkpoint, RecoveringPipelineRefusesToSave) {
+  edgedrift::data::NslKddLikeConfig data_config;
+  data_config.train_size = 800;
+  data_config.test_size = 4000;
+  data_config.drift_point = 1500;
+  edgedrift::data::NslKddLike generator(data_config);
+  Rng rng(71);
+  const edgedrift::data::Dataset train = generator.training(rng);
+  const edgedrift::data::Dataset stream = generator.test_stream(rng);
+
+  PipelineConfig config;
+  config.num_labels = 2;
+  config.input_dim = 38;
+  config.hidden_dim = 22;
+  config.window_size = 100;
+  config.detector_initial_count = 0;
+  config.theta_error_z = 4.0;
+  config.reconstruction = {20, 120, 500};
+  Pipeline pipeline(config);
+  pipeline.fit(train.x, train.labels);
+
+  std::size_t row = 0;
+  while (!pipeline.recovering() && row < stream.size()) {
+    pipeline.process(stream.x.row(row++));
+  }
+  ASSERT_TRUE(pipeline.recovering()) << "the drift must be detected";
+  for (std::size_t i = 0; i < 50; ++i) pipeline.process(stream.x.row(row++));
+  ASSERT_TRUE(pipeline.recovering());
+
+  std::string out = "kept";
+  EXPECT_FALSE(edgedrift::io::save_pipeline(out, pipeline));
+  EXPECT_TRUE(out == "kept") << "a refused save must append nothing";
+  std::stringstream buffer;
+  EXPECT_FALSE(edgedrift::io::save_pipeline(buffer, pipeline));
+  EXPECT_TRUE(buffer.str().empty());
+
+  while (pipeline.recovering() && row < stream.size()) {
+    pipeline.process(stream.x.row(row++));
+  }
+  ASSERT_FALSE(pipeline.recovering()) << "the reconstruction must finish";
+  std::string blob;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, pipeline));
+  std::optional<Pipeline> restored = edgedrift::io::load_pipeline(blob);
+  ASSERT_TRUE(restored.has_value());
+  for (std::size_t end = std::min(row + 500, stream.size()); row < end;
+       ++row) {
+    const auto a = pipeline.process(stream.x.row(row));
+    const auto b = restored->process(stream.x.row(row));
+    ASSERT_EQ(a.prediction.label, b.prediction.label) << "row " << row;
+    ASSERT_EQ(a.drift_detected, b.drift_detected) << "row " << row;
+    ASSERT_EQ(a.reconstructing, b.reconstructing) << "row " << row;
+  }
 }
 
 TEST(Checkpoint, CorruptedBlobRejected) {

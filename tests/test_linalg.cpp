@@ -111,9 +111,9 @@ TEST(Gemm, ParallelMatchesSerial) {
   Rng rng(5);
   const Matrix a = Matrix::random_gaussian(150, 90, rng);
   const Matrix b = Matrix::random_gaussian(90, 120, rng);
-  EXPECT_LT(Matrix::max_abs_diff(linalg::matmul_parallel(a, b),
-                                 linalg::matmul(a, b)),
-            1e-10);
+  Matrix c;
+  linalg::matmul_parallel_into(a, b, c);
+  EXPECT_LT(Matrix::max_abs_diff(c, linalg::matmul(a, b)), 1e-10);
 }
 
 TEST(Gemm, MatvecAndTransposedMatvec) {
