@@ -24,12 +24,15 @@
 // padding is the layout's cost: at L = 22, C*n = 874 the codes cover 24 x
 // 880 bytes instead of 22 x 874.
 //
-// The scoring kernels quantize the activation vector dynamically (per
-// vector / per row, symmetric as above), accumulate the integer dot product
-// in int32 — exact: 2^16 terms x 127^2 < 2^31 — and apply the combined
-// float scale once per output. Accumulation order therefore does not round
-// at all until the final dequant multiply; the tier's error is entirely the
-// two quantization grids.
+// The scoring row quantizes the activation vector dynamically (per row,
+// symmetric as above, through quantize_vector), accumulates the integer dot
+// product in int32 — exact: every partial sum of every tile lane stays
+// within 2^16 x 128 x 127 < 2^31 — and applies the combined float scale once
+// per output. Accumulation order therefore does not round at all until the
+// final dequant multiply; the tier's error is entirely the two quantization
+// grids. The VNNI lane reads the tiles flipped to unsigned bytes as it loads
+// them (simd.hpp, i8_tile_step_vnni); the stored tiles are the same for
+// every lane.
 //
 // Column blocks: the packed ensemble beta is [L x C*n] with instance c
 // owning columns [c*n, (c+1)*n). QuantizedMatrix quantizes per column, so a
@@ -118,25 +121,19 @@ void quantize_block(const Matrix& src, QuantizedMatrix& out,
 /// Symmetric per-vector quantization of an activation vector: returns the
 /// scale (max|x|/127, 0 for an all-zero vector) and fills `q` with codes in
 /// [-127, 127]. Allocation-free; q.size() == x.size(). The one activation
-/// quantizer: both i8 scoring kernels quantize f64 hidden rows through it.
+/// quantizer: the i8 scoring row quantizes each f64 hidden row through it,
+/// on the AVX2 lane where the build compiles it and on the portable lane
+/// otherwise (simd.hpp, "int8 activation quantizer lanes"), with equal
+/// scales and codes.
 float quantize_vector(std::span<const double> x, std::span<std::int8_t> q);
 
 /// y[j] = float(sum_i q_x[i] * A.code(i, j)) * x_scale * A.scales[j] — the
 /// i8 twin of matvec_transposed (y = A^T x, shapes [m,n]^T x [m] -> [n]).
 /// The inner sum is exact int32; the tile lane is the best one the build
-/// and the CPU offer (VNNI, AVX2, portable), all bit-identical.
+/// and the CPU offer (VNNI, AVX2, portable), all bit-identical. Requires
+/// A.rows() <= 2^16.
 void i8_matvec_transposed_dequant(const QuantizedMatrix& a,
                                   std::span<const std::int8_t> q_x,
                                   float x_scale, std::span<float> y);
-
-/// C = A * B with per-row dynamic quantization of A (f64 rows, through
-/// quantize_vector) against the static per-column replica B. Row r of C is
-/// bit-identical to i8_matvec_transposed_dequant of row r's codes, so a row
-/// reads the same whatever block it is in. C is resized and fully
-/// overwritten; q_row is caller scratch (length >= A.cols()). Row r uses
-/// scale_r = max_j |A[r][j]| / 127, so C[r][j] carries error from both
-/// grids; the tier equivalence harness owns the budget.
-void i8_gemm_dequant(ConstMatrixView a, const QuantizedMatrix& b,
-                     MatrixF32& c, std::span<std::int8_t> q_row);
 
 }  // namespace edgedrift::linalg

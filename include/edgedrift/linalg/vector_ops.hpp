@@ -28,6 +28,14 @@ double squared_l2_distance(std::span<const double> a,
 /// double overload.
 float squared_l2_distance(std::span<const float> a, std::span<const float> b);
 
+/// out[c] = double(squared_l2_distance(a, block c)) / a.size() for every
+/// c < out.size(), where block c is blocks[c*n, (c+1)*n) with n = a.size():
+/// the per-label MSE scores of one fused f32 reconstruction row, all in one
+/// loop. Each block runs the float squared_l2_distance's body op for op, so
+/// out[c] has the bits of the single call's score.
+void block_mse(std::span<const float> a, std::span<const float> blocks,
+               std::span<double> out);
+
 /// dst[i] = (float)src[i] — the f64 -> f32 tier boundary crossing (hidden
 /// activations, probe rows). Sizes must match.
 void narrow(std::span<const double> src, std::span<float> dst);

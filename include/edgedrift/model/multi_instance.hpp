@@ -57,33 +57,39 @@ struct BatchWorkspace {
   /// rows x hidden_dim: the projection of the last block scored without
   /// caller-supplied hidden rows (never written when they are supplied).
   linalg::Matrix hidden;
-  linalg::Matrix recon;   ///< rows x (num_labels * input_dim): fused recon.
+  /// f64: rows x (num_labels * input_dim), the fused reconstruction.
+  linalg::Matrix recon;
   linalg::Matrix scores;  ///< rows x num_labels: per-label MSE scores.
 
-  // Tiered-scoring scratch (empty — zero bytes — in the f64 tier).
+  // Tiered-scoring scratch (empty — zero bytes — in the f64 tier). The i8
+  // tier scores one row at a time, so its f32 buffers hold one row.
   linalg::MatrixF32 hidden_f32;  ///< f32: narrowed hidden activations.
   linalg::MatrixF32 input_f32;   ///< Narrowed input rows (f32 MSE operand).
   linalg::MatrixF32 recon_f32;   ///< f32/i8 fused reconstruction.
   linalg::AlignedVector<std::int8_t> q_row;  ///< i8: one row's hidden codes.
 
-  /// Pre-grows every buffer to the given batch geometry so the first
-  /// score_batch() call is already allocation-free. Pass the pipeline's
-  /// tier to also pre-grow that tier's scratch.
+  /// Pre-grows the buffers that `tier`'s scoring reads to the given batch
+  /// geometry, and no others, so the first score_batch() call in that tier
+  /// is already allocation-free.
   void reserve(std::size_t rows, std::size_t input_dim,
                std::size_t hidden_dim, std::size_t num_labels,
                linalg::NumericsTier tier = linalg::NumericsTier::kExactF64) {
     hidden.resize_zero(rows, hidden_dim);
-    recon.resize_zero(rows, num_labels * input_dim);
     scores.resize_zero(rows, num_labels);
-    if (tier != linalg::NumericsTier::kExactF64) {
-      input_f32.resize_zero(rows, input_dim);
-      recon_f32.resize_zero(rows, num_labels * input_dim);
-    }
-    if (tier == linalg::NumericsTier::kFastF32) {
-      hidden_f32.resize_zero(rows, hidden_dim);
-    }
-    if (tier == linalg::NumericsTier::kQuantI8 && q_row.size() < hidden_dim) {
-      q_row.resize(hidden_dim);
+    switch (tier) {
+      case linalg::NumericsTier::kExactF64:
+        recon.resize_zero(rows, num_labels * input_dim);
+        break;
+      case linalg::NumericsTier::kFastF32:
+        hidden_f32.resize_zero(rows, hidden_dim);
+        input_f32.resize_zero(rows, input_dim);
+        recon_f32.resize_zero(rows, num_labels * input_dim);
+        break;
+      case linalg::NumericsTier::kQuantI8:
+        input_f32.resize_zero(1, input_dim);
+        recon_f32.resize_zero(1, num_labels * input_dim);
+        if (q_row.size() < hidden_dim) q_row.resize(hidden_dim);
+        break;
     }
   }
 };
@@ -115,11 +121,13 @@ class MultiInstanceModel {
   /// at f64 is bit-identical to the score a standalone OS-ELM autoencoder
   /// holding label c's state gives x.row(r). One shared hidden projection feeds a
   /// fused reconstruction of all C labels against the active tier's packed
-  /// beta, then one MSE reduction per label. The kernel follows from the
-  /// row count: a 1-row block takes the per-row fused matvec, a longer
-  /// block the fused [rows x C*n] GEMM. The two agree bit for bit row by
-  /// row in every tier (the i8 tier quantizes the same f64 hidden row in
-  /// both), so a row scores identically whatever block it arrives in.
+  /// beta, then one MSE reduction per label. At f64 and f32 the kernel
+  /// follows from the row count: a 1-row block takes the per-row fused
+  /// matvec, a longer block the fused [rows x C*n] GEMM, and the two agree
+  /// bit for bit row by row. The i8 tier scores every block one row at a
+  /// time (quantize the f64 hidden row, tile matvec, the row's C label
+  /// reductions in one loop). So in every tier a row scores identically
+  /// whatever block it arrives in.
   ///
   /// X is a row-block view (Matrix converts implicitly), so a contiguous
   /// row range — a drain burst in a ring slab, a calibration chunk — scores

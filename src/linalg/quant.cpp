@@ -1,8 +1,10 @@
 // int8 quantization kernels (see quant.hpp for the scheme, the tile layout
 // and the error model). The integer dot products run on the simd.hpp tile
-// lanes (VNNI vpdpbusd / AVX2 maddubs / portable loop): they are exact in
-// int32, so the lane cannot change the result — every backend produces the
-// bit-identical output the scalar loop would.
+// lanes (VNNI vpdpbusd / AVX2 maddubs / portable loop) and the activation
+// quantizer on its simd.hpp lanes (AVX2 / portable): the sums are exact in
+// int32 and the codes follow one rounding rule, so the lane cannot change
+// the result — every backend produces the bit-identical output the scalar
+// loops would.
 #include "edgedrift/linalg/quant.hpp"
 
 #include <algorithm>
@@ -13,16 +15,6 @@
 
 namespace edgedrift::linalg {
 namespace {
-
-constexpr float kQMax = 127.0f;
-
-std::int8_t encode(double v, float inv_scale) {
-  // round-half-away-from-zero, clamped to the symmetric code domain. lround
-  // (not nearbyint) so the grid does not depend on the ambient FP rounding
-  // mode.
-  const long code = std::lround(v * static_cast<double>(inv_scale));
-  return static_cast<std::int8_t>(std::clamp(code, -127L, 127L));
-}
 
 /// Per-column max|src| over rows [all] and columns [col_begin, col_end),
 /// written to maxabs[0 .. col_end-col_begin). Row-major sweep.
@@ -46,14 +38,14 @@ void quantize_columns(const Matrix& src, QuantizedMatrix& out,
   // scales array itself holds the maxabs values until they are divided.
   float* scales = out.scales.data() + col_begin;
   column_maxabs(src, col_begin, col_end, scales);
-  for (std::size_t j = 0; j < width; ++j) scales[j] /= kQMax;
+  for (std::size_t j = 0; j < width; ++j) scales[j] /= simd::kI8CodeMax;
   std::int8_t* tiles = out.tiles.data();
   for (std::size_t r = 0; r < src.rows(); ++r) {
     const double* srow = src.data() + r * src.cols() + col_begin;
     for (std::size_t j = 0; j < width; ++j) {
       tiles[out.tile_offset(r, col_begin + j)] =
           scales[j] == 0.0f ? std::int8_t{0}
-                            : encode(srow[j], 1.0f / scales[j]);
+                            : simd::i8_encode(srow[j], 1.0f / scales[j]);
     }
   }
 }
@@ -76,16 +68,11 @@ void quantize_block(const Matrix& src, QuantizedMatrix& out,
 
 float quantize_vector(std::span<const double> x, std::span<std::int8_t> q) {
   EDGEDRIFT_DASSERT(x.size() == q.size(), "quantize_vector size mismatch");
-  double maxabs = 0.0;
-  for (const double v : x) maxabs = std::max(maxabs, std::abs(v));
-  if (maxabs == 0.0) {
-    std::fill(q.begin(), q.end(), std::int8_t{0});
-    return 0.0f;
-  }
-  const float scale = static_cast<float>(maxabs) / kQMax;
-  const float inv = 1.0f / scale;
-  for (std::size_t i = 0; i < x.size(); ++i) q[i] = encode(x[i], inv);
-  return scale;
+#if defined(EDGEDRIFT_SIMD_AVX2)
+  return simd::i8_quantize_avx2(x.data(), q.data(), x.size());
+#else
+  return simd::i8_quantize_portable(x.data(), q.data(), x.size());
+#endif
 }
 
 void i8_matvec_transposed_dequant(const QuantizedMatrix& a,
@@ -93,6 +80,8 @@ void i8_matvec_transposed_dequant(const QuantizedMatrix& a,
                                   float x_scale, std::span<float> y) {
   EDGEDRIFT_ASSERT(a.rows() == q_x.size(), "i8 matvec_t input size mismatch");
   EDGEDRIFT_ASSERT(a.cols() == y.size(), "i8 matvec_t output size mismatch");
+  EDGEDRIFT_ASSERT(a.rows() <= (std::size_t{1} << 16),
+                   "i8 matvec_t sums more than 2^16 products");
 #if defined(EDGEDRIFT_HAVE_I8_VNNI)
   if (simd::i8_vnni_available()) {
     simd::i8_tiles_dequant_vnni(a.tiles.data(), q_x.data(), a.rows(),
@@ -108,25 +97,6 @@ void i8_matvec_transposed_dequant(const QuantizedMatrix& a,
                                   a.cols(), x_scale, a.scales.data(),
                                   y.data());
 #endif
-}
-
-void i8_gemm_dequant(ConstMatrixView a, const QuantizedMatrix& b,
-                     MatrixF32& c, std::span<std::int8_t> q_row) {
-  EDGEDRIFT_ASSERT(a.cols() == b.rows(), "i8 gemm shape mismatch");
-  EDGEDRIFT_ASSERT(q_row.size() >= a.cols(), "i8 gemm row scratch too small");
-  c.resize_discard(a.rows(), b.cols());
-  const std::size_t k_dim = a.cols();
-  const std::size_t n = b.cols();
-  std::span<std::int8_t> qr = q_row.subspan(0, k_dim);
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const float row_scale = quantize_vector(a.row(r), qr);
-    std::span<float> crow{c.data() + r * n, n};
-    if (row_scale == 0.0f) {
-      std::fill(crow.begin(), crow.end(), 0.0f);
-      continue;
-    }
-    i8_matvec_transposed_dequant(b, qr, row_scale, crow);
-  }
 }
 
 }  // namespace edgedrift::linalg

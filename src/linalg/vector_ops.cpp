@@ -70,12 +70,15 @@ double squared_l2_distance(std::span<const double> a,
   return acc;
 }
 
-float squared_l2_distance(std::span<const float> a, std::span<const float> b) {
-  EDGEDRIFT_DASSERT(a.size() == b.size(), "distance size mismatch");
+namespace {
+
+/// The f32 squared distance body: two 8-lane accumulators, one 8-lane
+/// step, a scalar maddf tail. squared_l2_distance(float) and block_mse()
+/// both run it, so a block's MSE keeps the bits of the single call.
+EDGEDRIFT_ALWAYS_INLINE float squared_distance_f32(
+    const float* EDGEDRIFT_RESTRICT pa, const float* EDGEDRIFT_RESTRICT pb,
+    std::size_t n) {
   using simd::VFloat;
-  const float* EDGEDRIFT_RESTRICT pa = a.data();
-  const float* EDGEDRIFT_RESTRICT pb = b.data();
-  const std::size_t n = a.size();
   VFloat acc0 = simd::vzero_f();
   VFloat acc1 = simd::vzero_f();
   std::size_t i = 0;
@@ -96,6 +99,25 @@ float squared_l2_distance(std::span<const float> a, std::span<const float> b) {
     acc = simd::maddf(d, d, acc);
   }
   return acc;
+}
+
+}  // namespace
+
+float squared_l2_distance(std::span<const float> a, std::span<const float> b) {
+  EDGEDRIFT_DASSERT(a.size() == b.size(), "distance size mismatch");
+  return squared_distance_f32(a.data(), b.data(), a.size());
+}
+
+void block_mse(std::span<const float> a, std::span<const float> blocks,
+               std::span<double> out) {
+  const std::size_t n = a.size();
+  EDGEDRIFT_DASSERT(blocks.size() == out.size() * n, "block_mse size mismatch");
+  const double count = static_cast<double>(n);
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    out[c] = static_cast<double>(
+                 squared_distance_f32(a.data(), blocks.data() + c * n, n)) /
+             count;
+  }
 }
 
 void narrow(std::span<const double> src, std::span<float> dst) {

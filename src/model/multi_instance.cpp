@@ -219,15 +219,16 @@ void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
   }
 
   // Approximate tiers: reconstruct against the tier's replica and reduce
-  // the MSE in f32. The projection stays f64 (it is shared with training),
-  // so the tier boundary is exactly the packed-beta product plus the
-  // reduction.
-  ws.input_f32.resize_discard(rows, n);
-  for (std::size_t r = 0; r < rows; ++r) {
-    linalg::narrow(x.row(r), ws.input_f32.row(r));
-  }
-  ws.recon_f32.resize_discard(rows, packed_n);
+  // each row's C label MSEs in f32, all in one loop (linalg::block_mse). The
+  // projection stays f64 (it is shared with training), so the tier boundary
+  // is exactly the packed-beta product plus the reduction.
+  const std::size_t labels = num_labels();
   if (tier_ == linalg::NumericsTier::kFastF32) {
+    ws.input_f32.resize_discard(rows, n);
+    for (std::size_t r = 0; r < rows; ++r) {
+      linalg::narrow(x.row(r), ws.input_f32.row(r));
+    }
+    ws.recon_f32.resize_discard(rows, packed_n);
     ws.hidden_f32.resize_discard(rows, hidden_dim());
     linalg::narrow({h.data(), rows * hidden_dim()}, ws.hidden_f32.flat());
     if (one_row) {
@@ -237,22 +238,33 @@ void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
       linalg::matmul_parallel_into(ws.hidden_f32, packed_beta_f32_,
                                    ws.recon_f32);
     }
-  } else {
-    // Dynamic per-row quantization of the f64 hidden row, then an exact
-    // int32 matvec per row: the tier's error is just the two grids, and
-    // one row gets the same codes in a block of any size.
-    if (ws.q_row.size() < hidden_dim()) ws.q_row.resize(hidden_dim());
-    linalg::i8_gemm_dequant(h, packed_beta_q_, ws.recon_f32, ws.q_row);
-  }
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::span<const float> xr{ws.input_f32.data() + r * n, n};
-    const float* recon_row = ws.recon_f32.data() + r * packed_n;
-    for (std::size_t label = 0; label < num_labels(); ++label) {
-      const std::span<const float> rr{recon_row + label * n, n};
-      ws.scores(r, label) =
-          static_cast<double>(linalg::squared_l2_distance(xr, rr)) /
-          static_cast<double>(n);
+    for (std::size_t r = 0; r < rows; ++r) {
+      linalg::block_mse(ws.input_f32.row(r),
+                        {ws.recon_f32.data() + r * packed_n, packed_n},
+                        {ws.scores.data() + r * labels, labels});
     }
+    return;
+  }
+  // i8, one row at a time: dynamic quantization of the f64 hidden row, an
+  // exact int32 matvec into the workspace's one reconstruction row, then
+  // the row's label MSEs. The tier's error is just the two grids, and a row
+  // gets the same codes and scores in a block of any size.
+  ws.input_f32.resize_discard(1, n);
+  ws.recon_f32.resize_discard(1, packed_n);
+  if (ws.q_row.size() < hidden_dim()) ws.q_row.resize(hidden_dim());
+  const std::span<std::int8_t> codes{ws.q_row.data(), hidden_dim()};
+  const std::span<float> recon = ws.recon_f32.row(0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float x_scale = linalg::quantize_vector(h.row(r), codes);
+    if (x_scale == 0.0f) {
+      std::fill(recon.begin(), recon.end(), 0.0f);
+    } else {
+      linalg::i8_matvec_transposed_dequant(packed_beta_q_, codes, x_scale,
+                                           recon);
+    }
+    linalg::narrow(x.row(r), ws.input_f32.row(0));
+    linalg::block_mse(ws.input_f32.row(0), recon,
+                      {ws.scores.data() + r * labels, labels});
   }
 }
 
