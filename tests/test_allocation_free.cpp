@@ -173,6 +173,61 @@ TEST(AllocationFree, SteadyStateProcessDoesNotAllocate) {
   }
 }
 
+TEST(AllocationFree, FirstProcessRowsAfterFitDoesNotAllocateInAnyTier) {
+  // fit() pre-grows only the scoring buffers the pipeline's tier reads
+  // (BatchWorkspace::reserve), so each tier's first row after fit(), with
+  // no warm-up, must find every one of them already sized. An explicit
+  // anomaly gate keeps fit() from scoring its training rows, which would
+  // grow the buffers itself; one row keeps the GEMMs' thread-local packing
+  // scratch, which is not the workspace's, out of the count.
+  constexpr std::size_t kDim = 24;
+  constexpr std::size_t kHidden = 16;
+  constexpr std::size_t kLabels = 3;
+  constexpr std::size_t kTrainRows = 300;
+  constexpr std::size_t kBlock = 1;
+  using edgedrift::linalg::NumericsTier;
+  for (const NumericsTier tier : {NumericsTier::kExactF64,
+                                  NumericsTier::kFastF32,
+                                  NumericsTier::kQuantI8}) {
+    PipelineConfig config;
+    config.num_labels = kLabels;
+    config.input_dim = kDim;
+    config.hidden_dim = kHidden;
+    config.numerics = tier;
+    config.theta_error = 1e6;
+
+    Rng rng(17);
+    Matrix train(kTrainRows, kDim);
+    std::vector<int> labels(kTrainRows);
+    Matrix block(kBlock, kDim);
+    for (std::size_t i = 0; i < kTrainRows + kBlock; ++i) {
+      const std::size_t label = i % kLabels;
+      const double mean = 0.5 * static_cast<double>(label);
+      if (i < kTrainRows) labels[i] = static_cast<int>(label);
+      double* row = i < kTrainRows ? train.data() + i * kDim
+                                   : block.data() + (i - kTrainRows) * kDim;
+      for (std::size_t j = 0; j < kDim; ++j) row[j] = rng.gaussian(mean, 0.2);
+    }
+
+    Pipeline pipeline(config);
+    pipeline.fit(train, labels);
+    std::vector<edgedrift::core::PipelineStep> steps;
+    steps.reserve(kBlock);
+
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    pipeline.process_rows(block, {}, steps);
+    g_count_allocs.store(false, std::memory_order_relaxed);
+
+    ASSERT_EQ(steps.size(), kBlock);
+    if (kCountingAllocs) {
+      EXPECT_EQ(g_alloc_count.load(std::memory_order_relaxed), 0u)
+          << "first process_rows() after fit() allocated at "
+          << edgedrift::linalg::tier_name(tier);
+    }
+  }
+}
+
 TEST(AllocationFree, SteadyStateBatchScoringDoesNotAllocate) {
   // The fused batch path: one [rows x C*n] GEMM into a grow-only
   // BatchWorkspace. Dimensions keep the GEMMs below the thread-pool
