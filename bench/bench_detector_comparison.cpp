@@ -12,17 +12,17 @@
 
 #include "edgedrift/data/drift_stream.hpp"
 #include "edgedrift/data/gaussian_concept.hpp"
-#include "edgedrift/drift/adwin.hpp"
 #include "edgedrift/drift/centroid_detector.hpp"
-#include "edgedrift/drift/ddm.hpp"
-#include "edgedrift/drift/eddm.hpp"
-#include "edgedrift/drift/kswin.hpp"
-#include "edgedrift/drift/page_hinkley.hpp"
-#include "edgedrift/drift/quanttree.hpp"
-#include "edgedrift/drift/spll.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/util/rng.hpp"
 #include "edgedrift/util/table.hpp"
+#include "baselines/adwin.hpp"
+#include "baselines/ddm.hpp"
+#include "baselines/eddm.hpp"
+#include "baselines/kswin.hpp"
+#include "baselines/page_hinkley.hpp"
+#include "baselines/quanttree.hpp"
+#include "baselines/spll.hpp"
 
 using namespace edgedrift;
 

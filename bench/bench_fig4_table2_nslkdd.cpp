@@ -11,9 +11,9 @@
 
 #include "bench_common.hpp"
 #include "edgedrift/data/nsl_kdd_like.hpp"
-#include "edgedrift/eval/experiment.hpp"
 #include "edgedrift/util/rng.hpp"
 #include "edgedrift/util/table.hpp"
+#include "baselines/experiment.hpp"
 
 using namespace edgedrift;
 
@@ -60,7 +60,8 @@ int main() {
   const auto run = [&](eval::Method method, std::size_t window,
                        const PaperRow& paper, const char* label) {
     const auto config = bench::nsl_kdd_config(window);
-    const auto result = eval::run_experiment(method, train, test, config);
+    const auto result = eval::run_experiment(
+        method, train, test, config, baselines::nsl_kdd_paper_settings());
     table.add_row({label, util::fmt(result.accuracy.overall() * 100.0, 1),
                    delay_str(result.detections, drift_at), paper.accuracy,
                    paper.delay});

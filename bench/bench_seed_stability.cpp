@@ -9,9 +9,9 @@
 
 #include "bench_common.hpp"
 #include "edgedrift/data/nsl_kdd_like.hpp"
-#include "edgedrift/eval/experiment.hpp"
 #include "edgedrift/util/rng.hpp"
 #include "edgedrift/util/table.hpp"
+#include "baselines/experiment.hpp"
 
 using namespace edgedrift;
 
@@ -72,8 +72,8 @@ int main() {
       auto config = bench::nsl_kdd_config(100);
       config.seed = static_cast<std::uint64_t>(seed) + 1;
 
-      const auto result =
-          eval::run_experiment(method, train, test, config);
+      const auto result = eval::run_experiment(
+          method, train, test, config, baselines::nsl_kdd_paper_settings());
       accuracies.push_back(result.accuracy.overall() * 100.0);
       const auto delay = result.detections.delay(data_config.drift_point);
       if (delay) {

@@ -10,14 +10,12 @@
 // overheads; the ordering and the orders of magnitude are the claim.
 #include <cstdio>
 
-#include "bench_common.hpp"
 #include "edgedrift/data/cooling_fan_like.hpp"
 #include "edgedrift/drift/centroid_detector.hpp"
-#include "edgedrift/drift/quanttree.hpp"
-#include "edgedrift/drift/spll.hpp"
 #include "edgedrift/eval/memory_audit.hpp"
 #include "edgedrift/util/rng.hpp"
 #include "edgedrift/util/table.hpp"
+#include "baselines/catalogue.hpp"
 
 using namespace edgedrift;
 
@@ -28,7 +26,7 @@ int main() {
   data::CoolingFanLike generator;
   util::Rng rng(2023);
   const data::Dataset train = generator.training(rng);
-  const auto config = bench::cooling_fan_config();
+  const auto config = baselines::cooling_fan_paper_settings();
 
   drift::QuantTree quanttree(config.quanttree);
   quanttree.fit(train.x);

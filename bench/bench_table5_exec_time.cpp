@@ -9,9 +9,9 @@
 
 #include "bench_common.hpp"
 #include "edgedrift/data/cooling_fan_like.hpp"
-#include "edgedrift/eval/experiment.hpp"
 #include "edgedrift/util/rng.hpp"
 #include "edgedrift/util/table.hpp"
+#include "baselines/experiment.hpp"
 
 using namespace edgedrift;
 
@@ -47,7 +47,8 @@ int main() {
     // First pass warms caches; second pass is reported.
     for (int r = 0; r < 4; ++r) {
       const auto result =
-          eval::run_experiment(rows[r].method, train, stream, config);
+          eval::run_experiment(rows[r].method, train, stream, config,
+                               baselines::cooling_fan_paper_settings());
       measured[r] = result.runtime_seconds;
       if (rows[r].method == eval::Method::kBaseline) {
         baseline_seconds = result.runtime_seconds;

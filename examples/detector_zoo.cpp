@@ -1,7 +1,7 @@
-// Detector zoo: every drift detector in the library on the same stream —
-// all driven through core::Pipeline via drift::DetectorSpec. No detector
-// is hand-wired; each row of the table is the same program with a
-// different `config.detector.kind`.
+// Detector zoo: the proposed detectors and the comparison baselines on the
+// same stream — all driven through core::Pipeline via drift::DetectorSpec.
+// No detector is hand-wired; each row of the table is the same program with
+// a different `config.detector` from the baselines catalogue.
 //
 // Part 1 runs the nine detector kinds in detect-only mode and prints when
 // each fires, what signal it consumes, and how much state it holds — a
@@ -16,9 +16,10 @@
 
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/data/nsl_kdd_like.hpp"
-#include "edgedrift/drift/detector_factory.hpp"
 #include "edgedrift/util/rng.hpp"
 #include "edgedrift/util/table.hpp"
+#include "baselines/catalogue.hpp"
+#include "baselines/refill.hpp"
 
 using namespace edgedrift;
 
@@ -35,40 +36,46 @@ core::PipelineConfig base_config(std::size_t dim) {
   return config;
 }
 
-drift::DetectorSpec spec_for(drift::DetectorKind kind) {
-  drift::DetectorSpec spec;
-  spec.kind = kind;
-  spec.quanttree.num_bins = 32;
-  spec.quanttree.batch_size = 480;
-  spec.quanttree.alpha = 0.001;
-  spec.spll.num_clusters = 2;
-  spec.spll.batch_size = 480;
-  spec.page_hinkley.lambda = 10.0;
-  spec.page_hinkley.use_anomaly_score = true;
-  spec.windows = {50, 100, 200};
-  return spec;
+drift::DetectorSpec spec_for(baselines::Kind kind) {
+  baselines::ComparisonSettings settings;
+  settings.quanttree.num_bins = 32;
+  settings.quanttree.batch_size = 480;
+  settings.quanttree.alpha = 0.001;
+  settings.spll.num_clusters = 2;
+  settings.spll.batch_size = 480;
+  settings.page_hinkley.lambda = 10.0;
+  settings.page_hinkley.use_anomaly_score = true;
+  return baselines::detector_spec(kind, settings);
 }
 
-const char* signal_for(drift::DetectorKind kind) {
+const char* signal_for(baselines::Kind kind) {
   switch (kind) {
-    case drift::DetectorKind::kCentroid:
+    case baselines::Kind::kCentroid:
       return "features (labels from model)";
-    case drift::DetectorKind::kMultiWindow:
+    case baselines::Kind::kMultiWindow:
       return "features (3-window vote)";
-    case drift::DetectorKind::kQuantTree:
-    case drift::DetectorKind::kSpll:
+    case baselines::Kind::kQuantTree:
+    case baselines::Kind::kSpll:
       return "features (batched)";
-    case drift::DetectorKind::kDdm:
-    case drift::DetectorKind::kAdwin:
+    case baselines::Kind::kDdm:
+    case baselines::Kind::kAdwin:
       return "0/1 errors (needs labels)";
-    case drift::DetectorKind::kEddm:
+    case baselines::Kind::kEddm:
       return "error gaps (needs labels)";
-    case drift::DetectorKind::kKswin:
+    case baselines::Kind::kKswin:
       return "anomaly scores (windowed)";
-    case drift::DetectorKind::kPageHinkley:
+    case baselines::Kind::kPageHinkley:
       return "anomaly scores";
   }
   return "?";
+}
+
+/// The detection state a detector holds, without the buffer a batch
+/// detector's refill adapter keeps for recoveries (detect-only never
+/// refills).
+std::size_t detection_state_bytes(const drift::Detector& detector) {
+  const auto* refill = dynamic_cast<const baselines::RefillOnRearm*>(&detector);
+  return (refill != nullptr ? refill->inner() : detector).memory_bytes();
 }
 
 }  // namespace
@@ -88,7 +95,7 @@ int main() {
   // Part 1: every detector kind through the same pipeline, detect-only.
   util::Table table({"Detector", "Signal", "First firing", "Delay",
                      "False alarms", "State (kB)"});
-  for (const drift::DetectorKind kind : drift::kAllDetectorKinds) {
+  for (const baselines::Kind kind : baselines::kAllKinds) {
     core::PipelineConfig config = base_config(train.dim());
     config.detector = spec_for(kind);
     config.recovery = core::RecoveryPolicy::kDetectOnly;
@@ -117,7 +124,7 @@ int main() {
                                                 static_cast<std::ptrdiff_t>(
                                                     drift_at)),
          std::to_string(false_alarms),
-         util::fmt(pipeline.detector().memory_bytes() / 1024.0, 1)});
+         util::fmt(detection_state_bytes(pipeline.detector()) / 1024.0, 1)});
   }
   std::printf("stream: %zu samples, drift at %zu\n\n%s\n", stream.size(),
               drift_at, table.str().c_str());

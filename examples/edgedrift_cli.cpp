@@ -13,10 +13,10 @@
 //   --dataset nslkdd | fan-sudden | fan-gradual | fan-reoccurring
 //   --train-csv PATH / --test-csv PATH   (labels in the last column)
 //   --method proposed | baseline | quanttree | spll | onlad | multiwindow
-//   --detector KIND run any drift::DetectorKind by name (centroid,
-//                   multiwindow, quanttree, spll, ddm, eddm, adwin,
-//                   kswin, pagehinkley) through the pipeline; overrides
-//                   --method
+//   --detector KIND run any detector of the baselines catalogue by name
+//                   (centroid, multiwindow, quanttree, spll, ddm, eddm,
+//                   adwin, kswin, pagehinkley) through the pipeline;
+//                   overrides --method
 //   --recovery reconstruct | detect-only   (default reconstruct)
 //   --numerics f64 | f32 | i8   scoring numerics tier     (default f64):
 //                   f64 is the bit-exact reference; f32/i8 score against
@@ -71,17 +71,17 @@
 #include "edgedrift/core/pipeline_manager.hpp"
 #include "edgedrift/data/cooling_fan_like.hpp"
 #include "edgedrift/data/csv.hpp"
-#include "edgedrift/drift/detector_factory.hpp"
-#include "edgedrift/util/stopwatch.hpp"
 #include "edgedrift/data/nsl_kdd_like.hpp"
 #include "edgedrift/data/scenario.hpp"
-#include "edgedrift/eval/experiment.hpp"
-#include "edgedrift/eval/sweep.hpp"
 #include "edgedrift/eval/paper_configs.hpp"
+#include "edgedrift/eval/sweep.hpp"
 #include "edgedrift/io/checkpoint.hpp"
 #include "edgedrift/obs/snapshot.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "edgedrift/util/stopwatch.hpp"
 #include "edgedrift/util/table.hpp"
+#include "baselines/catalogue.hpp"
+#include "baselines/experiment.hpp"
 
 using namespace edgedrift;
 
@@ -196,20 +196,17 @@ std::optional<core::RecoveryPolicy> recovery_of(const std::string& name) {
 /// Streams any detector kind through the pipeline, mirroring what
 /// eval::run_experiment collects. True labels feed only the error-rate
 /// detectors (DDM/EDDM/ADWIN) and the accuracy accounting.
-eval::ExperimentResult run_detector(drift::DetectorKind kind,
-                                    const data::Dataset& train,
-                                    const data::Dataset& test,
-                                    const eval::ExperimentConfig& config,
-                                    obs::Snapshot* obs_out = nullptr) {
+eval::ExperimentResult run_detector(
+    baselines::Kind kind, const data::Dataset& train,
+    const data::Dataset& test, const eval::ExperimentConfig& config,
+    const baselines::ComparisonSettings& detectors,
+    obs::Snapshot* obs_out = nullptr) {
   eval::ExperimentResult result;
   result.method = eval::Method::kProposed;
 
   core::PipelineConfig pc = config.pipeline;
   pc.input_dim = train.dim();
-  pc.detector.kind = kind;
-  pc.detector.quanttree = config.quanttree;
-  pc.detector.spll = config.spll;
-  pc.detector.windows = config.ensemble_windows;
+  pc.detector = baselines::detector_spec(kind, detectors, pc.detector);
   core::Pipeline pipeline(pc);
   pipeline.fit(train.x, train.labels);
 
@@ -325,16 +322,16 @@ int run_serve(const Options& opts, const data::Dataset& train,
 
 /// The detector kind behind a pipeline-backed method, nullopt for methods
 /// that bypass the pipeline (baseline, onlad) and so have no obs snapshot.
-std::optional<drift::DetectorKind> pipeline_kind_of(eval::Method method) {
+std::optional<baselines::Kind> pipeline_kind_of(eval::Method method) {
   switch (method) {
     case eval::Method::kProposed:
-      return drift::DetectorKind::kCentroid;
+      return baselines::Kind::kCentroid;
     case eval::Method::kQuantTree:
-      return drift::DetectorKind::kQuantTree;
+      return baselines::Kind::kQuantTree;
     case eval::Method::kSpll:
-      return drift::DetectorKind::kSpll;
+      return baselines::Kind::kSpll;
     case eval::Method::kMultiWindow:
-      return drift::DetectorKind::kMultiWindow;
+      return baselines::Kind::kMultiWindow;
     default:
       return std::nullopt;
   }
@@ -452,22 +449,23 @@ int run_sweep_command(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<drift::DetectorKind> kinds;
+  std::vector<eval::SweepDetector> columns;
   if (detectors == "all") {
-    kinds.assign(std::begin(drift::kAllDetectorKinds),
-                 std::end(drift::kAllDetectorKinds));
+    for (const baselines::Kind kind : baselines::kAllKinds) {
+      columns.push_back(baselines::sweep_detector(kind));
+    }
   } else {
     for (const std::string& name : split_csv(detectors)) {
-      const auto kind = drift::kind_from_name(name);
+      const auto kind = baselines::kind_from_name(name);
       if (!kind) {
         std::fprintf(stderr, "unknown detector: %s\n", name.c_str());
         return 1;
       }
-      kinds.push_back(*kind);
+      columns.push_back(baselines::sweep_detector(*kind));
     }
   }
 
-  const eval::SweepResult result = eval::run_sweep(specs, kinds, {});
+  const eval::SweepResult result = eval::run_sweep(specs, columns, {});
 
   if (!json_path.empty()) {
     const std::string json = eval::sweep_json(result);
@@ -491,7 +489,7 @@ int run_sweep_command(int argc, char** argv) {
                      "FA/1k", "Recovery acc", "krows/s"});
   for (const eval::SweepCell& c : result.cells) {
     const eval::ScenarioMetrics& m = c.metrics;
-    table.add_row({c.scenario, std::string(drift::kind_name(c.kind)),
+    table.add_row({c.scenario, c.detector,
                    std::to_string(m.detected) + "/" +
                        std::to_string(m.drift_points),
                    m.detected > 0 ? util::fmt(m.mean_delay, 1)
@@ -516,9 +514,9 @@ int main(int argc, char** argv) {
   if (!method) usage(argv[0]);
   const auto recovery = recovery_of(opts.recovery);
   if (!recovery) usage(argv[0]);
-  std::optional<drift::DetectorKind> detector_kind;
+  std::optional<baselines::Kind> detector_kind;
   if (!opts.detector.empty()) {
-    detector_kind = drift::kind_from_name(opts.detector);
+    detector_kind = baselines::kind_from_name(opts.detector);
     if (!detector_kind) {
       std::fprintf(stderr, "unknown detector: %s\n", opts.detector.c_str());
       usage(argv[0]);
@@ -528,6 +526,8 @@ int main(int argc, char** argv) {
   // ------------------------------------------------------------------ data
   data::Dataset train, test;
   eval::ExperimentConfig config;
+  baselines::ComparisonSettings detectors =
+      baselines::nsl_kdd_paper_settings();
   if (!opts.train_csv.empty() || !opts.test_csv.empty()) {
     if (opts.train_csv.empty() || opts.test_csv.empty()) usage(argv[0]);
     data::CsvOptions csv;
@@ -565,6 +565,7 @@ int main(int argc, char** argv) {
     }
     if (!opts.drift_at) opts.drift_at = generator.config().drift_point;
     config = eval::cooling_fan_paper_config(opts.window);
+    detectors = baselines::cooling_fan_paper_settings();
   } else {
     usage(argv[0]);
   }
@@ -582,7 +583,7 @@ int main(int argc, char** argv) {
               opts.dataset.c_str(), train.size(), test.size(), train.dim());
   if (detector_kind) {
     std::printf("detector: %s (recovery: %s)\n\n",
-                std::string(drift::kind_name(*detector_kind)).c_str(),
+                std::string(baselines::kind_name(*detector_kind)).c_str(),
                 opts.recovery.c_str());
   } else {
     std::printf("method:  %s\n\n", eval::method_name(*method).c_str());
@@ -604,7 +605,7 @@ int main(int argc, char** argv) {
   const bool want_stats = opts.stats || !opts.stats_json.empty();
   obs::Snapshot obs_snapshot;
   obs::Snapshot* obs_out = nullptr;
-  std::optional<drift::DetectorKind> run_kind = detector_kind;
+  std::optional<baselines::Kind> run_kind = detector_kind;
   if (want_stats && !run_kind) {
     // The experiment runner hides its pipeline; route pipeline-backed
     // methods through run_detector so the obs block is reachable.
@@ -619,8 +620,8 @@ int main(int argc, char** argv) {
   if (want_stats) obs_out = &obs_snapshot;
   const eval::ExperimentResult result =
       run_kind
-          ? run_detector(*run_kind, train, test, config, obs_out)
-          : eval::run_experiment(*method, train, test, config);
+          ? run_detector(*run_kind, train, test, config, detectors, obs_out)
+          : eval::run_experiment(*method, train, test, config, detectors);
 
   util::Table summary({"Metric", "Value"});
   summary.add_row({"overall accuracy",

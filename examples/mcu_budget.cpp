@@ -12,11 +12,11 @@
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/data/cooling_fan_like.hpp"
 #include "edgedrift/data/nsl_kdd_like.hpp"
-#include "edgedrift/drift/quanttree.hpp"
-#include "edgedrift/drift/spll.hpp"
 #include "edgedrift/eval/memory_audit.hpp"
 #include "edgedrift/mcu/static_pipeline.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/quanttree.hpp"
+#include "baselines/spll.hpp"
 
 using namespace edgedrift;
 

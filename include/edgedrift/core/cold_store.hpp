@@ -60,8 +60,6 @@ class ColdStore {
   /// Drops the entry (and deletes its spill file, if any).
   void erase(std::uint64_t id);
 
-  bool contains(std::uint64_t id) const;
-
   /// Entries held.
   std::size_t count() const;
 

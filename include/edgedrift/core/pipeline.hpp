@@ -1,9 +1,10 @@
 // edgedrift::Pipeline — the public facade tying together the paper's full
 // proposed system: the multi-instance OS-ELM discriminative model
 // (Section 3.1), a pluggable concept-drift detector (Algorithm 1's centroid
-// method by default, or any of the library's nine detector families via
-// drift::DetectorSpec) and its drift response: streaming model
-// reconstruction (Algorithms 2-4), or detect-only monitoring.
+// method by default, its multi-window ensemble, or a detector built outside
+// the library and handed in through drift::DetectorSpec's factory) and its
+// drift response: streaming model reconstruction (Algorithms 2-4), or
+// detect-only monitoring.
 //
 // Typical use:
 //   core::PipelineConfig config;
@@ -116,7 +117,6 @@ struct PipelineStep {
   bool drift_detected = false;    ///< Drift fired on this sample.
   bool reconstructing = false;    ///< A recovery consumed this sample.
   bool reconstruction_finished = false;  ///< This sample completed it.
-  bool collecting_reference = false;     ///< Post-recovery reference refill.
   double statistic = 0.0;         ///< Detector distance when a window closed.
   bool statistic_valid = false;
 };
@@ -139,8 +139,8 @@ class Pipeline {
 
   /// Batch initial training: fits the per-label autoencoders, calibrates
   /// theta_error from the training scores, then calibrates the detector
-  /// (trained centroids + theta_drift via Eq. 1 for the centroid family;
-  /// reference fit for the batch family) in a single pass.
+  /// (trained centroids + theta_drift via Eq. 1 for the centroid family)
+  /// in a single pass.
   void fit(const linalg::Matrix& x, std::span<const int> labels);
 
   /// Processes one streamed sample through the detect-and-retrain loop.
@@ -210,9 +210,9 @@ class Pipeline {
   const obs::StreamObs& obs() const { return *obs_; }
   obs::StreamObs& obs() { return *obs_; }
 
-  /// The centroid detector when the configured kind is kCentroid, nullptr
-  /// otherwise. Centroid-specific introspection (theta_drift,
-  /// top_drifted_dimensions, ...) goes through here.
+  /// The centroid detector when the configured kind is kCentroid and no
+  /// factory is set, nullptr otherwise. Centroid-specific introspection
+  /// (theta_drift, top_drifted_dimensions, ...) goes through here.
   const drift::CentroidDetector* centroid_detector() const {
     return centroid_;
   }
@@ -235,15 +235,14 @@ class Pipeline {
   std::size_t memory_bytes() const;
 
   /// Bytes of the detection-and-recovery state alone (detector, recovery
-  /// bookkeeping, reference buffer, centroid tracker) — the Table 4 figure.
+  /// bookkeeping, centroid tracker) — the Table 4 figure.
   std::size_t detector_memory_bytes() const;
 
  private:
   /// Where the detect-and-retrain loop currently is.
   enum class RecoveryState {
-    kIdle,                 ///< Normal detection.
-    kReconstructing,       ///< Algorithms 2-4 are consuming samples.
-    kCollectingReference,  ///< Refilling a batch detector's reference.
+    kIdle,            ///< Normal detection.
+    kReconstructing,  ///< Algorithms 2-4 are consuming samples.
   };
 
   /// Running per-predicted-label centroids — the pipeline's own estimate of
@@ -282,7 +281,6 @@ class Pipeline {
   void record_drift_event(const drift::Detection& detection);
   void start_recovery();
   void finish_reconstruction();
-  void begin_reference_collection();
   void update_tracker(std::size_t label, std::span<const double> x);
 
   PipelineConfig config_;
@@ -318,11 +316,6 @@ class Pipeline {
   bool tracker_enabled_ = false;
   RecentTracker tracker_;
   linalg::Matrix trained_means_;  ///< Per-label anchor for re-alignment.
-  std::size_t train_rows_ = 0;
-
-  // Post-recovery reference window for batch detectors (QuantTree, SPLL).
-  linalg::Matrix refit_buffer_;
-  std::size_t refit_fill_ = 0;
 
   // Model scratch, reused across calls: the pipeline is the thread of
   // control, so one workspace serves every model call it issues and keeps

@@ -57,16 +57,9 @@ class CentroidDetector : public Detector {
   void calibrate(const linalg::Matrix& x,
                  std::span<const int> labels) override;
 
-  /// Calibrates from precomputed centroids/counts plus the distance array of
-  /// Equation 1 (used when labels come from clustering).
-  void calibrate_from_centroids(const linalg::Matrix& centroids,
-                                std::span<const std::size_t> counts,
-                                std::span<const double> distances);
-
   // Detector interface -------------------------------------------------
   Detection observe(const Observation& obs) override;
   void reset() override;
-  void rebuild_reference(const linalg::Matrix& x) override;
   void set_anomaly_gate(double theta_error) override {
     config_.theta_error = theta_error;
   }

@@ -1,11 +1,12 @@
 // Common interface for concept-drift detectors.
 //
-// The library hosts two detector families, mirroring Section 2.2.2 of the
-// paper: distribution-based detectors (the proposed centroid method,
-// QuantTree, SPLL) consume feature vectors; error-rate-based detectors
-// (DDM, ADWIN, Page–Hinkley) consume the discriminative model's mistake
-// stream. One Observation struct carries both signals so the evaluation
-// harness can drive any detector uniformly.
+// Section 2.2.2 of the paper names two detector families: distribution-based
+// detectors (the proposed centroid method, QuantTree, SPLL) consume feature
+// vectors; error-rate-based detectors (DDM, ADWIN, Page–Hinkley) consume the
+// discriminative model's mistake stream. The library implements the
+// proposed family; the comparison detectors are built outside it
+// (tests/baselines) against this interface. One Observation struct carries
+// both signals so core::Pipeline can drive any detector uniformly.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +39,7 @@ struct Detection {
 /// Beyond the observe/reset pair, the interface carries the uniform
 /// lifecycle hooks core::Pipeline drives every detector through:
 /// calibrate() before streaming, set_anomaly_gate() to propagate the
-/// model-derived theta_error, rearm() after a model recovery, and the
-/// reference-data hooks batch detectors use to re-fit post-drift. Every
+/// model-derived theta_error and rearm() after a model recovery. Every
 /// hook has a sensible default so scalar detectors (DDM, ADWIN, ...) stay
 /// one-override implementations.
 class Detector {
@@ -53,20 +53,13 @@ class Detector {
   /// restarts against the post-drift concept.
   virtual void reset() = 0;
 
-  /// Calibrates from labeled training data before streaming begins. The
-  /// default hands the features to rebuild_reference() — right for batch
-  /// detectors that fit an unlabeled reference, a no-op for scalar detectors
-  /// that self-calibrate on the stream.
+  /// Calibrates from labeled training data before streaming begins.
+  /// Default: a no-op, for detectors that self-calibrate on the stream.
   virtual void calibrate(const linalg::Matrix& x,
                          std::span<const int> labels) {
+    (void)x;
     (void)labels;
-    rebuild_reference(x);
   }
-
-  /// Rebuilds the detector's reference statistics from post-drift data.
-  /// Batch detectors re-fit their histogram/mixture; the default is a no-op
-  /// for detectors whose reference is re-calibrated externally.
-  virtual void rebuild_reference(const linalg::Matrix& x) { (void)x; }
 
   /// Propagates the anomaly gate (Algorithm 1's theta_error) calibrated by
   /// the discriminative model. Default: ignored — most detectors have no
@@ -84,15 +77,6 @@ class Detector {
     (void)theta_drift;
     reset();
   }
-
-  /// True when detection cannot resume after a recovery until
-  /// rebuild_reference() has been fed a fresh window of post-drift samples
-  /// (QuantTree, SPLL). The driver collects reference_rows() rows.
-  virtual bool needs_reference_data() const { return false; }
-
-  /// Minimum rows a post-recovery reference window must hold. Only
-  /// meaningful when needs_reference_data() is true.
-  virtual std::size_t reference_rows() const { return 0; }
 
   /// Best current per-label centroid estimate of the post-drift concept —
   /// the seed for model reconstruction. nullptr when the detector tracks no

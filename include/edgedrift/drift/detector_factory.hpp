@@ -1,81 +1,48 @@
-// Detector factory: one spec struct naming any drift detector in the
-// library, and a constructor turning it into a drift::Detector. This is how
-// core::Pipeline stays detector-agnostic — the facade programs against the
-// Detector interface and lets the spec decide which of the nine
-// implementations (Section 2.2.2's taxonomy plus the extensions) runs the
-// detect-and-retrain loop.
+// Detector factory: one spec struct naming the drift detector core::Pipeline
+// runs, and a constructor turning it into a drift::Detector. The library
+// ships the proposed family, Algorithm 1's centroid detector and its
+// multi-window ensemble; any other detector (the paper's comparison
+// baselines in tests/baselines, a test double) is built outside the
+// library and reaches the pipeline through the spec's factory.
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <optional>
-#include <string_view>
 #include <vector>
 
-#include "edgedrift/drift/adwin.hpp"
 #include "edgedrift/drift/centroid_detector.hpp"
-#include "edgedrift/drift/ddm.hpp"
 #include "edgedrift/drift/detector.hpp"
-#include "edgedrift/drift/eddm.hpp"
-#include "edgedrift/drift/kswin.hpp"
 #include "edgedrift/drift/multi_window.hpp"
-#include "edgedrift/drift/page_hinkley.hpp"
-#include "edgedrift/drift/quanttree.hpp"
-#include "edgedrift/drift/spll.hpp"
 
 namespace edgedrift::drift {
 
-/// Every detector family the library ships.
+/// The detector families the library ships.
 enum class DetectorKind {
   kCentroid,     ///< The paper's sequential centroid detector (Algorithm 1).
   kMultiWindow,  ///< Ensemble of centroid detectors (paper Section 6).
-  kQuantTree,    ///< Batch histogram detector (Boracchi et al.).
-  kSpll,         ///< Batch semi-parametric log-likelihood (Kuncheva).
-  kDdm,          ///< Error-rate detector (Gama et al.; needs labels).
-  kEddm,         ///< Error-distance detector (Baena-García et al.).
-  kAdwin,        ///< Adaptive windowing (Bifet & Gavaldà).
-  kKswin,        ///< Sliding-window KS test (Raab et al.).
-  kPageHinkley,  ///< Sequential Page–Hinkley test.
 };
 
-/// All nine kinds, in a stable order (iteration by tests and examples).
-inline constexpr DetectorKind kAllDetectorKinds[] = {
-    DetectorKind::kCentroid,  DetectorKind::kMultiWindow,
-    DetectorKind::kQuantTree, DetectorKind::kSpll,
-    DetectorKind::kDdm,       DetectorKind::kEddm,
-    DetectorKind::kAdwin,     DetectorKind::kKswin,
-    DetectorKind::kPageHinkley,
-};
-
-/// Which detector to build, plus the per-kind tunables. Only the block
-/// matching `kind` is read; the rest keep their defaults. The centroid
-/// geometry (num_labels / dim / window / thresholds) is passed separately
-/// at construction because the pipeline derives it from its own config.
+/// Which detector to build. The centroid geometry (num_labels / dim /
+/// window / thresholds) is passed separately at construction because the
+/// pipeline derives it from its own config.
 struct DetectorSpec {
   DetectorKind kind = DetectorKind::kCentroid;
-
-  QuantTreeConfig quanttree;
-  SpllConfig spll;
-  DdmConfig ddm;
-  EddmConfig eddm;
-  AdwinConfig adwin;
-  KswinConfig kswin;
-  PageHinkleyConfig page_hinkley;
 
   /// Member window sizes and vote policy of the kMultiWindow ensemble.
   std::vector<std::size_t> windows{50, 100, 200};
   VotePolicy vote_policy = VotePolicy::kMajority;
+
+  /// A detector built outside the library. When set, make_detector() calls
+  /// it with the centroid geometry and `kind`, `windows` and `vote_policy`
+  /// are not read. Such a detector is not checkpointed: io::save_pipeline,
+  /// cold eviction and mcu::StaticPipeline::load() need the centroid kind.
+  std::function<std::unique_ptr<Detector>(const CentroidDetectorConfig&)>
+      factory;
 };
 
 /// Builds the detector named by `spec`. `centroid_base` supplies the
-/// geometry (labels, dim, window size, thresholds) for the centroid-family
-/// kinds; the other kinds ignore it.
+/// geometry (labels, dim, window size, thresholds) of the centroid family.
 std::unique_ptr<Detector> make_detector(
     const DetectorSpec& spec, const CentroidDetectorConfig& centroid_base);
-
-/// Stable lowercase identifier ("centroid", "quanttree", ...).
-std::string_view kind_name(DetectorKind kind);
-
-/// Inverse of kind_name; nullopt for unknown names.
-std::optional<DetectorKind> kind_from_name(std::string_view name);
 
 }  // namespace edgedrift::drift

@@ -39,21 +39,11 @@ class MultiWindowDetector : public Detector {
 
   std::size_t members() const { return members_.size(); }
   const CentroidDetector& member(std::size_t i) const { return *members_[i]; }
-  /// Mutable member access (re-arming after model reconstruction).
-  CentroidDetector& member_mutable(std::size_t i) { return *members_[i]; }
   VotePolicy policy() const { return policy_; }
-
-  /// Members whose most recent window closed with a drift verdict.
-  std::size_t last_votes() const { return last_votes_; }
-
-  /// Clears the latched member votes without touching member calibration
-  /// (used after members were individually re-armed).
-  void clear_votes();
 
   // Detector interface -------------------------------------------------
   Detection observe(const Observation& obs) override;
   void reset() override;
-  void rebuild_reference(const linalg::Matrix& x) override;
   void set_anomaly_gate(double theta_error) override;
   /// Rearms every member to the rebuilt coordinates and clears the latched
   /// votes, matching the per-member recovery of the ensemble extension.
@@ -69,7 +59,6 @@ class MultiWindowDetector : public Detector {
   std::vector<std::unique_ptr<CentroidDetector>> members_;
   std::vector<bool> member_fired_;  ///< Latched per member until ensemble fires.
   VotePolicy policy_;
-  std::size_t last_votes_ = 0;
 };
 
 }  // namespace edgedrift::drift

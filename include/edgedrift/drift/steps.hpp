@@ -16,7 +16,6 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <numeric>
 #include <span>
 
 #include "edgedrift/linalg/vector_ops.hpp"
@@ -273,55 +272,78 @@ T rearm_theta(T theta_drift, T threshold) {
 
 /// Matches candidate rows to reference rows (n rows of `dim` each): perm[i]
 /// is the candidate assigned to reference row i, minimizing the summed
-/// squared-L2 cost. Exhaustive (optimal) up to 8 rows; above that greedy,
-/// taking the globally cheapest unassigned pair each round. `cost` (n * n)
-/// and `work` (n) are caller scratch.
+/// squared-L2 cost. Exact at every n: the O(n^3) Hungarian method, which
+/// grows the assignment one reference row at a time along a shortest
+/// augmenting path under row and column potentials. Caller scratch: `cost`
+/// holds n * n + 3 * (n + 1) reals (the costs, then the potentials and the
+/// path minima), `work` 3 * (n + 1) indices. Non-finite costs still yield a
+/// permutation.
 template <class T>
 void match_rows(std::span<const T> reference, std::span<const T> candidates,
                 std::size_t dim, std::span<std::size_t> perm,
                 std::span<T> cost, std::span<std::size_t> work) {
   const std::size_t n = perm.size();
+  const std::size_t m = n + 1;
+  EDGEDRIFT_DASSERT(cost.size() >= n * n + 3 * m && work.size() >= 3 * m,
+                    "match_rows scratch too small");
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       cost[i * n + j] = linalg::squared_l2_distance(row(reference, dim, i),
                                                     row(candidates, dim, j));
     }
   }
-  if (n <= 8) {
-    // Every bijection (8! = 40320 at most); `work` walks them.
-    std::iota(perm.begin(), perm.end(), std::size_t{0});
-    std::iota(work.begin(), work.end(), std::size_t{0});
-    T best = std::numeric_limits<T>::infinity();
+  // 1-based rows i and columns j; column 0 is the start of every path.
+  // owner[j] is the row column j is assigned to (0: none), via[j] the
+  // column before j on the current path. The scratch runs u, v, slack and
+  // owner, via, used back to back.
+  T* const u = cost.data() + n * n;
+  T* const v = u + m;
+  T* const slack = v + m;
+  std::size_t* const owner = work.data();
+  std::size_t* const via = owner + m;
+  std::size_t* const used = via + m;
+  std::fill(u, slack, T(0));
+  std::fill(owner, via, std::size_t{0});
+  for (std::size_t i = 1; i <= n; ++i) {
+    owner[0] = i;
+    std::fill(slack, slack + m, std::numeric_limits<T>::infinity());
+    std::fill(via, used + m, std::size_t{0});
+    std::size_t j0 = 0;
     do {
-      T total = 0;
-      for (std::size_t i = 0; i < n; ++i) total += cost[i * n + work[i]];
-      if (total < best) {
-        best = total;
-        std::copy(work.begin(), work.end(), perm.begin());
-      }
-    } while (std::next_permutation(work.begin(), work.end()));
-    return;
-  }
-  // perm[i] == n marks an unassigned reference row, work[j] != 0 a taken
-  // candidate.
-  std::fill(perm.begin(), perm.end(), n);
-  std::fill(work.begin(), work.end(), std::size_t{0});
-  for (std::size_t round = 0; round < n; ++round) {
-    T cheapest = std::numeric_limits<T>::infinity();
-    std::size_t ri = 0, cj = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (perm[i] != n) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (work[j] == 0 && cost[i * n + j] < cheapest) {
-          cheapest = cost[i * n + j];
-          ri = i;
-          cj = j;
+      used[j0] = 1;
+      const std::size_t i0 = owner[j0];
+      T delta = std::numeric_limits<T>::infinity();
+      std::size_t j1 = 0;
+      for (std::size_t j = 1; j <= n; ++j) {
+        if (used[j] != 0) continue;
+        const T reduced = cost[(i0 - 1) * n + (j - 1)] - u[i0] - v[j];
+        if (reduced < slack[j]) {
+          slack[j] = reduced;
+          via[j] = j0;
+        }
+        if (j1 == 0 || slack[j] < delta) {
+          delta = slack[j];
+          j1 = j;
         }
       }
+      for (std::size_t j = 0; j <= n; ++j) {
+        if (used[j] != 0) {
+          u[owner[j]] += delta;
+          v[j] -= delta;
+        } else {
+          slack[j] -= delta;
+        }
+      }
+      j0 = j1;
+    } while (owner[j0] != 0);
+    // Augment: shift each row on the path one column along it.
+    while (j0 != 0) {
+      const std::size_t prev = via[j0];
+      owner[j0] = owner[prev];
+      j0 = prev;
     }
-    perm[ri] = cj;
-    work[cj] = 1;
   }
+  for (std::size_t j = 1; j <= n; ++j) perm[owner[j] - 1] = j - 1;
 }
 
 /// Reorders the rows of `rows` (row length `len`) in place so that position

@@ -56,13 +56,6 @@ class DetectionLog {
   std::vector<std::size_t> detections_;
 };
 
-/// Greedy label alignment: maps predicted cluster labels onto true labels
-/// maximizing agreement (used when reconstruction relabels clusters).
-/// Returns accuracy under the best bijective mapping for small C.
-double best_mapped_accuracy(const std::vector<int>& predicted,
-                            const std::vector<int>& truth,
-                            std::size_t num_labels);
-
 /// Prequential (test-then-train) accuracy with an exponential fading
 /// factor — the standard streaming-evaluation metric (Gama et al.):
 ///   S_t = correct_t + alpha * S_{t-1},  N_t = 1 + alpha * N_{t-1},

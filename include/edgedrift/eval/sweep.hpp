@@ -1,6 +1,8 @@
 // Scenario sweep harness: runs drift detectors across a grid of compiled
 // scenarios and scores every (scenario, detector) cell against the
-// scenario's ground-truth annotations.
+// scenario's ground-truth annotations. The detectors are arguments, each a
+// name and the drift::DetectorSpec that builds it, so the harness runs the
+// comparison detectors of tests/baselines as it runs the library's own.
 //
 // A cell replays the scenario's stream through the detect-and-retrain
 // Pipeline — or, when the scenario's TrafficSpec spreads arrivals over
@@ -33,9 +35,15 @@ namespace edgedrift::eval {
 /// rather than the raw PipelineConfig defaults.
 core::PipelineConfig default_sweep_pipeline();
 
+/// One detector column of the matrix: its name in the JSON and its spec.
+struct SweepDetector {
+  std::string name;
+  drift::DetectorSpec spec;
+};
+
 /// Per-cell run configuration. `pipeline` is a template: input_dim,
-/// num_labels and detector.kind are overwritten per cell from the
-/// scenario and the swept detector.
+/// num_labels and detector are overwritten per cell from the scenario and
+/// the swept detector.
 struct SweepCellConfig {
   core::PipelineConfig pipeline = default_sweep_pipeline();
   ScenarioMetricsConfig metrics;
@@ -47,7 +55,7 @@ struct SweepCellConfig {
 /// One (scenario, detector) cell of the matrix.
 struct SweepCell {
   std::string scenario;
-  drift::DetectorKind kind = drift::DetectorKind::kCentroid;
+  std::string detector;       ///< The SweepDetector's name.
   bool via_manager = false;   ///< Replayed through PipelineManager.
   std::size_t streams = 1;    ///< Managed streams of the replay.
   double calibrated_hellinger = 0.0;  ///< The scenario's measuring stick.
@@ -61,7 +69,7 @@ struct SweepCell {
 
 /// Runs one detector over one compiled scenario.
 SweepCell run_sweep_cell(const data::CompiledScenario& scenario,
-                         drift::DetectorKind kind,
+                         const SweepDetector& detector,
                          const SweepCellConfig& config = {});
 
 /// The full matrix, cells ordered scenario-major in the given order.
@@ -69,9 +77,9 @@ struct SweepResult {
   std::vector<SweepCell> cells;
 };
 
-/// Compiles each spec once and runs every detector kind over it.
+/// Compiles each spec once and runs every detector over it.
 SweepResult run_sweep(std::span<const data::ScenarioSpec> specs,
-                      std::span<const drift::DetectorKind> kinds,
+                      std::span<const SweepDetector> detectors,
                       const SweepCellConfig& config = {});
 
 /// Renders the matrix as the versioned "edgedrift-eval-v1" JSON document.

@@ -70,9 +70,10 @@ struct ModelTemplate {
 /// when the pipeline is not fitted, is recovering (recovering() true: the
 /// format stores no reconstruction state, so the loaded pipeline would
 /// resume idle and step differently), or its detector is not the centroid
-/// family. The checkpoint records the pipeline's active NumericsTier: the
-/// tier is part of the drift-decision contract, so a restore site must get
-/// the tier it expects or fail loudly.
+/// detector (another kind, or one built by the spec's factory). The
+/// checkpoint records the pipeline's active NumericsTier: the tier is part
+/// of the drift-decision contract, so a restore site must get the tier it
+/// expects or fail loudly.
 bool save_pipeline(std::string& out, const core::Pipeline& pipeline,
                    const ModelTemplate* model_template = nullptr);
 
@@ -95,10 +96,11 @@ std::optional<ModelTemplate> load_template(
 /// max_batch_rows — none of which the checkpoint persists (they describe
 /// the serving process, not the trained state). Its model shape
 /// (num_labels / input_dim / hidden_dim) must match the checkpoint and its
-/// detector spec must be the centroid family (the only detector this
-/// format can restore state into); anything else fails the load. This is
-/// how PipelineManager's eviction layer rehydrates cold streams with the
-/// manager's own serving knobs instead of checkpoint-era defaults.
+/// detector spec must name the centroid kind with no factory (the only
+/// detector this format can restore state into); anything else fails the
+/// load. This is how PipelineManager's eviction layer rehydrates cold
+/// streams with the manager's own serving knobs instead of checkpoint-era
+/// defaults.
 ///
 /// `model_template` is the template a delta names; a full blob ignores it.
 /// A delta loaded without it, or with a template of another handle or

@@ -47,9 +47,6 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b);
 /// matmul_at_b into a caller-provided matrix (resized if needed).
 void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// C = A * B^T without materializing B^T.
-Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
-
 /// C = A * B into a caller-provided matrix (resized if needed), with the
 /// global thread pool for large problems. The allocation-free variant the
 /// batch scoring hot path uses with preallocated workspaces. Row-

@@ -664,7 +664,9 @@ i8_tiles_dequant_vnni(const std::int8_t* EDGEDRIFT_RESTRICT tiles,
 // Symmetric per-vector quantization of an f64 row x[0..n): max|x| is the
 // row's largest magnitude, scale = float(max|x|) / 127 and inv = 1 / scale
 // in float, and code i is round(x[i] * double(inv)), half away from zero,
-// clamped to [-127, 127]. An all-zero row returns scale 0 and zero codes.
+// clamped to [-127, 127]. A row whose inv is not a finite float (an
+// all-zero row, or a max|x| so small that 1 / scale overflows) returns
+// scale 0 and zero codes.
 // The max is order-free and the rest is per element, so the lanes differ
 // only in cost: on every row of finite values both return the same scale
 // and the same codes. Two lanes, each callable directly: the portable
@@ -688,12 +690,12 @@ inline float i8_quantize_portable(const double* EDGEDRIFT_RESTRICT x,
                                   std::size_t n) {
   double maxabs = 0.0;
   for (std::size_t i = 0; i < n; ++i) maxabs = std::max(maxabs, std::abs(x[i]));
-  if (maxabs == 0.0) {
+  const float scale = static_cast<float>(maxabs) / kI8CodeMax;
+  const float inv = 1.0f / scale;
+  if (!(inv <= std::numeric_limits<float>::max())) {
     std::fill(q, q + n, std::int8_t{0});
     return 0.0f;
   }
-  const float scale = static_cast<float>(maxabs) / kI8CodeMax;
-  const float inv = 1.0f / scale;
   for (std::size_t i = 0; i < n; ++i) q[i] = i8_encode(x[i], inv);
   return scale;
 }

@@ -1,9 +1,9 @@
 // Dense factorizations and solvers.
 //
-// The batch ELM initialization needs the regularized pseudo-inverse
-// (H^T H + lambda I)^-1 H^T, which we compute through a Cholesky
-// factorization of the SPD Gram matrix; LU with partial pivoting backs the
-// general-purpose inverse used by tests and the baseline detectors.
+// The batch ELM initialization needs the regularized Gram inverse
+// (H^T H + lambda I)^-1, which we compute through a Cholesky factorization
+// of the SPD Gram matrix. The LU family the tests compare against is in
+// tests/oracle/linalg.hpp.
 #pragma once
 
 #include <optional>
@@ -12,26 +12,6 @@
 #include "edgedrift/linalg/matrix.hpp"
 
 namespace edgedrift::linalg {
-
-/// LU factorization with partial pivoting: P*A = L*U packed into `lu`.
-struct LuFactorization {
-  Matrix lu;                     ///< L (unit diagonal, below) and U (on/above).
-  std::vector<std::size_t> piv;  ///< Row permutation applied to A.
-  int sign = 1;                  ///< Permutation parity (for determinants).
-};
-
-/// Factors a square matrix. Returns nullopt when A is numerically singular.
-std::optional<LuFactorization> lu_factor(const Matrix& a);
-
-/// Solves A x = b given the factorization. b and x have length n.
-void lu_solve(const LuFactorization& f, std::span<const double> b,
-              std::span<double> x);
-
-/// Solves A X = B column-by-column.
-Matrix lu_solve_matrix(const LuFactorization& f, const Matrix& b);
-
-/// General inverse via LU. Returns nullopt when singular.
-std::optional<Matrix> inverse(const Matrix& a);
 
 /// Cholesky factorization A = L L^T of an SPD matrix.
 /// Returns nullopt when A is not positive definite.
@@ -47,11 +27,5 @@ std::optional<Matrix> spd_inverse(const Matrix& a);
 /// (A^T A + lambda I)^-1, the core of regularized least squares.
 /// lambda > 0 guarantees positive definiteness.
 Matrix regularized_gram_inverse(const Matrix& a, double lambda);
-
-/// Ridge pseudo-inverse pinv(A) = (A^T A + lambda I)^-1 A^T.
-Matrix regularized_pinv(const Matrix& a, double lambda);
-
-/// Solves min ||A X - B||^2 + lambda ||X||^2 (ridge least squares).
-Matrix ridge_least_squares(const Matrix& a, const Matrix& b, double lambda);
 
 }  // namespace edgedrift::linalg

@@ -13,12 +13,6 @@ double dot(std::span<const double> a, std::span<const double> b);
 /// Euclidean norm.
 double norm2(std::span<const double> a);
 
-/// Sum of |a_i|.
-double norm1(std::span<const double> a);
-
-/// L2 distance between two points.
-double l2_distance(std::span<const double> a, std::span<const double> b);
-
 /// Squared L2 distance (no sqrt; used in argmin loops).
 double squared_l2_distance(std::span<const double> a,
                            std::span<const double> b);

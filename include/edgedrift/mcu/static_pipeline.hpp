@@ -420,8 +420,8 @@ template <std::size_t kDim, std::size_t kHidden, std::size_t kLabels>
 void StaticPipeline<kDim, kHidden, kLabels>::finish_reconstruction() {
   namespace steps = drift::steps;
   std::array<std::size_t, kLabels> perm{};
-  std::array<std::size_t, kLabels> work{};
-  std::array<float, kLabels * kLabels> cost{};
+  std::array<std::size_t, 3 * (kLabels + 1)> work{};
+  std::array<float, kLabels * kLabels + 3 * (kLabels + 1)> cost{};
   steps::match_rows<float>(trained_centroids_, coords_, kDim, perm, cost,
                            work);
   steps::permute_rows<float>(coords_, kDim, perm);

@@ -213,14 +213,6 @@ class MultiInstanceModel {
   /// tier.
   std::uint64_t quantization_epoch() const { return quantization_epoch_; }
 
-  /// The f32 shadow replica (valid while the f32 tier is active).
-  const linalg::MatrixF32& packed_beta_f32() const { return packed_beta_f32_; }
-  /// The int8 replica: dot-product tiles of codes with per-column scales
-  /// (valid while the i8 tier is active).
-  const linalg::QuantizedMatrix& packed_beta_q() const {
-    return packed_beta_q_;
-  }
-
   /// Bytes of the device working set: the shared projection, the packed
   /// beta (every label's beta, counted once), every label's P, the rank-1
   /// step's scratch and one sample's workspace rows.

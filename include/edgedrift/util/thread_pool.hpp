@@ -42,9 +42,6 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& body,
                     std::size_t min_chunk = 256);
 
-  /// True when called from one of this pool's worker threads.
-  static bool in_worker();
-
   /// Marks the calling thread as an inline worker: parallel_for on it runs
   /// the whole range inline, exactly as on a pool worker. PipelineManager's
   /// shard drain workers call this so a pipeline's internal batch kernels

@@ -107,11 +107,6 @@ void ColdStore::erase(std::uint64_t id) {
   entries_.erase(it);
 }
 
-bool ColdStore::contains(std::uint64_t id) const {
-  std::lock_guard lock(mutex_);
-  return entries_.find(id) != entries_.end();
-}
-
 std::size_t ColdStore::count() const {
   std::lock_guard lock(mutex_);
   return entries_.size();

@@ -80,7 +80,8 @@ Pipeline::Pipeline(PipelineConfig config,
                    "shared model does not match the pipeline config");
   detector_ =
       drift::make_detector(config_.detector, detector_config(config_));
-  if (config_.detector.kind == drift::DetectorKind::kCentroid) {
+  if (!config_.detector.factory &&
+      config_.detector.kind == drift::DetectorKind::kCentroid) {
     centroid_ = static_cast<drift::CentroidDetector*>(detector_.get());
   }
   // Cache the coalescing-group digest: the projection is immutable for the
@@ -137,24 +138,13 @@ void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
   // Concept bookkeeping for recoveries. Detectors that track no centroids
   // of their own get a pipeline-owned running estimate; everyone gets a
   // per-label anchor for post-reconstruction re-alignment.
-  train_rows_ = x.rows();
   trained_means_ = per_label_means(x, labels, config_.num_labels);
   tracker_enabled_ = detector_->reconstruction_seed() == nullptr;
   if (tracker_enabled_) {
     tracker_.centroids = trained_means_;
     tracker_.counts.assign(config_.num_labels, 1);
   }
-  if (detector_->needs_reference_data()) {
-    // After a recovery the batch detector's reference is stale; it is
-    // re-fit from a fresh window at least as large as the training
-    // reference — a reference of only one batch makes the fit so noisy the
-    // detector re-fires on its own calibration error.
-    const std::size_t rows =
-        std::max(detector_->reference_rows(), train_rows_);
-    refit_buffer_.resize_zero(rows, config_.input_dim);
-  }
   state_ = RecoveryState::kIdle;
-  refit_fill_ = 0;
   fitted_ = true;
 }
 
@@ -242,17 +232,6 @@ PipelineStep Pipeline::frozen_step(std::span<const double> x,
   PipelineStep step;
   step.prediction = pred;
   if (tracker_enabled_) update_tracker(pred.label, x);
-
-  if (state_ == RecoveryState::kCollectingReference) {
-    step.collecting_reference = true;
-    refit_buffer_.set_row(refit_fill_++, x);
-    if (refit_fill_ == refit_buffer_.rows()) {
-      detector_->rebuild_reference(refit_buffer_);
-      state_ = RecoveryState::kIdle;
-    }
-    ++obs_tick_;
-    return step;
-  }
 
   drift::Observation obs;
   obs.x = x;
@@ -364,11 +343,11 @@ void Pipeline::finish_reconstruction() {
   // Finish-time scratch: a reconstruction ends once per N samples, so the
   // match allocates here rather than holding C x C costs in every stream.
   const std::size_t n = config_.num_labels;
-  std::vector<double> cost(n * n);
-  std::vector<std::size_t> index(2 * n);  // The permutation, then scratch.
+  std::vector<double> cost(n * n + 3 * (n + 1));
+  std::vector<std::size_t> index(n + 3 * (n + 1));  // Permutation, scratch.
   const std::span<std::size_t> perm = std::span(index).first(n);
   drift::steps::match_rows(reference.flat(), coords.flat(), config_.input_dim,
-                           perm, std::span(cost), std::span(index).last(n));
+                           perm, std::span(cost), std::span(index).subspan(n));
   bool identity = true;
   for (std::size_t i = 0; i < perm.size(); ++i) identity &= perm[i] == i;
   if (!identity) {
@@ -385,16 +364,7 @@ void Pipeline::finish_reconstruction() {
                    reconstructor_.suggested_theta_drift(config_.z));
   obs_->counters.add_recovery();
   if (obs_enabled_) obs_->journal.complete_event(reconstructor_.count());
-  if (detector_->needs_reference_data()) {
-    begin_reference_collection();
-  } else {
-    state_ = RecoveryState::kIdle;
-  }
-}
-
-void Pipeline::begin_reference_collection() {
-  state_ = RecoveryState::kCollectingReference;
-  refit_fill_ = 0;
+  state_ = RecoveryState::kIdle;
 }
 
 void Pipeline::update_tracker(std::size_t label, std::span<const double> x) {
@@ -418,9 +388,8 @@ std::size_t Pipeline::memory_bytes() const {
 }
 
 std::size_t Pipeline::detector_memory_bytes() const {
-  std::size_t bytes = detector_->memory_bytes() +
-                      reconstructor_.memory_bytes() +
-                      refit_buffer_.memory_bytes();
+  std::size_t bytes =
+      detector_->memory_bytes() + reconstructor_.memory_bytes();
   if (tracker_enabled_) {
     bytes += tracker_.centroids.memory_bytes() +
              tracker_.counts.capacity() * sizeof(std::size_t);

@@ -50,24 +50,10 @@ void CentroidDetector::calibrate(const linalg::Matrix& x,
   for (std::size_t i = 0; i < x.rows(); ++i) {
     distances[i] = linalg::l1_distance(x.row(i), trained_.row(labels[i]));
   }
-  calibrate_from_centroids(trained_, counts, distances);
-}
-
-void CentroidDetector::calibrate_from_centroids(
-    const linalg::Matrix& centroids, std::span<const std::size_t> counts,
-    std::span<const double> distances) {
-  EDGEDRIFT_ASSERT(centroids.rows() == config_.num_labels &&
-                       centroids.cols() == config_.dim,
-                   "centroid shape mismatch");
-  EDGEDRIFT_ASSERT(counts.size() == config_.num_labels,
-                   "count arity mismatch");
-  trained_ = centroids;
   calibrated_counts_.assign(counts.begin(), counts.end());
-  if (config_.theta_drift <= 0.0) {
-    theta_drift_ = drift_threshold_from_distances(distances, config_.z);
-  } else {
-    theta_drift_ = config_.theta_drift;
-  }
+  theta_drift_ = config_.theta_drift <= 0.0
+                     ? drift_threshold_from_distances(distances, config_.z)
+                     : config_.theta_drift;
   calibrated_ = true;
   reset();
 }
@@ -131,15 +117,6 @@ void CentroidDetector::reset() {
   steps::rearm_counts(std::span(counts_), config_.initial_count,
                       std::span<const std::size_t>(calibrated_counts_));
   window_ = {};
-}
-
-void CentroidDetector::rebuild_reference(const linalg::Matrix& x) {
-  // Without labels, re-anchor the trained centroids to the current recent
-  // ones (the stream has moved; the recent centroids are the best available
-  // estimate of the new concept) and restart.
-  (void)x;
-  trained_ = recent_;
-  reset();
 }
 
 void CentroidDetector::rearm(const linalg::Matrix& new_trained_centroids,

@@ -1,65 +1,15 @@
 #include "edgedrift/drift/detector_factory.hpp"
 
-#include "edgedrift/util/assert.hpp"
-
 namespace edgedrift::drift {
 
 std::unique_ptr<Detector> make_detector(
     const DetectorSpec& spec, const CentroidDetectorConfig& centroid_base) {
-  switch (spec.kind) {
-    case DetectorKind::kCentroid:
-      return std::make_unique<CentroidDetector>(centroid_base);
-    case DetectorKind::kMultiWindow:
-      return std::make_unique<MultiWindowDetector>(centroid_base, spec.windows,
-                                                   spec.vote_policy);
-    case DetectorKind::kQuantTree:
-      return std::make_unique<QuantTree>(spec.quanttree);
-    case DetectorKind::kSpll:
-      return std::make_unique<Spll>(spec.spll);
-    case DetectorKind::kDdm:
-      return std::make_unique<Ddm>(spec.ddm);
-    case DetectorKind::kEddm:
-      return std::make_unique<Eddm>(spec.eddm);
-    case DetectorKind::kAdwin:
-      return std::make_unique<Adwin>(spec.adwin);
-    case DetectorKind::kKswin:
-      return std::make_unique<Kswin>(spec.kswin);
-    case DetectorKind::kPageHinkley:
-      return std::make_unique<PageHinkley>(spec.page_hinkley);
+  if (spec.factory) return spec.factory(centroid_base);
+  if (spec.kind == DetectorKind::kMultiWindow) {
+    return std::make_unique<MultiWindowDetector>(centroid_base, spec.windows,
+                                                 spec.vote_policy);
   }
-  EDGEDRIFT_ASSERT(false, "unknown detector kind");
-  return nullptr;
-}
-
-std::string_view kind_name(DetectorKind kind) {
-  switch (kind) {
-    case DetectorKind::kCentroid:
-      return "centroid";
-    case DetectorKind::kMultiWindow:
-      return "multiwindow";
-    case DetectorKind::kQuantTree:
-      return "quanttree";
-    case DetectorKind::kSpll:
-      return "spll";
-    case DetectorKind::kDdm:
-      return "ddm";
-    case DetectorKind::kEddm:
-      return "eddm";
-    case DetectorKind::kAdwin:
-      return "adwin";
-    case DetectorKind::kKswin:
-      return "kswin";
-    case DetectorKind::kPageHinkley:
-      return "pagehinkley";
-  }
-  return "unknown";
-}
-
-std::optional<DetectorKind> kind_from_name(std::string_view name) {
-  for (const DetectorKind kind : kAllDetectorKinds) {
-    if (name == kind_name(kind)) return kind;
-  }
-  return std::nullopt;
+  return std::make_unique<CentroidDetector>(centroid_base);
 }
 
 }  // namespace edgedrift::drift

@@ -35,7 +35,6 @@ Detection MultiWindowDetector::observe(const Observation& obs) {
   }
   const auto votes = static_cast<std::size_t>(
       std::count(member_fired_.begin(), member_fired_.end(), true));
-  last_votes_ = votes;
 
   Detection result;
   result.statistic = static_cast<double>(votes);
@@ -59,19 +58,8 @@ bool MultiWindowDetector::vote_passes(std::size_t votes) const {
   return false;
 }
 
-void MultiWindowDetector::clear_votes() {
-  std::fill(member_fired_.begin(), member_fired_.end(), false);
-  last_votes_ = 0;
-}
-
 void MultiWindowDetector::reset() {
   for (auto& m : members_) m->reset();
-  std::fill(member_fired_.begin(), member_fired_.end(), false);
-  last_votes_ = 0;
-}
-
-void MultiWindowDetector::rebuild_reference(const linalg::Matrix& x) {
-  for (auto& m : members_) m->rebuild_reference(x);
   std::fill(member_fired_.begin(), member_fired_.end(), false);
 }
 
@@ -83,7 +71,7 @@ void MultiWindowDetector::rearm(const linalg::Matrix& centroids,
                                 std::span<const std::size_t> counts,
                                 double theta_drift) {
   for (auto& m : members_) m->rearm(centroids, counts, theta_drift);
-  clear_votes();
+  std::fill(member_fired_.begin(), member_fired_.end(), false);
 }
 
 std::size_t MultiWindowDetector::memory_bytes() const {

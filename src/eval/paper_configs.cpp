@@ -18,15 +18,6 @@ ExperimentConfig nsl_kdd_paper_config(std::size_t window) {
   config.pipeline.reconstruction.n_search = 20;
   config.pipeline.reconstruction.n_update = 200;
   config.pipeline.reconstruction.n_total = 1000;
-  config.quanttree.num_bins = 32;
-  config.quanttree.batch_size = 480;
-  // ~47 batches in the stream: alpha = 0.001 keeps the expected number of
-  // false alarms at ~0.05 while the drifted batch still exceeds the
-  // threshold by orders of magnitude.
-  config.quanttree.alpha = 0.001;
-  config.quanttree.monte_carlo_trials = 8000;
-  config.spll.batch_size = 480;
-  config.spll.num_clusters = 2;
   config.onlad_forgetting = 0.97;
   return config;
 }
@@ -41,10 +32,6 @@ ExperimentConfig cooling_fan_paper_config(std::size_t window) {
   config.pipeline.reconstruction.n_search = 5;
   config.pipeline.reconstruction.n_update = 30;
   config.pipeline.reconstruction.n_total = 120;
-  config.quanttree.num_bins = 16;
-  config.quanttree.batch_size = 235;
-  config.spll.batch_size = 235;
-  config.spll.num_clusters = 1;
   config.onlad_forgetting = 0.99;
   return config;
 }

@@ -18,14 +18,14 @@ double seconds_since(Clock::time_point t0) {
 }
 
 /// The cell's pipeline configuration: the template with the scenario's
-/// geometry and the swept detector kind stamped in.
+/// geometry and the swept detector stamped in.
 core::PipelineConfig cell_config(const data::CompiledScenario& scenario,
-                                 drift::DetectorKind kind,
+                                 const SweepDetector& detector,
                                  const SweepCellConfig& config) {
   core::PipelineConfig cfg = config.pipeline;
   cfg.input_dim = scenario.train.dim();
   cfg.num_labels = scenario.spec.num_labels;
-  cfg.detector.kind = kind;
+  cfg.detector = detector.spec;
   return cfg;
 }
 
@@ -122,16 +122,16 @@ core::PipelineConfig default_sweep_pipeline() {
 }
 
 SweepCell run_sweep_cell(const data::CompiledScenario& scenario,
-                         drift::DetectorKind kind,
+                         const SweepDetector& detector,
                          const SweepCellConfig& config) {
   SweepCell cell;
   cell.scenario = scenario.spec.name;
-  cell.kind = kind;
+  cell.detector = detector.name;
   cell.streams = scenario.spec.traffic.streams;
   cell.via_manager = cell.streams > 1;
   cell.calibrated_hellinger = scenario.calibrated_hellinger;
 
-  const core::PipelineConfig cfg = cell_config(scenario, kind, config);
+  const core::PipelineConfig cfg = cell_config(scenario, detector, config);
   std::vector<std::uint8_t> correct(scenario.stream.size(), 0);
   if (cell.via_manager) {
     replay_manager(scenario, cfg, config, cell, correct);
@@ -149,13 +149,13 @@ SweepCell run_sweep_cell(const data::CompiledScenario& scenario,
 }
 
 SweepResult run_sweep(std::span<const data::ScenarioSpec> specs,
-                      std::span<const drift::DetectorKind> kinds,
+                      std::span<const SweepDetector> detectors,
                       const SweepCellConfig& config) {
   SweepResult out;
   for (const data::ScenarioSpec& spec : specs) {
     const data::CompiledScenario compiled = data::compile_scenario(spec);
-    for (const drift::DetectorKind kind : kinds) {
-      out.cells.push_back(run_sweep_cell(compiled, kind, config));
+    for (const SweepDetector& detector : detectors) {
+      out.cells.push_back(run_sweep_cell(compiled, detector, config));
     }
   }
   return out;
@@ -170,8 +170,7 @@ std::string sweep_json(const SweepResult& result) {
     first = false;
     out += "    {\n";
     out += "      \"scenario\": \"" + c.scenario + "\",\n";
-    out += "      \"detector\": \"" +
-           std::string(drift::kind_name(c.kind)) + "\",\n";
+    out += "      \"detector\": \"" + c.detector + "\",\n";
     out += std::string("      \"via_manager\": ") +
            (c.via_manager ? "true" : "false") + ",\n";
     out += "      \"streams\": " + std::to_string(c.streams) + ",\n";

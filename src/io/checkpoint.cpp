@@ -322,9 +322,10 @@ std::optional<core::Pipeline> load_pipeline(
       return fail("runtime config shape (num_labels/input_dim/hidden_dim) "
                   "does not match the checkpoint");
     }
-    if (runtime->detector.kind != drift::DetectorKind::kCentroid) {
-      return fail("runtime detector spec is not the centroid family — this "
-                  "checkpoint format only restores centroid detector state");
+    if (runtime->detector.kind != drift::DetectorKind::kCentroid ||
+        runtime->detector.factory) {
+      return fail("runtime detector spec is not the centroid detector — "
+                  "this checkpoint format only restores its state");
     }
   }
   if (layout == Layout::kDelta) {

@@ -225,22 +225,6 @@ void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
   }
 }
 
-Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
-  EDGEDRIFT_ASSERT(a.cols() == b.cols(), "matmul_a_bt shape mismatch");
-  const std::size_t m = a.rows();
-  const std::size_t n = b.rows();
-  const std::size_t k_dim = a.cols();
-  Matrix c(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double* arow = a.data() + i * k_dim;
-    double* crow = c.data() + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      crow[j] = simd::dot_product(arow, b.data() + j * k_dim, k_dim);
-    }
-  }
-  return c;
-}
-
 void matmul_parallel_into(ConstMatrixView a, const Matrix& b, Matrix& c) {
   EDGEDRIFT_ASSERT(a.cols() == b.rows(), "matmul shape mismatch");
   c.resize_discard(a.rows(), b.cols());

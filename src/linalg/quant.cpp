@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "edgedrift/linalg/simd.hpp"
 #include "edgedrift/util/assert.hpp"
@@ -35,10 +36,16 @@ void quantize_columns(const Matrix& src, QuantizedMatrix& out,
                       std::size_t col_begin, std::size_t col_end) {
   const std::size_t width = col_end - col_begin;
   // Scales first (one pass), then codes (second pass). Scratch-free: the
-  // scales array itself holds the maxabs values until they are divided.
+  // scales array itself holds the maxabs values until they are divided. A
+  // scale whose reciprocal overflows float is a zero column, as in the
+  // activation quantizer.
   float* scales = out.scales.data() + col_begin;
   column_maxabs(src, col_begin, col_end, scales);
-  for (std::size_t j = 0; j < width; ++j) scales[j] /= simd::kI8CodeMax;
+  for (std::size_t j = 0; j < width; ++j) {
+    const float scale = scales[j] / simd::kI8CodeMax;
+    scales[j] =
+        1.0f / scale <= std::numeric_limits<float>::max() ? scale : 0.0f;
+  }
   std::int8_t* tiles = out.tiles.data();
   for (std::size_t r = 0; r < src.rows(); ++r) {
     const double* srow = src.data() + r * src.cols() + col_begin;

@@ -23,24 +23,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
 
 double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
 
-double norm1(std::span<const double> a) {
-  using simd::VDouble;
-  const double* EDGEDRIFT_RESTRICT p = a.data();
-  const std::size_t n = a.size();
-  VDouble acc = simd::vzero();
-  std::size_t i = 0;
-  for (; i + simd::kLanes <= n; i += simd::kLanes) {
-    acc = simd::vadd(acc, simd::vabs(simd::vload(p + i)));
-  }
-  double total = simd::vreduce_add(acc);
-  for (; i < n; ++i) total += std::abs(p[i]);
-  return total;
-}
-
-double l2_distance(std::span<const double> a, std::span<const double> b) {
-  return std::sqrt(squared_l2_distance(a, b));
-}
-
 double squared_l2_distance(std::span<const double> a,
                            std::span<const double> b) {
   EDGEDRIFT_DASSERT(a.size() == b.size(), "distance size mismatch");

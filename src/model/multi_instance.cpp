@@ -118,8 +118,7 @@ void MultiInstanceModel::init_train(const linalg::Matrix& x,
   // pool. Each solve's result is a pure function of its block; the fan-out
   // changes which thread runs a solve, never its operand order, so the
   // trained state is bit-identical to the sequential loop. Nested
-  // parallel_for inside the solves runs inline on the workers
-  // (ThreadPool::in_worker).
+  // parallel_for inside the solves runs inline on the workers.
   std::vector<linalg::Matrix> betas(num_labels());
   util::ThreadPool::global().parallel_for(
       0, num_labels(),

@@ -11,8 +11,6 @@ thread_local bool t_in_worker = false;
 
 }  // namespace
 
-bool ThreadPool::in_worker() { return t_in_worker; }
-
 void ThreadPool::mark_inline_worker() { t_in_worker = true; }
 
 ThreadPool::ThreadPool(std::size_t threads) {

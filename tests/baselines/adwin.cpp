@@ -1,4 +1,4 @@
-#include "edgedrift/drift/adwin.hpp"
+#include "baselines/adwin.hpp"
 
 #include <cmath>
 

@@ -1,4 +1,4 @@
-#include "edgedrift/drift/ddm.hpp"
+#include "baselines/ddm.hpp"
 
 #include <cmath>
 

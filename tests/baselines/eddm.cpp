@@ -1,4 +1,4 @@
-#include "edgedrift/drift/eddm.hpp"
+#include "baselines/eddm.hpp"
 
 #include <cmath>
 

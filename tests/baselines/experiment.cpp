@@ -1,4 +1,4 @@
-#include "edgedrift/eval/experiment.hpp"
+#include "baselines/experiment.hpp"
 
 #include "edgedrift/util/assert.hpp"
 #include "edgedrift/util/rng.hpp"
@@ -9,48 +9,26 @@ namespace {
 
 /// Every detector-based method is the same program: configure the pipeline
 /// with the method's drift::DetectorSpec and stream. The facade supplies
-/// the recovery loop (reconstruction, re-alignment, detector re-arming,
-/// reference refill for the batch detectors) that the per-method runners
-/// used to hand-roll.
-core::PipelineConfig method_pipeline_config(Method method,
-                                            const data::Dataset& train,
-                                            const ExperimentConfig& config) {
-  core::PipelineConfig pc = config.pipeline;
-  pc.input_dim = train.dim();
-  switch (method) {
-    case Method::kProposed:
-      pc.detector.kind = drift::DetectorKind::kCentroid;
-      break;
-    case Method::kQuantTree:
-      pc.detector.kind = drift::DetectorKind::kQuantTree;
-      pc.detector.quanttree = config.quanttree;
-      pc.seed = config.seed;  // Matches the historical model seeding.
-      break;
-    case Method::kSpll:
-      pc.detector.kind = drift::DetectorKind::kSpll;
-      pc.detector.spll = config.spll;
-      pc.seed = config.seed;
-      break;
-    case Method::kMultiWindow:
-      pc.detector.kind = drift::DetectorKind::kMultiWindow;
-      pc.detector.windows = config.ensemble_windows;
-      pc.seed = config.seed;
-      break;
-    case Method::kBaseline:
-    case Method::kOnlad:
-      EDGEDRIFT_ASSERT(false, "model-only methods have no detector");
-      break;
-  }
-  return pc;
-}
-
-ExperimentResult run_pipeline_method(Method method, const data::Dataset& train,
-                                     const data::Dataset& test,
-                                     const ExperimentConfig& config) {
+/// the recovery loop (reconstruction, re-alignment, detector re-arming);
+/// the batch detectors' reference refill comes with their catalogue spec.
+ExperimentResult run_pipeline_method(
+    Method method, const data::Dataset& train, const data::Dataset& test,
+    const ExperimentConfig& config,
+    const baselines::ComparisonSettings& detectors) {
   ExperimentResult result;
   result.method = method;
 
-  core::Pipeline pipeline(method_pipeline_config(method, train, config));
+  core::PipelineConfig pc = config.pipeline;
+  pc.input_dim = train.dim();
+  // The comparison methods keep the historical model seeding.
+  if (method != Method::kProposed) pc.seed = config.seed;
+  const baselines::Kind kind =
+      method == Method::kQuantTree     ? baselines::Kind::kQuantTree
+      : method == Method::kSpll        ? baselines::Kind::kSpll
+      : method == Method::kMultiWindow ? baselines::Kind::kMultiWindow
+                                       : baselines::Kind::kCentroid;
+  pc.detector = baselines::detector_spec(kind, detectors, pc.detector);
+  core::Pipeline pipeline(pc);
   pipeline.fit(train.x, train.labels);
 
   util::Stopwatch clock;
@@ -117,9 +95,10 @@ std::string method_name(Method method) {
   return "unknown";
 }
 
-ExperimentResult run_experiment(Method method, const data::Dataset& train,
-                                const data::Dataset& test,
-                                const ExperimentConfig& config) {
+ExperimentResult run_experiment(
+    Method method, const data::Dataset& train, const data::Dataset& test,
+    const ExperimentConfig& config,
+    const baselines::ComparisonSettings& detectors) {
   EDGEDRIFT_ASSERT(train.dim() == test.dim(), "train/test dim mismatch");
   switch (method) {
     case Method::kBaseline:
@@ -129,7 +108,7 @@ ExperimentResult run_experiment(Method method, const data::Dataset& train,
     case Method::kQuantTree:
     case Method::kSpll:
     case Method::kMultiWindow:
-      return run_pipeline_method(method, train, test, config);
+      return run_pipeline_method(method, train, test, config, detectors);
   }
   EDGEDRIFT_ASSERT(false, "unreachable");
   return {};

@@ -12,16 +12,12 @@
 // component memory (Table 4).
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/data/stream.hpp"
-#include "edgedrift/drift/quanttree.hpp"
-#include "edgedrift/drift/spll.hpp"
 #include "edgedrift/eval/metrics.hpp"
+#include "edgedrift/eval/paper_configs.hpp"
+#include "baselines/catalogue.hpp"
 
 namespace edgedrift::eval {
 
@@ -37,17 +33,6 @@ enum class Method {
 
 std::string method_name(Method method);
 
-/// Shared experiment configuration.
-struct ExperimentConfig {
-  core::PipelineConfig pipeline;     ///< Model + proposed-detector settings.
-  drift::QuantTreeConfig quanttree;
-  drift::SpllConfig spll;
-  double onlad_forgetting = 0.97;    ///< Paper: 0.97 (NSL-KDD) / 0.99 (fan).
-  /// Member window sizes of the kMultiWindow ensemble.
-  std::vector<std::size_t> ensemble_windows{50, 100, 200};
-  std::uint64_t seed = 1;
-};
-
 /// Everything the paper's tables need from one run.
 struct ExperimentResult {
   Method method;
@@ -58,10 +43,12 @@ struct ExperimentResult {
   std::size_t model_memory_bytes = 0;
 };
 
-/// Runs one method over (train, test). The test stream's labels are used
-/// only for accuracy accounting, never by the methods themselves.
-ExperimentResult run_experiment(Method method, const data::Dataset& train,
-                                const data::Dataset& test,
-                                const ExperimentConfig& config);
+/// Runs one method over (train, test), the comparison detectors with
+/// `detectors`' settings. The test stream's labels are used only for
+/// accuracy accounting, never by the methods themselves.
+ExperimentResult run_experiment(
+    Method method, const data::Dataset& train, const data::Dataset& test,
+    const ExperimentConfig& config,
+    const baselines::ComparisonSettings& detectors = {});
 
 }  // namespace edgedrift::eval

@@ -1,12 +1,12 @@
-#include "edgedrift/cluster/gmm.hpp"
+#include "baselines/gmm.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 
-#include "edgedrift/cluster/kmeans.hpp"
 #include "edgedrift/util/assert.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/kmeans.hpp"
 
 namespace edgedrift::cluster {
 namespace {

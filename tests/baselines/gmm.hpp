@@ -52,9 +52,6 @@ class DiagonalGmm {
   double mean_log_density(const linalg::Matrix& x) const;
 
   std::span<const double> mean(std::size_t c) const { return means_.row(c); }
-  std::span<const double> variance(std::size_t c) const {
-    return variances_.row(c);
-  }
   double weight(std::size_t c) const { return weights_[c]; }
 
   /// Bytes of parameter storage.

@@ -1,4 +1,4 @@
-#include "edgedrift/cluster/kmeans.hpp"
+#include "baselines/kmeans.hpp"
 
 #include <algorithm>
 #include <limits>
@@ -136,11 +136,7 @@ KMeansResult kmeans(const linalg::Matrix& x, std::size_t k, util::Rng& rng,
       }
     }
 
-    if (!changed) {
-      result.converged = true;
-      break;
-    }
-    if (movement < options.tolerance) {
+    if (!changed || movement < options.tolerance) {
       result.converged = true;
       break;
     }

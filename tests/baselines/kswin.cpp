@@ -1,4 +1,4 @@
-#include "edgedrift/drift/kswin.hpp"
+#include "baselines/kswin.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -59,9 +59,7 @@ bool Kswin::insert(double value) {
   last_stat_ = ks_statistic(std::move(recent), std::move(older));
   if (last_stat_ > threshold_) {
     // Drop the old regime: keep only the recent slice, as KSWIN does.
-    std::deque<double> kept(window_.end() - config_.stat_size,
-                            window_.end());
-    window_ = std::move(kept);
+    window_.erase(window_.begin(), window_.end() - config_.stat_size);
     return true;
   }
   return false;

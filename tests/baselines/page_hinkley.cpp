@@ -1,4 +1,4 @@
-#include "edgedrift/drift/page_hinkley.hpp"
+#include "baselines/page_hinkley.hpp"
 
 #include <algorithm>
 

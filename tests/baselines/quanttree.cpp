@@ -1,4 +1,4 @@
-#include "edgedrift/drift/quanttree.hpp"
+#include "baselines/quanttree.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -48,15 +48,14 @@ void QuantTree::fit(const linalg::Matrix& reference) {
       values[i] = reference(remaining[i], split.dim);
     }
     // The cut captures exactly `take` points from the chosen tail.
+    const auto nth = values.begin() + (take - 1);
     if (split.low_side) {
-      std::nth_element(values.begin(), values.begin() + (take - 1),
-                       values.end());
-      split.threshold = values[take - 1];
+      std::nth_element(values.begin(), nth, values.end());
     } else {
-      std::nth_element(values.begin(), values.begin() + (take - 1),
-                       values.end(), std::greater<double>());
-      split.threshold = values[take - 1];
+      std::nth_element(values.begin(), nth, values.end(),
+                       std::greater<double>());
     }
+    split.threshold = *nth;
     splits_.push_back(split);
 
     // Remove captured points. Ties on the threshold can capture more than
@@ -148,11 +147,10 @@ Detection QuantTree::observe(const Observation& obs) {
     for (std::size_t i = 0; i < buffered_; ++i) {
       ++counts_[bin_of(buffer_.row(i))];
     }
-    const double stat = pearson_statistic(counts_, buffered_);
-    buffered_ = 0;
-    result.statistic = stat;
+    result.statistic = pearson_statistic(counts_, buffered_);
     result.statistic_valid = true;
-    result.drift = stat > threshold_;
+    result.drift = result.statistic > threshold_;
+    buffered_ = 0;
   }
   return result;
 }

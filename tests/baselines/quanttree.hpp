@@ -47,15 +47,14 @@ class QuantTree : public Detector {
   double statistic(const linalg::Matrix& batch) const;
 
   double threshold() const { return threshold_; }
-  bool fitted() const { return fitted_; }
-  std::size_t buffered() const { return buffered_; }
 
   // Detector interface -------------------------------------------------
   Detection observe(const Observation& obs) override;
   void reset() override;
-  void rebuild_reference(const linalg::Matrix& x) override { fit(x); }
-  bool needs_reference_data() const override { return true; }
-  std::size_t reference_rows() const override { return config_.batch_size; }
+  /// Fits the reference on the features; the labels are not read.
+  void calibrate(const linalg::Matrix& x, std::span<const int>) override {
+    fit(x);
+  }
   std::size_t memory_bytes() const override;
   std::string_view name() const override { return "quanttree"; }
 

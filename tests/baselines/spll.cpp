@@ -1,11 +1,11 @@
-#include "edgedrift/drift/spll.hpp"
+#include "baselines/spll.hpp"
 
 #include <algorithm>
 #include <cmath>
 
-#include "edgedrift/cluster/kmeans.hpp"
 #include "edgedrift/util/assert.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/kmeans.hpp"
 
 namespace edgedrift::drift {
 
@@ -65,15 +65,11 @@ Detection Spll::observe(const Observation& obs) {
   buffer_.set_row(buffered_++, obs.x);
   Detection result;
   if (buffered_ == config_.batch_size) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < buffered_; ++i) {
-      acc += gmm_.min_mahalanobis_sq(buffer_.row(i));
-    }
-    const double stat = acc / static_cast<double>(buffered_);
+    // Full batch: the buffer holds exactly batch_size rows.
     buffered_ = 0;
-    result.statistic = stat;
+    result.statistic = statistic(buffer_);
     result.statistic_valid = true;
-    result.drift = stat > threshold_;
+    result.drift = result.statistic > threshold_;
   }
   return result;
 }

@@ -16,9 +16,9 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "edgedrift/cluster/gmm.hpp"
 #include "edgedrift/drift/detector.hpp"
 #include "edgedrift/linalg/matrix.hpp"
+#include "baselines/gmm.hpp"
 
 namespace edgedrift::drift {
 
@@ -45,14 +45,14 @@ class Spll : public Detector {
 
   double threshold() const { return threshold_; }
   bool fitted() const { return fitted_; }
-  const cluster::DiagonalGmm& mixture() const { return gmm_; }
 
   // Detector interface -------------------------------------------------
   Detection observe(const Observation& obs) override;
   void reset() override;
-  void rebuild_reference(const linalg::Matrix& x) override { fit(x); }
-  bool needs_reference_data() const override { return true; }
-  std::size_t reference_rows() const override { return config_.batch_size; }
+  /// Fits the reference on the features; the labels are not read.
+  void calibrate(const linalg::Matrix& x, std::span<const int>) override {
+    fit(x);
+  }
   std::size_t memory_bytes() const override;
   std::string_view name() const override { return "spll"; }
 

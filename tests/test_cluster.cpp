@@ -1,17 +1,16 @@
-// Tests for the clustering substrate: batch k-means / k-means++, the
-// sequential k-means steps of Algorithms 3-4 (drift/steps.hpp), and the
-// diagonal GMM behind SPLL.
+// Tests for the clustering substrate behind SPLL (tests/baselines): batch
+// k-means / k-means++ and the diagonal GMM. The sequential k-means steps of
+// Algorithms 3-4 are tested in test_coord_steps.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
 
-#include "edgedrift/cluster/gmm.hpp"
-#include "edgedrift/cluster/kmeans.hpp"
-#include "edgedrift/drift/steps.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/gmm.hpp"
+#include "baselines/kmeans.hpp"
 
 namespace {
 
@@ -19,7 +18,6 @@ using edgedrift::cluster::DiagonalGmm;
 using edgedrift::cluster::KMeansResult;
 using edgedrift::linalg::Matrix;
 using edgedrift::util::Rng;
-namespace steps = edgedrift::drift::steps;
 
 // Three well-separated blobs in 2-D.
 Matrix three_blobs(Rng& rng, std::size_t per_blob = 50) {
@@ -130,123 +128,6 @@ TEST(KMeans, AssignToNearestAgainstKnownCentroids) {
   EXPECT_EQ(assign[0], 0);
   EXPECT_EQ(assign[1], 1);
   EXPECT_EQ(assign[2], 0);
-}
-
-// The SequentialKMeans suite covers the coordinate steps both copies of
-// the proposed system run: Update_Coord's running mean, Init_Coord's spread
-// substitution, and the match and permutation that re-align labels.
-
-TEST(SequentialKMeans, UpdateMovesCentroidTowardSamples) {
-  Matrix coords{{0.0, 0.0}, {10.0, 10.0}};
-  std::vector<std::size_t> counts{1, 1};
-
-  // Stream points around (1, 1): cluster 0 should drift there.
-  Rng rng(7);
-  for (int i = 0; i < 200; ++i) {
-    const std::vector<double> x{rng.gaussian(1.0, 0.1),
-                                rng.gaussian(1.0, 0.1)};
-    EXPECT_EQ(steps::update_coord(coords.flat(), std::span(counts),
-                                  std::span(x), false),
-              0u);
-  }
-  EXPECT_NEAR(coords(0, 0), 1.0, 0.1);
-  EXPECT_NEAR(coords(0, 1), 1.0, 0.1);
-  // Cluster 1 untouched.
-  EXPECT_DOUBLE_EQ(coords(1, 0), 10.0);
-  EXPECT_EQ(counts[1], 1u);
-}
-
-TEST(SequentialKMeans, RunningMeanIsExactMean) {
-  Matrix coords(1, 1);
-  std::vector<std::size_t> counts{0};
-  const std::vector<double> values{3.0, 5.0, 7.0, 9.0};
-  for (const double v : values) {
-    const std::vector<double> x{v};
-    steps::update_coord(coords.flat(), std::span(counts), std::span(x),
-                        false);
-  }
-  EXPECT_DOUBLE_EQ(coords(0, 0), 6.0);
-  EXPECT_EQ(counts[0], 4u);
-}
-
-TEST(SequentialKMeans, SpreadInitMaximizesPairwiseDistance) {
-  Matrix coords(3, 1);
-  std::vector<double> saved(1);
-  const auto spread_init = [&](double v) {
-    const std::vector<double> x{v};
-    return steps::spread_coord(coords.flat(), std::span(x),
-                               std::span(saved));
-  };
-  // All coords start at 0; feeding spread-out points must place them.
-  spread_init(0.0);
-  spread_init(10.0);
-  spread_init(-10.0);
-  const double spread = steps::pairwise_l1_spread<double>(coords.flat(), 1);
-  EXPECT_DOUBLE_EQ(spread, 40.0);  // |0-10| + |0+10| + |10+10| = 40.
-
-  // A midpoint sample cannot improve the spread, so it must be rejected.
-  EXPECT_EQ(spread_init(1.0), -1);
-  EXPECT_DOUBLE_EQ(steps::pairwise_l1_spread<double>(coords.flat(), 1),
-                   40.0);
-}
-
-TEST(SequentialKMeans, SpreadInitReplacesWorstCoordinate) {
-  Matrix coords(2, 1);
-  std::vector<double> saved(1);
-  for (const double v : {1.0, 2.0, 100.0}) {
-    // {1, 0}, then {2, 0}; 100 must replace the coordinate nearer the other.
-    const std::vector<double> x{v};
-    steps::spread_coord(coords.flat(), std::span(x), std::span(saved));
-  }
-  EXPECT_GE(steps::pairwise_l1_spread<double>(coords.flat(), 1), 98.0);
-}
-
-TEST(SequentialKMeans, PermutationReordersClusters) {
-  Matrix coords{{1.0, 2.0}, {3.0, 4.0}};
-  std::vector<std::size_t> counts{5, 9};
-  const std::vector<std::size_t> perm{1, 0};
-  steps::permute_rows(coords.flat(), 2, perm);
-  steps::permute_rows(std::span(counts), 1, perm);
-  EXPECT_DOUBLE_EQ(coords(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(coords(1, 1), 2.0);
-  EXPECT_EQ(counts[0], 9u);
-  EXPECT_EQ(counts[1], 5u);
-}
-
-// A 2-cycle is its own inverse; a 3-cycle tells a permutation from its
-// inverse. Position i must hold the old row perm[i].
-TEST(SequentialKMeans, PermutationFollowsThreeCycle) {
-  Matrix rows{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}, {7.0, 8.0}};
-  const std::vector<std::size_t> perm{1, 2, 0, 3};
-  steps::permute_rows(rows.flat(), 2, perm);
-  const std::vector<double> got(rows.flat().begin(), rows.flat().end());
-  EXPECT_EQ(got, (std::vector<double>{3.0, 4.0, 5.0, 6.0, 1.0, 2.0, 7.0,
-                                      8.0}));
-}
-
-// Exhaustive up to 8 rows, greedy above: on well-separated rows both
-// recover the permutation that scrambled the candidates.
-TEST(SequentialKMeans, MatchRowsRecoversScrambledRows) {
-  for (const std::size_t n : {3UL, 8UL, 11UL}) {
-    Rng rng(n);
-    Matrix reference(n, 2), candidates(n, 2);
-    std::vector<std::size_t> scramble(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scramble[i] = (i * 5 + 2) % n;
-      reference(i, 0) = 10.0 * static_cast<double>(i);
-      reference(i, 1) = -3.0 * static_cast<double>(i);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < 2; ++j) {
-        candidates(scramble[i], j) = reference(i, j) + rng.gaussian(0.0, 0.3);
-      }
-    }
-    std::vector<std::size_t> perm(n), work(n);
-    std::vector<double> cost(n * n);
-    steps::match_rows<double>(reference.flat(), candidates.flat(), 2,
-                              perm, cost, work);
-    EXPECT_EQ(perm, scramble) << "n = " << n;
-  }
 }
 
 TEST(Gmm, FromClustersMatchesClusterStatistics) {

@@ -1,7 +1,9 @@
-// Conformance tests over every drift::DetectorKind: the factory round-trip,
-// the Detector interface contract, each kind driving core::Pipeline's
-// detect-and-retrain loop via DetectorSpec alone, and the bit-identity of
-// the row-range core process_rows() with sample-by-sample process().
+// Conformance tests over every detector of the catalogue (the library's
+// proposed family and the comparison detectors of tests/baselines): the
+// name round-trip, the Detector interface contract, each kind driving
+// core::Pipeline's detect-and-retrain loop via DetectorSpec alone, and the
+// bit-identity of the row-range core process_rows() with sample-by-sample
+// process().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +14,8 @@
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/data/drift_stream.hpp"
 #include "edgedrift/data/gaussian_concept.hpp"
-#include "edgedrift/drift/detector_factory.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/catalogue.hpp"
 
 namespace {
 
@@ -25,6 +27,7 @@ using edgedrift::data::Dataset;
 using edgedrift::data::GaussianClass;
 using edgedrift::data::GaussianConcept;
 using edgedrift::util::Rng;
+namespace baselines = edgedrift::baselines;
 namespace drift = edgedrift::drift;
 namespace linalg = edgedrift::linalg;
 
@@ -68,21 +71,21 @@ Scenario make_scenario(Rng& rng, std::size_t pre = 1200,
 
 /// A spec per kind with tunables that make each detector responsive on the
 /// short synthetic stream (mirrors examples/detector_zoo.cpp).
-drift::DetectorSpec spec_for(drift::DetectorKind kind) {
-  drift::DetectorSpec spec;
-  spec.kind = kind;
-  spec.quanttree.num_bins = 16;
-  spec.quanttree.batch_size = 240;
-  spec.quanttree.alpha = 0.001;
-  spec.spll.num_clusters = 2;
-  spec.spll.batch_size = 240;
-  spec.page_hinkley.lambda = 10.0;
-  spec.page_hinkley.use_anomaly_score = true;
+drift::DetectorSpec spec_for(baselines::Kind kind) {
+  baselines::ComparisonSettings settings;
+  settings.quanttree.num_bins = 16;
+  settings.quanttree.batch_size = 240;
+  settings.quanttree.alpha = 0.001;
+  settings.spll.num_clusters = 2;
+  settings.spll.batch_size = 240;
+  settings.page_hinkley.lambda = 10.0;
+  settings.page_hinkley.use_anomaly_score = true;
+  drift::DetectorSpec spec = baselines::detector_spec(kind, settings);
   spec.windows = {20, 40, 80};
   return spec;
 }
 
-PipelineConfig make_config(drift::DetectorKind kind) {
+PipelineConfig make_config(baselines::Kind kind) {
   PipelineConfig config;
   config.num_labels = 2;
   config.input_dim = 8;
@@ -97,23 +100,22 @@ PipelineConfig make_config(drift::DetectorKind kind) {
   return config;
 }
 
-class DetectorKindTest
-    : public ::testing::TestWithParam<drift::DetectorKind> {};
+class DetectorKindTest : public ::testing::TestWithParam<baselines::Kind> {};
 
 std::string kind_param_name(
-    const ::testing::TestParamInfo<drift::DetectorKind>& info) {
-  return std::string(drift::kind_name(info.param));
+    const ::testing::TestParamInfo<baselines::Kind>& info) {
+  return std::string(baselines::kind_name(info.param));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, DetectorKindTest,
-                         ::testing::ValuesIn(drift::kAllDetectorKinds),
+                         ::testing::ValuesIn(baselines::kAllKinds),
                          kind_param_name);
 
 TEST_P(DetectorKindTest, KindNameRoundTrips) {
-  const drift::DetectorKind kind = GetParam();
-  const std::string_view name = drift::kind_name(kind);
+  const baselines::Kind kind = GetParam();
+  const std::string_view name = baselines::kind_name(kind);
   EXPECT_FALSE(name.empty());
-  const auto back = drift::kind_from_name(name);
+  const auto back = baselines::kind_from_name(name);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, kind);
 }
@@ -134,9 +136,6 @@ TEST_P(DetectorKindTest, FactoryHonoursInterfaceContract) {
   detector->set_anomaly_gate(0.5);
   detector->calibrate(train.x, train.labels);
   EXPECT_GT(detector->memory_bytes(), 0u);
-  if (detector->needs_reference_data()) {
-    EXPECT_GT(detector->reference_rows(), 0u);
-  }
 
   // Feeding pre-concept samples after calibration must not fire.
   const Dataset quiet = edgedrift::data::draw(pre_concept(), 60, rng);
@@ -183,10 +182,10 @@ TEST_P(DetectorKindTest, DrivesPipelineAndFiresAfterDrift) {
 
 // The load-bearing contract of the row-range core: process_rows() must be
 // sample-for-sample bit-identical to process(), including across the drift,
-// the recovery that follows it, and (for batch detectors) the reference
-// refill. Every detector kind runs through both sides of the model's
-// scoring core — 1-row blocks take the per-row fused scorer, longer blocks
-// the GEMM — with and without caller-supplied hidden rows, at every
+// the recovery that follows it, and (for batch detectors) the adapter's
+// reference refill. Every detector kind runs through both sides of the
+// model's scoring core — 1-row blocks take the per-row fused scorer, longer
+// blocks the GEMM — with and without caller-supplied hidden rows, at every
 // numerics tier.
 TEST_P(DetectorKindTest, ProcessBatchBitIdenticalToProcess) {
   Rng rng(3);
@@ -245,7 +244,6 @@ TEST_P(DetectorKindTest, ProcessBatchBitIdenticalToProcess) {
           EXPECT_EQ(a.drift_detected, e.drift_detected);
           EXPECT_EQ(a.reconstructing, e.reconstructing);
           EXPECT_EQ(a.reconstruction_finished, e.reconstruction_finished);
-          EXPECT_EQ(a.collecting_reference, e.collecting_reference);
           EXPECT_EQ(a.statistic, e.statistic);
           EXPECT_EQ(a.statistic_valid, e.statistic_valid);
         }

@@ -4,13 +4,13 @@
 
 #include <cmath>
 
-#include "edgedrift/drift/adwin.hpp"
-#include "edgedrift/drift/ddm.hpp"
 #include "edgedrift/drift/multi_window.hpp"
-#include "edgedrift/drift/page_hinkley.hpp"
-#include "edgedrift/drift/quanttree.hpp"
-#include "edgedrift/drift/spll.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/adwin.hpp"
+#include "baselines/ddm.hpp"
+#include "baselines/page_hinkley.hpp"
+#include "baselines/quanttree.hpp"
+#include "baselines/spll.hpp"
 
 namespace {
 
@@ -152,7 +152,7 @@ TEST(QuantTree, RebuildReferenceAdaptsToNewConcept) {
   QuantTree qt(qt_config(8, 64));
   qt.fit(gaussian_blob(rng, 800, 4, 0.0));
   const Matrix new_concept = gaussian_blob(rng, 800, 4, 3.0);
-  qt.rebuild_reference(new_concept);
+  qt.fit(new_concept);
   // After refit, the new concept is in-distribution.
   const Matrix batch = gaussian_blob(rng, 64, 4, 3.0);
   EXPECT_LT(qt.statistic(batch), qt.threshold() * 1.5);

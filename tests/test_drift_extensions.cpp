@@ -2,9 +2,9 @@
 // EDDM (error-distance) and KSWIN (sliding-window Kolmogorov–Smirnov).
 #include <gtest/gtest.h>
 
-#include "edgedrift/drift/eddm.hpp"
-#include "edgedrift/drift/kswin.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/eddm.hpp"
+#include "baselines/kswin.hpp"
 
 namespace {
 

@@ -4,6 +4,7 @@
 
 #include "edgedrift/eval/memory_audit.hpp"
 #include "edgedrift/eval/metrics.hpp"
+#include "oracle/metrics.hpp"
 
 namespace {
 

@@ -6,8 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "edgedrift/data/nsl_kdd_like.hpp"
-#include "edgedrift/eval/experiment.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/experiment.hpp"
 
 namespace {
 
@@ -26,6 +26,7 @@ struct Fixture {
   Dataset test;
   std::size_t drift_at = 1500;
   ExperimentConfig config;
+  edgedrift::baselines::ComparisonSettings detectors;
 };
 
 Fixture make_fixture() {
@@ -47,10 +48,10 @@ Fixture make_fixture() {
   f.config.pipeline.reconstruction.n_search = 20;
   f.config.pipeline.reconstruction.n_update = 120;
   f.config.pipeline.reconstruction.n_total = 500;
-  f.config.quanttree.num_bins = 32;
-  f.config.quanttree.batch_size = 200;
-  f.config.spll.batch_size = 200;
-  f.config.spll.num_clusters = 2;
+  f.detectors.quanttree.num_bins = 32;
+  f.detectors.quanttree.batch_size = 200;
+  f.detectors.spll.batch_size = 200;
+  f.detectors.spll.num_clusters = 2;
   f.config.onlad_forgetting = 0.97;
   return f;
 }
@@ -62,7 +63,8 @@ const Fixture& fixture() {
 
 ExperimentResult run(Method method) {
   const Fixture& f = fixture();
-  return edgedrift::eval::run_experiment(method, f.train, f.test, f.config);
+  return edgedrift::eval::run_experiment(method, f.train, f.test, f.config,
+                                         f.detectors);
 }
 
 TEST(Experiment, BaselineDegradesAfterDrift) {
@@ -165,9 +167,9 @@ TEST(Experiment, RuntimeIsMeasured) {
 TEST(Experiment, MultiWindowEnsembleDetectsAndRecovers) {
   const auto& f = fixture();
   auto config = f.config;
-  config.ensemble_windows = {50, 100, 200};
+  config.pipeline.detector.windows = {50, 100, 200};
   const auto result = edgedrift::eval::run_experiment(
-      Method::kMultiWindow, f.train, f.test, config);
+      Method::kMultiWindow, f.train, f.test, config, f.detectors);
   const auto delay = result.detections.delay(f.drift_at);
   ASSERT_TRUE(delay.has_value());
   EXPECT_EQ(result.detections.false_alarms(f.drift_at), 0u);

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "edgedrift/data/cooling_fan_like.hpp"
-#include "edgedrift/eval/experiment.hpp"
 #include "edgedrift/eval/paper_configs.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/experiment.hpp"
 
 namespace {
 
@@ -23,6 +23,7 @@ struct Fixture {
   Dataset reoccurring;
   std::size_t drift_at;
   ExperimentConfig config;
+  edgedrift::baselines::ComparisonSettings detectors;
 };
 
 const Fixture& fixture() {
@@ -37,6 +38,7 @@ const Fixture& fixture() {
     fx.reoccurring = generator.reoccurring_stream(stream_rng);
     fx.drift_at = generator.config().drift_point;
     fx.config = edgedrift::eval::cooling_fan_paper_config(50);
+    fx.detectors = edgedrift::baselines::cooling_fan_paper_settings();
     return fx;
   }();
   return f;
@@ -55,7 +57,7 @@ TEST(ExperimentFan, ProposedDetectsSuddenDamage) {
 TEST(ExperimentFan, QuantTreeDetectsSuddenDamage) {
   const auto& f = fixture();
   const auto result = edgedrift::eval::run_experiment(
-      Method::kQuantTree, f.train, f.sudden, f.config);
+      Method::kQuantTree, f.train, f.sudden, f.config, f.detectors);
   const auto delay = result.detections.delay(f.drift_at);
   ASSERT_TRUE(delay.has_value());
   // One QuantTree batch is 235 samples; detection comes at a batch close.
@@ -65,7 +67,7 @@ TEST(ExperimentFan, QuantTreeDetectsSuddenDamage) {
 TEST(ExperimentFan, SpllDetectsSuddenDamage) {
   const auto& f = fixture();
   const auto result = edgedrift::eval::run_experiment(
-      Method::kSpll, f.train, f.sudden, f.config);
+      Method::kSpll, f.train, f.sudden, f.config, f.detectors);
   ASSERT_TRUE(result.detections.delay(f.drift_at).has_value());
 }
 
@@ -99,9 +101,9 @@ TEST(ExperimentFan, DetectorMemoryOrderingHolds) {
   const auto proposed = edgedrift::eval::run_experiment(
       Method::kProposed, f.train, f.sudden, f.config);
   const auto quanttree = edgedrift::eval::run_experiment(
-      Method::kQuantTree, f.train, f.sudden, f.config);
+      Method::kQuantTree, f.train, f.sudden, f.config, f.detectors);
   const auto spll = edgedrift::eval::run_experiment(
-      Method::kSpll, f.train, f.sudden, f.config);
+      Method::kSpll, f.train, f.sudden, f.config, f.detectors);
   // Table 4's ordering on the exact fan configuration.
   EXPECT_LT(proposed.detector_memory_bytes,
             quanttree.detector_memory_bytes / 10);

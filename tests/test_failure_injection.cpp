@@ -8,11 +8,12 @@
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/data/csv.hpp"
 #include "edgedrift/drift/centroid_detector.hpp"
-#include "edgedrift/drift/quanttree.hpp"
-#include "edgedrift/drift/spll.hpp"
 #include "edgedrift/linalg/solve.hpp"
 #include "edgedrift/model/multi_instance.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/quanttree.hpp"
+#include "baselines/spll.hpp"
+#include "oracle/linalg.hpp"
 #include "oracle/oselm.hpp"
 
 namespace {

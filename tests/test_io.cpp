@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string_view>
@@ -185,6 +186,38 @@ TEST(Checkpoint, RoundTripPreservesPredictions) {
     EXPECT_EQ(a.label, b.label);
     EXPECT_DOUBLE_EQ(a.score, b.score);
   }
+}
+
+// A detector built by the spec's factory streams, but the format holds only
+// the centroid detector's state: save refuses such a pipeline, and a load
+// whose runtime spec sets a factory or names another kind fails.
+TEST(Checkpoint, FactoryDetectorIsNeitherSavedNorLoaded) {
+  Rng rng(4);
+  auto scenario = make_scenario(rng);
+  PipelineConfig factory_config = small_config();
+  factory_config.detector.factory =
+      [](const edgedrift::drift::CentroidDetectorConfig& base) {
+        return std::make_unique<edgedrift::drift::CentroidDetector>(base);
+      };
+  Pipeline built_outside(factory_config);
+  built_outside.fit(scenario.train.x, scenario.train.labels);
+  EXPECT_EQ(built_outside.centroid_detector(), nullptr);
+  std::string blob;
+  EXPECT_FALSE(edgedrift::io::save_pipeline(blob, built_outside));
+
+  Pipeline original(small_config());
+  original.fit(scenario.train.x, scenario.train.labels);
+  ASSERT_TRUE(edgedrift::io::save_pipeline(blob, original));
+  PipelineConfig multi_window = small_config();
+  multi_window.detector.kind = edgedrift::drift::DetectorKind::kMultiWindow;
+  for (const PipelineConfig* runtime : {&factory_config, &multi_window}) {
+    std::string error;
+    EXPECT_FALSE(edgedrift::io::load_pipeline(blob, std::nullopt, &error,
+                                              runtime)
+                     .has_value());
+    EXPECT_NE(error.find("centroid detector"), std::string::npos) << error;
+  }
+  EXPECT_TRUE(edgedrift::io::load_pipeline(blob).has_value());
 }
 
 TEST(Checkpoint, RestoredPipelineKeepsStreamingIdentically) {

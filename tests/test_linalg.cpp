@@ -14,6 +14,7 @@
 #include "edgedrift/linalg/updates.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/linalg.hpp"
 
 namespace {
 

@@ -8,6 +8,7 @@
 #include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/linalg/solve.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/linalg.hpp"
 
 namespace {
 

@@ -16,6 +16,7 @@
 #include "edgedrift/data/nsl_kdd_like.hpp"
 #include "edgedrift/mcu/static_pipeline.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/catalogue.hpp"
 
 namespace {
 
@@ -241,13 +242,11 @@ void expect_refused(const PipelineConfig& config) {
 }
 
 TEST(StaticPipeline, LoadRefusesOtherDetectors) {
-  using edgedrift::drift::DetectorKind;
-  for (const DetectorKind kind :
-       {DetectorKind::kMultiWindow, DetectorKind::kDdm,
-        DetectorKind::kAdwin}) {
+  using edgedrift::baselines::Kind;
+  for (const Kind kind : {Kind::kMultiWindow, Kind::kDdm, Kind::kAdwin}) {
     SCOPED_TRACE(static_cast<int>(kind));
     PipelineConfig config = small_config();
-    config.detector.kind = kind;
+    config.detector = edgedrift::baselines::detector_spec(kind);
     expect_refused(config);
   }
 }

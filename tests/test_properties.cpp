@@ -5,14 +5,14 @@
 #include <cmath>
 #include <tuple>
 
-#include "edgedrift/cluster/kmeans.hpp"
 #include "edgedrift/data/drift_stream.hpp"
 #include "edgedrift/data/gaussian_concept.hpp"
 #include "edgedrift/drift/centroid_detector.hpp"
-#include "edgedrift/drift/quanttree.hpp"
 #include "edgedrift/linalg/gemm.hpp"
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/kmeans.hpp"
+#include "baselines/quanttree.hpp"
 #include "oracle/oselm.hpp"
 
 namespace {

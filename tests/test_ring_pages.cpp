@@ -23,6 +23,7 @@
 #include "edgedrift/data/gaussian_concept.hpp"
 #include "edgedrift/io/checkpoint.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "baselines/catalogue.hpp"
 
 namespace {
 
@@ -233,7 +234,8 @@ TEST_P(PagedRing, WritingIntoAPageWithQueuedRowsStepsLikeALonePipeline) {
   const StreamData data =
       make_stream(2300, std::max<std::size_t>(3000, 4 * (cap + 40)));
   PipelineConfig config = make_config();
-  config.detector.kind = edgedrift::drift::DetectorKind::kDdm;
+  config.detector =
+      edgedrift::baselines::detector_spec(edgedrift::baselines::Kind::kDdm);
   PipelineManager manager(config, 1, options(BackpressurePolicy::kReject));
   manager.fit(0, data.train.x, data.train.labels);
   Pipeline reference(manager.stream(0).config());

@@ -29,6 +29,7 @@
 #include "edgedrift/linalg/vector_ops.hpp"
 #include "edgedrift/util/digest.hpp"
 #include "edgedrift/util/rng.hpp"
+#include "oracle/linalg.hpp"
 #include "oracle/naive.hpp"
 
 namespace {
@@ -405,9 +406,9 @@ float quantize_reference(const std::vector<double>& x,
   double maxabs = 0.0;
   for (const double v : x) maxabs = std::max(maxabs, std::abs(v));
   q.assign(x.size(), 0);
-  if (maxabs == 0.0) return 0.0f;
   const float scale = static_cast<float>(maxabs) / 127.0f;
   const float inv = 1.0f / scale;
+  if (!(inv <= std::numeric_limits<float>::max())) return 0.0f;
   for (std::size_t i = 0; i < x.size(); ++i) {
     const long code = std::lround(x[i] * static_cast<double>(inv));
     q[i] = static_cast<std::int8_t>(std::clamp(code, -127L, 127L));
@@ -476,6 +477,29 @@ TEST(SimdKernels, I8QuantizerLanesMatchLroundExactly) {
     std::vector<double> negatives(n);
     for (auto& v : negatives) v = -std::abs(rng.gaussian());
     expect_quantizer_lanes_match(negatives, "negatives");
+  }
+}
+
+// A max|x| of 1e-40 makes the scale a float subnormal whose reciprocal
+// overflows float. Such a row, or weight column, quantizes as an all-zero
+// one does: scale 0 and zero codes, not the codes of an infinite product
+// (-127 for both signs).
+TEST(SimdKernels, I8QuantizersZeroAScaleWithoutFiniteReciprocal) {
+  const std::vector<double> tiny{1e-40, -1e-40};
+  const std::vector<std::int8_t> zeros(tiny.size(), 0);
+  for (const NamedQuantLane& l : quantizer_lanes()) {
+    std::vector<std::int8_t> got(tiny.size(), 99);
+    EXPECT_EQ(l.lane(tiny.data(), got.data(), tiny.size()), 0.0f) << l.name;
+    EXPECT_EQ(got, zeros) << l.name;
+  }
+  std::vector<std::int8_t> got(tiny.size(), 99);
+  EXPECT_EQ(linalg::quantize_vector(tiny, got), 0.0f);
+  EXPECT_EQ(got, zeros);
+  linalg::QuantizedMatrix w;
+  linalg::quantize(Matrix{{tiny[0]}, {tiny[1]}}, w);
+  EXPECT_EQ(w.scales[0], 0.0f);
+  for (std::size_t r = 0; r < tiny.size(); ++r) {
+    EXPECT_EQ(w.tiles[w.tile_offset(r, 0)], 0) << "row " << r;
   }
 }
 

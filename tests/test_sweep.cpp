@@ -9,10 +9,13 @@
 
 #include "edgedrift/data/scenario.hpp"
 #include "edgedrift/eval/sweep.hpp"
+#include "baselines/catalogue.hpp"
 
 namespace {
 
 using namespace edgedrift;
+using baselines::Kind;
+using baselines::sweep_detector;
 
 /// A scenario small enough for sub-second cells but with an unmistakable
 /// abrupt edge (magnitude 0.9 at burn_in = 800).
@@ -33,10 +36,10 @@ data::ScenarioSpec small_spec() {
 TEST(ScenarioSweep, SinglePipelineCellScoresTheScenario) {
   const data::CompiledScenario scenario = data::compile_scenario(small_spec());
   const eval::SweepCell cell =
-      eval::run_sweep_cell(scenario, drift::DetectorKind::kCentroid);
+      eval::run_sweep_cell(scenario, sweep_detector(Kind::kCentroid));
 
   EXPECT_EQ(cell.scenario, "sweep-small");
-  EXPECT_EQ(cell.kind, drift::DetectorKind::kCentroid);
+  EXPECT_EQ(cell.detector, "centroid");
   EXPECT_FALSE(cell.via_manager);
   EXPECT_EQ(cell.streams, 1u);
   EXPECT_DOUBLE_EQ(cell.calibrated_hellinger, 0.9);
@@ -53,7 +56,7 @@ TEST(ScenarioSweep, SinglePipelineCellScoresTheScenario) {
 TEST(ScenarioSweep, CentroidCatchesTheAbruptEdge) {
   const data::CompiledScenario scenario = data::compile_scenario(small_spec());
   const eval::SweepCell cell =
-      eval::run_sweep_cell(scenario, drift::DetectorKind::kCentroid);
+      eval::run_sweep_cell(scenario, sweep_detector(Kind::kCentroid));
   ASSERT_EQ(cell.metrics.drift_points, 1u);
   EXPECT_EQ(cell.metrics.detected, 1u);
   EXPECT_GE(cell.metrics.delays[0], 0);
@@ -68,7 +71,7 @@ TEST(ScenarioSweep, ManagerReplayCoversEveryRowAndIsDeterministic) {
   const data::CompiledScenario scenario = data::compile_scenario(spec);
 
   const eval::SweepCell a =
-      eval::run_sweep_cell(scenario, drift::DetectorKind::kDdm);
+      eval::run_sweep_cell(scenario, sweep_detector(Kind::kDdm));
   EXPECT_TRUE(a.via_manager);
   EXPECT_EQ(a.streams, 4u);
   EXPECT_EQ(a.metrics.stream_length, scenario.stream.size());
@@ -76,7 +79,7 @@ TEST(ScenarioSweep, ManagerReplayCoversEveryRowAndIsDeterministic) {
 
   // Identical events and scores on a rerun; only the wall clock may move.
   const eval::SweepCell b =
-      eval::run_sweep_cell(scenario, drift::DetectorKind::kDdm);
+      eval::run_sweep_cell(scenario, sweep_detector(Kind::kDdm));
   EXPECT_EQ(a.detections, b.detections);
   EXPECT_EQ(a.metrics.detected, b.metrics.detected);
   EXPECT_EQ(a.metrics.delays, b.metrics.delays);
@@ -91,24 +94,24 @@ TEST(ScenarioSweep, GridIsScenarioMajor) {
   second.name = "grid-b";
   second.seed = 42;
   const std::vector<data::ScenarioSpec> specs = {first, second};
-  const std::vector<drift::DetectorKind> kinds = {
-      drift::DetectorKind::kCentroid, drift::DetectorKind::kPageHinkley};
+  const std::vector<eval::SweepDetector> detectors = {
+      sweep_detector(Kind::kCentroid), sweep_detector(Kind::kPageHinkley)};
 
-  const eval::SweepResult result = eval::run_sweep(specs, kinds);
+  const eval::SweepResult result = eval::run_sweep(specs, detectors);
   ASSERT_EQ(result.cells.size(), 4u);
   EXPECT_EQ(result.cells[0].scenario, "grid-a");
-  EXPECT_EQ(result.cells[0].kind, drift::DetectorKind::kCentroid);
+  EXPECT_EQ(result.cells[0].detector, "centroid");
   EXPECT_EQ(result.cells[1].scenario, "grid-a");
-  EXPECT_EQ(result.cells[1].kind, drift::DetectorKind::kPageHinkley);
+  EXPECT_EQ(result.cells[1].detector, "pagehinkley");
   EXPECT_EQ(result.cells[2].scenario, "grid-b");
   EXPECT_EQ(result.cells[3].scenario, "grid-b");
 }
 
 TEST(ScenarioSweep, JsonCarriesTheSchemaAndEveryCell) {
   const std::vector<data::ScenarioSpec> specs = {small_spec()};
-  const std::vector<drift::DetectorKind> kinds = {
-      drift::DetectorKind::kCentroid, drift::DetectorKind::kAdwin};
-  const eval::SweepResult result = eval::run_sweep(specs, kinds);
+  const std::vector<eval::SweepDetector> detectors = {
+      sweep_detector(Kind::kCentroid), sweep_detector(Kind::kAdwin)};
+  const eval::SweepResult result = eval::run_sweep(specs, detectors);
   const std::string json = eval::sweep_json(result);
 
   EXPECT_NE(json.find("\"schema\": \"edgedrift-eval-v1\""), std::string::npos);
